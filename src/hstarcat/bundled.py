@@ -1,10 +1,11 @@
 """Bundled example categories.
 
-The categories are constructed here in code and shipped as JSON under
-data/. F-symbol matrices for the non-pointed examples are the externally
-standard ones; they are never trusted on load — every load re-runs the
-full validator (pentagon and F-unitarity) and raises on failure. One
-deliberately corrupted data set is bundled as a negative control.
+The JSON files under data/ are the single source of the bundled data;
+each records its provenance. F-symbol matrices for the non-pointed
+examples are the externally standard ones; they are never trusted on
+load — every load re-runs the full validator (pentagon and F-unitarity)
+and raises on failure. One deliberately corrupted data set is bundled as
+a negative control.
 """
 
 from __future__ import annotations
@@ -12,158 +13,9 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .fusion import FusionData, SchemaError, validate
 
-_SQ2 = np.sqrt(2.0)
-_PHI = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def _pointed(name, labels, mult_table):
-    """Group-like category: all fusions multiplicity one, trivial F."""
-    inv = {}
-    unit = labels[0]
-    for a in labels:
-        for b in labels:
-            if mult_table[(a, b)] == unit:
-                inv[a] = b
-    return FusionData(
-        simples=labels,
-        units=(unit,),
-        grading={c: (unit, unit) for c in labels},
-        dual=inv,
-        N={
-            (a, b, mult_table[(a, b)]): 1
-            for a in labels
-            for b in labels
-            if a != unit and b != unit
-        },
-        F={},
-    )
-
-
-def _hilb():
-    return _pointed("hilb", ("1",), {("1", "1"): "1"})
-
-
-def _hilb_z2():
-    t = {("1", "1"): "1", ("1", "g"): "g", ("g", "1"): "g", ("g", "g"): "1"}
-    return _pointed("hilb_z2", ("1", "g"), t)
-
-
-def _hilb_z3():
-    labels = ("1", "g", "h")
-    add = {"1": 0, "g": 1, "h": 2}
-    back = {v: k for k, v in add.items()}
-    t = {(a, b): back[(add[a] + add[b]) % 3] for a in labels for b in labels}
-    return _pointed("hilb_z3", labels, t)
-
-
-def _fibonacci(corrupt: bool = False):
-    f = np.array(
-        [[1 / _PHI, 1 / np.sqrt(_PHI)], [1 / np.sqrt(_PHI), -1 / _PHI]],
-        dtype=complex,
-    )
-    if corrupt:
-        f = -f  # still unitary, but no longer a pentagon solution
-    return FusionData(
-        simples=("1", "t"),
-        units=("1",),
-        grading={"1": ("1", "1"), "t": ("1", "1")},
-        dual={"1": "1", "t": "t"},
-        N={("t", "t", "1"): 1, ("t", "t", "t"): 1},
-        F={("t", "t", "t", "t"): f},
-    )
-
-
-def _ising():
-    # the two -1 entries are the unique pentagon solution (up to gauge)
-    # extending F^{sss}_s below with the fewest sign flips
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
-    F = {("s", "s", "s", "s"): h}
-    ones = [
-        ("s", "s", "p", "1"),
-        ("s", "s", "p", "p"),
-        ("p", "s", "s", "1"),
-        ("p", "s", "s", "p"),
-        ("s", "p", "s", "1"),
-        ("s", "p", "p", "s"),
-        ("p", "p", "s", "s"),
-        ("p", "p", "p", "p"),
-    ]
-    for k in ones:
-        F[k] = np.array([[1.0]], dtype=complex)
-    F[("s", "p", "s", "p")] = np.array([[-1.0]], dtype=complex)
-    F[("p", "s", "p", "s")] = np.array([[-1.0]], dtype=complex)
-    return FusionData(
-        simples=("1", "s", "p"),
-        units=("1",),
-        grading={c: ("1", "1") for c in ("1", "s", "p")},
-        dual={c: c for c in ("1", "s", "p")},
-        N={
-            ("s", "s", "1"): 1,
-            ("s", "s", "p"): 1,
-            ("s", "p", "s"): 1,
-            ("p", "s", "s"): 1,
-            ("p", "p", "1"): 1,
-        },
-        F=F,
-    )
-
-
-def _m2_hilb():
-    """2x2 matrix units over Hilb: simples e_ij, two unit summands."""
-    labels = ("11", "12", "21", "22")
-    return FusionData(
-        simples=labels,
-        units=("11", "22"),
-        grading={"11": ("11", "11"), "12": ("11", "22"), "21": ("22", "11"), "22": ("22", "22")},
-        dual={"11": "11", "12": "21", "21": "12", "22": "22"},
-        N={("12", "21", "11"): 1, ("21", "12", "22"): 1},
-        F={},
-    )
-
-
-_BUILDERS = {
-    "hilb": _hilb,
-    "hilb_z2": _hilb_z2,
-    "hilb_z3": _hilb_z3,
-    "fibonacci": _fibonacci,
-    "ising": _ising,
-    "m2_hilb": _m2_hilb,
-    "fibonacci_corrupt": lambda: _fibonacci(corrupt=True),
-}
-
 NAMES = ("hilb", "hilb_z2", "hilb_z3", "fibonacci", "ising", "m2_hilb")
-NEGATIVE_CONTROLS = ("fibonacci_corrupt",)
-
-_PROVENANCE = {
-    "hilb": "vector spaces; trivial associator",
-    "hilb_z2": "Z/2-graded vector spaces, trivial cocycle",
-    "hilb_z3": "Z/3-graded vector spaces, trivial cocycle",
-    "fibonacci": "externally standard golden-ratio F-matrix; re-verified by the pentagon checker on every load",
-    "ising": "externally standard 1/sqrt(2) Hadamard F-matrix with the unique pentagon sign extension; re-verified on every load",
-    "m2_hilb": "2x2 matrix units; two unit summands, trivial associator",
-    "fibonacci_corrupt": "negative control: one F entry sign-flipped, pentagon must fail",
-}
-
-
-def build(name: str) -> FusionData:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown bundled category {name}")
-    return _BUILDERS[name]()
-
-
-def write_all(directory) -> None:
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in NAMES + NEGATIVE_CONTROLS:
-        data = build(name).to_json()
-        data["provenance"] = _PROVENANCE[name]
-        (directory / f"{name}.json").write_text(json.dumps(data, indent=1))
 
 
 def load(name: str, trust: bool = False) -> FusionData:

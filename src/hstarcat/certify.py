@@ -13,14 +13,3 @@ class Certificate:
     residuals: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     failed_axiom: str | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "verdict": "ACCEPT" if self.ok else "REJECT",
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
-        if self.failed_axiom:
-            out["failed_axiom"] = self.failed_axiom
-        if self.details:
-            out["details"] = {k: str(v) for k, v in self.details.items()}
-        return out

@@ -18,14 +18,14 @@ from importlib import resources
 
 import numpy as np
 
-from . import bundled, deligne, hilb3, hstar1, intalg
+from . import deligne, hilb3, hstar1, intalg
+from .certify import Certificate
 from .diagram import Engine
 from .fusion import (
     FusionData,
     SchemaError,
     SphericalWeight,
     loop_eval,
-    renorm_scalar,
     udf_from_weight,
     validate,
 )
@@ -126,6 +126,12 @@ def _round(x, nd=14):
     return x
 
 
+def _bounded(key: str, residual: float, bound: float, axiom: str) -> Certificate:
+    """One-residual certificate: ACCEPT iff residual <= bound."""
+    ok = residual <= bound
+    return Certificate(ok=ok, residuals={key: residual}, failed_axiom=None if ok else axiom)
+
+
 class Report:
     def __init__(self, args, inputs):
         self.doc = {
@@ -186,15 +192,13 @@ def _cmd_fusion_udf(args):
                 abs(loop_eval(udf, c, "L") - udf.d(c) / udf.d(data.s(c))),
                 abs(loop_eval(udf, c, "R") - udf.d(c) / udf.d(data.t(c))),
             )
-        from .certify import Certificate
-
-        loops_ok = worst <= args.tolerance.bound(max(udf.dims.values()))
         rep.add(
             "loops",
-            Certificate(
-                ok=loops_ok,
-                residuals={"loop_gap": worst},
-                failed_axiom=None if loops_ok else "loop normalization",
+            _bounded(
+                "loop_gap",
+                worst,
+                args.tolerance.bound(max(udf.dims.values())),
+                "loop normalization",
             ),
         )
         rep.add_values({"dims": {c: udf.d(c) for c in data.simples}})
@@ -228,16 +232,9 @@ def _cmd_alg_standardize(args):
     special = eng.residual(
         eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
     )
-    from .certify import Certificate
-
-    sp_ok = special <= args.tolerance.bound()
     rep.add(
         "specialness",
-        Certificate(
-            ok=sp_ok,
-            residuals={"mu_mu_dag": special},
-            failed_axiom=None if sp_ok else "specialness",
-        ),
+        _bounded("mu_mu_dag", special, args.tolerance.bound(), "specialness"),
     )
     rep.add("hstar_algebra", intalg.verify_hstar(S, args.tolerance, args.seed))
     return rep.finish(args.out)
@@ -267,15 +264,13 @@ def _cmd_alg_intend(args):
     rep.add("hstar_algebra", cert)
     if cert.ok:
         defect = intalg.internal_end_comparison(A, args.tolerance)
-        from .certify import Certificate
-
-        ok = defect <= args.tolerance.bound() * 10
         rep.add(
             "internal_end",
-            Certificate(
-                ok=ok,
-                residuals={"comparison_unitarity": defect},
-                failed_axiom=None if ok else "internal-end comparison",
+            _bounded(
+                "comparison_unitarity",
+                defect,
+                args.tolerance.bound() * 10,
+                "internal-end comparison",
             ),
         )
     return rep.finish(args.out)
@@ -310,16 +305,9 @@ def _cmd_deligne_check(args):
                     - deligne.ladder_trace(deligne.ladder_compose(G, F))
                 ),
             )
-    from .certify import Certificate
-
-    ok = worst <= args.tolerance.bound(10.0)
     rep.add(
         "ladder_trace",
-        Certificate(
-            ok=ok,
-            residuals={"traciality": worst},
-            failed_axiom=None if ok else "traciality",
-        ),
+        _bounded("traciality", worst, args.tolerance.bound(10.0), "traciality"),
     )
     return rep.finish(args.out)
 
@@ -401,15 +389,13 @@ def _cmd_hstar_gns(args):
         raise InputError(f"{name}: bad H*-algebra spec: {exc}")
     mod = hstar1.gns(A)
     resid = hstar1.module_trace_law_residual(mod, args.tolerance, args.seed)
-    from .certify import Certificate
-
-    ok = resid <= args.tolerance.bound(max(A.weights) * max(A.block_sizes))
     rep.add(
         "module_trace_law",
-        Certificate(
-            ok=ok,
-            residuals={"rank_one_law": resid},
-            failed_axiom=None if ok else "module trace law",
+        _bounded(
+            "rank_one_law",
+            resid,
+            args.tolerance.bound(max(A.weights) * max(A.block_sizes)),
+            "module trace law",
         ),
     )
     rep.add_values(

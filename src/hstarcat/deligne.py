@@ -6,8 +6,7 @@ string through fusion vertices, and the trace that keeps only the unit
 channels with a d_j^{-1} weight.
 
 Module sides are realized inside the fusion-tree engine: the regular
-C-module on either side, right A-modules as a left C-module, and left
-A-modules as a right C-module.
+C-module on either side, and left A-modules as a right C-module.
 """
 
 from __future__ import annotations
@@ -20,22 +19,15 @@ from .certify import Certificate
 from .diagram import Engine, Mor
 from .intalg import (
     AlgebraObject,
-    Module,
     _solve,
     _strict_right_unitor,
     _strict_unitor,
-    module_hom_basis,
-    module_trace,
     trace_alg_end,
 )
-from .numcore import DEFAULT_TOL, Tolerance
+from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance
 
 
 class MixedMiddleCategory(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
     pass
 
 
@@ -71,36 +63,6 @@ class RegularLeft:
 
     def trace(self, f: Mor) -> complex:
         return self.eng.categorical_trace(f)
-
-
-class ModulesLeft:
-    """Right A-modules as a left C-module: c |> m, with the canonical
-    module trace."""
-
-    def __init__(self, A: AlgebraObject):
-        self.A = A
-        self.eng = A.eng
-
-    def word(self, m: Module):
-        return m.word
-
-    def hom(self, c, m1: Module, m2: Module):
-        return module_hom_basis((self.eng.simple_obj(c),) + m1.word, m1, m2)
-
-    def trace(self, f: Mor, m: Module) -> complex:
-        # f is an endomorphism of a word ending in m's object
-        eng = self.eng
-        prefix = f.dom[:-1]
-        fused, u = eng.fuse(f.dom)
-        rho = eng.compose(
-            u,
-            eng.compose(
-                eng.whisker_left(prefix, m.rho),
-                eng.whisker_right_obj(eng.dagger(u), self.A.obj),
-            ),
-        )
-        endo = eng.compose(u, eng.compose(f, eng.dagger(u)))
-        return module_trace(Module(self.A, fused, rho), endo)
 
 
 @dataclass
@@ -334,22 +296,6 @@ def ladder_dagger(F: LadderHom) -> LadderHom:
     return LadderHom(F.dst, F.src, terms)
 
 
-def ladder_add(F: LadderHom, G: LadderHom) -> LadderHom:
-    terms = {c: list(p) for c, p in F.terms.items()}
-    for c, p in G.terms.items():
-        terms.setdefault(c, []).extend(p)
-    return LadderHom(F.src, F.dst, terms)
-
-
-def ladder_scale(z, F: LadderHom) -> LadderHom:
-    eng = _eng(F.src)
-    return LadderHom(
-        F.src,
-        F.dst,
-        {c: [(eng.scale(z, f), g) for f, g in p] for c, p in F.terms.items()},
-    )
-
-
 def ladder_trace(F: LadderHom) -> complex:
     """Only unit channels survive, weighted by d_j^{-1}."""
     if not (_same_obj(F.src.m, F.dst.m) and _same_obj(F.src.n, F.dst.n)):
@@ -377,25 +323,10 @@ def _side_trace(side, endo, obj):
     return side.trace(endo, obj)
 
 
-def realize_regular(F: LadderHom) -> Mor:
-    """For the C-C regular ladder: image in Hom(m1 (x) n1 -> m2 (x) n2)
-    under the balanced tensor functor m (x) n."""
-    eng = _eng(F.src)
-    m2w = _mword(F.dst)
-    n1w = _nword(F.src)
-    out = eng.zero(_mword(F.src) + n1w, m2w + _nword(F.dst))
-    for c, pairs in F.terms.items():
-        for f, g in pairs:
-            out = eng.add(
-                out,
-                eng.compose(eng.whisker_left(m2w, g), eng.whisker_right(f, n1w)),
-            )
-    return out
-
-
 def act_on_module(F: LadderHom) -> Mor:
-    """Image of a ladder endo of m (x) c under the right action functor
-    m (x) c -> m <| c (n-side must be the regular module)."""
+    """Image of a ladder morphism under the right action functor
+    m (x) c -> m <| c (n-side must be the regular module); on the C-C
+    regular ladder this is the balanced tensor functor m (x) n."""
     eng = _eng(F.src)
     m2w = _mword(F.dst)
     c1w = _nword(F.src)

@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import Certificate
-from .numcore import DEFAULT_TOL, Tolerance, unitarity_defect
+from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance, unitarity_defect
 
 FP_TOL = 1e-12
 
 
 class SchemaError(ValueError):
-    pass
-
-
-class NonPositiveWeight(ValueError):
     pass
 
 
@@ -524,34 +520,3 @@ def renorm_scalar(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAU
             prefactors[i] = 1.0 / closed
     return values, prefactors
 
-
-def canonical_two_hilbert(
-    data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL
-):
-    """The underlying 2-Hilbert space: simples with dims from the weight.
-
-    Certifies on random endomorphisms that the left and right closed-loop
-    traces agree (sphericality of the induced trace) and that both match
-    the d-weighted blockwise trace.
-    """
-    from .hilb2 import TwoHilbertSpace
-    from .diagram import Engine
-
-    udf = udf_from_weight(data, psi, tol)
-    eng = Engine(data, udf)
-    rng = np.random.default_rng(0)
-    defect = 0.0
-    for _ in range(5):
-        mult = {c: int(rng.integers(0, 3)) for c in data.simples}
-        if not any(mult.values()):
-            mult[data.simples[0]] = 1
-        obj = eng.obj(mult)
-        word = (obj,)
-        f = eng.random_mor(word, word, rng)
-        tl = eng.psi_of_unit_endo(eng.trace_left(f))
-        tr = eng.psi_of_unit_endo(eng.trace_right(f))
-        direct = eng.categorical_trace(f)
-        defect = max(defect, abs(tl - tr), abs(tl - direct))
-    if defect > 1e-7:
-        raise IndependenceViolation(f"spherical trace disagreement {defect}")
-    return TwoHilbertSpace(data.simples, tuple(udf.dims[c] for c in data.simples))

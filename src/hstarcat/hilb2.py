@@ -15,11 +15,7 @@ import numpy as np
 
 from . import hstar1
 from .certify import Certificate
-from .numcore import DEFAULT_TOL, Tolerance
-
-
-class ShapeMismatch(ValueError):
-    pass
+from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance
 
 
 @dataclass(frozen=True)
@@ -41,13 +37,6 @@ class TwoHilbertSpace:
     def simple(self, idx: int) -> "H2Object":
         return self.obj(tuple(1 if i == idx else 0 for i in range(len(self.labels))))
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "dims": list(self.dims)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwoHilbertSpace":
-        return cls(tuple(data["labels"]), tuple(data["dims"]))
-
 
 @dataclass(frozen=True)
 class H2Object:
@@ -60,25 +49,12 @@ class H2Object:
         if any(m < 0 for m in self.mults):
             raise ValueError("multiplicities must be nonnegative")
 
-    def __add__(self, other: "H2Object") -> "H2Object":
-        if other.space != self.space:
-            raise ShapeMismatch("direct sum requires a common ambient space")
-        return H2Object(self.space, tuple(a + b for a, b in zip(self.mults, other.mults)))
-
 
 @dataclass(frozen=True)
 class H2Morphism:
     source: H2Object
     target: H2Object
     blocks: tuple  # one (target mult x source mult) matrix per label
-
-    @classmethod
-    def build(cls, source: H2Object, target: H2Object, blocks) -> "H2Morphism":
-        mats = []
-        for s, (ms, mt) in enumerate(zip(source.mults, target.mults)):
-            b = np.asarray(blocks[s], dtype=complex).reshape(mt, ms)
-            mats.append(b)
-        return cls(source, target, tuple(mats))
 
     @classmethod
     def identity(cls, obj: H2Object) -> "H2Morphism":
@@ -167,11 +143,6 @@ class DagFunctor:
     def apply(self, obj: H2Object) -> H2Object:
         m = np.asarray(self.matrix)
         return H2Object(self.codomain, tuple(int(x) for x in m @ np.asarray(obj.mults)))
-
-    @classmethod
-    def identity(cls, space: TwoHilbertSpace) -> "DagFunctor":
-        n = len(space.labels)
-        return cls(space, space, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):

@@ -40,7 +40,6 @@ from .intalg import (
     Bimodule,
     Module,
     _mor_combo,
-    _solve,
     algebra_bimodule,
     dual_bimodule_delta0,
     left_trivial_bimodule,
@@ -49,11 +48,12 @@ from .intalg import (
     module_trace,
     relative_tensor,
     right_unitor,
+    spectral_pieces,
     trivial_algebra,
     verify_bimodule,
     verify_hstar,
 )
-from .numcore import DEFAULT_TOL, Tolerance
+from .numcore import DEFAULT_TOL, Tolerance, null_space
 
 
 class MissingDualityData(KeyError):
@@ -328,12 +328,8 @@ def monad_sphericality(
 
 
 def bimodule_homs(M1: Bimodule, M2: Bimodule, tol: Tolerance = DEFAULT_TOL):
-    """Basis of maps intertwining both actions.
-
-    The singular-value cut is absolute (the actions are O(1)-normalized):
-    a purely relative cut misreads an all-roundoff constraint matrix as
-    full rank and reports an empty hom space.
-    """
+    """Basis of maps intertwining both actions (kernel cut as in
+    numcore.null_space)."""
     eng = M1.eng
     A, B = M1.left, M1.right
 
@@ -356,10 +352,7 @@ def bimodule_homs(M1: Bimodule, M2: Bimodule, tol: Tolerance = DEFAULT_TOL):
         eng.linear_matrix(l_defect, (M1.word, M2.word), ((A.obj,) + M1.word, M2.word)),
         eng.linear_matrix(r_defect, (M1.word, M2.word), (M1.word + (B.obj,), M2.word)),
     ]
-    big = np.vstack(mats)
-    _, s, vh = np.linalg.svd(big)
-    cut = 1e-8 * max(1.0, s[0] if s.size else 0.0)
-    null = vh[(s > cut).sum():].conj().T
+    null = null_space(np.vstack(mats))
     return [
         eng.from_vector(M1.word, M2.word, null[:, k]) for k in range(null.shape[1])
     ]
@@ -387,46 +380,12 @@ def split_bimodule(F: Bimodule, tol: Tolerance = DEFAULT_TOL, seed: int = 0, dep
     if depth > 8:
         raise RuntimeError("bimodule splitting did not terminate")
     rng = np.random.default_rng(seed + 7 * depth)
-    for _ in range(5):
-        h = eng.zero(F.word, F.word)
-        for e in comm:
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            h = eng.add(h, eng.add(eng.scale(z, e), eng.scale(np.conj(z), eng.dagger(e))))
-        vals = []
-        for c in eng.support(F.word):
-            b = eng.block(h, c)
-            if b.size:
-                vals.extend(np.linalg.eigvalsh((b + b.conj().T) / 2).tolist())
-        vals = sorted(vals)
-        scale = max(abs(v) for v in vals) or 1.0
-        clusters = []
-        for v in vals:
-            if clusters and v - clusters[-1][-1] < 1e-6 * scale:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        if len(clusters) == 1:
-            continue
-        out = []
-        for cl in clusters:
-            lo, hi = cl[0] - 1e-6 * scale, cl[-1] + 1e-6 * scale
-            mobj = [0] * len(eng.data.simples)
-            vblocks = {}
-            for c in eng.support(F.word):
-                b = eng.block(h, c)
-                if not b.size:
-                    continue
-                ev, evec = np.linalg.eigh((b + b.conj().T) / 2)
-                sel = (ev >= lo) & (ev <= hi)
-                V = evec[:, sel]
-                if V.shape[1]:
-                    mobj[eng.data.index[c]] = V.shape[1]
-                    vblocks[c] = V
-            piece, Vm = _conjugate_bimodule(F, mobj, vblocks)
-            for sub, W in split_bimodule(piece, tol, seed, depth + 1):
-                out.append((sub, eng.compose(Vm, W)))
-        return out
-    raise RuntimeError("could not split bimodule after re-randomization")
+    out = []
+    for mobj, vblocks in spectral_pieces(eng, F.word, comm, rng):
+        piece, Vm = _conjugate_bimodule(F, mobj, vblocks)
+        for sub, W in split_bimodule(piece, tol, seed, depth + 1):
+            out.append((sub, eng.compose(Vm, W)))
+    return out
 
 
 def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:

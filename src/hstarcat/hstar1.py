@@ -7,24 +7,12 @@ weights w_i. The GNS inner product is <a|b> = Tr_A(a^* b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import Certificate
-from .numcore import DEFAULT_TOL, Tolerance
-
-
-class NonPositiveWeight(ValueError):
-    pass
-
-
-class TracialityViolation(ValueError):
-    pass
-
-
-class PositivityViolation(ValueError):
-    pass
+from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance
 
 
 class MixedAmbientCategory(ValueError):
@@ -49,9 +37,6 @@ class HStarAlgebra:
     @property
     def dim(self) -> int:
         return sum(n * n for n in self.block_sizes)
-
-    def zero(self):
-        return [np.zeros((n, n), dtype=complex) for n in self.block_sizes]
 
     def unit(self):
         return [np.eye(n, dtype=complex) for n in self.block_sizes]
@@ -191,9 +176,6 @@ class HStarModuleRep:
             rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
             for m, n in zip(self.mults, self.algebra.block_sizes)
         ]
-
-    def inner(self, eta, xi) -> complex:
-        return sum(np.trace(e.conj().T @ x) for e, x in zip(eta, xi))
 
     def a_valued_inner(self, eta, xi):
         """<eta|xi>_A, the composite <eta| o |xi> in End(A_A) = A.

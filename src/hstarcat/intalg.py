@@ -3,8 +3,10 @@
 Certification of the three H*-algebra axioms (Frobenius, separable,
 standard), standardization to a special Q-system, pair algebras c (x) c*,
 module categories C_A with the canonical trace psi(iota^dag f iota),
-internal ends, bimodules with the relative tensor over a middle algebra,
-and the delta = 0 dual-functor data on bimodules.
+internal ends (checked through internal_end_comparison only, the
+unitarity of the canonical map A -> [A, A]), bimodules with the relative
+tensor over a middle algebra, and the delta = 0 dual-functor data on
+bimodules.
 
 All diagrams are evaluated in the fusion-tree engine; every axiom is a
 numeric residual, never a symbolic assumption.
@@ -15,21 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .certify import Certificate
 from .diagram import Engine, Mor
-from .numcore import DEFAULT_TOL, Tolerance, split_projection
+from .numcore import DEFAULT_TOL, NotProjection, Tolerance, null_space, split_projection
 
 CONDITION_CUT = 1e12
-
-
-class NotUnital(ValueError):
-    pass
-
-
-class NotAssociative(ValueError):
-    pass
 
 
 class SingularBubble(ValueError):
@@ -264,22 +257,13 @@ def free_module(A: AlgebraObject, O) -> Module:
     return Module(A, m, rho)
 
 
-def verify_module(M: Module, tol: Tolerance = DEFAULT_TOL) -> float:
-    eng = M.eng
-    A = M.algebra
-    assoc_l = eng.compose(M.rho, eng.whisker_right_obj(M.rho, A.obj))
-    assoc_r = eng.compose(M.rho, eng.whisker_left_obj(M.obj, A.mu))
-    unit = eng.compose(M.rho, eng.whisker_left_obj(M.obj, A.iota))
-    return max(eng.residual(assoc_l, assoc_r), eng.residual(unit, eng.identity(M.word)))
-
-
 def _solve(eng: Engine, dom_pair, constraints, tol: Tolerance = DEFAULT_TOL):
     """Basis of morphisms Hom(dom_pair) killed by the given linear maps."""
     mats = [eng.linear_matrix(fun, dom_pair, cp) for fun, cp in constraints]
     big = np.vstack(mats) if mats else np.zeros((0, eng.hom_dim(*dom_pair)))
     if big.shape[1] == 0:
         return []
-    ns = null_space(big, rcond=1e-10)
+    ns = null_space(big)
     return [eng.from_vector(dom_pair[0], dom_pair[1], ns[:, k]) for k in range(ns.shape[1])]
 
 
@@ -347,22 +331,23 @@ class ModuleCategory:
         return TwoHilbertSpace(labels, tuple(self.dims))
 
 
-def _split_module(F: Module, tol: Tolerance, seed: int, depth: int = 0):
-    """Decompose a module into simple summands via its endomorphism algebra."""
-    eng = F.eng
-    comm = module_hom_basis(F.word, F, F, tol)
-    if len(comm) == 1:
-        return [F]
-    if depth > 8:
-        raise RuntimeError("module splitting did not terminate")
-    rng = np.random.default_rng(seed + depth)
-    for attempt in range(5):
-        h = eng.zero(F.word, F.word)
+def spectral_pieces(eng: Engine, word, comm, rng):
+    """Split the object word along the eigenspaces of a random Hermitian
+    element h of its commutant (comm, a basis of the structure-preserving
+    endomorphisms).
+
+    Eigenvalues of h are clustered at 1e-6 of their scale; each cluster
+    gives one (mobj, vblocks): the multiplicity vector of its eigenspace
+    and the per-charge isometry blocks into word. A draw with a single
+    cluster is degenerate and is re-drawn, at most five times in all.
+    """
+    for _ in range(5):
+        h = eng.zero(word, word)
         for e in comm:
             z = rng.standard_normal() + 1j * rng.standard_normal()
             h = eng.add(h, eng.add(eng.scale(z, e), eng.scale(np.conj(z), eng.dagger(e))))
         vals = []
-        for c in eng.support(F.word):
+        for c in eng.support(word):
             b = eng.block(h, c)
             if b.size:
                 vals.extend(np.linalg.eigvalsh((b + b.conj().T) / 2).tolist())
@@ -375,14 +360,13 @@ def _split_module(F: Module, tol: Tolerance, seed: int, depth: int = 0):
             else:
                 clusters.append([v])
         if len(clusters) == 1:
-            continue  # degenerate draw; re-randomize
+            continue
         pieces = []
         for cl in clusters:
             lo, hi = cl[0] - 1e-6 * scale, cl[-1] + 1e-6 * scale
-            blocks = {}
             mobj = [0] * len(eng.data.simples)
             vblocks = {}
-            for c in eng.support(F.word):
+            for c in eng.support(word):
                 b = eng.block(h, c)
                 if not b.size:
                     continue
@@ -392,19 +376,30 @@ def _split_module(F: Module, tol: Tolerance, seed: int, depth: int = 0):
                 if V.shape[1]:
                     mobj[eng.data.index[c]] = V.shape[1]
                     vblocks[c] = V
-            mobj = tuple(mobj)
-            Vm = eng.mor((mobj,), F.word, vblocks)
-            rho = eng.compose(
-                eng.dagger(Vm),
-                eng.compose(F.rho, eng.whisker_right_obj(Vm, F.algebra.obj)),
-            )
-            pieces.append(Module(F.algebra, mobj, rho))
-        out = []
-        for piece in pieces:
-            # residual eigenvalue collisions leave non-simple pieces
-            out.extend(_split_module(piece, tol, seed, depth + 1))
-        return out
-    raise RuntimeError("could not split module after re-randomization")
+            pieces.append((tuple(mobj), vblocks))
+        return pieces
+    raise RuntimeError("commutant element stayed degenerate after re-randomization")
+
+
+def _split_module(F: Module, tol: Tolerance, seed: int, depth: int = 0):
+    """Decompose a module into simple summands via its endomorphism algebra."""
+    eng = F.eng
+    comm = module_hom_basis(F.word, F, F, tol)
+    if len(comm) == 1:
+        return [F]
+    if depth > 8:
+        raise RuntimeError("module splitting did not terminate")
+    rng = np.random.default_rng(seed + depth)
+    out = []
+    for mobj, vblocks in spectral_pieces(eng, F.word, comm, rng):
+        Vm = eng.mor((mobj,), F.word, vblocks)
+        rho = eng.compose(
+            eng.dagger(Vm),
+            eng.compose(F.rho, eng.whisker_right_obj(Vm, F.algebra.obj)),
+        )
+        # residual eigenvalue collisions leave non-simple pieces
+        out.extend(_split_module(Module(F.algebra, mobj, rho), tol, seed, depth + 1))
+    return out
 
 
 def module_category(
@@ -428,85 +423,6 @@ def module_category(
             raise SingularBubble(f"non-positive module dimension {d}")
         dims.append(d)
     return ModuleCategory(A, simples, dims)
-
-
-def internal_end(M: Module, tol: Tolerance = DEFAULT_TOL):
-    """[m, m] as an H*-algebra: multiplicity of c is dim Hom_A(c |> m -> m),
-    with structure coefficients from composition in orthonormalized bases.
-
-    Returns (AlgebraObject, per-simple orthonormal bases).
-    """
-    eng = M.eng
-    A = M.algebra
-    data = eng.data
-    bases = {}
-    for c in data.simples:
-        cw = (eng.simple_obj(c),) + M.word
-        raw = module_hom_basis(cw, M, M, tol)
-        if not raw:
-            continue
-        # Gram orthonormalize wrt <g|h> = d_c^{-1} Tr^{C_A}(g^dag h)
-        cmod = _whiskered_module(M, eng.simple_obj(c))
-        gram = np.array(
-            [
-                [
-                    _hom_inner(eng, cmod, g, h) / eng.udf.d(c)
-                    for h in raw
-                ]
-                for g in raw
-            ]
-        )
-        w = np.linalg.inv(np.linalg.cholesky(gram).conj().T)
-        bases[c] = [
-            _mor_combo(eng, raw, w[:, j]) for j in range(len(raw))
-        ]
-    E = tuple(len(bases.get(c, ())) for c in data.simples)
-    word = (E,)
-    mu_blocks = {}
-    for e in eng.support(word + word):
-        dom = eng.basis(word + word, e)
-        cod = eng.basis(word, e)
-        if not dom or not cod:
-            continue
-        m = np.zeros((len(cod), len(dom)), dtype=complex)
-        emod = _whiskered_module(M, eng.simple_obj(e))
-        for j, (c, alpha, d, v, si) in enumerate(dom):
-            (dd, beta, _, _, _) = eng.basis((E,), d)[si]
-            tv = eng.mor(
-                (eng.simple_obj(e),),
-                (eng.simple_obj(c), eng.simple_obj(d)),
-                {e: _unit_col(len(eng.basis((eng.simple_obj(c), eng.simple_obj(d)), e)), v)},
-            )
-            q = eng.compose(
-                bases[c][alpha],
-                eng.compose(
-                    eng.whisker_left((eng.simple_obj(c),), bases[d][beta]),
-                    eng.whisker_right(tv, M.word),
-                ),
-            )
-            for i, (ee, gamma, _, _, _) in enumerate(cod):
-                m[i, j] = _hom_inner(eng, emod, bases[e][gamma], q) / eng.udf.d(e)
-        mu_blocks[e] = m
-    mu = eng.mor(word + word, word, mu_blocks)
-    iota_blocks = {}
-    for u in data.units:
-        if u not in bases:
-            continue
-        umod = _whiskered_module(M, eng.simple_obj(u))
-        unitor = _strict_unitor(eng, eng.simple_obj(u), M.word)
-        col = np.array(
-            [[_hom_inner(eng, umod, bases[u][g], unitor) / eng.udf.d(u)]
-             for g in range(len(bases[u]))]
-        )
-        iota_blocks[u] = col
-    iota = eng.mor((), word, iota_blocks)
-    return AlgebraObject(eng, E, mu, iota), bases
-
-
-def _unit_col(n, v):
-    m = np.zeros((n, 1), dtype=complex)
-    m[v, 0] = 1.0
-    return m
 
 
 def _mor_combo(eng, mors, coeffs):
@@ -583,10 +499,6 @@ def internal_end_comparison(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL):
 # --- bimodules and the relative tensor ---------------------------------
 
 
-class NotProjection(ValueError):
-    pass
-
-
 @dataclass
 class Bimodule:
     """A-B bimodule: left action (A, m) -> (m), right action (m, B) -> (m)."""
@@ -604,9 +516,6 @@ class Bimodule:
     @property
     def word(self):
         return (self.obj,)
-
-    def right_module(self) -> Module:
-        return Module(self.right, self.obj, self.rho)
 
 
 def verify_bimodule(M: Bimodule, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -662,13 +571,6 @@ def left_trivial_bimodule(M: Module, unit) -> Bimodule:
     T = trivial_algebra(eng, unit)
     lam = _strict_unitor(eng, eng.simple_obj(unit), M.word)
     return Bimodule(T, M.algebra, M.obj, lam, M.rho)
-
-
-def right_trivial_bimodule(A: AlgebraObject, M_obj, lam: Mor, unit) -> Bimodule:
-    eng = A.eng
-    T = trivial_algebra(eng, unit)
-    rho = _strict_right_unitor(eng, (M_obj,), eng.simple_obj(unit))
-    return Bimodule(A, T, M_obj, lam, rho)
 
 
 def separability_projection(M: Bimodule, N: Bimodule) -> Mor:

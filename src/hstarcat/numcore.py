@@ -1,8 +1,9 @@
 """Dense complex linear algebra primitives and the tolerance policy.
 
 Every other module routes its numerics through the handful of operations
-here so that there is a single audited eigendecomposition path and a
-single tolerance convention.
+here so that there is a single audited eigendecomposition path, a single
+null-space routine and a single tolerance convention. The exception
+classes shared by several modules are defined here once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ class NotProjection(ValueError):
 
 
 class NonSquare(ValueError):
+    pass
+
+
+class ShapeMismatch(ValueError):
+    pass
+
+
+class NonPositiveWeight(ValueError):
     pass
 
 
@@ -125,6 +134,19 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     vals, vecs = _sorted_eigh(h)
     rank = int(np.sum(vals > 0.5))
     return vecs[:, :rank]
+
+
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the kernel of m.
+
+    Singular values at or below 1e-8 * max(1, sigma_max) count as zero.
+    The cut is absolute for small matrices (the constraint maps of the
+    diagram engine are O(1)-normalized): a purely relative cut misreads an
+    all-roundoff matrix as full rank and reports an empty kernel.
+    """
+    _, s, vh = np.linalg.svd(m)
+    cut = 1e-8 * max(1.0, s[0] if s.size else 0.0)
+    return vh[(s > cut).sum():].conj().T
 
 
 def unitarity_defect(m: np.ndarray) -> float:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +95,26 @@ def test_deligne_check(capsys):
     code, rep = _run(capsys, "deligne", "check", "hilb_z2")
     assert code == 0
     assert rep["verdict"] == "ACCEPT"
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (("alg", "standardize", "ising", "ising_qsystem"), ["hstar_algebra", "specialness"]),
+        (("alg", "intend", "hilb_z2", "hilb_z2_group"), ["hstar_algebra", "internal_end"]),
+        (("h3", "complete", "fibonacci"), ["hilbert_sum", "sphericality"]),
+    ],
+)
+def test_accepting_commands(capsys, argv, checks):
+    code, rep = _run(capsys, *argv)
+    assert code == 0
+    assert rep["verdict"] == "ACCEPT"
+    assert sorted(rep["verdicts"]) == checks
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, hstarcat.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -72,14 +72,14 @@ def test_dagger_preserves_trace_form():
     assert abs(ip.imag) < 1e-9 * ip.real
 
 
-def test_realize_regular_is_functorial():
+def test_act_on_module_is_functorial():
     eng = _eng("ising")
     rng = np.random.default_rng(2)
     L = _regular_ladder(eng, "s", "s")
     F = deligne.random_ladder(L, L, rng)
     G = deligne.random_ladder(L, L, rng)
-    lhs = deligne.realize_regular(deligne.ladder_compose(F, G))
-    rhs = eng.compose(deligne.realize_regular(F), deligne.realize_regular(G))
+    lhs = deligne.act_on_module(deligne.ladder_compose(F, G))
+    rhs = eng.compose(deligne.act_on_module(F), deligne.act_on_module(G))
     assert eng.residual(lhs, rhs) < 1e-9
 
 

@@ -10,6 +10,7 @@ from hstarcat.numcore import (
     cmatrix_from_json,
     cmatrix_to_json,
     hermitian_sqrt,
+    null_space,
     split_projection,
     unitarity_defect,
 )
@@ -61,6 +62,26 @@ def test_split_projection_deterministic():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     p = q[:, :3] @ q[:, :3].T
     assert np.array_equal(split_projection(p), split_projection(p.copy()))
+
+
+def test_null_space_rank_deficient():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    m = a @ b  # 6 x 5 of rank 3
+    ns = null_space(m)
+    assert ns.shape == (5, 2)
+    assert np.linalg.norm(ns.conj().T @ ns - np.eye(2)) < 1e-10
+    assert np.linalg.norm(m @ ns) < 1e-10
+
+
+def test_null_space_roundoff_matrix_is_all_kernel():
+    # a purely relative cut would call this full rank and return nothing
+    rng = np.random.default_rng(6)
+    m = 1e-13 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    ns = null_space(m)
+    assert ns.shape == (3, 3)
+    assert np.linalg.norm(ns.conj().T @ ns - np.eye(3)) < 1e-10
 
 
 def test_unitarity_defect():
