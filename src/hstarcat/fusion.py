@@ -13,6 +13,14 @@ F^{abc}_d maps the basis {(e; mu in V(a,b;e), nu in V(e,c;d))} of trees
 grouped to the left onto the basis {(f; ka in V(b,c;f), la in V(a,f;d))}
 grouped to the right, where V(x,y;z) is the vertex space Hom(z -> x(x)y).
 F blocks with a unit argument are required to be identities (strict unit).
+
+Validation compiles the data into integer tables once per call (a dense
+N[a, b, c] with the strict-unit rules folded in, fusion-product lists, and
+F blocks keyed by simple indices with their tree bases, built on first
+use) and loops only over admissible tuples. The tables are never stored
+on FusionData, so they cannot go stale when F is edited after
+construction. Non-finite F entries are a SchemaError at construction; a
+non-finite residual that still arises fails its bound test and rejects.
 """
 
 from __future__ import annotations
@@ -62,8 +70,20 @@ class FusionData:
                 raise SchemaError(f"missing grading for {c}")
             if c not in self.dual:
                 raise SchemaError(f"missing dual for {c}")
+            ends = tuple(self.grading[c])
+            if len(ends) != 2 or any(u not in self.units for u in ends):
+                raise SchemaError(f"grading of {c} is not a pair of units: {ends}")
+            if self.dual[c] not in self.index:
+                raise SchemaError(f"dual of {c} is not a simple: {self.dual[c]}")
+        for table, arity in ((self.N, 3), (self.F, 4)):
+            for k in table:
+                if len(k) != arity or any(x not in self.index for x in k):
+                    raise SchemaError(f"entry with unknown label: {k}")
         self.N = {k: int(v) for k, v in self.N.items() if int(v) != 0}
         self.F = {k: np.asarray(v, dtype=complex) for k, v in self.F.items()}
+        for k, m in self.F.items():
+            if not np.isfinite(m).all():
+                raise SchemaError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
         self._fpdims = None
 
     # --- basic accessors -------------------------------------------------
@@ -112,15 +132,7 @@ class FusionData:
             )
         if not rows:
             return np.zeros((0, 0), dtype=complex)
-        if a in self.units or b in self.units or c in self.units:
-            # strict unit: the identification is the identity matrix
-            return np.eye(len(rows), dtype=complex)
-        if (a, b, c, d) in self.F:
-            m = self.F[(a, b, c, d)]
-            if m.shape != (len(rows), len(cols)):
-                raise SchemaError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
-            return m
-        return np.eye(len(rows), dtype=complex)
+        return _stored_block(self, (a, b, c, d), len(rows))
 
     # --- Frobenius-Perron dimensions ------------------------------------
 
@@ -255,161 +267,235 @@ class SphericalWeight:
 
 def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
-    pentagon equation."""
-    residuals = {}
-    # integer checks: grading compatibility, duality, Frobenius reciprocity
-    int_ok = True
+    pentagon equation.
+
+    Each call compiles its own integer tables from the data. The integer
+    identities are comparisons of the dense table N[a, b, c], and the tree
+    counts sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every
+    F^{abc}_d must agree. F-unitarity is checked on the quadruples that
+    have trees and no unit argument (unit blocks are identities), and the
+    pentagon on admissible instances only (see pentagon_residual). Every
+    bound test reads `not (residual <= bound)`, so a NaN residual rejects
+    on its axiom.
+    """
+    S, idx = data.simples, data.index
+    N = _fusion_table(data)
     problems = []
-    for c in data.simples:
+    for c in S:
         cb = data.dual[c]
         if data.dual.get(cb) != c:
-            int_ok = False
             problems.append(f"dual not involutive at {c}")
         if data.grading[cb] != (data.t(c), data.s(c)):
-            int_ok = False
             problems.append(f"dual grading mismatch at {c}")
-        if data.n(c, cb, data.s(c)) != 1 or data.n(cb, c, data.t(c)) != 1:
-            int_ok = False
+        i, ib = idx[c], idx[cb]
+        if N[i, ib, idx[data.s(c)]] != 1 or N[ib, i, idx[data.t(c)]] != 1:
             problems.append(f"dual pairing multiplicity wrong at {c}")
-    for (a, b, c), m in data.N.items():
-        if a not in data.index or b not in data.index or c not in data.index:
-            raise SchemaError(f"N entry with unknown label: {(a, b, c)}")
+    for a, b, c in data.N:
         if data.t(a) != data.s(b) or data.s(c) != data.s(a) or data.t(c) != data.t(b):
-            int_ok = False
             problems.append(f"grading incompatibility in N at {(a, b, c)}")
-    for a in data.simples:
-        for b in data.simples:
-            for c in data.simples:
-                n = data.n(a, b, c)
-                if n != data.n(data.dual[a], c, b) or n != data.n(c, data.dual[b], a):
-                    int_ok = False
-                    problems.append(f"Frobenius reciprocity fails at {(a, b, c)}")
-    residuals["integer_checks"] = 0.0 if int_ok else 1.0
+    # Frobenius reciprocity: N_{ab}^c = N_{a* c}^b = N_{c b*}^a
+    D = [idx[data.dual[c]] for c in S]
+    frob = (N != N[D].transpose(0, 2, 1)) | (N != N[:, D].transpose(2, 1, 0))
+    for a, b, c in np.argwhere(frob).tolist():
+        problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
+    int_ok = not problems
+    residuals = {"integer_checks": 0.0 if int_ok else 1.0}
 
-    # F-unitarity
-    f_defect = 0.0
-    for a in data.simples:
-        for b in data.simples:
-            for c in data.simples:
-                for d in data.simples:
-                    rows = data.tree_rows(a, b, c, d)
-                    cols = data.tree_cols(a, b, c, d)
-                    if len(rows) != len(cols):
-                        return Certificate(
-                            False,
-                            {"integer_checks": 1.0},
-                            {"problem": f"tree count mismatch at F^{a}{b}{c}_{d}"},
-                            failed_axiom="fusion-associativity",
-                        )
-                    if rows:
-                        f_defect = max(f_defect, unitarity_defect(data.f_matrix(a, b, c, d)))
-    residuals["f_unitarity"] = f_defect
-
+    rows = np.einsum("abe,ecd->abcd", N, N)
+    cols = np.einsum("bcf,afd->abcd", N, N)
+    has_trees = (rows != 0) | (cols != 0)
+    unit = [c in data.units for c in S]
+    defects = []
+    for (a, b, c, d), r, k in zip(
+        np.argwhere(has_trees).tolist(), rows[has_trees].tolist(), cols[has_trees].tolist()
+    ):
+        key = (S[a], S[b], S[c], S[d])
+        if r != k:
+            return Certificate(
+                False,
+                {"integer_checks": 1.0},
+                {"problem": "tree count mismatch at F^{}{}{}_{}".format(*key)},
+                failed_axiom="fusion-associativity",
+            )
+        if not (unit[a] or unit[b] or unit[c]):
+            defects.append(unitarity_defect(_stored_block(data, key, r)))
+    residuals["f_unitarity"] = _worst(defects)
     residuals["pentagon"] = pentagon_residual(data)
 
-    ok = int_ok and f_defect <= 1e-10 and residuals["pentagon"] <= 1e-8
     axiom = None
     if not int_ok:
         axiom = "grading/duality"
-    elif f_defect > 1e-10:
+    elif not residuals["f_unitarity"] <= 1e-10:
         axiom = "F-unitarity"
-    elif residuals["pentagon"] > 1e-8:
+    elif not residuals["pentagon"] <= 1e-8:
         axiom = "pentagon"
-    return Certificate(ok, residuals, {"problems": problems[:5]}, failed_axiom=axiom)
+    return Certificate(axiom is None, residuals, {"problems": problems[:5]}, failed_axiom=axiom)
 
 
 def pentagon_residual(data: FusionData) -> float:
     """Max Frobenius-norm gap between the two F-move paths from the left
     comb (((ab)c)d) to the right comb (a(b(cd))) over all pentagon
-    instances."""
-    worst = 0.0
-    S = data.simples
+    instances.
+
+    Each composable (a, b, c, d) is visited once, and only at the total
+    charges u that some left comb ((ab)c)d reaches; the F entries are read
+    from tables local to this call."""
+    tables = _Tables(data)
+    S = range(len(data.simples))
+    src = [data.s(c) for c in data.simples]
+    tgt = [data.t(c) for c in data.simples]
+    gaps = []
     for a in S:
         for b in S:
-            if data.t(a) != data.s(b):
+            if tgt[a] != src[b]:
                 continue
             for c in S:
-                if data.t(b) != data.s(c):
+                if tgt[b] != src[c]:
                     continue
                 for d in S:
-                    if data.t(c) != data.s(d):
+                    if tgt[c] != src[d]:
                         continue
-                    for u in S:
-                        worst = max(worst, _pentagon_instance(data, a, b, c, d, u))
-    return worst
+                    for u, start in tables.left_combs(a, b, c, d).items():
+                        gaps.append(tables.pentagon_gap(a, b, c, d, u, start))
+    return _worst(gaps)
 
 
-def _pentagon_instance(data: FusionData, a, b, c, d, u) -> float:
-    """One pentagon instance at total charge u."""
-    start = [
-        (e, m1, g, m2, m3)
-        for e in data.simples
-        for m1 in range(data.n(a, b, e))
-        for g in data.simples
-        for m2 in range(data.n(e, c, g))
-        for m3 in range(data.n(g, d, u))
-    ]
-    final = [
-        (f2, l2, f3, l3, k3)
-        for f2 in data.simples
-        for l2 in range(data.n(a, f2, u))
-        for f3 in data.simples
-        for l3 in range(data.n(b, f3, f2))
-        for k3 in range(data.n(c, d, f3))
-    ]
-    if not start or not final:
-        return 0.0
-    fidx = {x: i for i, x in enumerate(final)}
+def _worst(values) -> float:
+    """The largest value, 0.0 for none. A NaN propagates, where Python's
+    max would drop it depending on its position."""
+    return float(np.max(values, initial=0.0))
 
-    def fmat(x, y, z, w):
-        m = data.f_matrix(x, y, z, w)
-        rows = {r: i for i, r in enumerate(data.tree_rows(x, y, z, w))}
-        cols = {cc: i for i, cc in enumerate(data.tree_cols(x, y, z, w))}
-        return m, rows, cols
 
-    pa = np.zeros((len(final), len(start)), dtype=complex)
-    pb = np.zeros((len(final), len(start)), dtype=complex)
-    for si, (e, m1, g, m2, m3) in enumerate(start):
-        # path A: F^{abc}_g, then F^{a f1 d}_u, then F^{bcd}_{f2}
-        m_abc, r_abc, c_abc = fmat(a, b, c, g)
-        for f1 in data.fusion_products(b, c):
-            for k1 in range(data.n(b, c, f1)):
-                for l1 in range(data.n(a, f1, g)):
-                    co1 = m_abc[r_abc[(e, m1, m2)], c_abc[(f1, k1, l1)]]
-                    if co1 == 0:
+def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
+    """The F block at a label key whose tree bases have dim elements: the
+    identity when an argument is a unit (strict unit) or no block is
+    stored, else the stored matrix, which must be dim x dim."""
+    a, b, c, d = key
+    m = data.F.get(key)
+    if m is None or a in data.units or b in data.units or c in data.units:
+        return np.eye(dim, dtype=complex)
+    if m.shape != (dim, dim):
+        raise SchemaError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
+    return m
+
+
+def _fusion_table(data: FusionData) -> np.ndarray:
+    """Dense N[a, b, c] over simple indices, equal to FusionData.n: the
+    strict-unit rules replace any stored entry with a unit argument."""
+    S, idx = data.simples, data.index
+    N = np.zeros((len(S),) * 3, dtype=int)
+    for (a, b, c), m in data.N.items():
+        N[idx[a], idx[b], idx[c]] = m
+    units = [idx[u] for u in data.units]
+    N[units] = 0
+    N[:, units] = 0
+    for u in data.units:
+        for i, x in enumerate(S):
+            if x not in data.units and data.t(x) == data.s(u):
+                N[i, idx[u], i] = 1
+            if data.s(x) == data.s(u):
+                N[idx[u], i, i] = 1
+    return N
+
+
+class _Tables:
+    """Integer tables of one FusionData for one pentagon_residual call:
+    multiplicities as nested lists, fusion products per pair, and F blocks
+    keyed by simple indices, each built on first use as (entries as nested
+    lists, left-tree index map, right-tree list). Entries are Python
+    complex numbers, whose scalar arithmetic rounds exactly like numpy's."""
+
+    def __init__(self, data: FusionData):
+        self.data = data
+        N = _fusion_table(data)
+        self.n = N.tolist()
+        self.prods = [[np.flatnonzero(row).tolist() for row in plane] for plane in N]
+        self.blocks = {}
+
+    def left_combs(self, a, b, c, d):
+        """Total charge u -> left-comb trees (e, m1, g, m2, m3) of
+        ((ab)c)d at u, in canonical order."""
+        n, prods = self.n, self.prods
+        out = {}
+        for e in prods[a][b]:
+            for m1 in range(n[a][b][e]):
+                for g in prods[e][c]:
+                    for m2 in range(n[e][c][g]):
+                        for u in prods[g][d]:
+                            for m3 in range(n[g][d][u]):
+                                out.setdefault(u, []).append((e, m1, g, m2, m3))
+        return out
+
+    def row(self, a, b, c, d, tree):
+        """(right tree, entry) pairs of the row of F^{abc}_d at a left tree."""
+        key = (a, b, c, d)
+        if key not in self.blocks:
+            self.blocks[key] = self._block(key)
+        m, rows, cols = self.blocks[key]
+        return zip(cols, m[rows[tree]])
+
+    def _block(self, key):
+        a, b, c, d = key
+        n, prods = self.n, self.prods
+        rows = [
+            (e, mu, nu)
+            for e in prods[a][b]
+            for mu in range(n[a][b][e])
+            for nu in range(n[e][c][d])
+        ]
+        cols = [
+            (f, ka, la)
+            for f in prods[b][c]
+            for ka in range(n[b][c][f])
+            for la in range(n[a][f][d])
+        ]
+        labels = tuple(self.data.simples[i] for i in key)
+        if len(rows) != len(cols):
+            raise SchemaError(
+                "F^{},{},{}_{}: tree counts differ ({} vs {})".format(*labels, len(rows), len(cols))
+            )
+        m = _stored_block(self.data, labels, len(rows))
+        return m.tolist(), {r: i for i, r in enumerate(rows)}, cols
+
+    def pentagon_gap(self, a, b, c, d, u, start) -> float:
+        """Frobenius norm of the gap between the two paths of one pentagon
+        instance at total charge u, on the given left-comb trees."""
+        n = self.n
+        final = [
+            (f2, l2, f3, l3, k3)
+            for f2 in range(len(n))
+            for l2 in range(n[a][f2][u])
+            for f3 in self.prods[c][d]
+            for l3 in range(n[b][f3][f2])
+            for k3 in range(n[c][d][f3])
+        ]
+        if not final:
+            return 0.0
+        fidx = {x: i for i, x in enumerate(final)}
+        pa = [[0j] * len(start) for _ in final]
+        pb = [[0j] * len(start) for _ in final]
+        for si, (e, m1, g, m2, m3) in enumerate(start):
+            # path A: F^{abc}_g, then F^{a f1 d}_u, then F^{bcd}_{f2}
+            for (f1, k1, l1), co1 in self.row(a, b, c, g, (e, m1, m2)):
+                if co1 == 0:
+                    continue
+                for (f2, k2, l2), x in self.row(a, f1, d, u, (g, l1, m3)):
+                    co2 = co1 * x
+                    if co2 == 0:
                         continue
-                    m_afd, r_afd, c_afd = fmat(a, f1, d, u)
-                    for f2 in data.fusion_products(f1, d):
-                        for k2 in range(data.n(f1, d, f2)):
-                            for l2 in range(data.n(a, f2, u)):
-                                co2 = co1 * m_afd[r_afd[(g, l1, m3)], c_afd[(f2, k2, l2)]]
-                                if co2 == 0:
-                                    continue
-                                m_bcd, r_bcd, c_bcd = fmat(b, c, d, f2)
-                                for f3 in data.fusion_products(c, d):
-                                    for k3 in range(data.n(c, d, f3)):
-                                        for l3 in range(data.n(b, f3, f2)):
-                                            co3 = co2 * m_bcd[
-                                                r_bcd[(f1, k1, k2)], c_bcd[(f3, k3, l3)]
-                                            ]
-                                            if co3 != 0:
-                                                pa[fidx[(f2, l2, f3, l3, k3)], si] += co3
-        # path B: F^{ecd}_u then F^{abh}_u
-        m_ecd, r_ecd, c_ecd = fmat(e, c, d, u)
-        for h in data.fusion_products(c, d):
-            for tau in range(data.n(c, d, h)):
-                for sig in range(data.n(e, h, u)):
-                    co1 = m_ecd[r_ecd[(g, m2, m3)], c_ecd[(h, tau, sig)]]
-                    if co1 == 0:
-                        continue
-                    m_abh, r_abh, c_abh = fmat(a, b, h, u)
-                    for k in data.fusion_products(b, h):
-                        for rho in range(data.n(b, h, k)):
-                            for om in range(data.n(a, k, u)):
-                                co2 = co1 * m_abh[r_abh[(e, m1, sig)], c_abh[(k, rho, om)]]
-                                if co2 != 0:
-                                    pb[fidx[(k, om, h, rho, tau)], si] += co2
-    return float(np.linalg.norm(pa - pb))
+                    for (f3, k3, l3), y in self.row(b, c, d, f2, (f1, k1, k2)):
+                        co3 = co2 * y
+                        if co3 != 0:
+                            pa[fidx[(f2, l2, f3, l3, k3)]][si] += co3
+            # path B: F^{ecd}_u then F^{abh}_u
+            for (h, tau, sig), co1 in self.row(e, c, d, u, (g, m2, m3)):
+                if co1 == 0:
+                    continue
+                for (k, rho, om), x in self.row(a, b, h, u, (e, m1, sig)):
+                    co2 = co1 * x
+                    if co2 != 0:
+                        pb[fidx[(k, om, h, rho, tau)]][si] += co2
+        return float(np.linalg.norm(np.array(pa) - np.array(pb)))
 
 
 @dataclass

@@ -38,6 +38,35 @@ def test_schema_violation_exit_2(tmp_path, capsys):
     assert main(["fusion", "validate", str(p)]) == 2
 
 
+def _fibonacci_doc():
+    from importlib import resources
+
+    return json.loads(resources.files("hstarcat").joinpath("data/fibonacci.json").read_text())
+
+
+def _nan_entry(doc):
+    doc["F"]["t,t,t,t"][0][0] = [float("nan"), 0.0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _nan_entry,
+        lambda doc: doc["dual"].update(t="zz"),
+        lambda doc: doc["grading"].update(t=["1", "q"]),
+    ],
+    ids=["nan_f_entry", "unknown_dual", "non_unit_grading"],
+)
+@pytest.mark.parametrize("command", ["validate", "udf"])
+def test_bad_fusion_file_exit_2_without_report(tmp_path, capsys, edit, command):
+    doc = _fibonacci_doc()
+    edit(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["fusion", command, str(p)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["fusion", "nope", "fibonacci"]) == 2
 
