@@ -199,8 +199,10 @@ def ladder_hom_bases(src: LadderObject, dst: LadderObject):
     out = {}
     for c in eng.data.simples:
         fs = src.mside.hom(src.m, dst.m, c)
+        if not fs:
+            continue
         gs = src.nside.hom(c, src.n, dst.n)
-        if fs and gs:
+        if gs:
             out[c] = (fs, gs)
     return out
 

@@ -44,6 +44,7 @@ class Engine:
         self._support = {}
         self._group = {}
         self._fcache = {}
+        self._simple = {}
         self._unit_of = {u: u for u in data.units}
 
     # --- objects and words ----------------------------------------------
@@ -61,7 +62,10 @@ class Engine:
         return out
 
     def simple_obj(self, c):
-        return self.obj({c: 1})
+        o = self._simple.get(c)
+        if o is None:
+            o = self._simple[c] = self.obj({c: 1})
+        return o
 
     def dual_obj(self, O):
         out = [0] * len(self.data.simples)
@@ -130,7 +134,7 @@ class Engine:
             shape = (len(self.basis(cod, c)), len(self.basis(dom, c)))
             if m.shape != shape:
                 raise WordMismatch(f"block {c}: shape {m.shape}, expected {shape}")
-            if np.any(m != 0):
+            if m.any():
                 out[c] = m
         return Mor(self, dom, cod, out)
 
@@ -252,6 +256,7 @@ class Engine:
     def whisker_right_obj(self, f: Mor, O) -> Mor:
         """f (x) id_O for a single object O."""
         X, Y = f.dom, f.cod
+        rows = {d: range(len(self.basis(Y, d))) for d in f.blocks}
         blocks = {}
         charges = set(self.support(X + (O,))) | set(self.support(Y + (O,)))
         for c in charges:
@@ -264,7 +269,7 @@ class Engine:
                 fb = f.blocks.get(d)
                 if fb is None:
                     continue
-                for si in range(len(self.basis(Y, d))):
+                for si in rows[d]:
                     v = fb[si, ti]
                     if v != 0:
                         M[gYi[(y, beta, d, u, si)], j] = v
@@ -275,6 +280,7 @@ class Engine:
         """id_O (x) f."""
         X, Y = f.dom, f.cod
         dom, cod = (O,) + X, (O,) + Y
+        rows = {e: range(len(self.basis(Y, e))) for e in f.blocks}
         blocks = {}
         for c in self.support(dom):
             cod_idx = self.basis_index(cod, c)
@@ -285,7 +291,7 @@ class Engine:
                 fb = f.blocks.get(e)
                 if fb is None:
                     continue
-                for si in range(len(self.basis(Y, e))):
+                for si in rows[e]:
                     val = fb[si, ti]
                     if val != 0:
                         M[cod_idx[(x, alpha, e, v, si)], j] = val
