@@ -258,8 +258,12 @@ class Engine:
         X, Y = f.dom, f.cod
         rows = {d: range(len(self.basis(Y, d))) for d in f.blocks}
         blocks = {}
-        charges = set(self.support(X + (O,))) | set(self.support(Y + (O,)))
-        for c in charges:
+        # charges in the order of the simples, so that the block order (and
+        # with it every later sum over blocks) does not depend on hashing
+        sX, sY = self.support(X + (O,)), self.support(Y + (O,))
+        for c in self.data.simples:
+            if c not in sX and c not in sY:
+                continue
             gX, gXi, UX = self.group_last(X, O, c)
             gY, gYi, UY = self.group_last(Y, O, c)
             if not gX or not gY:

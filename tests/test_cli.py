@@ -1,10 +1,15 @@
+import importlib.util
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from hstarcat.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -80,6 +85,33 @@ def test_determinism_and_out_flag(tmp_path, capsys):
     assert rep["verdict"] == "ACCEPT"
     dims = sorted(rep["values"]["module_dims"])
     assert dims == pytest.approx([2**-0.5, 2**-0.5, 1.0])
+
+
+def _families():
+    """The benchmark's generated families (bench/families.py)."""
+    spec = importlib.util.spec_from_file_location("families", ROOT / "bench" / "families.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_deligne_check_independent_of_hash_seed(tmp_path):
+    # whiskering once iterated a set of charges, so the summation order in
+    # the traces, and the last digits of the report, followed PYTHONHASHSEED
+    p = tmp_path / "ty3.json"
+    p.write_text(json.dumps(_families().ty_zn(3, 1).to_json()))
+    reports = set()
+    for hash_seed in ("0", "1", "3", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hstarcat.cli", "deligne", "check", str(p)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.add(proc.stdout)
+    assert len(reports) == 1
 
 
 def test_alg_verify_group_and_negative(capsys):
