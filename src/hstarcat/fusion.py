@@ -274,7 +274,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     counts sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every
     F^{abc}_d must agree. F-unitarity is checked on the quadruples that
     have trees and no unit argument (unit blocks are identities), and the
-    pentagon on admissible instances only (see pentagon_residual). Every
+    pentagon on admissible instances without a unit leg only (see
+    pentagon_residual). Every
     bound test reads `not (residual <= bound)`, so a NaN residual rejects
     on its axiom.
     """
@@ -337,11 +338,14 @@ def pentagon_residual(data: FusionData) -> float:
     comb (((ab)c)d) to the right comb (a(b(cd))) over all pentagon
     instances.
 
-    Each composable (a, b, c, d) is visited once, and only at the total
-    charges u that some left comb ((ab)c)d reaches; the F entries are read
-    from tables local to this call."""
+    Each composable (a, b, c, d) without a unit among them is visited
+    once, and only at the total charges u that some left comb ((ab)c)d
+    reaches; the F entries are read from tables local to this call. An
+    instance with a unit leg is skipped: under the strict-unit identity
+    blocks both of its paths reduce to the same single F-move, multiplied
+    by exact 1.0, so its gap is exactly 0.0."""
     tables = _Tables(data)
-    S = range(len(data.simples))
+    S = [i for i, c in enumerate(data.simples) if c not in data.units]
     src = [data.s(c) for c in data.simples]
     tgt = [data.t(c) for c in data.simples]
     gaps = []

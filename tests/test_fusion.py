@@ -8,6 +8,7 @@ from hstarcat.fusion import (
     FusionData,
     SchemaError,
     SphericalWeight,
+    _Tables,
     _fusion_table,
     loop_eval,
     pentagon_residual,
@@ -289,3 +290,19 @@ def test_tables_match_label_accessors(name, make):
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(data.simples), repeat=3):
         assert N[i, j, k] == data.n(a, b, c)
     assert pentagon_residual(data) == _reference_pentagon(data)
+
+
+@pytest.mark.parametrize("name,make", REFERENCE_CASES, ids=[n for n, _ in REFERENCE_CASES])
+def test_unit_leg_pentagon_instances_vanish_exactly(name, make):
+    # pentagon_residual skips every instance with a unit among a, b, c, d
+    data = make()
+    tables = _Tables(data)
+    S = data.simples
+    for a, b, c, d in itertools.product(range(len(S)), repeat=4):
+        legs = (S[a], S[b], S[c], S[d])
+        if not any(x in data.units for x in legs):
+            continue
+        if any(data.t(x) != data.s(y) for x, y in zip(legs, legs[1:])):
+            continue
+        for u, start in tables.left_combs(a, b, c, d).items():
+            assert tables.pentagon_gap(a, b, c, d, u, start) == 0.0
