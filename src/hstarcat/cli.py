@@ -5,7 +5,9 @@ category), runs the corresponding certification, and emits a RunReport:
 the command echo, sha256 of every input, the tolerance and seed, the
 named residuals, and per-check verdicts. Reports are deterministic:
 identical inputs and seed produce byte-identical output. Exit codes:
-0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error.
+0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error,
+including a --tol that is negative or not finite, a negative --seed and a
+--psi entry that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from importlib import resources
 
@@ -94,8 +97,8 @@ def _psi_for(data: FusionData, arg) -> SphericalWeight:
         raise InputError(
             f"--psi needs {len(data.units)} entries, got {len(vals)}"
         )
-    if any(v <= 0 for v in vals):
-        raise InputError("--psi entries must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in vals):
+        raise InputError("--psi entries must be finite and positive")
     return SphericalWeight(vals)
 
 
@@ -420,12 +423,32 @@ _COMMANDS = {
 }
 
 
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="absolute and relative tolerance"
+        "--tol", type=_tol_arg, default=1e-9, help="absolute and relative tolerance"
     )
-    common.add_argument("--seed", type=int, default=0, help="sampler seed")
+    common.add_argument("--seed", type=_seed_arg, default=0, help="sampler seed")
     common.add_argument(
         "--out", default=None, help="write the JSON report here instead of stdout"
     )

@@ -131,6 +131,25 @@ def test_psi_flag(capsys):
     assert main(["fusion", "udf", "m2_hilb", "--psi", "1.0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fusion", "validate", "fibonacci", "--tol", "nan"),
+        ("fusion", "validate", "fibonacci", "--tol", "inf"),
+        ("fusion", "validate", "fibonacci", "--tol", "-1"),
+        ("alg", "modcat", "ising", "ising_qsystem", "--seed", "-5"),
+        ("fusion", "udf", "m2_hilb", "--psi", "inf,1"),
+        ("fusion", "udf", "m2_hilb", "--psi", "nan,1"),
+        ("fusion", "udf", "m2_hilb", "--psi", "0,1"),
+        ("h3", "theorem-b", "fibonacci", "--psi", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv[-2:]),
+)
+def test_out_of_range_flag_exit_2_without_report(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_hstar_commands(capsys):
     code, rep = _run(capsys, "hstar", "verify", "hstar_example")
     assert code == 0 and rep["verdict"] == "ACCEPT"
