@@ -112,3 +112,20 @@ def test_word_mismatch():
     f = eng.identity((t,))
     with pytest.raises(WordMismatch):
         eng.compose(f, eng.identity((t, t)))
+
+
+def test_mor_zero_block_rule():
+    # mor drops a block only when every entry compares equal to zero
+    eng = _eng("fibonacci")
+    W = (eng.obj({"1": 1, "t": 2}),)  # the block at charge t is 2 x 2
+
+    def kept(block):
+        return "t" in eng.mor(W, W, {"t": block}).blocks
+
+    assert not kept(np.full((2, 2), complex(-0.0, -0.0)))
+    with_nan = np.zeros((2, 2))
+    with_nan[1, 0] = np.nan
+    assert kept(with_nan)
+    assert kept(np.array([[0.0, 1e-300j], [0.0, 0.0]]))
+    with pytest.raises(WordMismatch):
+        eng.mor(W, W, {"t": np.zeros((2, 3))})
