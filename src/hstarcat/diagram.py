@@ -258,16 +258,15 @@ class Engine:
         X, Y = f.dom, f.cod
         rows = {d: range(len(self.basis(Y, d))) for d in f.blocks}
         blocks = {}
-        # charges in the order of the simples, so that the block order (and
-        # with it every later sum over blocks) does not depend on hashing
-        sX, sY = self.support(X + (O,)), self.support(Y + (O,))
-        for c in self.data.simples:
-            if c not in sX and c not in sY:
+        # charges in the order of the simples (as support lists them), so
+        # that the block order, and with it every later sum over blocks,
+        # does not depend on hashing
+        cod_support = self.support(Y + (O,))
+        for c in self.support(X + (O,)):
+            if c not in cod_support:
                 continue
             gX, gXi, UX = self.group_last(X, O, c)
             gY, gYi, UY = self.group_last(Y, O, c)
-            if not gX or not gY:
-                continue
             M = np.zeros((len(gY), len(gX)), dtype=complex)
             for j, (y, beta, d, u, ti) in enumerate(gX):
                 fb = f.blocks.get(d)

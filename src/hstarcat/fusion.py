@@ -275,9 +275,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     F^{abc}_d must agree. F-unitarity is checked on the quadruples that
     have trees and no unit argument (unit blocks are identities), and the
     pentagon on admissible instances without a unit leg only (see
-    pentagon_residual). Every
-    bound test reads `not (residual <= bound)`, so a NaN residual rejects
-    on its axiom.
+    pentagon_residual). Every bound test reads `not (residual <= bound)`,
+    so a NaN residual rejects on its axiom.
     """
     S, idx = data.simples, data.index
     N = _fusion_table(data)
