@@ -96,8 +96,8 @@ def _families():
 
 
 def test_deligne_check_independent_of_hash_seed(tmp_path):
-    # whiskering once iterated a set of charges, so the summation order in
-    # the traces, and the last digits of the report, followed PYTHONHASHSEED
+    # the order of the blocks, and with it the summation order of every
+    # trace and the last digits of the report, must not follow hash order
     p = tmp_path / "ty3.json"
     p.write_text(json.dumps(_families().ty_zn(3, 1).to_json()))
     reports = set()
