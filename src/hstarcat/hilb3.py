@@ -17,6 +17,16 @@ the ambient F-symbols for delooping objects, and numerically from the
 bimodule calculus (relative tensors, unitors, associator matrix
 elements in orthonormal intertwiner bases) for algebra objects. The
 assembled data is always pushed back through the full validator.
+
+The associator needs no relative tensor of a relative tensor. For an
+intertwiner r: E -> X (x)_B Y whose dagger is an intertwiner too (every
+isometry of an orthonormal intertwiner basis), the separability
+projections satisfy p_{XY,Z} (r (x) id_Z) = (r (x) id_Z) p_{E,Z}. So the
+splitting V_L of p_{XY,Z} gives V_L V_L^dag (r (x) id_Z) V_EZ =
+(r (x) id_Z) V_EZ: every tree of (X (x) Y) (x) Z lifts into (x, y, z)
+through the pair tensors alone, as (V_XY r (x) id_Z) V_EZ, and likewise
+on the right as (id_X (x) V_YZ r) V_XG. Each F-matrix entry is then the
+scalar of one composite of such lifts between maps out of a simple D.
 """
 
 from __future__ import annotations
@@ -412,17 +422,14 @@ def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
     return Bimodule(Ai, Aj, fused, lam, rho)
 
 
-def _bimodule_endo_scalar(eng: Engine, f: Mor) -> complex:
-    """The scalar of an endomorphism of a simple bimodule (c times id)."""
-    tr = 0.0 + 0.0j
-    dim = 0
-    for c in eng.support(f.dom):
-        b = f.blocks.get(c)
-        n = len(eng.basis(f.dom, c))
-        dim += n
-        if b is not None:
-            tr += np.trace(b)
-    return complex(tr / dim)
+def _scalar_gram(eng: Engine, fs, gs) -> np.ndarray:
+    """m[a, b] = the scalar z with g_b^dag f_a = z id, for bimodule maps
+    f_a, g_b out of one simple bimodule (where every such composite is a
+    scalar): tr(g_b^dag f_a) / dim, as one product of to_vector rows."""
+    dim = sum(fs[0].dom[0])
+    F = np.array([eng.to_vector(f) for f in fs])
+    G = np.array([eng.to_vector(g) for g in gs], dtype=complex)
+    return F @ G.reshape(len(gs), F.shape[1]).conj().T / dim
 
 
 def _gram_onb(eng: Engine, basis):
@@ -431,12 +438,7 @@ def _gram_onb(eng: Engine, basis):
     if not basis:
         return []
     n = len(basis)
-    G = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = _bimodule_endo_scalar(
-                eng, eng.compose(eng.dagger(basis[i]), basis[j])
-            )
+    G = _scalar_gram(eng, basis, basis).T  # G[i, j]: basis[i]^dag basis[j]
     L = np.linalg.cholesky((G + G.conj().T) / 2)
     Linv = np.linalg.inv(L).conj().T  # columns give the new basis
     return [_mor_combo(eng, basis, Linv[:, k]) for k in range(n)]
@@ -626,6 +628,12 @@ class _LinkingBuilder:
     # -- associator matrix elements -------------------------------------
 
     def f_matrices(self):
+        """F^{XYZ}_D[a, b] = col_b^dag row_a as a scalar, with both trees
+        pushed down to maps D -> (x, y, z) through the cached pair
+        tensors: row (E, r1, r2) is (V_XY r1 (x) id_z) V_EZ r2 and column
+        (G, c1, c2) is (id_x (x) V_YZ c1) V_XG c2. The lifts through r1
+        and c1 are built once per triple; the module docstring says why
+        no tensor of a tensor is needed."""
         eng = self.eng
         F = {}
         triples = [
@@ -638,45 +646,31 @@ class _LinkingBuilder:
             and by[1] == bz[0]
         ]
         for lx, X, ly, Y, lz, Z in triples:
-            TXY, VXY, _ = self.tensor(X, Y)
-            TL, VL, _ = self.tensor(TXY, Z)
-            TYZ, VYZ, _ = self.tensor(Y, Z)
-            TR, VR, _ = self.tensor(X, TYZ)
-            WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
-            WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
-            alpha = eng.compose(eng.dagger(WR), WL)
-            i, l = self.block_of(X)[0], self.block_of(Z)[1]
+            (i, j), (_, k), (_, l) = self.block_of(X), self.block_of(Y), self.block_of(Z)
+            _, VXY, _ = self.tensor(X, Y)
+            _, VYZ, _ = self.tensor(Y, Z)
+            rows, cols = {}, {}  # id(D) -> maps D -> (x, y, z)
+            for E in self.simples[(i, k)]:
+                _, VEZ, _ = self.tensor(E, Z)
+                for r1 in self.onb(X, Y).get(id(E), []):
+                    lift = eng.compose(
+                        eng.whisker_right_obj(eng.compose(VXY, r1), Z.obj), VEZ
+                    )
+                    for d, r2s in self.onb(E, Z).items():
+                        rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
+            for G in self.simples[(j, l)]:
+                _, VXG, _ = self.tensor(X, G)
+                for c1 in self.onb(Y, Z).get(id(G), []):
+                    lift = eng.compose(
+                        eng.whisker_left_obj(X.obj, eng.compose(VYZ, c1)), VXG
+                    )
+                    for d, c2s in self.onb(X, G).items():
+                        cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
             for D in self.simples[(i, l)]:
-                rows = []
-                for E in self.simples[(i, self.block_of(Y)[1])]:
-                    for r1 in self.onb(X, Y).get(id(E), []):
-                        TEZ, VEZ, _ = self.tensor(E, Z)
-                        lift = eng.compose(
-                            eng.dagger(VL),
-                            eng.compose(eng.whisker_right_obj(r1, Z.obj), VEZ),
-                        )
-                        for r2 in self.onb(E, Z).get(id(D), []):
-                            rows.append(eng.compose(lift, r2))
-                cols = []
-                for G in self.simples[(self.block_of(Y)[0], l)]:
-                    for c1 in self.onb(Y, Z).get(id(G), []):
-                        TXG, VXG, _ = self.tensor(X, G)
-                        lift = eng.compose(
-                            eng.dagger(VR),
-                            eng.compose(eng.whisker_left_obj(X.obj, c1), VXG),
-                        )
-                        for c2 in self.onb(X, G).get(id(D), []):
-                            cols.append(eng.compose(lift, c2))
-                if not rows:
-                    continue
-                m = np.zeros((len(rows), len(cols)), dtype=complex)
-                for a, R in enumerate(rows):
-                    aR = eng.compose(alpha, R)
-                    for b, C in enumerate(cols):
-                        m[a, b] = _bimodule_endo_scalar(
-                            eng, eng.compose(eng.dagger(C), aR)
-                        )
-                F[(lx, ly, lz, self.labels[id(D)])] = m
+                if rows.get(id(D)):
+                    F[(lx, ly, lz, self.labels[id(D)])] = _scalar_gram(
+                        eng, rows[id(D)], cols.get(id(D), [])
+                    )
         return F
 
     # -- final assembly --------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
+from hstarcat.numcore import DEFAULT_TOL
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -210,3 +211,99 @@ def test_weight_mod_dagger_rescaled_matches_psi():
     A = intalg.group_algebra(eng, ("1", "g"))
     out = hilb3.weight_mod_dagger(eng, A)
     assert out["rescaled"] == pytest.approx(out["prefactor"] * out["raw"])
+
+
+def _per_triple_f_matrices(b):
+    """The associator by the per-triple formula that _LinkingBuilder used
+    before it assembled F from pair tensors alone: for every triple, the
+    relative tensors (X (x) Y) (x) Z and X (x) (Y (x) Z), alpha = W_R^dag
+    W_L between them, and each entry as the trace of C^dag alpha R over
+    dim D. Kept as the reference for f_matrices."""
+    eng = b.eng
+
+    def scalar(f):
+        dim = sum(len(eng.basis(f.dom, c)) for c in eng.support(f.dom))
+        return complex(sum(np.trace(m) for m in f.blocks.values()) / dim)
+
+    F = {}
+    for lx, bx, X in b.order:
+        for ly, by, Y in b.order:
+            for lz, bz, Z in b.order:
+                if b.is_unit(X) or b.is_unit(Y) or b.is_unit(Z):
+                    continue
+                if bx[1] != by[0] or by[1] != bz[0]:
+                    continue
+                TXY, VXY, _ = b.tensor(X, Y)
+                _, VL, _ = b.tensor(TXY, Z)
+                TYZ, VYZ, _ = b.tensor(Y, Z)
+                _, VR, _ = b.tensor(X, TYZ)
+                WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
+                WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
+                alpha = eng.compose(eng.dagger(WR), WL)
+                for D in b.simples[(bx[0], bz[1])]:
+                    rows = [
+                        eng.compose(
+                            eng.dagger(VL),
+                            eng.compose(
+                                eng.whisker_right_obj(r1, Z.obj),
+                                eng.compose(b.tensor(E, Z)[1], r2),
+                            ),
+                        )
+                        for E in b.simples[(bx[0], by[1])]
+                        for r1 in b.onb(X, Y).get(id(E), [])
+                        for r2 in b.onb(E, Z).get(id(D), [])
+                    ]
+                    cols = [
+                        eng.compose(
+                            eng.dagger(VR),
+                            eng.compose(
+                                eng.whisker_left_obj(X.obj, c1),
+                                eng.compose(b.tensor(X, G)[1], c2),
+                            ),
+                        )
+                        for G in b.simples[(by[0], bz[1])]
+                        for c1 in b.onb(Y, Z).get(id(G), [])
+                        for c2 in b.onb(X, G).get(id(D), [])
+                    ]
+                    if rows:
+                        F[(lx, ly, lz, b.labels[id(D)])] = np.array(
+                            [
+                                [
+                                    scalar(eng.compose(eng.dagger(C), eng.compose(alpha, R)))
+                                    for C in cols
+                                ]
+                                for R in rows
+                            ]
+                        ).reshape(len(rows), len(cols))
+    return F
+
+
+@pytest.mark.parametrize(
+    "name,mk",
+    [
+        ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
+        ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ],
+)
+def test_linking_f_matrices_match_per_triple_formula(name, mk):
+    eng = _eng(name)
+    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.trivial_algebra(eng, "1")], DEFAULT_TOL, 0)
+    F = b.f_matrices()
+    # pair tensors only: no relative tensor of a relative tensor is built
+    registered = {id(X) for _, _, X in b.order}
+    assert all(x in registered and y in registered for x, y in b._tensors)
+    ref = _per_triple_f_matrices(b)
+    assert list(F) == list(ref)
+    for key, m in F.items():
+        assert m.shape == ref[key].shape, key
+        assert np.abs(m - ref[key]).max(initial=0.0) < 1e-12, key
+
+
+def test_three_algebra_linking_z2():
+    eng = _eng("hilb_z2")
+    group = intalg.group_algebra(eng, ("1", "g"))
+    data, psi = hilb3.algebra_linking(eng, [group, intalg.trivial_algebra(eng, "1"), group])
+    assert len(data.simples) == 14
+    assert len(data.units) == 3
+    cert = fusion.validate(data)
+    assert cert.ok, cert.residuals
