@@ -11,7 +11,7 @@ C-module on either side, and left A-modules as a right C-module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,6 +165,10 @@ class LadderObject:
     nside: object
     m: object
     n: object
+    # (id(m2), id(n2)) -> (m2, n2, hom bases to that target), filled by
+    # ladder_hom_bases; holding m2 and n2 keeps their ids from being
+    # reused, and holds no reference back to this object
+    _homs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def check_shared(self, other: "LadderObject"):
         if self.mside is not other.mside or self.nside is not other.nside:
@@ -194,7 +198,14 @@ def _nword(L: LadderObject):
 
 
 def ladder_hom_bases(src: LadderObject, dst: LadderObject):
+    """c -> (basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for
+    the channels where both are nonempty, built once per (src, dst) and
+    kept on src. Callers only read the bases."""
     src.check_shared(dst)
+    key = (id(dst.m), id(dst.n))
+    hit = src._homs.get(key)
+    if hit is not None:
+        return hit[2]
     eng = _eng(src)
     out = {}
     for c in eng.data.simples:
@@ -204,6 +215,7 @@ def ladder_hom_bases(src: LadderObject, dst: LadderObject):
         gs = src.nside.hom(c, src.n, dst.n)
         if gs:
             out[c] = (fs, gs)
+    src._homs[key] = (dst.m, dst.n, out)
     return out
 
 
