@@ -6,8 +6,9 @@ the command echo, sha256 of every input, the tolerance and seed, the
 named residuals, and per-check verdicts. Reports are deterministic:
 identical inputs and seed produce byte-identical output. Exit codes:
 0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error,
-including a --tol that is negative or not finite, a negative --seed and a
---psi entry that is not finite and positive.
+including a --tol that is negative or not finite, a negative --seed, a
+--psi entry outside [PSI_MIN, PSI_MAX] and an algebra document with a
+label outside the category or a trivial algebra on a non-unit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ from .numcore import Tolerance
 
 class InputError(ValueError):
     pass
+
+
+# Range of a --psi entry. Outside it the dimensions d_c = sqrt(psi_s psi_t)
+# FPdim(c) leave the scale that the absolute part of the tolerance is set
+# for: 1e300 overflows d_c to inf and 1e-300 underflows it to 0 (both end
+# in a ZeroDivisionError), 1e-100 puts module dimensions under the
+# positivity cut and 1e100 puts the roundoff of the dimension chain over
+# its bound. Every bundled example accepts at both ends of the range.
+PSI_MIN, PSI_MAX = 1e-6, 1e6
 
 
 def _sha256_bytes(raw: bytes) -> str:
@@ -97,15 +107,24 @@ def _psi_for(data: FusionData, arg) -> SphericalWeight:
         raise InputError(
             f"--psi needs {len(data.units)} entries, got {len(vals)}"
         )
-    if not all(math.isfinite(v) and v > 0 for v in vals):
-        raise InputError("--psi entries must be finite and positive")
+    if not all(PSI_MIN <= v <= PSI_MAX for v in vals):
+        raise InputError(f"--psi entries must lie in [{PSI_MIN:g}, {PSI_MAX:g}]")
     return SphericalWeight(vals)
 
 
 def _build_algebra(eng: Engine, doc: dict, name: str):
+    """The algebra a document names; every label must be a simple of the
+    category, and the unit of a trivial algebra must be a unit summand."""
     _check_schema(doc, "algebra", name)
+    data = eng.data
     kind = doc.get("kind")
+    labels = {"trivial": [doc.get("unit")], "group": doc.get("labels"), "pair": doc.get("object")}
+    unknown = sorted(c for c in labels.get(kind, ()) if c not in data.index)
+    if unknown:
+        raise InputError(f"{name}: labels not in the category: {', '.join(unknown)}")
     if kind == "trivial":
+        if doc["unit"] not in data.units:
+            raise InputError(f"{name}: trivial algebra on {doc['unit']}, which is not a unit")
         return intalg.trivial_algebra(eng, doc["unit"])
     if kind == "group":
         return intalg.group_algebra(eng, tuple(doc["labels"]))

@@ -277,6 +277,11 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     pentagon on admissible instances without a unit leg only (see
     pentagon_residual). Every bound test reads `not (residual <= bound)`,
     so a NaN residual rejects on its axiom.
+
+    The bounds scale with tol.bound(), the bound at unit scale: F-unitarity
+    at tol.bound() / 20 and the pentagon at tol.bound() * 5, exactly 1e-10
+    and 1e-8 at the default tolerance (2e-9), so a smaller tol never
+    accepts more.
     """
     S, idx = data.simples, data.index
     N = _fusion_table(data)
@@ -325,9 +330,9 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     axiom = None
     if not int_ok:
         axiom = "grading/duality"
-    elif not residuals["f_unitarity"] <= 1e-10:
+    elif not residuals["f_unitarity"] <= tol.bound() / 20:
         axiom = "F-unitarity"
-    elif not residuals["pentagon"] <= 1e-8:
+    elif not residuals["pentagon"] <= tol.bound() * 5:
         axiom = "pentagon"
     return Certificate(axiom is None, residuals, {"problems": problems[:5]}, failed_axiom=axiom)
 

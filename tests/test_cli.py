@@ -142,12 +142,58 @@ def test_psi_flag(capsys):
         ("fusion", "udf", "m2_hilb", "--psi", "nan,1"),
         ("fusion", "udf", "m2_hilb", "--psi", "0,1"),
         ("h3", "theorem-b", "fibonacci", "--psi", "-1"),
+        # finite and positive, but the dimensions over- or underflow
+        ("fusion", "udf", "m2_hilb", "--psi", "1,1e300"),
+        ("h3", "theorem-b", "fibonacci", "--psi", "1e-300"),
     ],
     ids=lambda argv: " ".join(argv[-2:]),
 )
 def test_out_of_range_flag_exit_2_without_report(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("psi", ["1e-6,1e6", "1e6,1e-6"])
+@pytest.mark.parametrize("command", [("fusion", "udf"), ("h3", "theorem-b"), ("deligne", "check")])
+def test_psi_range_ends_accept(capsys, command, psi):
+    code, rep = _run(capsys, *command, "m2_hilb", "--psi", psi)
+    assert code == 0 and rep["verdict"] == "ACCEPT"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "group", "labels": ["1", "zz"]},
+        {"kind": "trivial", "unit": "s"},
+        {"kind": "trivial", "unit": "zz"},
+        {"kind": "pair", "object": {"zz": 1}},
+    ],
+    ids=["group_unknown_label", "trivial_on_non_unit", "trivial_unknown_unit", "pair_unknown_label"],
+)
+@pytest.mark.parametrize("command", ["verify", "modcat"])
+def test_bad_algebra_file_exit_2_without_report(tmp_path, capsys, doc, command):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["alg", command, "ising", str(p)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_fusion_validate_uses_tol(capsys):
+    code, rep = _run(capsys, "fusion", "validate", "fibonacci", "--tol", "1e-30")
+    assert code == 1
+    assert rep["violated_axioms"] == {"fusion": "F-unitarity"}
+
+
+TOLS = ["0", "1e-30", "1e-17", "1e-16", "1e-15", "1e-14", "1e-12", "1e-9", "1e-6", "1e-2"]
+
+
+@pytest.mark.parametrize("name", ["hilb", "hilb_z2", "hilb_z3", "fibonacci", "ising", "m2_hilb", "fibonacci_corrupt"])
+def test_fusion_verdict_monotone_in_tol(capsys, name):
+    codes = [main(["fusion", "validate", name, "--tol", t]) for t in TOLS]
+    capsys.readouterr()
+    # REJECT (1) up to some tolerance, ACCEPT (0) from there on
+    assert codes == sorted(codes, reverse=True), codes
+    assert codes[TOLS.index("1e-9")] == (1 if name == "fibonacci_corrupt" else 0)
 
 
 def test_hstar_commands(capsys):
