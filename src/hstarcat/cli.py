@@ -7,8 +7,10 @@ named residuals, and per-check verdicts. Reports are deterministic:
 identical inputs and seed produce byte-identical output. Exit codes:
 0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error,
 including a --tol that is negative or not finite, a negative --seed, a
---psi entry outside [PSI_MIN, PSI_MAX] and an algebra document with a
-label outside the category or a trivial algebra on a non-unit.
+--psi entry outside [PSI_MIN, PSI_MAX], an algebra document with a
+label outside the category or a trivial algebra on a non-unit, an algebra
+with no unit summand for split-monad and standardize, and an H*-algebra
+document with a weight or functional entry that is not finite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import deligne, hilb3, hstar1, intalg
-from .certify import Certificate
+from .certify import bounded
 from .diagram import Engine
 from .fusion import (
     FusionData,
@@ -33,7 +35,7 @@ from .fusion import (
     udf_from_weight,
     validate,
 )
-from .numcore import Tolerance
+from .numcore import Tolerance, worst
 
 
 class InputError(ValueError):
@@ -96,6 +98,17 @@ def _load_fusion(path: str):
     return data, digest, name
 
 
+def _read_hstar(path: str):
+    """An H*-algebra document, checked against its schema; weights and
+    functional entries must be finite."""
+    doc, digest, name = _read_input(path)
+    _check_schema(doc, "hstar", name)
+    entries = [x for phi in doc.get("functional") or () for row in phi for z in row for x in z]
+    if not all(math.isfinite(x) for x in list(doc.get("weights") or ()) + entries):
+        raise InputError(f"{name}: weights and functional entries must be finite")
+    return doc, digest, name
+
+
 def _psi_for(data: FusionData, arg) -> SphericalWeight:
     if arg is None:
         return SphericalWeight(tuple(1.0 for _ in data.units))
@@ -146,12 +159,6 @@ def _round(x, nd=14):
     if isinstance(x, (list, tuple)):
         return [_round(v, nd) for v in x]
     return x
-
-
-def _bounded(key: str, residual: float, bound: float, axiom: str) -> Certificate:
-    """One-residual certificate: ACCEPT iff residual <= bound."""
-    ok = residual <= bound
-    return Certificate(ok=ok, residuals={key: residual}, failed_axiom=None if ok else axiom)
 
 
 class Report:
@@ -207,22 +214,13 @@ def _cmd_fusion_udf(args):
     rep.add("fusion", cert)
     if cert.ok:
         udf = udf_from_weight(data, psi, args.tolerance)
-        worst = 0.0
-        for c in data.simples:
-            worst = max(
-                worst,
-                abs(loop_eval(udf, c, "L") - udf.d(c) / udf.d(data.s(c))),
-                abs(loop_eval(udf, c, "R") - udf.d(c) / udf.d(data.t(c))),
-            )
-        rep.add(
-            "loops",
-            _bounded(
-                "loop_gap",
-                worst,
-                args.tolerance.bound(max(udf.dims.values())),
-                "loop normalization",
-            ),
+        gap = worst(
+            abs(loop_eval(udf, c, side) - udf.d(c) / udf.d(u))
+            for c in data.simples
+            for side, u in (("L", data.s(c)), ("R", data.t(c)))
         )
+        bound = args.tolerance.bound(max(udf.dims.values()))
+        rep.add("loops", bounded("loop_gap", gap, bound, "loop normalization"))
         rep.add_values({"dims": {c: udf.d(c) for c in data.simples}})
     return rep.finish(args.out)
 
@@ -250,14 +248,14 @@ def _cmd_alg_standardize(args):
     adoc, adig, aname = _read_input(args.paths[1])
     A = _build_algebra(eng, adoc, aname)
     rep = Report(args, {name: digest, aname: adig})
-    S = intalg.standardize(A, args.tolerance)
+    try:
+        S = intalg.standardize(A, args.tolerance)
+    except intalg.SingularBubble as exc:
+        raise InputError(f"{aname}: cannot standardize: {exc}")
     special = eng.residual(
         eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
     )
-    rep.add(
-        "specialness",
-        _bounded("mu_mu_dag", special, args.tolerance.bound(), "specialness"),
-    )
+    rep.add("specialness", bounded("mu_mu_dag", special, args.tolerance.bound(), "specialness"))
     rep.add("hstar_algebra", intalg.verify_hstar(S, args.tolerance, args.seed))
     return rep.finish(args.out)
 
@@ -286,14 +284,10 @@ def _cmd_alg_intend(args):
     rep.add("hstar_algebra", cert)
     if cert.ok:
         defect = intalg.internal_end_comparison(A, args.tolerance)
+        bound = args.tolerance.bound() * 10
         rep.add(
             "internal_end",
-            _bounded(
-                "comparison_unitarity",
-                defect,
-                args.tolerance.bound() * 10,
-                "internal-end comparison",
-            ),
+            bounded("comparison_unitarity", defect, bound, "internal-end comparison"),
         )
     return rep.finish(args.out)
 
@@ -312,7 +306,7 @@ def _cmd_deligne_check(args):
     # ladder traciality on sampled endomorphisms
     rng = np.random.default_rng(args.seed)
     nside = deligne.RegularLeft(eng)
-    worst = 0.0
+    gaps = []
     for c in eng.data.simples:
         L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
         if deligne.ladder_hom_dim(L, L) == 0:
@@ -320,17 +314,14 @@ def _cmd_deligne_check(args):
         for _ in range(5):
             F = deligne.random_ladder(L, L, rng)
             G = deligne.random_ladder(L, L, rng)
-            worst = max(
-                worst,
+            gaps.append(
                 abs(
                     deligne.ladder_trace(deligne.ladder_compose(F, G))
                     - deligne.ladder_trace(deligne.ladder_compose(G, F))
-                ),
+                )
             )
-    rep.add(
-        "ladder_trace",
-        _bounded("traciality", worst, args.tolerance.bound(10.0), "traciality"),
-    )
+    bound = args.tolerance.bound(10.0)
+    rep.add("ladder_trace", bounded("traciality", worst(gaps), bound, "traciality"))
     return rep.finish(args.out)
 
 
@@ -378,8 +369,7 @@ def _cmd_h3_theorem_b(args):
 
 
 def _cmd_hstar_verify(args):
-    doc, digest, name = _read_input(args.paths[0])
-    _check_schema(doc, "hstar", name)
+    doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
     try:
         blocks = doc["blocks"]
@@ -402,8 +392,7 @@ def _cmd_hstar_verify(args):
 
 
 def _cmd_hstar_gns(args):
-    doc, digest, name = _read_input(args.paths[0])
-    _check_schema(doc, "hstar", name)
+    doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
     try:
         A = hstar1.HStarAlgebra(tuple(doc["blocks"]), tuple(doc["weights"]))
@@ -411,15 +400,8 @@ def _cmd_hstar_gns(args):
         raise InputError(f"{name}: bad H*-algebra spec: {exc}")
     mod = hstar1.gns(A)
     resid = hstar1.module_trace_law_residual(mod, args.tolerance, args.seed)
-    rep.add(
-        "module_trace_law",
-        _bounded(
-            "rank_one_law",
-            resid,
-            args.tolerance.bound(max(A.weights) * max(A.block_sizes)),
-            "module trace law",
-        ),
-    )
+    bound = args.tolerance.bound(max(A.weights) * max(A.block_sizes))
+    rep.add("module_trace_law", bounded("rank_one_law", resid, bound, "module trace law"))
     rep.add_values(
         {"gns_dim": mod.dim, "simple_dims": [d for _, d in hstar1.simple_modules(A)]}
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate
+from .certify import Certificate, bounded
 from .diagram import Engine, Mor
 from .intalg import (
     AlgebraObject,
@@ -24,7 +24,7 @@ from .intalg import (
     _strict_unitor,
     trace_alg_end,
 )
-from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance
+from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
 
 
 class MixedMiddleCategory(ValueError):
@@ -366,8 +366,7 @@ def right_action_isometry(
     of their image under the action functor."""
     nside = RegularLeft(eng)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
+    gaps = []
     for m in m_objects:
         for c in eng.data.simples:
             L = LadderObject(mside, nside, m, eng.simple_obj(c))
@@ -377,12 +376,6 @@ def right_action_isometry(
                 F = random_ladder(L, L, rng)
                 t1 = ladder_trace(F)
                 t2 = _side_trace(mside, act_on_module(F), m)
-                worst = max(worst, abs(t1 - t2))
-                count += 1
-    ok = worst < tol.bound()
-    return Certificate(
-        ok,
-        {"action_trace_gap": worst},
-        {"samples": count},
-        failed_axiom=None if ok else "right-action isometry",
-    )
+                gaps.append(abs(t1 - t2))
+    details = {"samples": len(gaps)}
+    return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fusion import SchemaError
+
 
 class WordMismatch(ValueError):
     pass
@@ -344,17 +346,17 @@ class Engine:
         cb = self.data.dual[c]
         dom = (self.simple_obj(cb), self.simple_obj(c))
         u = self.data.t(c)
-        m = np.ones((1, len(self.basis(dom, u))), dtype=complex)
-        assert m.shape[1] == 1  # N_{dual(c),c}^{1_t} = 1
-        return self.mor(dom, (), {u: m})
+        if len(self.basis(dom, u)) != 1:  # N_{dual(c),c}^{1_t} = 1
+            raise SchemaError(f"the pairing of {cb} and {c} at {u} is not one tree")
+        return self.mor(dom, (), {u: np.ones((1, 1), dtype=complex)})
 
     def _raw_coev(self, c) -> Mor:
         cb = self.data.dual[c]
         cod = (self.simple_obj(c), self.simple_obj(cb))
         u = self.data.s(c)
-        m = np.ones((len(self.basis(cod, u)), 1), dtype=complex)
-        assert m.shape[0] == 1
-        return self.mor((), cod, {u: m})
+        if len(self.basis(cod, u)) != 1:  # N_{c,dual(c)}^{1_s} = 1
+            raise SchemaError(f"the pairing of {c} and {cb} at {u} is not one tree")
+        return self.mor((), cod, {u: np.ones((1, 1), dtype=complex)})
 
     def zigzag_scalar(self, c) -> complex:
         """(id_c (x) raw_ev)(raw_coev (x) id_c) = theta_c id_c."""

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate
-from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance, unitarity_defect
+from .certify import Certificate, judged, within
+from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance, unitarity_defect, worst
 
 FP_TOL = 1e-12
 
@@ -80,6 +80,10 @@ class FusionData:
                 if len(k) != arity or any(x not in self.index for x in k):
                     raise SchemaError(f"entry with unknown label: {k}")
         self.N = {k: int(v) for k, v in self.N.items() if int(v) != 0}
+        # below 2**31, tree counts (sums of products of two) fit int64 tables
+        for k, v in self.N.items():
+            if not 0 <= v < 2**31:
+                raise SchemaError(f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not in [0, 2**31)")
         self.F = {k: np.asarray(v, dtype=complex) for k, v in self.F.items()}
         for k, m in self.F.items():
             if not np.isfinite(m).all():
@@ -303,8 +307,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     frob = (N != N[D].transpose(0, 2, 1)) | (N != N[:, D].transpose(2, 1, 0))
     for a, b, c in np.argwhere(frob).tolist():
         problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
-    int_ok = not problems
-    residuals = {"integer_checks": 0.0 if int_ok else 1.0}
+    residuals = {"integer_checks": 1.0 if problems else 0.0}
 
     rows = np.einsum("abe,ecd->abcd", N, N)
     cols = np.einsum("bcf,afd->abcd", N, N)
@@ -324,17 +327,14 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             )
         if not (unit[a] or unit[b] or unit[c]):
             defects.append(unitarity_defect(_stored_block(data, key, r)))
-    residuals["f_unitarity"] = _worst(defects)
+    residuals["f_unitarity"] = worst(defects)
     residuals["pentagon"] = pentagon_residual(data)
-
-    axiom = None
-    if not int_ok:
-        axiom = "grading/duality"
-    elif not residuals["f_unitarity"] <= tol.bound() / 20:
-        axiom = "F-unitarity"
-    elif not residuals["pentagon"] <= tol.bound() * 5:
-        axiom = "pentagon"
-    return Certificate(axiom is None, residuals, {"problems": problems[:5]}, failed_axiom=axiom)
+    checks = [
+        ("integer_checks", 0.0, "grading/duality"),
+        ("f_unitarity", tol.bound() / 20, "F-unitarity"),
+        ("pentagon", tol.bound() * 5, "pentagon"),
+    ]
+    return judged(residuals, checks, {"problems": problems[:5]})
 
 
 def pentagon_residual(data: FusionData) -> float:
@@ -365,13 +365,7 @@ def pentagon_residual(data: FusionData) -> float:
                         continue
                     for u, start in tables.left_combs(a, b, c, d).items():
                         gaps.append(tables.pentagon_gap(a, b, c, d, u, start))
-    return _worst(gaps)
-
-
-def _worst(values) -> float:
-    """The largest value, 0.0 for none. A NaN propagates, where Python's
-    max would drop it depending on its position."""
-    return float(np.max(values, initial=0.0))
+    return worst(gaps)
 
 
 def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
@@ -549,11 +543,12 @@ def udf_from_weight(
         ps = psi.of_unit(data, data.s(c))
         pt = psi.of_unit(data, data.t(c))
         udf.dims[c] = float(np.sqrt(ps * pt) * data.fpdim(c))
-    chain = 0.0
-    for c in data.simples:
-        chain = max(chain, abs(udf.dims[data.s(c)] * udf.dim_left(c) - udf.dims[c]))
-        chain = max(chain, abs(udf.dims[data.t(c)] * udf.dim_right(c) - udf.dims[c]))
-    if chain > tol.bound():
+    chain = worst(
+        abs(udf.dims[u] * dim(c) - udf.dims[c])
+        for c in data.simples
+        for u, dim in ((data.s(c), udf.dim_left), (data.t(c), udf.dim_right))
+    )
+    if not within(chain, tol.bound()):
         raise IndependenceViolation(f"dimension chain residual {chain}")
 
     from .diagram import Engine
@@ -606,7 +601,7 @@ def renorm_scalar(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAU
         closed = data.fpdim_total(simples) * psi_id / (k * k)
         for i in units:
             v = sum(udf.dims[c] ** 2 for c in simples if data.s(c) == i) / udf.dims[i]
-            if abs(v - closed) > tol.bound(closed):
+            if not within(abs(v - closed), tol.bound(closed)):
                 raise IndependenceViolation(
                     f"component value at {i} is {v}, closed form {closed}"
                 )

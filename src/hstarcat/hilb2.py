@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hstar1
-from .certify import Certificate
-from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance
+from .certify import bounded, judged
+from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ def yoneda_decompose(c: H2Object, tol: Tolerance = DEFAULT_TOL):
     """
     space = c.space
     summands = []
-    defect = 0.0
     for idx, (label, d) in enumerate(zip(space.labels, space.dims)):
         m = c.mults[idx]
         if m == 0:
@@ -120,10 +119,9 @@ def yoneda_decompose(c: H2Object, tol: Tolerance = DEFAULT_TOL):
         gram = np.array(
             [[(1.0 / d) * f.inner(g) for g in basis] for f in basis], dtype=complex
         )
-        defect = max(defect, float(np.linalg.norm(gram - np.eye(m))))
         summands.append((label, 1.0 / d, m, gram))
-    cert = Certificate(defect <= tol.bound(), {"gram_defect": defect})
-    return summands, cert
+    defect = worst(float(np.linalg.norm(gram - np.eye(m))) for _, _, m, gram in summands)
+    return summands, bounded("gram_defect", defect, tol.bound(), None)
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):
     matrices under this map.
     """
     G = DagFunctor(F.codomain, F.domain, tuple(map(tuple, np.asarray(F.matrix).T)))
-    defect = 0.0
+    defects = []
     for s, ds in enumerate(F.domain.dims):
         for t, dt in enumerate(F.codomain.dims):
             m = F.matrix[t][s]
@@ -178,9 +176,8 @@ def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):
                 basis_a.append(H2Morphism(src, gt, tuple(ba)))
             gram_b = np.array([[f.inner(g) for g in basis_b] for f in basis_b])
             gram_a = np.array([[f.inner(g) for g in basis_a] for f in basis_a])
-            defect = max(defect, float(np.linalg.norm(gram_a - gram_b)))
-    cert = Certificate(defect <= tol.bound(), {"mate_gram_defect": defect})
-    return G, cert
+            defects.append(float(np.linalg.norm(gram_a - gram_b)))
+    return G, bounded("mate_gram_defect", worst(defects), tol.bound(), None)
 
 
 def mate_scale(F: DagFunctor, s: int, t: int) -> float:
@@ -211,26 +208,21 @@ def isometry_check(F: DagFunctor, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     distinct simples) and preserves quantum dimensions."""
     m = np.asarray(F.matrix)
     gaps = {}
-    ok = True
+    checks = []
     used_rows = set()
     for s, label in enumerate(F.domain.labels):
+        key = f"dim_gap[{label}]"
+        checks.append((key, tol.bound(F.domain.dims[s]), None))
         col = m[:, s]
         nz = np.flatnonzero(col)
-        if len(nz) != 1 or col[nz[0]] != 1:
-            ok = False
-            gaps[label] = float("inf")
-            continue
-        t = int(nz[0])
-        if t in used_rows:
-            ok = False  # two simples collapse: not faithful
-            gaps[label] = float("inf")
+        t = int(nz[0]) if len(nz) == 1 and col[nz[0]] == 1 else None
+        if t is None or t in used_rows:
+            # not a simple, or two simples collapse: not faithful
+            gaps[key] = float("inf")
             continue
         used_rows.add(t)
-        gap = abs(F.codomain.dims[t] - F.domain.dims[s])
-        gaps[label] = gap
-        if gap > tol.bound(F.domain.dims[s]):
-            ok = False
-    return Certificate(ok, {f"dim_gap[{k}]": v for k, v in gaps.items()})
+        gaps[key] = abs(F.codomain.dims[t] - F.domain.dims[s])
+    return judged(gaps, checks)
 
 
 def mod_dagger_as_2hilb(A: hstar1.HStarAlgebra) -> TwoHilbertSpace:

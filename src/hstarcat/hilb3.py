@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Certificate
+from .certify import Certificate, bounded, judged, within
 from .diagram import Engine, Mor
 from .fusion import (
     FusionData,
@@ -63,7 +63,7 @@ from .intalg import (
     verify_bimodule,
     verify_hstar,
 )
-from .numcore import DEFAULT_TOL, Tolerance, null_space
+from .numcore import DEFAULT_TOL, ConsistencyError, Tolerance, null_space, worst
 
 
 class MissingDualityData(KeyError):
@@ -167,7 +167,7 @@ def presentation_sphericality(
     the engine-backed objects of the presentation."""
     eng = X.eng
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         mult = {c: int(rng.integers(0, 3)) for c in eng.data.simples}
         if not any(mult.values()):
@@ -176,13 +176,9 @@ def presentation_sphericality(
         f = eng.random_mor((O,), (O,), rng)
         left = eng.psi_of_unit_endo(eng.trace_left(f))
         right = eng.psi_of_unit_endo(eng.trace_right(f))
-        worst = max(worst, abs(left - right))
+        gaps.append(abs(left - right))
     scale = 1.0 + eng.udf.psi.total()
-    return Certificate(
-        ok=worst <= tol.bound(scale),
-        residuals={"sphericality": worst},
-        failed_axiom=None if worst <= tol.bound(scale) else "sphericality",
-    )
+    return bounded("sphericality", worst(gaps), tol.bound(scale), "sphericality")
 
 
 # --- Hilbert direct sum completion -------------------------------------
@@ -241,7 +237,7 @@ def certify_hilbert_sum(
         total = eng.add(total, eng.compose(inc, eng.dagger(inc)))
     res_defect = eng.residual(total, eng.identity((O,)))
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         f = eng.random_mor((O,), (O,), rng)
         whole = X.psi_value(S, f)
@@ -252,18 +248,14 @@ def certify_hilbert_sum(
             )
             for u, inc in zip(S.parts, incs)
         )
-        worst = max(worst, abs(whole - split))
+        gaps.append(abs(whole - split))
     scale = 1.0 + eng.udf.psi.total()
-    ok = res_defect <= tol.bound() * 10 and worst <= tol.bound(scale)
-    axiom = None
-    if res_defect > tol.bound() * 10:
-        axiom = "direct-sum resolution"
-    elif worst > tol.bound(scale):
-        axiom = "Psi additivity"
-    return Certificate(
-        ok=ok,
-        residuals={"resolution": res_defect, "additivity": worst},
-        failed_axiom=axiom,
+    return judged(
+        {"resolution": res_defect, "additivity": worst(gaps)},
+        [
+            ("resolution", tol.bound() * 10, "direct-sum resolution"),
+            ("additivity", tol.bound(scale), "Psi additivity"),
+        ],
     )
 
 
@@ -312,7 +304,7 @@ def monad_sphericality(
     Md, ev0, coev0 = dual_bimodule_delta0(M)
     basis = bimodule_homs(M, M, tol)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     evd = eng.dagger(ev0)
     coevd = eng.dagger(coev0)
     for _ in range(max(1, samples)):
@@ -324,14 +316,8 @@ def monad_sphericality(
         )
         vl = monad_psi(B.algebra, left)
         vr = monad_psi(A.algebra, right)
-        scale = max(1.0, abs(vl))
-        worst = max(worst, abs(vl - vr) / scale)
-    ok = worst <= tol.bound()
-    return Certificate(
-        ok=ok,
-        residuals={"sphericality": worst},
-        failed_axiom=None if ok else "sphericality",
-    )
+        gaps.append(abs(vl - vr) / max(1.0, abs(vl)))
+    return bounded("sphericality", worst(gaps), tol.bound(), "sphericality")
 
 
 # --- bimodule homs and splitting ---------------------------------------
@@ -532,7 +518,9 @@ class _LinkingBuilder:
                 F = free_bimodule(self.algebras[i], c, self.algebras[j])
                 if not any(F.obj):
                     continue
-                assert verify_bimodule(F, tol) < 1e-8
+                # 5 tol.bound() is 1e-8 at the default tolerance
+                if not within(verify_bimodule(F, tol), tol.bound() * 5):
+                    raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
                 for piece, _ in split_bimodule(F, tol, self.seed):
                     if not any(bimodule_homs(piece, old, tol) for old in found):
                         found.append(piece)
@@ -621,7 +609,8 @@ class _LinkingBuilder:
                 for Z in self.simples[(j, i)]
                 if bimodule_homs(Xd, Z, self.tol)
             ]
-            assert len(matches) == 1
+            if len(matches) != 1:
+                raise ConsistencyError(f"{lx} has {len(matches)} dual matches, not one")
             dual[lx] = matches[0]
         return dual
 
@@ -744,7 +733,7 @@ def hom_two_hilbert(
         )
         dims = tuple(eng.udf.d(c) for c in labels)
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        gaps = []
         for _ in range(samples):
             mult = {c: int(rng.integers(1, 3)) for c in labels}
             O = eng.obj(mult)
@@ -753,36 +742,23 @@ def hom_two_hilbert(
             f = eng.random_mor((O,), (O,), rng)
             tl = eng.psi_of_unit_endo(eng.trace_left(f))
             tr = eng.psi_of_unit_endo(eng.trace_right(f))
-            direct = eng.categorical_trace(f)
-            worst = max(worst, abs(tl - tr), abs(tl - direct))
-        cert = Certificate(
-            ok=worst <= tol.bound(1.0 + sum(dims)),
-            residuals={"loop_agreement": worst},
-            failed_axiom=None if worst <= tol.bound(1.0 + sum(dims)) else "sphericality",
-        )
+            gaps += [abs(tl - tr), abs(tl - eng.categorical_trace(f))]
+        cert = bounded("loop_agreement", worst(gaps), tol.bound(1.0 + sum(dims)), "sphericality")
         return TwoHilbertSpace(labels, dims), cert
     if isinstance(b, MonadObject) and isinstance(a, (DeloopObject, MonadObject)):
         if isinstance(a, MonadObject) and a.algebra is not b.algebra:
             raise NotImplementedError("monad-monad hom beyond the diagonal")
         mc = module_category(eng, b.algebra, tol, seed)
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        gaps = []
         M = mc.simples[0]
         for _ in range(samples):
             f = eng.random_mor(M.word, M.word, rng)
             g = eng.random_mor(M.word, M.word, rng)
             t1 = module_trace(M, eng.compose(f, g))
-            t2 = module_trace(M, eng.compose(g, f))
-            worst = max(worst, abs(t1 - t2))
-        space = mc.two_hilbert()
-        cert = Certificate(
-            ok=worst <= tol.bound(1.0 + sum(mc.dims)),
-            residuals={"traciality": worst},
-            failed_axiom=None
-            if worst <= tol.bound(1.0 + sum(mc.dims))
-            else "traciality",
-        )
-        return space, cert
+            gaps.append(abs(t1 - module_trace(M, eng.compose(g, f))))
+        cert = bounded("traciality", worst(gaps), tol.bound(1.0 + sum(mc.dims)), "traciality")
+        return mc.two_hilbert(), cert
     raise NotImplementedError(f"hom category for {a!r} -> {b!r}")
 
 
@@ -835,7 +811,7 @@ def splitting_uaf(B: AlgebraObject, tol: Tolerance = DEFAULT_TOL) -> UAFData:
 def _unitarity_residual(eng: Engine, f: Mor) -> float:
     r1 = eng.residual(eng.compose(eng.dagger(f), f), eng.identity(f.dom))
     r2 = eng.residual(eng.compose(f, eng.dagger(f)), eng.identity(f.cod))
-    return max(r1, r2)
+    return worst([r1, r2])
 
 
 def certify_isometry_1mor(
@@ -850,8 +826,8 @@ def certify_isometry_1mor(
     ev_defect = _unitarity_residual(eng, ev)
     coev_defect = _unitarity_residual(eng, coev)
     scale = 1.0 + eng.l2_norm(ev) + eng.l2_norm(coev)
-    ev_ok = ev_defect <= tol.bound(scale)
-    coev_ok = coev_defect <= tol.bound(scale)
+    ev_ok = within(ev_defect, tol.bound(scale))
+    coev_ok = within(coev_defect, tol.bound(scale))
     if ev_ok and coev_ok:
         kind = "IsometricEquivalence"
     elif coev_ok:
@@ -884,7 +860,9 @@ def split_monad(
     X (x)_B X^dual for X = B as a (1, B) bimodule, with a certified
     unitary algebra isomorphism u."""
     eng = B.eng
-    unit = next(u for u in eng.data.units if eng.mult(B.obj, u))
+    unit = next((u for u in eng.data.units if eng.mult(B.obj, u)), None)
+    if unit is None:
+        raise ValueError("the monad has no unit summand")
     cert0 = verify_hstar(B, tol, seed)
     if not cert0.ok:
         raise ValueError(f"monad fails H* certification: {cert0.failed_axiom}")
@@ -927,12 +905,10 @@ def split_monad(
         "u_unital": eng.residual(eng.compose(u, B.iota), iota_T),
         "ev_normalization": ev_norm,
     }
-    scale = 1.0 + eng.l2_norm(u)
-    ok = all(v <= tol.bound(scale) for v in resid.values())
-    axiom = None
-    if not ok:
-        axiom = max(resid, key=resid.get)
-    cert = Certificate(ok=ok, residuals=resid, failed_axiom=axiom)
+    # the largest failing residual names the axiom, a NaN before any number
+    bound = tol.bound(1.0 + eng.l2_norm(u))
+    order = sorted(resid, key=lambda k: -resid[k] if resid[k] == resid[k] else -np.inf)
+    cert = judged(resid, [(k, bound, k) for k in order])
     pair = Bimodule(A, A, T.obj, T.lam, T.rho)
     return MonadSplitting(B, M, pair, mu_T, iota_T, u, cert)
 
@@ -988,12 +964,10 @@ def theorem_b_check(
         "module_side": abs(rhs - psi1),
         "gap": abs(lhs - rhs),
     }
-    ok = all(v <= tol.bound(psi1) for v in resid.values())
-    return Certificate(
-        ok=ok,
-        residuals=resid,
-        details={"psi_1": psi1, "monad": lhs, "modules": rhs},
-        failed_axiom=None if ok else "weight comparison",
+    return judged(
+        resid,
+        [(k, tol.bound(psi1), "weight comparison") for k in resid],
+        {"psi_1": psi1, "monad": lhs, "modules": rhs},
     )
 
 
@@ -1017,12 +991,12 @@ def gauge_uaf(eng: Engine, phases: dict):
 
 
 def _candidate_sphericality(eng: Engine, cand, tol: Tolerance) -> float:
-    worst = 0.0
+    gaps = []
     for c, (ev, coev) in cand.items():
         left = eng.psi_of_unit_endo(eng.compose(ev, eng.dagger(ev)))
         right = eng.psi_of_unit_endo(eng.compose(eng.dagger(coev), coev))
-        worst = max(worst, abs(left - right) / max(1.0, abs(left)))
-    return worst
+        gaps.append(abs(left - right) / max(1.0, abs(left)))
+    return worst(gaps)
 
 
 def uaf_uniqueness_check(
@@ -1033,11 +1007,10 @@ def uaf_uniqueness_check(
     be unitary on every generator."""
     for name, cand in (("first", cand1), ("second", cand2)):
         defect = _candidate_sphericality(eng, cand, tol)
-        if defect > tol.bound():
+        if not within(defect, tol.bound()):
             raise CandidateNotSpherical(
                 f"{name} candidate has loop asymmetry {defect:.3e}"
             )
-    worst = 0.0
     residuals = {}
     for c in eng.data.simples:
         ev1, _ = cand1[c]
@@ -1047,15 +1020,8 @@ def uaf_uniqueness_check(
             eng.whisker_right(ev1, (cb,)),
             eng.whisker_left((cb,), coev2),
         )
-        d = _unitarity_residual(eng, zeta)
-        residuals[f"zeta[{c}]"] = d
-        worst = max(worst, d)
-    ok = worst <= tol.bound()
-    return Certificate(
-        ok=ok,
-        residuals=residuals,
-        failed_axiom=None if ok else "comparison unitarity",
-    )
+        residuals[f"zeta[{c}]"] = _unitarity_residual(eng, zeta)
+    return judged(residuals, [(k, tol.bound(), "comparison unitarity") for k in residuals])
 
 
 # --- decomposition into simples ----------------------------------------
@@ -1084,10 +1050,5 @@ def decompose_simples(
             total = eng.add(total, eng.compose(V, eng.dagger(V)))
             out.append((f"{a.label}.{k}", V))
         defect = eng.residual(total, eng.identity(O))
-        ok = defect <= tol.bound() * 10
-        return out, Certificate(
-            ok=ok,
-            residuals={"resolution": defect},
-            failed_axiom=None if ok else "direct-sum resolution",
-        )
+        return out, bounded("resolution", defect, tol.bound() * 10, "direct-sum resolution")
     raise TypeError(f"not a presentation object: {a!r}")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Certificate
-from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance
+from .certify import Certificate, clears, within
+from .numcore import DEFAULT_TOL, ConsistencyError, NonPositiveWeight, Tolerance, worst
 
 
 class MixedAmbientCategory(ValueError):
@@ -100,12 +100,9 @@ def verify_hstar_algebra(
         tr = lambda a: sum(w * np.trace(ai) for w, ai in zip(weights, a))
 
     probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))
-    traciality = 0.0
-    for _ in range(samples):
-        a = probe.random_element(rng)
-        b = probe.random_element(rng)
-        traciality = max(traciality, abs(tr(probe.mul(a, b)) - tr(probe.mul(b, a))))
-    if traciality > tol.bound():
+    pairs = [(probe.random_element(rng), probe.random_element(rng)) for _ in range(samples)]
+    traciality = worst(abs(tr(probe.mul(a, b)) - tr(probe.mul(b, a))) for a, b in pairs)
+    if not within(traciality, tol.bound()):
         return Certificate(
             False,
             {"traciality": traciality},
@@ -115,13 +112,12 @@ def verify_hstar_algebra(
 
     if functional is not None:
         # every tracial functional is blockwise a multiple of the matrix trace
-        projected = []
-        proj_residual = 0.0
-        for n, phi in zip(block_sizes, functional):
-            w = np.trace(phi).real / n
-            projected.append(w)
-            proj_residual = max(proj_residual, float(np.linalg.norm(phi - w * np.eye(n))))
-        if proj_residual > tol.bound():
+        projected = [np.trace(phi).real / n for n, phi in zip(block_sizes, functional)]
+        proj_residual = worst(
+            float(np.linalg.norm(phi - w * np.eye(n)))
+            for n, phi, w in zip(block_sizes, functional, projected)
+        )
+        if not within(proj_residual, tol.bound()):
             return Certificate(
                 False,
                 {"traciality": traciality, "weight_projection": proj_residual},
@@ -130,8 +126,8 @@ def verify_hstar_algebra(
             )
         weights = tuple(projected)
 
-    positivity = min(weights)
-    if positivity <= tol.bound():
+    positivity = float(np.min(weights))
+    if not clears(positivity, tol.bound()):
         return Certificate(
             False,
             {"traciality": traciality, "positivity_margin": positivity},
@@ -216,7 +212,8 @@ def _simple_quantum_dim(n: int, w: float) -> float:
     u[0][0, 0] = np.sqrt(w)
     op = mod.rank_one(u, u)
     # frame property: |u><u| must be the identity of End(H_A)
-    assert np.linalg.norm(op[0] - np.eye(1)) < 1e-12
+    if not within(np.linalg.norm(op[0] - np.eye(1)), 1e-12):
+        raise ConsistencyError(f"|u><u| is not the identity for the weight {w}")
     return float(algebra.trace(mod.a_valued_inner(u, u)).real)
 
 
@@ -264,11 +261,11 @@ def module_trace_law_residual(
 ) -> float:
     """Max residual of Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) over random vectors."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         xi = mod.random_vector(rng)
         eta = mod.random_vector(rng)
         lhs = mod.module_trace(mod.rank_one(xi, eta))
         rhs = mod.algebra.trace(mod.a_valued_inner(eta, xi))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        gaps.append(abs(lhs - rhs))
+    return worst(gaps)

@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate
+from .certify import Certificate, clears, within
 from .diagram import Engine, Mor
-from .numcore import DEFAULT_TOL, NotProjection, Tolerance, null_space, split_projection
+from .numcore import (
+    DEFAULT_TOL,
+    NotProjection,
+    Tolerance,
+    null_space,
+    split_projection,
+    worst,
+)
 
 CONDITION_CUT = 1e12
 
@@ -47,7 +54,7 @@ def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> M
         if b.size == 0:
             continue
         h = (b + b.conj().T) / 2
-        if np.linalg.norm(b - h) > tol.bound(np.linalg.norm(b)):
+        if not within(np.linalg.norm(b - h), tol.bound(np.linalg.norm(b))):
             raise SingularBubble(f"non-hermitian block at charge {c}")
         vals, vecs = np.linalg.eigh(h)
         vals_all.extend(vals.tolist())
@@ -159,22 +166,22 @@ def verify_hstar(
 
     lu = eng.compose(A.mu, eng.whisker_right_obj(A.iota, A.obj))
     ru = eng.compose(A.mu, eng.whisker_left_obj(A.obj, A.iota))
-    residuals["unitality"] = max(eng.residual(lu, ident), eng.residual(ru, ident))
-    if residuals["unitality"] > tol.bound():
+    residuals["unitality"] = worst([eng.residual(lu, ident), eng.residual(ru, ident)])
+    if not within(residuals["unitality"], tol.bound()):
         return Certificate(False, residuals, failed_axiom="unitality")
 
     assoc_l = eng.compose(A.mu, eng.whisker_right_obj(A.mu, A.obj))
     assoc_r = eng.compose(A.mu, eng.whisker_left_obj(A.obj, A.mu))
     residuals["associativity"] = eng.residual(assoc_l, assoc_r)
-    if residuals["associativity"] > tol.bound():
+    if not within(residuals["associativity"], tol.bound()):
         return Certificate(False, residuals, failed_axiom="associativity")
 
     md = A.mu_dag
     frob_l = eng.compose(eng.whisker_left_obj(A.obj, A.mu), eng.whisker_right_obj(md, A.obj))
     frob_m = eng.compose(md, A.mu)
     frob_r = eng.compose(eng.whisker_right_obj(A.mu, A.obj), eng.whisker_left_obj(A.obj, md))
-    residuals["frobenius"] = max(eng.residual(frob_l, frob_m), eng.residual(frob_r, frob_m))
-    if residuals["frobenius"] > tol.bound():
+    residuals["frobenius"] = worst([eng.residual(frob_l, frob_m), eng.residual(frob_r, frob_m)])
+    if not within(residuals["frobenius"], tol.bound()):
         return Certificate(False, residuals, failed_axiom="H*1-frobenius")
 
     bubble = A.bubble
@@ -183,16 +190,16 @@ def verify_hstar(
         b = eng.block(bubble, c)
         if b.size:
             vals.extend(np.linalg.eigvalsh((b + b.conj().T) / 2).tolist())
-    min_eig = min(vals) if vals else 1.0
+    min_eig = float(np.min(vals)) if vals else 1.0
     cond = (max(vals) / min_eig) if vals and min_eig > 0 else float("inf")
     residuals["separability_min_eig"] = min_eig
-    if min_eig <= tol.bound() or cond > CONDITION_CUT:
+    if not (clears(min_eig, tol.bound()) and within(cond, CONDITION_CUT)):
         return Certificate(
             False, residuals, {"condition": cond}, failed_axiom="H*2-separability"
         )
 
     pairing = eng.compose(eng.dagger(A.iota), A.mu)  # (A, A) -> ()
-    worst = 0.0
+    gaps = []
     for c in eng.data.simples:
         cb = eng.data.dual[c]
         fs = eng.hom_basis((eng.simple_obj(c),), word)
@@ -205,9 +212,9 @@ def verify_hstar(
                 t2 = eng.psi_of_unit_endo(
                     eng.compose(pairing, eng.compose(eng.tensor(g, f), eng.coev_simple(cb)))
                 )
-                worst = max(worst, abs(t1 - t2))
-    residuals["standardness"] = worst
-    if worst > tol.bound():
+                gaps.append(abs(t1 - t2))
+    residuals["standardness"] = worst(gaps)
+    if not within(residuals["standardness"], tol.bound()):
         return Certificate(False, residuals, failed_axiom="H*3-standardness")
     return Certificate(True, residuals, {"condition": cond})
 
@@ -416,10 +423,12 @@ def module_category(
                 len(module_hom_basis(piece.word, piece, old, tol)) > 0 for old in simples
             ):
                 simples.append(piece)
+    # module dimensions scale with the unit weights, and so does their cut
+    cut = tol.bound() * min(eng.udf.psi.psi)
     dims = []
     for M in simples:
         d = module_trace(M, eng.identity(M.word)).real
-        if d <= tol.bound():
+        if not clears(d, cut):
             raise SingularBubble(f"non-positive module dimension {d}")
         dims.append(d)
     return ModuleCategory(A, simples, dims)
@@ -474,7 +483,7 @@ def internal_end_comparison(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL):
     module A, measured simple-by-simple on generalized elements."""
     eng = A.eng
     FA = Module(A, A.obj, A.mu)
-    defect = 0.0
+    defects = []
     for c in eng.data.simples:
         xs = eng.hom_basis((eng.simple_obj(c),), A.word)
         if not xs:
@@ -492,8 +501,8 @@ def internal_end_comparison(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL):
         gram_e = np.array(
             [[_hom_inner(eng, cmod, p, q) / eng.udf.d(c) for q in phis] for p in phis]
         )
-        defect = max(defect, float(np.linalg.norm(gram_e - np.eye(len(phis)))))
-    return defect
+        defects.append(float(np.linalg.norm(gram_e - np.eye(len(phis)))))
+    return worst(defects)
 
 
 # --- bimodules and the relative tensor ---------------------------------
@@ -543,7 +552,7 @@ def verify_bimodule(M: Bimodule, tol: Tolerance = DEFAULT_TOL) -> float:
             eng.compose(M.rho, eng.whisker_right_obj(M.lam, B.obj)),
         ),
     ]
-    return max(res)
+    return worst(res)
 
 
 def _strict_right_unitor(eng: Engine, word, U) -> Mor:
@@ -596,9 +605,9 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
     p = separability_projection(M, N)
     word = M.word + N.word
     scale = eng.l2_norm(p)
-    if eng.residual(eng.compose(p, p), p) > tol.bound(scale):
+    if not within(eng.residual(eng.compose(p, p), p), tol.bound(scale)):
         raise NotProjection("separability projection is not idempotent")
-    if eng.residual(eng.dagger(p), p) > tol.bound(scale):
+    if not within(eng.residual(eng.dagger(p), p), tol.bound(scale)):
         raise NotProjection("separability projection is not self-adjoint")
     fused, u = eng.fuse(word)
     pf = eng.compose(u, eng.compose(p, eng.dagger(u)))
@@ -805,7 +814,7 @@ def delta0_norm_identity(
     NM = fused_right_module(M.right, N.word + M.word, eng.whisker_left(N.word, M.rho))
     _, u = eng.fuse(N.word + M.word)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         f = _mor_combo(eng, basis, z)
@@ -813,5 +822,5 @@ def delta0_norm_identity(
         t1 = module_trace(NM, endo)
         g = mate_delta0(f, N, M, coev0)
         t2 = module_trace(N, eng.compose(eng.dagger(g), g))
-        worst = max(worst, abs(t1 - t2))
-    return worst, zz
+        gaps.append(abs(t1 - t2))
+    return worst(gaps), zz

@@ -4,6 +4,11 @@ Every other module routes its numerics through the handful of operations
 here so that there is a single audited eigendecomposition path, a single
 null-space routine and a single tolerance convention. The exception
 classes shared by several modules are defined here once.
+
+The tolerance policy: a bound is tol.bound(scale), possibly times a
+fixed factor, and a residual passes it iff residual <= bound
+(certify.within), so a NaN residual fails. Residuals are folded with
+worst, which keeps a NaN that Python's max would drop.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .certify import within
 
 
 class NotHermitian(ValueError):
@@ -37,6 +44,11 @@ class NonPositiveWeight(ValueError):
     pass
 
 
+class ConsistencyError(ArithmeticError):
+    """A result failed a check that the mathematics guarantees for valid
+    input, so it cannot be trusted."""
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Uniform numerical tolerance: absolute and relative epsilon."""
@@ -53,6 +65,19 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def worst(values):
+    """The largest of the values, 0.0 for none; the first of equal maxima
+    is returned as it is, like Python's max(0.0, *values). A NaN is
+    returned at once, where max would keep or drop it by position."""
+    out = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > out:
+            out = v
+    return out
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -107,11 +132,11 @@ def hermitian_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     m = as_cmatrix(m)
     _require_square(m)
     scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > tol.bound(scale):
+    if not within(np.linalg.norm(m - m.conj().T), tol.bound(scale)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2
     vals, vecs = _sorted_eigh(h)
-    if vals.size and vals.min() < -tol.bound(scale):
+    if vals.size and not within(-vals.min(), tol.bound(scale)):
         raise NegativeEigenvalue(f"eigenvalue {vals.min()} below tolerance")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -126,9 +151,8 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     p = as_cmatrix(p)
     _require_square(p)
     scale = max(1.0, float(np.linalg.norm(p)))
-    if np.linalg.norm(p - p.conj().T) > tol.bound(scale) or np.linalg.norm(
-        p @ p - p
-    ) > tol.bound(scale):
+    defect = worst([np.linalg.norm(p - p.conj().T), np.linalg.norm(p @ p - p)])
+    if not within(defect, tol.bound(scale)):
         raise NotProjection("input is not an orthogonal projection within tolerance")
     h = (p + p.conj().T) / 2
     vals, vecs = _sorted_eigh(h)
@@ -155,8 +179,5 @@ def unitarity_defect(m: np.ndarray) -> float:
     _require_square(m)
     eye = np.eye(m.shape[0])
     return float(
-        max(
-            np.linalg.norm(m.conj().T @ m - eye),
-            np.linalg.norm(m @ m.conj().T - eye),
-        )
+        worst([np.linalg.norm(m.conj().T @ m - eye), np.linalg.norm(m @ m.conj().T - eye)])
     )

@@ -59,8 +59,9 @@ def _nan_entry(doc):
         _nan_entry,
         lambda doc: doc["dual"].update(t="zz"),
         lambda doc: doc["grading"].update(t=["1", "q"]),
+        lambda doc: doc["N"].update({"t,t,t": 1e300}),
     ],
-    ids=["nan_f_entry", "unknown_dual", "non_unit_grading"],
+    ids=["nan_f_entry", "unknown_dual", "non_unit_grading", "n_overflow"],
 )
 @pytest.mark.parametrize("command", ["validate", "udf"])
 def test_bad_fusion_file_exit_2_without_report(tmp_path, capsys, edit, command):
@@ -160,22 +161,83 @@ def test_psi_range_ends_accept(capsys, command, psi):
     assert code == 0 and rep["verdict"] == "ACCEPT"
 
 
+BAD_ALGEBRAS = {
+    "group_unknown_label": {"kind": "group", "labels": ["1", "zz"]},
+    "trivial_on_non_unit": {"kind": "trivial", "unit": "s"},
+    "trivial_unknown_unit": {"kind": "trivial", "unit": "zz"},
+    "pair_unknown_label": {"kind": "pair", "object": {"zz": 1}},
+    # no unit summand: no monad to split, no bubble to standardize
+    "group_no_unit": {"kind": "group", "labels": ["s"]},
+    "pair_empty": {"kind": "pair", "object": {}},
+}
+BAD_ALGEBRA_CASES = [
+    (command, name)
+    for command in ("verify", "modcat")
+    for name in list(BAD_ALGEBRAS)[:4]
+] + [("split-monad", "group_no_unit"), ("split-monad", "pair_empty"), ("standardize", "group_no_unit")]
+
+
+@pytest.mark.parametrize(
+    "command, name", BAD_ALGEBRA_CASES, ids=[f"{c}-{n}" for c, n in BAD_ALGEBRA_CASES]
+)
+def test_bad_algebra_file_exit_2_without_report(tmp_path, capsys, command, name):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(BAD_ALGEBRAS[name]))
+    group = "h3" if command == "split-monad" else "alg"
+    assert main([group, command, "ising", str(p)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("h3", "theorem-b", "fibonacci"),
+        ("alg", "modcat", "ising", "ising_qsystem"),
+    ],
+)
+def test_small_psi_loose_tol_accepts(capsys, argv):
+    # module dimensions scale with psi, and so does their positivity cut
+    code, rep = _run(capsys, *argv, "--psi", "1e-6", "--tol", "1e-5")
+    assert code == 0 and rep["verdict"] == "ACCEPT"
+
+
+def test_nan_loop_gap_rejects_on_its_axiom(monkeypatch, capsys):
+    monkeypatch.setattr("hstarcat.cli.loop_eval", lambda udf, c, side: float("nan"))
+    code, rep = _run(capsys, "fusion", "udf", "fibonacci")
+    assert code == 1
+    assert rep["violated_axioms"] == {"loops": "loop normalization"}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        {"kind": "group", "labels": ["1", "zz"]},
-        {"kind": "trivial", "unit": "s"},
-        {"kind": "trivial", "unit": "zz"},
-        {"kind": "pair", "object": {"zz": 1}},
+        '{"blocks": [1, 2], "weights": [1.0, NaN]}',
+        '{"blocks": [1, 2], "weights": [1.0, 1e400]}',
+        '{"blocks": [1], "weights": [1.0], "functional": [[[[NaN, 0.0]]]]}',
     ],
-    ids=["group_unknown_label", "trivial_on_non_unit", "trivial_unknown_unit", "pair_unknown_label"],
+    ids=["nan_weight", "inf_weight", "nan_functional"],
 )
-@pytest.mark.parametrize("command", ["verify", "modcat"])
-def test_bad_algebra_file_exit_2_without_report(tmp_path, capsys, doc, command):
-    p = tmp_path / "alg.json"
-    p.write_text(json.dumps(doc))
-    assert main(["alg", command, "ising", str(p)]) == 2
+@pytest.mark.parametrize("command", ["verify", "gns"])
+def test_bad_hstar_file_exit_2_without_report(tmp_path, capsys, doc, command):
+    p = tmp_path / "hstar.json"
+    p.write_text(doc)
+    assert main(["hstar", command, str(p)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [("hstar", "gns", "hstar_example"), ("deligne", "check", "ising")])
+def test_optimized_interpreter_gives_the_same_report(argv):
+    # python -O strips assert statements, so no check may be one
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "hstarcat.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_fusion_validate_uses_tol(capsys):

@@ -111,3 +111,13 @@ def test_shape_mismatch():
     G = deligne.random_ladder(L2, L2, rng)
     with pytest.raises(deligne.ShapeMismatch):
         deligne.ladder_compose(F, G)
+
+
+def test_nan_trace_rejects_right_action(monkeypatch):
+    eng = _eng("fibonacci")
+    monkeypatch.setattr(deligne, "ladder_trace", lambda F: complex("nan"))
+    cert = deligne.right_action_isometry(
+        deligne.RegularRight(eng), eng, [eng.simple_obj("t")], samples=2
+    )
+    assert (cert.ok, cert.failed_axiom) == (False, "right-action isometry")
+    assert np.isnan(cert.residuals["action_trace_gap"])

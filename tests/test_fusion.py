@@ -131,8 +131,16 @@ def test_nan_written_after_construction_rejects_on_f_unitarity():
         lambda d: d["grading"].update(t=["1", "q"]),
         lambda d: d["N"].update({"t,zz,t": 1}),
         lambda d: d["F"].update({"t,t,zz,t": [[[1.0, 0.0]]]}),
+        lambda d: d["N"].update({"t,t,t": 1e300}),
     ],
-    ids=["nan_f_entry", "unknown_dual", "non_unit_grading", "unknown_n_label", "unknown_f_label"],
+    ids=[
+        "nan_f_entry",
+        "unknown_dual",
+        "non_unit_grading",
+        "unknown_n_label",
+        "unknown_f_label",
+        "n_overflow",
+    ],
 )
 def test_bad_entries_are_schema_errors(edit):
     doc = bundled.load("fibonacci").to_json()
@@ -306,3 +314,11 @@ def test_unit_leg_pentagon_instances_vanish_exactly(name, make):
             continue
         for u, start in tables.left_combs(a, b, c, d).items():
             assert tables.pentagon_gap(a, b, c, d, u, start) == 0.0
+
+
+def test_nan_pentagon_gap_rejects_on_pentagon(monkeypatch):
+    data = bundled.load("fibonacci")
+    monkeypatch.setattr(_Tables, "pentagon_gap", lambda *args: float("nan"))
+    cert = validate(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "pentagon")
+    assert np.isnan(cert.residuals["pentagon"])

@@ -81,3 +81,15 @@ def test_shape_errors():
         H2Morphism.identity(o).compose(H2Morphism.identity(p))
     with pytest.raises(ValueError):
         TwoHilbertSpace(("a",), (-1.0,))
+
+
+def test_nan_dimension_rejects():
+    sp = TwoHilbertSpace(("a", "b"), (1.0, float("nan")))
+    _, cert = hilb2.yoneda_decompose(sp.obj((1, 2)))
+    assert not cert.ok and np.isnan(cert.residuals["gram_defect"])
+    F = DagFunctor(_space(), TwoHilbertSpace(("x", "y", "z"), (1.0, float("nan"), 2.414)),
+                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cert = hilb2.isometry_check(F)
+    assert not cert.ok and np.isnan(cert.residuals["dim_gap[y]"])
+    _, cert = hilb2.unitary_adjoint(F)
+    assert not cert.ok and np.isnan(cert.residuals["mate_gram_defect"])

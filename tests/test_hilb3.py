@@ -307,3 +307,28 @@ def test_three_algebra_linking_z2():
     assert len(data.units) == 3
     cert = fusion.validate(data)
     assert cert.ok, cert.residuals
+
+
+def test_nan_gauge_is_not_a_candidate():
+    # the NaN phase once passed with the residual zeta[s] = nan
+    eng = _eng("ising")
+    nan_gauge = hilb3.gauge_uaf(eng, {"s": float("nan")})
+    with pytest.raises(hilb3.CandidateNotSpherical):
+        hilb3.uaf_uniqueness_check(eng, hilb3.canonical_uaf(eng), nan_gauge)
+
+
+def test_nan_unitarity_residual_rejects_on_its_axiom(monkeypatch):
+    eng = _eng("ising")
+    monkeypatch.setattr(hilb3, "_unitarity_residual", lambda eng, f: float("nan"))
+    c1 = hilb3.canonical_uaf(eng)
+    cert = hilb3.uaf_uniqueness_check(eng, c1, c1)
+    assert (cert.ok, cert.failed_axiom) == (False, "comparison unitarity")
+    # split_monad names its largest residual; a NaN counts as the largest
+    split = hilb3.split_monad(intalg.group_algebra(eng, ("1", "p")))
+    assert (split.certificate.ok, split.certificate.failed_axiom) == (False, "u_unitarity")
+
+
+def test_split_monad_without_unit_summand_is_a_value_error():
+    eng = _eng("ising")
+    with pytest.raises(ValueError, match="no unit summand"):
+        hilb3.split_monad(intalg.group_algebra(eng, ("s",)))

@@ -79,3 +79,16 @@ def test_linking_algebra():
 def test_json_round_trip():
     A = hstar1.HStarAlgebra((2, 3), (1.0, 0.5))
     assert hstar1.HStarAlgebra.from_json(A.to_json()) == A
+
+
+def test_nan_weight_rejects():
+    # max(0.0, nan) is 0.0, so a NaN weight once passed every check
+    cert = hstar1.verify_hstar_algebra((1, 2), weights=(1.0, float("nan")))
+    assert (cert.ok, cert.failed_axiom) == (False, "traciality")
+    assert np.isnan(cert.residuals["traciality"])
+
+
+def test_nan_weight_has_no_quantum_dimension():
+    A = hstar1.HStarAlgebra((1, 2), (1.0, float("nan")))
+    with pytest.raises(hstar1.ConsistencyError), np.errstate(invalid="ignore"):
+        hstar1.simple_modules(A)

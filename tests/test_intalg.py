@@ -145,3 +145,14 @@ def test_not_projection_raised():
     bad = intalg.Bimodule(A, A, M.obj, eng.scale(2.0, M.lam), M.rho)
     with pytest.raises(intalg.NotProjection):
         intalg.relative_tensor(M, bad)
+
+
+def test_nan_in_mu_rejects_on_unitality():
+    # the first axiom checked; the NaN used to slip through unitality,
+    # associativity and Frobenius and REJECT only at separability
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1", "p"))
+    next(iter(A.mu.blocks.values()))[0, 0] = np.nan
+    cert = intalg.verify_hstar(A)
+    assert (cert.ok, cert.failed_axiom) == (False, "unitality")
+    assert np.isnan(cert.residuals["unitality"])

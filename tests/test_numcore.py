@@ -13,6 +13,7 @@ from hstarcat.numcore import (
     null_space,
     split_projection,
     unitarity_defect,
+    worst,
 )
 
 
@@ -90,3 +91,23 @@ def test_unitarity_defect():
     assert unitarity_defect(q) < 1e-12
     assert unitarity_defect(2 * q) == pytest.approx(3 * 2, rel=1e-10)
     assert DEFAULT_TOL.bound() == pytest.approx(2e-9)
+
+
+def test_worst_keeps_nan_and_the_first_maximum():
+    nan = float("nan")
+    assert worst([]) == 0.0
+    assert worst([0.5, 2.0, 1.0]) == 2.0
+    # Python's max keeps or drops a NaN by its position; worst never drops it
+    assert max(0.0, nan, 1.0) == 1.0
+    for values in ([nan, 1.0], [1.0, nan], [0.0, 2.0, nan, 3.0]):
+        assert np.isnan(worst(values))
+    assert np.isnan(worst(iter([1.0, nan])))
+    # equal maxima: the first is returned as it is, like max(0.0, ...)
+    assert type(worst([np.float64(0.0)])) is float
+    assert type(worst([np.float64(1.0), 1.0])) is np.float64
+
+
+def test_unitarity_defect_of_nan_matrix_is_nan():
+    m = np.eye(2)
+    m[1, 1] = np.nan
+    assert np.isnan(unitarity_defect(m))

@@ -1,0 +1,95 @@
+"""Lint for the one tolerance policy: every bound test goes through
+certify.within (or certify.clears for a margin), and every residual is
+folded with numcore.worst, which keeps a NaN that max and min drop."""
+
+import ast
+import math
+import pathlib
+
+from hstarcat.certify import bounded, clears, judged, within
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hstarcat"
+
+# calls whose value is a residual: a gap norm, or a named residual routine
+RESIDUAL_CALLS = {"residual", "unitarity_defect", "_unitarity_residual", "verify_bimodule"}
+
+
+def _name(func):
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _calls(node):
+    return (n for n in ast.walk(node) if isinstance(n, ast.Call))
+
+
+def _is_residual(node) -> bool:
+    """The expression holds a residual: |a - b|, ||a - b|| or a call of a
+    residual routine."""
+    for call in _calls(node):
+        name = _name(call.func)
+        if name in RESIDUAL_CALLS:
+            return True
+        if name in ("abs", "norm") and call.args and isinstance(call.args[0], ast.BinOp):
+            if isinstance(call.args[0].op, ast.Sub):
+                return True
+    return False
+
+
+def _violations(tree):
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                if any(_name(c.func) == "bound" for c in _calls(operand)):
+                    out.append((node.lineno, "comparison with a .bound( operand"))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            call = node.value
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            args = {a.id for a in call.args if isinstance(a, ast.Name)}
+            if _name(call.func) in ("max", "min") and targets & args:
+                out.append((node.lineno, f"{_name(call.func)}( accumulation"))
+        if isinstance(node, ast.Call) and _name(node.func) in ("max", "min"):
+            if isinstance(node.func, ast.Name) and any(_is_residual(a) for a in node.args):
+                out.append((node.lineno, f"{node.func.id}( over residuals"))
+    return out
+
+
+def _lint(source: str):
+    return _violations(ast.parse(source))
+
+
+def test_source_keeps_one_bound_test():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line}: {what}" for line, what in _lint(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_lint_catches_the_patterns_it_forbids():
+    assert _lint("ok = r <= tol.bound(2.0)")
+    assert _lint("if worst > tol.bound() * 10: pass")
+    assert _lint("worst = max(worst, abs(a - b))")
+    assert _lint("r = max(eng.residual(f, g), eng.residual(g, h))")
+    assert _lint("d = max(np.linalg.norm(a - b), np.linalg.norm(c - d))")
+    assert _lint("low = min(low, w)")
+    assert not _lint("ok = within(r, tol.bound(2.0))")
+    assert not _lint("scale = max(1.0, float(np.linalg.norm(m)))")
+    assert not _lint("g = abs(a - b) / max(1.0, abs(a))")
+    assert not _lint("r = worst([eng.residual(f, g), eng.residual(g, h)])")
+
+
+def test_bound_tests_fail_on_nan():
+    nan = math.nan
+    assert within(1.0, 1.0) and not within(1.5, 1.0)
+    assert not within(nan, 1.0) and not within(0.0, nan)
+    assert clears(2.0, 1.0) and not clears(1.0, 1.0)
+    assert not clears(nan, 1.0)
+    cert = bounded("gap", nan, 1.0, "axiom")
+    assert (cert.ok, cert.failed_axiom) == (False, "axiom")
+    assert math.isnan(cert.residuals["gap"])
+    cert = judged({"a": 5.0, "b": nan}, [("a", 10.0, "first"), ("b", 10.0, "second")])
+    assert (cert.ok, cert.failed_axiom) == (False, "second")
+    cert = judged({"a": 50.0, "b": nan}, [("a", 10.0, "first"), ("b", 10.0, "second")])
+    assert cert.failed_axiom == "first"
+    # an unnamed check still rejects
+    assert not judged({"a": nan}, [("a", 1.0, None)]).ok
