@@ -10,7 +10,9 @@ including a --tol that is negative or not finite, a negative --seed, a
 --psi entry outside [PSI_MIN, PSI_MAX], an algebra document with a
 label outside the category or a trivial algebra on a non-unit, an algebra
 with no unit summand for split-monad and standardize, and an H*-algebra
-document with a weight or functional entry that is not finite.
+document with a weight or functional entry that is not finite. Any other
+exception exits 3 with no report and one JSON line {"error", "message"}
+on stderr, so that no failure of a run reads as a REJECT.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def _cmd_alg_intend(args):
     cert = intalg.verify_hstar(A, args.tolerance, args.seed)
     rep.add("hstar_algebra", cert)
     if cert.ok:
-        defect = intalg.internal_end_comparison(A, args.tolerance)
+        defect = intalg.internal_end_comparison(A)
         bound = args.tolerance.bound() * 10
         rep.add(
             "internal_end",
@@ -487,12 +489,13 @@ def main(argv=None) -> int:
         return 2
     try:
         return fn(args)
-    except InputError as exc:
+    except (InputError, SchemaError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # exit 1 is a certified REJECT only, so a failure of the run is 3
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ from .intalg import (
     _solve,
     _strict_right_unitor,
     _strict_unitor,
+    carry_left,
+    left_linear,
     trace_alg_end,
 )
 from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
@@ -82,19 +84,17 @@ class LeftModule:
         return (self.obj,)
 
 
+def fused_left_module(A: AlgebraObject, word, lam_word: Mor) -> LeftModule:
+    """Left module on the fusion of a word whose action lives on the first
+    factor."""
+    fused, u = A.eng.fuse(word)
+    return LeftModule(A, fused, carry_left(A.eng.dagger(u), lam_word, A))
+
+
 def free_left_module(A: AlgebraObject, O) -> LeftModule:
-    eng = A.eng
     if isinstance(O, str):
-        O = eng.simple_obj(O)
-    m, u = eng.fuse((A.obj, O))
-    lam = eng.compose(
-        u,
-        eng.compose(
-            eng.whisker_right(A.mu, (O,)),
-            eng.whisker_left_obj(A.obj, eng.dagger(u)),
-        ),
-    )
-    return LeftModule(A, m, lam)
+        O = A.eng.simple_obj(O)
+    return fused_left_module(A, (A.obj, O), A.eng.whisker_right(A.mu, (O,)))
 
 
 def left_module_trace(M: LeftModule, f: Mor) -> complex:
@@ -125,35 +125,15 @@ class LeftModulesRight:
 
     def hom(self, m1: LeftModule, m2: LeftModule, c):
         eng = self.eng
-        A = self.A
-        cw = (eng.simple_obj(c),)
-        cod = m2.word + cw
-
-        def defect(f):
-            return eng.sub(
-                eng.compose(f, m1.lam),
-                eng.compose(
-                    eng.whisker_right(m2.lam, cw),
-                    eng.whisker_left_obj(A.obj, f),
-                ),
-            )
-
-        return _solve(eng, (m1.word, cod), [(defect, ((A.obj,) + m1.word, cod))])
+        act_cod = eng.whisker_right(m2.lam, (eng.simple_obj(c),))
+        return _solve(eng, (m1.word, act_cod.cod), [left_linear(m1.lam, act_cod, self.A)])
 
     def trace(self, f: Mor, m: LeftModule) -> complex:
         # f is an endomorphism of a word starting with m's object
         eng = self.eng
-        suffix = f.dom[1:]
-        fused, u = eng.fuse(f.dom)
-        lam = eng.compose(
-            u,
-            eng.compose(
-                eng.whisker_right(m.lam, suffix),
-                eng.whisker_left_obj(self.A.obj, eng.dagger(u)),
-            ),
-        )
-        endo = eng.compose(u, eng.compose(f, eng.dagger(u)))
-        return left_module_trace(LeftModule(self.A, fused, lam), endo)
+        _, u = eng.fuse(f.dom)
+        fm = fused_left_module(self.A, f.dom, eng.whisker_right(m.lam, f.dom[1:]))
+        return left_module_trace(fm, eng.compose(u, eng.compose(f, eng.dagger(u))))
 
 
 # --- ladder category ----------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate, judged, within
+from .certify import Certificate, clears, judged, within
 from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance, unitarity_defect, worst
 
 FP_TOL = 1e-12
@@ -79,11 +79,14 @@ class FusionData:
             for k in table:
                 if len(k) != arity or any(x not in self.index for x in k):
                     raise SchemaError(f"entry with unknown label: {k}")
-        self.N = {k: int(v) for k, v in self.N.items() if int(v) != 0}
-        # below 2**31, tree counts (sums of products of two) fit int64 tables
+        # a whole number below 2**31, so that tree counts (sums of products
+        # of two) fit int64 tables; NaN and infinity fail the range test
         for k, v in self.N.items():
-            if not 0 <= v < 2**31:
-                raise SchemaError(f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not in [0, 2**31)")
+            if not (0 <= v < 2**31 and v == int(v)):
+                raise SchemaError(
+                    f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not an integer in [0, 2**31)"
+                )
+        self.N = {k: int(v) for k, v in self.N.items() if v}
         self.F = {k: np.asarray(v, dtype=complex) for k, v in self.F.items()}
         for k, m in self.F.items():
             if not np.isfinite(m).all():
@@ -258,7 +261,7 @@ class SphericalWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
-        if any(p <= 0 for p in self.psi):
+        if not all(clears(p, 0) for p in self.psi):
             raise NonPositiveWeight("psi must be strictly positive")
 
     def total(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hstar1
-from .certify import bounded, judged
+from .certify import bounded, clears, judged
 from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
 
 
@@ -28,7 +28,7 @@ class TwoHilbertSpace:
         object.__setattr__(self, "dims", tuple(float(d) for d in self.dims))
         if len(self.labels) != len(self.dims):
             raise ValueError("one dimension per label required")
-        if any(d <= 0 for d in self.dims):
+        if not all(clears(d, 0) for d in self.dims):
             raise ValueError("quantum dimensions must be positive")
 
     def obj(self, mults) -> "H2Object":

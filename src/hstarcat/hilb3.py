@@ -51,6 +51,8 @@ from .intalg import (
     Module,
     _mor_combo,
     algebra_bimodule,
+    carry_left,
+    carry_right,
     dual_bimodule_delta0,
     left_trivial_bimodule,
     left_unitor,
@@ -58,12 +60,12 @@ from .intalg import (
     module_trace,
     relative_tensor,
     right_unitor,
-    spectral_pieces,
+    split_summands,
     trivial_algebra,
     verify_bimodule,
     verify_hstar,
 )
-from .numcore import DEFAULT_TOL, ConsistencyError, Tolerance, null_space, worst
+from .numcore import DEFAULT_TOL, ConsistencyError, Tolerance, worst
 
 
 class MissingDualityData(KeyError):
@@ -302,7 +304,7 @@ def monad_sphericality(
     as_monad_bimodule(A, B, M)
     eng = M.eng
     Md, ev0, coev0 = dual_bimodule_delta0(M)
-    basis = bimodule_homs(M, M, tol)
+    basis = M.homs(M)
     rng = np.random.default_rng(seed)
     gaps = []
     evd = eng.dagger(ev0)
@@ -320,68 +322,7 @@ def monad_sphericality(
     return bounded("sphericality", worst(gaps), tol.bound(), "sphericality")
 
 
-# --- bimodule homs and splitting ---------------------------------------
-
-
-def bimodule_homs(M1: Bimodule, M2: Bimodule, tol: Tolerance = DEFAULT_TOL):
-    """Basis of maps intertwining both actions (kernel cut as in
-    numcore.null_space)."""
-    eng = M1.eng
-    A, B = M1.left, M1.right
-
-    def l_defect(f):
-        return eng.sub(
-            eng.compose(f, M1.lam),
-            eng.compose(M2.lam, eng.whisker_left_obj(A.obj, f)),
-        )
-
-    def r_defect(f):
-        return eng.sub(
-            eng.compose(f, M1.rho),
-            eng.compose(M2.rho, eng.whisker_right_obj(f, B.obj)),
-        )
-
-    n = eng.hom_dim(M1.word, M2.word)
-    if n == 0:
-        return []
-    mats = [
-        eng.linear_matrix(l_defect, (M1.word, M2.word), ((A.obj,) + M1.word, M2.word)),
-        eng.linear_matrix(r_defect, (M1.word, M2.word), (M1.word + (B.obj,), M2.word)),
-    ]
-    null = null_space(np.vstack(mats))
-    return [
-        eng.from_vector(M1.word, M2.word, null[:, k]) for k in range(null.shape[1])
-    ]
-
-
-def _conjugate_bimodule(F: Bimodule, mobj, vblocks) -> tuple:
-    """Sub-bimodule carried by an isometry (mobj,) -> F.word."""
-    eng = F.eng
-    Vm = eng.mor(((tuple(mobj)),), F.word, vblocks)
-    lam = eng.compose(
-        eng.dagger(Vm), eng.compose(F.lam, eng.whisker_left_obj(F.left.obj, Vm))
-    )
-    rho = eng.compose(
-        eng.dagger(Vm), eng.compose(F.rho, eng.whisker_right_obj(Vm, F.right.obj))
-    )
-    return Bimodule(F.left, F.right, tuple(mobj), lam, rho), Vm
-
-
-def split_bimodule(F: Bimodule, tol: Tolerance = DEFAULT_TOL, seed: int = 0, depth: int = 0):
-    """Simple summands with their inclusion isometries."""
-    eng = F.eng
-    comm = bimodule_homs(F, F, tol)
-    if len(comm) == 1:
-        return [(F, eng.identity(F.word))]
-    if depth > 8:
-        raise RuntimeError("bimodule splitting did not terminate")
-    rng = np.random.default_rng(seed + 7 * depth)
-    out = []
-    for mobj, vblocks in spectral_pieces(eng, F.word, comm, rng):
-        piece, Vm = _conjugate_bimodule(F, mobj, vblocks)
-        for sub, W in split_bimodule(piece, tol, seed, depth + 1):
-            out.append((sub, eng.compose(Vm, W)))
-    return out
+# --- free bimodules and orthonormal intertwiner bases ------------------
 
 
 def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
@@ -389,22 +330,10 @@ def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
     eng = Ai.eng
     if isinstance(c, str):
         c = eng.simple_obj(c)
-    word = (Ai.obj, c, Aj.obj)
-    fused, u = eng.fuse(word)
-    lam = eng.compose(
-        u,
-        eng.compose(
-            eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)),
-            eng.whisker_left_obj(Ai.obj, eng.dagger(u)),
-        ),
-    )
-    rho = eng.compose(
-        u,
-        eng.compose(
-            eng.whisker_left((Ai.obj, c), Aj.mu),
-            eng.whisker_right_obj(eng.dagger(u), Aj.obj),
-        ),
-    )
+    fused, u = eng.fuse((Ai.obj, c, Aj.obj))
+    V = eng.dagger(u)
+    lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
+    rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
     return Bimodule(Ai, Aj, fused, lam, rho)
 
 
@@ -433,7 +362,7 @@ def _gram_onb(eng: Engine, basis):
 # --- linking categories ------------------------------------------------
 
 
-def _deloop_linking(eng: Engine, ua, ub, tol: Tolerance = DEFAULT_TOL):
+def _deloop_linking(eng: Engine, ua, ub):
     """2x2 matrix amalgam of the blocks of C graded by two unit summands
     (the units may coincide, giving the M_2 amplification)."""
     data = eng.data
@@ -519,17 +448,15 @@ class _LinkingBuilder:
                 if not any(F.obj):
                     continue
                 # 5 tol.bound() is 1e-8 at the default tolerance
-                if not within(verify_bimodule(F, tol), tol.bound() * 5):
+                if not within(verify_bimodule(F), tol.bound() * 5):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
-                for piece, _ in split_bimodule(F, tol, self.seed):
-                    if not any(bimodule_homs(piece, old, tol) for old in found):
+                for piece, _ in split_summands(F, self.seed):
+                    if not any(piece.homs(old) for old in found):
                         found.append(piece)
             if i == j:
                 # canonical representative for the unit: the algebra itself
                 unit = algebra_bimodule(self.algebras[i])
-                found = [unit] + [
-                    p for p in found if not bimodule_homs(p, unit, tol)
-                ]
+                found = [unit] + [p for p in found if not p.homs(unit)]
             self.simples[(i, j)] = found
         order = []
         for i, j in itertools.product(range(n), range(n)):
@@ -579,7 +506,7 @@ class _LinkingBuilder:
             out = {id(X): [eng.dagger(ru)]}
         else:
             for Z in self.simples[(i, l)]:
-                basis = bimodule_homs(Z, T, self.tol)
+                basis = Z.homs(T)
                 if basis:
                     out[id(Z)] = _gram_onb(eng, basis)
         self._onbs[key] = out
@@ -607,7 +534,7 @@ class _LinkingBuilder:
             matches = [
                 self.labels[id(Z)]
                 for Z in self.simples[(j, i)]
-                if bimodule_homs(Xd, Z, self.tol)
+                if Xd.homs(Z)
             ]
             if len(matches) != 1:
                 raise ConsistencyError(f"{lx} has {len(matches)} dual matches, not one")
@@ -697,7 +624,7 @@ def linking_e1(
     its weight; the output is re-validated before being returned."""
     eng = X.eng
     if isinstance(a, DeloopObject) and isinstance(b, DeloopObject):
-        data, weight = _deloop_linking(eng, a.unit, b.unit, tol)
+        data, weight = _deloop_linking(eng, a.unit, b.unit)
     else:
         algs = []
         for obj in (a, b):
@@ -1042,7 +969,7 @@ def decompose_simples(
         return list(zip(a.parts, incs)), cert
     if isinstance(a, MonadObject):
         M = algebra_bimodule(a.algebra)
-        pieces = split_bimodule(M, tol, seed)
+        pieces = split_summands(M, seed)
         O = M.word
         total = eng.zero(O, O)
         out = []

@@ -31,7 +31,7 @@ class HStarAlgebra:
             raise ValueError("one weight per block required")
         if any(n <= 0 for n in self.block_sizes):
             raise ValueError("block sizes must be positive")
-        if any(w <= 0 for w in self.weights):
+        if not all(clears(w, 0) for w in self.weights):
             raise NonPositiveWeight("trace weights must be strictly positive")
 
     @property

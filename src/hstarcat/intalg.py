@@ -8,6 +8,13 @@ unitarity of the canonical map A -> [A, A]), bimodules with the relative
 tensor over a middle algebra, and the delta = 0 dual-functor data on
 bimodules.
 
+Modules and bimodules share one intertwiner calculus. Every hom space is
+solved by _solve, the one caller of Engine.linear_matrix and null_space,
+from left_linear and right_linear constraints; every sub-object carries
+its actions along an isometry V as V^dag act (id (x) V) (carry_left,
+carry_right); and through homs(other) and carried(V) on both, one
+splitter, split_summands, cuts either into simple summands.
+
 All diagrams are evaluated in the fusion-tree engine; every axiom is a
 numeric residual, never a symbolic assumption.
 """
@@ -228,6 +235,63 @@ def standardize(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL) -> AlgebraObject
     return AlgebraObject(eng, A.obj, eng.compose(x_inv, A.mu), eng.compose(x, A.iota))
 
 
+# --- intertwiners: hom spaces and carried actions -----------------------
+
+
+def _solve(eng: Engine, dom_pair, constraints):
+    """Basis of Hom(dom_pair) killed by the given linear maps, each a pair
+    (map, cod pair). The one place that builds constraint matrices and
+    cuts a null space."""
+    n = eng.hom_dim(*dom_pair)
+    if n == 0:
+        return []
+    mats = [eng.linear_matrix(fun, dom_pair, cp) for fun, cp in constraints]
+    ns = null_space(np.vstack(mats) if mats else np.zeros((0, n)))
+    return [eng.from_vector(dom_pair[0], dom_pair[1], ns[:, k]) for k in range(ns.shape[1])]
+
+
+def left_linear(act_dom: Mor, act_cod: Mor, A: AlgebraObject):
+    """Constraint for _solve: f act_dom = act_cod (id_A (x) f), for left
+    A-actions act_dom: (A, dom) -> dom and act_cod: (A, cod) -> cod."""
+    eng = A.eng
+
+    def defect(f):
+        return eng.sub(
+            eng.compose(f, act_dom),
+            eng.compose(act_cod, eng.whisker_left_obj(A.obj, f)),
+        )
+
+    return defect, (act_dom.dom, act_cod.cod)
+
+
+def right_linear(act_dom: Mor, act_cod: Mor, B: AlgebraObject):
+    """Constraint for _solve: f act_dom = act_cod (f (x) id_B), for right
+    B-actions act_dom: (dom, B) -> dom and act_cod: (cod, B) -> cod."""
+    eng = B.eng
+
+    def defect(f):
+        return eng.sub(
+            eng.compose(f, act_dom),
+            eng.compose(act_cod, eng.whisker_right_obj(f, B.obj)),
+        )
+
+    return defect, (act_dom.dom, act_cod.cod)
+
+
+def carry_left(V: Mor, lam: Mor, A: AlgebraObject) -> Mor:
+    """The left action lam: (A, word) -> word carried along an isometry
+    V: sub -> word, as V^dag lam (id_A (x) V): (A, sub) -> sub."""
+    eng = A.eng
+    return eng.compose(eng.dagger(V), eng.compose(lam, eng.whisker_left_obj(A.obj, V)))
+
+
+def carry_right(V: Mor, rho: Mor, B: AlgebraObject) -> Mor:
+    """The right action rho: (word, B) -> word carried along an isometry
+    V: sub -> word, as V^dag rho (V (x) id_B): (sub, B) -> sub."""
+    eng = B.eng
+    return eng.compose(eng.dagger(V), eng.compose(rho, eng.whisker_right_obj(V, B.obj)))
+
+
 # --- modules ------------------------------------------------------------
 
 
@@ -247,54 +311,35 @@ class Module:
     def word(self):
         return (self.obj,)
 
+    def homs(self, other: "Module"):
+        """Basis of module maps self -> other."""
+        return module_hom_basis(self.word, self, other)
+
+    def carried(self, V: Mor) -> "Module":
+        """The sub-module on the domain of an isometry V into self.word."""
+        return Module(self.algebra, V.dom[0], carry_right(V, self.rho, self.algebra))
+
+
+def fused_right_module(algebra: AlgebraObject, word, rho_word: Mor) -> Module:
+    """Module on the fusion of a word whose action lives on the last factor."""
+    eng = algebra.eng
+    fused, u = eng.fuse(word)
+    return Module(algebra, fused, carry_right(eng.dagger(u), rho_word, algebra))
+
 
 def free_module(A: AlgebraObject, O) -> Module:
     """c (x) A with action id (x) mu, fused to a single object."""
-    eng = A.eng
     if isinstance(O, str):
-        O = eng.simple_obj(O)
-    m, u = eng.fuse((O, A.obj))
-    rho = eng.compose(
-        u,
-        eng.compose(
-            eng.whisker_left_obj(O, A.mu),
-            eng.whisker_right_obj(eng.dagger(u), A.obj),
-        ),
-    )
-    return Module(A, m, rho)
+        O = A.eng.simple_obj(O)
+    return fused_right_module(A, (O, A.obj), A.eng.whisker_left_obj(O, A.mu))
 
 
-def _solve(eng: Engine, dom_pair, constraints, tol: Tolerance = DEFAULT_TOL):
-    """Basis of morphisms Hom(dom_pair) killed by the given linear maps."""
-    mats = [eng.linear_matrix(fun, dom_pair, cp) for fun, cp in constraints]
-    big = np.vstack(mats) if mats else np.zeros((0, eng.hom_dim(*dom_pair)))
-    if big.shape[1] == 0:
-        return []
-    ns = null_space(big)
-    return [eng.from_vector(dom_pair[0], dom_pair[1], ns[:, k]) for k in range(ns.shape[1])]
-
-
-def module_hom_basis(dom_word, M1: Module, M2: Module, tol: Tolerance = DEFAULT_TOL):
+def module_hom_basis(dom_word, M1: Module, M2: Module):
     """Basis of A-module maps dom_word -> M2.word, where dom_word carries
     the right action of M1 on its last tensor factor (dom_word must end
     with M1's object)."""
-    eng = M1.eng
-    A = M1.algebra
-    prefix = dom_word[:-1]
-    rho_dom = eng.whisker_left(prefix, M1.rho)
-
-    def defect(f):
-        return eng.sub(
-            eng.compose(f, rho_dom),
-            eng.compose(M2.rho, eng.whisker_right_obj(f, A.obj)),
-        )
-
-    return _solve(
-        eng,
-        (dom_word, M2.word),
-        [(defect, (dom_word + (A.obj,), M2.word))],
-        tol,
-    )
+    rho_dom = M1.eng.whisker_left(dom_word[:-1], M1.rho)
+    return _solve(M1.eng, (dom_word, M2.word), [right_linear(rho_dom, M2.rho, M1.algebra)])
 
 
 def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
@@ -338,14 +383,20 @@ class ModuleCategory:
         return TwoHilbertSpace(labels, tuple(self.dims))
 
 
+def isometry(eng: Engine, word, cols: dict) -> Mor:
+    """The map (O,) -> word whose block at charge c is cols[c] (orthonormal
+    columns), where O counts the columns of each block."""
+    obj = tuple(cols[c].shape[1] if c in cols else 0 for c in eng.data.simples)
+    return eng.mor((obj,), word, cols)
+
+
 def spectral_pieces(eng: Engine, word, comm, rng):
     """Split the object word along the eigenspaces of a random Hermitian
     element h of its commutant (comm, a basis of the structure-preserving
     endomorphisms).
 
     Eigenvalues of h are clustered at 1e-6 of their scale; each cluster
-    gives one (mobj, vblocks): the multiplicity vector of its eigenspace
-    and the per-charge isometry blocks into word. A draw with a single
+    gives the isometry from its eigenspace into word. A draw with a single
     cluster is degenerate and is re-drawn, at most five times in all.
     """
     for _ in range(5):
@@ -353,59 +404,45 @@ def spectral_pieces(eng: Engine, word, comm, rng):
         for e in comm:
             z = rng.standard_normal() + 1j * rng.standard_normal()
             h = eng.add(h, eng.add(eng.scale(z, e), eng.scale(np.conj(z), eng.dagger(e))))
-        vals = []
+        eig = {}
         for c in eng.support(word):
             b = eng.block(h, c)
-            if b.size:
-                vals.extend(np.linalg.eigvalsh((b + b.conj().T) / 2).tolist())
-        vals = sorted(vals)
-        scale = max(abs(v) for v in vals) or 1.0
+            eig[c] = np.linalg.eigh((b + b.conj().T) / 2)
+        vals = sorted(v for ev, _ in eig.values() for v in ev.tolist())
+        gap = 1e-6 * (max(abs(v) for v in vals) or 1.0)
         clusters = []
         for v in vals:
-            if clusters and v - clusters[-1][-1] < 1e-6 * scale:
+            if clusters and v - clusters[-1][-1] < gap:
                 clusters[-1].append(v)
             else:
                 clusters.append([v])
         if len(clusters) == 1:
             continue
-        pieces = []
-        for cl in clusters:
-            lo, hi = cl[0] - 1e-6 * scale, cl[-1] + 1e-6 * scale
-            mobj = [0] * len(eng.data.simples)
-            vblocks = {}
-            for c in eng.support(word):
-                b = eng.block(h, c)
-                if not b.size:
-                    continue
-                ev, evec = np.linalg.eigh((b + b.conj().T) / 2)
-                sel = (ev >= lo) & (ev <= hi)
-                V = evec[:, sel]
-                if V.shape[1]:
-                    mobj[eng.data.index[c]] = V.shape[1]
-                    vblocks[c] = V
-            pieces.append((tuple(mobj), vblocks))
-        return pieces
+        return [
+            isometry(eng, word, {c: vecs[:, (ev >= cl[0] - gap) & (ev <= cl[-1] + gap)]
+                                 for c, (ev, vecs) in eig.items()})
+            for cl in clusters
+        ]
     raise RuntimeError("commutant element stayed degenerate after re-randomization")
 
 
-def _split_module(F: Module, tol: Tolerance, seed: int, depth: int = 0):
-    """Decompose a module into simple summands via its endomorphism algebra."""
+def split_summands(F, seed: int = 0, depth: int = 0):
+    """Simple summands of a module or bimodule F, as (summand, inclusion
+    isometry into F.word) pairs: split along the spectrum of a random
+    Hermitian element of the commutant F.homs(F), and again in each
+    piece, since residual eigenvalue collisions leave non-simple pieces.
+    Depth d draws from the seed seed + d."""
     eng = F.eng
-    comm = module_hom_basis(F.word, F, F, tol)
+    comm = F.homs(F)
     if len(comm) == 1:
-        return [F]
+        return [(F, eng.identity(F.word))]
     if depth > 8:
-        raise RuntimeError("module splitting did not terminate")
+        raise RuntimeError("splitting did not terminate")
     rng = np.random.default_rng(seed + depth)
     out = []
-    for mobj, vblocks in spectral_pieces(eng, F.word, comm, rng):
-        Vm = eng.mor((mobj,), F.word, vblocks)
-        rho = eng.compose(
-            eng.dagger(Vm),
-            eng.compose(F.rho, eng.whisker_right_obj(Vm, F.algebra.obj)),
-        )
-        # residual eigenvalue collisions leave non-simple pieces
-        out.extend(_split_module(Module(F.algebra, mobj, rho), tol, seed, depth + 1))
+    for V in spectral_pieces(eng, F.word, comm, rng):
+        for sub, W in split_summands(F.carried(V), seed, depth + 1):
+            out.append((sub, eng.compose(V, W)))
     return out
 
 
@@ -418,10 +455,8 @@ def module_category(
         F = free_module(A, c)
         if not any(F.obj):
             continue
-        for piece in _split_module(F, tol, seed):
-            if not any(
-                len(module_hom_basis(piece.word, piece, old, tol)) > 0 for old in simples
-            ):
+        for piece, _ in split_summands(F, seed):
+            if not any(piece.homs(old) for old in simples):
                 simples.append(piece)
     # module dimensions scale with the unit weights, and so does their cut
     cut = tol.bound() * min(eng.udf.psi.psi)
@@ -439,20 +474,6 @@ def _mor_combo(eng, mors, coeffs):
     for z, f in zip(coeffs, mors):
         out = eng.add(out, eng.scale(z, f))
     return out
-
-
-def _whiskered_module(M: Module, O) -> Module:
-    """c |> M as a module with fused underlying object."""
-    eng = M.eng
-    m, u = eng.fuse((O,) + M.word)
-    rho = eng.compose(
-        u,
-        eng.compose(
-            eng.whisker_left((O,), M.rho),
-            eng.whisker_right_obj(eng.dagger(u), M.algebra.obj),
-        ),
-    )
-    return Module(M.algebra, m, rho)
 
 
 def _hom_inner(eng: Engine, dom_mod: Module, g: Mor, h: Mor) -> complex:
@@ -478,11 +499,10 @@ def _strict_unitor(eng: Engine, U, word) -> Mor:
     return eng.mor(dom, word, blocks)
 
 
-def internal_end_comparison(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL):
+def internal_end_comparison(A: AlgebraObject):
     """Unitarity defect of the canonical map A -> [A, A] on the free
     module A, measured simple-by-simple on generalized elements."""
     eng = A.eng
-    FA = Module(A, A.obj, A.mu)
     defects = []
     for c in eng.data.simples:
         xs = eng.hom_basis((eng.simple_obj(c),), A.word)
@@ -496,7 +516,7 @@ def internal_end_comparison(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL):
         )
         w = np.linalg.inv(np.linalg.cholesky(gram_c).conj().T)
         ons = [_mor_combo(eng, xs, w[:, j]) for j in range(len(xs))]
-        cmod = _whiskered_module(FA, eng.simple_obj(c))
+        cmod = free_module(A, c)  # c |> A as a module
         phis = [eng.compose(A.mu, eng.whisker_right_obj(x, A.obj)) for x in ons]
         gram_e = np.array(
             [[_hom_inner(eng, cmod, p, q) / eng.udf.d(c) for q in phis] for p in phis]
@@ -526,8 +546,23 @@ class Bimodule:
     def word(self):
         return (self.obj,)
 
+    def homs(self, other: "Bimodule"):
+        """Basis of bimodule maps self -> other."""
+        return bimodule_homs(self, other)
 
-def verify_bimodule(M: Bimodule, tol: Tolerance = DEFAULT_TOL) -> float:
+    def carried(self, V: Mor) -> "Bimodule":
+        """The sub-bimodule on the domain of an isometry V into self.word."""
+        lam, rho = carry_left(V, self.lam, self.left), carry_right(V, self.rho, self.right)
+        return Bimodule(self.left, self.right, V.dom[0], lam, rho)
+
+
+def bimodule_homs(M1: Bimodule, M2: Bimodule):
+    """Basis of maps M1 -> M2 intertwining both actions."""
+    constraints = [left_linear(M1.lam, M2.lam, M1.left), right_linear(M1.rho, M2.rho, M1.right)]
+    return _solve(M1.eng, (M1.word, M2.word), constraints)
+
+
+def verify_bimodule(M: Bimodule) -> float:
     eng = M.eng
     A, B = M.left, M.right
     ident = eng.identity(M.word)
@@ -611,34 +646,11 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
         raise NotProjection("separability projection is not self-adjoint")
     fused, u = eng.fuse(word)
     pf = eng.compose(u, eng.compose(p, eng.dagger(u)))
-    tobj = [0] * len(eng.data.simples)
-    vblocks = {}
-    for c in eng.support((fused,)):
-        b = eng.block(pf, c)
-        if not b.size:
-            continue
-        V = split_projection(b)
-        if V.shape[1]:
-            tobj[eng.data.index[c]] = V.shape[1]
-            vblocks[c] = V
-    tobj = tuple(tobj)
-    Vf = eng.mor((tobj,), (fused,), vblocks)
-    Vw = eng.compose(eng.dagger(u), Vf)  # (T,) -> (m, n)
-    lam = eng.compose(
-        eng.dagger(Vw),
-        eng.compose(
-            eng.whisker_right(M.lam, N.word),
-            eng.whisker_left_obj(M.left.obj, Vw),
-        ),
-    )
-    rho = eng.compose(
-        eng.dagger(Vw),
-        eng.compose(
-            eng.whisker_left(M.word, N.rho),
-            eng.whisker_right_obj(Vw, N.right.obj),
-        ),
-    )
-    return Bimodule(M.left, N.right, tobj, lam, rho), Vw, p
+    cols = {c: split_projection(eng.block(pf, c)) for c in eng.support((fused,))}
+    Vw = eng.compose(eng.dagger(u), isometry(eng, (fused,), cols))  # (T,) -> (m, n)
+    lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
+    rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)
+    return Bimodule(M.left, N.right, Vw.dom[0], lam, rho), Vw, p
 
 
 def left_unitor(A: AlgebraObject, M: Bimodule, Vw: Mor) -> Mor:
@@ -744,18 +756,12 @@ def delta0_zigzag_residuals(M: Bimodule, Md: Bimodule, ev0: Mor, coev0: Mor):
     return r1, r2
 
 
-def bimodule_map_basis(N: Module, M: Bimodule, P: Module, tol: Tolerance = DEFAULT_TOL):
+def bimodule_map_basis(N: Module, M: Bimodule, P: Module):
     """Basis of maps f: (n, m) -> (p): right-B-linear in the joint module
     structure and balanced over A between N's action and M's left action."""
     eng = N.eng
     A, B = M.left, M.right
     dom = N.word + M.word
-
-    def b_defect(f):
-        return eng.sub(
-            eng.compose(f, eng.whisker_left(N.word, M.rho)),
-            eng.compose(P.rho, eng.whisker_right_obj(f, B.obj)),
-        )
 
     def a_defect(f):
         return eng.sub(
@@ -767,10 +773,9 @@ def bimodule_map_basis(N: Module, M: Bimodule, P: Module, tol: Tolerance = DEFAU
         eng,
         (dom, P.word),
         [
-            (b_defect, (dom + (B.obj,), P.word)),
+            right_linear(eng.whisker_left(N.word, M.rho), P.rho, B),
             (a_defect, (N.word + (A.obj,) + M.word, P.word)),
         ],
-        tol,
     )
 
 
@@ -785,41 +790,28 @@ def mate_delta0(f: Mor, N: Module, M: Bimodule, coev0: Mor) -> Mor:
     return eng.compose(s4, eng.compose(s1, eng.dagger(N.rho)))
 
 
-def fused_right_module(algebra: AlgebraObject, word, rho_word: Mor) -> Module:
-    """Module on the fusion of a word whose action lives on the last factor."""
-    eng = algebra.eng
-    fused, u = eng.fuse(word)
-    rho = eng.compose(
-        u, eng.compose(rho_word, eng.whisker_right_obj(eng.dagger(u), algebra.obj))
-    )
-    return Module(algebra, fused, rho)
-
-
 def delta0_norm_identity(
     N: Module,
     M: Bimodule,
     P: Module,
     samples: int = 20,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ):
     """max over sampled bimodule maps f of
     |Tr^{C_B}_{N (x) M}(f^dag f) - Tr^{C_A}_N(mate^dag mate)|."""
     eng = N.eng
     Md, ev0, coev0 = dual_bimodule_delta0(M)
-    basis = bimodule_map_basis(N, M, P, tol)
+    basis = bimodule_map_basis(N, M, P)
     if not basis:
         return 0.0, (0.0, 0.0)
     zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
     NM = fused_right_module(M.right, N.word + M.word, eng.whisker_left(N.word, M.rho))
-    _, u = eng.fuse(N.word + M.word)
     rng = np.random.default_rng(seed)
     gaps = []
     for _ in range(samples):
         z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         f = _mor_combo(eng, basis, z)
-        endo = eng.compose(u, eng.compose(eng.dagger(f), eng.compose(f, eng.dagger(u))))
-        t1 = module_trace(NM, endo)
+        t1 = _hom_inner(eng, NM, f, f)
         g = mate_delta0(f, N, M, coev0)
         t2 = module_trace(N, eng.compose(eng.dagger(g), g))
         gaps.append(abs(t1 - t2))

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hstarcat import intalg
 from hstarcat.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -306,3 +307,17 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_unexpected_exception_exits_3_with_one_json_line(monkeypatch, capsys):
+    # exit 1 means a certified REJECT, so a run that fails in another way
+    # exits 3 and prints no report
+    def stuck(*args, **kwargs):
+        raise RuntimeError("splitting did not terminate")
+
+    monkeypatch.setattr(intalg, "split_summands", stuck)
+    assert main(["alg", "modcat", "ising", "ising_qsystem"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "RuntimeError", "message": "splitting did not terminate"}

@@ -132,6 +132,9 @@ def test_nan_written_after_construction_rejects_on_f_unitarity():
         lambda d: d["N"].update({"t,zz,t": 1}),
         lambda d: d["F"].update({"t,t,zz,t": [[[1.0, 0.0]]]}),
         lambda d: d["N"].update({"t,t,t": 1e300}),
+        lambda d: d["N"].update({"t,t,t": 1.5}),
+        lambda d: d["N"].update({"t,t,t": float("nan")}),
+        lambda d: d["N"].update({"t,t,t": float("inf")}),
     ],
     ids=[
         "nan_f_entry",
@@ -140,6 +143,9 @@ def test_nan_written_after_construction_rejects_on_f_unitarity():
         "unknown_n_label",
         "unknown_f_label",
         "n_overflow",
+        "n_fraction",
+        "n_nan",
+        "n_inf",
     ],
 )
 def test_bad_entries_are_schema_errors(edit):

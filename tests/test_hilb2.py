@@ -83,12 +83,20 @@ def test_shape_errors():
         TwoHilbertSpace(("a",), (-1.0,))
 
 
+def _nan_written(sp, k):
+    """sp with a NaN written into dimension k after construction (the
+    constructor itself rejects a NaN dimension)."""
+    dims = list(sp.dims)
+    dims[k] = float("nan")
+    object.__setattr__(sp, "dims", tuple(dims))
+    return sp
+
+
 def test_nan_dimension_rejects():
-    sp = TwoHilbertSpace(("a", "b"), (1.0, float("nan")))
+    sp = _nan_written(TwoHilbertSpace(("a", "b"), (1.0, 1.0)), 1)
     _, cert = hilb2.yoneda_decompose(sp.obj((1, 2)))
     assert not cert.ok and np.isnan(cert.residuals["gram_defect"])
-    F = DagFunctor(_space(), TwoHilbertSpace(("x", "y", "z"), (1.0, float("nan"), 2.414)),
-                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    F = DagFunctor(_space(), _nan_written(_space(), 1), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     cert = hilb2.isometry_check(F)
     assert not cert.ok and np.isnan(cert.residuals["dim_gap[y]"])
     _, cert = hilb2.unitary_adjoint(F)

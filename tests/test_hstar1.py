@@ -89,6 +89,13 @@ def test_nan_weight_rejects():
 
 
 def test_nan_weight_has_no_quantum_dimension():
-    A = hstar1.HStarAlgebra((1, 2), (1.0, float("nan")))
+    # the constructor rejects a NaN weight, so one written after
+    # construction stops at the one-block algebra built for its dimension
+    A = hstar1.HStarAlgebra((1, 2), (1.0, 1.0))
+    object.__setattr__(A, "weights", (1.0, float("nan")))
+    with pytest.raises(hstar1.NonPositiveWeight):
+        hstar1.simple_modules(A)
+    # an infinite weight passes the positivity check and fails the frame check
+    A = hstar1.HStarAlgebra((1, 2), (1.0, float("inf")))
     with pytest.raises(hstar1.ConsistencyError), np.errstate(invalid="ignore"):
         hstar1.simple_modules(A)

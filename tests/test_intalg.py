@@ -156,3 +156,29 @@ def test_nan_in_mu_rejects_on_unitality():
     cert = intalg.verify_hstar(A)
     assert (cert.ok, cert.failed_axiom) == (False, "unitality")
     assert np.isnan(cert.residuals["unitality"])
+
+
+@pytest.mark.parametrize(
+    "name,mk",
+    [
+        ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
+        ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ],
+)
+def test_split_summands_resolves_every_free_module(name, mk):
+    eng = _eng(name)
+    A = mk(eng)
+    for c in eng.data.simples:
+        F = intalg.free_module(A, c)
+        if not any(F.obj):
+            continue
+        total = eng.zero(F.word, F.word)
+        for M, V in intalg.split_summands(F):
+            assert len(M.homs(M)) == 1
+            # V is an isometric module map M -> F
+            assert eng.residual(eng.compose(eng.dagger(V), V), eng.identity(M.word)) < 1e-9
+            assert eng.residual(
+                eng.compose(V, M.rho), eng.compose(F.rho, eng.whisker_right_obj(V, A.obj))
+            ) < 1e-9
+            total = eng.add(total, eng.compose(V, eng.dagger(V)))
+        assert eng.residual(total, eng.identity(F.word)) < 1e-9, c

@@ -1,12 +1,19 @@
 """Lint for the one tolerance policy: every bound test goes through
 certify.within (or certify.clears for a margin), and every residual is
-folded with numcore.worst, which keeps a NaN that max and min drop."""
+folded with numcore.worst, which keeps a NaN that max and min drop.
+Lint for the one intertwiner calculus: hom spaces are solved, and
+commutants split, in one place each."""
 
 import ast
 import math
 import pathlib
 
+import pytest
+
 from hstarcat.certify import bounded, clears, judged, within
+from hstarcat.fusion import SphericalWeight
+from hstarcat.hilb2 import TwoHilbertSpace
+from hstarcat.hstar1 import HStarAlgebra
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hstarcat"
 
@@ -78,6 +85,53 @@ def test_lint_catches_the_patterns_it_forbids():
     assert not _lint("r = worst([eng.residual(f, g), eng.residual(g, h)])")
 
 
+# routines that only their one caller may call, as module.function
+ONE_CALLER = {
+    "null_space": "intalg._solve",
+    "linear_matrix": "intalg._solve",
+    "spectral_pieces": "intalg.split_summands",
+}
+
+
+def _misplaced_calls(source: str, module: str):
+    """(line, message) for each call of a ONE_CALLER routine made outside
+    its caller; the scope of a call is the chain of defs around it."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                name = _name(child.func)
+                if name in ONE_CALLER and ONE_CALLER[name] != scope:
+                    out.append((child.lineno, f"{name} called in {scope}"))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_intertwiner_routines_have_one_caller():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{line}: {what}"
+            for line, what in _misplaced_calls(path.read_text(), path.stem)
+        ]
+    assert not found, "\n".join(found)
+
+
+def test_one_caller_lint_catches_a_second_caller():
+    assert _misplaced_calls("def bimodule_homs(m):\n    return null_space(m)", "hilb3")
+    assert _misplaced_calls("def f(eng):\n    return eng.linear_matrix(g, p, q)", "intalg")
+    assert _misplaced_calls("def split(F):\n    return spectral_pieces(F)", "hilb3")
+    assert _misplaced_calls("class M:\n    def homs(self):\n        return null_space(a)", "intalg")
+    assert not _misplaced_calls("def _solve(eng):\n    return null_space(eng.linear_matrix(f, p, q))", "intalg")
+    assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
+
+
 def test_bound_tests_fail_on_nan():
     nan = math.nan
     assert within(1.0, 1.0) and not within(1.5, 1.0)
@@ -93,3 +147,20 @@ def test_bound_tests_fail_on_nan():
     assert cert.failed_axiom == "first"
     # an unnamed check still rejects
     assert not judged({"a": nan}, [("a", 1.0, None)]).ok
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: SphericalWeight((1.0, x)),
+        lambda x: HStarAlgebra((1, 2), (1.0, x)),
+        lambda x: TwoHilbertSpace(("a", "b"), (1.0, x)),
+    ],
+    ids=["spherical_weight", "hstar_algebra", "two_hilbert_space"],
+)
+def test_positive_inputs_reject_nan_at_construction(make):
+    # x <= 0 is false for NaN; the positivity check is clears(x, 0)
+    make(0.5)
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            make(bad)
