@@ -10,9 +10,17 @@ including a --tol that is negative or not finite, a negative --seed, a
 --psi entry outside [PSI_MIN, PSI_MAX], an algebra document with a
 label outside the category or a trivial algebra on a non-unit, an algebra
 with no unit summand for split-monad and standardize, and an H*-algebra
-document with a weight or functional entry that is not finite. Any other
+document whose trace is missing, does not match its blocks in shape, or
+has a weight or functional entry that is not finite. Any other
 exception exits 3 with no report and one JSON line {"error", "message"}
 on stderr, so that no failure of a run reads as a REJECT.
+
+Each input document is checked against its packaged JSON Schema
+(schema/v1/) by a small checker that interprets exactly the keywords those
+schemas use, with draft 2020-12 types: a bool is not a number, and a float
+with an integral value is an integer. The schema files stay the single
+source of truth; a keyword or type the checker does not enforce raises
+NotImplementedError (exit 3) rather than pass unchecked.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from importlib import resources
 
@@ -76,18 +85,102 @@ def _read_input(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
-def _check_schema(doc, schema_name: str, display: str) -> None:
-    import jsonschema
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
+
+# JSON types as draft 2020-12 defines them: a bool is neither a number nor
+# an integer, a float with an integral value (1.0, 1e300) is an integer,
+# and NaN is a number
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+_RULES = {
+    "type", "required", "properties", "additionalProperties", "items", "minItems",
+    "maxItems", "minimum", "const", "enum", "oneOf", "pattern",
+}
+_ANNOTATIONS = {"$schema", "$id", "title", "description"}
+
+
+def _check_supported(schema) -> None:
+    """Raises NotImplementedError unless every rule of the schema, and of
+    each schema inside it, is one that _violation enforces."""
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"schema {schema!r} is not an object")
+    unknown = sorted(set(schema) - _RULES - _ANNOTATIONS)
+    if unknown:
+        raise NotImplementedError(f"unsupported schema keywords: {', '.join(unknown)}")
+    kind = schema.get("type", "object")
+    if not (isinstance(kind, str) and kind in _TYPES):
+        raise NotImplementedError(f"unsupported schema type {kind!r}")
+    if not all(isinstance(v, str) for v in [schema.get("const", ""), *schema.get("enum", ())]):
+        raise NotImplementedError("const and enum values must be strings")
+    inner = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in inner + [schema[k] for k in ("additionalProperties", "items") if k in schema]:
+        _check_supported(sub)
+
+
+def _violation(x, schema):
+    """The first rule of the schema that the document x breaks, worded as
+    jsonschema words it, or None if x is valid."""
+    kind = schema.get("type")
+    if kind and not _TYPES[kind](x):
+        return f"{x!r} is not of type {kind!r}"
+    if "const" in schema and x != schema["const"]:
+        return f"{schema['const']!r} was expected"
+    if "enum" in schema and x not in schema["enum"]:
+        return f"{x!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        matches = sum(_violation(x, sub) is None for sub in schema["oneOf"])
+        if matches != 1:
+            which = "any" if matches == 0 else "more than one"
+            return f"{x!r} is not valid under {which} of the given schemas"
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                return f"{key!r} is a required property"
+        props, other = schema.get("properties", {}), schema.get("additionalProperties", {})
+        for key, value in x.items():
+            message = _violation(value, props[key] if key in props else other)
+            if message:
+                return message
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            return f"{x!r} {'should be non-empty' if schema['minItems'] == 1 else 'is too short'}"
+        if len(x) > schema.get("maxItems", len(x)):
+            return f"{x!r} is too long"
+        for item in x:
+            message = _violation(item, schema.get("items", {}))
+            if message:
+                return message
+    if "minimum" in schema and _is_number(x) and x < schema["minimum"]:
+        return f"{x!r} is less than the minimum of {schema['minimum']!r}"
+    if "pattern" in schema and isinstance(x, str) and not re.search(schema["pattern"], x):
+        return f"{x!r} does not match {schema['pattern']!r}"
+    return None
+
+
+def schema_violation(doc, schema_name: str):
+    """Checks a document against the packaged schema/v1/<schema_name>
+    schema: the first violation as a message, or None."""
     raw = (
         resources.files("hstarcat")
         .joinpath(f"schema/v1/{schema_name}.schema.json")
         .read_text()
     )
-    try:
-        jsonschema.validate(doc, json.loads(raw))
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"{display}: schema violation: {exc.message}")
+    schema = json.loads(raw)
+    _check_supported(schema)
+    return _violation(doc, schema)
+
+
+def _check_schema(doc, schema_name: str, display: str) -> None:
+    message = schema_violation(doc, schema_name)
+    if message:
+        raise InputError(f"{display}: schema violation: {message}")
 
 
 def _load_fusion(path: str):
@@ -101,12 +194,23 @@ def _load_fusion(path: str):
 
 
 def _read_hstar(path: str):
-    """An H*-algebra document, checked against its schema; weights and
-    functional entries must be finite."""
+    """An H*-algebra document, checked against its schema; it must give a
+    trace as one weight per block, or one n x n functional matrix per block
+    of size n, and weights and functional entries must be finite."""
     doc, digest, name = _read_input(path)
     _check_schema(doc, "hstar", name)
-    entries = [x for phi in doc.get("functional") or () for row in phi for z in row for x in z]
-    if not all(math.isfinite(x) for x in list(doc.get("weights") or ()) + entries):
+    blocks, weights, phis = doc["blocks"], doc.get("weights"), doc.get("functional")
+    if weights is None and phis is None:
+        raise InputError(f"{name}: needs weights or a functional")
+    if weights is not None and len(weights) != len(blocks):
+        raise InputError(f"{name}: one weight per block required")
+    if phis is not None and not (
+        len(phis) == len(blocks)
+        and all(len(phi) == n and all(len(row) == n for row in phi) for n, phi in zip(blocks, phis))
+    ):
+        raise InputError(f"{name}: the functional needs one n x n matrix per block of size n")
+    entries = [x for phi in phis or () for row in phi for z in row for x in z]
+    if not all(math.isfinite(x) for x in list(weights or ()) + entries):
         raise InputError(f"{name}: weights and functional entries must be finite")
     return doc, digest, name
 

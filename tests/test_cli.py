@@ -215,8 +215,15 @@ def test_nan_loop_gap_rejects_on_its_axiom(monkeypatch, capsys):
         '{"blocks": [1, 2], "weights": [1.0, NaN]}',
         '{"blocks": [1, 2], "weights": [1.0, 1e400]}',
         '{"blocks": [1], "weights": [1.0], "functional": [[[[NaN, 0.0]]]]}',
+        # no trace, or a trace that does not match the blocks in shape
+        '{"blocks": [3]}',
+        '{"blocks": [2, 3], "weights": [1.0]}',
+        '{"blocks": [1, 1], "weights": [1.0, 1.0, 1.0]}',
+        '{"blocks": [2, 3], "functional": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+        '{"blocks": [2], "functional": [[[[1, 0]]]]}',
     ],
-    ids=["nan_weight", "inf_weight", "nan_functional"],
+    ids=["nan_weight", "inf_weight", "nan_functional", "no_trace", "short_weights",
+         "long_weights", "short_functional", "small_functional_block"],
 )
 @pytest.mark.parametrize("command", ["verify", "gns"])
 def test_bad_hstar_file_exit_2_without_report(tmp_path, capsys, doc, command):
@@ -307,6 +314,21 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_schema_check_leaves_jsonschema_out(tmp_path):
+    # each command checks its inputs against the packaged schemas without
+    # importing jsonschema, which only the tests need
+    code = (
+        "import sys, hstarcat.cli as c; "
+        f"code = c.main(['alg', 'verify', 'ising', 'ising_qsystem', '--out', {str(tmp_path / 'r.json')!r}]); "
+        "print(code, 'jsonschema' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_unexpected_exception_exits_3_with_one_json_line(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """The default report of every CLI command in the README, pinned byte for
-byte against tests/golden/<group>_<cmd>_<first input>.json.
+byte against tests/golden/<group>_<cmd>_<first input>.json, and their
+verdicts, the same at several seeds.
 
 A change that means to alter one of these reports regenerates its file
 with `PYTHONPATH=src python -m hstarcat.cli <command> > tests/golden/...`
 and says why; any other difference fails here.
 """
 
+import json
 import pathlib
 import re
 
@@ -32,3 +34,15 @@ def test_readme_report_is_byte_identical(capsys, command):
     argv = command.split()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == _golden(argv).read_bytes()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_verdicts_do_not_depend_on_the_seed(capsys, command):
+    # the seed draws the random elements that sampled checks test; on
+    # valid bundled data no draw may change a verdict
+    outcomes = set()
+    for seed in ("0", "1", "2", "3", "17"):
+        code = main([*command.split(), "--seed", seed])
+        report = json.loads(capsys.readouterr().out)
+        outcomes.add((code, report["verdict"], tuple(sorted(report["verdicts"].items()))))
+    assert len(outcomes) == 1, outcomes

@@ -2,7 +2,8 @@
 certify.within (or certify.clears for a margin), and every residual is
 folded with numcore.worst, which keeps a NaN that max and min drop.
 Lint for the one intertwiner calculus: hom spaces are solved, and
-commutants split, in one place each."""
+commutants split, in one place each. Lint for the dependencies: the
+package imports no module that only the tests need."""
 
 import ast
 import math
@@ -130,6 +131,45 @@ def test_one_caller_lint_catches_a_second_caller():
     assert _misplaced_calls("class M:\n    def homs(self):\n        return null_space(a)", "intalg")
     assert not _misplaced_calls("def _solve(eng):\n    return null_space(eng.linear_matrix(f, p, q))", "intalg")
     assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
+
+
+# modules the tests use and the package must not import: input documents
+# are checked by cli's own schema checker, against jsonschema in the tests
+TEST_ONLY = {"jsonschema", "hypothesis", "pytest"}
+
+
+def _test_only_imports(source: str):
+    """(line, module) for each import of a TEST_ONLY module, by an import
+    statement or by importlib.import_module / __import__ of a literal."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and _name(node.func) in ("import_module", "__import__"):
+            names = [a.value for a in node.args[:1] if isinstance(a, ast.Constant)]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if str(n).split(".")[0] in TEST_ONLY]
+    return out
+
+
+def test_package_imports_no_test_only_module():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += [f"{path.name}:{line}: imports {n}" for line, n in _test_only_imports(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_import_lint_catches_a_test_only_import():
+    assert _test_only_imports("import jsonschema")
+    assert _test_only_imports("def f():\n    import jsonschema.validators as v")
+    assert _test_only_imports("from jsonschema import validate")
+    assert _test_only_imports("importlib.import_module('jsonschema')")
+    assert _test_only_imports("m = __import__('hypothesis')")
+    assert not _test_only_imports("import json\nfrom importlib import resources")
+    assert not _test_only_imports("from . import cli\nimport jsonschema_like")
 
 
 def test_bound_tests_fail_on_nan():
