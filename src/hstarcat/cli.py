@@ -101,7 +101,7 @@ _TYPES = {
 }
 _RULES = {
     "type", "required", "properties", "additionalProperties", "items", "minItems",
-    "maxItems", "minimum", "const", "enum", "oneOf", "pattern",
+    "maxItems", "minimum", "maximum", "const", "enum", "oneOf", "pattern",
 }
 _ANNOTATIONS = {"$schema", "$id", "title", "description"}
 
@@ -159,6 +159,8 @@ def _violation(x, schema):
                 return message
     if "minimum" in schema and _is_number(x) and x < schema["minimum"]:
         return f"{x!r} is less than the minimum of {schema['minimum']!r}"
+    if "maximum" in schema and _is_number(x) and x > schema["maximum"]:
+        return f"{x!r} is greater than the maximum of {schema['maximum']!r}"
     if "pattern" in schema and isinstance(x, str) and not re.search(schema["pattern"], x):
         return f"{x!r} does not match {schema['pattern']!r}"
     return None
@@ -375,6 +377,8 @@ def _cmd_alg_modcat(args):
     rep.add("hstar_algebra", cert)
     if cert.ok:
         mc = intalg.module_category(eng, A, args.tolerance, args.seed)
+        if not mc.certificate.ok:
+            rep.add("module_category", mc.certificate)
         rep.add_values(
             {"simple_modules": len(mc.simples), "module_dims": list(mc.dims)}
         )
@@ -477,21 +481,13 @@ def _cmd_h3_theorem_b(args):
 def _cmd_hstar_verify(args):
     doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
-    try:
-        blocks = doc["blocks"]
-        weights = doc.get("weights")
-        functional = doc.get("functional")
-        if functional is not None:
-            functional = [
-                np.array([[complex(e[0], e[1]) for e in row] for row in phi])
-                for phi in functional
-            ]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"{name}: bad H*-algebra spec: {exc}")
+    functional = doc.get("functional")
+    if functional is not None:
+        functional = [np.array([[complex(*e) for e in row] for row in phi]) for phi in functional]
     rep.add(
         "hstar_trace",
         hstar1.verify_hstar_algebra(
-            blocks, weights, functional, args.tolerance, args.seed
+            doc["blocks"], doc.get("weights"), functional, args.tolerance, args.seed
         ),
     )
     return rep.finish(args.out)
@@ -581,18 +577,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if (args.group, args.cmd) not in _COMMANDS:
-        print("unknown subcommand", file=sys.stderr)
-        return 2
     args.tolerance = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
-    if not hasattr(args, "psi"):
-        args.psi = None
-    fn, nargs, _ = _COMMANDS[(args.group, args.cmd)]
-    if len(args.paths) != nargs:
-        print(f"expected {nargs} input path(s)", file=sys.stderr)
-        return 2
     try:
-        return fn(args)
+        return _COMMANDS[(args.group, args.cmd)][0](args)
     except (InputError, SchemaError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

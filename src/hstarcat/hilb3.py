@@ -12,11 +12,12 @@ the spherical weight psi. On top of this sit the two completions:
   iota) and duals from the delta = 0 bimodule adjunction.
 
 Linking categories (the matrix category of all homs among a finite list
-of objects) are assembled as explicit multifusion data: directly from
-the ambient F-symbols for delooping objects, and numerically from the
-bimodule calculus (relative tensors, unitors, associator matrix
-elements in orthonormal intertwiner bases) for algebra objects. The
-assembled data is always pushed back through the full validator.
+of objects) are assembled as explicit multifusion data by one numeric
+builder over the bimodule calculus (relative tensors, unitors,
+associator matrix elements in orthonormal intertwiner bases). A
+delooping object 1_u is the trivial monad on u, so it enters the builder
+as the trivial algebra on u, like any algebra object. The assembled data
+is always pushed back through the full validator.
 
 The associator needs no relative tensor of a relative tensor. For an
 intertwiner r: E -> X (x)_B Y whose dagger is an intertwiner too (every
@@ -362,84 +363,25 @@ def _gram_onb(eng: Engine, basis):
 # --- linking categories ------------------------------------------------
 
 
-def _deloop_linking(eng: Engine, ua, ub):
-    """2x2 matrix amalgam of the blocks of C graded by two unit summands
-    (the units may coincide, giving the M_2 amplification)."""
-    data = eng.data
-    psi = eng.udf.psi
-    pos = ((1, ua), (2, ub))
-
-    def lab(i, j, c):
-        return f"{i}{j}:{c}"
-
-    simples = []
-    grading = {}
-    dual = {}
-    for (i, si), (j, sj) in itertools.product(pos, pos):
-        for c in data.simples:
-            if data.s(c) == si and data.t(c) == sj:
-                L = lab(i, j, c)
-                simples.append(L)
-                grading[L] = (lab(i, i, si), lab(j, j, sj))
-                dual[L] = lab(j, i, data.dual[c])
-    units = (lab(1, 1, ua), lab(2, 2, ub))
-    unit_set = set(units)
-    N = {}
-    for (i, si), (j, sj), (k, sk) in itertools.product(pos, pos, pos):
-        for a in data.simples:
-            if (data.s(a), data.t(a)) != (si, sj) or lab(i, j, a) in unit_set:
-                continue
-            for b in data.simples:
-                if (data.s(b), data.t(b)) != (sj, sk) or lab(j, k, b) in unit_set:
-                    continue
-                for c in data.simples:
-                    n = data.n(a, b, c)
-                    if n and (data.s(c), data.t(c)) == (si, sk):
-                        N[(lab(i, j, a), lab(j, k, b), lab(i, k, c))] = n
-    F = {}
-    for (a, b, c, d), m in data.F.items():
-        for (i, si), (j, sj), (k, sk), (l, sl) in itertools.product(pos, pos, pos, pos):
-            ok = (
-                (data.s(a), data.t(a)) == (si, sj)
-                and (data.s(b), data.t(b)) == (sj, sk)
-                and (data.s(c), data.t(c)) == (sk, sl)
-                and (data.s(d), data.t(d)) == (si, sl)
-            )
-            if ok:
-                F[(lab(i, j, a), lab(j, k, b), lab(k, l, c), lab(i, l, d))] = m
-    out = FusionData(
-        simples=tuple(simples),
-        units=units,
-        grading=grading,
-        dual=dual,
-        N=N,
-        F=F,
-    )
-    weight = SphericalWeight((psi.of_unit(data, ua), psi.of_unit(data, ub)))
-    return out, weight
-
-
 class _LinkingBuilder:
     """Numeric skeletonization of the category of bimodules among a list
     of H*-algebras: simples, fusion rules, duals and F-matrices, all
-    extracted from relative tensors in orthonormal intertwiner bases."""
+    extracted from relative tensors in orthonormal intertwiner bases.
+
+    Simples are numbered in label order: simples[k] is the bimodule,
+    blocks[k] its (i, j) pair and labels[k] its label "ij:n"; units holds
+    the positions of the algebras themselves, and members[(i, j)] the
+    positions of block (i, j). Tensors and intertwiner bases are keyed by
+    pairs of positions."""
 
     def __init__(self, eng: Engine, algebras, tol: Tolerance, seed: int):
         self.eng = eng
         self.algebras = list(algebras)
         self.tol = tol
-        self.seed = seed
         self._tensors = {}
         self._onbs = {}
-        self.simples = {}  # (i, j) -> list of Bimodule
-        self.labels = {}  # id(Bimodule) -> label
-        self.units = []
-        self._enumerate()
-
-    # -- simples ---------------------------------------------------------
-
-    def _enumerate(self):
-        eng, tol = self.eng, self.tol
+        self.simples, self.blocks, self.labels, self.units = [], [], [], []
+        self.members = {}
         n = len(self.algebras)
         for i, j in itertools.product(range(n), range(n)):
             found = []
@@ -450,95 +392,75 @@ class _LinkingBuilder:
                 # 5 tol.bound() is 1e-8 at the default tolerance
                 if not within(verify_bimodule(F), tol.bound() * 5):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
-                for piece, _ in split_summands(F, self.seed):
+                for piece, _ in split_summands(F, seed):
                     if not any(piece.homs(old) for old in found):
                         found.append(piece)
+            start = len(self.simples)
             if i == j:
                 # canonical representative for the unit: the algebra itself
                 unit = algebra_bimodule(self.algebras[i])
                 found = [unit] + [p for p in found if not p.homs(unit)]
-            self.simples[(i, j)] = found
-        order = []
-        for i, j in itertools.product(range(n), range(n)):
-            for k, X in enumerate(self.simples[(i, j)]):
-                label = f"{i}{j}:{k}"
-                self.labels[id(X)] = label
-                order.append((label, (i, j), X))
-        self.order = order
-        self.units = [self.labels[id(self.simples[(i, i)][0])] for i in range(n)]
+                self.units.append(start)
+            self.simples += found
+            self.blocks += [(i, j)] * len(found)
+            self.labels += [f"{i}{j}:{m}" for m in range(len(found))]
+            self.members[(i, j)] = range(start, len(self.simples))
 
-    def block_of(self, X: Bimodule):
-        for (i, j), lst in self.simples.items():
-            for Y in lst:
-                if Y is X:
-                    return (i, j)
-        raise KeyError("not a registered simple")
-
-    def is_unit(self, X: Bimodule) -> bool:
-        i, j = self.block_of(X)
-        return i == j and self.simples[(i, j)][0] is X
+    def composable(self, *ks) -> bool:
+        """No unit among the simples ks, and each block ends where the
+        next one begins."""
+        return not any(k in self.units for k in ks) and all(
+            self.blocks[a][1] == self.blocks[b][0] for a, b in zip(ks, ks[1:])
+        )
 
     # -- tensors and intertwiner bases ----------------------------------
 
-    def tensor(self, X: Bimodule, Y: Bimodule):
-        key = (id(X), id(Y))
-        if key not in self._tensors:
-            self._tensors[key] = relative_tensor(X, Y, self.tol)
-        return self._tensors[key]
+    def tensor(self, x: int, y: int):
+        if (x, y) not in self._tensors:
+            self._tensors[(x, y)] = relative_tensor(self.simples[x], self.simples[y], self.tol)
+        return self._tensors[(x, y)]
 
-    def onb(self, X: Bimodule, Y: Bimodule):
-        """dict simple Z -> orthonormal isometries Z -> X (x)_A Y; unit
+    def onb(self, x: int, y: int):
+        """dict simple z -> orthonormal isometries z -> x (x)_A y; unit
         factors use the (unitary) unitors so the unit F-matrices come out
         strict."""
-        key = (id(X), id(Y))
-        if key in self._onbs:
-            return self._onbs[key]
+        if (x, y) in self._onbs:
+            return self._onbs[(x, y)]
         eng = self.eng
-        T, Vw, _ = self.tensor(X, Y)
-        i, _ = self.block_of(X)
-        _, l = self.block_of(Y)
-        out = {}
-        if self.is_unit(X):
-            lu = left_unitor(X.right, Y, Vw)
-            out = {id(Y): [eng.dagger(lu)]}
-        elif self.is_unit(Y):
-            ru = right_unitor(X, Y.left, Vw)
-            out = {id(X): [eng.dagger(ru)]}
+        X, Y = self.simples[x], self.simples[y]
+        T, Vw, _ = self.tensor(x, y)
+        if x in self.units:
+            out = {y: [eng.dagger(left_unitor(X.right, Y, Vw))]}
+        elif y in self.units:
+            out = {x: [eng.dagger(right_unitor(X, Y.left, Vw))]}
         else:
-            for Z in self.simples[(i, l)]:
-                basis = Z.homs(T)
+            out = {}
+            for z in self.members[(self.blocks[x][0], self.blocks[y][1])]:
+                basis = self.simples[z].homs(T)
                 if basis:
-                    out[id(Z)] = _gram_onb(eng, basis)
-        self._onbs[key] = out
+                    out[z] = _gram_onb(eng, basis)
+        self._onbs[(x, y)] = out
         return out
 
     def fusion_mults(self):
+        lab = self.labels
         N = {}
-        for lx, bx, X in self.order:
-            if self.is_unit(X):
-                continue
-            for ly, by, Y in self.order:
-                if self.is_unit(Y) or bx[1] != by[0]:
-                    continue
-                ob = self.onb(X, Y)
-                for lz, _, Z in self.order:
-                    fs = ob.get(id(Z))
-                    if fs:
-                        N[(lx, ly, lz)] = len(fs)
+        for x, y in itertools.product(range(len(lab)), repeat=2):
+            if self.composable(x, y):
+                for z, fs in self.onb(x, y).items():
+                    N[(lab[x], lab[y], lab[z])] = len(fs)
         return N
 
     def duals(self):
         dual = {}
-        for lx, (i, j), X in self.order:
-            Xd, _, _ = dual_bimodule_delta0(X)
-            matches = [
-                self.labels[id(Z)]
-                for Z in self.simples[(j, i)]
-                if Xd.homs(Z)
-            ]
+        for x, (i, j) in enumerate(self.blocks):
+            Xd, _, _ = dual_bimodule_delta0(self.simples[x])
+            matches = [z for z in self.members[(j, i)] if Xd.homs(self.simples[z])]
             if len(matches) != 1:
-                raise ConsistencyError(f"{lx} has {len(matches)} dual matches, not one")
-            dual[lx] = matches[0]
+                raise ConsistencyError(
+                    f"{self.labels[x]} has {len(matches)} dual matches, not one"
+                )
+            dual[self.labels[x]] = self.labels[matches[0]]
         return dual
 
     # -- associator matrix elements -------------------------------------
@@ -550,56 +472,47 @@ class _LinkingBuilder:
         (G, c1, c2) is (id_x (x) V_YZ c1) V_XG c2. The lifts through r1
         and c1 are built once per triple; the module docstring says why
         no tensor of a tensor is needed."""
-        eng = self.eng
+        eng, lab = self.eng, self.labels
         F = {}
-        triples = [
-            (lx, X, ly, Y, lz, Z)
-            for lx, bx, X in self.order
-            for ly, by, Y in self.order
-            for lz, bz, Z in self.order
-            if not (self.is_unit(X) or self.is_unit(Y) or self.is_unit(Z))
-            and bx[1] == by[0]
-            and by[1] == bz[0]
-        ]
-        for lx, X, ly, Y, lz, Z in triples:
-            (i, j), (_, k), (_, l) = self.block_of(X), self.block_of(Y), self.block_of(Z)
-            _, VXY, _ = self.tensor(X, Y)
-            _, VYZ, _ = self.tensor(Y, Z)
-            rows, cols = {}, {}  # id(D) -> maps D -> (x, y, z)
-            for E in self.simples[(i, k)]:
-                _, VEZ, _ = self.tensor(E, Z)
-                for r1 in self.onb(X, Y).get(id(E), []):
+        for x, y, z in itertools.product(range(len(lab)), repeat=3):
+            if not self.composable(x, y, z):
+                continue
+            (i, j), (_, k), (_, l) = self.blocks[x], self.blocks[y], self.blocks[z]
+            _, VXY, _ = self.tensor(x, y)
+            _, VYZ, _ = self.tensor(y, z)
+            rows, cols = {}, {}  # d -> maps D -> (x, y, z)
+            for e in self.members[(i, k)]:
+                _, VEZ, _ = self.tensor(e, z)
+                for r1 in self.onb(x, y).get(e, []):
                     lift = eng.compose(
-                        eng.whisker_right_obj(eng.compose(VXY, r1), Z.obj), VEZ
+                        eng.whisker_right_obj(eng.compose(VXY, r1), self.simples[z].obj), VEZ
                     )
-                    for d, r2s in self.onb(E, Z).items():
+                    for d, r2s in self.onb(e, z).items():
                         rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
-            for G in self.simples[(j, l)]:
-                _, VXG, _ = self.tensor(X, G)
-                for c1 in self.onb(Y, Z).get(id(G), []):
+            for g in self.members[(j, l)]:
+                _, VXG, _ = self.tensor(x, g)
+                for c1 in self.onb(y, z).get(g, []):
                     lift = eng.compose(
-                        eng.whisker_left_obj(X.obj, eng.compose(VYZ, c1)), VXG
+                        eng.whisker_left_obj(self.simples[x].obj, eng.compose(VYZ, c1)), VXG
                     )
-                    for d, c2s in self.onb(X, G).items():
+                    for d, c2s in self.onb(x, g).items():
                         cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
-            for D in self.simples[(i, l)]:
-                if rows.get(id(D)):
-                    F[(lx, ly, lz, self.labels[id(D)])] = _scalar_gram(
-                        eng, rows[id(D)], cols.get(id(D), [])
+            for d in self.members[(i, l)]:
+                if rows.get(d):
+                    F[(lab[x], lab[y], lab[z], lab[d])] = _scalar_gram(
+                        eng, rows[d], cols.get(d, [])
                     )
         return F
 
     # -- final assembly --------------------------------------------------
 
     def fusion_data(self):
-        grading = {}
+        lab, units = self.labels, [self.labels[u] for u in self.units]
         dual = self.duals()
-        for lx, (i, j), X in self.order:
-            grading[lx] = (self.units[i], self.units[j])
         data = FusionData(
-            simples=tuple(lx for lx, _, _ in self.order),
-            units=tuple(self.units),
-            grading=grading,
+            simples=tuple(lab),
+            units=tuple(units),
+            grading={lx: (units[i], units[j]) for lx, (i, j) in zip(lab, self.blocks)},
             dual=dual,
             N=self.fusion_mults(),
             F=self.f_matrices(),
@@ -621,20 +534,17 @@ def linking_e1(
     X: Pre3HilbPresentation, a, b, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 ):
     """The 2x2 linking multifusion category of a pair of objects, with
-    its weight; the output is re-validated before being returned."""
-    eng = X.eng
-    if isinstance(a, DeloopObject) and isinstance(b, DeloopObject):
-        data, weight = _deloop_linking(eng, a.unit, b.unit)
-    else:
-        algs = []
-        for obj in (a, b):
-            if isinstance(obj, MonadObject):
-                algs.append(obj.algebra)
-            elif isinstance(obj, DeloopObject):
-                algs.append(trivial_algebra(eng, obj.unit))
-            else:
-                raise TypeError(f"unsupported linking operand: {obj!r}")
-        data, weight = algebra_linking(eng, algs, tol, seed)
+    its weight; a delooping object 1_u enters as the trivial algebra on
+    u. The output is re-validated before being returned."""
+    algs = []
+    for obj in (a, b):
+        if isinstance(obj, MonadObject):
+            algs.append(obj.algebra)
+        elif isinstance(obj, DeloopObject):
+            algs.append(trivial_algebra(X.eng, obj.unit))
+        else:
+            raise TypeError(f"unsupported linking operand: {obj!r}")
+    data, weight = algebra_linking(X.eng, algs, tol, seed)
     cert = validate(data, tol)
     if not cert.ok:
         raise ValueError(f"assembled linking data fails validation: {cert.failed_axiom}")
@@ -685,7 +595,7 @@ def hom_two_hilbert(
             t1 = module_trace(M, eng.compose(f, g))
             gaps.append(abs(t1 - module_trace(M, eng.compose(g, f))))
         cert = bounded("traciality", worst(gaps), tol.bound(1.0 + sum(mc.dims)), "traciality")
-        return mc.two_hilbert(), cert
+        return mc.two_hilbert(), cert if mc.certificate.ok else mc.certificate
     raise NotImplementedError(f"hom category for {a!r} -> {b!r}")
 
 
@@ -867,6 +777,7 @@ def weight_mod_dagger(
         "raw": complex(raw),
         "prefactor": pre,
         "rescaled": complex(pre * raw),
+        "certificate": mc.certificate,
     }
 
 
@@ -885,7 +796,10 @@ def theorem_b_check(
     psi1 = psi.of_unit(data, u1)
     A = trivial_algebra(eng, u1)
     lhs = monad_psi(A, A.identity()).real
-    rhs = weight_mod_dagger(eng, A, tol=tol, seed=seed)["rescaled"].real
+    modules = weight_mod_dagger(eng, A, tol=tol, seed=seed)
+    if not modules["certificate"].ok:
+        return modules["certificate"]
+    rhs = modules["rescaled"].real
     resid = {
         "monad_side": abs(lhs - psi1),
         "module_side": abs(rhs - psi1),

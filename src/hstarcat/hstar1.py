@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Certificate, clears, within
-from .numcore import DEFAULT_TOL, ConsistencyError, NonPositiveWeight, Tolerance, worst
+from .numcore import (
+    DEFAULT_TOL, ConsistencyError, NonPositiveWeight, ShapeMismatch, Tolerance, worst,
+)
 
 
 class MixedAmbientCategory(ValueError):
@@ -85,7 +87,9 @@ def verify_hstar_algebra(
     The trace is given either by per-block weights or by a raw functional
     (per-block density matrices phi_i, Tr(a) = sum tr(phi_i a_i)); a raw
     functional is projected onto weight form and rejected when the
-    projection residual exceeds tolerance.
+    projection residual exceeds tolerance. Raises ShapeMismatch unless
+    there is one weight per block, or one n x n functional matrix per
+    block of size n.
     """
     block_sizes = tuple(int(n) for n in block_sizes)
     if any(n <= 0 for n in block_sizes):
@@ -94,9 +98,13 @@ def verify_hstar_algebra(
 
     if functional is not None:
         functional = [np.asarray(phi, dtype=complex) for phi in functional]
+        if [phi.shape for phi in functional] != [(n, n) for n in block_sizes]:
+            raise ShapeMismatch("the functional needs one n x n matrix per block of size n")
         tr = lambda a: _functional_trace(block_sizes, functional, a)
     else:
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(float(w) for w in weights or ())
+        if len(weights) != len(block_sizes):
+            raise ShapeMismatch("one weight per block required")
         tr = lambda a: sum(w * np.trace(ai) for w, ai in zip(weights, a))
 
     probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))

@@ -375,6 +375,7 @@ class ModuleCategory:
     algebra: AlgebraObject
     simples: list  # of Module
     dims: list  # module trace of the identity per simple
+    certificate: Certificate  # every dimension clears the positivity cut
 
     def two_hilbert(self):
         from .hilb2 import TwoHilbertSpace
@@ -458,15 +459,18 @@ def module_category(
         for piece, _ in split_summands(F, seed):
             if not any(piece.homs(old) for old in simples):
                 simples.append(piece)
-    # module dimensions scale with the unit weights, and so does their cut
+    # module dimensions scale with the unit weights, and so does their cut;
+    # like the separability margin, a dimension that does not clear it
+    # REJECTs on its own axiom
     cut = tol.bound() * min(eng.udf.psi.psi)
-    dims = []
-    for M in simples:
-        d = module_trace(M, eng.identity(M.word)).real
-        if not clears(d, cut):
-            raise SingularBubble(f"non-positive module dimension {d}")
-        dims.append(d)
-    return ModuleCategory(A, simples, dims)
+    dims = [module_trace(M, eng.identity(M.word)).real for M in simples]
+    least = float(np.min(dims))
+    ok = clears(least, cut)
+    cert = Certificate(
+        ok, {"min_module_dim": least}, {"cut": cut},
+        failed_axiom=None if ok else "module-dimension positivity",
+    )
+    return ModuleCategory(A, simples, dims, cert)
 
 
 def _mor_combo(eng, mors, coeffs):

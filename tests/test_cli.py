@@ -170,12 +170,15 @@ BAD_ALGEBRAS = {
     # no unit summand: no monad to split, no bubble to standardize
     "group_no_unit": {"kind": "group", "labels": ["s"]},
     "pair_empty": {"kind": "pair", "object": {}},
+    # past the schema's size cap: never built
+    "pair_over_cap": {"kind": "pair", "object": {"s": 3}},
 }
 BAD_ALGEBRA_CASES = [
     (command, name)
     for command in ("verify", "modcat")
     for name in list(BAD_ALGEBRAS)[:4]
-] + [("split-monad", "group_no_unit"), ("split-monad", "pair_empty"), ("standardize", "group_no_unit")]
+] + [("split-monad", "group_no_unit"), ("split-monad", "pair_empty"), ("standardize", "group_no_unit"),
+    ("verify", "pair_over_cap")]
 
 
 @pytest.mark.parametrize(
@@ -202,6 +205,22 @@ def test_small_psi_loose_tol_accepts(capsys, argv):
     assert code == 0 and rep["verdict"] == "ACCEPT"
 
 
+@pytest.mark.parametrize(
+    "argv, tol, check",
+    [
+        (("h3", "theorem-b", "fibonacci"), "0.5", "theorem_b"),
+        (("alg", "modcat", "ising", "ising_qsystem"), "0.4", "module_category"),
+    ],
+)
+def test_module_dimension_under_the_cut_rejects(capsys, argv, tol, check):
+    # dimensions 1.0 and 0.707 do not clear the cut tol.bound() * psi of
+    # 1.0 and 0.8: a REJECT on its axiom, not an error
+    code, rep = _run(capsys, *argv, "--tol", tol)
+    assert code == 1
+    assert rep["violated_axioms"] == {check: "module-dimension positivity"}
+    assert rep["residuals"][f"{check}.min_module_dim"] > 0
+
+
 def test_nan_loop_gap_rejects_on_its_axiom(monkeypatch, capsys):
     monkeypatch.setattr("hstarcat.cli.loop_eval", lambda udf, c, side: float("nan"))
     code, rep = _run(capsys, "fusion", "udf", "fibonacci")
@@ -221,9 +240,11 @@ def test_nan_loop_gap_rejects_on_its_axiom(monkeypatch, capsys):
         '{"blocks": [1, 1], "weights": [1.0, 1.0, 1.0]}',
         '{"blocks": [2, 3], "functional": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
         '{"blocks": [2], "functional": [[[[1, 0]]]]}',
+        # past the schema's size cap: never built
+        '{"blocks": [257], "weights": [1.0]}',
     ],
     ids=["nan_weight", "inf_weight", "nan_functional", "no_trace", "short_weights",
-         "long_weights", "short_functional", "small_functional_block"],
+         "long_weights", "short_functional", "small_functional_block", "block_over_cap"],
 )
 @pytest.mark.parametrize("command", ["verify", "gns"])
 def test_bad_hstar_file_exit_2_without_report(tmp_path, capsys, doc, command):

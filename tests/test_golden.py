@@ -1,6 +1,7 @@
 """The default report of every CLI command in the README, pinned byte for
-byte against tests/golden/<group>_<cmd>_<first input>.json, and their
-verdicts, the same at several seeds.
+byte against tests/golden/<group>_<cmd>_<first input>.json, their
+verdicts, the same at several seeds, and a verdict or an input error (never
+exit 3) at every valid --tol.
 
 A change that means to alter one of these reports regenerates its file
 with `PYTHONPATH=src python -m hstarcat.cli <command> > tests/golden/...`
@@ -46,3 +47,15 @@ def test_readme_verdicts_do_not_depend_on_the_seed(capsys, command):
         report = json.loads(capsys.readouterr().out)
         outcomes.add((code, report["verdict"], tuple(sorted(report["verdicts"].items()))))
     assert len(outcomes) == 1, outcomes
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-12", "1e-3", "0.4", "0.5", "1", "1e300"])
+def test_readme_commands_end_in_a_verdict_at_every_tol(capsys, tol):
+    # a margin judged by clears(m, tol.bound()) REJECTs at a loose --tol,
+    # so verdicts are not monotone in --tol; but no valid --tol may end a
+    # run in an error (exit 3), and a report is written exactly on 0 and 1
+    for command in [*COMMANDS, "fusion validate fibonacci_corrupt"]:
+        code = main([*command.split(), "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (command, err)
+        assert bool(out) == (code in (0, 1)), (command, err)

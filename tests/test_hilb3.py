@@ -1,3 +1,7 @@
+import importlib.util
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +154,13 @@ def test_deloop_linking_m2():
     assert cert.ok
     assert len(data.units) == 2
     assert fusion.validate(data).ok
+    # a delooping object enters as the trivial algebra on its unit
+    algs = [intalg.trivial_algebra(eng, "11"), intalg.trivial_algebra(eng, "22")]
+    ref, ref_psi = hilb3.algebra_linking(eng, algs)
+    assert data.simples == ref.simples == ("00:0", "01:0", "10:0", "11:0")
+    assert psi.psi == ref_psi.psi == pytest.approx((1.0, 2.0))
+    with pytest.raises(TypeError):
+        hilb3.linking_e1(hilb3.delooping(eng), hilb3.SumObject(("11",)), hilb3.DeloopObject("22"))
     # doubling the same unit reproduces a 2x2 linking of Hilb
     eng = _eng("hilb")
     data, psi, cert = hilb3.linking_e1(
@@ -218,7 +229,8 @@ def _per_triple_f_matrices(b):
     before it assembled F from pair tensors alone: for every triple, the
     relative tensors (X (x) Y) (x) Z and X (x) (Y (x) Z), alpha = W_R^dag
     W_L between them, and each entry as the trace of C^dag alpha R over
-    dim D. Kept as the reference for f_matrices."""
+    dim D. Kept as the reference for f_matrices; the tensors of tensors
+    come from intalg.relative_tensor, outside the builder's cache."""
     eng = b.eng
 
     def scalar(f):
@@ -226,47 +238,50 @@ def _per_triple_f_matrices(b):
         return complex(sum(np.trace(m) for m in f.blocks.values()) / dim)
 
     F = {}
-    for lx, bx, X in b.order:
-        for ly, by, Y in b.order:
-            for lz, bz, Z in b.order:
-                if b.is_unit(X) or b.is_unit(Y) or b.is_unit(Z):
+    n = len(b.simples)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if {x, y, z} & set(b.units):
                     continue
-                if bx[1] != by[0] or by[1] != bz[0]:
+                (i, j), (j2, k), (k2, l) = b.blocks[x], b.blocks[y], b.blocks[z]
+                if j != j2 or k != k2:
                     continue
-                TXY, VXY, _ = b.tensor(X, Y)
-                _, VL, _ = b.tensor(TXY, Z)
-                TYZ, VYZ, _ = b.tensor(Y, Z)
-                _, VR, _ = b.tensor(X, TYZ)
+                X, Z = b.simples[x], b.simples[z]
+                TXY, VXY, _ = b.tensor(x, y)
+                _, VL, _ = intalg.relative_tensor(TXY, Z, b.tol)
+                TYZ, VYZ, _ = b.tensor(y, z)
+                _, VR, _ = intalg.relative_tensor(X, TYZ, b.tol)
                 WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
                 WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
                 alpha = eng.compose(eng.dagger(WR), WL)
-                for D in b.simples[(bx[0], bz[1])]:
+                for d in b.members[(i, l)]:
                     rows = [
                         eng.compose(
                             eng.dagger(VL),
                             eng.compose(
                                 eng.whisker_right_obj(r1, Z.obj),
-                                eng.compose(b.tensor(E, Z)[1], r2),
+                                eng.compose(b.tensor(e, z)[1], r2),
                             ),
                         )
-                        for E in b.simples[(bx[0], by[1])]
-                        for r1 in b.onb(X, Y).get(id(E), [])
-                        for r2 in b.onb(E, Z).get(id(D), [])
+                        for e in b.members[(i, k)]
+                        for r1 in b.onb(x, y).get(e, [])
+                        for r2 in b.onb(e, z).get(d, [])
                     ]
                     cols = [
                         eng.compose(
                             eng.dagger(VR),
                             eng.compose(
                                 eng.whisker_left_obj(X.obj, c1),
-                                eng.compose(b.tensor(X, G)[1], c2),
+                                eng.compose(b.tensor(x, g)[1], c2),
                             ),
                         )
-                        for G in b.simples[(by[0], bz[1])]
-                        for c1 in b.onb(Y, Z).get(id(G), [])
-                        for c2 in b.onb(X, G).get(id(D), [])
+                        for g in b.members[(j, l)]
+                        for c1 in b.onb(y, z).get(g, [])
+                        for c2 in b.onb(x, g).get(d, [])
                     ]
                     if rows:
-                        F[(lx, ly, lz, b.labels[id(D)])] = np.array(
+                        F[(b.labels[x], b.labels[y], b.labels[z], b.labels[d])] = np.array(
                             [
                                 [
                                     scalar(eng.compose(eng.dagger(C), eng.compose(alpha, R)))
@@ -285,13 +300,23 @@ def _per_triple_f_matrices(b):
         ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
     ],
 )
-def test_linking_f_matrices_match_per_triple_formula(name, mk):
+def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
     eng = _eng(name)
     b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.trivial_algebra(eng, "1")], DEFAULT_TOL, 0)
+    built = []
+
+    def recording(M, N, tol):
+        built.append((M, N))
+        return intalg.relative_tensor(M, N, tol)
+
+    monkeypatch.setattr(hilb3, "relative_tensor", recording)
     F = b.f_matrices()
-    # pair tensors only: no relative tensor of a relative tensor is built
-    registered = {id(X) for _, _, X in b.order}
-    assert all(x in registered and y in registered for x, y in b._tensors)
+    # pair tensors only: each relative tensor is of two of the builder's
+    # simples, built once and cached under their positions
+    simple = lambda M: any(M is S for S in b.simples)
+    assert built and all(simple(M) and simple(N) for M, N in built)
+    assert len(built) == len(b._tensors)
+    assert all(len(key) == 2 and set(key) <= set(range(len(b.simples))) for key in b._tensors)
     ref = _per_triple_f_matrices(b)
     assert list(F) == list(ref)
     for key, m in F.items():
@@ -332,3 +357,46 @@ def test_split_monad_without_unit_summand_is_a_value_error():
     eng = _eng("ising")
     with pytest.raises(ValueError, match="no unit summand"):
         hilb3.split_monad(intalg.group_algebra(eng, ("s",)))
+
+
+def _ty3():
+    """TY(Z_3) from the benchmark's generated families (bench/families.py)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.ty_zn(3)
+
+
+def _linking(name, objects, psis=None):
+    data = _ty3() if name == "ty3" else bundled.load(name)
+    psi = SphericalWeight(psis if psis else tuple(1.0 for _ in data.units))
+    eng = Engine(data, udf_from_weight(data, psi))
+    made = [
+        hilb3.DeloopObject(o) if isinstance(o, str) else hilb3.MonadObject(o(eng)) for o in objects
+    ]
+    data, _, cert = hilb3.linking_e1(hilb3.delooping(eng), *made)
+    assert cert.ok, cert.residuals
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, objects, psis, dim",
+    [
+        ("ising", (lambda e: intalg.group_algebra(e, ("1", "p")), "1"), None, 4.0),
+        ("ising", ("1", "1"), None, 4.0),
+        ("fibonacci", (lambda e: intalg.pair_algebra(e, e.obj({"t": 1})), "1"), None, PHI + 2),
+        ("ty3", (lambda e: intalg.group_algebra(e, ("0", "1", "2")), "0"), None, 6.0),
+        ("m2_hilb", ("11", "22"), (1.0, 2.0), 1.0),
+    ],
+    ids=["ising_q_1", "ising_deloop", "fibonacci_pair_1", "ty3_z3_1", "m2_hilb_deloop"],
+)
+def test_linking_blocks_have_the_ambient_dimension(name, objects, psis, dim):
+    # Morita invariance (Etingof-Nikshych-Ostrik, Ann. Math. 162 (2005);
+    # Mueger, JPAA 180 (2003)): in every block (i, j) of a linking, the
+    # FPdim^2 of the simples sum to dim C
+    data = _linking(name, objects, psis)
+    for ui, uj in itertools.product(data.units, repeat=2):
+        block = [c for c in data.simples if data.grading[c] == (ui, uj)]
+        assert sum(data.fpdim(c) ** 2 for c in block) == pytest.approx(dim, rel=1e-9), (ui, uj)
+

@@ -3,6 +3,7 @@ import pytest
 
 from hstarcat import hstar1
 from hstarcat.hilb2 import TwoHilbertSpace
+from hstarcat.numcore import ShapeMismatch
 
 
 def test_trace_and_inner():
@@ -34,6 +35,25 @@ def test_verify_rejects_nonpositive_weight():
     cert = hstar1.verify_hstar_algebra((2,), weights=(-1.0,))
     assert not cert.ok
     assert cert.failed_axiom == "positivity"
+
+
+@pytest.mark.parametrize(
+    "weights, functional",
+    [
+        ((1.0,), None),
+        ((1.0, 1.0, 5.0), None),
+        (None, None),
+        (None, [np.eye(2)]),
+        (None, [np.eye(2), np.eye(2)]),
+        (None, [np.eye(2), np.eye(3), np.eye(1)]),
+    ],
+    ids=["short_weights", "long_weights", "no_trace", "short_functional", "wrong_block", "long_functional"],
+)
+def test_verify_needs_one_trace_entry_per_block(weights, functional):
+    # these once ACCEPTed: weights and functional blocks were zipped
+    # against the block sizes
+    with pytest.raises(ShapeMismatch):
+        hstar1.verify_hstar_algebra((2, 3), weights, functional)
 
 
 def test_gns_module_trace_law():

@@ -142,6 +142,13 @@ BOUNDARY = [
     ("report", {**REPORT, "verdicts": {"c": "MAYBE"}}, False),
     ("report", {**REPORT, "verdict": None}, False),
     ("report", {**REPORT, "residuals": {"r": "0"}}, False),
+    # size caps
+    ("hstar", {"blocks": [256.0]}, True),
+    ("hstar", {"blocks": [257]}, False),
+    ("hstar", {"blocks": [1e300]}, False),
+    ("algebra", {"kind": "pair", "object": {"t": 2}}, True),
+    ("algebra", {"kind": "pair", "object": {"t": 3}}, False),
+    ("algebra", {"kind": "pair", "object": {"t": 1e300}}, False),
 ]
 
 
@@ -200,6 +207,12 @@ def test_unsupported_rule_raises(schema):
 )
 def test_messages_follow_jsonschema(doc, message):
     assert schema_violation(doc, "fusion") == message
+
+
+def test_maximum_is_worded_as_jsonschema_words_it():
+    doc = {"blocks": [257]}
+    reference = [e.message for e in jsonschema.Draft202012Validator(_schema("hstar")).iter_errors(doc)]
+    assert reference == [schema_violation(doc, "hstar")] == ["257 is greater than the maximum of 256"]
 
 
 def test_draft_2020_12_types():
