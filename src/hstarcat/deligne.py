@@ -20,8 +20,6 @@ from .diagram import Engine, Mor
 from .intalg import (
     AlgebraObject,
     _solve,
-    _strict_right_unitor,
-    _strict_unitor,
     carry_left,
     left_linear,
     trace_alg_end,
@@ -223,8 +221,8 @@ def identity_ladder(L: LadderObject) -> LadderHom:
     terms = {}
     for j in eng.data.units:
         ju = eng.simple_obj(j)
-        ru = _strict_right_unitor(eng, mw, ju)  # (m, 1_j) -> (m)
-        lu = _strict_unitor(eng, ju, nw)  # (1_j, n) -> (n)
+        ru = eng.right_unitor(mw, ju)  # (m, 1_j) -> (m)
+        lu = eng.left_unitor(ju, nw)  # (1_j, n) -> (n)
         f = eng.dagger(ru)
         g = lu
         if f.blocks and g.blocks:
@@ -302,8 +300,8 @@ def ladder_trace(F: LadderHom) -> complex:
         if not pairs:
             continue
         ju = eng.simple_obj(j)
-        ru = _strict_right_unitor(eng, mw, ju)
-        lu = eng.dagger(_strict_unitor(eng, ju, nw))
+        ru = eng.right_unitor(mw, ju)
+        lu = eng.dagger(eng.left_unitor(ju, nw))
         for f, g in pairs:
             tm = _side_trace(F.src.mside, eng.compose(ru, f), F.src.m)
             tn = _side_trace(F.src.nside, eng.compose(g, lu), F.src.n)

@@ -10,8 +10,14 @@ blockwise conjugate transpose.
 Right whiskering f (x) id is computed through the grouped-basis unitary
 that re-expresses "tree of W fused with one extra strand" trees in the
 right-comb basis; that unitary is assembled recursively from one F-symbol
-per level. Cups and caps carry explicit coefficients alpha_c, beta_c from
-the unitary dual functor data.
+per level. Both whiskers place each block of f by one slice assignment
+per run of trees that share their top vertex, since those runs are
+contiguous in the grouped and the comb bases. Cups and caps carry
+explicit coefficients alpha_c, beta_c from the unitary dual functor data.
+
+Engine.mor is the one door that checks block shapes; the engine's own
+operations build their results without re-checking them. Both drop a
+block only when every entry equals zero.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ class Mor:
     blocks: dict  # simple label -> (dim Hom(c->cod), dim Hom(c->dom)) matrix
 
 
+def _nonzero(blocks) -> dict:
+    """The blocks of a morphism without those whose every entry compares
+    equal to zero; a block that holds a NaN is kept."""
+    return {c: m for c, m in blocks.items() if np.count_nonzero(m)}
+
+
 class Engine:
     def __init__(self, data, udf=None):
         self.data = data
@@ -47,6 +59,7 @@ class Engine:
         self._group = {}
         self._fcache = {}
         self._simple = {}
+        self._unitors = {}
         self._unit_of = {u: u for u in data.units}
 
     # --- objects and words ----------------------------------------------
@@ -86,8 +99,9 @@ class Engine:
         inner charge e, vertex v in V(x, e; c), tree index into
         basis(word[1:], e)."""
         key = (word, c)
-        if key in self._basis:
-            return self._basis[key]
+        out = self._basis.get(key)
+        if out is not None:
+            return out
         if not word:
             out = [()] if c in self._unit_of else []
         else:
@@ -110,11 +124,12 @@ class Engine:
         return self._index[(word, c)]
 
     def support(self, word):
-        if word not in self._support:
-            self._support[word] = tuple(
+        out = self._support.get(word)
+        if out is None:
+            out = self._support[word] = tuple(
                 c for c in self.data.simples if self.basis(word, c)
             )
-        return self._support[word]
+        return out
 
     def hom_dim(self, X, Y) -> int:
         return sum(
@@ -130,15 +145,14 @@ class Engine:
         return b
 
     def mor(self, dom, cod, blocks) -> Mor:
+        """The shape-checked door for morphisms built outside the engine."""
         out = {}
         for c, m in blocks.items():
-            m = np.asarray(m, dtype=complex)
+            m = out[c] = np.asarray(m, dtype=complex)
             shape = (len(self.basis(cod, c)), len(self.basis(dom, c)))
             if m.shape != shape:
                 raise WordMismatch(f"block {c}: shape {m.shape}, expected {shape}")
-            if m.any():
-                out[c] = m
-        return Mor(self, dom, cod, out)
+        return Mor(self, dom, cod, _nonzero(out))
 
     def identity(self, word) -> Mor:
         return Mor(
@@ -170,7 +184,7 @@ class Engine:
             fb = f.blocks.get(c)
             if fb is not None:
                 blocks[c] = fb @ gb
-        return self.mor(g.dom, f.cod, blocks)
+        return Mor(self, g.dom, f.cod, _nonzero(blocks))
 
     def dagger(self, f: Mor) -> Mor:
         return Mor(self, f.cod, f.dom, {c: b.conj().T for c, b in f.blocks.items()})
@@ -181,10 +195,10 @@ class Engine:
         blocks = dict(f.blocks)
         for c, b in g.blocks.items():
             blocks[c] = blocks.get(c, 0) + b
-        return self.mor(f.dom, f.cod, blocks)
+        return Mor(self, f.dom, f.cod, _nonzero(blocks))
 
     def scale(self, z, f: Mor) -> Mor:
-        return self.mor(f.dom, f.cod, {c: z * b for c, b in f.blocks.items()})
+        return Mor(self, f.dom, f.cod, _nonzero({c: z * b for c, b in f.blocks.items()}))
 
     def sub(self, f: Mor, g: Mor) -> Mor:
         return self.add(f, self.scale(-1.0, g))
@@ -225,8 +239,9 @@ class Engine:
         right-comb basis of the concatenated word. Returns (grouped,
         index dict, matrix)."""
         key = (W, O, c)
-        if key in self._group:
-            return self._group[key]
+        hit = self._group.get(key)
+        if hit is not None:
+            return hit
         target = W + (O,)
         comb_idx = self.basis_index(target, c)
         grouped = self._grouped(W, O, c)
@@ -256,9 +271,10 @@ class Engine:
         return self._group[key]
 
     def whisker_right_obj(self, f: Mor, O) -> Mor:
-        """f (x) id_O for a single object O."""
+        """f (x) id_O for a single object O. In the grouped bases the trees
+        of one group (y, beta, d, u) are contiguous, so each block f_d lands
+        in one rectangle per group."""
         X, Y = f.dom, f.cod
-        rows = {d: range(len(self.basis(Y, d))) for d in f.blocks}
         blocks = {}
         # charges in the order of the simples (as support lists them), so
         # that the block order, and with it every later sum over blocks,
@@ -267,41 +283,34 @@ class Engine:
         for c in self.support(X + (O,)):
             if c not in cod_support:
                 continue
-            gX, gXi, UX = self.group_last(X, O, c)
-            gY, gYi, UY = self.group_last(Y, O, c)
-            M = np.zeros((len(gY), len(gX)), dtype=complex)
+            gX, _, UX = self.group_last(X, O, c)
+            _, gYi, UY = self.group_last(Y, O, c)
+            M = np.zeros((UY.shape[1], UX.shape[1]), dtype=complex)
             for j, (y, beta, d, u, ti) in enumerate(gX):
                 fb = f.blocks.get(d)
-                if fb is None:
-                    continue
-                for si in rows[d]:
-                    v = fb[si, ti]
-                    if v != 0:
-                        M[gYi[(y, beta, d, u, si)], j] = v
+                if ti == 0 and fb is not None:
+                    i = gYi[(y, beta, d, u, 0)]
+                    M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
             blocks[c] = UY @ M @ UX.conj().T
-        return self.mor(X + (O,), Y + (O,), blocks)
+        return Mor(self, X + (O,), Y + (O,), _nonzero(blocks))
 
     def whisker_left_obj(self, O, f: Mor) -> Mor:
-        """id_O (x) f."""
+        """id_O (x) f: each block f_e lands in one rectangle per run of
+        trees (x, alpha, e, v) of the comb basis."""
         X, Y = f.dom, f.cod
         dom, cod = (O,) + X, (O,) + Y
-        rows = {e: range(len(self.basis(Y, e))) for e in f.blocks}
         blocks = {}
         for c in self.support(dom):
             cod_idx = self.basis_index(cod, c)
-            nrows = len(self.basis(cod, c))
-            ncols = len(self.basis(dom, c))
-            M = np.zeros((nrows, ncols), dtype=complex)
-            for j, (x, alpha, e, v, ti) in enumerate(self.basis(dom, c)):
+            dom_basis = self.basis(dom, c)
+            M = np.zeros((len(self.basis(cod, c)), len(dom_basis)), dtype=complex)
+            for j, (x, alpha, e, v, ti) in enumerate(dom_basis):
                 fb = f.blocks.get(e)
-                if fb is None:
-                    continue
-                for si in rows[e]:
-                    val = fb[si, ti]
-                    if val != 0:
-                        M[cod_idx[(x, alpha, e, v, si)], j] = val
+                if ti == 0 and fb is not None:
+                    i = cod_idx[(x, alpha, e, v, 0)]
+                    M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
             blocks[c] = M
-        return self.mor(dom, cod, blocks)
+        return Mor(self, dom, cod, _nonzero(blocks))
 
     def whisker_right(self, f: Mor, word) -> Mor:
         for O in word:
@@ -315,6 +324,43 @@ class Engine:
 
     def tensor(self, f: Mor, g: Mor) -> Mor:
         return self.compose(self.whisker_left(f.cod, g), self.whisker_right(f, g.dom))
+
+    def left_unitor(self, U, word) -> Mor:
+        """(1_u, word) -> (word) for the simple unit object U: identity on
+        tree coefficients. Its blocks are built once per (U, word) and
+        shared, so callers only read them; the cache holds no Mor, which
+        would tie the engine into a reference cycle."""
+        key = ("left", U, word)
+        dom = (U,) + word
+        if key not in self._unitors:
+            u_label = next(c for c in self.data.simples if self.mult(U, c))
+            blocks = {}
+            for c in self.support(dom):
+                dgb = self.basis(dom, c)
+                m = np.zeros((len(self.basis(word, c)), len(dgb)), dtype=complex)
+                for j, (x, alpha, e, v, si) in enumerate(dgb):
+                    if x == u_label:
+                        m[si, j] = 1.0
+                blocks[c] = m
+            self._unitors[key] = _nonzero(blocks)
+        return Mor(self, dom, word, self._unitors[key])
+
+    def right_unitor(self, word, U) -> Mor:
+        """(word, 1_u) -> (word): identity on tree coefficients, cached
+        like left_unitor."""
+        key = ("right", U, word)
+        dom = word + (U,)
+        if key not in self._unitors:
+            blocks = {}
+            for c in self.support(dom):
+                gX, _, UX = self.group_last(word, U, c)
+                m = np.zeros((len(self.basis(word, c)), len(gX)), dtype=complex)
+                for col, (y, beta, d, u, ti) in enumerate(gX):
+                    if d == c:
+                        m[ti, col] = 1.0
+                blocks[c] = m @ UX.conj().T
+            self._unitors[key] = _nonzero(blocks)
+        return Mor(self, dom, word, self._unitors[key])
 
     # --- fusing a word into a single object -------------------------------
 

@@ -681,6 +681,7 @@ def certify_isometry_1mor(
 
 @dataclass
 class MonadSplitting:
+    # every field but algebra and certificate is None when B fails H*
     algebra: AlgebraObject  # the monad, now an object of its own
     bimodule: Bimodule  # B as a (trivial, B) bimodule
     pair: Bimodule  # B (x)_B B^dual with the pair-monad structure
@@ -695,14 +696,15 @@ def split_monad(
 ) -> MonadSplitting:
     """Split the monad B over the trivial algebra: exhibit B as
     X (x)_B X^dual for X = B as a (1, B) bimodule, with a certified
-    unitary algebra isomorphism u."""
+    unitary algebra isomorphism u. A B that fails H* certification is
+    not split: its certificate is returned, with no structure."""
     eng = B.eng
     unit = next((u for u in eng.data.units if eng.mult(B.obj, u)), None)
     if unit is None:
         raise ValueError("the monad has no unit summand")
     cert0 = verify_hstar(B, tol, seed)
     if not cert0.ok:
-        raise ValueError(f"monad fails H* certification: {cert0.failed_axiom}")
+        return MonadSplitting(B, None, None, None, None, None, cert0)
     A = trivial_algebra(eng, unit)
     M = left_trivial_bimodule(Module(B, B.obj, B.mu), unit)
     Md, ev0, coev0 = dual_bimodule_delta0(M)

@@ -487,22 +487,6 @@ def _hom_inner(eng: Engine, dom_mod: Module, g: Mor, h: Mor) -> complex:
     return module_trace(dom_mod, endo)
 
 
-def _strict_unitor(eng: Engine, U, word) -> Mor:
-    """(1_u, X) -> (X): identity on tree coefficients."""
-    dom = (U,) + word
-    blocks = {}
-    u_label = next(c for c in eng.data.simples if eng.mult(U, c))
-    for c in eng.support(dom):
-        dgb = eng.basis(dom, c)
-        cod_idx = eng.basis_index(word, c)
-        m = np.zeros((len(eng.basis(word, c)), len(dgb)), dtype=complex)
-        for j, (x, alpha, e, v, si) in enumerate(dgb):
-            if x == u_label:
-                m[si, j] = 1.0
-        blocks[c] = m
-    return eng.mor(dom, word, blocks)
-
-
 def internal_end_comparison(A: AlgebraObject):
     """Unitarity defect of the canonical map A -> [A, A] on the free
     module A, measured simple-by-simple on generalized elements."""
@@ -594,21 +578,6 @@ def verify_bimodule(M: Bimodule) -> float:
     return worst(res)
 
 
-def _strict_right_unitor(eng: Engine, word, U) -> Mor:
-    """(X, 1_u) -> (X): identity on tree coefficients."""
-    dom = word + (U,)
-    blocks = {}
-    for c in eng.support(dom):
-        dgb = eng.basis(dom, c)
-        m = np.zeros((len(eng.basis(word, c)), len(dgb)), dtype=complex)
-        gX, gXi, UX = eng.group_last(word, U, c)
-        for col, (y, beta, d, u, ti) in enumerate(gX):
-            if d == c:
-                m[ti, col] = 1.0
-        blocks[c] = m @ UX.conj().T
-    return eng.mor(dom, word, blocks)
-
-
 def algebra_bimodule(A: AlgebraObject) -> Bimodule:
     return Bimodule(A, A, A.obj, A.mu, A.mu)
 
@@ -617,7 +586,7 @@ def left_trivial_bimodule(M: Module, unit) -> Bimodule:
     """Right module promoted to a 1_u-B bimodule via the strict unitor."""
     eng = M.eng
     T = trivial_algebra(eng, unit)
-    lam = _strict_unitor(eng, eng.simple_obj(unit), M.word)
+    lam = eng.left_unitor(eng.simple_obj(unit), M.word)
     return Bimodule(T, M.algebra, M.obj, lam, M.rho)
 
 

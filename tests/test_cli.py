@@ -308,6 +308,20 @@ def test_h3_split_monad(capsys):
     assert rep["verdict"] == "ACCEPT"
 
 
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_h3_split_monad_rejects_a_monad_that_fails_hstar(capsys, tol):
+    # the separability margin 2.0 does not clear a loose --tol: split-monad
+    # REJECTs on the same axiom as alg verify, not with an input error
+    for argv, check in [
+        (("h3", "split-monad"), "split_monad"),
+        (("alg", "verify"), "hstar_algebra"),
+    ]:
+        code, rep = _run(capsys, *argv, "hilb_z2", "hilb_z2_group", "--tol", tol)
+        assert code == 1
+        assert rep["verdicts"] == {check: "REJECT"}
+        assert rep["violated_axioms"] == {check: "H*2-separability"}
+
+
 def test_deligne_check(capsys):
     code, rep = _run(capsys, "deligne", "check", "hilb_z2")
     assert code == 0

@@ -1,9 +1,13 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
-from hstarcat import bundled, deligne, intalg
+from hstarcat import bundled, deligne, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
+from hstarcat.numcore import DEFAULT_TOL
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -121,3 +125,53 @@ def test_nan_trace_rejects_right_action(monkeypatch):
     )
     assert (cert.ok, cert.failed_axiom) == (False, "right-action isometry")
     assert np.isnan(cert.residuals["action_trace_gap"])
+
+
+def _families():
+    """The benchmark's generated families and their gauge (bench/families.py)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _ladder_checks(data, seed=0):
+    """Verdicts and values of the ladder checks on one fusion category:
+    the right-action isometry, ladder traciality, the identity ladder's
+    trace per simple, Theorem B's module weight and the udf dimensions."""
+    psi = SphericalWeight((1.0,))
+    eng = Engine(data, udf_from_weight(data, psi))
+    simples = [eng.simple_obj(c) for c in data.simples]
+    ra = deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    gaps, traces = [], []
+    for O in simples:
+        L = deligne.LadderObject(deligne.RegularRight(eng), deligne.RegularLeft(eng), O, O)
+        traces.append(deligne.ladder_trace(deligne.identity_ladder(L)))
+        F = deligne.random_ladder(L, L, rng)
+        G = deligne.random_ladder(L, L, rng)
+        fg = deligne.ladder_trace(deligne.ladder_compose(F, G))
+        gaps.append(abs(fg - deligne.ladder_trace(deligne.ladder_compose(G, F))))
+    tb = hilb3.theorem_b_check(data, psi, seed=seed)
+    verdicts = (ra.ok, max(gaps) <= DEFAULT_TOL.bound(10.0), tb.ok)
+    values = [ra.residuals["action_trace_gap"], max(gaps), *traces, tb.details["modules"]]
+    return verdicts, np.array(values + [eng.udf.d(c) for c in data.simples])
+
+
+@pytest.mark.parametrize("name", ["twisted_z4", "ty_z3"])
+def test_vertex_gauge_keeps_the_ladder_checks(name):
+    # a unitary vertex gauge (Bonderson, PhD thesis, Caltech 2007) changes
+    # the F-symbols but no verdict and no gauge-invariant value
+    fam = _families()
+    data = fam.vec_zn(4, 1) if name == "twisted_z4" else fam.ty_zn(3)
+    gauged = fam.gauge(data, np.random.default_rng(5))
+    moved = max(
+        np.abs(gauged.f_matrix(*k) - data.f_matrix(*k)).max() for k in fam.f_blocks(data)
+    )
+    assert moved > 1e-3
+    verdicts, values = _ladder_checks(data)
+    assert verdicts == (True, True, True)
+    g_verdicts, g_values = _ladder_checks(gauged)
+    assert g_verdicts == verdicts
+    assert np.abs(g_values - values).max() <= 1e-9

@@ -129,3 +129,129 @@ def test_mor_zero_block_rule():
     assert kept(np.array([[0.0, 1e-300j], [0.0, 0.0]]))
     with pytest.raises(WordMismatch):
         eng.mor(W, W, {"t": np.zeros((2, 3))})
+
+
+def _whisker_right_ref(eng, f, O):
+    """f (x) id_O copied entry by entry into the grouped basis: the
+    engine's whiskering before it placed blocks by slices, kept as the
+    test reference."""
+    X, Y = f.dom, f.cod
+    rows = {d: range(len(eng.basis(Y, d))) for d in f.blocks}
+    blocks = {}
+    cod_support = eng.support(Y + (O,))
+    for c in eng.support(X + (O,)):
+        if c not in cod_support:
+            continue
+        gX, gXi, UX = eng.group_last(X, O, c)
+        gY, gYi, UY = eng.group_last(Y, O, c)
+        M = np.zeros((len(gY), len(gX)), dtype=complex)
+        for j, (y, beta, d, u, ti) in enumerate(gX):
+            fb = f.blocks.get(d)
+            if fb is None:
+                continue
+            for si in rows[d]:
+                v = fb[si, ti]
+                if v != 0:
+                    M[gYi[(y, beta, d, u, si)], j] = v
+        blocks[c] = UY @ M @ UX.conj().T
+    return eng.mor(X + (O,), Y + (O,), blocks)
+
+
+def _whisker_left_ref(eng, O, f):
+    """id_O (x) f copied entry by entry into the comb basis; see above."""
+    X, Y = f.dom, f.cod
+    dom, cod = (O,) + X, (O,) + Y
+    rows = {e: range(len(eng.basis(Y, e))) for e in f.blocks}
+    blocks = {}
+    for c in eng.support(dom):
+        cod_idx = eng.basis_index(cod, c)
+        M = np.zeros((len(eng.basis(cod, c)), len(eng.basis(dom, c))), dtype=complex)
+        for j, (x, alpha, e, v, ti) in enumerate(eng.basis(dom, c)):
+            fb = f.blocks.get(e)
+            if fb is None:
+                continue
+            for si in rows[e]:
+                val = fb[si, ti]
+                if val != 0:
+                    M[cod_idx[(x, alpha, e, v, si)], j] = val
+        blocks[c] = M
+    return eng.mor(dom, cod, blocks)
+
+
+def _sparse_mor(eng, dom, cod, rng):
+    """Seeded random morphism with about a third of its entries zero and,
+    where there are two charges or more, its first block dropped."""
+    f = eng.random_mor(dom, cod, rng)
+    blocks = {c: np.where(rng.random(b.shape) < 0.3, 0, b) for c, b in f.blocks.items()}
+    if len(blocks) > 1:
+        blocks.pop(next(iter(blocks)))
+    return eng.mor(dom, cod, blocks)
+
+
+def _assert_same_blocks(got, ref):
+    assert (got.dom, got.cod) == (ref.dom, ref.cod)
+    assert list(got.blocks) == list(ref.blocks)
+    for c, b in ref.blocks.items():
+        assert np.array_equal(got.blocks[c], b, equal_nan=True), c
+
+
+# (fusion data, objects) with the words built from them below: a
+# multiplicity-2 object, objects with a unit summand, and the empty word
+WHISKER_CASES = {
+    "ising": [{"1": 1, "s": 1, "p": 1}, {"s": 1}, {"p": 1}],
+    "fibonacci": [{"t": 2}, {"1": 1, "t": 2}, {"t": 1}],
+    "m2_hilb": [{"11": 1, "12": 1}, {"21": 1, "22": 1}, {"12": 1}],
+}
+
+
+@pytest.mark.parametrize("name", list(WHISKER_CASES))
+def test_whiskers_match_the_per_entry_reference(name):
+    eng = _eng(name)
+    rng = np.random.default_rng(11)
+    objs = [eng.obj(o) for o in WHISKER_CASES[name]]
+    words = [(), (objs[0],), (objs[1],), (objs[0], objs[2]), (objs[2], objs[1], objs[0])]
+    checked = 0
+    for X in words:
+        for Y in words:
+            f = _sparse_mor(eng, X, Y, rng)
+            for O in objs:
+                _assert_same_blocks(eng.whisker_right_obj(f, O), _whisker_right_ref(eng, f, O))
+                _assert_same_blocks(eng.whisker_left_obj(O, f), _whisker_left_ref(eng, O, f))
+                checked += bool(f.blocks)
+    assert checked > 20
+
+
+def test_engine_operations_keep_the_zero_block_rule():
+    # compose, add, scale and both whiskers drop a block exactly when
+    # every entry equals zero, and keep a block that holds a NaN
+    eng = _eng("fibonacci")
+    W = (eng.obj({"1": 1, "t": 2}),)  # blocks: 1 x 1 at charge 1, 2 x 2 at t
+    O = eng.simple_obj("t")
+    f = eng.mor(W, W, {"1": [[1.0]], "t": [[1.0, 0.0], [0.0, 0.0]]})
+    g = eng.mor(W, W, {"1": [[2.0]], "t": [[0.0, 0.0], [0.0, 1.0]]})
+    nan = eng.mor(W, W, {"t": [[np.nan, 0.0], [0.0, 0.0]]})
+
+    def no_zero_block(m):
+        return all(b.any() for b in m.blocks.values())
+
+    assert list(eng.compose(f, g).blocks) == ["1"]  # f_t g_t = 0
+    assert list(eng.add(f, eng.scale(-1.0, f)).blocks) == []
+    assert list(eng.scale(0.0, f).blocks) == []
+    for m in [
+        eng.compose(f, g),
+        eng.add(f, g),
+        eng.scale(2.0, g),
+        eng.whisker_right_obj(f, O),
+        eng.whisker_left_obj(O, f),
+        eng.whisker_right_obj(eng.mor(W, W, {"1": [[1.0]]}), O),
+        eng.whisker_left_obj(O, eng.mor(W, W, {"1": [[1.0]]})),
+    ]:
+        assert m.blocks and no_zero_block(m)
+    for m in [
+        eng.compose(f, nan),
+        eng.add(nan, eng.scale(-1.0, f)),
+        eng.scale(0.0, nan),
+        eng.whisker_right_obj(nan, O),
+        eng.whisker_left_obj(O, nan),
+    ]:
+        assert any(np.isnan(b).any() for b in m.blocks.values())

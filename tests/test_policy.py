@@ -3,7 +3,8 @@ certify.within (or certify.clears for a margin), and every residual is
 folded with numcore.worst, which keeps a NaN that max and min drop.
 Lint for the one intertwiner calculus: hom spaces are solved, and
 commutants split, in one place each. Lint for the dependencies: the
-package imports no module that only the tests need."""
+package imports no module that only the tests need. Lint for the engine's
+door: outside diagram.py, morphisms come from the shape-checked eng.mor."""
 
 import ast
 import math
@@ -131,6 +132,28 @@ def test_one_caller_lint_catches_a_second_caller():
     assert _misplaced_calls("class M:\n    def homs(self):\n        return null_space(a)", "intalg")
     assert not _misplaced_calls("def _solve(eng):\n    return null_space(eng.linear_matrix(f, p, q))", "intalg")
     assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
+
+
+def _direct_mor_calls(source: str):
+    """Lines that construct a Mor directly, by name or as an attribute."""
+    return [n.lineno for n in _calls(ast.parse(source)) if _name(n.func) == "Mor"]
+
+
+def test_only_the_engine_constructs_mor():
+    # the engine builds its own results unchecked; everyone else goes
+    # through Engine.mor, the one place that checks block shapes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "diagram.py":
+            found += [f"{path.name}:{line}: Mor(" for line in _direct_mor_calls(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_mor_lint_catches_a_direct_construction():
+    assert _direct_mor_calls("f = Mor(eng, (), (), {})")
+    assert _direct_mor_calls("def g(eng):\n    return diagram.Mor(eng, (), (), {})")
+    assert not _direct_mor_calls("f = eng.mor((), (), {})")
+    assert not _direct_mor_calls("from .diagram import Engine, Mor\nx: Mor = eng.zero((), ())")
 
 
 # modules the tests use and the package must not import: input documents
