@@ -11,7 +11,8 @@ including a --tol that is negative or not finite, a negative --seed, a
 label outside the category or a trivial algebra on a non-unit, an algebra
 with no unit summand for split-monad and standardize, and an H*-algebra
 document whose trace is missing, does not match its blocks in shape, or
-has a weight or functional entry that is not finite. Any other
+has a weight or functional entry that is not finite, and an --out file
+that cannot be opened for writing. Any other
 exception exits 3 with no report and one JSON line {"error", "message"}
 on stderr, so that no failure of a run reads as a REJECT.
 
@@ -297,7 +298,11 @@ class Report:
         self.doc["verdict"] = "ACCEPT" if ok else "REJECT"
         text = json.dumps(_round(self.doc), indent=2, sort_keys=True) + "\n"
         if out:
-            with open(out, "w") as fh:
+            try:
+                fh = open(out, "w")
+            except OSError as exc:
+                raise InputError(f"cannot write {out}: {exc}")
+            with fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -6,7 +6,7 @@ string through fusion vertices, and the trace that keeps only the unit
 channels with a d_j^{-1} weight.
 
 Module sides are realized inside the fusion-tree engine: the regular
-C-module on either side, and left A-modules as a right C-module.
+C-module on either side.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import numpy as np
 
 from .certify import Certificate, bounded
 from .diagram import Engine, Mor
-from .intalg import (
-    AlgebraObject,
-    _solve,
-    carry_left,
-    left_linear,
-    trace_alg_end,
-)
 from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
 
 
@@ -63,75 +56,6 @@ class RegularLeft:
 
     def trace(self, f: Mor) -> complex:
         return self.eng.categorical_trace(f)
-
-
-@dataclass
-class LeftModule:
-    """Left module over an algebra: action (A, m) -> (m)."""
-
-    algebra: AlgebraObject
-    obj: tuple
-    lam: Mor
-
-    @property
-    def eng(self):
-        return self.algebra.eng
-
-    @property
-    def word(self):
-        return (self.obj,)
-
-
-def fused_left_module(A: AlgebraObject, word, lam_word: Mor) -> LeftModule:
-    """Left module on the fusion of a word whose action lives on the first
-    factor."""
-    fused, u = A.eng.fuse(word)
-    return LeftModule(A, fused, carry_left(A.eng.dagger(u), lam_word, A))
-
-
-def free_left_module(A: AlgebraObject, O) -> LeftModule:
-    if isinstance(O, str):
-        O = A.eng.simple_obj(O)
-    return fused_left_module(A, (A.obj, O), A.eng.whisker_right(A.mu, (O,)))
-
-
-def left_module_trace(M: LeftModule, f: Mor) -> complex:
-    """Mirror of the right-module trace: close on the right with the
-    bubble^{-1/2} dressing on both released action strands."""
-    eng = M.eng
-    A = M.algebra
-    m, md = M.obj, eng.dual_obj(M.obj)
-    s1 = eng.whisker_left((A.obj,), eng.coev_obj(m))  # (A) -> (A, m, md)
-    s2 = eng.whisker_right(M.lam, (md,))  # -> (m, md)
-    s3 = eng.whisker_right_obj(f, md)
-    s4 = eng.whisker_right(eng.dagger(M.lam), (md,))  # -> (A, m, md)
-    s5 = eng.whisker_left((A.obj,), eng.dagger(eng.coev_obj(m)))  # -> (A)
-    half = A.bubble_pow(-0.5)
-    g = eng.compose(half, eng.compose(s5, eng.compose(s4, eng.compose(s3, eng.compose(s2, eng.compose(s1, half))))))
-    return trace_alg_end(A, g)
-
-
-class LeftModulesRight:
-    """Left A-modules as a right C-module: m <| c."""
-
-    def __init__(self, A: AlgebraObject):
-        self.A = A
-        self.eng = A.eng
-
-    def word(self, m: LeftModule):
-        return m.word
-
-    def hom(self, m1: LeftModule, m2: LeftModule, c):
-        eng = self.eng
-        act_cod = eng.whisker_right(m2.lam, (eng.simple_obj(c),))
-        return _solve(eng, (m1.word, act_cod.cod), [left_linear(m1.lam, act_cod, self.A)])
-
-    def trace(self, f: Mor, m: LeftModule) -> complex:
-        # f is an endomorphism of a word starting with m's object
-        eng = self.eng
-        _, u = eng.fuse(f.dom)
-        fm = fused_left_module(self.A, f.dom, eng.whisker_right(m.lam, f.dom[1:]))
-        return left_module_trace(fm, eng.compose(u, eng.compose(f, eng.dagger(u))))
 
 
 # --- ladder category ----------------------------------------------------
@@ -265,29 +189,6 @@ def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
     return LadderHom(G.src, F.dst, terms)
 
 
-def ladder_dagger(F: LadderHom) -> LadderHom:
-    """Componentwise dagger plus string rotation through the cup/cap data."""
-    eng = _eng(F.src)
-    m2w = _mword(F.dst)
-    n1w = _nword(F.src)
-    terms = {}
-    for c, pairs in F.terms.items():
-        cb = eng.data.dual[c]
-        cbo = eng.simple_obj(cb)
-        for f, g in pairs:
-            ft = eng.compose(
-                eng.whisker_right_obj(eng.dagger(f), cbo),
-                eng.whisker_left(m2w, eng.coev_simple(c)),
-            )
-            gt = eng.compose(
-                eng.whisker_right(eng.ev_simple(c), n1w),
-                eng.whisker_left((cbo,), eng.dagger(g)),
-            )
-            if ft.blocks and gt.blocks:
-                terms.setdefault(cb, []).append((ft, gt))
-    return LadderHom(F.dst, F.src, terms)
-
-
 def ladder_trace(F: LadderHom) -> complex:
     """Only unit channels survive, weighted by d_j^{-1}."""
     if not (_same_obj(F.src.m, F.dst.m) and _same_obj(F.src.n, F.dst.n)):
@@ -303,16 +204,10 @@ def ladder_trace(F: LadderHom) -> complex:
         ru = eng.right_unitor(mw, ju)
         lu = eng.dagger(eng.left_unitor(ju, nw))
         for f, g in pairs:
-            tm = _side_trace(F.src.mside, eng.compose(ru, f), F.src.m)
-            tn = _side_trace(F.src.nside, eng.compose(g, lu), F.src.n)
+            tm = F.src.mside.trace(eng.compose(ru, f))
+            tn = F.src.nside.trace(eng.compose(g, lu))
             total += tm * tn / eng.udf.d(j)
     return complex(total)
-
-
-def _side_trace(side, endo, obj):
-    if isinstance(side, (RegularRight, RegularLeft)):
-        return side.trace(endo)
-    return side.trace(endo, obj)
 
 
 def act_on_module(F: LadderHom) -> Mor:
@@ -353,7 +248,7 @@ def right_action_isometry(
             for _ in range(samples):
                 F = random_ladder(L, L, rng)
                 t1 = ladder_trace(F)
-                t2 = _side_trace(mside, act_on_module(F), m)
+                t2 = mside.trace(act_on_module(F))
                 gaps.append(abs(t1 - t2))
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)

@@ -180,29 +180,6 @@ def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):
     return G, bounded("mate_gram_defect", worst(defects), tol.bound(), None)
 
 
-def mate_scale(F: DagFunctor, s: int, t: int) -> float:
-    """Coordinate rescaling of the mate map B(F(s)->t) -> A(s->F*(t))."""
-    return float(np.sqrt(F.codomain.dims[t] / F.domain.dims[s]))
-
-
-def functor_trace(F: DagFunctor, rho) -> complex:
-    """Trace on Fun-dagger: Tr_F(rho) = sum_s d_s Tr_{F(s)}(rho_s).
-
-    rho maps each domain label index s to a dict {t: endo matrix of the
-    multiplicity space of codomain simple t in F(s)}.
-    """
-    total = 0.0 + 0.0j
-    for s, ds in enumerate(F.domain.dims):
-        comp = rho.get(s, {})
-        for t, dt in enumerate(F.codomain.dims):
-            m = F.matrix[t][s]
-            if m == 0:
-                continue
-            block = np.asarray(comp.get(t, np.zeros((m, m))), dtype=complex)
-            total += ds * dt * np.trace(block)
-    return total
-
-
 def isometry_check(F: DagFunctor, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """ACCEPT iff F is fully faithful on the skeleton (simples map to
     distinct simples) and preserves quantum dimensions."""

@@ -58,7 +58,6 @@ from .intalg import (
     left_trivial_bimodule,
     left_unitor,
     module_category,
-    module_trace,
     relative_tensor,
     right_unitor,
     split_summands,
@@ -67,10 +66,6 @@ from .intalg import (
     verify_hstar,
 )
 from .numcore import DEFAULT_TOL, ConsistencyError, Tolerance, worst
-
-
-class MissingDualityData(KeyError):
-    pass
 
 
 class CandidateNotSpherical(ValueError):
@@ -105,9 +100,8 @@ class MonadObject:
 class Pre3HilbPresentation:
     """Finite generator-based presentation backed by one engine.
 
-    Hom categories and completions beyond the listed objects are derived
-    on demand; psi on End(1_a) comes from the engine's unit weight for
-    engine-backed objects and from the dressed unit formula for monads.
+    Psi on End(1_a) comes from the engine's unit weight for engine-backed
+    objects and from the dressed unit formula for monads.
     """
 
     def __init__(self, eng: Engine, objects):
@@ -276,51 +270,6 @@ def hstar_monad_completion(
             raise ValueError(f"algebra fails H* certification: {cert.failed_axiom}")
         objects.append(MonadObject(A, label=f"A{k}"))
     return Pre3HilbPresentation(X.eng, objects)
-
-
-def as_monad_bimodule(A: MonadObject, B: MonadObject, M) -> Bimodule:
-    """Interpret a 1-morphism A -> B as an (algebra, algebra) bimodule."""
-    eng = M.eng
-    same_left = M.left.obj == A.algebra.obj and eng.residual(
-        M.left.mu, A.algebra.mu
-    ) == 0.0
-    same_right = M.right.obj == B.algebra.obj and eng.residual(
-        M.right.mu, B.algebra.mu
-    ) == 0.0
-    if not (same_left and same_right):
-        raise ValueError("bimodule does not connect the given monads")
-    return M
-
-
-def monad_sphericality(
-    A: MonadObject,
-    B: MonadObject,
-    M: Bimodule,
-    samples: int = 10,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Certificate:
-    """Psi_B(left X-loop of f) = Psi_A(right X-loop of f) for sampled
-    bimodule endomorphisms f, closing with the delta = 0 duality."""
-    as_monad_bimodule(A, B, M)
-    eng = M.eng
-    Md, ev0, coev0 = dual_bimodule_delta0(M)
-    basis = M.homs(M)
-    rng = np.random.default_rng(seed)
-    gaps = []
-    evd = eng.dagger(ev0)
-    coevd = eng.dagger(coev0)
-    for _ in range(max(1, samples)):
-        z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        f = _mor_combo(eng, basis, z)
-        left = eng.compose(ev0, eng.compose(eng.whisker_left((Md.obj,), f), evd))
-        right = eng.compose(
-            coevd, eng.compose(eng.whisker_right(f, (Md.obj,)), coev0)
-        )
-        vl = monad_psi(B.algebra, left)
-        vr = monad_psi(A.algebra, right)
-        gaps.append(abs(vl - vr) / max(1.0, abs(vl)))
-    return bounded("sphericality", worst(gaps), tol.bound(), "sphericality")
 
 
 # --- free bimodules and orthonormal intertwiner bases ------------------
@@ -551,132 +500,13 @@ def linking_e1(
     return data, weight, cert
 
 
-# --- hom 2-Hilbert spaces ----------------------------------------------
-
-
-def hom_two_hilbert(
-    X: Pre3HilbPresentation, a, b, samples: int = 5, seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-):
-    """The hom-category a -> b as a 2-Hilbert space, with the left/right
-    loop traces certified to agree."""
-    from .hilb2 import TwoHilbertSpace
-
-    eng = X.eng
-    if isinstance(a, DeloopObject) and isinstance(b, DeloopObject):
-        data = eng.data
-        labels = tuple(
-            c for c in data.simples if data.s(c) == a.unit and data.t(c) == b.unit
-        )
-        dims = tuple(eng.udf.d(c) for c in labels)
-        rng = np.random.default_rng(seed)
-        gaps = []
-        for _ in range(samples):
-            mult = {c: int(rng.integers(1, 3)) for c in labels}
-            O = eng.obj(mult)
-            if not any(O):
-                break
-            f = eng.random_mor((O,), (O,), rng)
-            tl = eng.psi_of_unit_endo(eng.trace_left(f))
-            tr = eng.psi_of_unit_endo(eng.trace_right(f))
-            gaps += [abs(tl - tr), abs(tl - eng.categorical_trace(f))]
-        cert = bounded("loop_agreement", worst(gaps), tol.bound(1.0 + sum(dims)), "sphericality")
-        return TwoHilbertSpace(labels, dims), cert
-    if isinstance(b, MonadObject) and isinstance(a, (DeloopObject, MonadObject)):
-        if isinstance(a, MonadObject) and a.algebra is not b.algebra:
-            raise NotImplementedError("monad-monad hom beyond the diagonal")
-        mc = module_category(eng, b.algebra, tol, seed)
-        rng = np.random.default_rng(seed)
-        gaps = []
-        M = mc.simples[0]
-        for _ in range(samples):
-            f = eng.random_mor(M.word, M.word, rng)
-            g = eng.random_mor(M.word, M.word, rng)
-            t1 = module_trace(M, eng.compose(f, g))
-            gaps.append(abs(t1 - module_trace(M, eng.compose(g, f))))
-        cert = bounded("traciality", worst(gaps), tol.bound(1.0 + sum(mc.dims)), "traciality")
-        return mc.two_hilbert(), cert if mc.certificate.ok else mc.certificate
-    raise NotImplementedError(f"hom category for {a!r} -> {b!r}")
-
-
-# --- isometry classification -------------------------------------------
-
-
-@dataclass
-class UAFData:
-    """Evaluation/coevaluation data for one 1-morphism, with optional
-    isometries identifying the split (relative tensor) domains."""
-
-    ev: Mor
-    coev: Mor
-    ev_split: Mor | None = None
-    coev_split: Mor | None = None
-
-
-def object_uaf(eng: Engine, O) -> UAFData:
-    if isinstance(O, str):
-        O = eng.simple_obj(O)
-    return UAFData(ev=eng.ev_obj(O), coev=eng.coev_obj(O))
-
-
-def inclusion_uaf(X: Pre3HilbPresentation, S: SumObject, j: int) -> UAFData:
-    """The UAF data of the coordinate inclusion I_j: a_j -> S: both cups
-    are strict except for the inclusion itself."""
-    eng = X.eng
-    inc = sum_isometries(X, S)[j]
-    u = S.parts[j]
-    return UAFData(ev=inc, coev=eng.identity((eng.simple_obj(u),)))
-
-
-def splitting_uaf(B: AlgebraObject, tol: Tolerance = DEFAULT_TOL) -> UAFData:
-    """The algebra B as a bimodule from its own monad to the standard
-    unit 1_B, with the delta = 0 cups composed with the splitting
-    isometries of the relative tensors."""
-    eng = B.eng
-    M = algebra_bimodule(B)
-    Md, ev0, coev0 = dual_bimodule_delta0(M)
-    _, Vev, _ = relative_tensor(Md, M, tol)
-    _, Vco, _ = relative_tensor(M, Md, tol)
-    return UAFData(
-        ev=ev0,
-        coev=coev0,
-        ev_split=eng.compose(ev0, Vev),
-        coev_split=eng.compose(eng.dagger(Vco), coev0),
-    )
+# --- splitting H*-monads -----------------------------------------------
 
 
 def _unitarity_residual(eng: Engine, f: Mor) -> float:
     r1 = eng.residual(eng.compose(eng.dagger(f), f), eng.identity(f.dom))
     r2 = eng.residual(eng.compose(f, eng.dagger(f)), eng.identity(f.cod))
     return worst([r1, r2])
-
-
-def certify_isometry_1mor(
-    eng: Engine, uaf: UAFData, tol: Tolerance = DEFAULT_TOL
-):
-    """Classify a dualizable 1-morphism: coev unitary makes it an
-    isometry, ev unitary a coisometry, both an isometric equivalence."""
-    if uaf is None or uaf.ev is None or uaf.coev is None:
-        raise MissingDualityData("no evaluation/coevaluation data")
-    ev = uaf.ev_split if uaf.ev_split is not None else uaf.ev
-    coev = uaf.coev_split if uaf.coev_split is not None else uaf.coev
-    ev_defect = _unitarity_residual(eng, ev)
-    coev_defect = _unitarity_residual(eng, coev)
-    scale = 1.0 + eng.l2_norm(ev) + eng.l2_norm(coev)
-    ev_ok = within(ev_defect, tol.bound(scale))
-    coev_ok = within(coev_defect, tol.bound(scale))
-    if ev_ok and coev_ok:
-        kind = "IsometricEquivalence"
-    elif coev_ok:
-        kind = "Isometry"
-    elif ev_ok:
-        kind = "Coisometry"
-    else:
-        kind = "Neither"
-    return kind, {"ev_unitarity": ev_defect, "coev_unitarity": coev_defect}
-
-
-# --- splitting H*-monads -----------------------------------------------
 
 
 @dataclass
@@ -866,32 +696,3 @@ def uaf_uniqueness_check(
         residuals[f"zeta[{c}]"] = _unitarity_residual(eng, zeta)
     return judged(residuals, [(k, tol.bound(), "comparison unitarity") for k in residuals])
 
-
-# --- decomposition into simples ----------------------------------------
-
-
-def decompose_simples(
-    X: Pre3HilbPresentation, a, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-):
-    """Split the unit 1-morphism of an object into simple summands with
-    inclusion isometries; the summand resolution is certified."""
-    eng = X.eng
-    if isinstance(a, DeloopObject):
-        ident = eng.identity((eng.simple_obj(a.unit),))
-        return [(a.unit, ident)], Certificate(ok=True, residuals={"resolution": 0.0})
-    if isinstance(a, SumObject):
-        incs = sum_isometries(X, a)
-        cert = certify_hilbert_sum(X, a, samples=1, seed=seed, tol=tol)
-        return list(zip(a.parts, incs)), cert
-    if isinstance(a, MonadObject):
-        M = algebra_bimodule(a.algebra)
-        pieces = split_summands(M, seed)
-        O = M.word
-        total = eng.zero(O, O)
-        out = []
-        for k, (piece, V) in enumerate(pieces):
-            total = eng.add(total, eng.compose(V, eng.dagger(V)))
-            out.append((f"{a.label}.{k}", V))
-        defect = eng.residual(total, eng.identity(O))
-        return out, bounded("resolution", defect, tol.bound() * 10, "direct-sum resolution")
-    raise TypeError(f"not a presentation object: {a!r}")

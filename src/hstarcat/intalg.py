@@ -377,12 +377,6 @@ class ModuleCategory:
     dims: list  # module trace of the identity per simple
     certificate: Certificate  # every dimension clears the positivity cut
 
-    def two_hilbert(self):
-        from .hilb2 import TwoHilbertSpace
-
-        labels = tuple(f"M{i}" for i in range(len(self.simples)))
-        return TwoHilbertSpace(labels, tuple(self.dims))
-
 
 def isometry(eng: Engine, word, cols: dict) -> Mor:
     """The map (O,) -> word whose block at charge c is cols[c] (orthonormal

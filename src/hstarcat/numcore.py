@@ -88,19 +88,6 @@ def as_cmatrix(entries) -> np.ndarray:
     return m
 
 
-def cmatrix_to_json(m: np.ndarray) -> list:
-    """Nested [re, im] pairs, row major."""
-    m = as_cmatrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def cmatrix_from_json(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(re, im) for re, im in row])
-    return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
-
-
 def _sorted_eigh(m: np.ndarray):
     """Hermitian eigendecomposition, eigenvalues descending, deterministic
     column phases: first nonzero coordinate of each eigenvector is positive

@@ -1,7 +1,6 @@
 """End-to-end acceptance checks. Each test prints one pass/fail line."""
 
 import numpy as np
-import pytest
 
 from hstarcat import bundled, deligne, hilb2, hilb3, hstar1, intalg
 from hstarcat.diagram import Engine

@@ -4,8 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hstarcat import intalg
 from hstarcat.cli import main
@@ -153,6 +156,69 @@ def test_psi_flag(capsys):
 def test_out_of_range_flag_exit_2_without_report(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["missing_dir", "directory"])
+def test_unwritable_out_exit_2_without_report(tmp_path, capsys, out):
+    assert main(["fusion", "validate", "fibonacci", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: cannot write ")
+    assert not (tmp_path / "missing").exists()
+
+
+# fast bundled commands, and whether each takes --psi (one unit each)
+FLAG_COMMANDS = [
+    (("fusion", "validate", "fibonacci"), False),
+    (("fusion", "udf", "fibonacci"), True),
+    (("deligne", "check", "hilb_z2"), True),
+    (("hstar", "verify", "hstar_example"), False),
+    (("hstar", "gns", "hstar_example"), False),
+]
+MALFORMED = ["", "x", "nan", "inf", "-inf", "1e999", "-1", "1,5", "0x10"]
+NUMBERS = st.one_of(
+    st.sampled_from(MALFORMED + ["0", "1e-6", "1e6", "1e-320", "1e300"]),
+    st.floats().map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+)
+PSI = st.lists(NUMBERS, max_size=3).map(",".join)
+# report file, missing directory, directory in place of a file
+OUTS = st.sampled_from([None, "r.json", "missing/r.json", "."])
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(FLAG_COMMANDS),
+    tol=st.none() | NUMBERS,
+    seed=st.none() | NUMBERS,
+    psi=st.none() | PSI,
+    out=OUTS,
+)
+def test_random_flags_end_in_a_verdict_or_an_input_error(capsys, command, tol, seed, psi, out):
+    # exit 3 is never a flag's doing; a report exists exactly on 0 and 1
+    argv, takes_psi = command
+    argv = list(argv)
+    for flag, value in (("--tol", tol), ("--seed", seed), ("--psi", psi if takes_psi else None)):
+        if value is not None:
+            argv += [f"{flag}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, out) if out else None
+        if path is not None:
+            argv += ["--out", str(path)]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        written = path is not None and path.is_file()
+        assert code in (0, 1, 2), (argv, code)
+        assert bool(printed or written) == (code != 2), (argv, code)
+        if code != 2:
+            rep = json.loads(path.read_text() if written else printed)
+            assert rep["verdict"] == ("ACCEPT" if code == 0 else "REJECT")
 
 
 @pytest.mark.parametrize("psi", ["1e-6,1e6", "1e6,1e-6"])

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from hstarcat import bundled, deligne, hilb3, intalg
+from hstarcat import bundled, deligne, hilb3
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
 from hstarcat.numcore import DEFAULT_TOL
@@ -66,16 +66,6 @@ def test_ladder_traciality():
         assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
 
 
-def test_dagger_preserves_trace_form():
-    eng = _eng("fibonacci")
-    rng = np.random.default_rng(1)
-    L = _regular_ladder(eng, "t", "t")
-    F = deligne.random_ladder(L, L, rng)
-    ip = deligne.ladder_trace(deligne.ladder_compose(deligne.ladder_dagger(F), F))
-    assert ip.real > 0
-    assert abs(ip.imag) < 1e-9 * ip.real
-
-
 def test_act_on_module_is_functorial():
     eng = _eng("ising")
     rng = np.random.default_rng(2)
@@ -95,15 +85,6 @@ def test_right_action_isometry_regular():
             mside, eng, [eng.simple_obj(c) for c in eng.data.simples], samples=5
         )
         assert cert.ok, cert.residuals
-
-
-def test_right_action_isometry_module_side():
-    eng = _eng("ising")
-    A = intalg.group_algebra(eng, ("1", "p"))
-    mside = deligne.LeftModulesRight(A)
-    mods = [deligne.free_left_module(A, c) for c in ("1", "s")]
-    cert = deligne.right_action_isometry(mside, eng, mods, samples=5)
-    assert cert.ok, cert.residuals
 
 
 def test_shape_mismatch():

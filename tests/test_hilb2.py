@@ -37,7 +37,6 @@ def test_unitary_adjoint_mate_grams():
     G, cert = hilb2.unitary_adjoint(F)
     assert cert.ok
     assert np.array_equal(np.asarray(G.matrix), np.asarray(F.matrix).T)
-    assert hilb2.mate_scale(F, 0, 1) == pytest.approx(np.sqrt(3.0 / 1.0))
 
 
 def test_round_trip_recovers_dims():
@@ -63,14 +62,6 @@ def test_isometry_check_rejects_dim_gap():
     tgt = TwoHilbertSpace(("c",), (2.0,))
     F = DagFunctor(sp, tgt, ((1,),))
     assert not hilb2.isometry_check(F).ok
-
-
-def test_functor_trace():
-    sp = TwoHilbertSpace(("a",), (2.0,))
-    tgt = TwoHilbertSpace(("c",), (3.0,))
-    F = DagFunctor(sp, tgt, ((2,),))
-    val = hilb2.functor_trace(F, {0: {0: np.eye(2)}})
-    assert val == pytest.approx(2.0 * 3.0 * 2)
 
 
 def test_shape_errors():

@@ -19,18 +19,6 @@ def _eng(name, psis=None):
     return Engine(data, udf_from_weight(data, psi))
 
 
-def _algebras(eng, name):
-    if name == "hilb":
-        return [intalg.trivial_algebra(eng, "1")]
-    if name == "hilb_z2":
-        return [intalg.group_algebra(eng, ("1", "g"))]
-    if name == "ising":
-        return [intalg.group_algebra(eng, ("1", "p"))]
-    if name == "fibonacci":
-        return [intalg.pair_algebra(eng, eng.obj({"t": 1}))]
-    raise KeyError(name)
-
-
 def test_monad_psi_scaling():
     eng = _eng("hilb_z2")
     A = intalg.group_algebra(eng, ("1", "g"))
@@ -56,18 +44,6 @@ def test_hilbert_sum_certification():
     assert cert.residuals["additivity"] < 1e-9
 
 
-def test_monad_sphericality():
-    eng = _eng("fibonacci")
-    A = hilb3.MonadObject(intalg.trivial_algebra(eng, "1"))
-    B = hilb3.MonadObject(intalg.pair_algebra(eng, eng.obj({"t": 1})))
-    M = intalg.left_trivial_bimodule(
-        intalg.Module(B.algebra, B.algebra.obj, B.algebra.mu), "1"
-    )
-    cert = hilb3.monad_sphericality(A, B, M, samples=5)
-    assert cert.ok
-    assert max(cert.residuals.values()) < 1e-9
-
-
 @pytest.mark.parametrize(
     "name,mk",
     [
@@ -87,34 +63,6 @@ def test_split_monad(name, mk):
     # the split pair algebra is itself a valid algebra object
     A2 = intalg.AlgebraObject(eng, sp.pair.obj, sp.mu_T, sp.iota_T)
     assert intalg.verify_hstar(A2).ok
-
-
-def test_splitting_uaf_is_unitary_equivalence():
-    for name in ("hilb_z2", "ising"):
-        eng = _eng(name)
-        B = _algebras(eng, name)[0]
-        uaf = hilb3.splitting_uaf(B)
-        kind, res = hilb3.certify_isometry_1mor(eng, uaf)
-        assert kind == "IsometricEquivalence", (kind, res)
-
-
-def test_inclusion_and_object_uaf_kinds():
-    eng = _eng("hilb_z2")
-    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
-    S = hilb3.sum_object(X, [hilb3.DeloopObject("1"), hilb3.DeloopObject("1")])
-    kind, _ = hilb3.certify_isometry_1mor(eng, hilb3.inclusion_uaf(X, S, 0))
-    assert kind == "Isometry"
-    eng = _eng("fibonacci")
-    kind, _ = hilb3.certify_isometry_1mor(
-        eng, hilb3.object_uaf(eng, eng.simple_obj("t"))
-    )
-    assert kind == "Neither"  # d = phi > 1 on both sides
-
-
-def test_missing_duality_data():
-    eng = _eng("hilb")
-    with pytest.raises(hilb3.MissingDualityData):
-        hilb3.certify_isometry_1mor(eng, hilb3.UAFData(None, None))
 
 
 def test_uaf_uniqueness_gauge():
@@ -170,25 +118,6 @@ def test_deloop_linking_m2():
     assert len(data.simples) == 4
 
 
-def test_hom_two_hilbert():
-    eng = _eng("hilb_z2")
-    X = hilb3.delooping(eng)
-    a = hilb3.DeloopObject("1")
-    sp, cert = hilb3.hom_two_hilbert(X, a, a, samples=3)
-    assert cert.ok
-    assert sp.labels == tuple(eng.data.simples)
-    assert sp.dims == pytest.approx(tuple(eng.udf.d(c) for c in eng.data.simples))
-    # module side: Hom(deloop, monad) is the module category
-    eng = _eng("ising")
-    X = hilb3.hstar_monad_completion(
-        hilb3.delooping(eng), [intalg.group_algebra(eng, ("1", "p"))]
-    )
-    b = hilb3.MonadObject(intalg.group_algebra(eng, ("1", "p")))
-    sp, cert = hilb3.hom_two_hilbert(X, hilb3.DeloopObject("1"), b, samples=3)
-    assert cert.ok
-    assert sorted(sp.dims) == pytest.approx([np.sqrt(0.5), np.sqrt(0.5), 1.0])
-
-
 @pytest.mark.parametrize("name", ("hilb", "hilb_z2", "fibonacci", "ising"))
 def test_theorem_b(name):
     eng = _eng(name)
@@ -199,22 +128,6 @@ def test_theorem_b(name):
     assert cert.residuals["gap"] < 1e-9
     assert cert.details["monad"] == pytest.approx(cert.details["psi_1"])
     assert cert.details["modules"] == pytest.approx(cert.details["psi_1"])
-
-
-def test_decompose_simples():
-    eng = _eng("hilb_z2")
-    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
-    S = hilb3.sum_object(X, [hilb3.DeloopObject("1"), hilb3.DeloopObject("1")])
-    parts, cert = hilb3.decompose_simples(X, S)
-    assert cert.ok
-    assert len(parts) == 2
-    # monad object decomposes into the simple module summands
-    eng = _eng("ising")
-    A = intalg.group_algebra(eng, ("1", "p"))
-    X = hilb3.hstar_monad_completion(hilb3.delooping(eng), [A])
-    parts, cert = hilb3.decompose_simples(X, hilb3.MonadObject(A))
-    assert cert.ok
-    assert len(parts) >= 1
 
 
 def test_weight_mod_dagger_rescaled_matches_psi():

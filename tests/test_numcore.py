@@ -7,8 +7,6 @@ from hstarcat.numcore import (
     NotHermitian,
     NotProjection,
     Tolerance,
-    cmatrix_from_json,
-    cmatrix_to_json,
     hermitian_sqrt,
     null_space,
     split_projection,
@@ -23,14 +21,6 @@ def test_tolerance_bound():
     assert t.bound(100.0) == pytest.approx(1e-9 + 1e-4)
     with pytest.raises(ValueError):
         Tolerance(-1.0, 0.0)
-
-
-def test_cmatrix_json_round_trip():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    back = cmatrix_from_json(cmatrix_to_json(m))
-    assert np.allclose(back, m)
-    assert cmatrix_from_json([]).shape == (0, 0)
 
 
 def test_hermitian_sqrt():

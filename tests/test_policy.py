@@ -4,11 +4,15 @@ folded with numcore.worst, which keeps a NaN that max and min drop.
 Lint for the one intertwiner calculus: hom spaces are solved, and
 commutants split, in one place each. Lint for the dependencies: the
 package imports no module that only the tests need. Lint for the engine's
-door: outside diagram.py, morphisms come from the shape-checked eng.mor."""
+door: outside diagram.py, morphisms come from the shape-checked eng.mor.
+Lint for reach: every definition is used by a command, a criterion or the
+benchmark, not by its own unit test alone."""
 
 import ast
 import math
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
@@ -17,7 +21,8 @@ from hstarcat.fusion import SphericalWeight
 from hstarcat.hilb2 import TwoHilbertSpace
 from hstarcat.hstar1 import HStarAlgebra
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hstarcat"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hstarcat"
 
 # calls whose value is a residual: a gap norm, or a named residual routine
 RESIDUAL_CALLS = {"residual", "unitarity_defect", "_unitarity_residual", "verify_bimodule"}
@@ -193,6 +198,71 @@ def test_import_lint_catches_a_test_only_import():
     assert _test_only_imports("m = __import__('hypothesis')")
     assert not _test_only_imports("import json\nfrom importlib import resources")
     assert not _test_only_imports("from . import cli\nimport jsonschema_like")
+
+
+# what reaches a definition besides the package itself: the benchmark and
+# the tests of commands, criteria and reports; the unit tests do not
+REACHING = [
+    *sorted((ROOT / "bench").glob("*.py")),
+    *(ROOT / "tests" / f"test_{name}.py" for name in ("acceptance", "golden", "cli", "policy")),
+]
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _names(tree) -> Counter:
+    """Each name used as an ast.Name or ast.Attribute, and each part of a
+    dotted path in a string (the bench's tracer picks what it counts by
+    such paths), with its number of uses."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def _unreached(package, others):
+    """Names of the top-level defs and classes and the methods of the
+    package sources that no source names outside the definition itself;
+    dunder methods are called by the language."""
+    trees = [ast.parse(source) for source in package]
+    named = Counter()
+    for tree in [*trees, *map(ast.parse, others)]:
+        named += _names(tree)
+    defs = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [node, *(m for m in node.body if isinstance(m, FUNCS))]
+            elif isinstance(node, FUNCS):
+                defs.append(node)
+    return [
+        d.name
+        for d in defs
+        if not (d.name.startswith("__") and d.name.endswith("__"))
+        and named[d.name] <= _names(d)[d.name]
+    ]
+
+
+def test_every_definition_is_reached():
+    package = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    found = _unreached(package, [p.read_text() for p in REACHING])
+    assert not found, found
+
+
+def test_reach_lint_catches_an_unreached_def():
+    assert _unreached(["def lone():\n    return lone()"], []) == ["lone"]
+    assert _unreached(["class C:\n    def m(self):\n        pass"], ["C()"]) == ["m"]
+    assert _unreached(["def f():\n    pass"], ["g = 1"]) == ["f"]
+    assert not _unreached(["def f():\n    pass\n\n\ndef g():\n    f()"], ["g()"])
+    assert not _unreached(["class C:\n    def m(self):\n        pass"], ["x.m", "C"])
+    assert not _unreached(["class C:\n    def __init__(self):\n        pass"], ["C()"])
+    assert not _unreached(["def f():\n    pass"], ["HOT = {'mod.f'}"])
 
 
 def test_bound_tests_fail_on_nan():
