@@ -4,8 +4,8 @@ The JSON files under data/ are the single source of the bundled data;
 each records its provenance. F-symbol matrices for the non-pointed
 examples are the externally standard ones; they are never trusted on
 load — every load re-runs the full validator (pentagon and F-unitarity)
-and raises on failure. One deliberately corrupted data set is bundled as
-a negative control.
+and raises InputError on failure. One deliberately corrupted data set is
+bundled as a negative control.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .fusion import FusionData, SchemaError, validate
+from .fusion import FusionData, validate
+from .numcore import InputError
 
 NAMES = ("hilb", "hilb_z2", "hilb_z3", "fibonacci", "ising", "m2_hilb")
 
@@ -29,7 +30,7 @@ def load(name: str, trust: bool = False) -> FusionData:
     if not trust:
         cert = validate(data)
         if not cert.ok:
-            raise SchemaError(
+            raise InputError(
                 f"bundled data {name} failed validation: {cert.failed_axiom}"
             )
     return data

@@ -5,16 +5,19 @@ category), runs the corresponding certification, and emits a RunReport:
 the command echo, sha256 of every input, the tolerance and seed, the
 named residuals, and per-check verdicts. Reports are deterministic:
 identical inputs and seed produce byte-identical output. Exit codes:
-0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error,
-including a --tol that is negative or not finite, a negative --seed, a
---psi entry outside [PSI_MIN, PSI_MAX], an algebra document with a
-label outside the category or a trivial algebra on a non-unit, an algebra
-with no unit summand for split-monad and standardize, and an H*-algebra
+0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error: a
+--tol that is negative or not finite or a negative --seed, which the
+parser rejects, or any numcore.InputError, which main alone maps to exit
+2. That includes a --psi entry outside [PSI_MIN, PSI_MAX], an algebra
+document with a label outside the category or a trivial algebra on a
+non-unit, an algebra with no unit summand for split-monad and
+standardize, a decomposable category for theorem-b, an H*-algebra
 document whose trace is missing, does not match its blocks in shape, or
 has a weight or functional entry that is not finite, and an --out file
-that cannot be opened for writing. Any other
-exception exits 3 with no report and one JSON line {"error", "message"}
-on stderr, so that no failure of a run reads as a REJECT.
+that cannot be opened for writing. Any other exception (a
+ConsistencyError, say) exits 3 with no report and one JSON line
+{"error", "message"} on stderr, so that no failure of a run reads as a
+REJECT.
 
 Each input document is checked against its packaged JSON Schema
 (schema/v1/) by a small checker that interprets exactly the keywords those
@@ -39,19 +42,8 @@ import numpy as np
 from . import deligne, hilb3, hstar1, intalg
 from .certify import bounded
 from .diagram import Engine
-from .fusion import (
-    FusionData,
-    SchemaError,
-    SphericalWeight,
-    loop_eval,
-    udf_from_weight,
-    validate,
-)
-from .numcore import Tolerance, worst
-
-
-class InputError(ValueError):
-    pass
+from .fusion import FusionData, SphericalWeight, loop_eval, udf_from_weight, validate
+from .numcore import InputError, Tolerance, worst
 
 
 # Range of a --psi entry. Outside it the dimensions d_c = sqrt(psi_s psi_t)
@@ -191,7 +183,7 @@ def _load_fusion(path: str):
     _check_schema(doc, "fusion", name)
     try:
         data = FusionData.from_json(doc)
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+    except InputError as exc:
         raise InputError(f"{name}: bad fusion data: {exc}")
     return data, digest, name
 
@@ -363,7 +355,7 @@ def _cmd_alg_standardize(args):
     rep = Report(args, {name: digest, aname: adig})
     try:
         S = intalg.standardize(A, args.tolerance)
-    except intalg.SingularBubble as exc:
+    except InputError as exc:
         raise InputError(f"{aname}: cannot standardize: {exc}")
     special = eng.residual(
         eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
@@ -462,10 +454,7 @@ def _cmd_h3_split_monad(args):
     adoc, adig, aname = _read_input(args.paths[1])
     B = _build_algebra(eng, adoc, aname)
     rep = Report(args, {name: digest, aname: adig})
-    try:
-        split = hilb3.split_monad(B, args.tolerance, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    split = hilb3.split_monad(B, args.tolerance, args.seed)
     rep.add("split_monad", split.certificate)
     return rep.finish(args.out)
 
@@ -503,7 +492,7 @@ def _cmd_hstar_gns(args):
     rep = Report(args, {name: digest})
     try:
         A = hstar1.HStarAlgebra(tuple(doc["blocks"]), tuple(doc["weights"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, InputError) as exc:
         raise InputError(f"{name}: bad H*-algebra spec: {exc}")
     mod = hstar1.gns(A)
     resid = hstar1.module_trace_law_residual(mod, args.tolerance, args.seed)
@@ -585,7 +574,7 @@ def main(argv=None) -> int:
     args.tolerance = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
     try:
         return _COMMANDS[(args.group, args.cmd)][0](args)
-    except (InputError, SchemaError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -20,10 +20,6 @@ from .diagram import Engine, Mor
 from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
 
 
-class MixedMiddleCategory(ValueError):
-    pass
-
-
 # --- module sides -------------------------------------------------------
 
 
@@ -74,7 +70,7 @@ class LadderObject:
 
     def check_shared(self, other: "LadderObject"):
         if self.mside is not other.mside or self.nside is not other.nside:
-            raise MixedMiddleCategory("ladder objects from different products")
+            raise ShapeMismatch("ladder objects from different products")
 
 
 @dataclass

@@ -26,11 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import SchemaError
-
-
-class WordMismatch(ValueError):
-    pass
+from .numcore import InputError, ShapeMismatch
 
 
 @dataclass
@@ -73,7 +69,7 @@ class Engine:
             return tuple(int(mults.get(c, 0)) for c in self.data.simples)
         out = tuple(int(m) for m in mults)
         if len(out) != len(self.data.simples):
-            raise WordMismatch("one multiplicity per simple required")
+            raise ShapeMismatch("one multiplicity per simple required")
         return out
 
     def simple_obj(self, c):
@@ -151,7 +147,7 @@ class Engine:
             m = out[c] = np.asarray(m, dtype=complex)
             shape = (len(self.basis(cod, c)), len(self.basis(dom, c)))
             if m.shape != shape:
-                raise WordMismatch(f"block {c}: shape {m.shape}, expected {shape}")
+                raise ShapeMismatch(f"block {c}: shape {m.shape}, expected {shape}")
         return Mor(self, dom, cod, _nonzero(out))
 
     def identity(self, word) -> Mor:
@@ -178,7 +174,7 @@ class Engine:
     def compose(self, f: Mor, g: Mor) -> Mor:
         """f o g."""
         if g.cod != f.dom:
-            raise WordMismatch("composition word mismatch")
+            raise ShapeMismatch("composition word mismatch")
         blocks = {}
         for c, gb in g.blocks.items():
             fb = f.blocks.get(c)
@@ -191,7 +187,7 @@ class Engine:
 
     def add(self, f: Mor, g: Mor) -> Mor:
         if f.dom != g.dom or f.cod != g.cod:
-            raise WordMismatch("sum word mismatch")
+            raise ShapeMismatch("sum word mismatch")
         blocks = dict(f.blocks)
         for c, b in g.blocks.items():
             blocks[c] = blocks.get(c, 0) + b
@@ -393,7 +389,7 @@ class Engine:
         dom = (self.simple_obj(cb), self.simple_obj(c))
         u = self.data.t(c)
         if len(self.basis(dom, u)) != 1:  # N_{dual(c),c}^{1_t} = 1
-            raise SchemaError(f"the pairing of {cb} and {c} at {u} is not one tree")
+            raise InputError(f"the pairing of {cb} and {c} at {u} is not one tree")
         return self.mor(dom, (), {u: np.ones((1, 1), dtype=complex)})
 
     def _raw_coev(self, c) -> Mor:
@@ -401,7 +397,7 @@ class Engine:
         cod = (self.simple_obj(c), self.simple_obj(cb))
         u = self.data.s(c)
         if len(self.basis(cod, u)) != 1:  # N_{c,dual(c)}^{1_s} = 1
-            raise SchemaError(f"the pairing of {c} and {cb} at {u} is not one tree")
+            raise InputError(f"the pairing of {c} and {cb} at {u} is not one tree")
         return self.mor((), cod, {u: np.ones((1, 1), dtype=complex)})
 
     def zigzag_scalar(self, c) -> complex:
@@ -447,7 +443,7 @@ class Engine:
     def categorical_trace(self, f: Mor) -> complex:
         """Tr(f) = sum_c d_c tr(f_c) for an endomorphism of a word."""
         if f.dom != f.cod:
-            raise WordMismatch("trace of a non-endomorphism")
+            raise ShapeMismatch("trace of a non-endomorphism")
         return complex(sum(self.udf.d(c) * np.trace(b) for c, b in f.blocks.items()))
 
     def trace_right(self, f: Mor) -> Mor:
@@ -465,7 +461,7 @@ class Engine:
 
     def unit_component(self, z: Mor, u) -> complex:
         if z.dom != () or z.cod != ():
-            raise WordMismatch("expected an endomorphism of the unit")
+            raise ShapeMismatch("expected an endomorphism of the unit")
         b = z.blocks.get(u)
         return complex(b[0, 0]) if b is not None else 0.0
 

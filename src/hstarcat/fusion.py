@@ -19,7 +19,7 @@ N[a, b, c] with the strict-unit rules folded in, fusion-product lists, and
 F blocks keyed by simple indices with their tree bases, built on first
 use) and loops only over admissible tuples. The tables are never stored
 on FusionData, so they cannot go stale when F is edited after
-construction. Non-finite F entries are a SchemaError at construction; a
+construction. Non-finite F entries are an InputError at construction; a
 non-finite residual that still arises fails its bound test and rejects.
 """
 
@@ -29,22 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate, clears, judged, within
-from .numcore import DEFAULT_TOL, NonPositiveWeight, Tolerance, unitarity_defect, worst
+from .certify import Certificate, bounded, clears, judged, within
+from .numcore import (
+    DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, unitarity_defect, worst,
+)
 
 FP_TOL = 1e-12
-
-
-class SchemaError(ValueError):
-    pass
-
-
-class UnknownLabel(KeyError):
-    pass
-
-
-class IndependenceViolation(ValueError):
-    pass
 
 
 @dataclass
@@ -61,36 +51,36 @@ class FusionData:
         self.units = tuple(self.units)
         self.index = {c: i for i, c in enumerate(self.simples)}
         if len(set(self.simples)) != len(self.simples):
-            raise SchemaError("duplicate simple labels")
+            raise InputError("duplicate simple labels")
         for u in self.units:
             if u not in self.index:
-                raise SchemaError(f"unit {u} is not a simple")
+                raise InputError(f"unit {u} is not a simple")
         for c in self.simples:
             if c not in self.grading:
-                raise SchemaError(f"missing grading for {c}")
+                raise InputError(f"missing grading for {c}")
             if c not in self.dual:
-                raise SchemaError(f"missing dual for {c}")
+                raise InputError(f"missing dual for {c}")
             ends = tuple(self.grading[c])
             if len(ends) != 2 or any(u not in self.units for u in ends):
-                raise SchemaError(f"grading of {c} is not a pair of units: {ends}")
+                raise InputError(f"grading of {c} is not a pair of units: {ends}")
             if self.dual[c] not in self.index:
-                raise SchemaError(f"dual of {c} is not a simple: {self.dual[c]}")
+                raise InputError(f"dual of {c} is not a simple: {self.dual[c]}")
         for table, arity in ((self.N, 3), (self.F, 4)):
             for k in table:
                 if len(k) != arity or any(x not in self.index for x in k):
-                    raise SchemaError(f"entry with unknown label: {k}")
+                    raise InputError(f"entry with unknown label: {k}")
         # a whole number below 2**31, so that tree counts (sums of products
         # of two) fit int64 tables; NaN and infinity fail the range test
         for k, v in self.N.items():
             if not (0 <= v < 2**31 and v == int(v)):
-                raise SchemaError(
+                raise InputError(
                     f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not an integer in [0, 2**31)"
                 )
         self.N = {k: int(v) for k, v in self.N.items() if v}
         self.F = {k: np.asarray(v, dtype=complex) for k, v in self.F.items()}
         for k, m in self.F.items():
             if not np.isfinite(m).all():
-                raise SchemaError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
+                raise InputError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
         self._fpdims = None
 
     # --- basic accessors -------------------------------------------------
@@ -108,9 +98,6 @@ class FusionData:
         if b in self.units:
             return 1 if (a == c and self.t(a) == self.s(b)) else 0
         return self.N.get((a, b, c), 0)
-
-    def fusion_products(self, a, b):
-        return [c for c in self.simples if self.n(a, b, c) > 0]
 
     def tree_rows(self, a, b, c, d):
         """Canonical order of the left-grouped tree basis of Hom(d -> abc)."""
@@ -134,7 +121,7 @@ class FusionData:
         rows = self.tree_rows(a, b, c, d)
         cols = self.tree_cols(a, b, c, d)
         if len(rows) != len(cols):
-            raise SchemaError(
+            raise InputError(
                 f"F^{a},{b},{c}_{d}: tree counts differ ({len(rows)} vs {len(cols)})"
             )
         if not rows:
@@ -250,9 +237,9 @@ class FusionData:
                             out.append(complex(z))
                     rows.append(out)
                 F[key] = np.array(rows, dtype=complex)
-            return cls(simples, units, grading, dual, N, F)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise SchemaError(f"malformed fusion data: {exc}") from exc
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise InputError(f"malformed fusion data: {exc}") from exc
+        return cls(simples, units, grading, dual, N, F)
 
 
 @dataclass(frozen=True)
@@ -262,7 +249,7 @@ class SphericalWeight:
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
         if not all(clears(p, 0) for p in self.psi):
-            raise NonPositiveWeight("psi must be strictly positive")
+            raise InputError("psi must be strictly positive")
 
     def total(self) -> float:
         """psi(id_1) = sum over unit summands."""
@@ -322,12 +309,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     ):
         key = (S[a], S[b], S[c], S[d])
         if r != k:
-            return Certificate(
-                False,
-                {"integer_checks": 1.0},
-                {"problem": "tree count mismatch at F^{}{}{}_{}".format(*key)},
-                failed_axiom="fusion-associativity",
-            )
+            problem = "tree count mismatch at F^{}{}{}_{}".format(*key)
+            return bounded("integer_checks", 1.0, 0.0, "fusion-associativity", {"problem": problem})
         if not (unit[a] or unit[b] or unit[c]):
             defects.append(unitarity_defect(_stored_block(data, key, r)))
     residuals["f_unitarity"] = worst(defects)
@@ -380,7 +363,7 @@ def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
     if m is None or a in data.units or b in data.units or c in data.units:
         return np.eye(dim, dtype=complex)
     if m.shape != (dim, dim):
-        raise SchemaError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
+        raise InputError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
     return m
 
 
@@ -456,7 +439,7 @@ class _Tables:
         ]
         labels = tuple(self.data.simples[i] for i in key)
         if len(rows) != len(cols):
-            raise SchemaError(
+            raise InputError(
                 "F^{},{},{}_{}: tree counts differ ({} vs {})".format(*labels, len(rows), len(cols))
             )
         m = _stored_block(self.data, labels, len(rows))
@@ -540,7 +523,7 @@ def udf_from_weight(
     by loop_eval rather than trusted.
     """
     if len(psi.psi) != len(data.units):
-        raise NonPositiveWeight("need one psi entry per unit summand")
+        raise ShapeMismatch("need one psi entry per unit summand")
     udf = UdfData(data, psi)
     for c in data.simples:
         ps = psi.of_unit(data, data.s(c))
@@ -552,7 +535,7 @@ def udf_from_weight(
         for u, dim in ((data.s(c), udf.dim_left), (data.t(c), udf.dim_right))
     )
     if not within(chain, tol.bound()):
-        raise IndependenceViolation(f"dimension chain residual {chain}")
+        raise ConsistencyError(f"dimension chain residual {chain}")
 
     from .diagram import Engine
 
@@ -561,7 +544,7 @@ def udf_from_weight(
         beta = float(np.sqrt(udf.dims[c] / udf.dims[data.s(c)]))
         theta = eng.zigzag_scalar(c)
         if abs(theta) < 1e-14:
-            raise SchemaError(f"degenerate duality pairing for {c}")
+            raise InputError(f"degenerate duality pairing for {c}")
         udf.beta[c] = beta
         udf.alpha[c] = 1.0 / (theta * beta)
     return udf
@@ -571,7 +554,7 @@ def loop_eval(udf: UdfData, c, side: str) -> float:
     """Closed c-loop on the 1_{s(c)} sheet (side 'L') or the 1_{t(c)}
     sheet (side 'R'), evaluated through the cup/cap coefficients."""
     if c not in udf.data.index:
-        raise UnknownLabel(c)
+        raise KeyError(c)
     from .diagram import Engine
 
     eng = Engine(udf.data, udf)
@@ -582,7 +565,7 @@ def loop_eval(udf: UdfData, c, side: str) -> float:
         loop = eng.compose(eng.ev_simple(c), eng.dagger(eng.ev_simple(c)))
         unit = udf.data.t(c)
     else:
-        raise ValueError("side must be 'L' or 'R'")
+        raise InputError("side must be 'L' or 'R'")
     val = eng.unit_component(loop, unit)
     return float(val.real)
 
@@ -605,7 +588,7 @@ def renorm_scalar(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAU
         for i in units:
             v = sum(udf.dims[c] ** 2 for c in simples if data.s(c) == i) / udf.dims[i]
             if not within(abs(v - closed), tol.bound(closed)):
-                raise IndependenceViolation(
+                raise ConsistencyError(
                     f"component value at {i} is {v}, closed form {closed}"
                 )
             values[i] = v

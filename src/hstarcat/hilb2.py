@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hstar1
 from .certify import bounded, clears, judged
-from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
+from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, worst
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class TwoHilbertSpace:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dims", tuple(float(d) for d in self.dims))
         if len(self.labels) != len(self.dims):
-            raise ValueError("one dimension per label required")
+            raise ShapeMismatch("one dimension per label required")
         if not all(clears(d, 0) for d in self.dims):
-            raise ValueError("quantum dimensions must be positive")
+            raise InputError("quantum dimensions must be positive")
 
     def obj(self, mults) -> "H2Object":
         return H2Object(self, tuple(int(m) for m in mults))
@@ -45,9 +45,9 @@ class H2Object:
 
     def __post_init__(self):
         if len(self.mults) != len(self.space.labels):
-            raise ValueError("one multiplicity per label required")
+            raise ShapeMismatch("one multiplicity per label required")
         if any(m < 0 for m in self.mults):
-            raise ValueError("multiplicities must be nonnegative")
+            raise InputError("multiplicities must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class DagFunctor:
         if m.shape != (len(self.codomain.labels), len(self.domain.labels)):
             raise ShapeMismatch("multiplicity matrix shape mismatch")
         if np.any(m < 0) or not np.issubdtype(m.dtype, np.integer):
-            raise ValueError("multiplicities must be nonnegative integers")
+            raise InputError("multiplicities must be nonnegative integers")
         object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in m))
 
     def apply(self, obj: H2Object) -> H2Object:

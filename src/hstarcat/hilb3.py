@@ -65,11 +65,7 @@ from .intalg import (
     verify_bimodule,
     verify_hstar,
 )
-from .numcore import DEFAULT_TOL, ConsistencyError, Tolerance, worst
-
-
-class CandidateNotSpherical(ValueError):
-    pass
+from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
 
 
 # --- objects of a presentation -----------------------------------------
@@ -128,7 +124,7 @@ class Pre3HilbPresentation:
             return monad_psi(obj.algebra, f)
         O = self.unit_obj(obj)
         if f.dom != (O,) or f.cod != (O,):
-            raise ValueError("endomorphism of the wrong unit object")
+            raise ShapeMismatch("endomorphism of the wrong unit object")
         total = 0.0 + 0.0j
         for u in eng.data.units:
             b = f.blocks.get(u)
@@ -267,7 +263,7 @@ def hstar_monad_completion(
     for k, A in enumerate(algebras):
         cert = verify_hstar(A, tol, seed)
         if not cert.ok:
-            raise ValueError(f"algebra fails H* certification: {cert.failed_axiom}")
+            raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
         objects.append(MonadObject(A, label=f"A{k}"))
     return Pre3HilbPresentation(X.eng, objects)
 
@@ -496,7 +492,7 @@ def linking_e1(
     data, weight = algebra_linking(X.eng, algs, tol, seed)
     cert = validate(data, tol)
     if not cert.ok:
-        raise ValueError(f"assembled linking data fails validation: {cert.failed_axiom}")
+        raise ConsistencyError(f"assembled linking data fails validation: {cert.failed_axiom}")
     return data, weight, cert
 
 
@@ -531,7 +527,7 @@ def split_monad(
     eng = B.eng
     unit = next((u for u in eng.data.units if eng.mult(B.obj, u)), None)
     if unit is None:
-        raise ValueError("the monad has no unit summand")
+        raise InputError("the monad has no unit summand")
     cert0 = verify_hstar(B, tol, seed)
     if not cert0.ok:
         return MonadSplitting(B, None, None, None, None, None, cert0)
@@ -622,7 +618,7 @@ def theorem_b_check(
     """Compare Psi at the standard unit monad with the rescaled Psi at
     the column module category; both must equal the unit weight."""
     if len(data.components()) != 1:
-        raise ValueError("comparison requires an indecomposable category")
+        raise InputError("comparison requires an indecomposable category")
     eng = Engine(data, udf_from_weight(data, psi, tol))
     u1 = data.units[0]
     psi1 = psi.of_unit(data, u1)
@@ -681,7 +677,7 @@ def uaf_uniqueness_check(
     for name, cand in (("first", cand1), ("second", cand2)):
         defect = _candidate_sphericality(eng, cand, tol)
         if not within(defect, tol.bound()):
-            raise CandidateNotSpherical(
+            raise InputError(
                 f"{name} candidate has loop asymmetry {defect:.3e}"
             )
     residuals = {}

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Certificate, clears, within
-from .numcore import (
-    DEFAULT_TOL, ConsistencyError, NonPositiveWeight, ShapeMismatch, Tolerance, worst,
-)
-
-
-class MixedAmbientCategory(ValueError):
-    pass
+from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
 
 
 @dataclass(frozen=True)
@@ -30,11 +24,11 @@ class HStarAlgebra:
         object.__setattr__(self, "block_sizes", tuple(int(n) for n in self.block_sizes))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.block_sizes) != len(self.weights):
-            raise ValueError("one weight per block required")
+            raise ShapeMismatch("one weight per block required")
         if any(n <= 0 for n in self.block_sizes):
-            raise ValueError("block sizes must be positive")
+            raise InputError("block sizes must be positive")
         if not all(clears(w, 0) for w in self.weights):
-            raise NonPositiveWeight("trace weights must be strictly positive")
+            raise InputError("trace weights must be strictly positive")
 
     @property
     def dim(self) -> int:
@@ -70,7 +64,7 @@ class HStarAlgebra:
         return cls(tuple(data["blocks"]), tuple(data["weights"]))
 
 
-def _functional_trace(block_sizes, functional, a) -> complex:
+def _functional_trace(functional, a) -> complex:
     return sum(np.trace(phi @ ai) for phi, ai in zip(functional, a))
 
 
@@ -93,14 +87,14 @@ def verify_hstar_algebra(
     """
     block_sizes = tuple(int(n) for n in block_sizes)
     if any(n <= 0 for n in block_sizes):
-        raise ValueError("block sizes must be positive")
+        raise InputError("block sizes must be positive")
     rng = np.random.default_rng(seed)
 
     if functional is not None:
         functional = [np.asarray(phi, dtype=complex) for phi in functional]
         if [phi.shape for phi in functional] != [(n, n) for n in block_sizes]:
             raise ShapeMismatch("the functional needs one n x n matrix per block of size n")
-        tr = lambda a: _functional_trace(block_sizes, functional, a)
+        tr = lambda a: _functional_trace(functional, a)
     else:
         weights = tuple(float(w) for w in weights or ())
         if len(weights) != len(block_sizes):
@@ -165,7 +159,7 @@ class HStarModuleRep:
     def __post_init__(self):
         object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
         if len(self.mults) != len(self.algebra.block_sizes):
-            raise ValueError("one multiplicity per block required")
+            raise ShapeMismatch("one multiplicity per block required")
 
     @property
     def dim(self) -> int:
@@ -249,11 +243,11 @@ def linking_algebra(objects) -> HStarAlgebra:
     sum_i mult_i(s) and trace weight d_s.
     """
     if not objects:
-        raise ValueError("need at least one object")
+        raise InputError("need at least one object")
     space = objects[0].space
     for o in objects:
         if o.space is not space and o.space != space:
-            raise MixedAmbientCategory("objects live in different 2-Hilbert spaces")
+            raise ShapeMismatch("objects live in different 2-Hilbert spaces")
     sizes = []
     weights = []
     for idx, d in enumerate(space.dims):

@@ -29,7 +29,9 @@ from .certify import Certificate, clears, within
 from .diagram import Engine, Mor
 from .numcore import (
     DEFAULT_TOL,
-    NotProjection,
+    ConsistencyError,
+    InputError,
+    ShapeMismatch,
     Tolerance,
     null_space,
     split_projection,
@@ -39,21 +41,13 @@ from .numcore import (
 CONDITION_CUT = 1e12
 
 
-class SingularBubble(ValueError):
-    pass
-
-
-class AlgebraMismatch(ValueError):
-    pass
-
-
 def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> Mor:
     """f^r for a positive invertible chargewise-Hermitian endomorphism.
 
     Rejects inputs whose condition number exceeds the separability cut.
     """
     if f.dom != f.cod:
-        raise ValueError("power of a non-endomorphism")
+        raise ShapeMismatch("power of a non-endomorphism")
     vals_all = []
     blocks = {}
     for c in eng.support(f.dom):
@@ -62,14 +56,14 @@ def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> M
             continue
         h = (b + b.conj().T) / 2
         if not within(np.linalg.norm(b - h), tol.bound(np.linalg.norm(b))):
-            raise SingularBubble(f"non-hermitian block at charge {c}")
+            raise InputError(f"non-hermitian block at charge {c}")
         vals, vecs = np.linalg.eigh(h)
         vals_all.extend(vals.tolist())
         if vals.min() <= 0:
-            raise SingularBubble(f"non-positive eigenvalue {vals.min()} at {c}")
+            raise InputError(f"non-positive eigenvalue {vals.min()} at {c}")
         blocks[c] = (vecs * vals**r) @ vecs.conj().T
     if vals_all and max(vals_all) / min(vals_all) > CONDITION_CUT:
-        raise SingularBubble("condition number above separability cut")
+        raise InputError("condition number above separability cut")
     return eng.mor(f.dom, f.cod, blocks)
 
 
@@ -313,7 +307,7 @@ class Module:
 
     def homs(self, other: "Module"):
         """Basis of module maps self -> other."""
-        return module_hom_basis(self.word, self, other)
+        return module_hom_basis(self, other)
 
     def carried(self, V: Mor) -> "Module":
         """The sub-module on the domain of an isometry V into self.word."""
@@ -334,12 +328,9 @@ def free_module(A: AlgebraObject, O) -> Module:
     return fused_right_module(A, (O, A.obj), A.eng.whisker_left_obj(O, A.mu))
 
 
-def module_hom_basis(dom_word, M1: Module, M2: Module):
-    """Basis of A-module maps dom_word -> M2.word, where dom_word carries
-    the right action of M1 on its last tensor factor (dom_word must end
-    with M1's object)."""
-    rho_dom = M1.eng.whisker_left(dom_word[:-1], M1.rho)
-    return _solve(M1.eng, (dom_word, M2.word), [right_linear(rho_dom, M2.rho, M1.algebra)])
+def module_hom_basis(M1: Module, M2: Module):
+    """Basis of A-module maps M1 -> M2."""
+    return _solve(M1.eng, (M1.word, M2.word), [right_linear(M1.rho, M2.rho, M1.algebra)])
 
 
 def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
@@ -418,7 +409,7 @@ def spectral_pieces(eng: Engine, word, comm, rng):
                                  for c, (ev, vecs) in eig.items()})
             for cl in clusters
         ]
-    raise RuntimeError("commutant element stayed degenerate after re-randomization")
+    raise ConsistencyError("commutant element stayed degenerate after re-randomization")
 
 
 def split_summands(F, seed: int = 0, depth: int = 0):
@@ -432,7 +423,7 @@ def split_summands(F, seed: int = 0, depth: int = 0):
     if len(comm) == 1:
         return [(F, eng.identity(F.word))]
     if depth > 8:
-        raise RuntimeError("splitting did not terminate")
+        raise ConsistencyError("splitting did not terminate")
     rng = np.random.default_rng(seed + depth)
     out = []
     for V in spectral_pieces(eng, F.word, comm, rng):
@@ -589,7 +580,7 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
     bubble^{-1} into the left B-action of N."""
     if M.right is not N.left:
         if M.right.obj != N.left.obj:
-            raise AlgebraMismatch("middle algebras differ")
+            raise ShapeMismatch("middle algebras differ")
     eng = M.eng
     B = M.right
     s1 = eng.whisker_right(eng.dagger(M.rho), N.word)  # (m, n) -> (m, B, n)
@@ -608,9 +599,9 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
     word = M.word + N.word
     scale = eng.l2_norm(p)
     if not within(eng.residual(eng.compose(p, p), p), tol.bound(scale)):
-        raise NotProjection("separability projection is not idempotent")
+        raise ConsistencyError("separability projection is not idempotent")
     if not within(eng.residual(eng.dagger(p), p), tol.bound(scale)):
-        raise NotProjection("separability projection is not self-adjoint")
+        raise ConsistencyError("separability projection is not self-adjoint")
     fused, u = eng.fuse(word)
     pf = eng.compose(u, eng.compose(p, eng.dagger(u)))
     cols = {c: split_projection(eng.block(pf, c)) for c in eng.support((fused,))}

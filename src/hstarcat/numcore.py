@@ -2,8 +2,15 @@
 
 Every other module routes its numerics through the handful of operations
 here so that there is a single audited eigendecomposition path, a single
-null-space routine and a single tolerance convention. The exception
-classes shared by several modules are defined here once.
+null-space routine and a single tolerance convention.
+
+The package raises three exception classes of its own, one per kind of
+failure, all defined here: InputError (the input breaks its format or a
+precondition), ShapeMismatch (operands that do not fit together) and
+ConsistencyError (a check that the mathematics guarantees for valid input
+failed). Python's TypeError, KeyError and NotImplementedError keep their
+usual meanings: a wrong object type, an unknown label, an unsupported
+schema keyword.
 
 The tolerance policy: a bound is tol.bound(scale), possibly times a
 fixed factor, and a residual passes it iff residual <= bound
@@ -20,28 +27,12 @@ import numpy as np
 from .certify import within
 
 
-class NotHermitian(ValueError):
-    pass
-
-
-class NegativeEigenvalue(ValueError):
-    pass
-
-
-class NotProjection(ValueError):
-    pass
-
-
-class NonSquare(ValueError):
-    pass
+class InputError(ValueError):
+    """The input breaks its format or a precondition."""
 
 
 class ShapeMismatch(ValueError):
-    pass
-
-
-class NonPositiveWeight(ValueError):
-    pass
+    """Operands that do not fit together: counts, shapes or words."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -58,7 +49,7 @@ class Tolerance:
 
     def __post_init__(self):
         if self.abs_eps < 0 or self.rel_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
+            raise InputError("tolerances must be nonnegative")
 
     def bound(self, scale: float = 1.0) -> float:
         return self.abs_eps + self.rel_eps * abs(scale)
@@ -84,7 +75,7 @@ def as_cmatrix(entries) -> np.ndarray:
     """Coerce input to a 2d complex ndarray (the working CMatrix form)."""
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2:
-        raise ValueError("CMatrix must be 2-dimensional")
+        raise ShapeMismatch("CMatrix must be 2-dimensional")
     return m
 
 
@@ -107,26 +98,7 @@ def _sorted_eigh(m: np.ndarray):
 
 def _require_square(m: np.ndarray):
     if m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected square matrix, got shape {m.shape}")
-
-
-def hermitian_sqrt(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues below -tol.abs_eps raise; small negative eigenvalues are
-    clamped to zero.
-    """
-    m = as_cmatrix(m)
-    _require_square(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if not within(np.linalg.norm(m - m.conj().T), tol.bound(scale)):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    h = (m + m.conj().T) / 2
-    vals, vecs = _sorted_eigh(h)
-    if vals.size and not within(-vals.min(), tol.bound(scale)):
-        raise NegativeEigenvalue(f"eigenvalue {vals.min()} below tolerance")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+        raise ShapeMismatch(f"expected square matrix, got shape {m.shape}")
 
 
 def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -140,7 +112,7 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(p)))
     defect = worst([np.linalg.norm(p - p.conj().T), np.linalg.norm(p @ p - p)])
     if not within(defect, tol.bound(scale)):
-        raise NotProjection("input is not an orthogonal projection within tolerance")
+        raise ConsistencyError("input is not an orthogonal projection within tolerance")
     h = (p + p.conj().T) / 2
     vals, vecs = _sorted_eigh(h)
     rank = int(np.sum(vals > 0.5))

@@ -195,7 +195,7 @@ def test_criterion_09_module_trace_formula():
         eng = A.eng
         free_label = eng.data.simples[-1]
         M = intalg.free_module(A, free_label)
-        basis = intalg.module_hom_basis(M.word, M, M)
+        basis = intalg.module_hom_basis(M, M)
         rng = np.random.default_rng(900)
         for _ in range(20):
             z1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hstarcat import intalg
 from hstarcat.cli import main
+from hstarcat.numcore import ConsistencyError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -64,8 +65,9 @@ def _nan_entry(doc):
         lambda doc: doc["dual"].update(t="zz"),
         lambda doc: doc["grading"].update(t=["1", "q"]),
         lambda doc: doc["N"].update({"t,t,t": 1e300}),
+        lambda doc: doc["F"]["t,t,t,t"][0].append([0.0, 0.0]),
     ],
-    ids=["nan_f_entry", "unknown_dual", "non_unit_grading", "n_overflow"],
+    ids=["nan_f_entry", "unknown_dual", "non_unit_grading", "n_overflow", "ragged_f_row"],
 )
 @pytest.mark.parametrize("command", ["validate", "udf"])
 def test_bad_fusion_file_exit_2_without_report(tmp_path, capsys, edit, command):
@@ -368,6 +370,25 @@ def test_h3_theorem_b(capsys):
     assert rep["verdict"] == "ACCEPT"
 
 
+def test_h3_theorem_b_on_a_decomposable_category_exit_2(tmp_path, capsys):
+    # a valid category whose two unit summands are not linked: the
+    # comparison needs an indecomposable one, so the input is at fault
+    doc = {
+        "simples": ["a", "b"],
+        "units": ["a", "b"],
+        "grading": {"a": ["a", "a"], "b": ["b", "b"]},
+        "dual": {"a": "a", "b": "b"},
+        "N": {},
+        "F": {},
+    }
+    p = tmp_path / "split.json"
+    p.write_text(json.dumps(doc))
+    assert main(["h3", "theorem-b", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: comparison requires an indecomposable category\n"
+
+
 def test_h3_split_monad(capsys):
     code, rep = _run(capsys, "h3", "split-monad", "hilb_z2", "hilb_z2_group")
     assert code == 0
@@ -436,11 +457,11 @@ def test_unexpected_exception_exits_3_with_one_json_line(monkeypatch, capsys):
     # exit 1 means a certified REJECT, so a run that fails in another way
     # exits 3 and prints no report
     def stuck(*args, **kwargs):
-        raise RuntimeError("splitting did not terminate")
+        raise ConsistencyError("splitting did not terminate")
 
     monkeypatch.setattr(intalg, "split_summands", stuck)
     assert main(["alg", "modcat", "ising", "ising_qsystem"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "RuntimeError", "message": "splitting did not terminate"}
+    assert json.loads(err) == {"error": "ConsistencyError", "message": "splitting did not terminate"}

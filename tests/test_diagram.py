@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hstarcat import bundled
-from hstarcat.diagram import Engine, WordMismatch
+from hstarcat.diagram import Engine
+from hstarcat.numcore import ShapeMismatch
 from hstarcat.fusion import SphericalWeight, udf_from_weight
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -110,7 +111,7 @@ def test_word_mismatch():
     eng = _eng("fibonacci")
     t = eng.simple_obj("t")
     f = eng.identity((t,))
-    with pytest.raises(WordMismatch):
+    with pytest.raises(ShapeMismatch):
         eng.compose(f, eng.identity((t, t)))
 
 
@@ -127,7 +128,7 @@ def test_mor_zero_block_rule():
     with_nan[1, 0] = np.nan
     assert kept(with_nan)
     assert kept(np.array([[0.0, 1e-300j], [0.0, 0.0]]))
-    with pytest.raises(WordMismatch):
+    with pytest.raises(ShapeMismatch):
         eng.mor(W, W, {"t": np.zeros((2, 3))})
 
 

@@ -6,7 +6,6 @@ import pytest
 from hstarcat import bundled
 from hstarcat.fusion import (
     FusionData,
-    SchemaError,
     SphericalWeight,
     _Tables,
     _fusion_table,
@@ -16,6 +15,7 @@ from hstarcat.fusion import (
     udf_from_weight,
     validate,
 )
+from hstarcat.numcore import InputError
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -38,7 +38,7 @@ def test_corrupt_fibonacci_fails_pentagon():
 
 
 def test_load_rejects_negative_control():
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         bundled.load("fibonacci_corrupt")
 
 
@@ -108,9 +108,9 @@ def test_json_round_trip():
 
 
 def test_schema_errors():
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         FusionData(("a", "a"), ("a",), {"a": ("a", "a")}, {"a": "a"}, {}, {})
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         FusionData(("a",), ("b",), {"a": ("a", "a")}, {"a": "a"}, {}, {})
 
 
@@ -151,7 +151,7 @@ def test_nan_written_after_construction_rejects_on_f_unitarity():
 def test_bad_entries_are_schema_errors(edit):
     doc = bundled.load("fibonacci").to_json()
     edit(doc)
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         FusionData.from_json(doc)
 
 
@@ -200,6 +200,9 @@ def _reference_pentagon(data):
         cols = {k: i for i, k in enumerate(data.tree_cols(x, y, z, w))}
         return data.f_matrix(x, y, z, w), rows, cols
 
+    def products(x, y):
+        return [z for z in S if data.n(x, y, z)]
+
     worst = 0.0
     for a, b, c, d, u in itertools.product(S, repeat=5):
         if data.t(a) != data.s(b) or data.t(b) != data.s(c) or data.t(c) != data.s(d):
@@ -223,21 +226,21 @@ def _reference_pentagon(data):
         pb = np.zeros((len(final), len(start)), dtype=complex)
         for si, (e, m1, g, m2, m3) in enumerate(start):
             m_abc, r_abc, c_abc = fmat(a, b, c, g)
-            for f1 in data.fusion_products(b, c):
+            for f1 in products(b, c):
                 for k1 in range(data.n(b, c, f1)):
                     for l1 in range(data.n(a, f1, g)):
                         co1 = m_abc[r_abc[(e, m1, m2)], c_abc[(f1, k1, l1)]]
                         if co1 == 0:
                             continue
                         m_afd, r_afd, c_afd = fmat(a, f1, d, u)
-                        for f2 in data.fusion_products(f1, d):
+                        for f2 in products(f1, d):
                             for k2 in range(data.n(f1, d, f2)):
                                 for l2 in range(data.n(a, f2, u)):
                                     co2 = co1 * m_afd[r_afd[(g, l1, m3)], c_afd[(f2, k2, l2)]]
                                     if co2 == 0:
                                         continue
                                     m_bcd, r_bcd, c_bcd = fmat(b, c, d, f2)
-                                    for f3 in data.fusion_products(c, d):
+                                    for f3 in products(c, d):
                                         for k3 in range(data.n(c, d, f3)):
                                             for l3 in range(data.n(b, f3, f2)):
                                                 co3 = co2 * m_bcd[
@@ -246,14 +249,14 @@ def _reference_pentagon(data):
                                                 if co3 != 0:
                                                     pa[fidx[(f2, l2, f3, l3, k3)], si] += co3
             m_ecd, r_ecd, c_ecd = fmat(e, c, d, u)
-            for h in data.fusion_products(c, d):
+            for h in products(c, d):
                 for tau in range(data.n(c, d, h)):
                     for sig in range(data.n(e, h, u)):
                         co1 = m_ecd[r_ecd[(g, m2, m3)], c_ecd[(h, tau, sig)]]
                         if co1 == 0:
                             continue
                         m_abh, r_abh, c_abh = fmat(a, b, h, u)
-                        for k in data.fusion_products(b, h):
+                        for k in products(b, h):
                             for rho in range(data.n(b, h, k)):
                                 for om in range(data.n(a, k, u)):
                                     co2 = co1 * m_abh[r_abh[(e, m1, sig)], c_abh[(k, rho, om)]]

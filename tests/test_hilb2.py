@@ -3,6 +3,7 @@ import pytest
 
 from hstarcat import hilb2
 from hstarcat.hilb2 import DagFunctor, H2Morphism, TwoHilbertSpace
+from hstarcat.numcore import InputError
 
 
 def _space():
@@ -70,7 +71,7 @@ def test_shape_errors():
     p = sp.obj((0, 1, 0))
     with pytest.raises(hilb2.ShapeMismatch):
         H2Morphism.identity(o).compose(H2Morphism.identity(p))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         TwoHilbertSpace(("a",), (-1.0,))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from hstarcat import hstar1
 from hstarcat.hilb2 import TwoHilbertSpace
-from hstarcat.numcore import ShapeMismatch
+from hstarcat.numcore import ConsistencyError, InputError, ShapeMismatch
 
 
 def test_trace_and_inner():
@@ -89,10 +89,10 @@ def test_linking_algebra():
     L = hstar1.linking_algebra([x, y])
     assert L.block_sizes == (1, 3)
     assert L.weights == (1.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         hstar1.linking_algebra([])
     other = TwoHilbertSpace(("a",), (1.0,))
-    with pytest.raises(hstar1.MixedAmbientCategory):
+    with pytest.raises(ShapeMismatch):
         hstar1.linking_algebra([x, other.obj((1,))])
 
 
@@ -113,9 +113,9 @@ def test_nan_weight_has_no_quantum_dimension():
     # construction stops at the one-block algebra built for its dimension
     A = hstar1.HStarAlgebra((1, 2), (1.0, 1.0))
     object.__setattr__(A, "weights", (1.0, float("nan")))
-    with pytest.raises(hstar1.NonPositiveWeight):
+    with pytest.raises(InputError):
         hstar1.simple_modules(A)
     # an infinite weight passes the positivity check and fails the frame check
     A = hstar1.HStarAlgebra((1, 2), (1.0, float("inf")))
-    with pytest.raises(hstar1.ConsistencyError), np.errstate(invalid="ignore"):
+    with pytest.raises(ConsistencyError), np.errstate(invalid="ignore"):
         hstar1.simple_modules(A)

@@ -6,9 +6,11 @@ commutants split, in one place each. Lint for the dependencies: the
 package imports no module that only the tests need. Lint for the engine's
 door: outside diagram.py, morphisms come from the shape-checked eng.mor.
 Lint for reach: every definition is used by a command, a criterion or the
-benchmark, not by its own unit test alone."""
+benchmark, not by its own unit test alone. Lint for the failure kinds: the
+package defines one exception class per kind, all in numcore.py."""
 
 import ast
+import builtins
 import math
 import pathlib
 import re
@@ -20,6 +22,7 @@ from hstarcat.certify import bounded, clears, judged, within
 from hstarcat.fusion import SphericalWeight
 from hstarcat.hilb2 import TwoHilbertSpace
 from hstarcat.hstar1 import HStarAlgebra
+from hstarcat.numcore import InputError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hstarcat"
@@ -200,6 +203,57 @@ def test_import_lint_catches_a_test_only_import():
     assert not _test_only_imports("from . import cli\nimport jsonschema_like")
 
 
+# the one exception class of each kind of failure, as (file, class)
+KINDS = {("numcore.py", k) for k in ("InputError", "ShapeMismatch", "ConsistencyError")}
+BUILTIN_EXCEPTIONS = {
+    name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+}
+
+
+def _exception_classes(sources: dict):
+    """(file, line, class) for each class of the sources ({file: text})
+    that subclasses a builtin exception, directly or through another such
+    class of the sources."""
+    classes = [
+        (file, node)
+        for file, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    ]
+    found = {}
+    while True:
+        known = BUILTIN_EXCEPTIONS | {name for _, _, name in found.values()}
+        grown = {
+            (file, node.lineno): (file, node.lineno, node.name)
+            for file, node in classes
+            if any(_name(b) in known for b in node.bases)
+        }
+        if len(grown) == len(found):
+            return sorted(found.values())
+        found = grown
+
+
+def test_one_exception_class_per_kind():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = _exception_classes(sources)
+    extra = [f"{file}:{line}: class {name}" for file, line, name in found if (file, name) not in KINDS]
+    assert not extra, "\n".join(extra)
+    assert {(file, name) for file, _, name in found} == KINDS
+
+
+def test_exception_lint_catches_a_new_class():
+    def names(text, file="m.py"):
+        return [name for _, _, name in _exception_classes({file: text})]
+
+    assert names("class Oops(ValueError):\n    pass") == ["Oops"]
+    assert names("class Oops(Exception):\n    pass") == ["Oops"]
+    assert names("class Oops(builtins.KeyError):\n    pass") == ["Oops"]
+    assert names("class A(RuntimeError):\n    pass\n\n\nclass B(A):\n    pass") == ["A", "B"]
+    assert _exception_classes({"a.py": "class B(A):\n    pass", "b.py": "class A(ArithmeticError):\n    pass"})
+    assert not names("class Engine:\n    pass")
+    assert not names("@dataclass(frozen=True)\nclass Tolerance(Base):\n    pass")
+
+
 # what reaches a definition besides the package itself: the benchmark and
 # the tests of commands, criteria and reports; the unit tests do not
 REACHING = [
@@ -295,5 +349,5 @@ def test_positive_inputs_reject_nan_at_construction(make):
     # x <= 0 is false for NaN; the positivity check is clears(x, 0)
     make(0.5)
     for bad in (math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             make(bad)
