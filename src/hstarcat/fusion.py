@@ -14,13 +14,16 @@ grouped to the left onto the basis {(f; ka in V(b,c;f), la in V(a,f;d))}
 grouped to the right, where V(x,y;z) is the vertex space Hom(z -> x(x)y).
 F blocks with a unit argument are required to be identities (strict unit).
 
-Validation compiles the data into integer tables once per call (a dense
-N[a, b, c] with the strict-unit rules folded in, fusion-product lists, and
-F blocks keyed by simple indices with their tree bases, built on first
-use) and loops only over admissible tuples. The tables are never stored
-on FusionData, so they cannot go stale when F is edited after
-construction. Non-finite F entries are an InputError at construction; a
-non-finite residual that still arises fails its bound test and rejects.
+Validation compiles the data into tables once per call: a dense N[a, b, c]
+with the strict-unit rules folded in, and every F block that has trees,
+in index order, with its entries in one flat array (_Blocks). Tree bases
+are numbered by pairs of vertices, and the pentagon evaluates all its
+instances in one batch of integer index arrays and float64 arithmetic,
+in the order of a scalar loop over them, so its residual is the loop's
+to the last bit (see pentagon_residual). The tables are never stored on
+FusionData, so they cannot go stale when F is edited after construction.
+Non-finite F entries are an InputError at construction; a non-finite
+residual that still arises fails its bound test and rejects.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .numcore import (
 )
 
 FP_TOL = 1e-12
+# start trees per batch of the pentagon, which bounds its working memory
+_CHUNK = 512
 
 
 @dataclass
@@ -263,14 +268,16 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
     pentagon equation.
 
-    Each call compiles its own integer tables from the data. The integer
-    identities are comparisons of the dense table N[a, b, c], and the tree
-    counts sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every
-    F^{abc}_d must agree. F-unitarity is checked on the quadruples that
-    have trees and no unit argument (unit blocks are identities), and the
-    pentagon on admissible instances without a unit leg only (see
-    pentagon_residual). Every bound test reads `not (residual <= bound)`,
-    so a NaN residual rejects on its axiom.
+    Each call compiles its own tables from the data (see _Blocks). The
+    integer identities are comparisons of the dense table N[a, b, c], and
+    the tree counts sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of
+    every F^{abc}_d must agree. F-unitarity is checked on the blocks that
+    have trees and no unit argument (unit blocks are identities): the 1x1
+    blocks in one array expression that rounds exactly like
+    numcore.unitarity_defect, each larger block by unitarity_defect. The
+    pentagon is checked on admissible instances without a unit leg only,
+    all in one batch (see pentagon_residual). Every bound test reads
+    `not (residual <= bound)`, so a NaN residual rejects on its axiom.
 
     The bounds scale with tol.bound(), the bound at unit scale: F-unitarity
     at tol.bound() / 20 and the pentagon at tol.bound() * 5, exactly 1e-10
@@ -299,22 +306,12 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
     residuals = {"integer_checks": 1.0 if problems else 0.0}
 
-    rows = np.einsum("abe,ecd->abcd", N, N)
-    cols = np.einsum("bcf,afd->abcd", N, N)
-    has_trees = (rows != 0) | (cols != 0)
-    unit = [c in data.units for c in S]
-    defects = []
-    for (a, b, c, d), r, k in zip(
-        np.argwhere(has_trees).tolist(), rows[has_trees].tolist(), cols[has_trees].tolist()
-    ):
-        key = (S[a], S[b], S[c], S[d])
-        if r != k:
-            problem = "tree count mismatch at F^{}{}{}_{}".format(*key)
-            return bounded("integer_checks", 1.0, 0.0, "fusion-associativity", {"problem": problem})
-        if not (unit[a] or unit[b] or unit[c]):
-            defects.append(unitarity_defect(_stored_block(data, key, r)))
-    residuals["f_unitarity"] = worst(defects)
-    residuals["pentagon"] = pentagon_residual(data)
+    blocks = _Blocks(data, N)
+    if blocks.mismatch:
+        problem = "tree count mismatch at F^{}{}{}_{}".format(*blocks.mismatch[0])
+        return bounded("integer_checks", 1.0, 0.0, "fusion-associativity", {"problem": problem})
+    residuals["f_unitarity"] = blocks.unitarity()
+    residuals["pentagon"] = worst(_pentagon_gaps(blocks).tolist())
     checks = [
         ("integer_checks", 0.0, "grading/duality"),
         ("f_unitarity", tol.bound() / 20, "F-unitarity"),
@@ -328,30 +325,38 @@ def pentagon_residual(data: FusionData) -> float:
     comb (((ab)c)d) to the right comb (a(b(cd))) over all pentagon
     instances.
 
-    Each composable (a, b, c, d) without a unit among them is visited
-    once, and only at the total charges u that some left comb ((ab)c)d
-    reaches; the F entries are read from tables local to this call. An
-    instance with a unit leg is skipped: under the strict-unit identity
-    blocks both of its paths reduce to the same single F-move, multiplied
-    by exact 1.0, so its gap is exactly 0.0."""
-    tables = _Tables(data)
-    S = [i for i, c in enumerate(data.simples) if c not in data.units]
-    src = [data.s(c) for c in data.simples]
-    tgt = [data.t(c) for c in data.simples]
-    gaps = []
-    for a in S:
-        for b in S:
-            if tgt[a] != src[b]:
-                continue
-            for c in S:
-                if tgt[b] != src[c]:
-                    continue
-                for d in S:
-                    if tgt[c] != src[d]:
-                        continue
-                    for u, start in tables.left_combs(a, b, c, d).items():
-                        gaps.append(tables.pentagon_gap(a, b, c, d, u, start))
-    return worst(gaps)
+    An instance is a composable (a, b, c, d) without a unit among them and
+    a total charge u that some left comb ((ab)c)d reaches. An instance
+    with a unit leg is skipped: under the strict-unit identity blocks both
+    of its paths reduce to the same single F-move, multiplied by exact
+    1.0, so its gap is exactly 0.0. Every block is checked first, in index
+    order: the first with differing tree counts, or a stored block of the
+    wrong shape, raises InputError.
+
+    All instances are evaluated in one batch, with the arithmetic of a
+    scalar loop over them (the reference loop in the tests). A tree is a
+    pair of vertices, and a pentagon state a triple; each F-move looks up
+    the row of two adjacent vertices and replaces them by the column of
+    each entry. The start trees of every instance, in canonical order,
+    are gathered as integer index arrays, and so are the terms of each
+    path, F^{abc}_g F^{afd}_u F^{bcd}_f on path A and F^{ecd}_u F^{abh}_u
+    on path B, in chunks of start trees that bound the working memory.
+    Each product is formed left to right from float64 parts,
+    (xr*yr - xi*yi, xr*yi + xi*yr), which rounds like Python's complex
+    multiply; numpy's complex multiply of arrays does not always. As in
+    the loop, a zero F entry at a path's first move and a zero product
+    of its first two moves end the term; the zero terms the loop drops
+    after that change no sum. Each (final tree, start tree) entry of an
+    instance sums its terms in loop order with np.bincount, and the gap
+    is the norm of path A minus path B: sqrt(dr*dr + di*di) for a single
+    entry, which is what np.linalg.norm returns for it, and
+    np.linalg.norm of the instance's entries in row-major order for a
+    larger instance."""
+    blocks = _Blocks(data, _fusion_table(data))
+    if blocks.mismatch:
+        key, r, k = blocks.mismatch
+        raise InputError("F^{},{},{}_{}: tree counts differ ({} vs {})".format(*key, r, k))
+    return worst(_pentagon_gaps(blocks).tolist())
 
 
 def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
@@ -386,104 +391,269 @@ def _fusion_table(data: FusionData) -> np.ndarray:
     return N
 
 
-class _Tables:
-    """Integer tables of one FusionData for one pentagon_residual call:
-    multiplicities as nested lists, fusion products per pair, and F blocks
-    keyed by simple indices, each built on first use as (entries as nested
-    lists, left-tree index map, right-tree list). Entries are Python
-    complex numbers, whose scalar arithmetic rounds exactly like numpy's."""
+class _Blocks:
+    """The F blocks that have trees, of one FusionData for one validate or
+    pentagon_residual call; never stored on the data, so they cannot go
+    stale when F is edited after construction.
 
-    def __init__(self, data: FusionData):
-        self.data = data
-        N = _fusion_table(data)
-        self.n = N.tolist()
-        self.prods = [[np.flatnonzero(row).tolist() for row in plane] for plane in N]
-        self.blocks = {}
+    Blocks are read in index order of their (a, b, c, d) up to the first
+    whose tree counts differ; a stored block of the wrong shape before it
+    raises InputError. mismatch is that block's (labels, rows, cols), and
+    then nothing more is built, or None. Block i has indices keys[k][i]
+    (k = 0..3), dims[i] trees and matrix mats[i], an identity unless
+    plain[i] (no unit among a, b, c), and its entries lie row by row in
+    vals from at[i]. trees[a, b, c, d] counts the left trees of every
+    quadruple, and unit marks the unit simples."""
 
-    def left_combs(self, a, b, c, d):
-        """Total charge u -> left-comb trees (e, m1, g, m2, m3) of
-        ((ab)c)d at u, in canonical order."""
-        n, prods = self.n, self.prods
-        out = {}
-        for e in prods[a][b]:
-            for m1 in range(n[a][b][e]):
-                for g in prods[e][c]:
-                    for m2 in range(n[e][c][g]):
-                        for u in prods[g][d]:
-                            for m3 in range(n[g][d][u]):
-                                out.setdefault(u, []).append((e, m1, g, m2, m3))
-        return out
+    def __init__(self, data: FusionData, N: np.ndarray):
+        self.data, self.N = data, N
+        S, n = data.simples, len(data.simples)
+        self.trees = np.einsum("abe,ecd->abcd", N, N)
+        cols = np.einsum("bcf,afd->abcd", N, N)
+        has = (self.trees != 0) | (cols != 0)
+        self.keys = has.nonzero()
+        self.unit = np.zeros(n, dtype=bool)
+        self.unit[[data.index[u] for u in data.units]] = True
+        x, y, z, _ = self.keys
+        self.plain = ~(self.unit[x] | self.unit[y] | self.unit[z])
+        dims, cols = self.trees[self.keys], cols[self.keys]
+        bad = (dims != cols).nonzero()[0]
+        stop = bad[0] if bad.size else len(dims)
+        eye = {}
+        self.mats = []
+        keys = zip(*(i[:stop].tolist() for i in self.keys))
+        for key, r, plain in zip(keys, dims.tolist(), self.plain.tolist()):
+            if plain:
+                self.mats.append(_stored_block(data, tuple(S[i] for i in key), r))
+            else:
+                if r not in eye:
+                    eye[r] = np.eye(r, dtype=complex)
+                self.mats.append(eye[r])
+        self.mismatch = None
+        if bad.size:
+            key = tuple(S[i[stop]] for i in self.keys)
+            self.mismatch = (key, int(dims[stop]), int(cols[stop]))
+            return
+        self.dims = dims
+        self.at = np.add.accumulate(dims * dims) - dims * dims
+        self.vals = np.concatenate([m.ravel() for m in self.mats] or [np.zeros(0, complex)])
 
-    def row(self, a, b, c, d, tree):
-        """(right tree, entry) pairs of the row of F^{abc}_d at a left tree."""
-        key = (a, b, c, d)
-        if key not in self.blocks:
-            self.blocks[key] = self._block(key)
-        m, rows, cols = self.blocks[key]
-        return zip(cols, m[rows[tree]])
+    def unitarity(self) -> float:
+        """Worst unitarity defect of the blocks with no unit argument."""
+        # conj(z) z - 1 of each 1x1 block, rounded as matmul and norm round it
+        z = self.vals[self.at[self.plain & (self.dims == 1)]]
+        zr, zi = z.real, z.imag
+        dr = zr * zr + zi * zi - 1.0
+        di = zr * zi - zi * zr
+        larger = (self.plain & (self.dims > 1)).nonzero()[0].tolist()
+        defects = np.sqrt(dr * dr + di * di).tolist()
+        return worst(defects + [unitarity_defect(self.mats[i]) for i in larger])
 
-    def _block(self, key):
-        a, b, c, d = key
-        n, prods = self.n, self.prods
-        rows = [
-            (e, mu, nu)
-            for e in prods[a][b]
-            for mu in range(n[a][b][e])
-            for nu in range(n[e][c][d])
-        ]
-        cols = [
-            (f, ka, la)
-            for f in prods[b][c]
-            for ka in range(n[b][c][f])
-            for la in range(n[a][f][d])
-        ]
-        labels = tuple(self.data.simples[i] for i in key)
-        if len(rows) != len(cols):
-            raise InputError(
-                "F^{},{},{}_{}: tree counts differ ({} vs {})".format(*labels, len(rows), len(cols))
-            )
-        m = _stored_block(self.data, labels, len(rows))
-        return m.tolist(), {r: i for i, r in enumerate(rows)}, cols
 
-    def pentagon_gap(self, a, b, c, d, u, start) -> float:
-        """Frobenius norm of the gap between the two paths of one pentagon
-        instance at total charge u, on the given left-comb trees."""
-        n = self.n
-        final = [
-            (f2, l2, f3, l3, k3)
-            for f2 in range(len(n))
-            for l2 in range(n[a][f2][u])
-            for f3 in self.prods[c][d]
-            for l3 in range(n[b][f3][f2])
-            for k3 in range(n[c][d][f3])
-        ]
-        if not final:
-            return 0.0
-        fidx = {x: i for i, x in enumerate(final)}
-        pa = [[0j] * len(start) for _ in final]
-        pb = [[0j] * len(start) for _ in final]
-        for si, (e, m1, g, m2, m3) in enumerate(start):
-            # path A: F^{abc}_g, then F^{a f1 d}_u, then F^{bcd}_{f2}
-            for (f1, k1, l1), co1 in self.row(a, b, c, g, (e, m1, m2)):
-                if co1 == 0:
-                    continue
-                for (f2, k2, l2), x in self.row(a, f1, d, u, (g, l1, m3)):
-                    co2 = co1 * x
-                    if co2 == 0:
-                        continue
-                    for (f3, k3, l3), y in self.row(b, c, d, f2, (f1, k1, k2)):
-                        co3 = co2 * y
-                        if co3 != 0:
-                            pa[fidx[(f2, l2, f3, l3, k3)]][si] += co3
-            # path B: F^{ecd}_u then F^{abh}_u
-            for (h, tau, sig), co1 in self.row(e, c, d, u, (g, m2, m3)):
-                if co1 == 0:
-                    continue
-                for (k, rho, om), x in self.row(a, b, h, u, (e, m1, sig)):
-                    co2 = co1 * x
-                    if co2 != 0:
-                        pb[fidx[(k, om, h, rho, tau)]][si] += co2
-        return float(np.linalg.norm(np.array(pa) - np.array(pb)))
+def _runs(counts: np.ndarray):
+    """Runs of the given lengths laid end to end: the run of each position
+    and the position within its run."""
+    run = np.arange(len(counts)).repeat(counts)
+    return run, np.arange(len(run)) - (np.add.accumulate(counts) - counts)[run]
+
+
+def _times(xr, xi, yr, yi):
+    """The complex product x y from float64 parts, rounded like Python's."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+class _Trees:
+    """The vertices and trees of the blocks of one _Blocks.
+
+    A vertex (x, y; z) is one multiplicity index of N[x, y, z]; vertices
+    are numbered in index order, and vertex v has x n + y = vxy[v], y =
+    vy[v], z = vz[v] and index vmu[v]. A tree is a pair of vertices: the
+    left trees (x, y; e)(e, z; w) and the right trees (y, z; f)(x, f; w)
+    of a block are numbered alike, block by block, in canonical order.
+    Left tree r is (rv1[r], rv2[r]) of block rblk[r], and row[v1, v2]
+    numbers the left tree (v1, v2), col[v4, v3] the right tree (v3, v4).
+    The entries of left tree r lie in blocks.vals from row_at[r], one per
+    right tree of its block (in_row[r], or in_row_nz[r] for the nonzero
+    ones); entry k is in column ecol[k], whose vertices are ev3[k] and
+    ev4[k]. csuf[c] is the position of right tree c of block
+    (b, c, d, f) among the final trees (f3, l3, k3) through f, and cdim[c]
+    the size of its block."""
+
+    def __init__(self, blocks: _Blocks):
+        N, dims = blocks.N, blocks.dims
+        bx, by, bz, bw = blocks.keys
+        n = len(N)
+        counts = N.ravel()
+        vid = np.add.accumulate(counts) - counts
+        lin = np.arange(n**3).repeat(counts)
+        self.vmu = np.arange(len(lin)) - vid[lin]
+        self.vxy, self.vz = lin // n, lin % n
+        self.vy = self.vxy % n
+        vid = vid.reshape(N.shape)
+        nv = len(lin)
+        first = np.add.accumulate(dims) - dims
+        # left trees of block (x, y, z, w) through each e
+        inner = N[:, bz, bw].T
+        wr = N[bx, by, :] * inner
+        sb, se = wr.nonzero()
+        run, pos = _runs(wr[sb, se])
+        k = inner[sb, se][run]
+        self.rv1 = vid[bx[sb], by[sb], se][run] + pos // k
+        self.rv2 = vid[se, bz[sb], bw[sb]][run] + pos % k
+        self.rblk = rblk = sb[run]
+        self.row = np.full((nv, nv), -1)
+        self.row[self.rv1, self.rv2] = np.arange(len(rblk))
+        width = dims[rblk]
+        self.row_at = blocks.at[rblk] + (np.arange(len(rblk)) - first[rblk]) * width
+        # right trees of block (x, y, z, w) through each f; the final trees
+        # through f are ordered (f, la, ka)
+        inner = N[bx, :, bw]
+        nyz = N[by, bz, :]
+        wc = nyz * inner
+        sb, sf = wc.nonzero()
+        run, pos = _runs(wc[sb, sf])
+        k = inner[sb, sf][run]
+        ka, la = pos // k, pos % k
+        cv3 = vid[by[sb], bz[sb], sf][run] + ka
+        cv4 = vid[bx[sb], sf, bw[sb]][run] + la
+        self.csuf = (np.add.accumulate(wc, axis=1) - wc)[sb, sf][run] + la * nyz[sb, sf][run] + ka
+        self.cdim = dims[sb[run]]
+        self.col = np.full((nv, nv), -1)
+        self.col[cv4, cv3] = np.arange(len(cv3))
+        # the entries of each row, and those of them that are not zero
+        self.in_row = np.arange(dims.max()) < width[:, None]
+        r, j = self.in_row.nonzero()
+        self.ecol = first[rblk[r]] + j
+        self.ev3, self.ev4 = cv3[self.ecol], cv4[self.ecol]
+        self.in_row_nz = self.in_row.copy()
+        self.in_row_nz[r, j] = blocks.vals != 0
+
+    def entries(self, mask, p, q):
+        """The source index and the entry of every entry of the left trees
+        (p, q) that the mask keeps, in order."""
+        r = self.row[p, q]
+        src, j = mask[r].nonzero()
+        return src, self.row_at[r[src]] + j
+
+
+def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray):
+    """The start trees (P, Q, R) = (a, b; e)(e, c; g)(g, d; u) of all
+    instances, a vertex P and a left tree (Q, R) of block (e, c, d, u), with
+    a, b and c, d composable non-unit pairs (pair[x n + y]) and b, c
+    composable; instances in key order, each one's start trees in
+    canonical order, and the instance key of each."""
+    n = len(blocks.N)
+    bx, by, bz, bw = blocks.keys
+    P = pair[tr.vxy].nonzero()[0]
+    rows = pair[by * n + bz][tr.rblk].nonzero()[0]
+    lo = np.searchsorted(bx[tr.rblk[rows]], np.arange(n + 1))
+    e = tr.vz[P]
+    run, j = _runs(lo[e + 1] - lo[e])
+    P, rows = P[run], rows[lo[e][run] + j]
+    blk = tr.rblk[rows]
+    keep = comp[tr.vy[P], by[blk]].nonzero()[0]
+    inst = tr.vxy[P] * n**3 + (by[blk] * n + bz[blk]) * n + bw[blk]
+    keep = keep[inst[keep].argsort(kind="stable")]
+    rows = rows[keep]
+    return P[keep], tr.rv1[rows], tr.rv2[rows], inst[keep]
+
+
+def _terms(tr: _Trees, vals: np.ndarray, P, Q, R):
+    """The terms of both paths on the start trees (P, Q, R), path A's
+    first, each path's in loop order: the start tree t, the vertex X =
+    (a, f2; u) and the right tree c of block (b, c, d, f2) of the final
+    tree, and the value (wr, wi) of each term, and the number of path A's
+    terms. A zero entry or product ends a term where the loop ends it."""
+    m = len(P)
+    vr, vi = vals.real, vals.imag
+    # F^{abc}_g on path A and F^{ecd}_u on path B
+    s, e = tr.entries(tr.in_row_nz, np.concatenate((P, Q)), np.concatenate((Q, R)))
+    k = np.searchsorted(s, m)
+    ta, x1, y1 = s[:k], tr.ev3[e[:k]], tr.ev4[e[:k]]  # y1 = (a, f1; g)
+    tb, x4, y4 = s[k:] - m, tr.ev3[e[k:]], tr.ev4[e[k:]]  # x4 = (c, d; h)
+    # then F^{a f1 d}_u on path A and F^{abh}_u on path B
+    s, e2 = tr.entries(tr.in_row, np.concatenate((y1, P[tb])), np.concatenate((R[ta], y4)))
+    pr, pi = _times(vr[e][s], vi[e][s], vr[e2], vi[e2])
+    nz = ((pr != 0) | (pi != 0)).nonzero()[0]
+    s, e, pr, pi = s[nz], e2[nz], pr[nz], pi[nz]
+    k2 = np.searchsorted(s, k)
+    # then F^{bcd}_{f2} on path A
+    sa, sb, eb = s[:k2], s[k2:] - k, e[k2:]
+    s3, e3 = tr.entries(tr.in_row, x1[sa], tr.ev3[e[:k2]])
+    ar, ai = _times(pr[s3], pi[s3], vr[e3], vi[e3])
+    t = np.concatenate((ta[sa][s3], tb[sb]))
+    X = np.concatenate((tr.ev4[e[:k2]][s3], tr.ev4[eb]))
+    c = np.concatenate((tr.ecol[e3], tr.col[tr.ev3[eb], x4[sb]]))
+    return t, X, c, np.concatenate((ar, pr[k2:])), np.concatenate((ai, pi[k2:])), len(s3)
+
+
+def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
+    """The gap of every pentagon instance, by the batched method of
+    pentagon_residual."""
+    data, N = blocks.data, blocks.N
+    n = len(data.simples)
+    free = ~blocks.unit
+    source = np.array([data.index[data.s(c)] for c in data.simples])
+    target = np.array([data.index[data.t(c)] for c in data.simples])
+    comp = target[:, None] == source
+    pair = (free[:, None] & free & comp).ravel()
+    if not (pair.reshape(n, n, 1) & (N != 0)).any():
+        return np.zeros(0)
+    tr = _Trees(blocks)
+    P, Q, R, inst = _start_trees(blocks, tr, pair, comp)
+    if not len(P):
+        return np.zeros(0)
+    new = np.empty(len(inst), dtype=bool)
+    new[0] = True
+    np.not_equal(inst[1:], inst[:-1], out=new[1:])
+    head = new.nonzero()[0]  # first start tree of each instance
+    inst = np.add.accumulate(new) - 1
+    size = np.bincount(inst)  # start trees, equal to final trees
+    base = np.add.accumulate(size * size) - size * size
+    # final tree (f2, l2, f3, l3, k3), the vertices (c, d; f3)(b, f3; f2)
+    # (a, f2; u), is number lead[f2] + l2 T[b,c,d,f2] + its position among
+    # the right trees of block (b, c, d, f2) through f3; lead is kept only
+    # for instances with more than one start tree, the others read row 0
+    many = (size > 1).nonzero()[0]
+    h = head[many]
+    # N[a, f, u] T[b, c, d, f] of P = (a, b; e), Q = (e, c; g), R = (g, d; u)
+    p, q, r = P[h], Q[h], R[h]
+    wf = N[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
+    lead = np.zeros((len(many) + 1, n), dtype=int)
+    lead[1:] = np.add.accumulate(wf, axis=1) - wf
+    lead_row = np.zeros(len(size), dtype=int)
+    lead_row[many] = np.arange(1, len(many) + 1)
+    # entry (final, start) of an instance is slot base + final size + start,
+    # path A's sums in row 0 of sums and path B's in row 1. Each slot is one
+    # start tree's, so the start trees go in chunks, which bound the
+    # memory, each adding its window of slots; the other chunks add +0.0
+    ms = int(base[-1] + size[-1] ** 2)
+    sums_r, sums_i = np.zeros((2, ms)), np.zeros((2, ms))
+    for lo in range(0, len(P), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        t, X, c, wr, wi, na = _terms(tr, blocks.vals, P[part], Q[part], R[part])
+        t += lo
+        i = inst[t]
+        fin = lead[lead_row[i], tr.vy[X]] + tr.vmu[X] * tr.cdim[c] + tr.csuf[c]
+        last = inst[min(lo + _CHUNK, len(P)) - 1]
+        w0 = base[inst[lo]]
+        w = int(base[last] + size[last] ** 2 - w0)
+        at = base[i] - w0 + fin * size[i] + t - head[i]
+        at[na:] += w
+        sums_r[:, w0 : w0 + w] += np.bincount(at, wr, 2 * w).reshape(2, w)
+        sums_i[:, w0 : w0 + w] += np.bincount(at, wi, 2 * w).reshape(2, w)
+    dr, di = sums_r[0], sums_i[0]
+    dr -= sums_r[1]
+    di -= sums_i[1]
+    r0, i0 = dr[base], di[base]
+    gaps = np.sqrt(r0 * r0 + i0 * i0)
+    if many.size:
+        diff = np.empty(ms, dtype=complex)
+        diff.real, diff.imag = dr, di
+        ends = base + size * size
+        for i in many.tolist():
+            gaps[i] = np.linalg.norm(diff[base[i] : ends[i]])
+    return gaps
 
 
 @dataclass

@@ -1,13 +1,16 @@
+import importlib.util
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hstarcat import bundled
+from hstarcat import bundled, fusion
 from hstarcat.fusion import (
     FusionData,
     SphericalWeight,
-    _Tables,
     _fusion_table,
     loop_eval,
     pentagon_residual,
@@ -189,11 +192,17 @@ def test_multiplicity_two_pentagon_residual_and_gauge():
     assert abs(pentagon_residual(gauged) - 4.261523391944277) < 1e-12
 
 
-def _reference_pentagon(data):
-    """The label-keyed pentagon loop over every (a, b, c, d, u) through the
-    public accessors. pentagon_residual must reproduce it exactly: it
-    multiplies and adds the same numbers in the same order."""
+def _reference_gaps(data):
+    """The label-keyed pentagon loop through the public accessors: the gap
+    of every (a, b, c, d, u) with start and final trees, unit legs
+    included. Every F block is read first, in label order, so the first
+    block with differing tree counts or a stored block of the wrong shape
+    raises InputError, as in pentagon_residual. pentagon_residual must
+    reproduce the loop exactly: it multiplies and adds the same numbers in
+    the same order."""
     S = data.simples
+    for key in itertools.product(S, repeat=4):
+        data.f_matrix(*key)
 
     def fmat(x, y, z, w):
         rows = {r: i for i, r in enumerate(data.tree_rows(x, y, z, w))}
@@ -203,7 +212,7 @@ def _reference_pentagon(data):
     def products(x, y):
         return [z for z in S if data.n(x, y, z)]
 
-    worst = 0.0
+    gaps = {}
     for a, b, c, d, u in itertools.product(S, repeat=5):
         if data.t(a) != data.s(b) or data.t(b) != data.s(c) or data.t(c) != data.s(d):
             continue
@@ -262,7 +271,17 @@ def _reference_pentagon(data):
                                     co2 = co1 * m_abh[r_abh[(e, m1, sig)], c_abh[(k, rho, om)]]
                                     if co2 != 0:
                                         pb[fidx[(k, om, h, rho, tau)], si] += co2
-        worst = max(worst, float(np.linalg.norm(pa - pb)))
+        gaps[(a, b, c, d, u)] = float(np.linalg.norm(pa - pb))
+    return gaps
+
+
+def _reference_pentagon(data):
+    """The largest reference gap, NaN if any gap is NaN."""
+    worst = 0.0
+    for gap in _reference_gaps(data).values():
+        if gap != gap:
+            return gap
+        worst = max(worst, gap)
     return worst
 
 
@@ -300,6 +319,31 @@ REFERENCE_CASES += [
 REFERENCE_CASES.append(("multiplicity_two", lambda: _multiplicity_two(DFT5, ROT)))
 
 
+def _families():
+    """The benchmark's generated families (bench/families.py)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _ising_permuted():
+    """Ising with F^{sss}_s replaced by a permutation matrix: unitary, with
+    exact zeros, and not a solution of the pentagon."""
+    data = bundled.load("ising")
+    data.F[("s", "s", "s", "s")] = np.array([[0, 1], [1, 0]], dtype=complex)
+    return data
+
+
+# instances with two to five start trees (TY), and exact zeros in a block
+REFERENCE_CASES += [
+    ("ty4_gauged", lambda: _families().gauge(_families().ty_zn(4, -1), np.random.default_rng(7))),
+    ("vec5_gauged", lambda: _families().gauge(_families().vec_zn(5, 2), np.random.default_rng(8))),
+    ("ising_permuted", _ising_permuted),
+]
+
+
 @pytest.mark.parametrize("name,make", REFERENCE_CASES, ids=[n for n, _ in REFERENCE_CASES])
 def test_tables_match_label_accessors(name, make):
     data = make()
@@ -313,21 +357,82 @@ def test_tables_match_label_accessors(name, make):
 def test_unit_leg_pentagon_instances_vanish_exactly(name, make):
     # pentagon_residual skips every instance with a unit among a, b, c, d
     data = make()
-    tables = _Tables(data)
-    S = data.simples
-    for a, b, c, d in itertools.product(range(len(S)), repeat=4):
-        legs = (S[a], S[b], S[c], S[d])
-        if not any(x in data.units for x in legs):
-            continue
-        if any(data.t(x) != data.s(y) for x, y in zip(legs, legs[1:])):
-            continue
-        for u, start in tables.left_combs(a, b, c, d).items():
-            assert tables.pentagon_gap(a, b, c, d, u, start) == 0.0
+    gaps = _reference_gaps(data)
+    legs = [gap for key, gap in gaps.items() if any(x in data.units for x in key[:4])]
+    assert legs and all(gap == 0.0 for gap in legs)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunks_of_start_trees_match_the_reference(monkeypatch, chunk):
+    # small chunks split instances with several start trees between them
+    monkeypatch.setattr(fusion, "_CHUNK", chunk)
+    for name in ("fibonacci_gauged", "multiplicity_two", "ty4_gauged"):
+        data = dict(REFERENCE_CASES)[name]()
+        assert pentagon_residual(data) == _reference_pentagon(data)
+
+
+def test_permuted_ising_rejects_on_pentagon():
+    cert = validate(_ising_permuted())
+    assert (cert.ok, cert.failed_axiom) == (False, "pentagon")
+    assert cert.residuals["f_unitarity"] == 0.0
+
+
+def test_nan_entry_gives_nan_pentagon_and_rejects_on_f_unitarity():
+    data = bundled.load("fibonacci")
+    data.F[("t", "t", "t", "t")][0, 0] = np.nan
+    assert np.isnan(pentagon_residual(data))
+    assert np.isnan(_reference_pentagon(data))
+    cert = validate(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "F-unitarity")
 
 
 def test_nan_pentagon_gap_rejects_on_pentagon(monkeypatch):
     data = bundled.load("fibonacci")
-    monkeypatch.setattr(_Tables, "pentagon_gap", lambda *args: float("nan"))
+    monkeypatch.setattr(fusion, "_pentagon_gaps", lambda blocks: np.array([0.0, np.nan, 0.0]))
     cert = validate(data)
     assert (cert.ok, cert.failed_axiom) == (False, "pentagon")
     assert np.isnan(cert.residuals["pentagon"])
+
+
+def _random_ring(labels, mult, dual, seed):
+    """A ring on the labels with unit "0": N[a, b, c] = mult for the
+    non-unit a, b in product order, and a random unitary F block wherever
+    the tree counts agree and no argument is a unit."""
+    data = FusionData(
+        labels,
+        ("0",),
+        {c: ("0", "0") for c in labels},
+        dict(zip(labels, dual)),
+        {key: m for key, m in zip(itertools.product(labels[1:], labels[1:], labels), mult) if m},
+        {},
+    )
+    rng = np.random.default_rng(seed)
+    for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
+        r = len(data.tree_rows(*key))
+        if r and r == len(data.tree_cols(*key)):
+            q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+            data.F[key] = q
+    return data
+
+
+@st.composite
+def _rings(draw):
+    labels = ("0", "1", "2")[: draw(st.integers(2, 3))]
+    k = len(labels)
+    mult = draw(st.lists(st.integers(0, 2), min_size=(k - 1) ** 2 * k, max_size=(k - 1) ** 2 * k))
+    dual = draw(st.lists(st.sampled_from(labels), min_size=k, max_size=k))
+    return _random_ring(labels, mult, dual, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=_rings())
+def test_random_rings_match_the_reference(data):
+    # a non-associative ring has blocks whose tree counts differ: both must
+    # raise on the same block
+    outcomes = []
+    for f in (pentagon_residual, _reference_pentagon):
+        try:
+            outcomes.append(f(data))
+        except InputError as exc:
+            outcomes.append(f"InputError: {exc}")
+    assert outcomes[0] == outcomes[1]
