@@ -41,8 +41,7 @@ import numpy as np
 
 from . import deligne, hilb3, hstar1, intalg
 from .certify import bounded
-from .diagram import Engine
-from .fusion import FusionData, SphericalWeight, loop_eval, udf_from_weight, validate
+from .fusion import FusionData, SphericalWeight, dual_engine, validate
 from .numcore import InputError, Tolerance, worst
 
 
@@ -318,9 +317,10 @@ def _cmd_fusion_udf(args):
     cert = validate(data, args.tolerance)
     rep.add("fusion", cert)
     if cert.ok:
-        udf = udf_from_weight(data, psi, args.tolerance)
+        eng = dual_engine(data, psi, args.tolerance)
+        udf = eng.udf
         gap = worst(
-            abs(loop_eval(udf, c, side) - udf.d(c) / udf.d(u))
+            abs(eng.loop(c, side) - udf.d(c) / udf.d(u))
             for c in data.simples
             for side, u in (("L", data.s(c)), ("R", data.t(c)))
         )
@@ -336,7 +336,7 @@ def _fusion_engine(args, fusion_path):
     if not cert.ok:
         raise InputError(f"{name}: fusion data fails validation: {cert.failed_axiom}")
     psi = _psi_for(data, args.psi)
-    return Engine(data, udf_from_weight(data, psi, args.tolerance)), digest, name
+    return dual_engine(data, psi, args.tolerance), digest, name
 
 
 def _cmd_alg_verify(args):
@@ -571,7 +571,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.tolerance = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
+    args.tolerance = Tolerance(args.tol)
     try:
         return _COMMANDS[(args.group, args.cmd)][0](args)
     except InputError as exc:

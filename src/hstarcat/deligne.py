@@ -166,22 +166,21 @@ def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
         c2o = eng.simple_obj(c2)
         for c1, pairs1 in G.terms.items():
             c1o = eng.simple_obj(c1)
+            # the fusion vertices nu: e -> c2 (x) c1, one per tree
+            vertices = [
+                (e, nu)
+                for e in eng.support((c2o, c1o))
+                for nu in eng.hom_basis((eng.simple_obj(e),), (c2o, c1o))
+            ]
             for f2, g2 in pairs2:
                 for f1, g1 in pairs1:
                     fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
                     gs = eng.compose(g2, eng.whisker_left((c2o,), g1))
-                    for e in eng.support((c2o, c1o)):
-                        nb = len(eng.basis((c2o, c1o), e))
-                        for v in range(nb):
-                            col = np.zeros((nb, 1), dtype=complex)
-                            col[v, 0] = 1.0
-                            nu = eng.mor((eng.simple_obj(e),), (c2o, c1o), {e: col})
-                            fe = eng.compose(
-                                eng.whisker_left(m3w, eng.dagger(nu)), fs
-                            )
-                            ge = eng.compose(gs, eng.whisker_right(nu, n1w))
-                            if fe.blocks and ge.blocks:
-                                terms.setdefault(e, []).append((fe, ge))
+                    for e, nu in vertices:
+                        fe = eng.compose(eng.whisker_left(m3w, eng.dagger(nu)), fs)
+                        ge = eng.compose(gs, eng.whisker_right(nu, n1w))
+                        if fe.blocks and ge.blocks:
+                            terms.setdefault(e, []).append((fe, ge))
     return LadderHom(G.src, F.dst, terms)
 
 

@@ -13,7 +13,8 @@ right-comb basis; that unitary is assembled recursively from one F-symbol
 per level. Both whiskers place each block of f by one slice assignment
 per run of trees that share their top vertex, since those runs are
 contiguous in the grouped and the comb bases. Cups and caps carry
-explicit coefficients alpha_c, beta_c from the unitary dual functor data.
+explicit coefficients alpha_c, beta_c from the unitary dual functor that
+the engine is built with (fusion.dual_engine).
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
@@ -46,7 +47,7 @@ def _nonzero(blocks) -> dict:
 
 
 class Engine:
-    def __init__(self, data, udf=None):
+    def __init__(self, data, udf):
         self.data = data
         self.udf = udf
         self._basis = {}
@@ -445,6 +446,21 @@ class Engine:
         if f.dom != f.cod:
             raise ShapeMismatch("trace of a non-endomorphism")
         return complex(sum(self.udf.d(c) * np.trace(b) for c, b in f.blocks.items()))
+
+    def loop(self, c, side: str) -> float:
+        """Closed c-loop on the 1_{s(c)} sheet (side 'L') or the 1_{t(c)}
+        sheet (side 'R'), evaluated through the cup/cap coefficients."""
+        if c not in self.data.index:
+            raise KeyError(c)
+        if side == "L":
+            z = self.compose(self.dagger(self.coev_simple(c)), self.coev_simple(c))
+            unit = self.data.s(c)
+        elif side == "R":
+            z = self.compose(self.ev_simple(c), self.dagger(self.ev_simple(c)))
+            unit = self.data.t(c)
+        else:
+            raise InputError("side must be 'L' or 'R'")
+        return float(self.unit_component(z, unit).real)
 
     def trace_right(self, f: Mor) -> Mor:
         """Right closed loop of f in End((O,)), as an endo of the unit."""

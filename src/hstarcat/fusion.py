@@ -6,6 +6,10 @@ involution, fusion multiplicities N_{ab}^c, and unitary F-symbols in
 fusion-tree bases. A positive weight psi on the unit summands determines
 the unitary dual functor, all quantum dimensions, and the loop values.
 
+dual_engine builds a diagram.Engine together with that dual functor, so a
+command builds one engine; udf_from_weight and loop_eval remain for
+callers that hold only a UdfData, such as the benchmark.
+
 Conventions: fusion-tree bases are orthonormal (vertices are isometries),
 daggers of tree coefficients are conjugate transposes, and all bending is
 mediated by explicit cup/cap coefficients pinned by the loop identities.
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import Certificate, bounded, clears, judged, within
+from .diagram import Engine
 from .numcore import (
     DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, unitarity_defect, worst,
 )
@@ -681,16 +686,15 @@ class UdfData:
         return self.dims[c] / self.dims[self.data.t(c)]
 
 
-def udf_from_weight(
-    data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL
-) -> UdfData:
-    """The unique unitary dual functor for which psi is spherical.
+def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL) -> Engine:
+    """The diagram engine of data with the unique unitary dual functor
+    for which psi is spherical.
 
     d_c = sqrt(psi_{s(c)} psi_{t(c)}) FPdim(c), forced by the constraint
     chain d_{s(c)} dim_L(c) = d_c = d_{t(c)} dim_R(c) and the weight
-    classification. Cup/cap coefficients are installed so the zig-zag and
-    the loop identities hold; the loop values are re-derived numerically
-    by loop_eval rather than trusted.
+    classification. Cup/cap coefficients are installed from zig-zags taken
+    on the returned engine, so the zig-zag and the loop identities hold;
+    the loop values are re-derived numerically by Engine.loop, not trusted.
     """
     if len(psi.psi) != len(data.units):
         raise ShapeMismatch("need one psi entry per unit summand")
@@ -706,10 +710,7 @@ def udf_from_weight(
     )
     if not within(chain, tol.bound()):
         raise ConsistencyError(f"dimension chain residual {chain}")
-
-    from .diagram import Engine
-
-    eng = Engine(data, None)
+    eng = Engine(data, udf)
     for c in data.simples:
         beta = float(np.sqrt(udf.dims[c] / udf.dims[data.s(c)]))
         theta = eng.zigzag_scalar(c)
@@ -717,38 +718,30 @@ def udf_from_weight(
             raise InputError(f"degenerate duality pairing for {c}")
         udf.beta[c] = beta
         udf.alpha[c] = 1.0 / (theta * beta)
-    return udf
+    return eng
+
+
+def udf_from_weight(
+    data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL
+) -> UdfData:
+    """The dual functor of dual_engine, for callers that need no engine."""
+    return dual_engine(data, psi, tol).udf
 
 
 def loop_eval(udf: UdfData, c, side: str) -> float:
-    """Closed c-loop on the 1_{s(c)} sheet (side 'L') or the 1_{t(c)}
-    sheet (side 'R'), evaluated through the cup/cap coefficients."""
-    if c not in udf.data.index:
-        raise KeyError(c)
-    from .diagram import Engine
-
-    eng = Engine(udf.data, udf)
-    if side == "L":
-        loop = eng.compose(eng.dagger(eng.coev_simple(c)), eng.coev_simple(c))
-        unit = udf.data.s(c)
-    elif side == "R":
-        loop = eng.compose(eng.ev_simple(c), eng.dagger(eng.ev_simple(c)))
-        unit = udf.data.t(c)
-    else:
-        raise InputError("side must be 'L' or 'R'")
-    val = eng.unit_component(loop, unit)
-    return float(val.real)
+    """Engine.loop on a fresh engine, for callers that hold only udf."""
+    return Engine(udf.data, udf).loop(c, side)
 
 
-def renorm_scalar(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL):
-    """The functor-trace renormalization of an indecomposable component.
+def renorm_scalar(udf: UdfData, tol: Tolerance = DEFAULT_TOL):
+    """The functor-trace renormalization of each component under udf.
 
     v_i = sum over simples c with s(c) = i of d_c^2 / d_{1_i}, constant in
     i and equal to FPdim(C) psi(id) / k^2; the returned prefactor is the
     reciprocal k^2 / (FPdim(C) psi(id)).
     Returns ({unit: v_i}, {unit: prefactor}).
     """
-    udf = udf_from_weight(data, psi, tol)
+    data, psi = udf.data, udf.psi
     values = {}
     prefactors = {}
     for units, simples in data.components():

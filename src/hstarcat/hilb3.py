@@ -42,8 +42,8 @@ from .diagram import Engine, Mor
 from .fusion import (
     FusionData,
     SphericalWeight,
+    dual_engine,
     renorm_scalar,
-    udf_from_weight,
     validate,
 )
 from .intalg import (
@@ -90,14 +90,13 @@ class MonadObject:
     """An H*-algebra in the endomorphism category of the base object."""
 
     algebra: AlgebraObject
-    label: str = "A"
 
 
 class Pre3HilbPresentation:
     """Finite generator-based presentation backed by one engine.
 
-    Psi on End(1_a) comes from the engine's unit weight for engine-backed
-    objects and from the dressed unit formula for monads.
+    Psi on End(1_a) comes from the engine's unit weight for the delooping
+    and sum objects; a monad's Psi is the dressed unit formula, monad_psi.
     """
 
     def __init__(self, eng: Engine, objects):
@@ -113,15 +112,11 @@ class Pre3HilbPresentation:
             for u in obj.parts:
                 mults[u] = mults.get(u, 0) + 1
             return eng.obj(mults)
-        if isinstance(obj, MonadObject):
-            return obj.algebra.obj
         raise TypeError(f"not a presentation object: {obj!r}")
 
     def psi_value(self, obj, f: Mor) -> complex:
         """Psi_a applied to an endomorphism of the unit 1-morphism."""
         eng = self.eng
-        if isinstance(obj, MonadObject):
-            return monad_psi(obj.algebra, f)
         O = self.unit_obj(obj)
         if f.dom != (O,) or f.cod != (O,):
             raise ShapeMismatch("endomorphism of the wrong unit object")
@@ -260,11 +255,11 @@ def hstar_monad_completion(
 ) -> Pre3HilbPresentation:
     """Adjoin certified H*-monads (REJECTed algebras raise)."""
     objects = list(X.objects)
-    for k, A in enumerate(algebras):
+    for A in algebras:
         cert = verify_hstar(A, tol, seed)
         if not cert.ok:
             raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
-        objects.append(MonadObject(A, label=f"A{k}"))
+        objects.append(MonadObject(A))
     return Pre3HilbPresentation(X.eng, objects)
 
 
@@ -584,19 +579,16 @@ def split_monad(
 def weight_mod_dagger(
     eng: Engine,
     A: AlgebraObject,
-    eta=None,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
 ):
     """Psi on module natural endomorphisms of id over the category of
-    A-modules: sum of d_m Tr_m(eta_m), with the per-component rescaling
-    by the reciprocal of the renormalization value."""
+    A-modules at the identity: sum of d_m^2, with the per-component
+    rescaling by the reciprocal of the renormalization value."""
     mc = module_category(eng, A, tol, seed)
     dims = list(mc.dims)
-    if eta is None:
-        eta = [1.0] * len(dims)
-    raw = sum(z * d * d for z, d in zip(eta, dims))
-    _, prefactors = renorm_scalar(eng.data, eng.udf.psi, tol)
+    raw = sum(d * d for d in dims)
+    _, prefactors = renorm_scalar(eng.udf, tol)
     units = [u for u in eng.data.units if eng.mult(A.obj, u)]
     # modules over an algebra in one component rescale uniformly
     pre = prefactors[units[0]]
@@ -619,7 +611,7 @@ def theorem_b_check(
     the column module category; both must equal the unit weight."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
-    eng = Engine(data, udf_from_weight(data, psi, tol))
+    eng = dual_engine(data, psi, tol)
     u1 = data.units[0]
     psi1 = psi.of_unit(data, u1)
     A = trivial_algebra(eng, u1)

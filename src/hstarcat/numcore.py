@@ -42,17 +42,16 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Uniform numerical tolerance: absolute and relative epsilon."""
+    """Uniform numerical tolerance: one epsilon, absolute and relative."""
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_eps < 0 or self.rel_eps < 0:
+        if self.eps < 0:
             raise InputError("tolerances must be nonnegative")
 
     def bound(self, scale: float = 1.0) -> float:
-        return self.abs_eps + self.rel_eps * abs(scale)
+        return self.eps + self.eps * abs(scale)
 
 
 DEFAULT_TOL = Tolerance()

@@ -155,7 +155,7 @@ def test_criterion_06_renormalization_scalar():
         data = bundled.load(name)
         for _ in range(3):
             psi = SphericalWeight(tuple(rng.uniform(0.3, 2.5, len(data.units))))
-            v, _ = renorm_scalar(data, psi)
+            v, _ = renorm_scalar(udf_from_weight(data, psi))
             for units, simples in data.components():
                 k = len(units)
                 psi_id = sum(psi.of_unit(data, u) for u in units)

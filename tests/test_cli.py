@@ -290,7 +290,7 @@ def test_module_dimension_under_the_cut_rejects(capsys, argv, tol, check):
 
 
 def test_nan_loop_gap_rejects_on_its_axiom(monkeypatch, capsys):
-    monkeypatch.setattr("hstarcat.cli.loop_eval", lambda udf, c, side: float("nan"))
+    monkeypatch.setattr("hstarcat.diagram.Engine.loop", lambda eng, c, side: float("nan"))
     code, rep = _run(capsys, "fusion", "udf", "fibonacci")
     assert code == 1
     assert rep["violated_axioms"] == {"loops": "loop normalization"}

@@ -86,16 +86,31 @@ def test_loops_match_dims(name):
             assert abs(loop_eval(udf, c, "R") - udf.d(c) / udf.d(data.t(c))) < 1e-9
 
 
+@pytest.mark.parametrize("name", bundled.NAMES)
+def test_engine_loops_equal_loop_eval(name):
+    # fusion udf evaluates its loops on the command's one engine, whose
+    # caches the zig-zags have warmed; loop_eval builds a cold one
+    data = bundled.load(name)
+    rng = np.random.default_rng(12)
+    for p in [tuple(1.0 for _ in data.units), tuple(rng.uniform(0.2, 3.0, len(data.units)))]:
+        eng = fusion.dual_engine(data, SphericalWeight(p))
+        udf = udf_from_weight(data, SphericalWeight(p))
+        assert (udf.dims, udf.alpha, udf.beta) == (eng.udf.dims, eng.udf.alpha, eng.udf.beta)
+        for c in data.simples:
+            for side in "LR":
+                assert eng.loop(c, side) == loop_eval(udf, c, side)
+
+
 def test_renorm_scalar_formula():
     fib = bundled.load("fibonacci")
     psi = SphericalWeight((1.3,))
-    v, pre = renorm_scalar(fib, psi)
+    v, pre = renorm_scalar(udf_from_weight(fib, psi))
     expected = fib.fpdim_total() * 1.3**2 / 1.3  # FPdim * psi(id) / k^2, k = psi_1... v_1
     assert v["1"] == pytest.approx(expected)
     assert pre["1"] == pytest.approx(1.0 / expected)
     # m2 with non-uniform psi: v constant across units
     m2 = bundled.load("m2_hilb")
-    v2, _ = renorm_scalar(m2, SphericalWeight((1.0, 2.0)))
+    v2, _ = renorm_scalar(udf_from_weight(m2, SphericalWeight((1.0, 2.0))))
     vals = list(v2.values())
     assert vals[0] == pytest.approx(vals[1])
 

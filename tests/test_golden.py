@@ -1,7 +1,7 @@
 """The default report of every CLI command in the README, pinned byte for
-byte against tests/golden/<group>_<cmd>_<first input>.json, their
-verdicts, the same at several seeds, and a verdict or an input error (never
-exit 3) at every valid --tol.
+byte against tests/golden/<group>_<cmd>_<first input>.json, the one
+Engine each builds, their verdicts, the same at several seeds, and a
+verdict or an input error (never exit 3) at every valid --tol.
 
 A change that means to alter one of these reports regenerates its file
 with `PYTHONPATH=src python -m hstarcat.cli <command> > tests/golden/...`
@@ -15,6 +15,7 @@ import re
 import pytest
 
 from hstarcat.cli import main
+from hstarcat.diagram import Engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -35,6 +36,24 @@ def test_readme_report_is_byte_identical(capsys, command):
     argv = command.split()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == _golden(argv).read_bytes()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_builds_one_engine(monkeypatch, capsys, command):
+    # an engine is born with its dual functor (fusion.dual_engine), and a
+    # command does all its diagram work on that one engine; fusion validate
+    # and the hstar commands never reach the diagram layer
+    built = []
+    init = Engine.__init__
+
+    def counted(eng, *args):
+        built.append(eng)
+        init(eng, *args)
+
+    monkeypatch.setattr(Engine, "__init__", counted)
+    assert main(command.split()) == 0
+    capsys.readouterr()
+    assert len(built) == (0 if command.startswith(("fusion validate", "hstar ")) else 1)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -130,6 +130,25 @@ def test_theorem_b(name):
     assert cert.details["modules"] == pytest.approx(cert.details["psi_1"])
 
 
+@pytest.mark.parametrize("name", ("fibonacci", "ising", "m2_hilb"))
+def test_theorem_b_takes_one_zigzag_per_simple(monkeypatch, name):
+    # one dual functor: the zig-zags that fix the cups are taken once, on
+    # the engine that the comparison then runs on
+    data = bundled.load(name)
+    taken = []
+    zigzag = Engine.zigzag_scalar
+
+    def counted(eng, c):
+        taken.append((id(eng), c))
+        return zigzag(eng, c)
+
+    monkeypatch.setattr(Engine, "zigzag_scalar", counted)
+    cert = hilb3.theorem_b_check(data, SphericalWeight(tuple(1.0 for _ in data.units)))
+    assert cert.ok
+    assert sorted(c for _, c in taken) == sorted(data.simples)
+    assert len({e for e, _ in taken}) == 1
+
+
 def test_weight_mod_dagger_rescaled_matches_psi():
     eng = _eng("hilb_z2", (1.3,))
     A = intalg.group_algebra(eng, ("1", "g"))

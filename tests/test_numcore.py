@@ -14,11 +14,13 @@ from hstarcat.numcore import (
 
 
 def test_tolerance_bound():
-    t = Tolerance(1e-9, 1e-6)
-    assert t.bound() == pytest.approx(1e-9 + 1e-6)
-    assert t.bound(100.0) == pytest.approx(1e-9 + 1e-4)
+    # one eps is both the absolute and the relative part of a bound
+    t = Tolerance(1e-6)
+    assert t.bound() == pytest.approx(2e-6)
+    assert t.bound(100.0) == pytest.approx(1e-6 + 1e-4)
+    assert t.bound(-3.0) == 1e-6 + 1e-6 * 3.0
     with pytest.raises(InputError):
-        Tolerance(-1.0, 0.0)
+        Tolerance(-1.0)
 
 
 def test_split_projection():

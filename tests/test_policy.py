@@ -4,7 +4,9 @@ folded with numcore.worst, which keeps a NaN that max and min drop.
 Lint for the one intertwiner calculus: hom spaces are solved, and
 commutants split, in one place each. Lint for the dependencies: the
 package imports no module that only the tests need. Lint for the engine's
-door: outside diagram.py, morphisms come from the shape-checked eng.mor.
+door: outside diagram.py, morphisms come from the shape-checked eng.mor,
+and outside fusion.py no module builds an Engine, which is born with its
+dual functor in fusion.dual_engine.
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py."""
@@ -162,6 +164,28 @@ def test_mor_lint_catches_a_direct_construction():
     assert _direct_mor_calls("def g(eng):\n    return diagram.Mor(eng, (), (), {})")
     assert not _direct_mor_calls("f = eng.mor((), (), {})")
     assert not _direct_mor_calls("from .diagram import Engine, Mor\nx: Mor = eng.zero((), ())")
+
+
+def _direct_engine_calls(source: str):
+    """Lines that construct an Engine, by name or as an attribute."""
+    return [n.lineno for n in _calls(ast.parse(source)) if _name(n.func) == "Engine"]
+
+
+def test_only_fusion_constructs_engines():
+    # an engine and its dual functor are built together, in
+    # fusion.dual_engine; loop_eval is the one other construction
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "fusion.py":
+            found += [f"{path.name}:{line}: Engine(" for line in _direct_engine_calls(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_engine_lint_catches_a_stray_construction():
+    assert _direct_engine_calls("eng = Engine(data, udf_from_weight(data, psi))")
+    assert _direct_engine_calls("def g(data, udf):\n    return diagram.Engine(data, udf)")
+    assert not _direct_engine_calls("eng = dual_engine(data, psi, tol)")
+    assert not _direct_engine_calls("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf")
 
 
 # modules the tests use and the package must not import: input documents
