@@ -410,25 +410,7 @@ def _cmd_deligne_check(args):
             mside, eng, m_objects, samples=5, seed=args.seed, tol=args.tolerance
         ),
     )
-    # ladder traciality on sampled endomorphisms
-    rng = np.random.default_rng(args.seed)
-    nside = deligne.RegularLeft(eng)
-    gaps = []
-    for c in eng.data.simples:
-        L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
-        if deligne.ladder_hom_dim(L, L) == 0:
-            continue
-        for _ in range(5):
-            F = deligne.random_ladder(L, L, rng)
-            G = deligne.random_ladder(L, L, rng)
-            gaps.append(
-                abs(
-                    deligne.ladder_trace(deligne.ladder_compose(F, G))
-                    - deligne.ladder_trace(deligne.ladder_compose(G, F))
-                )
-            )
-    bound = args.tolerance.bound(10.0)
-    rep.add("ladder_trace", bounded("traciality", worst(gaps), bound, "traciality"))
+    rep.add("ladder_trace", deligne.ladder_traciality(eng, 5, args.seed, args.tolerance))
     return rep.finish(args.out)
 
 

@@ -11,7 +11,7 @@ C-module on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class RegularRight:
         return (m,)
 
     def hom(self, m1, m2, c):
-        return self.eng.hom_basis((m1,), (m2, self.eng.simple_obj(c)))
+        """The words (dom, cod) of M(m1 -> m2 <| c)."""
+        return (m1,), (m2, self.eng.simple_obj(c))
 
     def trace(self, f: Mor) -> complex:
         return self.eng.categorical_trace(f)
@@ -48,13 +49,45 @@ class RegularLeft:
         return (n,)
 
     def hom(self, c, n1, n2):
-        return self.eng.hom_basis((self.eng.simple_obj(c), n1), (n2,))
+        """The words (dom, cod) of N(c |> n1 -> n2)."""
+        return (self.eng.simple_obj(c), n1), (n2,)
 
     def trace(self, f: Mor) -> complex:
         return self.eng.categorical_trace(f)
 
 
 # --- ladder category ----------------------------------------------------
+# Only the M-side factor f of a term (f, g) carries a sampled coefficient.
+# The N-side factors, and what is built from them alone, are kept on the
+# engine (Engine.derived) under value keys that spell out how to build them:
+#   ("basis", X, Y, k)            the k-th elementary morphism X -> Y
+#   ("unitor", u, n)              the left unitor (1_u, n) -> (n)
+#   ("dagger", h), ("whisker", w, h)   h^dagger, w <| h
+#   ("rung", g2, c2, g1, nu, n1)  g2 o (c2 <| g1) o (nu |> n1)
+
+
+def _piece(eng: Engine, key) -> Mor:
+    """The morphism a value key names, built once per engine."""
+    return eng.derived(key, lambda: _build(eng, *key))
+
+
+def _build(eng: Engine, kind, *args) -> Mor:
+    if kind == "basis":
+        X, Y, k = args
+        return eng.hom_basis(X, Y)[k]
+    if kind == "unitor":
+        return eng.left_unitor(*args)
+    if kind == "dagger":
+        return eng.dagger(_piece(eng, *args))
+    if kind == "whisker":
+        return eng.whisker_left(args[0], _piece(eng, args[1]))
+    g2, c2o, g1, nu, n1w = args
+    gs = eng.compose(_piece(eng, g2), eng.whisker_left((c2o,), _piece(eng, g1)))
+    return eng.compose(gs, eng.whisker_right(_piece(eng, nu), n1w))
+
+
+def _basis_keys(eng: Engine, X, Y) -> tuple:
+    return tuple(("basis", X, Y, k) for k in range(eng.hom_dim(X, Y)))
 
 
 @dataclass
@@ -63,10 +96,6 @@ class LadderObject:
     nside: object
     m: object
     n: object
-    # (id(m2), id(n2)) -> (m2, n2, hom bases to that target), filled by
-    # ladder_hom_bases; holding m2 and n2 keeps their ids from being
-    # reused, and holds no reference back to this object
-    _homs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def check_shared(self, other: "LadderObject"):
         if self.mside is not other.mside or self.nside is not other.nside:
@@ -76,11 +105,11 @@ class LadderObject:
 @dataclass
 class LadderHom:
     """Sum of elementary tensors: per middle simple c, a list of pairs
-    (f: m1 -> m2 <| c, g: c |> n1 -> n2)."""
+    (f: m1 -> m2 <| c, key of g: c |> n1 -> n2)."""
 
     src: LadderObject
     dst: LadderObject
-    terms: dict  # c -> list[(Mor, Mor)]
+    terms: dict  # c -> list[(Mor, key)]
 
 
 def _eng(L: LadderObject) -> Engine:
@@ -96,25 +125,22 @@ def _nword(L: LadderObject):
 
 
 def ladder_hom_bases(src: LadderObject, dst: LadderObject):
-    """c -> (basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for
-    the channels where both are nonempty, built once per (src, dst) and
-    kept on src. Callers only read the bases."""
+    """c -> (basis keys of M(m1 -> m2 <| c), basis keys of N(c |> n1 ->
+    n2)) for the channels where both are nonempty, built once per engine
+    and (m1, n1, m2, n2)."""
     src.check_shared(dst)
-    key = (id(dst.m), id(dst.n))
-    hit = src._homs.get(key)
-    if hit is not None:
-        return hit[2]
     eng = _eng(src)
-    out = {}
-    for c in eng.data.simples:
-        fs = src.mside.hom(src.m, dst.m, c)
-        if not fs:
-            continue
-        gs = src.nside.hom(c, src.n, dst.n)
-        if gs:
-            out[c] = (fs, gs)
-    src._homs[key] = (dst.m, dst.n, out)
-    return out
+
+    def build():
+        out = {}
+        for c in eng.data.simples:
+            fs = _basis_keys(eng, *src.mside.hom(src.m, dst.m, c))
+            gs = _basis_keys(eng, *src.nside.hom(c, src.n, dst.n))
+            if fs and gs:
+                out[c] = (fs, gs)
+        return out
+
+    return eng.derived(("ladder_homs", src.m, src.n, dst.m, dst.n), build)
 
 
 def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
@@ -126,7 +152,8 @@ def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
     terms = {}
     for c, (fs, gs) in ladder_hom_bases(src, dst).items():
         lst = []
-        for f in fs:
+        for fkey in fs:
+            f = _piece(eng, fkey)
             for g in gs:
                 z = rng.standard_normal() + 1j * rng.standard_normal()
                 lst.append((eng.scale(z, f), g))
@@ -141,11 +168,9 @@ def identity_ladder(L: LadderObject) -> LadderHom:
     terms = {}
     for j in eng.data.units:
         ju = eng.simple_obj(j)
-        ru = eng.right_unitor(mw, ju)  # (m, 1_j) -> (m)
-        lu = eng.left_unitor(ju, nw)  # (1_j, n) -> (n)
-        f = eng.dagger(ru)
-        g = lu
-        if f.blocks and g.blocks:
+        f = eng.dagger(eng.right_unitor(mw, ju))  # (m) -> (m, 1_j)
+        g = ("unitor", ju, nw)  # (1_j, n) -> (n)
+        if f.blocks and _piece(eng, g).blocks:
             terms[j] = [(f, g)]
     return LadderHom(L, L, terms)
 
@@ -166,20 +191,21 @@ def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
         c2o = eng.simple_obj(c2)
         for c1, pairs1 in G.terms.items():
             c1o = eng.simple_obj(c1)
-            # the fusion vertices nu: e -> c2 (x) c1, one per tree
-            vertices = [
-                (e, nu)
-                for e in eng.support((c2o, c1o))
-                for nu in eng.hom_basis((eng.simple_obj(e),), (c2o, c1o))
-            ]
+            c2c1 = (c2o, c1o)
+            vertices = eng.derived(
+                ("vertices", c2c1),
+                lambda: tuple(
+                    (e, nu) for e in eng.support(c2c1) for nu in _basis_keys(eng, (eng.simple_obj(e),), c2c1)
+                ),
+            )
+            m3nus = [_piece(eng, ("whisker", m3w, ("dagger", nu))) for _, nu in vertices]
             for f2, g2 in pairs2:
                 for f1, g1 in pairs1:
                     fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
-                    gs = eng.compose(g2, eng.whisker_left((c2o,), g1))
-                    for e, nu in vertices:
-                        fe = eng.compose(eng.whisker_left(m3w, eng.dagger(nu)), fs)
-                        ge = eng.compose(gs, eng.whisker_right(nu, n1w))
-                        if fe.blocks and ge.blocks:
+                    for (e, nu), m3nu in zip(vertices, m3nus):
+                        fe = eng.compose(m3nu, fs)
+                        ge = ("rung", g2, c2o, g1, nu, n1w)
+                        if fe.blocks and _piece(eng, ge).blocks:
                             terms.setdefault(e, []).append((fe, ge))
     return LadderHom(G.src, F.dst, terms)
 
@@ -200,7 +226,8 @@ def ladder_trace(F: LadderHom) -> complex:
         lu = eng.dagger(eng.left_unitor(ju, nw))
         for f, g in pairs:
             tm = F.src.mside.trace(eng.compose(ru, f))
-            tn = F.src.nside.trace(eng.compose(g, lu))
+            # g: (1_j, n) -> (n) fixes j and n
+            tn = eng.derived(("unit_trace", g), lambda: F.src.nside.trace(eng.compose(_piece(eng, g), lu)))
             total += tm * tn / eng.udf.d(j)
     return complex(total)
 
@@ -215,10 +242,8 @@ def act_on_module(F: LadderHom) -> Mor:
     out = eng.zero(_mword(F.src) + c1w, m2w + _nword(F.dst))
     for c, pairs in F.terms.items():
         for f, g in pairs:
-            out = eng.add(
-                out,
-                eng.compose(eng.whisker_left(m2w, g), eng.whisker_right(f, c1w)),
-            )
+            m2g = _piece(eng, ("whisker", m2w, g))
+            out = eng.add(out, eng.compose(m2g, eng.whisker_right(f, c1w)))
     return out
 
 
@@ -247,3 +272,24 @@ def right_action_isometry(
                 gaps.append(abs(t1 - t2))
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
+
+
+TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
+
+
+def ladder_traciality(
+    eng: Engine, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
+) -> Certificate:
+    """tr(F G) against tr(G F) on sampled endos of each c (x) c of the
+    regular ladder category."""
+    mside, nside = RegularRight(eng), RegularLeft(eng)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for c in eng.data.simples:
+        L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
+        if ladder_hom_dim(L, L) == 0:
+            continue
+        for _ in range(samples):
+            F, G = random_ladder(L, L, rng), random_ladder(L, L, rng)
+            gaps.append(abs(ladder_trace(ladder_compose(F, G)) - ladder_trace(ladder_compose(G, F))))
+    return bounded("traciality", worst(gaps), tol.bound(TRACE_SCALE), "traciality")

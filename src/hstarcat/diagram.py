@@ -56,7 +56,7 @@ class Engine:
         self._group = {}
         self._fcache = {}
         self._simple = {}
-        self._unitors = {}
+        self._derived = {}
         self._unit_of = {u: u for u in data.units}
 
     # --- objects and words ----------------------------------------------
@@ -324,12 +324,10 @@ class Engine:
 
     def left_unitor(self, U, word) -> Mor:
         """(1_u, word) -> (word) for the simple unit object U: identity on
-        tree coefficients. Its blocks are built once per (U, word) and
-        shared, so callers only read them; the cache holds no Mor, which
-        would tie the engine into a reference cycle."""
-        key = ("left", U, word)
+        tree coefficients, built once per (U, word)."""
         dom = (U,) + word
-        if key not in self._unitors:
+
+        def build():
             u_label = next(c for c in self.data.simples if self.mult(U, c))
             blocks = {}
             for c in self.support(dom):
@@ -339,15 +337,16 @@ class Engine:
                     if x == u_label:
                         m[si, j] = 1.0
                 blocks[c] = m
-            self._unitors[key] = _nonzero(blocks)
-        return Mor(self, dom, word, self._unitors[key])
+            return Mor(self, dom, word, _nonzero(blocks))
+
+        return self.derived(("left_unitor", U, word), build)
 
     def right_unitor(self, word, U) -> Mor:
-        """(word, 1_u) -> (word): identity on tree coefficients, cached
-        like left_unitor."""
-        key = ("right", U, word)
+        """(word, 1_u) -> (word): identity on tree coefficients, built once
+        per (word, U)."""
         dom = word + (U,)
-        if key not in self._unitors:
+
+        def build():
             blocks = {}
             for c in self.support(dom):
                 gX, _, UX = self.group_last(word, U, c)
@@ -356,8 +355,20 @@ class Engine:
                     if d == c:
                         m[ti, col] = 1.0
                 blocks[c] = m @ UX.conj().T
-            self._unitors[key] = _nonzero(blocks)
-        return Mor(self, dom, word, self._unitors[key])
+            return Mor(self, dom, word, _nonzero(blocks))
+
+        return self.derived(("right_unitor", word, U), build)
+
+    def derived(self, key, build):
+        """build(), made once per engine and key: a value fixed by the data
+        alone, such as a unitor or a ladder piece. Keys are values, never
+        id(). A Mor is kept as (dom, cod, blocks), anything else as (value,):
+        a kept Mor would tie the engine into a reference cycle. Callers only read."""
+        hit = self._derived.get(key)
+        if hit is None:
+            v = build()
+            hit = self._derived[key] = (v.dom, v.cod, v.blocks) if isinstance(v, Mor) else (v,)
+        return Mor(self, *hit) if len(hit) == 3 else hit[0]
 
     # --- fusing a word into a single object -------------------------------
 

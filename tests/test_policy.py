@@ -5,8 +5,9 @@ Lint for the one intertwiner calculus: hom spaces are solved, and
 commutants split, in one place each. Lint for the dependencies: the
 package imports no module that only the tests need. Lint for the engine's
 door: outside diagram.py, morphisms come from the shape-checked eng.mor,
-and outside fusion.py no module builds an Engine, which is born with its
-dual functor in fusion.dual_engine.
+deligne builds none and takes them from the engine, and outside fusion.py
+no module builds an Engine, which is born with its dual functor in
+fusion.dual_engine. Lint for cache keys: no module calls id().
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py."""
@@ -164,6 +165,46 @@ def test_mor_lint_catches_a_direct_construction():
     assert _direct_mor_calls("def g(eng):\n    return diagram.Mor(eng, (), (), {})")
     assert not _direct_mor_calls("f = eng.mor((), (), {})")
     assert not _direct_mor_calls("from .diagram import Engine, Mor\nx: Mor = eng.zero((), ())")
+
+
+def _mor_builds(source: str):
+    """Lines that build a Mor from blocks: Mor( or the engine's door
+    .mor(."""
+    return [n.lineno for n in _calls(ast.parse(source)) if _name(n.func) in ("Mor", "mor")]
+
+
+def test_ladder_pieces_come_from_the_engine():
+    # deligne gets every morphism from an engine operation or from
+    # Engine.derived, which keeps blocks and hands out a fresh Mor; a Mor
+    # built and kept here would point back at its engine
+    found = _mor_builds((SRC / "deligne.py").read_text())
+    assert not found, found
+
+
+def test_mor_build_lint_catches_a_build():
+    assert _mor_builds("f = eng.mor(X, Y, blocks)")
+    assert _mor_builds("f = Mor(eng, X, Y, blocks)")
+    assert not _mor_builds("f = eng.derived(key, build)\ng = eng.compose(f, f)")
+
+
+def _id_calls(source: str):
+    """Lines that call id(): a cache keyed by an object's id can hand its
+    entry to a later object that reuses the id."""
+    return [n.lineno for n in _calls(ast.parse(source)) if _name(n.func) == "id"]
+
+
+def test_caches_key_by_value():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line}: id(" for line in _id_calls(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_id_lint_catches_an_id_key():
+    assert _id_calls("key = (id(dst.m), id(dst.n))")
+    assert _id_calls("def f(self, x):\n    return self._cache.get(id(x))")
+    assert _id_calls("k = builtins.id(x)")
+    assert not _id_calls("key = (dst.m, dst.n)\nvid = row.vid")
 
 
 def _direct_engine_calls(source: str):
