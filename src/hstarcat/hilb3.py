@@ -52,9 +52,8 @@ from .intalg import (
     Module,
     _mor_combo,
     algebra_bimodule,
-    carry_left,
-    carry_right,
     dual_bimodule_delta0,
+    free_bimodule,
     left_trivial_bimodule,
     left_unitor,
     module_category,
@@ -263,19 +262,7 @@ def hstar_monad_completion(
     return Pre3HilbPresentation(X.eng, objects)
 
 
-# --- free bimodules and orthonormal intertwiner bases ------------------
-
-
-def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
-    """A_i (x) c (x) A_j with outer multiplications, fused."""
-    eng = Ai.eng
-    if isinstance(c, str):
-        c = eng.simple_obj(c)
-    fused, u = eng.fuse((Ai.obj, c, Aj.obj))
-    V = eng.dagger(u)
-    lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
-    rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
-    return Bimodule(Ai, Aj, fused, lam, rho)
+# --- orthonormal intertwiner bases --------------------------------------
 
 
 def _scalar_gram(eng: Engine, fs, gs) -> np.ndarray:
@@ -392,10 +379,11 @@ class _LinkingBuilder:
         return N
 
     def duals(self):
+        """The dual of x in block (i, j) is the one z in block (j, i)
+        whose tensor x (x) z holds the unit of i."""
         dual = {}
         for x, (i, j) in enumerate(self.blocks):
-            Xd, _, _ = dual_bimodule_delta0(self.simples[x])
-            matches = [z for z in self.members[(j, i)] if Xd.homs(self.simples[z])]
+            matches = [z for z in self.members[(j, i)] if self.units[i] in self.onb(x, z)]
             if len(matches) != 1:
                 raise ConsistencyError(
                     f"{self.labels[x]} has {len(matches)} dual matches, not one"
@@ -409,39 +397,52 @@ class _LinkingBuilder:
         """F^{XYZ}_D[a, b] = col_b^dag row_a as a scalar, with both trees
         pushed down to maps D -> (x, y, z) through the cached pair
         tensors: row (E, r1, r2) is (V_XY r1 (x) id_z) V_EZ r2 and column
-        (G, c1, c2) is (id_x (x) V_YZ c1) V_XG c2. The lifts through r1
-        and c1 are built once per triple; the module docstring says why
-        no tensor of a tensor is needed."""
+        (G, c1, c2) is (id_x (x) V_YZ c1) V_XG c2. V_XY r1 and V_YZ c1 are
+        built once per pair, their lifts once per triple, and only the
+        triples that the grading allows are visited; the module docstring
+        says why no tensor of a tensor is needed."""
         eng, lab = self.eng, self.labels
+        starts = {}  # i -> the non-unit simples of the blocks (i, -), ascending
+        for y, (i, _) in enumerate(self.blocks):
+            if y not in self.units:
+                starts.setdefault(i, []).append(y)
+        pushed = {}
+
+        def push(a, b):
+            """{e: [V_ab r for r in onb(a, b)[e]]}."""
+            if (a, b) not in pushed:
+                _, V, _ = self.tensor(a, b)
+                pushed[(a, b)] = {
+                    e: [eng.compose(V, r) for r in rs] for e, rs in self.onb(a, b).items()
+                }
+            return pushed[(a, b)]
+
         F = {}
-        for x, y, z in itertools.product(range(len(lab)), repeat=3):
-            if not self.composable(x, y, z):
+        for x, (i, j) in enumerate(self.blocks):
+            if x in self.units:
                 continue
-            (i, j), (_, k), (_, l) = self.blocks[x], self.blocks[y], self.blocks[z]
-            _, VXY, _ = self.tensor(x, y)
-            _, VYZ, _ = self.tensor(y, z)
-            rows, cols = {}, {}  # d -> maps D -> (x, y, z)
-            for e in self.members[(i, k)]:
-                _, VEZ, _ = self.tensor(e, z)
-                for r1 in self.onb(x, y).get(e, []):
-                    lift = eng.compose(
-                        eng.whisker_right_obj(eng.compose(VXY, r1), self.simples[z].obj), VEZ
-                    )
-                    for d, r2s in self.onb(e, z).items():
-                        rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
-            for g in self.members[(j, l)]:
-                _, VXG, _ = self.tensor(x, g)
-                for c1 in self.onb(y, z).get(g, []):
-                    lift = eng.compose(
-                        eng.whisker_left_obj(self.simples[x].obj, eng.compose(VYZ, c1)), VXG
-                    )
-                    for d, c2s in self.onb(x, g).items():
-                        cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
-            for d in self.members[(i, l)]:
-                if rows.get(d):
-                    F[(lab[x], lab[y], lab[z], lab[d])] = _scalar_gram(
-                        eng, rows[d], cols.get(d, [])
-                    )
+            for y in starts.get(j, []):
+                k = self.blocks[y][1]
+                for z in starts.get(k, []):
+                    l = self.blocks[z][1]
+                    rows, cols = {}, {}  # d -> maps D -> (x, y, z)
+                    for e in self.members[(i, k)]:
+                        for up in push(x, y).get(e, []):
+                            _, VEZ, _ = self.tensor(e, z)
+                            lift = eng.compose(eng.whisker_right_obj(up, self.simples[z].obj), VEZ)
+                            for d, r2s in self.onb(e, z).items():
+                                rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
+                    for g in self.members[(j, l)]:
+                        for up in push(y, z).get(g, []):
+                            _, VXG, _ = self.tensor(x, g)
+                            lift = eng.compose(eng.whisker_left_obj(self.simples[x].obj, up), VXG)
+                            for d, c2s in self.onb(x, g).items():
+                                cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
+                    for d in self.members[(i, l)]:
+                        if rows.get(d):
+                            F[(lab[x], lab[y], lab[z], lab[d])] = _scalar_gram(
+                                eng, rows[d], cols.get(d, [])
+                            )
         return F
 
     # -- final assembly --------------------------------------------------

@@ -8,12 +8,21 @@ unitarity of the canonical map A -> [A, A]), bimodules with the relative
 tensor over a middle algebra, and the delta = 0 dual-functor data on
 bimodules.
 
-Modules and bimodules share one intertwiner calculus. Every hom space is
-solved by _solve, the one caller of Engine.linear_matrix and null_space,
-from left_linear and right_linear constraints; every sub-object carries
-its actions along an isometry V as V^dag act (id (x) V) (carry_left,
-carry_right); and through homs(other) and carried(V) on both, one
-splitter, split_summands, cuts either into simple summands.
+Modules and bimodules share one intertwiner calculus. A free module
+c (x) A or free bimodule A (x) c (x) B, and every summand of one, keeps
+its free presentation: head, an isometry of its word into the unfused
+free word. Free is left adjoint to forgetful, so Hom_{A-B}(A (x) c (x) B,
+M) = Hom(c, M) (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories,
+Sec. 7.8): a hom space out of such a source is spanned by
+act_M (id_A (x) g (x) id_B) head over a basis of g: c -> M, and cut to an
+orthonormal basis (_adjoint_span), with no solve. Only the sources
+without a free presentation (the algebra as its own bimodule, and the
+balanced maps of bimodule_map_basis) are solved by _solve, the one
+caller of Engine.linear_matrix and null_space, from left_linear and
+right_linear constraints. Every sub-object carries its actions along an
+isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its head
+as head V; and through homs(other) and carried(V) on both, one splitter,
+split_summands, cuts either into simple summands.
 
 All diagrams are evaluated in the fusion-tree engine; every axiom is a
 numeric residual, never a symbolic assumption.
@@ -34,6 +43,7 @@ from .numcore import (
     ShapeMismatch,
     Tolerance,
     null_space,
+    row_space,
     split_projection,
     worst,
 )
@@ -286,6 +296,21 @@ def carry_right(V: Mor, rho: Mor, B: AlgebraObject) -> Mor:
     return eng.compose(eng.dagger(V), eng.compose(rho, eng.whisker_right_obj(V, B.obj)))
 
 
+def carry_head(V: Mor, head):
+    """The free presentation of a sub-object along an isometry V into the
+    word of an object with presentation head (None for none)."""
+    return None if head is None else V.eng.compose(head, V)
+
+
+def _adjoint_span(eng: Engine, dom, cod, maps):
+    """Orthonormal basis (in the to_vector inner product) of the span of
+    maps dom -> cod, through the rows of an SVD."""
+    if not maps:
+        return []
+    rows = row_space(np.array([eng.to_vector(f) for f in maps]))
+    return [eng.from_vector(dom, cod, v) for v in rows]
+
+
 # --- modules ------------------------------------------------------------
 
 
@@ -296,6 +321,7 @@ class Module:
     algebra: AlgebraObject
     obj: tuple
     rho: Mor
+    head: Mor = None  # (m) -> (c, A) for a summand of the free module c (x) A
 
     @property
     def eng(self) -> Engine:
@@ -306,26 +332,33 @@ class Module:
         return (self.obj,)
 
     def homs(self, other: "Module"):
-        """Basis of module maps self -> other."""
-        return module_hom_basis(self, other)
+        """Basis of module maps self -> other: rho_other (g (x) id_A) head
+        over g: c -> other, or solved without a free presentation."""
+        if self.head is None:
+            return module_hom_basis(self, other)
+        eng = self.eng
+        c, a = self.head.cod
+        maps = [
+            eng.compose(other.rho, eng.compose(eng.whisker_right_obj(g, a), self.head))
+            for g in eng.hom_basis((c,), other.word)
+        ]
+        return _adjoint_span(eng, self.word, other.word, maps)
 
     def carried(self, V: Mor) -> "Module":
         """The sub-module on the domain of an isometry V into self.word."""
-        return Module(self.algebra, V.dom[0], carry_right(V, self.rho, self.algebra))
-
-
-def fused_right_module(algebra: AlgebraObject, word, rho_word: Mor) -> Module:
-    """Module on the fusion of a word whose action lives on the last factor."""
-    eng = algebra.eng
-    fused, u = eng.fuse(word)
-    return Module(algebra, fused, carry_right(eng.dagger(u), rho_word, algebra))
+        rho = carry_right(V, self.rho, self.algebra)
+        return Module(self.algebra, V.dom[0], rho, carry_head(V, self.head))
 
 
 def free_module(A: AlgebraObject, O) -> Module:
-    """c (x) A with action id (x) mu, fused to a single object."""
+    """c (x) A with action id (x) mu, fused to a single object; its head
+    is the inverse of the fusion."""
+    eng = A.eng
     if isinstance(O, str):
-        O = A.eng.simple_obj(O)
-    return fused_right_module(A, (O, A.obj), A.eng.whisker_left_obj(O, A.mu))
+        O = eng.simple_obj(O)
+    fused, u = eng.fuse((O, A.obj))
+    head = eng.dagger(u)
+    return Module(A, fused, carry_right(head, eng.whisker_left_obj(O, A.mu), A), head)
 
 
 def module_hom_basis(M1: Module, M2: Module):
@@ -510,6 +543,7 @@ class Bimodule:
     obj: tuple
     lam: Mor
     rho: Mor
+    head: Mor = None  # (m) -> (A, c, B) for a summand of the free A (x) c (x) B
 
     @property
     def eng(self) -> Engine:
@@ -520,13 +554,39 @@ class Bimodule:
         return (self.obj,)
 
     def homs(self, other: "Bimodule"):
-        """Basis of bimodule maps self -> other."""
-        return bimodule_homs(self, other)
+        """Basis of bimodule maps self -> other: act (id_A (x) g (x) id_B)
+        head over g: c -> other, with act = lam (id_A (x) rho) of other,
+        or solved without a free presentation."""
+        if self.head is None:
+            return bimodule_homs(self, other)
+        eng = self.eng
+        a, c, b = self.head.cod
+        act = eng.compose(other.lam, eng.whisker_left_obj(a, other.rho))  # (A, m, B) -> (m)
+        maps = [
+            eng.compose(
+                act, eng.compose(eng.whisker_left_obj(a, eng.whisker_right_obj(g, b)), self.head)
+            )
+            for g in eng.hom_basis((c,), other.word)
+        ]
+        return _adjoint_span(eng, self.word, other.word, maps)
 
     def carried(self, V: Mor) -> "Bimodule":
         """The sub-bimodule on the domain of an isometry V into self.word."""
         lam, rho = carry_left(V, self.lam, self.left), carry_right(V, self.rho, self.right)
-        return Bimodule(self.left, self.right, V.dom[0], lam, rho)
+        return Bimodule(self.left, self.right, V.dom[0], lam, rho, carry_head(V, self.head))
+
+
+def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
+    """A_i (x) c (x) A_j with outer multiplications, fused; its head is
+    the inverse of the fusion."""
+    eng = Ai.eng
+    if isinstance(c, str):
+        c = eng.simple_obj(c)
+    fused, u = eng.fuse((Ai.obj, c, Aj.obj))
+    V = eng.dagger(u)
+    lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
+    rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
+    return Bimodule(Ai, Aj, fused, lam, rho, V)
 
 
 def bimodule_homs(M1: Bimodule, M2: Bimodule):
@@ -763,7 +823,10 @@ def delta0_norm_identity(
     if not basis:
         return 0.0, (0.0, 0.0)
     zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
-    NM = fused_right_module(M.right, N.word + M.word, eng.whisker_left(N.word, M.rho))
+    # N (x) M as a right B-module, fused to one object
+    fused, u = eng.fuse(N.word + M.word)
+    rho = carry_right(eng.dagger(u), eng.whisker_left(N.word, M.rho), M.right)
+    NM = Module(M.right, fused, rho)
     rng = np.random.default_rng(seed)
     gaps = []
     for _ in range(samples):

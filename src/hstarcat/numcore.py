@@ -118,17 +118,31 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vecs[:, :rank]
 
 
-def null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the kernel of m.
+# singular values at or below RANK_CUT * max(1, sigma_max) count as zero:
+# absolute for small matrices, since the engine's maps are O(1)-normalized
+# and a purely relative cut reads an all-roundoff matrix as full rank
+RANK_CUT = 1e-8
 
-    Singular values at or below 1e-8 * max(1, sigma_max) count as zero.
-    The cut is absolute for small matrices (the constraint maps of the
-    diagram engine are O(1)-normalized): a purely relative cut misreads an
-    all-roundoff matrix as full rank and reports an empty kernel.
-    """
-    _, s, vh = np.linalg.svd(m)
-    cut = 1e-8 * max(1.0, s[0] if s.size else 0.0)
-    return vh[(s > cut).sum():].conj().T
+
+def _svd_rank(m: np.ndarray, full: bool):
+    """(vh, rank) of m under RANK_CUT."""
+    _, s, vh = np.linalg.svd(m, full_matrices=full)
+    return vh, int((s > RANK_CUT * max(1.0, s[0] if s.size else 0.0)).sum())
+
+
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the kernel of m. A reduced SVD
+    already gives every right singular vector when rows >= cols."""
+    vh, rank = _svd_rank(m, m.shape[0] < m.shape[1])
+    return vh[rank:].conj().T
+
+
+def row_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the span of the rows of m. The rows
+    of vh are kept as they are: each is a combination of the rows of m,
+    where its conjugate in general is not."""
+    vh, rank = _svd_rank(m, False)
+    return vh[:rank]
 
 
 def unitarity_defect(m: np.ndarray) -> float:

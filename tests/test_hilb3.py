@@ -332,3 +332,51 @@ def test_linking_blocks_have_the_ambient_dimension(name, objects, psis, dim):
         block = [c for c in data.simples if data.grading[c] == (ui, uj)]
         assert sum(data.fpdim(c) ** 2 for c in block) == pytest.approx(dim, rel=1e-9), (ui, uj)
 
+
+
+def _solved_linking(monkeypatch, eng, algebras):
+    """The builder as it was before homs out of free bimodules came from
+    the adjunction: every hom space solved (intalg.bimodule_homs) and the
+    dual of x the one z with Hom(x^dual, z) != 0, for x^dual from
+    intalg.dual_bimodule_delta0. Returns the builder, its N and duals."""
+    with monkeypatch.context() as m:
+        m.setattr(intalg.Bimodule, "homs", lambda self, other: intalg.bimodule_homs(self, other))
+        b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+        N = b.fusion_mults()
+        dual = {}
+        for x, (i, j) in enumerate(b.blocks):
+            Xd, _, _ = intalg.dual_bimodule_delta0(b.simples[x])
+            (z,) = [z for z in b.members[(j, i)] if intalg.bimodule_homs(Xd, b.simples[z])]
+            dual[b.labels[x]] = b.labels[z]
+    return b, N, dual
+
+
+@pytest.mark.parametrize(
+    "name, mk, unit, dim",
+    [
+        ("ising", lambda e: intalg.group_algebra(e, ("1", "p")), "1", 4.0),
+        ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1})), "1", PHI + 2),
+        ("ty3", lambda e: intalg.group_algebra(e, ("0", "1", "2")), "0", 6.0),
+    ],
+    ids=["ising_q_1", "fibonacci_pair_1", "ty3_z3_1"],
+)
+def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, dim):
+    data = _ty3() if name == "ty3" else bundled.load(name)
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    algebras = [mk(eng), intalg.trivial_algebra(eng, unit)]
+    ref, ref_N, ref_dual = _solved_linking(monkeypatch, eng, algebras)
+    b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+    # each simple is isomorphic to exactly one solved simple of its block
+    perm = {}
+    for x, X in enumerate(b.simples):
+        (z,) = [z for z in ref.members[b.blocks[x]] if intalg.bimodule_homs(X, ref.simples[z])]
+        perm[b.labels[x]] = ref.labels[z]
+    assert sorted(perm.values()) == sorted(ref.labels)
+    assert [perm[b.labels[u]] for u in b.units] == [ref.labels[u] for u in ref.units]
+    data, _ = b.fusion_data()
+    assert {tuple(map(perm.get, k)): v for k, v in data.N.items()} == ref_N
+    assert {perm[x]: perm[z] for x, z in data.dual.items()} == ref_dual
+    # Oracle A: in every block the FPdim^2 of the simples sum to dim C
+    for ui, uj in itertools.product(data.units, repeat=2):
+        block = [c for c in data.simples if data.grading[c] == (ui, uj)]
+        assert sum(data.fpdim(c) ** 2 for c in block) == pytest.approx(dim, rel=1e-9), (ui, uj)

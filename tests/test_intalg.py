@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +185,78 @@ def test_split_summands_resolves_every_free_module(name, mk):
             ) < 1e-9
             total = eng.add(total, eng.compose(V, eng.dagger(V)))
         assert eng.residual(total, eng.identity(F.word)) < 1e-9, c
+
+
+def _family(name):
+    """An instance of the benchmark's generated families (bench/families.py)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
+    fam = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fam)
+    if name == "ty3":
+        # ungauged: a gauge moves the Z_3 cocycle off the unit coefficients
+        # of group_algebra, which then REJECTs on associativity
+        return fam.ty_zn(3)
+    return fam.gauge(fam.vec_zn(4), np.random.default_rng(4))
+
+
+def _projector(eng, basis):
+    """The orthogonal projector onto the span of an orthonormal basis of
+    maps, in the to_vector inner product."""
+    vs = np.array([eng.to_vector(f) for f in basis]).reshape(len(basis), -1)
+    return vs.T @ vs.conj()
+
+
+def _same_hom_space(eng, adjoint, solved):
+    assert len(adjoint) == len(solved)
+    if solved:
+        assert np.abs(_projector(eng, adjoint) - _projector(eng, solved)).max() < 1e-10
+
+
+ADJUNCTION_CASES = [
+    ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
+    ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ("ty3", lambda e: intalg.group_algebra(e, ("0", "1", "2"))),
+    ("vec4_gauged", lambda e: intalg.group_algebra(e, ("0", "2"))),
+]
+ADJUNCTION_IDS = [name for name, _ in ADJUNCTION_CASES]
+
+
+def _case_engine(name):
+    if name in ("ty3", "vec4_gauged"):
+        data = _family(name)
+        return Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    return _eng(name)
+
+
+@pytest.mark.parametrize("name,mk", ADJUNCTION_CASES, ids=ADJUNCTION_IDS)
+def test_adjunction_module_homs_match_the_solve(name, mk):
+    # Hom_A(c (x) A, M) = Hom(c, M): the basis read off the adjunction and
+    # the solved one span the same space, out of free modules and pieces
+    eng = _case_engine(name)
+    A = mk(eng)
+    assert intalg.verify_hstar(A).ok
+    frees = [intalg.free_module(A, c) for c in eng.data.simples]
+    frees = [F for F in frees if any(F.obj)]
+    pieces = [M for F in frees for M, _ in intalg.split_summands(F)]
+    for src in frees + pieces:
+        assert src.head is not None
+        for dst in frees + pieces:
+            _same_hom_space(eng, src.homs(dst), intalg.module_hom_basis(src, dst))
+
+
+@pytest.mark.parametrize("name,mk", ADJUNCTION_CASES, ids=ADJUNCTION_IDS)
+def test_adjunction_bimodule_homs_match_the_solve(name, mk):
+    # Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M), with B = A and B = 1, into
+    # free bimodules, their pieces and the algebra as its own bimodule
+    eng = _case_engine(name)
+    A = mk(eng)
+    unit = eng.data.units[0]
+    for B in (A, intalg.trivial_algebra(eng, unit)):
+        frees = [intalg.free_bimodule(A, c, B) for c in eng.data.simples[:2]]
+        pieces = [M for F in frees for M, _ in intalg.split_summands(F)]
+        targets = frees + pieces + ([intalg.algebra_bimodule(A)] if B is A else [])
+        for src in frees + pieces:
+            assert src.head is not None
+            for dst in targets:
+                _same_hom_space(eng, src.homs(dst), intalg.bimodule_homs(src, dst))

@@ -6,7 +6,9 @@ from hstarcat.numcore import (
     ConsistencyError,
     InputError,
     Tolerance,
+    RANK_CUT,
     null_space,
+    row_space,
     split_projection,
     unitarity_defect,
     worst,
@@ -60,6 +62,44 @@ def test_null_space_roundoff_matrix_is_all_kernel():
     ns = null_space(m)
     assert ns.shape == (3, 3)
     assert np.linalg.norm(ns.conj().T @ ns - np.eye(3)) < 1e-10
+
+
+def _full_svd_kernel(m):
+    """The kernel by a full SVD, the reference for null_space."""
+    _, s, vh = np.linalg.svd(m)
+    return vh[int((s > RANK_CUT * max(1.0, s[0] if s.size else 0.0)).sum()):].conj().T
+
+
+@pytest.mark.parametrize(
+    "rows,cols,rank",
+    [(9, 4, 2), (9, 4, 4), (3, 7, 3), (3, 7, 1), (5, 5, 3), (5, 5, 0), (0, 4, 0), (4, 0, 0)],
+    ids=["tall", "tall_full_rank", "wide", "wide_deficient", "square", "square_zero", "no_rows", "no_cols"],
+)
+def test_null_space_matches_the_full_svd_kernel(rows, cols, rank):
+    rng = np.random.default_rng(rows * 10 + cols + rank)
+    a = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    b = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    m = a @ b
+    ns, ref = null_space(m), _full_svd_kernel(m)
+    assert ns.shape == ref.shape == (cols, cols - rank)
+    # the kernel, not its basis, is fixed: compare the projectors onto it
+    assert np.abs(ns @ ns.conj().T - ref @ ref.conj().T).max(initial=0.0) < 1e-10
+    assert np.abs(ns.conj().T @ ns - np.eye(cols - rank)).max(initial=0.0) < 1e-10
+
+
+def test_row_space_spans_the_rows_with_combinations_of_them():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    b = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    m = a @ b  # six rows spanning a plane of C^5
+    rs = row_space(m)
+    assert rs.shape == (2, 5)
+    assert np.linalg.norm(rs @ rs.conj().T - np.eye(2)) < 1e-10
+    # every row of m lies in the span of rs, and every row of rs in the span of m
+    assert np.linalg.norm(m - m @ rs.conj().T @ rs) < 1e-10
+    coeffs, *_ = np.linalg.lstsq(m.T, rs.T, rcond=None)
+    assert np.linalg.norm(m.T @ coeffs - rs.T) < 1e-10
+    assert row_space(np.zeros((3, 4))).shape == (0, 4)
 
 
 def test_unitarity_defect():

@@ -2,11 +2,12 @@
 certify.within (or certify.clears for a margin), and every residual is
 folded with numcore.worst, which keeps a NaN that max and min drop.
 Lint for the one intertwiner calculus: hom spaces are solved, and
-commutants split, in one place each. Lint for the dependencies: the
-package imports no module that only the tests need. Lint for the engine's
-door: outside diagram.py, morphisms come from the shape-checked eng.mor,
-deligne builds none and takes them from the engine, and outside fusion.py
-no module builds an Engine, which is born with its dual functor in
+commutants split, in one place each, and no module but intalg solves for
+a hom space. Lint for the dependencies: the package imports no module
+that only the tests need. Lint for the engine's door: outside
+diagram.py, morphisms come from the shape-checked eng.mor, deligne
+builds none and takes them from the engine, and outside fusion.py no
+module builds an Engine, which is born with its dual functor in
 fusion.dual_engine. Lint for cache keys: no module calls id().
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
@@ -143,6 +144,39 @@ def test_one_caller_lint_catches_a_second_caller():
     assert _misplaced_calls("class M:\n    def homs(self):\n        return null_space(a)", "intalg")
     assert not _misplaced_calls("def _solve(eng):\n    return null_space(eng.linear_matrix(f, p, q))", "intalg")
     assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
+
+
+# the solver routines: outside intalg, hom spaces come from homs(other),
+# which reads them off a free presentation or solves in intalg
+SOLVERS = {"_solve", "linear_matrix", "null_space"}
+
+
+def _solves_outside_intalg(source: str, module: str):
+    """(line, name) for each call of a SOLVERS routine in a module other
+    than intalg."""
+    if module == "intalg":
+        return []
+    return [(n.lineno, _name(n.func)) for n in _calls(ast.parse(source)) if _name(n.func) in SOLVERS]
+
+
+def test_only_intalg_solves_for_homs():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{line}: {name} called"
+            for line, name in _solves_outside_intalg(path.read_text(), path.stem)
+        ]
+    assert not found, "\n".join(found)
+
+
+def test_solve_lint_catches_a_solve_outside_intalg():
+    assert _solves_outside_intalg("basis = intalg._solve(eng, pair, [])", "hilb3")
+    assert _solves_outside_intalg("def f(eng):\n    return eng.linear_matrix(g, p, q)", "hilb3")
+    assert _solves_outside_intalg("class B:\n    def homs(self):\n        return null_space(m)", "cli")
+    assert _solves_outside_intalg("ns = numcore.null_space(m)", "deligne")
+    assert not _solves_outside_intalg("def _solve(eng):\n    return null_space(m)", "intalg")
+    assert not _solves_outside_intalg("basis = F.homs(G)\nrows = row_space(m)", "hilb3")
+    assert not _solves_outside_intalg("def null_space(m):\n    return m", "numcore")
 
 
 def _direct_mor_calls(source: str):
