@@ -57,13 +57,21 @@ class RegularLeft:
 
 
 # --- ladder category ----------------------------------------------------
-# Only the M-side factor f of a term (f, g) carries a sampled coefficient.
-# The N-side factors, and what is built from them alone, are kept on the
-# engine (Engine.derived) under value keys that spell out how to build them:
+# A term of a ladder morphism is (z, key of f, key of g): the sampled
+# coefficient z on the elementary tensor of two pieces. Every sum in this
+# model is linear in the coefficients, so the pieces, and everything built
+# from pieces alone, are kept on the engine (Engine.derived) under value
+# keys that spell out how to build them:
 #   ("basis", X, Y, k)            the k-th elementary morphism X -> Y
 #   ("unitor", u, n)              the left unitor (1_u, n) -> (n)
+#   ("counitor", m, u)            the inverse right unitor (m) -> (m, 1_u)
 #   ("dagger", h), ("whisker", w, h)   h^dagger, w <| h
 #   ("rung", g2, c2, g1, nu, n1)  g2 o (c2 <| g1) o (nu |> n1)
+#   ("stack", m3nu, f2, c1, f1)   m3nu o (f2 |> c1) o f1
+#   ("act", m2g, f, c1)           m2g o (f |> c1)
+# Scalars are kept beside them: ("live", key) says whether a piece is
+# nonzero, and ("trace", side, what, key) is a module side's trace of an
+# endomorphism built from one piece.
 
 
 def _piece(eng: Engine, key) -> Mor:
@@ -77,13 +85,33 @@ def _build(eng: Engine, kind, *args) -> Mor:
         return eng.hom_basis(X, Y)[k]
     if kind == "unitor":
         return eng.left_unitor(*args)
+    if kind == "counitor":
+        return eng.dagger(eng.right_unitor(*args))
     if kind == "dagger":
         return eng.dagger(_piece(eng, *args))
     if kind == "whisker":
         return eng.whisker_left(args[0], _piece(eng, args[1]))
+    if kind == "stack":
+        m3nu, f2, c1o, f1 = args
+        fs = eng.compose(eng.whisker_right_obj(_piece(eng, f2), c1o), _piece(eng, f1))
+        return eng.compose(_piece(eng, m3nu), fs)
+    if kind == "act":
+        m2g, f, c1w = args
+        return eng.compose(_piece(eng, m2g), eng.whisker_right(_piece(eng, f), c1w))
     g2, c2o, g1, nu, n1w = args
     gs = eng.compose(_piece(eng, g2), eng.whisker_left((c2o,), _piece(eng, g1)))
     return eng.compose(gs, eng.whisker_right(_piece(eng, nu), n1w))
+
+
+def _live(eng: Engine, key) -> bool:
+    """Whether the piece a key names has a nonzero block."""
+    return eng.derived(("live", key), lambda: bool(_piece(eng, key).blocks))
+
+
+def _trace(side, what, key, build) -> complex:
+    """side.trace(build()) for the endomorphism build() makes from the
+    piece key, once per engine; a NaN is kept like any other value."""
+    return side.eng.derived(("trace", type(side).__name__, what, key), lambda: side.trace(build()))
 
 
 def _basis_keys(eng: Engine, X, Y) -> tuple:
@@ -104,12 +132,13 @@ class LadderObject:
 
 @dataclass
 class LadderHom:
-    """Sum of elementary tensors: per middle simple c, a list of pairs
-    (f: m1 -> m2 <| c, key of g: c |> n1 -> n2)."""
+    """Sum of elementary tensors: per middle simple c, a list of terms
+    (z, key of f: m1 -> m2 <| c, key of g: c |> n1 -> n2) that stand for
+    z f (x) g."""
 
     src: LadderObject
     dst: LadderObject
-    terms: dict  # c -> list[(Mor, key)]
+    terms: dict  # c -> list[(complex, key, key)]
 
 
 def _eng(L: LadderObject) -> Engine:
@@ -148,16 +177,9 @@ def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
 
 
 def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
-    eng = _eng(src)
     terms = {}
     for c, (fs, gs) in ladder_hom_bases(src, dst).items():
-        lst = []
-        for fkey in fs:
-            f = _piece(eng, fkey)
-            for g in gs:
-                z = rng.standard_normal() + 1j * rng.standard_normal()
-                lst.append((eng.scale(z, f), g))
-        terms[c] = lst
+        terms[c] = [(rng.standard_normal() + 1j * rng.standard_normal(), f, g) for f in fs for g in gs]
     return LadderHom(src, dst, terms)
 
 
@@ -168,10 +190,10 @@ def identity_ladder(L: LadderObject) -> LadderHom:
     terms = {}
     for j in eng.data.units:
         ju = eng.simple_obj(j)
-        f = eng.dagger(eng.right_unitor(mw, ju))  # (m) -> (m, 1_j)
+        f = ("counitor", mw, ju)  # (m) -> (m, 1_j)
         g = ("unitor", ju, nw)  # (1_j, n) -> (n)
-        if f.blocks and _piece(eng, g).blocks:
-            terms[j] = [(f, g)]
+        if _live(eng, f) and _live(eng, g):
+            terms[j] = [(1.0, f, g)]
     return LadderHom(L, L, terms)
 
 
@@ -187,9 +209,9 @@ def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
     m3w = _mword(F.dst)
     n1w = _nword(G.src)
     terms = {}
-    for c2, pairs2 in F.terms.items():
+    for c2, terms2 in F.terms.items():
         c2o = eng.simple_obj(c2)
-        for c1, pairs1 in G.terms.items():
+        for c1, terms1 in G.terms.items():
             c1o = eng.simple_obj(c1)
             c2c1 = (c2o, c1o)
             vertices = eng.derived(
@@ -198,38 +220,47 @@ def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
                     (e, nu) for e in eng.support(c2c1) for nu in _basis_keys(eng, (eng.simple_obj(e),), c2c1)
                 ),
             )
-            m3nus = [_piece(eng, ("whisker", m3w, ("dagger", nu))) for _, nu in vertices]
-            for f2, g2 in pairs2:
-                for f1, g1 in pairs1:
-                    fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
-                    for (e, nu), m3nu in zip(vertices, m3nus):
-                        fe = eng.compose(m3nu, fs)
+            for z2, f2, g2 in terms2:
+                for z1, f1, g1 in terms1:
+                    z = z2 * z1
+                    for e, nu in vertices:
+                        fe = ("stack", ("whisker", m3w, ("dagger", nu)), f2, c1o, f1)
                         ge = ("rung", g2, c2o, g1, nu, n1w)
-                        if fe.blocks and _piece(eng, ge).blocks:
-                            terms.setdefault(e, []).append((fe, ge))
+                        if _live(eng, fe) and _live(eng, ge):
+                            terms.setdefault(e, []).append((z, fe, ge))
     return LadderHom(G.src, F.dst, terms)
 
 
 def ladder_trace(F: LadderHom) -> complex:
-    """Only unit channels survive, weighted by d_j^{-1}."""
+    """Only unit channels survive, weighted by d_j^{-1}: the sum of
+    z tr(f) tr(g) / d_j over their terms."""
     if not (_same_obj(F.src.m, F.dst.m) and _same_obj(F.src.n, F.dst.n)):
         raise ShapeMismatch("trace of a non-endomorphism")
     eng = _eng(F.src)
+    mside, nside = F.src.mside, F.src.nside
     mw, nw = _mword(F.src), _nword(F.src)
     total = 0.0
     for j in eng.data.units:
-        pairs = F.terms.get(j, [])
-        if not pairs:
+        terms = F.terms.get(j)
+        if not terms:
             continue
         ju = eng.simple_obj(j)
-        ru = eng.right_unitor(mw, ju)
-        lu = eng.dagger(eng.left_unitor(ju, nw))
-        for f, g in pairs:
-            tm = F.src.mside.trace(eng.compose(ru, f))
-            # g: (1_j, n) -> (n) fixes j and n
-            tn = eng.derived(("unit_trace", g), lambda: F.src.nside.trace(eng.compose(_piece(eng, g), lu)))
-            total += tm * tn / eng.udf.d(j)
+        dj = eng.udf.d(j)
+        for z, f, g in terms:
+            # f: (m) -> (m, 1_j) and g: (1_j, n) -> (n) fix j, m and n
+            tm = _trace(mside, "unit", f, lambda: eng.compose(eng.right_unitor(mw, ju), _piece(eng, f)))
+            tn = _trace(
+                nside, "unit", g, lambda: eng.compose(_piece(eng, g), eng.dagger(eng.left_unitor(ju, nw)))
+            )
+            total += z * tm * tn / dj
     return complex(total)
+
+
+def _act_terms(F: LadderHom) -> list:
+    """(z, key of the image of f (x) g) per term of F under the right
+    action functor."""
+    m2w, c1w = _mword(F.dst), _nword(F.src)
+    return [(z, ("act", ("whisker", m2w, g), f, c1w)) for terms in F.terms.values() for z, f, g in terms]
 
 
 def act_on_module(F: LadderHom) -> Mor:
@@ -237,13 +268,9 @@ def act_on_module(F: LadderHom) -> Mor:
     m (x) c -> m <| c (n-side must be the regular module); on the C-C
     regular ladder this is the balanced tensor functor m (x) n."""
     eng = _eng(F.src)
-    m2w = _mword(F.dst)
-    c1w = _nword(F.src)
-    out = eng.zero(_mword(F.src) + c1w, m2w + _nword(F.dst))
-    for c, pairs in F.terms.items():
-        for f, g in pairs:
-            m2g = _piece(eng, ("whisker", m2w, g))
-            out = eng.add(out, eng.compose(m2g, eng.whisker_right(f, c1w)))
+    out = eng.zero(_mword(F.src) + _nword(F.src), _mword(F.dst) + _nword(F.dst))
+    for z, a in _act_terms(F):
+        out = eng.add(out, eng.scale(z, _piece(eng, a)))
     return out
 
 
@@ -256,7 +283,10 @@ def right_action_isometry(
     tol: Tolerance = DEFAULT_TOL,
 ) -> Certificate:
     """Compare the ladder trace on endos of m (x) c with the module trace
-    of their image under the action functor."""
+    of their image under the action functor, which is linear in the terms:
+    the sum of z tr(act(f (x) g))."""
+    if mside.eng is not eng:
+        raise ShapeMismatch("the module side belongs to another engine")
     nside = RegularLeft(eng)
     rng = np.random.default_rng(seed)
     gaps = []
@@ -268,7 +298,7 @@ def right_action_isometry(
             for _ in range(samples):
                 F = random_ladder(L, L, rng)
                 t1 = ladder_trace(F)
-                t2 = mside.trace(act_on_module(F))
+                t2 = sum(z * _trace(mside, "act", a, lambda: _piece(eng, a)) for z, a in _act_terms(F))
                 gaps.append(abs(t1 - t2))
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)

@@ -42,7 +42,14 @@ from .numcore import (
     DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, unitarity_defect, worst,
 )
 
+# the power iteration for FPdim^2 stops once a step moves it by less
 FP_TOL = 1e-12
+# F-symbols are given data, so their unitarity holds to roundoff: 1e-10
+# at the default tolerance
+F_UNITARITY_DIVISOR = 20
+# a pentagon gap compares a path of two F-moves with one of three, each
+# a sum over intermediate trees: 1e-8 at the default tolerance
+PENTAGON_FACTOR = 5
 # start trees per batch of the pentagon, which bounds its working memory
 _CHUNK = 512
 
@@ -285,9 +292,9 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     `not (residual <= bound)`, so a NaN residual rejects on its axiom.
 
     The bounds scale with tol.bound(), the bound at unit scale: F-unitarity
-    at tol.bound() / 20 and the pentagon at tol.bound() * 5, exactly 1e-10
-    and 1e-8 at the default tolerance (2e-9), so a smaller tol never
-    accepts more.
+    at tol.bound() / F_UNITARITY_DIVISOR (20) and the pentagon at
+    tol.bound() * PENTAGON_FACTOR (5), exactly 1e-10 and 1e-8 at the
+    default tolerance (2e-9), so a smaller tol never accepts more.
     """
     S, idx = data.simples, data.index
     N = _fusion_table(data)
@@ -319,8 +326,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     residuals["pentagon"] = worst(_pentagon_gaps(blocks).tolist())
     checks = [
         ("integer_checks", 0.0, "grading/duality"),
-        ("f_unitarity", tol.bound() / 20, "F-unitarity"),
-        ("pentagon", tol.bound() * 5, "pentagon"),
+        ("f_unitarity", tol.bound() / F_UNITARITY_DIVISOR, "F-unitarity"),
+        ("pentagon", tol.bound() * PENTAGON_FACTOR, "pentagon"),
     ]
     return judged(residuals, checks, {"problems": problems[:5]})
 

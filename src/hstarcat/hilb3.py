@@ -66,6 +66,13 @@ from .intalg import (
 )
 from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
 
+# the identity is resolved as a sum of one projection per part, each with
+# its own roundoff
+RESOLUTION_FACTOR = 10
+# a free bimodule's axioms compare composites of several structure maps:
+# 1e-8 at the default tolerance
+FREE_BIMODULE_FACTOR = 5
+
 
 # --- objects of a presentation -----------------------------------------
 
@@ -240,7 +247,7 @@ def certify_hilbert_sum(
     return judged(
         {"resolution": res_defect, "additivity": worst(gaps)},
         [
-            ("resolution", tol.bound() * 10, "direct-sum resolution"),
+            ("resolution", tol.bound() * RESOLUTION_FACTOR, "direct-sum resolution"),
             ("additivity", tol.bound(scale), "Psi additivity"),
         ],
     )
@@ -316,8 +323,7 @@ class _LinkingBuilder:
                 F = free_bimodule(self.algebras[i], c, self.algebras[j])
                 if not any(F.obj):
                     continue
-                # 5 tol.bound() is 1e-8 at the default tolerance
-                if not within(verify_bimodule(F), tol.bound() * 5):
+                if not within(verify_bimodule(F), tol.bound() * FREE_BIMODULE_FACTOR):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
                 for piece, _ in split_summands(F, seed):
                     if not any(piece.homs(old) for old in found):

@@ -14,6 +14,9 @@ import numpy as np
 from .certify import Certificate, clears, within
 from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
 
+# |u><u| = id holds up to the rounding of sqrt(w)^2 / w
+FRAME_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HStarAlgebra:
@@ -214,7 +217,7 @@ def _simple_quantum_dim(n: int, w: float) -> float:
     u[0][0, 0] = np.sqrt(w)
     op = mod.rank_one(u, u)
     # frame property: |u><u| must be the identity of End(H_A)
-    if not within(np.linalg.norm(op[0] - np.eye(1)), 1e-12):
+    if not within(np.linalg.norm(op[0] - np.eye(1)), FRAME_TOL):
         raise ConsistencyError(f"|u><u| is not the identity for the weight {w}")
     return float(algebra.trace(mod.a_valued_inner(u, u)).real)
 

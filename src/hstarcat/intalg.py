@@ -48,7 +48,12 @@ from .numcore import (
     worst,
 )
 
+# a condition number above this leaves fewer than four digits of a
+# double, so powers and inverses of the bubble are not trusted
 CONDITION_CUT = 1e12
+# eigenvalues closer than this share of their scale form one cluster: far
+# above the roundoff of eigh, far below the spacing of a generic draw
+CLUSTER_GAP = 1e-6
 
 
 def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> Mor:
@@ -414,7 +419,7 @@ def spectral_pieces(eng: Engine, word, comm, rng):
     element h of its commutant (comm, a basis of the structure-preserving
     endomorphisms).
 
-    Eigenvalues of h are clustered at 1e-6 of their scale; each cluster
+    Eigenvalues of h are clustered at CLUSTER_GAP of their scale; each cluster
     gives the isometry from its eigenspace into word. A draw with a single
     cluster is degenerate and is re-drawn, at most five times in all.
     """
@@ -428,7 +433,7 @@ def spectral_pieces(eng: Engine, word, comm, rng):
             b = eng.block(h, c)
             eig[c] = np.linalg.eigh((b + b.conj().T) / 2)
         vals = sorted(v for ev, _ in eig.values() for v in ev.tolist())
-        gap = 1e-6 * (max(abs(v) for v in vals) or 1.0)
+        gap = CLUSTER_GAP * (max(abs(v) for v in vals) or 1.0)
         clusters = []
         for v in vals:
             if clusters and v - clusters[-1][-1] < gap:

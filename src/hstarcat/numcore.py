@@ -78,6 +78,11 @@ def as_cmatrix(entries) -> np.ndarray:
     return m
 
 
+# an eigenvector coordinate above PHASE_CUT fixes the column's phase: the
+# columns are unit vectors, so roundoff sits far below it
+PHASE_CUT = 1e-12
+
+
 def _sorted_eigh(m: np.ndarray):
     """Hermitian eigendecomposition, eigenvalues descending, deterministic
     column phases: first nonzero coordinate of each eigenvector is positive
@@ -88,7 +93,7 @@ def _sorted_eigh(m: np.ndarray):
     vecs = vecs[:, order]
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        nz = np.flatnonzero(np.abs(col) > PHASE_CUT)
         if nz.size:
             phase = col[nz[0]] / abs(col[nz[0]])
             vecs[:, j] = col / phase

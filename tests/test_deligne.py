@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import pathlib
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,3 +204,147 @@ def test_engine_that_ran_a_deligne_check_is_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_right_action_rejects_a_side_of_another_engine():
+    ising, fib = _eng("ising"), _eng("fibonacci")
+    with pytest.raises(deligne.ShapeMismatch):
+        deligne.right_action_isometry(deligne.RegularRight(ising), fib, [fib.simple_obj("t")], samples=1)
+
+
+@pytest.mark.parametrize("side", ["RegularRight", "RegularLeft"])
+def test_nan_side_trace_rejects_both_checks(monkeypatch, side):
+    # the traces an engine keeps are values like any other: a NaN is kept
+    # and rejects, on the first call and on the warm one after it
+    monkeypatch.setattr(getattr(deligne, side), "trace", lambda self, f: complex("nan"))
+    eng = _eng("fibonacci")
+    simples = [eng.simple_obj(c) for c in eng.data.simples]
+    for _ in range(2):
+        ra = deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=2)
+        tr = deligne.ladder_traciality(eng, 2, 0)
+        assert (ra.ok, ra.failed_axiom) == (False, "right-action isometry")
+        assert np.isnan(ra.residuals["action_trace_gap"])
+        assert (tr.ok, tr.failed_axiom) == (False, "traciality")
+        assert np.isnan(tr.residuals["traciality"])
+
+
+DIAGRAM_WORK = ("compose", "whisker_right_obj", "whisker_left_obj", "scale", "add", "categorical_trace")
+
+
+def test_warm_engine_does_no_diagram_work_for_a_new_seed(monkeypatch):
+    # every sum is linear in the sampled coefficients, so once the keyed
+    # pieces and their traces are kept a new seed is scalar work alone
+    calls = Counter()
+    for name in DIAGRAM_WORK:
+        def counted(self, *args, _run=getattr(Engine, name), _name=name):
+            calls[_name] += 1
+            return _run(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    for fresh in _warm_cache_engines():
+        eng = fresh()
+        _deligne_residuals(eng, 1)
+        assert calls["compose"] and calls["categorical_trace"]
+        calls.clear()
+        _deligne_residuals(eng, 2)
+        assert not calls, dict(calls)
+
+
+# --- the Mor-per-term reference -------------------------------------------
+# Each term carries its M-side factor as a morphism scaled by its sampled
+# coefficient, and every sample is whiskered, composed and traced anew:
+# the path the keyed terms replaced, kept to check them against.
+
+
+def _ref_terms(F):
+    eng = F.src.mside.eng
+    return {c: [(eng.scale(z, deligne._piece(eng, f)), g) for z, f, g in ts] for c, ts in F.terms.items()}
+
+
+def _ref_compose(L, terms2, terms1):
+    """The terms of F o G on the endos of L, from those of F and G."""
+    eng = L.mside.eng
+    m3w, n1w = (L.m,), (L.n,)
+    out = {}
+    for c2, pairs2 in terms2.items():
+        c2o = eng.simple_obj(c2)
+        for c1, pairs1 in terms1.items():
+            c1o = eng.simple_obj(c1)
+            c2c1 = (c2o, c1o)
+            vertices = [
+                (e, nu) for e in eng.support(c2c1) for nu in deligne._basis_keys(eng, (eng.simple_obj(e),), c2c1)
+            ]
+            for f2, g2 in pairs2:
+                for f1, g1 in pairs1:
+                    fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
+                    for e, nu in vertices:
+                        fe = eng.compose(deligne._piece(eng, ("whisker", m3w, ("dagger", nu))), fs)
+                        ge = ("rung", g2, c2o, g1, nu, n1w)
+                        if fe.blocks and deligne._piece(eng, ge).blocks:
+                            out.setdefault(e, []).append((fe, ge))
+    return out
+
+
+def _ref_trace(L, terms):
+    eng = L.mside.eng
+    mw, nw = (L.m,), (L.n,)
+    total = 0.0
+    for j in eng.data.units:
+        ju = eng.simple_obj(j)
+        for f, g in terms.get(j, []):
+            tm = L.mside.trace(eng.compose(eng.right_unitor(mw, ju), f))
+            tn = L.nside.trace(eng.compose(deligne._piece(eng, g), eng.dagger(eng.left_unitor(ju, nw))))
+            total += tm * tn / eng.udf.d(j)
+    return complex(total)
+
+
+def _ref_act(L, terms):
+    eng = L.mside.eng
+    out = eng.zero((L.m, L.n), (L.m, L.n))
+    for pairs in terms.values():
+        for f, g in pairs:
+            m2g = deligne._piece(eng, ("whisker", (L.m,), g))
+            out = eng.add(out, eng.compose(m2g, eng.whisker_right(f, (L.n,))))
+    return out
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * (1 + abs(b))
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "gauged_ty_z3", "twisted_z4"])
+def test_keyed_terms_agree_with_the_mor_reference(name):
+    fam = _families()
+    data = {
+        "ising": lambda: bundled.load("ising"),
+        "fibonacci": lambda: bundled.load("fibonacci"),
+        "gauged_ty_z3": lambda: fam.gauge(fam.ty_zn(3), np.random.default_rng(7)),
+        "twisted_z4": lambda: fam.vec_zn(4, 1),
+    }[name]()
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    simples = [eng.simple_obj(c) for c in data.simples]
+    mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
+    for seed in (0, 1, 2):
+        # the draws of right_action_isometry at samples=1, one per (m, c)
+        rng = np.random.default_rng(seed)
+        ref_gaps = []
+        for m in simples:
+            for c in simples:
+                L = deligne.LadderObject(mside, nside, m, c)
+                if deligne.ladder_hom_dim(L, L) == 0:
+                    continue
+                F = deligne.random_ladder(L, L, rng)
+                ref = _ref_terms(F)
+                ref_trace = _ref_trace(L, ref)
+                assert _close(deligne.ladder_trace(F), ref_trace)
+                act, ref_act = deligne.act_on_module(F), _ref_act(L, ref)
+                assert eng.residual(act, ref_act) <= 1e-12 * (1 + eng.l2_norm(ref_act))
+                ref_gaps.append(abs(ref_trace - mside.trace(ref_act)))
+        cert = deligne.right_action_isometry(mside, eng, simples, samples=1, seed=seed)
+        assert _close(cert.residuals["action_trace_gap"], max(ref_gaps))
+        rng = np.random.default_rng(seed)
+        for c in simples:
+            L = deligne.LadderObject(mside, nside, c, c)
+            F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
+            ref = _ref_compose(L, _ref_terms(F), _ref_terms(G))
+            assert _close(deligne.ladder_trace(deligne.ladder_compose(F, G)), _ref_trace(L, ref))

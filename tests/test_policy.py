@@ -11,7 +11,8 @@ module builds an Engine, which is born with its dual functor in
 fusion.dual_engine. Lint for cache keys: no module calls id().
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
-package defines one exception class per kind, all in numcore.py."""
+package defines one exception class per kind, all in numcore.py. Lint for
+the bound factors: no bare number scales a .bound( call."""
 
 import ast
 import builtins
@@ -97,6 +98,39 @@ def test_lint_catches_the_patterns_it_forbids():
     assert not _lint("scale = max(1.0, float(np.linalg.norm(m)))")
     assert not _lint("g = abs(a - b) / max(1.0, abs(a))")
     assert not _lint("r = worst([eng.residual(f, g), eng.residual(g, h)])")
+
+
+def _bare_bound_factors(source: str):
+    """Lines where a bare number multiplies or divides a .bound( call: a
+    loose factor on a bound is named, with its reason, like TRACE_SCALE."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            sides = (node.left, node.right)
+            number = any(isinstance(x, ast.Constant) and isinstance(x.value, (int, float)) for x in sides)
+            if number and any(_name(c.func) == "bound" for x in sides for c in _calls(x)):
+                out.append(node.lineno)
+    return out
+
+
+def test_bound_factors_are_named():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in _bare_bound_factors(path.read_text())]
+    assert not found, found
+
+
+def test_bound_factor_lint_catches_a_bare_literal():
+    assert _bare_bound_factors("b = tol.bound() * 10")
+    assert _bare_bound_factors("b = tol.bound() / 20")
+    assert _bare_bound_factors("b = 5 * args.tolerance.bound()")
+    assert _bare_bound_factors("ok = within(r, tol.bound(2.0) * 0.5)")
+    assert _bare_bound_factors("b = (tol.bound() * w) * 3")
+    assert not _bare_bound_factors("b = tol.bound() * PENTAGON_FACTOR")
+    assert not _bare_bound_factors("b = tol.bound() / F_UNITARITY_DIVISOR")
+    assert not _bare_bound_factors("b = tol.bound(10.0)")
+    assert not _bare_bound_factors("b = tol.bound() * min(eng.udf.psi.psi)")
+    assert not _bare_bound_factors("x = 2 * y")
 
 
 # routines that only their one caller may call, as module.function
