@@ -323,18 +323,17 @@ class Engine:
         return self.compose(self.whisker_left(f.cod, g), self.whisker_right(f, g.dom))
 
     def left_unitor(self, U, word) -> Mor:
-        """(1_u, word) -> (word) for the simple unit object U: identity on
-        tree coefficients, built once per (U, word)."""
+        """(U, word) -> (word) for U a sum of distinct unit objects 1_u:
+        identity on tree coefficients, built once per (U, word)."""
         dom = (U,) + word
 
         def build():
-            u_label = next(c for c in self.data.simples if self.mult(U, c))
             blocks = {}
             for c in self.support(dom):
                 dgb = self.basis(dom, c)
                 m = np.zeros((len(self.basis(word, c)), len(dgb)), dtype=complex)
                 for j, (x, alpha, e, v, si) in enumerate(dgb):
-                    if x == u_label:
+                    if self.mult(U, x):
                         m[si, j] = 1.0
                 blocks[c] = m
             return Mor(self, dom, word, _nonzero(blocks))
@@ -530,14 +529,3 @@ class Engine:
             blocks[c] = np.asarray(v[pos : pos + nr * nc]).reshape(nr, nc)
             pos += nr * nc
         return self.mor(X, Y, blocks)
-
-    def linear_matrix(self, fun, dom_pair, cod_pair) -> np.ndarray:
-        """Matrix of a linear map Hom(dom_pair) -> Hom(cod_pair) given by
-        applying fun to morphisms."""
-        cols = []
-        for b in self.hom_basis(*dom_pair):
-            cols.append(self.to_vector(fun(b)))
-        n = self.hom_dim(*cod_pair)
-        if not cols:
-            return np.zeros((n, 0), dtype=complex)
-        return np.stack(cols, axis=1)

@@ -50,6 +50,9 @@ F_UNITARITY_DIVISOR = 20
 # a pentagon gap compares a path of two F-moves with one of three, each
 # a sum over intermediate trees: 1e-8 at the default tolerance
 PENTAGON_FACTOR = 5
+# a zig-zag scalar is one F-symbol entry, 1/FPdim up to a phase on
+# unitary data; at or below this cut (or NaN) it cannot be divided out
+PAIRING_CUT = 1e-14
 # start trees per batch of the pentagon, which bounds its working memory
 _CHUNK = 512
 
@@ -721,7 +724,7 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     for c in data.simples:
         beta = float(np.sqrt(udf.dims[c] / udf.dims[data.s(c)]))
         theta = eng.zigzag_scalar(c)
-        if abs(theta) < 1e-14:
+        if not clears(abs(theta), PAIRING_CUT):
             raise InputError(f"degenerate duality pairing for {c}")
         udf.beta[c] = beta
         udf.alpha[c] = 1.0 / (theta * beta)

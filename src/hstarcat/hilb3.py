@@ -49,11 +49,10 @@ from .fusion import (
 from .intalg import (
     AlgebraObject,
     Bimodule,
-    Module,
-    _mor_combo,
     algebra_bimodule,
     dual_bimodule_delta0,
     free_bimodule,
+    free_module,
     left_trivial_bimodule,
     left_unitor,
     module_category,
@@ -61,6 +60,7 @@ from .intalg import (
     right_unitor,
     split_summands,
     trivial_algebra,
+    unit_summands,
     verify_bimodule,
     verify_hstar,
 )
@@ -282,18 +282,6 @@ def _scalar_gram(eng: Engine, fs, gs) -> np.ndarray:
     return F @ G.reshape(len(gs), F.shape[1]).conj().T / dim
 
 
-def _gram_onb(eng: Engine, basis):
-    """Orthonormalize bimodule maps out of a simple source: f^dag g is a
-    scalar, so a Cholesky of the Gram matrix suffices."""
-    if not basis:
-        return []
-    n = len(basis)
-    G = _scalar_gram(eng, basis, basis).T  # G[i, j]: basis[i]^dag basis[j]
-    L = np.linalg.cholesky((G + G.conj().T) / 2)
-    Linv = np.linalg.inv(L).conj().T  # columns give the new basis
-    return [_mor_combo(eng, basis, Linv[:, k]) for k in range(n)]
-
-
 # --- linking categories ------------------------------------------------
 
 
@@ -367,11 +355,14 @@ class _LinkingBuilder:
         elif y in self.units:
             out = {x: [eng.dagger(right_unitor(X, Y.left, Vw))]}
         else:
+            # homs gives a basis orthonormal in tr(g^dag f); out of a simple
+            # Z, g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
             out = {}
             for z in self.members[(self.blocks[x][0], self.blocks[y][1])]:
-                basis = self.simples[z].homs(T)
+                Z = self.simples[z]
+                basis = Z.homs(T)
                 if basis:
-                    out[z] = _gram_onb(eng, basis)
+                    out[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
         self._onbs[(x, y)] = out
         return out
 
@@ -527,14 +518,14 @@ def split_monad(
     unitary algebra isomorphism u. A B that fails H* certification is
     not split: its certificate is returned, with no structure."""
     eng = B.eng
-    unit = next((u for u in eng.data.units if eng.mult(B.obj, u)), None)
-    if unit is None:
-        raise InputError("the monad has no unit summand")
+    units = unit_summands(B)
+    unit = units[0]
     cert0 = verify_hstar(B, tol, seed)
     if not cert0.ok:
         return MonadSplitting(B, None, None, None, None, None, cert0)
     A = trivial_algebra(eng, unit)
-    M = left_trivial_bimodule(Module(B, B.obj, B.mu), unit)
+    # B as its own right module, the free module on its unit summands
+    M = left_trivial_bimodule(free_module(B, eng.obj(dict.fromkeys(units, 1))), unit)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
     T, Vw, _ = relative_tensor(M, Md, tol)
     m, md = M.obj, Md.obj

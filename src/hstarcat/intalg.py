@@ -11,15 +11,16 @@ bimodules.
 Modules and bimodules share one intertwiner calculus. A free module
 c (x) A or free bimodule A (x) c (x) B, and every summand of one, keeps
 its free presentation: head, an isometry of its word into the unfused
-free word. Free is left adjoint to forgetful, so Hom_{A-B}(A (x) c (x) B,
-M) = Hom(c, M) (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories,
-Sec. 7.8): a hom space out of such a source is spanned by
-act_M (id_A (x) g (x) id_B) head over a basis of g: c -> M, and cut to an
-orthonormal basis (_adjoint_span), with no solve. Only the sources
-without a free presentation (the algebra as its own bimodule, and the
-balanced maps of bimodule_map_basis) are solved by _solve, the one
-caller of Engine.linear_matrix and null_space, from left_linear and
-right_linear constraints. Every sub-object carries its actions along an
+free word. The algebra as its own bimodule is the summand of
+A (x) U (x) A, U its unit summands, cut by the dressed comultiplication,
+so every simple of a linking has a head, units included; a right module
+promoted to a 1_u-B bimodule keeps its module's. Free is left adjoint to
+forgetful, so Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M) (Etingof-Gelaki-
+Nikshych-Ostrik, Tensor Categories, Sec. 7.8): a hom space out of such a
+source is spanned by act_M (id_A (x) g (x) id_B) head over a basis of
+g: c -> M, and cut to an orthonormal basis (_adjoint_span). The balanced maps of
+bimodule_map_basis come the same way from a free right module, so no hom
+space is solved for. Every sub-object carries its actions along an
 isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its head
 as head V; and through homs(other) and carried(V) on both, one splitter,
 split_summands, cuts either into simple summands.
@@ -42,7 +43,6 @@ from .numcore import (
     InputError,
     ShapeMismatch,
     Tolerance,
-    null_space,
     row_space,
     split_projection,
     worst,
@@ -247,46 +247,6 @@ def standardize(A: AlgebraObject, tol: Tolerance = DEFAULT_TOL) -> AlgebraObject
 # --- intertwiners: hom spaces and carried actions -----------------------
 
 
-def _solve(eng: Engine, dom_pair, constraints):
-    """Basis of Hom(dom_pair) killed by the given linear maps, each a pair
-    (map, cod pair). The one place that builds constraint matrices and
-    cuts a null space."""
-    n = eng.hom_dim(*dom_pair)
-    if n == 0:
-        return []
-    mats = [eng.linear_matrix(fun, dom_pair, cp) for fun, cp in constraints]
-    ns = null_space(np.vstack(mats) if mats else np.zeros((0, n)))
-    return [eng.from_vector(dom_pair[0], dom_pair[1], ns[:, k]) for k in range(ns.shape[1])]
-
-
-def left_linear(act_dom: Mor, act_cod: Mor, A: AlgebraObject):
-    """Constraint for _solve: f act_dom = act_cod (id_A (x) f), for left
-    A-actions act_dom: (A, dom) -> dom and act_cod: (A, cod) -> cod."""
-    eng = A.eng
-
-    def defect(f):
-        return eng.sub(
-            eng.compose(f, act_dom),
-            eng.compose(act_cod, eng.whisker_left_obj(A.obj, f)),
-        )
-
-    return defect, (act_dom.dom, act_cod.cod)
-
-
-def right_linear(act_dom: Mor, act_cod: Mor, B: AlgebraObject):
-    """Constraint for _solve: f act_dom = act_cod (f (x) id_B), for right
-    B-actions act_dom: (dom, B) -> dom and act_cod: (cod, B) -> cod."""
-    eng = B.eng
-
-    def defect(f):
-        return eng.sub(
-            eng.compose(f, act_dom),
-            eng.compose(act_cod, eng.whisker_right_obj(f, B.obj)),
-        )
-
-    return defect, (act_dom.dom, act_cod.cod)
-
-
 def carry_left(V: Mor, lam: Mor, A: AlgebraObject) -> Mor:
     """The left action lam: (A, word) -> word carried along an isometry
     V: sub -> word, as V^dag lam (id_A (x) V): (A, sub) -> sub."""
@@ -299,12 +259,6 @@ def carry_right(V: Mor, rho: Mor, B: AlgebraObject) -> Mor:
     V: sub -> word, as V^dag rho (V (x) id_B): (sub, B) -> sub."""
     eng = B.eng
     return eng.compose(eng.dagger(V), eng.compose(rho, eng.whisker_right_obj(V, B.obj)))
-
-
-def carry_head(V: Mor, head):
-    """The free presentation of a sub-object along an isometry V into the
-    word of an object with presentation head (None for none)."""
-    return None if head is None else V.eng.compose(head, V)
 
 
 def _adjoint_span(eng: Engine, dom, cod, maps):
@@ -326,7 +280,8 @@ class Module:
     algebra: AlgebraObject
     obj: tuple
     rho: Mor
-    head: Mor = None  # (m) -> (c, A) for a summand of the free module c (x) A
+    head: Mor = None  # (m) -> (c, A) for a summand of the free module c (x) A;
+    # a source of homs needs one
 
     @property
     def eng(self) -> Engine:
@@ -338,9 +293,7 @@ class Module:
 
     def homs(self, other: "Module"):
         """Basis of module maps self -> other: rho_other (g (x) id_A) head
-        over g: c -> other, or solved without a free presentation."""
-        if self.head is None:
-            return module_hom_basis(self, other)
+        over g: c -> other."""
         eng = self.eng
         c, a = self.head.cod
         maps = [
@@ -352,7 +305,7 @@ class Module:
     def carried(self, V: Mor) -> "Module":
         """The sub-module on the domain of an isometry V into self.word."""
         rho = carry_right(V, self.rho, self.algebra)
-        return Module(self.algebra, V.dom[0], rho, carry_head(V, self.head))
+        return Module(self.algebra, V.dom[0], rho, self.eng.compose(self.head, V))
 
 
 def free_module(A: AlgebraObject, O) -> Module:
@@ -364,11 +317,6 @@ def free_module(A: AlgebraObject, O) -> Module:
     fused, u = eng.fuse((O, A.obj))
     head = eng.dagger(u)
     return Module(A, fused, carry_right(head, eng.whisker_left_obj(O, A.mu), A), head)
-
-
-def module_hom_basis(M1: Module, M2: Module):
-    """Basis of A-module maps M1 -> M2."""
-    return _solve(M1.eng, (M1.word, M2.word), [right_linear(M1.rho, M2.rho, M1.algebra)])
 
 
 def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
@@ -548,7 +496,8 @@ class Bimodule:
     obj: tuple
     lam: Mor
     rho: Mor
-    head: Mor = None  # (m) -> (A, c, B) for a summand of the free A (x) c (x) B
+    head: Mor = None  # (m) -> (A, c, B) for a summand of the free A (x) c (x) B;
+    # a source of homs needs one
 
     @property
     def eng(self) -> Engine:
@@ -560,10 +509,7 @@ class Bimodule:
 
     def homs(self, other: "Bimodule"):
         """Basis of bimodule maps self -> other: act (id_A (x) g (x) id_B)
-        head over g: c -> other, with act = lam (id_A (x) rho) of other,
-        or solved without a free presentation."""
-        if self.head is None:
-            return bimodule_homs(self, other)
+        head over g: c -> other, with act = lam (id_A (x) rho) of other."""
         eng = self.eng
         a, c, b = self.head.cod
         act = eng.compose(other.lam, eng.whisker_left_obj(a, other.rho))  # (A, m, B) -> (m)
@@ -578,7 +524,8 @@ class Bimodule:
     def carried(self, V: Mor) -> "Bimodule":
         """The sub-bimodule on the domain of an isometry V into self.word."""
         lam, rho = carry_left(V, self.lam, self.left), carry_right(V, self.rho, self.right)
-        return Bimodule(self.left, self.right, V.dom[0], lam, rho, carry_head(V, self.head))
+        head = self.eng.compose(self.head, V)
+        return Bimodule(self.left, self.right, V.dom[0], lam, rho, head)
 
 
 def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
@@ -592,12 +539,6 @@ def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
     lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
     rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
     return Bimodule(Ai, Aj, fused, lam, rho, V)
-
-
-def bimodule_homs(M1: Bimodule, M2: Bimodule):
-    """Basis of maps M1 -> M2 intertwining both actions."""
-    constraints = [left_linear(M1.lam, M2.lam, M1.left), right_linear(M1.rho, M2.rho, M1.right)]
-    return _solve(M1.eng, (M1.word, M2.word), constraints)
 
 
 def verify_bimodule(M: Bimodule) -> float:
@@ -628,16 +569,35 @@ def verify_bimodule(M: Bimodule) -> float:
     return worst(res)
 
 
+def unit_summands(A: AlgebraObject):
+    """The units u with 1_u a summand of A, in label order."""
+    eng = A.eng
+    units = [u for u in eng.data.units if eng.mult(A.obj, u)]
+    if not units:
+        raise InputError("the monad has no unit summand")
+    return units
+
+
 def algebra_bimodule(A: AlgebraObject) -> Bimodule:
-    return Bimodule(A, A, A.obj, A.mu, A.mu)
+    """A as an A-A bimodule, with head (id_A (x) lam_U^dag) mu^dag
+    bubble^{-1/2}: (A) -> (A, U, A) for U the sum of the unit summands of
+    A, and lam_U its left unitor. By Frobenius mu^dag is a bimodule map,
+    so the head is an isometric one."""
+    eng = A.eng
+    U = eng.obj(dict.fromkeys(unit_summands(A), 1))
+    split = eng.whisker_left_obj(A.obj, eng.dagger(eng.left_unitor(U, A.word)))
+    head = eng.compose(split, eng.compose(A.mu_dag, A.bubble_pow(-0.5)))
+    return Bimodule(A, A, A.obj, A.mu, A.mu, head)
 
 
 def left_trivial_bimodule(M: Module, unit) -> Bimodule:
-    """Right module promoted to a 1_u-B bimodule via the strict unitor."""
+    """Right module promoted to a 1_u-B bimodule via the strict unitor
+    lam_U, with head (id_U (x) head_M) lam_U^dag."""
     eng = M.eng
     T = trivial_algebra(eng, unit)
-    lam = eng.left_unitor(eng.simple_obj(unit), M.word)
-    return Bimodule(T, M.algebra, M.obj, lam, M.rho)
+    lam = eng.left_unitor(T.obj, M.word)
+    head = eng.compose(eng.whisker_left_obj(T.obj, M.head), eng.dagger(lam))
+    return Bimodule(T, M.algebra, M.obj, lam, M.rho, head)
 
 
 def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
@@ -781,25 +741,23 @@ def delta0_zigzag_residuals(M: Bimodule, Md: Bimodule, ev0: Mor, coev0: Mor):
 
 def bimodule_map_basis(N: Module, M: Bimodule, P: Module):
     """Basis of maps f: (n, m) -> (p): right-B-linear in the joint module
-    structure and balanced over A between N's action and M's left action."""
+    structure and balanced over A between N's action and M's left action.
+    N (x)_A M is a summand of c (x) M, a summand of the free right
+    B-module on (c, *mid) for head_N: n -> (c, A) and head_M: m ->
+    (*mid, B), so the maps are spanned by rho_P (g (x) id_B)
+    (id_c (x) head_M lam_M) (head_N (x) id_m) over g: (c, *mid) -> p."""
     eng = N.eng
-    A, B = M.left, M.right
-    dom = N.word + M.word
-
-    def a_defect(f):
-        return eng.sub(
-            eng.compose(f, eng.whisker_right(N.rho, M.word)),
-            eng.compose(f, eng.whisker_left(N.word, M.lam)),
-        )
-
-    return _solve(
-        eng,
-        (dom, P.word),
-        [
-            right_linear(eng.whisker_left(N.word, M.rho), P.rho, B),
-            (a_defect, (N.word + (A.obj,) + M.word, P.word)),
-        ],
-    )
+    c, _ = N.head.cod
+    *mid, b = M.head.cod
+    into = eng.compose(
+        eng.whisker_left_obj(c, eng.compose(M.head, M.lam)),
+        eng.whisker_right(N.head, M.word),
+    )  # (n, m) -> (c, *mid, B)
+    maps = [
+        eng.compose(P.rho, eng.compose(eng.whisker_right_obj(g, b), into))
+        for g in eng.hom_basis((c, *mid), P.word)
+    ]
+    return _adjoint_span(eng, N.word + M.word, P.word, maps)
 
 
 def mate_delta0(f: Mor, N: Module, M: Bimodule, coev0: Mor) -> Mor:

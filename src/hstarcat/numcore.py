@@ -2,7 +2,7 @@
 
 Every other module routes its numerics through the handful of operations
 here so that there is a single audited eigendecomposition path, a single
-null-space routine and a single tolerance convention.
+row-space routine and a single tolerance convention.
 
 The package raises three exception classes of its own, one per kind of
 failure, all defined here: InputError (the input breaks its format or a
@@ -129,25 +129,13 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 RANK_CUT = 1e-8
 
 
-def _svd_rank(m: np.ndarray, full: bool):
-    """(vh, rank) of m under RANK_CUT."""
-    _, s, vh = np.linalg.svd(m, full_matrices=full)
-    return vh, int((s > RANK_CUT * max(1.0, s[0] if s.size else 0.0)).sum())
-
-
-def null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the kernel of m. A reduced SVD
-    already gives every right singular vector when rows >= cols."""
-    vh, rank = _svd_rank(m, m.shape[0] < m.shape[1])
-    return vh[rank:].conj().T
-
-
 def row_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the span of the rows of m. The rows
-    of vh are kept as they are: each is a combination of the rows of m,
-    where its conjugate in general is not."""
-    vh, rank = _svd_rank(m, False)
-    return vh[:rank]
+    """Orthonormal basis (as rows) of the span of the rows of m, the
+    singular values above RANK_CUT. The rows of vh are kept as they are:
+    each is a combination of the rows of m, where its conjugate in general
+    is not."""
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh[: int((s > RANK_CUT * max(1.0, s[0] if s.size else 0.0)).sum())]
 
 
 def unitarity_defect(m: np.ndarray) -> float:

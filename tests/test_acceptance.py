@@ -195,7 +195,7 @@ def test_criterion_09_module_trace_formula():
         eng = A.eng
         free_label = eng.data.simples[-1]
         M = intalg.free_module(A, free_label)
-        basis = intalg.module_hom_basis(M, M)
+        basis = M.homs(M)
         rng = np.random.default_rng(900)
         for _ in range(20):
             z1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -222,12 +222,12 @@ def test_criterion_10_delta0_adjunction():
             B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
         else:
             B = intalg.group_algebra(eng, ("1", "p"))
-        M = intalg.left_trivial_bimodule(intalg.Module(B, B.obj, B.mu), "1")
+        M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
         Md, ev0, coev0 = intalg.dual_bimodule_delta0(M)
         r1, r2 = intalg.delta0_zigzag_residuals(M, Md, ev0, coev0)
         zz = max(zz, r1, r2)
         N = intalg.free_module(A, eng.data.simples[-1])
-        P = intalg.Module(B, B.obj, B.mu)
+        P = intalg.free_module(B, "1")
         w, (z1, z2) = intalg.delta0_norm_identity(N, M, P, samples=20)
         worst = max(worst, w)
         zz = max(zz, z1, z2)

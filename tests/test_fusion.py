@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarcat import bundled, fusion
+from hstarcat.diagram import Engine
 from hstarcat.fusion import (
     FusionData,
     SphericalWeight,
@@ -407,6 +408,14 @@ def test_nan_pentagon_gap_rejects_on_pentagon(monkeypatch):
     cert = validate(data)
     assert (cert.ok, cert.failed_axiom) == (False, "pentagon")
     assert np.isnan(cert.residuals["pentagon"])
+
+
+@pytest.mark.parametrize("theta", [np.nan, 0.0, 1e-15])
+def test_degenerate_zigzag_scalar_fails_closed(monkeypatch, theta):
+    # a NaN pairing used to pass abs(theta) < cut and install NaN cups
+    monkeypatch.setattr(Engine, "zigzag_scalar", lambda self, c: complex(theta))
+    with pytest.raises(InputError, match="degenerate duality pairing"):
+        fusion.dual_engine(bundled.load("fibonacci"), SphericalWeight((1.0,)))
 
 
 def _random_ring(labels, mult, dual, seed):

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import solve_reference
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -336,19 +337,50 @@ def test_linking_blocks_have_the_ambient_dimension(name, objects, psis, dim):
 
 def _solved_linking(monkeypatch, eng, algebras):
     """The builder as it was before homs out of free bimodules came from
-    the adjunction: every hom space solved (intalg.bimodule_homs) and the
+    the adjunction: every hom space solved (solve_reference) and the
     dual of x the one z with Hom(x^dual, z) != 0, for x^dual from
     intalg.dual_bimodule_delta0. Returns the builder, its N and duals."""
     with monkeypatch.context() as m:
-        m.setattr(intalg.Bimodule, "homs", lambda self, other: intalg.bimodule_homs(self, other))
+        m.setattr(intalg.Bimodule, "homs", solve_reference.bimodule_homs)
         b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
         N = b.fusion_mults()
         dual = {}
         for x, (i, j) in enumerate(b.blocks):
             Xd, _, _ = intalg.dual_bimodule_delta0(b.simples[x])
-            (z,) = [z for z in b.members[(j, i)] if intalg.bimodule_homs(Xd, b.simples[z])]
+            (z,) = [z for z in b.members[(j, i)] if solve_reference.bimodule_homs(Xd, b.simples[z])]
             dual[b.labels[x]] = b.labels[z]
     return b, N, dual
+
+
+def test_split_monad_of_a_disconnected_monad_rejects():
+    # B = 1_11 + 1_22 is its own right module as the free module on both
+    # unit summands; over the trivial algebra on 11 alone it does not split
+    eng = _eng("m2_hilb")
+    split = hilb3.split_monad(intalg.group_algebra(eng, ("11", "22")))
+    assert (split.certificate.ok, split.certificate.failed_axiom) == (False, "u_unitarity")
+
+
+@pytest.mark.parametrize(
+    "name, objects, psis",
+    [
+        ("ising", (lambda e: intalg.group_algebra(e, ("1", "p")), "1"), None),
+        ("ising", ("1", "1"), None),
+        ("m2_hilb", ("11", "22"), (1.0, 2.0)),
+    ],
+    ids=["ising_q_1", "ising_deloop", "m2_hilb_deloop"],
+)
+def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
+    # homs out of every simple, units included, come from the adjunction
+    data = bundled.load(name)
+    eng = Engine(data, udf_from_weight(data, SphericalWeight(psis or (1.0,))))
+    algebras = [
+        intalg.trivial_algebra(eng, o) if isinstance(o, str) else o(eng) for o in objects
+    ]
+    b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+    for X in b.simples:
+        assert X.head is not None
+        gap = eng.residual(eng.compose(eng.dagger(X.head), X.head), eng.identity(X.word))
+        assert gap < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -369,7 +401,7 @@ def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, 
     # each simple is isomorphic to exactly one solved simple of its block
     perm = {}
     for x, X in enumerate(b.simples):
-        (z,) = [z for z in ref.members[b.blocks[x]] if intalg.bimodule_homs(X, ref.simples[z])]
+        (z,) = [z for z in ref.members[b.blocks[x]] if solve_reference.bimodule_homs(X, ref.simples[z])]
         perm[b.labels[x]] = ref.labels[z]
     assert sorted(perm.values()) == sorted(ref.labels)
     assert [perm[b.labels[u]] for u in b.units] == [ref.labels[u] for u in ref.units]

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import solve_reference as ref
 from hstarcat import bundled, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -81,7 +82,7 @@ def test_module_trace_traciality_and_retraction():
     A = intalg.pair_algebra(eng, eng.obj({"t": 1}))
     M = intalg.free_module(A, "t")
     rng = np.random.default_rng(0)
-    basis = intalg.module_hom_basis(M, M)
+    basis = M.homs(M)
     for _ in range(10):
         z1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         z2 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -129,12 +130,12 @@ def test_delta0_zigzag_and_norm():
     eng = _eng("fibonacci")
     A = intalg.trivial_algebra(eng, "1")
     B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
-    M = intalg.left_trivial_bimodule(intalg.Module(B, B.obj, B.mu), "1")
+    M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
     Md, ev0, coev0 = intalg.dual_bimodule_delta0(M)
     r1, r2 = intalg.delta0_zigzag_residuals(M, Md, ev0, coev0)
     assert max(r1, r2) < 1e-9
     worst, (z1, z2) = intalg.delta0_norm_identity(
-        intalg.free_module(A, "t"), M, intalg.Module(B, B.obj, B.mu)
+        intalg.free_module(A, "t"), M, intalg.free_module(B, "1")
     )
     assert worst < 1e-9
     assert max(z1, z2) < 1e-9
@@ -242,21 +243,75 @@ def test_adjunction_module_homs_match_the_solve(name, mk):
     for src in frees + pieces:
         assert src.head is not None
         for dst in frees + pieces:
-            _same_hom_space(eng, src.homs(dst), intalg.module_hom_basis(src, dst))
+            _same_hom_space(eng, src.homs(dst), ref.module_hom_basis(src, dst))
 
 
 @pytest.mark.parametrize("name,mk", ADJUNCTION_CASES, ids=ADJUNCTION_IDS)
 def test_adjunction_bimodule_homs_match_the_solve(name, mk):
-    # Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M), with B = A and B = 1, into
-    # free bimodules, their pieces and the algebra as its own bimodule
+    # Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M), with B = A and B = 1,
+    # among free bimodules, their pieces and the algebra as its own
+    # bimodule (a summand of A (x) 1 (x) A)
     eng = _case_engine(name)
     A = mk(eng)
     unit = eng.data.units[0]
     for B in (A, intalg.trivial_algebra(eng, unit)):
         frees = [intalg.free_bimodule(A, c, B) for c in eng.data.simples[:2]]
         pieces = [M for F in frees for M, _ in intalg.split_summands(F)]
-        targets = frees + pieces + ([intalg.algebra_bimodule(A)] if B is A else [])
-        for src in frees + pieces:
+        objects = frees + pieces + ([intalg.algebra_bimodule(A)] if B is A else [])
+        for src in objects:
             assert src.head is not None
-            for dst in targets:
-                _same_hom_space(eng, src.homs(dst), intalg.bimodule_homs(src, dst))
+            for dst in objects:
+                _same_hom_space(eng, src.homs(dst), ref.bimodule_homs(src, dst))
+
+
+@pytest.mark.parametrize("name,labels", [("ising", ("1", "p")), ("m2_hilb", ("11", "22"))])
+def test_algebra_bimodule_head_is_an_isometric_bimodule_map(name, labels):
+    # into A (x) U (x) A, for U the sum of the unit summands of A: one
+    # unit for Ising's 1 + p, two for the disconnected 1_11 + 1_22
+    eng = _eng(name)
+    A = intalg.group_algebra(eng, labels)
+    M = intalg.algebra_bimodule(A)
+    F = intalg.free_bimodule(A, M.head.cod[1], A)
+    _, u = eng.fuse(M.head.cod)
+    h = eng.compose(u, M.head)  # into the fused free bimodule F
+    assert eng.residual(eng.compose(eng.dagger(h), h), eng.identity(M.word)) < 1e-12
+    assert eng.residual(
+        eng.compose(h, M.lam), eng.compose(F.lam, eng.whisker_left_obj(A.obj, h))
+    ) < 1e-12
+    assert eng.residual(
+        eng.compose(h, M.rho), eng.compose(F.rho, eng.whisker_right_obj(h, A.obj))
+    ) < 1e-12
+
+
+def _balanced_cases():
+    """(engine, N, M, P) for bimodule_map_basis: acceptance criterion 10's
+    cases, and Ising with A = 1 + p over the algebra itself, with N and P
+    free modules or their pieces and M free bimodules or their pieces."""
+    for name in ("fibonacci", "ising"):
+        eng = _eng(name)
+        A = intalg.trivial_algebra(eng, "1")
+        if name == "fibonacci":
+            B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
+        else:
+            B = intalg.group_algebra(eng, ("1", "p"))
+        M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
+        yield eng, intalg.free_module(A, eng.data.simples[-1]), M, intalg.free_module(B, "1")
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1", "p"))
+    mods = [intalg.free_module(A, c) for c in eng.data.simples]
+    mods += [piece for F in mods for piece, _ in intalg.split_summands(F)]
+    bims = [intalg.free_bimodule(A, c, A) for c in eng.data.simples[:2]]
+    bims += [piece for F in bims for piece, _ in intalg.split_summands(F)]
+    for N in mods[:2] + mods[3:5]:
+        for M in bims[:1] + bims[2:4]:
+            for P in mods[:2] + mods[3:5]:
+                yield eng, N, M, P
+
+
+def test_balanced_maps_match_the_solve():
+    nonzero = 0
+    for eng, N, M, P in _balanced_cases():
+        basis = intalg.bimodule_map_basis(N, M, P)
+        _same_hom_space(eng, basis, ref.bimodule_map_basis(N, M, P))
+        nonzero += bool(basis)
+    assert nonzero >= 20

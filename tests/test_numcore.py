@@ -7,12 +7,12 @@ from hstarcat.numcore import (
     InputError,
     Tolerance,
     RANK_CUT,
-    null_space,
     row_space,
     split_projection,
     unitarity_defect,
     worst,
 )
+from solve_reference import null_space
 
 
 def test_tolerance_bound():
@@ -44,6 +44,8 @@ def test_split_projection_deterministic():
     assert np.array_equal(split_projection(p), split_projection(p.copy()))
 
 
+# null_space is the test-side solve's (solve_reference), the reference for
+# the hom spaces that the package reads off the adjunction
 def test_null_space_rank_deficient():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -62,6 +64,14 @@ def test_null_space_roundoff_matrix_is_all_kernel():
     ns = null_space(m)
     assert ns.shape == (3, 3)
     assert np.linalg.norm(ns.conj().T @ ns - np.eye(3)) < 1e-10
+
+
+def test_row_space_of_a_roundoff_matrix_is_empty():
+    # the cut is absolute for small matrices: a purely relative one would
+    # call this full rank and return three rows of noise
+    rng = np.random.default_rng(6)
+    m = 1e-13 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    assert row_space(m).shape == (0, 3)
 
 
 def _full_svd_kernel(m):

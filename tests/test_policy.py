@@ -1,9 +1,10 @@
 """Lint for the one tolerance policy: every bound test goes through
 certify.within (or certify.clears for a margin), and every residual is
 folded with numcore.worst, which keeps a NaN that max and min drop.
-Lint for the one intertwiner calculus: hom spaces are solved, and
-commutants split, in one place each, and no module but intalg solves for
-a hom space. Lint for the dependencies: the package imports no module
+Lint for the one intertwiner calculus: commutants split in one place,
+and no module solves for a hom space; every hom space comes from the
+free-forgetful adjunction, and the dense solve lives in the tests as the
+reference. Lint for the dependencies: the package imports no module
 that only the tests need. Lint for the engine's door: outside
 diagram.py, morphisms come from the shape-checked eng.mor, deligne
 builds none and takes them from the engine, and outside fusion.py no
@@ -135,8 +136,6 @@ def test_bound_factor_lint_catches_a_bare_literal():
 
 # routines that only their one caller may call, as module.function
 ONE_CALLER = {
-    "null_space": "intalg._solve",
-    "linear_matrix": "intalg._solve",
     "spectral_pieces": "intalg.split_summands",
 }
 
@@ -172,45 +171,46 @@ def test_intertwiner_routines_have_one_caller():
 
 
 def test_one_caller_lint_catches_a_second_caller():
-    assert _misplaced_calls("def bimodule_homs(m):\n    return null_space(m)", "hilb3")
-    assert _misplaced_calls("def f(eng):\n    return eng.linear_matrix(g, p, q)", "intalg")
     assert _misplaced_calls("def split(F):\n    return spectral_pieces(F)", "hilb3")
-    assert _misplaced_calls("class M:\n    def homs(self):\n        return null_space(a)", "intalg")
-    assert not _misplaced_calls("def _solve(eng):\n    return null_space(eng.linear_matrix(f, p, q))", "intalg")
+    assert _misplaced_calls("def module_category(F):\n    return spectral_pieces(F)", "intalg")
+    assert _misplaced_calls("class M:\n    def homs(self):\n        return spectral_pieces(a)", "intalg")
+    assert _misplaced_calls("pieces = spectral_pieces(eng, word, comm, rng)", "intalg")
     assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
 
 
-# the solver routines: outside intalg, hom spaces come from homs(other),
-# which reads them off a free presentation or solves in intalg
+# the solver routines: no module defines or calls them, since hom spaces
+# come from homs(other), which reads them off a free presentation
 SOLVERS = {"_solve", "linear_matrix", "null_space"}
 
 
-def _solves_outside_intalg(source: str, module: str):
-    """(line, name) for each call of a SOLVERS routine in a module other
-    than intalg."""
-    if module == "intalg":
-        return []
-    return [(n.lineno, _name(n.func)) for n in _calls(ast.parse(source)) if _name(n.func) in SOLVERS]
+def _solver_uses(source: str):
+    """(line, name) for each definition or call of a SOLVERS routine."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCS) and node.name in SOLVERS:
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.Call) and _name(node.func) in SOLVERS:
+            out.append((node.lineno, _name(node.func)))
+    return out
 
 
-def test_only_intalg_solves_for_homs():
+def test_no_module_solves_for_homs():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        found += [
-            f"{path.name}:{line}: {name} called"
-            for line, name in _solves_outside_intalg(path.read_text(), path.stem)
-        ]
+        found += [f"{path.name}:{line}: {name}" for line, name in _solver_uses(path.read_text())]
     assert not found, "\n".join(found)
 
 
-def test_solve_lint_catches_a_solve_outside_intalg():
-    assert _solves_outside_intalg("basis = intalg._solve(eng, pair, [])", "hilb3")
-    assert _solves_outside_intalg("def f(eng):\n    return eng.linear_matrix(g, p, q)", "hilb3")
-    assert _solves_outside_intalg("class B:\n    def homs(self):\n        return null_space(m)", "cli")
-    assert _solves_outside_intalg("ns = numcore.null_space(m)", "deligne")
-    assert not _solves_outside_intalg("def _solve(eng):\n    return null_space(m)", "intalg")
-    assert not _solves_outside_intalg("basis = F.homs(G)\nrows = row_space(m)", "hilb3")
-    assert not _solves_outside_intalg("def null_space(m):\n    return m", "numcore")
+def test_solve_lint_catches_a_solve_anywhere():
+    assert _solver_uses("basis = intalg._solve(eng, pair, [])")
+    assert _solver_uses("def f(eng):\n    return eng.linear_matrix(g, p, q)")
+    assert _solver_uses("class B:\n    def homs(self):\n        return null_space(m)")
+    assert _solver_uses("ns = numcore.null_space(m)")
+    assert _solver_uses("def _solve(eng):\n    return []")
+    assert _solver_uses("def null_space(m):\n    return m")
+    assert _solver_uses("class Engine:\n    def linear_matrix(self, fun, a, b):\n        pass")
+    assert not _solver_uses("basis = F.homs(G)\nrows = row_space(m)")
+    assert not _solver_uses("def solve_ladder(x):\n    return x")
 
 
 def _direct_mor_calls(source: str):
