@@ -41,6 +41,7 @@ import numpy as np
 
 from . import deligne, hilb3, hstar1, intalg
 from .certify import bounded
+from .diagram import Engine
 from .fusion import FusionData, SphericalWeight, dual_engine, validate
 from .numcore import InputError, Tolerance, worst
 
@@ -242,7 +243,7 @@ def _build_algebra(eng: Engine, doc: dict, name: str):
     if kind == "trivial":
         if doc["unit"] not in data.units:
             raise InputError(f"{name}: trivial algebra on {doc['unit']}, which is not a unit")
-        return intalg.trivial_algebra(eng, doc["unit"])
+        return intalg.group_algebra(eng, (doc["unit"],))
     if kind == "group":
         return intalg.group_algebra(eng, tuple(doc["labels"]))
     if kind == "pair":
@@ -343,20 +344,23 @@ def _fusion_engine(args, fusion_path):
     return dual_engine(data, psi, args.tolerance), digest, name
 
 
-def _cmd_alg_verify(args):
+def _algebra_run(args):
+    """(engine, algebra, algebra document name, report) for a command on
+    a fusion category and an algebra document in it."""
     eng, digest, name = _fusion_engine(args, args.paths[0])
     adoc, adig, aname = _read_input(args.paths[1])
     A = _build_algebra(eng, adoc, aname)
-    rep = Report(args, {name: digest, aname: adig})
+    return eng, A, aname, Report(args, {name: digest, aname: adig})
+
+
+def _cmd_alg_verify(args):
+    _, A, _, rep = _algebra_run(args)
     rep.add("hstar_algebra", intalg.verify_hstar(A, args.tolerance, args.seed))
     return rep.finish(args.out)
 
 
 def _cmd_alg_standardize(args):
-    eng, digest, name = _fusion_engine(args, args.paths[0])
-    adoc, adig, aname = _read_input(args.paths[1])
-    A = _build_algebra(eng, adoc, aname)
-    rep = Report(args, {name: digest, aname: adig})
+    eng, A, aname, rep = _algebra_run(args)
     try:
         S = intalg.standardize(A, args.tolerance)
     except InputError as exc:
@@ -370,10 +374,7 @@ def _cmd_alg_standardize(args):
 
 
 def _cmd_alg_modcat(args):
-    eng, digest, name = _fusion_engine(args, args.paths[0])
-    adoc, adig, aname = _read_input(args.paths[1])
-    A = _build_algebra(eng, adoc, aname)
-    rep = Report(args, {name: digest, aname: adig})
+    eng, A, _, rep = _algebra_run(args)
     cert = intalg.verify_hstar(A, args.tolerance, args.seed)
     rep.add("hstar_algebra", cert)
     if cert.ok:
@@ -387,10 +388,7 @@ def _cmd_alg_modcat(args):
 
 
 def _cmd_alg_intend(args):
-    eng, digest, name = _fusion_engine(args, args.paths[0])
-    adoc, adig, aname = _read_input(args.paths[1])
-    A = _build_algebra(eng, adoc, aname)
-    rep = Report(args, {name: digest, aname: adig})
+    _, A, _, rep = _algebra_run(args)
     cert = intalg.verify_hstar(A, args.tolerance, args.seed)
     rep.add("hstar_algebra", cert)
     if cert.ok:
@@ -436,10 +434,7 @@ def _cmd_h3_complete(args):
 
 
 def _cmd_h3_split_monad(args):
-    eng, digest, name = _fusion_engine(args, args.paths[0])
-    adoc, adig, aname = _read_input(args.paths[1])
-    B = _build_algebra(eng, adoc, aname)
-    rep = Report(args, {name: digest, aname: adig})
+    _, B, _, rep = _algebra_run(args)
     split = hilb3.split_monad(B, args.tolerance, args.seed)
     rep.add("split_monad", split.certificate)
     return rep.finish(args.out)

@@ -16,8 +16,9 @@ of objects) are assembled as explicit multifusion data by one numeric
 builder over the bimodule calculus (relative tensors, unitors,
 associator matrix elements in orthonormal intertwiner bases). A
 delooping object 1_u is the trivial monad on u, so it enters the builder
-as the trivial algebra on u, like any algebra object. The assembled data
-is always pushed back through the full validator.
+as the algebra group_algebra(eng, (u,)), like any algebra object; every
+algebra must have one unit summand. The assembled data is always pushed
+back through the full validator.
 
 The associator needs no relative tensor of a relative tensor. For an
 intertwiner r: E -> X (x)_B Y whose dagger is an intertwiner too (every
@@ -51,15 +52,13 @@ from .intalg import (
     Bimodule,
     algebra_bimodule,
     dual_bimodule_delta0,
-    free_bimodule,
-    free_module,
-    left_trivial_bimodule,
+    free_bimodules,
+    group_algebra,
     left_unitor,
     module_category,
     relative_tensor,
     right_unitor,
-    split_summands,
-    trivial_algebra,
+    summand_classes,
     unit_summands,
     verify_bimodule,
     verify_hstar,
@@ -304,18 +303,17 @@ class _LinkingBuilder:
         self._onbs = {}
         self.simples, self.blocks, self.labels, self.units = [], [], [], []
         self.members = {}
+        # with two unit summands the algebra is not a simple bimodule over
+        # itself, so its block has no unit simple
+        if any(len(unit_summands(A)) > 1 for A in self.algebras):
+            raise InputError("a linking needs algebras with one unit summand each")
         n = len(self.algebras)
         for i, j in itertools.product(range(n), range(n)):
-            found = []
-            for c in eng.data.simples:
-                F = free_bimodule(self.algebras[i], c, self.algebras[j])
-                if not any(F.obj):
-                    continue
+            frees = free_bimodules(self.algebras[i], self.algebras[j])
+            for c, F in frees.items():
                 if not within(verify_bimodule(F), tol.bound() * FREE_BIMODULE_FACTOR):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
-                for piece, _ in split_summands(F, seed):
-                    if not any(piece.homs(old) for old in found):
-                        found.append(piece)
+            found = summand_classes(frees.values(), seed)
             start = len(self.simples)
             if i == j:
                 # canonical representative for the unit: the algebra itself
@@ -473,13 +471,14 @@ def linking_e1(
 ):
     """The 2x2 linking multifusion category of a pair of objects, with
     its weight; a delooping object 1_u enters as the trivial algebra on
-    u. The output is re-validated before being returned."""
+    u. An algebra with more than one unit summand is an input error. The
+    output is re-validated before being returned."""
     algs = []
     for obj in (a, b):
         if isinstance(obj, MonadObject):
             algs.append(obj.algebra)
         elif isinstance(obj, DeloopObject):
-            algs.append(trivial_algebra(X.eng, obj.unit))
+            algs.append(group_algebra(X.eng, (obj.unit,)))
         else:
             raise TypeError(f"unsupported linking operand: {obj!r}")
     data, weight = algebra_linking(X.eng, algs, tol, seed)
@@ -518,14 +517,14 @@ def split_monad(
     unitary algebra isomorphism u. A B that fails H* certification is
     not split: its certificate is returned, with no structure."""
     eng = B.eng
-    units = unit_summands(B)
-    unit = units[0]
+    unit = unit_summands(B)[0]
     cert0 = verify_hstar(B, tol, seed)
     if not cert0.ok:
         return MonadSplitting(B, None, None, None, None, None, cert0)
-    A = trivial_algebra(eng, unit)
-    # B as its own right module, the free module on its unit summands
-    M = left_trivial_bimodule(free_module(B, eng.obj(dict.fromkeys(units, 1))), unit)
+    A = group_algebra(eng, (unit,))
+    # B as its own right module, a 1_u-B bimodule through the unitor;
+    # nothing takes homs out of it, so it needs no head
+    M = Bimodule(A, B, B.obj, eng.left_unitor(A.obj, B.word), B.mu)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
     T, Vw, _ = relative_tensor(M, Md, tol)
     m, md = M.obj, Md.obj
@@ -587,9 +586,8 @@ def weight_mod_dagger(
     dims = list(mc.dims)
     raw = sum(d * d for d in dims)
     _, prefactors = renorm_scalar(eng.udf, tol)
-    units = [u for u in eng.data.units if eng.mult(A.obj, u)]
     # modules over an algebra in one component rescale uniformly
-    pre = prefactors[units[0]]
+    pre = prefactors[unit_summands(A)[0]]
     return {
         "dims": dims,
         "raw": complex(raw),
@@ -612,7 +610,7 @@ def theorem_b_check(
     eng = dual_engine(data, psi, tol)
     u1 = data.units[0]
     psi1 = psi.of_unit(data, u1)
-    A = trivial_algebra(eng, u1)
+    A = group_algebra(eng, (u1,))
     lhs = monad_psi(A, A.identity()).real
     modules = weight_mod_dagger(eng, A, tol=tol, seed=seed)
     if not modules["certificate"].ok:

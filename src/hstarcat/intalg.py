@@ -1,29 +1,33 @@
 """Algebra objects inside a skeletal multifusion category.
 
 Certification of the three H*-algebra axioms (Frobenius, separable,
-standard), standardization to a special Q-system, pair algebras c (x) c*,
-module categories C_A with the canonical trace psi(iota^dag f iota),
+standard), standardization to a special Q-system, group algebras (the
+unit summands 1_u among them) and pair algebras c (x) c*, module
+categories C_A with the canonical trace psi(iota^dag f iota),
 internal ends (checked through internal_end_comparison only, the
 unitarity of the canonical map A -> [A, A]), bimodules with the relative
 tensor over a middle algebra, and the delta = 0 dual-functor data on
 bimodules.
 
-Modules and bimodules share one intertwiner calculus. A free module
-c (x) A or free bimodule A (x) c (x) B, and every summand of one, keeps
-its free presentation: head, an isometry of its word into the unfused
-free word. The algebra as its own bimodule is the summand of
-A (x) U (x) A, U its unit summands, cut by the dressed comultiplication,
-so every simple of a linking has a head, units included; a right module
-promoted to a 1_u-B bimodule keeps its module's. Free is left adjoint to
-forgetful, so Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M) (Etingof-Gelaki-
-Nikshych-Ostrik, Tensor Categories, Sec. 7.8): a hom space out of such a
-source is spanned by act_M (id_A (x) g (x) id_B) head over a basis of
-g: c -> M, and cut to an orthonormal basis (_adjoint_span). The balanced maps of
+One class, Bimodule, carries the intertwiner calculus. A right A-module
+is a 1-A bimodule, 1 = group_algebra(eng, units) the tensor unit as an
+algebra, so the module category of A is the (1, A) block of a linking.
+A free bimodule A (x) c (x) B, and every summand of one, keeps its free
+presentation: head, an isometry of its word into the unfused free word.
+The algebra as its own bimodule is the summand of A (x) U (x) A, U its
+unit summands, cut by the dressed comultiplication, so every simple of a
+linking has a head, units included. Free is left adjoint to forgetful,
+so Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M) (Etingof-Gelaki-Nikshych-
+Ostrik, Tensor Categories, Sec. 7.8): a hom space out of such a source
+is spanned by act_M (id_A (x) g (x) id_B) head over a basis of g: c -> M,
+and cut to an orthonormal basis (_adjoint_span). The balanced maps of
 bimodule_map_basis come the same way from a free right module, so no hom
-space is solved for. Every sub-object carries its actions along an
-isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its head
-as head V; and through homs(other) and carried(V) on both, one splitter,
-split_summands, cuts either into simple summands.
+space is solved for. Every sub-bimodule carries its actions along an
+isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its
+head as head V (carried). split_summands cuts a bimodule into simple
+summands, and summand_classes keeps one per isomorphism class among the
+summands of the free bimodules: the simple modules of module_category
+and the simples of each block of a linking.
 
 All diagrams are evaluated in the fusion-tree engine; every axiom is a
 numeric residual, never a symbolic assumption.
@@ -111,21 +115,14 @@ class AlgebraObject:
         return self.eng.identity(self.word)
 
 
-def trivial_algebra(eng: Engine, unit) -> AlgebraObject:
-    """The tensor unit summand 1_i with its unique algebra structure."""
-    obj = eng.simple_obj(unit)
-    word = (obj,)
-    mu = eng.mor(word + word, word, {unit: np.ones((1, 1))})
-    iota = eng.mor((), word, {unit: np.ones((1, 1))})
-    return AlgebraObject(eng, obj, mu, iota)
-
-
 def group_algebra(eng: Engine, labels) -> AlgebraObject:
     """Convolution algebra on a set of invertible simples.
 
     Coefficient 1 on every fusion channel that lands back in the set;
     channels leaving the set are dropped, so a non-closed set produces a
     candidate that fails certification (a deliberate negative control).
+    On units alone it is their sum with its unique algebra structure:
+    (u,) gives the trivial algebra 1_u, and all units the tensor unit.
     """
     data = eng.data
     obj = eng.obj({c: 1 for c in labels})
@@ -270,53 +267,7 @@ def _adjoint_span(eng: Engine, dom, cod, maps):
     return [eng.from_vector(dom, cod, v) for v in rows]
 
 
-# --- modules ------------------------------------------------------------
-
-
-@dataclass
-class Module:
-    """Right module over an algebra: object with action (m, A) -> (m)."""
-
-    algebra: AlgebraObject
-    obj: tuple
-    rho: Mor
-    head: Mor = None  # (m) -> (c, A) for a summand of the free module c (x) A;
-    # a source of homs needs one
-
-    @property
-    def eng(self) -> Engine:
-        return self.algebra.eng
-
-    @property
-    def word(self):
-        return (self.obj,)
-
-    def homs(self, other: "Module"):
-        """Basis of module maps self -> other: rho_other (g (x) id_A) head
-        over g: c -> other."""
-        eng = self.eng
-        c, a = self.head.cod
-        maps = [
-            eng.compose(other.rho, eng.compose(eng.whisker_right_obj(g, a), self.head))
-            for g in eng.hom_basis((c,), other.word)
-        ]
-        return _adjoint_span(eng, self.word, other.word, maps)
-
-    def carried(self, V: Mor) -> "Module":
-        """The sub-module on the domain of an isometry V into self.word."""
-        rho = carry_right(V, self.rho, self.algebra)
-        return Module(self.algebra, V.dom[0], rho, self.eng.compose(self.head, V))
-
-
-def free_module(A: AlgebraObject, O) -> Module:
-    """c (x) A with action id (x) mu, fused to a single object; its head
-    is the inverse of the fusion."""
-    eng = A.eng
-    if isinstance(O, str):
-        O = eng.simple_obj(O)
-    fused, u = eng.fuse((O, A.obj))
-    head = eng.dagger(u)
-    return Module(A, fused, carry_right(head, eng.whisker_left_obj(O, A.mu), A), head)
+# --- modules: the 1-A bimodules -----------------------------------------
 
 
 def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
@@ -325,11 +276,12 @@ def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
     return eng.psi_of_unit_endo(eng.compose(eng.dagger(A.iota), eng.compose(f, A.iota)))
 
 
-def module_trace(M: Module, f: Mor) -> complex:
-    """Module trace of f in End_A(M), via the dual closure of M dressed
-    with bubble^{-1/2} on both released action strands."""
+def module_trace(M: Bimodule, f: Mor) -> complex:
+    """Module trace of f in End_A(M) for a right A-module M (the right
+    action of a bimodule), via the dual closure of M dressed with
+    bubble^{-1/2} on both released action strands."""
     eng = M.eng
-    A = M.algebra
+    A = M.right
     m, md = M.obj, eng.dual_obj(M.obj)
     s1 = eng.whisker_right(eng.dagger(eng.ev_obj(m)), (A.obj,))  # (A) -> (md, m, A)
     s2 = eng.whisker_left((md,), M.rho)  # (md, m, A) -> (md, m)
@@ -341,16 +293,17 @@ def module_trace(M: Module, f: Mor) -> complex:
     return trace_alg_end(A, g)
 
 
-def free_retraction(M: Module) -> Mor:
-    """Coisometry (m, A) -> (m): the action dressed with bubble^{-1/2}."""
+def free_retraction(M: Bimodule) -> Mor:
+    """Coisometry (m, A) -> (m): the right action dressed with
+    bubble^{-1/2}."""
     eng = M.eng
-    return eng.compose(M.rho, eng.whisker_left_obj(M.obj, M.algebra.bubble_pow(-0.5)))
+    return eng.compose(M.rho, eng.whisker_left_obj(M.obj, M.right.bubble_pow(-0.5)))
 
 
 @dataclass
 class ModuleCategory:
     algebra: AlgebraObject
-    simples: list  # of Module
+    simples: list  # of Bimodule: the simple right A-modules, as 1-A bimodules
     dims: list  # module trace of the identity per simple
     certificate: Certificate  # every dimension clears the positivity cut
 
@@ -398,38 +351,44 @@ def spectral_pieces(eng: Engine, word, comm, rng):
     raise ConsistencyError("commutant element stayed degenerate after re-randomization")
 
 
-def split_summands(F, seed: int = 0, depth: int = 0):
-    """Simple summands of a module or bimodule F, as (summand, inclusion
-    isometry into F.word) pairs: split along the spectrum of a random
-    Hermitian element of the commutant F.homs(F), and again in each
-    piece, since residual eigenvalue collisions leave non-simple pieces.
-    Depth d draws from the seed seed + d."""
+def split_summands(F: Bimodule, seed: int = 0, depth: int = 0):
+    """Simple summands of a bimodule F, each with its head, so that
+    F.head^dag piece.head is its inclusion into F: split along the
+    spectrum of a random Hermitian element of the commutant F.homs(F),
+    and again in each piece, since residual eigenvalue collisions leave
+    non-simple pieces. Depth d draws from the seed seed + d."""
     eng = F.eng
     comm = F.homs(F)
     if len(comm) == 1:
-        return [(F, eng.identity(F.word))]
+        return [F]
     if depth > 8:
         raise ConsistencyError("splitting did not terminate")
     rng = np.random.default_rng(seed + depth)
-    out = []
-    for V in spectral_pieces(eng, F.word, comm, rng):
-        for sub, W in split_summands(F.carried(V), seed, depth + 1):
-            out.append((sub, eng.compose(V, W)))
-    return out
+    return [
+        piece
+        for V in spectral_pieces(eng, F.word, comm, rng)
+        for piece in split_summands(F.carried(V), seed, depth + 1)
+    ]
+
+
+def summand_classes(frees, seed: int = 0):
+    """One simple summand per isomorphism class among the summands of the
+    bimodules frees, in order of first appearance."""
+    found = []
+    for F in frees:
+        for piece in split_summands(F, seed):
+            if not any(piece.homs(old) for old in found):
+                found.append(piece)
+    return found
 
 
 def module_category(
     eng: Engine, A: AlgebraObject, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 ) -> ModuleCategory:
-    """Enumerate simple right A-modules by splitting the free modules c (x) A."""
-    simples = []
-    for c in eng.data.simples:
-        F = free_module(A, c)
-        if not any(F.obj):
-            continue
-        for piece, _ in split_summands(F, seed):
-            if not any(piece.homs(old) for old in simples):
-                simples.append(piece)
+    """Enumerate simple right A-modules by splitting the free modules
+    c (x) A, as the free 1-A bimodules 1 (x) c (x) A."""
+    one = group_algebra(eng, eng.data.units)
+    simples = summand_classes(free_bimodules(one, A).values(), seed)
     # module dimensions scale with the unit weights, and so does their cut;
     # like the separability margin, a dimension that does not clear it
     # REJECTs on its own axiom
@@ -451,7 +410,7 @@ def _mor_combo(eng, mors, coeffs):
     return out
 
 
-def _hom_inner(eng: Engine, dom_mod: Module, g: Mor, h: Mor) -> complex:
+def _hom_inner(eng: Engine, dom_mod: Bimodule, g: Mor, h: Mor) -> complex:
     """Tr^{C_A}_{dom}(g^dag h) through the fused domain module."""
     _, u = eng.fuse(g.dom)
     endo = eng.compose(u, eng.compose(eng.dagger(g), eng.compose(h, eng.dagger(u))))
@@ -462,6 +421,7 @@ def internal_end_comparison(A: AlgebraObject):
     """Unitarity defect of the canonical map A -> [A, A] on the free
     module A, measured simple-by-simple on generalized elements."""
     eng = A.eng
+    one = group_algebra(eng, eng.data.units)
     defects = []
     for c in eng.data.simples:
         xs = eng.hom_basis((eng.simple_obj(c),), A.word)
@@ -475,7 +435,9 @@ def internal_end_comparison(A: AlgebraObject):
         )
         w = np.linalg.inv(np.linalg.cholesky(gram_c).conj().T)
         ons = [_mor_combo(eng, xs, w[:, j]) for j in range(len(xs))]
-        cmod = free_module(A, c)  # c |> A as a module
+        # c |> A as a module; 1 (x) c is one tree, so its fused basis is
+        # that of (c, A), which _hom_inner fuses
+        cmod = free_bimodule(one, c, A)
         phis = [eng.compose(A.mu, eng.whisker_right_obj(x, A.obj)) for x in ons]
         gram_e = np.array(
             [[_hom_inner(eng, cmod, p, q) / eng.udf.d(c) for q in phis] for p in phis]
@@ -512,12 +474,15 @@ class Bimodule:
         head over g: c -> other, with act = lam (id_A (x) rho) of other."""
         eng = self.eng
         a, c, b = self.head.cod
+        gs = eng.hom_basis((c,), other.word)
+        if not gs:
+            return []
         act = eng.compose(other.lam, eng.whisker_left_obj(a, other.rho))  # (A, m, B) -> (m)
         maps = [
             eng.compose(
                 act, eng.compose(eng.whisker_left_obj(a, eng.whisker_right_obj(g, b)), self.head)
             )
-            for g in eng.hom_basis((c,), other.word)
+            for g in gs
         ]
         return _adjoint_span(eng, self.word, other.word, maps)
 
@@ -539,6 +504,13 @@ def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
     lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
     rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
     return Bimodule(Ai, Aj, fused, lam, rho, V)
+
+
+def free_bimodules(Ai: AlgebraObject, Aj: AlgebraObject) -> dict:
+    """The non-zero free bimodules A_i (x) c (x) A_j, keyed by the simple
+    c in label order."""
+    frees = {c: free_bimodule(Ai, c, Aj) for c in Ai.eng.data.simples}
+    return {c: F for c, F in frees.items() if any(F.obj)}
 
 
 def verify_bimodule(M: Bimodule) -> float:
@@ -588,16 +560,6 @@ def algebra_bimodule(A: AlgebraObject) -> Bimodule:
     split = eng.whisker_left_obj(A.obj, eng.dagger(eng.left_unitor(U, A.word)))
     head = eng.compose(split, eng.compose(A.mu_dag, A.bubble_pow(-0.5)))
     return Bimodule(A, A, A.obj, A.mu, A.mu, head)
-
-
-def left_trivial_bimodule(M: Module, unit) -> Bimodule:
-    """Right module promoted to a 1_u-B bimodule via the strict unitor
-    lam_U, with head (id_U (x) head_M) lam_U^dag."""
-    eng = M.eng
-    T = trivial_algebra(eng, unit)
-    lam = eng.left_unitor(T.obj, M.word)
-    head = eng.compose(eng.whisker_left_obj(T.obj, M.head), eng.dagger(lam))
-    return Bimodule(T, M.algebra, M.obj, lam, M.rho, head)
 
 
 def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
@@ -739,28 +701,30 @@ def delta0_zigzag_residuals(M: Bimodule, Md: Bimodule, ev0: Mor, coev0: Mor):
     return r1, r2
 
 
-def bimodule_map_basis(N: Module, M: Bimodule, P: Module):
+def bimodule_map_basis(N: Bimodule, M: Bimodule, P: Bimodule):
     """Basis of maps f: (n, m) -> (p): right-B-linear in the joint module
-    structure and balanced over A between N's action and M's left action.
-    N (x)_A M is a summand of c (x) M, a summand of the free right
-    B-module on (c, *mid) for head_N: n -> (c, A) and head_M: m ->
-    (*mid, B), so the maps are spanned by rho_P (g (x) id_B)
-    (id_c (x) head_M lam_M) (head_N (x) id_m) over g: (c, *mid) -> p."""
+    structure and balanced over A between N's right action and M's left
+    action, for right modules N over A and P over B (1-A and 1-B
+    bimodules). N (x)_A M is a summand of (1, c) (x) M, a summand of the
+    free right B-module on (1, c, *mid) for head_N: n -> (1, c, A) and
+    head_M: m -> (*mid, B), so the maps are spanned by rho_P (g (x) id_B)
+    (id_{1, c} (x) head_M lam_M) (head_N (x) id_m) over
+    g: (1, c, *mid) -> p."""
     eng = N.eng
-    c, _ = N.head.cod
+    *pre, _ = N.head.cod
     *mid, b = M.head.cod
     into = eng.compose(
-        eng.whisker_left_obj(c, eng.compose(M.head, M.lam)),
+        eng.whisker_left(tuple(pre), eng.compose(M.head, M.lam)),
         eng.whisker_right(N.head, M.word),
-    )  # (n, m) -> (c, *mid, B)
+    )  # (n, m) -> (1, c, *mid, B)
     maps = [
         eng.compose(P.rho, eng.compose(eng.whisker_right_obj(g, b), into))
-        for g in eng.hom_basis((c, *mid), P.word)
+        for g in eng.hom_basis((*pre, *mid), P.word)
     ]
     return _adjoint_span(eng, N.word + M.word, P.word, maps)
 
 
-def mate_delta0(f: Mor, N: Module, M: Bimodule, coev0: Mor) -> Mor:
+def mate_delta0(f: Mor, N: Bimodule, M: Bimodule, coev0: Mor) -> Mor:
     """Mate (n,) -> (p, md) of f: (n, m) -> (p,) under the delta = 0
     adjunction: insert coev0 through the dressed unitor on N."""
     eng = N.eng
@@ -772,9 +736,9 @@ def mate_delta0(f: Mor, N: Module, M: Bimodule, coev0: Mor) -> Mor:
 
 
 def delta0_norm_identity(
-    N: Module,
+    N: Bimodule,
     M: Bimodule,
-    P: Module,
+    P: Bimodule,
     samples: int = 20,
     seed: int = 0,
 ):
@@ -786,10 +750,11 @@ def delta0_norm_identity(
     if not basis:
         return 0.0, (0.0, 0.0)
     zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
-    # N (x) M as a right B-module, fused to one object
+    # N (x) M as a 1-B bimodule, fused to one object
     fused, u = eng.fuse(N.word + M.word)
+    lam = carry_left(eng.dagger(u), eng.whisker_right(N.lam, M.word), N.left)
     rho = carry_right(eng.dagger(u), eng.whisker_left(N.word, M.rho), M.right)
-    NM = Module(M.right, fused, rho)
+    NM = Bimodule(N.left, M.right, fused, lam, rho)
     rng = np.random.default_rng(seed)
     gaps = []
     for _ in range(samples):

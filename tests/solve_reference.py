@@ -57,8 +57,9 @@ def right_linear(act_dom, act_cod, B):
 
 
 def module_hom_basis(M1, M2):
-    """Basis of right-module maps M1 -> M2."""
-    return solve(M1.eng, (M1.word, M2.word), [right_linear(M1.rho, M2.rho, M1.algebra)])
+    """Basis of right-module maps M1 -> M2, for right modules as 1-A
+    bimodules: the left action of the tensor unit constrains nothing."""
+    return solve(M1.eng, (M1.word, M2.word), [right_linear(M1.rho, M2.rho, M1.right)])
 
 
 def bimodule_homs(M1, M2):

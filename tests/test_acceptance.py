@@ -31,7 +31,7 @@ def _eng(name, psis=None):
 def _bundled_algebras():
     out = []
     for name, mk in [
-        ("hilb", lambda e: intalg.trivial_algebra(e, "1")),
+        ("hilb", lambda e: intalg.group_algebra(e, ("1",))),
         ("hilb_z2", lambda e: intalg.group_algebra(e, ("1", "g"))),
         ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
         ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
@@ -194,7 +194,8 @@ def test_criterion_09_module_trace_formula():
     for name, A in _bundled_algebras():
         eng = A.eng
         free_label = eng.data.simples[-1]
-        M = intalg.free_module(A, free_label)
+        one = intalg.group_algebra(eng, eng.data.units)
+        M = intalg.free_bimodule(one, free_label, A)  # the free right module
         basis = M.homs(M)
         rng = np.random.default_rng(900)
         for _ in range(20):
@@ -217,17 +218,18 @@ def test_criterion_10_delta0_adjunction():
     worst = zz = 0.0
     for name in ("fibonacci", "ising"):
         eng = _eng(name)
-        A = intalg.trivial_algebra(eng, "1")
+        A = intalg.group_algebra(eng, ("1",))
         if name == "fibonacci":
             B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
         else:
             B = intalg.group_algebra(eng, ("1", "p"))
-        M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
+        M = intalg.free_bimodule(A, "1", B)
         Md, ev0, coev0 = intalg.dual_bimodule_delta0(M)
         r1, r2 = intalg.delta0_zigzag_residuals(M, Md, ev0, coev0)
         zz = max(zz, r1, r2)
-        N = intalg.free_module(A, eng.data.simples[-1])
-        P = intalg.free_module(B, "1")
+        # right modules as bimodules over the tensor unit A = 1
+        N = intalg.free_bimodule(A, eng.data.simples[-1], A)
+        P = intalg.free_bimodule(A, "1", B)
         w, (z1, z2) = intalg.delta0_norm_identity(N, M, P, samples=20)
         worst = max(worst, w)
         zz = max(zz, z1, z2)

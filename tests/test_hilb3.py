@@ -48,7 +48,7 @@ def test_hilbert_sum_certification():
 @pytest.mark.parametrize(
     "name,mk",
     [
-        ("hilb", lambda e: intalg.trivial_algebra(e, "1")),
+        ("hilb", lambda e: intalg.group_algebra(e, ("1",))),
         ("hilb_z2", lambda e: intalg.group_algebra(e, ("1", "g"))),
         ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
         ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
@@ -86,7 +86,7 @@ def test_uaf_rescale_not_spherical():
 
 def test_algebra_linking_z2():
     eng = _eng("hilb_z2", (0.5,))
-    algebras = [intalg.trivial_algebra(eng, "1"), intalg.group_algebra(eng, ("1", "g"))]
+    algebras = [intalg.group_algebra(eng, ("1",)), intalg.group_algebra(eng, ("1", "g"))]
     data, psi = hilb3.algebra_linking(eng, algebras)
     assert data.simples == ("00:0", "00:1", "01:0", "10:0", "11:0", "11:1")
     # unit weights are monad weights: psi_1 for the trivial algebra,
@@ -104,7 +104,7 @@ def test_deloop_linking_m2():
     assert len(data.units) == 2
     assert fusion.validate(data).ok
     # a delooping object enters as the trivial algebra on its unit
-    algs = [intalg.trivial_algebra(eng, "11"), intalg.trivial_algebra(eng, "22")]
+    algs = [intalg.group_algebra(eng, ("11",)), intalg.group_algebra(eng, ("22",))]
     ref, ref_psi = hilb3.algebra_linking(eng, algs)
     assert data.simples == ref.simples == ("00:0", "01:0", "10:0", "11:0")
     assert psi.psi == ref_psi.psi == pytest.approx((1.0, 2.0))
@@ -235,7 +235,7 @@ def _per_triple_f_matrices(b):
 )
 def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
     eng = _eng(name)
-    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.trivial_algebra(eng, "1")], DEFAULT_TOL, 0)
+    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, ("1",))], DEFAULT_TOL, 0)
     built = []
 
     def recording(M, N, tol):
@@ -260,7 +260,7 @@ def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
 def test_three_algebra_linking_z2():
     eng = _eng("hilb_z2")
     group = intalg.group_algebra(eng, ("1", "g"))
-    data, psi = hilb3.algebra_linking(eng, [group, intalg.trivial_algebra(eng, "1"), group])
+    data, psi = hilb3.algebra_linking(eng, [group, intalg.group_algebra(eng, ("1",)), group])
     assert len(data.simples) == 14
     assert len(data.units) == 3
     cert = fusion.validate(data)
@@ -353,11 +353,41 @@ def _solved_linking(monkeypatch, eng, algebras):
 
 
 def test_split_monad_of_a_disconnected_monad_rejects():
-    # B = 1_11 + 1_22 is its own right module as the free module on both
-    # unit summands; over the trivial algebra on 11 alone it does not split
+    # B = 1_11 + 1_22 is its own right module, a 1_11-B bimodule through
+    # the unitor; over the trivial algebra on 11 alone it does not split
     eng = _eng("m2_hilb")
     split = hilb3.split_monad(intalg.group_algebra(eng, ("11", "22")))
     assert (split.certificate.ok, split.certificate.failed_axiom) == (False, "u_unitarity")
+
+
+def test_linking_of_a_disconnected_algebra_is_an_input_error():
+    # 1_11 + 1_22 passes H*, but it is not a simple bimodule over itself,
+    # so its diagonal block would have no unit simple
+    eng = _eng("m2_hilb")
+    B = intalg.group_algebra(eng, ("11", "22"))
+    assert intalg.verify_hstar(B).ok
+    with pytest.raises(InputError, match="one unit summand"):
+        hilb3.linking_e1(hilb3.delooping(eng), hilb3.MonadObject(B), hilb3.DeloopObject("11"))
+
+
+@pytest.mark.parametrize(
+    "name, mk",
+    [
+        ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
+        ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ],
+)
+def test_module_category_is_a_linking_block(name, mk):
+    # a right A-module is a 1-A bimodule: the simple modules are the
+    # simples of the (0, 1) block of the linking of 1 and A
+    eng = _eng(name)
+    A = mk(eng)
+    mc = intalg.module_category(eng, A)
+    b = hilb3._LinkingBuilder(eng, [intalg.group_algebra(eng, ("1",)), A], DEFAULT_TOL, 0)
+    block = [b.simples[k] for k in b.members[(0, 1)]]
+    assert [M.obj for M in block] == [M.obj for M in mc.simples]
+    dims = [intalg.module_trace(M, eng.identity(M.word)).real for M in block]
+    assert dims == pytest.approx(mc.dims, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -374,7 +404,7 @@ def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
     data = bundled.load(name)
     eng = Engine(data, udf_from_weight(data, SphericalWeight(psis or (1.0,))))
     algebras = [
-        intalg.trivial_algebra(eng, o) if isinstance(o, str) else o(eng) for o in objects
+        intalg.group_algebra(eng, (o,)) if isinstance(o, str) else o(eng) for o in objects
     ]
     b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
     for X in b.simples:
@@ -395,7 +425,7 @@ def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
 def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, dim):
     data = _ty3() if name == "ty3" else bundled.load(name)
     eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
-    algebras = [mk(eng), intalg.trivial_algebra(eng, unit)]
+    algebras = [mk(eng), intalg.group_algebra(eng, (unit,))]
     ref, ref_N, ref_dual = _solved_linking(monkeypatch, eng, algebras)
     b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
     # each simple is isomorphic to exactly one solved simple of its block

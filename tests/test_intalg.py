@@ -18,9 +18,16 @@ def _eng(name, psis=None):
     return Engine(data, udf_from_weight(data, psi))
 
 
+def _free_module(A, c):
+    """The free right A-module c (x) A, as the free bimodule 1 (x) c (x) A
+    over the tensor unit 1."""
+    one = intalg.group_algebra(A.eng, A.eng.data.units)
+    return intalg.free_bimodule(one, c, A)
+
+
 def test_trivial_algebra_is_hstar():
     eng = _eng("ising")
-    cert = intalg.verify_hstar(intalg.trivial_algebra(eng, "1"))
+    cert = intalg.verify_hstar(intalg.group_algebra(eng, ("1",)))
     assert cert.ok
 
 
@@ -80,7 +87,7 @@ def test_module_category_counts_and_dims():
 def test_module_trace_traciality_and_retraction():
     eng = _eng("fibonacci")
     A = intalg.pair_algebra(eng, eng.obj({"t": 1}))
-    M = intalg.free_module(A, "t")
+    M = _free_module(A, "t")
     rng = np.random.default_rng(0)
     basis = M.homs(M)
     for _ in range(10):
@@ -128,14 +135,14 @@ def test_relative_tensor_unitors():
 
 def test_delta0_zigzag_and_norm():
     eng = _eng("fibonacci")
-    A = intalg.trivial_algebra(eng, "1")
+    A = intalg.group_algebra(eng, ("1",))
     B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
-    M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
+    M = intalg.free_bimodule(A, "1", B)
     Md, ev0, coev0 = intalg.dual_bimodule_delta0(M)
     r1, r2 = intalg.delta0_zigzag_residuals(M, Md, ev0, coev0)
     assert max(r1, r2) < 1e-9
     worst, (z1, z2) = intalg.delta0_norm_identity(
-        intalg.free_module(A, "t"), M, intalg.free_module(B, "1")
+        intalg.free_bimodule(A, "t", A), M, intalg.free_bimodule(A, "1", B)
     )
     assert worst < 1e-9
     assert max(z1, z2) < 1e-9
@@ -173,13 +180,15 @@ def test_split_summands_resolves_every_free_module(name, mk):
     eng = _eng(name)
     A = mk(eng)
     for c in eng.data.simples:
-        F = intalg.free_module(A, c)
+        F = _free_module(A, c)
         if not any(F.obj):
             continue
         total = eng.zero(F.word, F.word)
-        for M, V in intalg.split_summands(F):
+        for M in intalg.split_summands(F):
             assert len(M.homs(M)) == 1
-            # V is an isometric module map M -> F
+            # the piece's head is F's head after its inclusion V, an
+            # isometric module map M -> F
+            V = eng.compose(eng.dagger(F.head), M.head)
             assert eng.residual(eng.compose(eng.dagger(V), V), eng.identity(M.word)) < 1e-9
             assert eng.residual(
                 eng.compose(V, M.rho), eng.compose(F.rho, eng.whisker_right_obj(V, A.obj))
@@ -237,9 +246,9 @@ def test_adjunction_module_homs_match_the_solve(name, mk):
     eng = _case_engine(name)
     A = mk(eng)
     assert intalg.verify_hstar(A).ok
-    frees = [intalg.free_module(A, c) for c in eng.data.simples]
+    frees = [_free_module(A, c) for c in eng.data.simples]
     frees = [F for F in frees if any(F.obj)]
-    pieces = [M for F in frees for M, _ in intalg.split_summands(F)]
+    pieces = [M for F in frees for M in intalg.split_summands(F)]
     for src in frees + pieces:
         assert src.head is not None
         for dst in frees + pieces:
@@ -254,9 +263,9 @@ def test_adjunction_bimodule_homs_match_the_solve(name, mk):
     eng = _case_engine(name)
     A = mk(eng)
     unit = eng.data.units[0]
-    for B in (A, intalg.trivial_algebra(eng, unit)):
+    for B in (A, intalg.group_algebra(eng, (unit,))):
         frees = [intalg.free_bimodule(A, c, B) for c in eng.data.simples[:2]]
-        pieces = [M for F in frees for M, _ in intalg.split_summands(F)]
+        pieces = [M for F in frees for M in intalg.split_summands(F)]
         objects = frees + pieces + ([intalg.algebra_bimodule(A)] if B is A else [])
         for src in objects:
             assert src.head is not None
@@ -289,19 +298,19 @@ def _balanced_cases():
     free modules or their pieces and M free bimodules or their pieces."""
     for name in ("fibonacci", "ising"):
         eng = _eng(name)
-        A = intalg.trivial_algebra(eng, "1")
+        A = intalg.group_algebra(eng, ("1",))
         if name == "fibonacci":
             B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
         else:
             B = intalg.group_algebra(eng, ("1", "p"))
-        M = intalg.left_trivial_bimodule(intalg.free_module(B, "1"), "1")
-        yield eng, intalg.free_module(A, eng.data.simples[-1]), M, intalg.free_module(B, "1")
+        M = intalg.free_bimodule(A, "1", B)
+        yield eng, _free_module(A, eng.data.simples[-1]), M, _free_module(B, "1")
     eng = _eng("ising")
     A = intalg.group_algebra(eng, ("1", "p"))
-    mods = [intalg.free_module(A, c) for c in eng.data.simples]
-    mods += [piece for F in mods for piece, _ in intalg.split_summands(F)]
+    mods = [_free_module(A, c) for c in eng.data.simples]
+    mods += [piece for F in mods for piece in intalg.split_summands(F)]
     bims = [intalg.free_bimodule(A, c, A) for c in eng.data.simples[:2]]
-    bims += [piece for F in bims for piece, _ in intalg.split_summands(F)]
+    bims += [piece for F in bims for piece in intalg.split_summands(F)]
     for N in mods[:2] + mods[3:5]:
         for M in bims[:1] + bims[2:4]:
             for P in mods[:2] + mods[3:5]:
