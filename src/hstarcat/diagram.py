@@ -394,21 +394,24 @@ class Engine:
         m[idx, 0] = 1.0
         return self.mor((self.simple_obj(x),), (O,), {c: m})
 
+    def _pairing(self, a, b, u):
+        """Check that Hom(1_u -> a (x) b) is the one pairing tree."""
+        if self.data.n(a, b, u) != 1:
+            raise InputError(f"the pairing of {a} and {b} at {u} is not one tree")
+
     def _raw_ev(self, c) -> Mor:
         """Dagger of the pairing tree vertex 1_{t(c)} -> dual(c) (x) c."""
         cb = self.data.dual[c]
-        dom = (self.simple_obj(cb), self.simple_obj(c))
         u = self.data.t(c)
-        if len(self.basis(dom, u)) != 1:  # N_{dual(c),c}^{1_t} = 1
-            raise InputError(f"the pairing of {cb} and {c} at {u} is not one tree")
+        self._pairing(cb, c, u)
+        dom = (self.simple_obj(cb), self.simple_obj(c))
         return self.mor(dom, (), {u: np.ones((1, 1), dtype=complex)})
 
     def _raw_coev(self, c) -> Mor:
         cb = self.data.dual[c]
-        cod = (self.simple_obj(c), self.simple_obj(cb))
         u = self.data.s(c)
-        if len(self.basis(cod, u)) != 1:  # N_{c,dual(c)}^{1_s} = 1
-            raise InputError(f"the pairing of {c} and {cb} at {u} is not one tree")
+        self._pairing(c, cb, u)
+        cod = (self.simple_obj(c), self.simple_obj(cb))
         return self.mor((), cod, {u: np.ones((1, 1), dtype=complex)})
 
     def zigzag_scalar(self, c) -> complex:
@@ -424,30 +427,57 @@ class Engine:
     def coev_simple(self, c) -> Mor:
         return self.scale(self.udf.beta[c], self._raw_coev(c))
 
-    def ev_obj(self, O) -> Mor:
-        """dual(O) (x) O -> unit, pairing copy alpha of c with copy alpha
-        of dual(c)."""
-        Od = self.dual_obj(O)
-        out = self.zero((Od, O), ())
+    def _pairings(self, O, word, ev: bool) -> dict:
+        """Per unit u, the comb coefficients at charge u of the sum over
+        the copies (x, alpha) in O of the evaluation (ev) or coevaluation
+        of x: alpha_x or beta_x on the pairing tree (a, alpha, b, 0, alpha)
+        of word, with (a, b) = (dual(x), x) for ev and (x, dual(x)) for
+        coev, and zero elsewhere."""
+        blocks = {}
         for x in self.data.simples:
+            n = self.mult(O, x)
+            if not n:
+                continue
             xb = self.data.dual[x]
-            for alpha in range(self.mult(O, x)):
-                proj = self.tensor(
-                    self.dagger(self.include(Od, xb, alpha)),
-                    self.dagger(self.include(O, x, alpha)),
-                )
-                out = self.add(out, self.compose(self.ev_simple(x), proj))
-        return out
+            if ev:
+                a, b, u, z = xb, x, self.data.t(x), self.udf.alpha[x]
+            else:
+                a, b, u, z = x, xb, self.data.s(x), self.udf.beta[x]
+            self._pairing(a, b, u)
+            idx = self.basis_index(word, u)
+            v = blocks.get(u)
+            if v is None:
+                v = blocks[u] = np.zeros(len(idx), dtype=complex)
+            for alpha in range(n):
+                # added to zero, as the terms of a sum are: a part of z that
+                # is -0.0 reads +0.0
+                v[idx[(a, alpha, b, 0, alpha)]] += z
+        return blocks
+
+    def ev_obj(self, O) -> Mor:
+        """dual(O) (x) O -> unit: the direct sum of the evaluations of the
+        simples, pairing copy alpha of dual(x) with copy alpha of x. Its
+        1 x n block at 1_{t(x)} holds alpha_x at the pairing tree
+        (dual(x), alpha, x, 0, alpha) of each copy and zeros elsewhere:
+        the inclusions of the two copies carry that tree, and no other,
+        onto the pairing tree of (dual(x), x) with coefficient 1, since
+        whiskering an inclusion by a strand meets only F blocks with a
+        unit argument, which are identities (the strict-unit rule of
+        fusion). Built anew on each call and never kept in derived, as it
+        reads the udf, which callers may change."""
+        word = (self.dual_obj(O), O)
+        blocks = {u: v[None, :] for u, v in self._pairings(O, word, True).items()}
+        return Mor(self, word, (), _nonzero(blocks))
 
     def coev_obj(self, O) -> Mor:
-        Od = self.dual_obj(O)
-        out = self.zero((), (O, Od))
-        for x in self.data.simples:
-            xb = self.data.dual[x]
-            for alpha in range(self.mult(O, x)):
-                incl = self.tensor(self.include(O, x, alpha), self.include(Od, xb, alpha))
-                out = self.add(out, self.compose(incl, self.coev_simple(x)))
-        return out
+        """unit -> O (x) dual(O): the direct sum of the coevaluations of the
+        simples. Its n x 1 block at 1_{s(x)} holds beta_x at the pairing
+        tree (x, alpha, dual(x), 0, alpha) of each copy and zeros
+        elsewhere, by the strict-unit rule as for ev_obj; built anew on
+        each call, as ev_obj is."""
+        word = (O, self.dual_obj(O))
+        blocks = {u: v[:, None] for u, v in self._pairings(O, word, False).items()}
+        return Mor(self, (), word, _nonzero(blocks))
 
     # --- traces -----------------------------------------------------------
 

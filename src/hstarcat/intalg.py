@@ -283,11 +283,12 @@ def module_trace(M: Bimodule, f: Mor) -> complex:
     eng = M.eng
     A = M.right
     m, md = M.obj, eng.dual_obj(M.obj)
-    s1 = eng.whisker_right(eng.dagger(eng.ev_obj(m)), (A.obj,))  # (A) -> (md, m, A)
+    ev = eng.ev_obj(m)  # (md, m) -> ()
+    s1 = eng.whisker_right(eng.dagger(ev), (A.obj,))  # (A) -> (md, m, A)
     s2 = eng.whisker_left((md,), M.rho)  # (md, m, A) -> (md, m)
     s3 = eng.whisker_left_obj(md, f)
     s4 = eng.whisker_left((md,), eng.dagger(M.rho))  # -> (md, m, A)
-    s5 = eng.whisker_right(eng.ev_obj(m), (A.obj,))  # -> (A)
+    s5 = eng.whisker_right(ev, (A.obj,))  # -> (A)
     half = A.bubble_pow(-0.5)
     g = eng.compose(half, eng.compose(s5, eng.compose(s4, eng.compose(s3, eng.compose(s2, eng.compose(s1, half))))))
     return trace_alg_end(A, g)

@@ -1,18 +1,57 @@
+import importlib.util
+import pathlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hstarcat import bundled
+from hstarcat import bundled, hilb3
 from hstarcat.diagram import Engine
-from hstarcat.numcore import ShapeMismatch
+from hstarcat.numcore import InputError, ShapeMismatch
 from hstarcat.fusion import SphericalWeight, udf_from_weight
 
 PHI = (1 + np.sqrt(5)) / 2
 
 
 def _eng(name, psis=None):
-    data = bundled.load(name)
+    return _engine(bundled.load(name), psis)
+
+
+def _engine(data, psis=None):
     psi = SphericalWeight(psis if psis else tuple(1.0 for _ in data.units))
     return Engine(data, udf_from_weight(data, psi))
+
+
+def _families():
+    """The benchmark's generated families and their gauge (bench/families.py)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# bundled categories, m2_hilb with two units and non-self-dual simples,
+# and the benchmark's gauged twisted Vec(Z_8) and TY(Z_5)
+PAIRING_CASES = ("ising", "fibonacci", "hilb_z2", "m2_hilb", "twisted8", "ty5")
+
+
+def _pairing_engine(name):
+    if name in bundled.NAMES:
+        return _eng(name)
+    fam = _families()
+    data = fam.vec_zn(8, 3) if name == "twisted8" else fam.ty_zn(5, -1)
+    return _engine(fam.gauge(data, np.random.default_rng(8)))
+
+
+def _random_objects(eng, rng, count):
+    """count objects with multiplicities drawn from 0..2, none empty."""
+    out = []
+    while len(out) < count:
+        mults = rng.integers(0, 3, size=len(eng.data.simples))
+        if mults.any():
+            out.append(eng.obj(mults))
+    return out
 
 
 def test_object_arithmetic():
@@ -60,10 +99,12 @@ def test_whisker_functoriality():
 
 
 def test_zigzags():
-    for name in ("fibonacci", "ising", "m2_hilb"):
-        eng = _eng(name)
-        for c in eng.data.simples:
-            O = eng.simple_obj(c)
+    # on every simple, and on sums with multiplicities
+    rng = np.random.default_rng(6)
+    for name in PAIRING_CASES:
+        eng = _pairing_engine(name)
+        simples = [eng.simple_obj(c) for c in eng.data.simples]
+        for O in simples + _random_objects(eng, rng, 3):
             Od = eng.dual_obj(O)
             ev, coev = eng.ev_obj(O), eng.coev_obj(O)
             z1 = eng.compose(
@@ -74,6 +115,112 @@ def test_zigzags():
                 eng.whisker_right(ev, (Od,)), eng.whisker_left((Od,), coev)
             )
             assert eng.residual(z2, eng.identity((Od,))) < 1e-9
+
+
+# --- the tensor-calculus reference of ev_obj and coev_obj ------------------
+# The sum over copies of an object of the simples' cups and caps, each
+# moved onto its copy by the tensor product of two inclusions: the path
+# the comb-basis construction replaced, kept to check it against.
+
+
+def _reference_ev_obj(eng, O):
+    Od = eng.dual_obj(O)
+    out = eng.zero((Od, O), ())
+    for x in eng.data.simples:
+        xb = eng.data.dual[x]
+        for alpha in range(eng.mult(O, x)):
+            proj = eng.tensor(
+                eng.dagger(eng.include(Od, xb, alpha)),
+                eng.dagger(eng.include(O, x, alpha)),
+            )
+            out = eng.add(out, eng.compose(eng.ev_simple(x), proj))
+    return out
+
+
+def _reference_coev_obj(eng, O):
+    Od = eng.dual_obj(O)
+    out = eng.zero((), (O, Od))
+    for x in eng.data.simples:
+        xb = eng.data.dual[x]
+        for alpha in range(eng.mult(O, x)):
+            incl = eng.tensor(eng.include(O, x, alpha), eng.include(Od, xb, alpha))
+            out = eng.add(out, eng.compose(incl, eng.coev_simple(x)))
+    return out
+
+
+def _assert_same_bytes(got, ref):
+    assert (got.dom, got.cod) == (ref.dom, ref.cod)
+    assert list(got.blocks) == list(ref.blocks)
+    for c, b in ref.blocks.items():
+        assert got.blocks[c].shape == b.shape and got.blocks[c].dtype == b.dtype, c
+        assert got.blocks[c].tobytes() == b.tobytes(), c
+
+
+@pytest.mark.parametrize("name", PAIRING_CASES)
+def test_pairings_match_the_tensor_calculus_reference(name):
+    eng = _pairing_engine(name)
+    zero = eng.obj([0] * len(eng.data.simples))
+    for O in [zero] + _random_objects(eng, np.random.default_rng(7), 6):
+        _assert_same_bytes(eng.ev_obj(O), _reference_ev_obj(eng, O))
+        _assert_same_bytes(eng.coev_obj(O), _reference_coev_obj(eng, O))
+
+
+@pytest.mark.parametrize(
+    "name, gap", [("ising", 10.119), ("fibonacci", 5.936), ("m2_hilb", 4.219), ("hilb_z2", 3.669)]
+)
+def test_sphericality_sees_a_rescaled_cup(name, gap):
+    # alpha_c beta_c is kept, so the zig-zags still hold, but the left and
+    # right loops of c part: the check must read the udf on every call
+    eng = _eng(name)
+    X = hilb3.delooping(eng)
+    assert hilb3.presentation_sphericality(X, seed=3).ok
+    c = next(c for c in eng.data.simples if c not in eng.data.units)
+    eng.udf.alpha[c] *= 2.0
+    eng.udf.beta[c] /= 2.0
+    cert = hilb3.presentation_sphericality(X, seed=3)
+    assert (cert.ok, cert.failed_axiom) == (False, "sphericality")
+    assert cert.residuals["sphericality"] == pytest.approx(gap, abs=1e-3)
+
+
+def test_pairing_without_its_tree_is_an_input_error():
+    # a dual that does not pair with its simple: no cup or cap is read off
+    eng = _eng("hilb_z2")
+    eng.data.dual["g"] = "1"
+    g = eng.simple_obj("g")
+    for build in (eng.ev_obj, eng.coev_obj):
+        with pytest.raises(InputError, match="not one tree"):
+            build(g)
+
+
+def test_pairings_make_no_diagram_calls(monkeypatch):
+    # ev_obj and coev_obj write their entries into zero blocks: no tensor
+    # calculus, and nothing kept in Engine.derived, whose values must not
+    # depend on the udf
+    depth = [0]
+    calls = Counter()
+    for name in ("tensor", "include", "compose", "add", "derived"):
+        def counted(self, *args, _run=getattr(Engine, name), _name=name):
+            calls[_name] += bool(depth[0])
+            return _run(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    for name in ("ev_obj", "coev_obj"):
+        def entered(self, *args, _run=getattr(Engine, name), _name=name):
+            calls[_name] += 1
+            depth[0] += 1
+            try:
+                return _run(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Engine, name, entered)
+    fam = _families()
+    for data in (bundled.load("ising"), fam.gauge(fam.ty_zn(3), np.random.default_rng(11))):
+        X = hilb3.delooping(_engine(data))
+        hilb3.presentation_sphericality(X, seed=0)
+        calls.clear()
+        hilb3.presentation_sphericality(X, seed=1)
+        assert +calls == Counter(ev_obj=5, coev_obj=5), dict(calls)
 
 
 def test_loop_traces_match_dims():
