@@ -25,6 +25,9 @@ schemas use, with draft 2020-12 types: a bool is not a number, and a float
 with an integral value is an integer. The schema files stay the single
 source of truth; a keyword or type the checker does not enforce raises
 NotImplementedError (exit 3) rather than pass unchecked.
+
+Each command imports the layers it runs (intalg, deligne, hilb3, hstar1)
+when it starts, so a command does not pay for the imports of the others.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import deligne, hilb3, hstar1, intalg
 from .certify import bounded
 from .diagram import Engine
 from .fusion import FusionData, SphericalWeight, dual_engine, validate
@@ -233,6 +235,8 @@ def _psi_for(data: FusionData, arg) -> SphericalWeight:
 def _build_algebra(eng: Engine, doc: dict, name: str):
     """The algebra a document names; every label must be a simple of the
     category, and the unit of a trivial algebra must be a unit summand."""
+    from . import intalg
+
     _check_schema(doc, "algebra", name)
     data = eng.data
     kind = doc.get("kind")
@@ -354,12 +358,16 @@ def _algebra_run(args):
 
 
 def _cmd_alg_verify(args):
+    from . import intalg
+
     _, A, _, rep = _algebra_run(args)
     rep.add("hstar_algebra", intalg.verify_hstar(A, args.tolerance, args.seed))
     return rep.finish(args.out)
 
 
 def _cmd_alg_standardize(args):
+    from . import intalg
+
     eng, A, aname, rep = _algebra_run(args)
     try:
         S = intalg.standardize(A, args.tolerance)
@@ -374,6 +382,8 @@ def _cmd_alg_standardize(args):
 
 
 def _cmd_alg_modcat(args):
+    from . import intalg
+
     eng, A, _, rep = _algebra_run(args)
     cert = intalg.verify_hstar(A, args.tolerance, args.seed)
     rep.add("hstar_algebra", cert)
@@ -388,6 +398,8 @@ def _cmd_alg_modcat(args):
 
 
 def _cmd_alg_intend(args):
+    from . import intalg
+
     _, A, _, rep = _algebra_run(args)
     cert = intalg.verify_hstar(A, args.tolerance, args.seed)
     rep.add("hstar_algebra", cert)
@@ -402,6 +414,8 @@ def _cmd_alg_intend(args):
 
 
 def _cmd_deligne_check(args):
+    from . import deligne
+
     eng, digest, name = _fusion_engine(args, args.paths[0])
     rep = Report(args, {name: digest})
     mside = deligne.RegularRight(eng)
@@ -417,6 +431,8 @@ def _cmd_deligne_check(args):
 
 
 def _cmd_h3_complete(args):
+    from . import hilb3
+
     eng, digest, name = _fusion_engine(args, args.paths[0])
     rep = Report(args, {name: digest})
     X = hilb3.delooping(eng)
@@ -434,6 +450,8 @@ def _cmd_h3_complete(args):
 
 
 def _cmd_h3_split_monad(args):
+    from . import hilb3
+
     _, B, _, rep = _algebra_run(args)
     split = hilb3.split_monad(B, args.tolerance, args.seed)
     rep.add("split_monad", split.certificate)
@@ -441,6 +459,8 @@ def _cmd_h3_split_monad(args):
 
 
 def _cmd_h3_theorem_b(args):
+    from . import hilb3
+
     data, digest, name = _load_fusion(args.paths[0])
     psi = _psi_for(data, args.psi)
     rep = Report(args, {name: digest})
@@ -454,6 +474,8 @@ def _cmd_h3_theorem_b(args):
 
 
 def _cmd_hstar_verify(args):
+    from . import hstar1
+
     doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
     functional = doc.get("functional")
@@ -469,6 +491,8 @@ def _cmd_hstar_verify(args):
 
 
 def _cmd_hstar_gns(args):
+    from . import hstar1
+
     doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
     try:

@@ -16,6 +16,16 @@ contiguous in the grouped and the comb bases. Cups and caps carry
 explicit coefficients alpha_c, beta_c from the unitary dual functor that
 the engine is built with (fusion.dual_engine).
 
+What the fusion data fixes is read off it, not drawn. F blocks with a
+unit argument are identities (the strict-unit rule of fusion), so a cup
+or cap whiskered by strands keeps its pairing tree with coefficient 1:
+the evaluation and coevaluation of a direct sum are placed on the comb
+trees of their copies, both closed loops of an endomorphism f are sums
+over the simples x of |alpha_x|^2 tr(f_x) or |beta_x|^2 tr(f_x), and the
+zig-zag of a simple c is one entry of F^{c, dual(c), c}_c. The tree bases
+of a word are built for every charge in one sweep over the fusion
+products of its first object with the charges of the rest.
+
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
 block only when every entry equals zero.
@@ -53,11 +63,11 @@ class Engine:
         self._basis = {}
         self._index = {}
         self._support = {}
+        self._product = {}
         self._group = {}
         self._fcache = {}
         self._simple = {}
         self._derived = {}
-        self._unit_of = {u: u for u in data.units}
 
     # --- objects and words ----------------------------------------------
 
@@ -95,25 +105,10 @@ class Engine:
         words are (x, alpha, e, v, sub_index): strand simple x, copy alpha,
         inner charge e, vertex v in V(x, e; c), tree index into
         basis(word[1:], e)."""
-        key = (word, c)
-        out = self._basis.get(key)
-        if out is not None:
-            return out
-        if not word:
-            out = [()] if c in self._unit_of else []
-        else:
-            O, rest = word[0], word[1:]
-            out = []
-            for x in self.data.simples:
-                if self.mult(O, x) == 0:
-                    continue
-                for alpha in range(self.mult(O, x)):
-                    for e in self.support(rest):
-                        for v in range(self.data.n(x, e, c)):
-                            for si in range(len(self.basis(rest, e))):
-                                out.append((x, alpha, e, v, si))
-        self._basis[key] = out
-        self._index[key] = {b: i for i, b in enumerate(out)}
+        out = self._basis.get((word, c))
+        if out is None:
+            self._trees(word)
+            out = self._basis[(word, c)]
         return out
 
     def basis_index(self, word, c):
@@ -123,10 +118,48 @@ class Engine:
     def support(self, word):
         out = self._support.get(word)
         if out is None:
-            out = self._support[word] = tuple(
-                c for c in self.data.simples if self.basis(word, c)
-            )
+            self._trees(word)
+            out = self._support[word]
         return out
+
+    def _products(self, x, e):
+        """The charges c of x (x) e with their multiplicities N_xe^c, in
+        the order of the simples; one table per engine."""
+        out = self._product.get((x, e))
+        if out is None:
+            out = self._product[(x, e)] = [
+                (c, n) for c in self.data.simples if (n := self.data.n(x, e, c))
+            ]
+        return out
+
+    def _trees(self, word):
+        """The bases of word at every charge, with their indices and the
+        support, in one sweep over the fusion products x (x) e; each
+        charge gets its trees in the order (x, alpha, e, v, sub_index)."""
+        trees = {c: [] for c in self.data.simples}
+        if not word:
+            for u in self.data.units:
+                trees[u].append(())
+        else:
+            O, rest = word[0], word[1:]
+            inner = [(e, len(self.basis(rest, e))) for e in self.support(rest)]
+            for x in self.data.simples:
+                n = self.mult(O, x)
+                if not n:
+                    continue
+                fused = [(e, k, self._products(x, e)) for e, k in inner]
+                for alpha in range(n):
+                    for e, k, products in fused:
+                        for c, m in products:
+                            out = trees[c]
+                            for v in range(m):
+                                for si in range(k):
+                                    out.append((x, alpha, e, v, si))
+        for c, out in trees.items():
+            key = (word, c)
+            self._basis[key] = out
+            self._index[key] = {b: i for i, b in enumerate(out)}
+        self._support[word] = tuple(c for c, out in trees.items() if out)
 
     def hom_dim(self, X, Y) -> int:
         return sum(
@@ -415,17 +448,37 @@ class Engine:
         return self.mor((), cod, {u: np.ones((1, 1), dtype=complex)})
 
     def zigzag_scalar(self, c) -> complex:
-        """(id_c (x) raw_ev)(raw_coev (x) id_c) = theta_c id_c."""
-        left = self.whisker_right_obj(self._raw_coev(c), self.simple_obj(c))
-        right = self.whisker_left_obj(self.simple_obj(c), self._raw_ev(c))
-        z = self.compose(right, left)
-        return complex(self.block(z, c)[0, 0])
+        """(id_c (x) raw_ev)(raw_coev (x) id_c) = theta_c id_c, read off
+        the data: theta_c = F^{c, dual(c), c}_c[(s(c), 0, 0), (t(c), 0, 0)].
+        Whiskering the coevaluation tree by c regroups it through that F
+        block onto the comb trees (c, 0, g, r, .), and the evaluation
+        keeps only g = t(c); the F blocks that move the inner pairing tree
+        have a unit argument and are identities by the strict-unit rule."""
+        cb = self.data.dual[c]
+        s, t = self.data.s(c), self.data.t(c)
+        self._pairing(c, cb, s)
+        self._pairing(cb, c, t)
+        m, rows, cols = self._fsym(c, cb, c, c)
+        return complex(m[rows[(s, 0, 0)], cols.index((t, 0, 0))])
 
     def ev_simple(self, c) -> Mor:
         return self.scale(self.udf.alpha[c], self._raw_ev(c))
 
     def coev_simple(self, c) -> Mor:
         return self.scale(self.udf.beta[c], self._raw_coev(c))
+
+    def _cup(self, x, ev: bool):
+        """(a, b, u, z) of the evaluation (ev) or coevaluation of the
+        simple x: its pairing tree of (a, b) = (dual(x), x) at u = t(x)
+        with coefficient alpha_x, or of (x, dual(x)) at u = s(x) with
+        beta_x; the pairing is checked to be one tree."""
+        xb = self.data.dual[x]
+        if ev:
+            a, b, u, z = xb, x, self.data.t(x), self.udf.alpha[x]
+        else:
+            a, b, u, z = x, xb, self.data.s(x), self.udf.beta[x]
+        self._pairing(a, b, u)
+        return a, b, u, z
 
     def _pairings(self, O, word, ev: bool) -> dict:
         """Per unit u, the comb coefficients at charge u of the sum over
@@ -438,12 +491,7 @@ class Engine:
             n = self.mult(O, x)
             if not n:
                 continue
-            xb = self.data.dual[x]
-            if ev:
-                a, b, u, z = xb, x, self.data.t(x), self.udf.alpha[x]
-            else:
-                a, b, u, z = x, xb, self.data.s(x), self.udf.beta[x]
-            self._pairing(a, b, u)
+            a, b, u, z = self._cup(x, ev)
             idx = self.basis_index(word, u)
             v = blocks.get(u)
             if v is None:
@@ -502,18 +550,40 @@ class Engine:
             raise InputError("side must be 'L' or 'R'")
         return float(self.unit_component(z, unit).real)
 
-    def trace_right(self, f: Mor) -> Mor:
-        """Right closed loop of f in End((O,)), as an endo of the unit."""
+    def _closed_loop(self, f: Mor, ev: bool) -> Mor:
+        """Per unit u, the sum over the simples x in O of |z_x|^2 tr(f_x),
+        with (u, z_x) = (t(x), alpha_x) for ev and (s(x), beta_x) else."""
         (O,) = f.dom
-        coev = self.coev_obj(O)
-        mid = self.whisker_right_obj(f, self.dual_obj(O))
-        return self.compose(self.dagger(coev), self.compose(mid, coev))
+        if f.cod != f.dom:
+            raise ShapeMismatch("trace of a non-endomorphism")
+        sums = {}
+        for x in self.data.simples:
+            if not self.mult(O, x):
+                continue
+            _, _, u, z = self._cup(x, ev)
+            fb = f.blocks.get(x)
+            term = abs(z) ** 2 * np.trace(fb) if fb is not None else 0.0
+            sums[u] = sums.get(u, 0.0) + term
+        blocks = {u: np.full((1, 1), v, dtype=complex) for u, v in sums.items()}
+        return Mor(self, (), (), _nonzero(blocks))
+
+    def trace_right(self, f: Mor) -> Mor:
+        """Right closed loop coev_O^dagger (f (x) id_dual(O)) coev_O of f in
+        End((O,)), as an endo of the unit: at 1_u, the sum over the simples
+        x with s(x) = u of |beta_x|^2 tr(f_x). Read off f's blocks: the
+        coevaluation puts beta_x on the pairing tree of each copy of x,
+        and the grouped tree of f (x) id meets it through F^{x, t(x),
+        dual(x)} blocks, which have a unit argument and are identities by
+        the strict-unit rule, so copy alpha pairs with copy alpha alone."""
+        return self._closed_loop(f, False)
 
     def trace_left(self, f: Mor) -> Mor:
-        (O,) = f.dom
-        ev = self.ev_obj(O)
-        mid = self.whisker_left_obj(self.dual_obj(O), f)
-        return self.compose(ev, self.compose(mid, self.dagger(ev)))
+        """Left closed loop ev_O (id_dual(O) (x) f) ev_O^dagger of f in
+        End((O,)), as an endo of the unit: at 1_u, the sum over the simples
+        x with t(x) = u of |alpha_x|^2 tr(f_x), read off f's blocks as for
+        trace_right; left whiskering places f_x on the pairing trees of x
+        with no F block at all."""
+        return self._closed_loop(f, True)
 
     def unit_component(self, z: Mor, u) -> complex:
         if z.dom != () or z.cod != ():

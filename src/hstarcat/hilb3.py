@@ -157,7 +157,16 @@ def presentation_sphericality(
     tol: Tolerance = DEFAULT_TOL,
 ) -> Certificate:
     """Sampled left/right closed-loop agreement for 1-morphisms between
-    the engine-backed objects of the presentation."""
+    the engine-backed objects of the presentation.
+
+    Each sample draws an object O (multiplicities 0-2 per simple) and a
+    random f in End(O), and compares psi of its two loops, which the
+    engine reads off f's blocks: the sum over the simples x of
+    psi_{t(x)} |alpha_x|^2 tr(f_x) (left) against psi_{s(x)} |beta_x|^2
+    tr(f_x) (right). They agree for every f exactly when psi_{t(x)}
+    |alpha_x|^2 = psi_{s(x)} |beta_x|^2 for each simple x in O, that is,
+    when the cups and caps of the udf are spherical for psi; the check
+    reads the udf on every call, so a rescaled alpha_x or beta_x shows."""
     eng = X.eng
     rng = np.random.default_rng(seed)
     gaps = []

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import pathlib
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bench_families import fam
 from hstarcat import intalg
 from hstarcat.cli import main
 from hstarcat.numcore import ConsistencyError
@@ -94,19 +94,11 @@ def test_determinism_and_out_flag(tmp_path, capsys):
     assert dims == pytest.approx([2**-0.5, 2**-0.5, 1.0])
 
 
-def _families():
-    """The benchmark's generated families (bench/families.py)."""
-    spec = importlib.util.spec_from_file_location("families", ROOT / "bench" / "families.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_deligne_check_independent_of_hash_seed(tmp_path):
     # the order of the blocks, and with it the summation order of every
     # trace and the last digits of the report, must not follow hash order
     p = tmp_path / "ty3.json"
-    p.write_text(json.dumps(_families().ty_zn(3, 1).to_json()))
+    p.write_text(json.dumps(fam.ty_zn(3, 1).to_json()))
     reports = set()
     for hash_seed in ("0", "1", "3", "6"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))

@@ -1,12 +1,11 @@
 import gc
-import importlib.util
-import pathlib
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from bench_families import fam
 from hstarcat import bundled, deligne, hilb3
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -110,15 +109,6 @@ def test_nan_trace_rejects_right_action(monkeypatch):
     assert np.isnan(cert.residuals["action_trace_gap"])
 
 
-def _families():
-    """The benchmark's generated families and their gauge (bench/families.py)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _ladder_checks(data, seed=0):
     """Verdicts and values of the ladder checks on one fusion category:
     the right-action isometry, ladder traciality, the identity ladder's
@@ -142,7 +132,6 @@ def _ladder_checks(data, seed=0):
 def test_vertex_gauge_keeps_the_ladder_checks(name):
     # a unitary vertex gauge (Bonderson, PhD thesis, Caltech 2007) changes
     # the F-symbols but no verdict and no gauge-invariant value
-    fam = _families()
     data = fam.vec_zn(4, 1) if name == "twisted_z4" else fam.ty_zn(3)
     gauged = fam.gauge(data, np.random.default_rng(5))
     moved = max(
@@ -158,7 +147,6 @@ def test_vertex_gauge_keeps_the_ladder_checks(name):
 
 def _warm_cache_engines():
     """Ising and the benchmark's gauged TY(Z_3) and twisted Vec(Z_4)."""
-    fam = _families()
     rng = np.random.default_rng(11)
     for data in (bundled.load("ising"), fam.gauge(fam.ty_zn(3), rng), fam.gauge(fam.vec_zn(4, 1), rng)):
         yield lambda data=data: Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
@@ -314,7 +302,6 @@ def _close(a, b):
 
 @pytest.mark.parametrize("name", ["ising", "fibonacci", "gauged_ty_z3", "twisted_z4"])
 def test_keyed_terms_agree_with_the_mor_reference(name):
-    fam = _families()
     data = {
         "ising": lambda: bundled.load("ising"),
         "fibonacci": lambda: bundled.load("fibonacci"),

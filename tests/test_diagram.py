@@ -1,11 +1,11 @@
-import importlib.util
-import pathlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hstarcat import bundled, hilb3
+import diagram_reference
+from bench_families import fam
+from hstarcat import bundled, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.numcore import InputError, ShapeMismatch
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -22,26 +22,22 @@ def _engine(data, psis=None):
     return Engine(data, udf_from_weight(data, psi))
 
 
-def _families():
-    """The benchmark's generated families and their gauge (bench/families.py)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 # bundled categories, m2_hilb with two units and non-self-dual simples,
 # and the benchmark's gauged twisted Vec(Z_8) and TY(Z_5)
 PAIRING_CASES = ("ising", "fibonacci", "hilb_z2", "m2_hilb", "twisted8", "ty5")
 
 
+GAUGED = {
+    "twisted8": lambda: fam.vec_zn(8, 3),
+    "ty5": lambda: fam.ty_zn(5, -1),
+    "ty3": lambda: fam.ty_zn(3),
+}
+
+
 def _pairing_engine(name):
     if name in bundled.NAMES:
         return _eng(name)
-    fam = _families()
-    data = fam.vec_zn(8, 3) if name == "twisted8" else fam.ty_zn(5, -1)
-    return _engine(fam.gauge(data, np.random.default_rng(8)))
+    return _engine(fam.gauge(GAUGED[name](), np.random.default_rng(8)))
 
 
 def _random_objects(eng, rng, count):
@@ -192,19 +188,18 @@ def test_pairing_without_its_tree_is_an_input_error():
             build(g)
 
 
-def test_pairings_make_no_diagram_calls(monkeypatch):
-    # ev_obj and coev_obj write their entries into zero blocks: no tensor
-    # calculus, and nothing kept in Engine.derived, whose values must not
-    # depend on the udf
+def _count_calls(monkeypatch, entries, counted):
+    """Counter of the calls to the Engine methods `counted` made inside
+    the methods `entries`, and of the calls to `entries` themselves."""
     depth = [0]
     calls = Counter()
-    for name in ("tensor", "include", "compose", "add", "derived"):
-        def counted(self, *args, _run=getattr(Engine, name), _name=name):
+    for name in counted:
+        def inner(self, *args, _run=getattr(Engine, name), _name=name):
             calls[_name] += bool(depth[0])
             return _run(self, *args)
 
-        monkeypatch.setattr(Engine, name, counted)
-    for name in ("ev_obj", "coev_obj"):
+        monkeypatch.setattr(Engine, name, inner)
+    for name in entries:
         def entered(self, *args, _run=getattr(Engine, name), _name=name):
             calls[_name] += 1
             depth[0] += 1
@@ -214,13 +209,138 @@ def test_pairings_make_no_diagram_calls(monkeypatch):
                 depth[0] -= 1
 
         monkeypatch.setattr(Engine, name, entered)
-    fam = _families()
+    return calls
+
+
+def _sampled_objects(X, seed):
+    """The objects whose loops presentation_sphericality samples."""
+    seen = []
+    run = Engine.trace_left
+
+    def recorded(self, f):
+        seen.append(f.dom[0])
+        return run(self, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "trace_left", recorded)
+        hilb3.presentation_sphericality(X, seed=seed)
+    return seen
+
+
+def test_pairings_make_no_diagram_calls():
+    # ev_obj and coev_obj write their entries into zero blocks: no tensor
+    # calculus, and nothing kept in Engine.derived, whose values must not
+    # depend on the udf; called on a warm engine, on the objects of a
+    # sampled sphericality check
     for data in (bundled.load("ising"), fam.gauge(fam.ty_zn(3), np.random.default_rng(11))):
         X = hilb3.delooping(_engine(data))
         hilb3.presentation_sphericality(X, seed=0)
-        calls.clear()
-        hilb3.presentation_sphericality(X, seed=1)
+        objects = _sampled_objects(X, seed=1)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_calls(
+                mp, ("ev_obj", "coev_obj"), ("tensor", "include", "compose", "add", "derived")
+            )
+            for O in objects:
+                X.eng.ev_obj(O)
+                X.eng.coev_obj(O)
         assert +calls == Counter(ev_obj=5, coev_obj=5), dict(calls)
+
+
+def test_closed_loops_make_no_diagram_calls(monkeypatch):
+    # both loops are read off the blocks of f: no cup, cap, whisker or
+    # grouped basis is built for (O, dual(O))
+    calls = _count_calls(
+        monkeypatch,
+        ("trace_left", "trace_right"),
+        ("ev_obj", "coev_obj", "whisker_left_obj", "whisker_right_obj", "group_last", "compose"),
+    )
+    X = hilb3.delooping(_pairing_engine("ty5"))
+    assert hilb3.presentation_sphericality(X, seed=4).ok
+    assert +calls == Counter(trace_left=5, trace_right=5), dict(calls)
+
+
+# (case, psi) for the closed-loop and zig-zag references: the bundled
+# categories, m2_hilb at an uneven weight and the gauged families
+LOOP_CASES = [(name, None) for name in (*bundled.NAMES, *GAUGED)] + [("m2_hilb", (1.0, 4.0))]
+
+
+def _loop_engine(name, psis):
+    return _eng(name, psis) if psis else _pairing_engine(name)
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_closed_loops_match_the_whiskered_reference(name, psis):
+    eng = _loop_engine(name, psis)
+    rng = np.random.default_rng(12)
+    simples = [eng.simple_obj(c) for c in eng.data.simples]
+    for O in simples + _random_objects(eng, rng, 6):
+        f = eng.random_mor((O,), (O,), rng)
+        for got, ref in (
+            (eng.trace_left(f), diagram_reference.trace_left(eng, f)),
+            (eng.trace_right(f), diagram_reference.trace_right(eng, f)),
+        ):
+            for u in eng.data.units:
+                want = ref.blocks.get(u, np.zeros((1, 1)))[0, 0]
+                value = eng.unit_component(got, u)
+                assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_zigzag_scalar_is_the_whiskered_value(name, psis):
+    eng = _loop_engine(name, psis)
+    for c in eng.data.simples:
+        got, ref = eng.zigzag_scalar(c), diagram_reference.zigzag_scalar(eng, c)
+        assert np.complex128(got).tobytes() == np.complex128(ref).tobytes(), (c, got, ref)
+
+
+@pytest.mark.parametrize("name", PAIRING_CASES)
+def test_sphericality_sees_a_rescaled_evaluation(name):
+    # alpha_c alone doubled: the zig-zag and the left loop of c break, and
+    # the sampled loops must part
+    eng = _pairing_engine(name)
+    X = hilb3.delooping(eng)
+    assert hilb3.presentation_sphericality(X, seed=5).ok
+    c = next(c for c in eng.data.simples if c not in eng.data.units)
+    eng.udf.alpha[c] *= 2.0
+    cert = hilb3.presentation_sphericality(X, seed=5)
+    assert (cert.ok, cert.failed_axiom) == (False, "sphericality")
+
+
+def _linking_z4():
+    """The multifusion data of the linking of the Z_2 algebra {0, 2} with
+    the unit in Vec(Z_4)."""
+    eng = _engine(fam.vec_zn(4))
+    A = intalg.group_algebra(eng, ("0", "2"))
+    data, _, cert = hilb3.linking_e1(
+        hilb3.delooping(eng), hilb3.MonadObject(A), hilb3.DeloopObject("0")
+    )
+    assert cert.ok
+    return data
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: bundled.load("ising"), lambda: fam.ty_zn(3), _linking_z4],
+    ids=["ising", "ty3", "linking_z4"],
+)
+def test_bases_match_the_per_charge_reference(make):
+    data = make()
+    eng, ref = Engine(data, None), diagram_reference.PerChargeBases(data)
+    rng = np.random.default_rng(13)
+    k = len(data.simples)
+    checked = 0
+    for _ in range(20):
+        # words of up to four objects, each simple in about half of them
+        # with multiplicity 1 or 2, so that the words stay small
+        word = tuple(
+            tuple(int(m) for m in rng.integers(1, 3, size=k) * (rng.random(k) < 0.5))
+            for _ in range(int(rng.integers(0, 5)))
+        )
+        assert eng.support(word) == ref.support(word), word
+        for c in data.simples:
+            assert eng.basis(word, c) == ref.basis(word, c), (word, c)
+            assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
+            checked += len(ref.basis(word, c))
+    assert checked > 200, checked
 
 
 def test_loop_traces_match_dims():

@@ -1,12 +1,11 @@
-import importlib.util
 import itertools
-import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_families import fam
 from hstarcat import bundled, fusion
 from hstarcat.diagram import Engine
 from hstarcat.fusion import (
@@ -335,15 +334,6 @@ REFERENCE_CASES += [
 REFERENCE_CASES.append(("multiplicity_two", lambda: _multiplicity_two(DFT5, ROT)))
 
 
-def _families():
-    """The benchmark's generated families (bench/families.py)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _ising_permuted():
     """Ising with F^{sss}_s replaced by a permutation matrix: unitary, with
     exact zeros, and not a solution of the pentagon."""
@@ -354,8 +344,8 @@ def _ising_permuted():
 
 # instances with two to five start trees (TY), and exact zeros in a block
 REFERENCE_CASES += [
-    ("ty4_gauged", lambda: _families().gauge(_families().ty_zn(4, -1), np.random.default_rng(7))),
-    ("vec5_gauged", lambda: _families().gauge(_families().vec_zn(5, 2), np.random.default_rng(8))),
+    ("ty4_gauged", lambda: fam.gauge(fam.ty_zn(4, -1), np.random.default_rng(7))),
+    ("vec5_gauged", lambda: fam.gauge(fam.vec_zn(5, 2), np.random.default_rng(8))),
     ("ising_permuted", _ising_permuted),
 ]
 

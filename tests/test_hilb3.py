@@ -1,11 +1,10 @@
-import importlib.util
 import itertools
-import pathlib
 
 import numpy as np
 import pytest
 
 import solve_reference
+from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -292,17 +291,8 @@ def test_split_monad_without_unit_summand_is_a_value_error():
         hilb3.split_monad(intalg.group_algebra(eng, ("s",)))
 
 
-def _ty3():
-    """TY(Z_3) from the benchmark's generated families (bench/families.py)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.ty_zn(3)
-
-
 def _linking(name, objects, psis=None):
-    data = _ty3() if name == "ty3" else bundled.load(name)
+    data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
     psi = SphericalWeight(psis if psis else tuple(1.0 for _ in data.units))
     eng = Engine(data, udf_from_weight(data, psi))
     made = [
@@ -423,7 +413,7 @@ def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
     ids=["ising_q_1", "fibonacci_pair_1", "ty3_z3_1"],
 )
 def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, dim):
-    data = _ty3() if name == "ty3" else bundled.load(name)
+    data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
     eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
     algebras = [mk(eng), intalg.group_algebra(eng, (unit,))]
     ref, ref_N, ref_dual = _solved_linking(monkeypatch, eng, algebras)

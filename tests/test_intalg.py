@@ -1,10 +1,8 @@
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
 import solve_reference as ref
+from bench_families import fam
 from hstarcat import bundled, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
@@ -199,10 +197,6 @@ def test_split_summands_resolves_every_free_module(name, mk):
 
 def _family(name):
     """An instance of the benchmark's generated families (bench/families.py)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("families", root / "bench" / "families.py")
-    fam = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fam)
     if name == "ty3":
         # ungauged: a gauge moves the Z_3 cocycle off the unit coefficients
         # of group_algebra, which then REJECTs on associativity
