@@ -14,7 +14,8 @@ per level. Both whiskers place each block of f by one slice assignment
 per run of trees that share their top vertex, since those runs are
 contiguous in the grouped and the comb bases. Cups and caps carry
 explicit coefficients alpha_c, beta_c from the unitary dual functor that
-the engine is built with (fusion.dual_engine).
+the engine is built with (fusion.dual_engine), read by _cup alone; cups
+and caps are built by ev_obj and coev_obj only, loops by _closed_loop.
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -432,24 +433,10 @@ class Engine:
         if self.data.n(a, b, u) != 1:
             raise InputError(f"the pairing of {a} and {b} at {u} is not one tree")
 
-    def _raw_ev(self, c) -> Mor:
-        """Dagger of the pairing tree vertex 1_{t(c)} -> dual(c) (x) c."""
-        cb = self.data.dual[c]
-        u = self.data.t(c)
-        self._pairing(cb, c, u)
-        dom = (self.simple_obj(cb), self.simple_obj(c))
-        return self.mor(dom, (), {u: np.ones((1, 1), dtype=complex)})
-
-    def _raw_coev(self, c) -> Mor:
-        cb = self.data.dual[c]
-        u = self.data.s(c)
-        self._pairing(c, cb, u)
-        cod = (self.simple_obj(c), self.simple_obj(cb))
-        return self.mor((), cod, {u: np.ones((1, 1), dtype=complex)})
-
     def zigzag_scalar(self, c) -> complex:
-        """(id_c (x) raw_ev)(raw_coev (x) id_c) = theta_c id_c, read off
-        the data: theta_c = F^{c, dual(c), c}_c[(s(c), 0, 0), (t(c), 0, 0)].
+        """(id_c (x) e)(k (x) id_c) = theta_c id_c for the bare pairing
+        trees k of (c, dual(c)) and e^dag of (dual(c), c), read off the
+        data: theta_c = F^{c, dual(c), c}_c[(s(c), 0, 0), (t(c), 0, 0)].
         Whiskering the coevaluation tree by c regroups it through that F
         block onto the comb trees (c, 0, g, r, .), and the evaluation
         keeps only g = t(c); the F blocks that move the inner pairing tree
@@ -460,12 +447,6 @@ class Engine:
         self._pairing(cb, c, t)
         m, rows, cols = self._fsym(c, cb, c, c)
         return complex(m[rows[(s, 0, 0)], cols.index((t, 0, 0))])
-
-    def ev_simple(self, c) -> Mor:
-        return self.scale(self.udf.alpha[c], self._raw_ev(c))
-
-    def coev_simple(self, c) -> Mor:
-        return self.scale(self.udf.beta[c], self._raw_coev(c))
 
     def _cup(self, x, ev: bool):
         """(a, b, u, z) of the evaluation (ev) or coevaluation of the
@@ -536,18 +517,13 @@ class Engine:
         return complex(sum(self.udf.d(c) * np.trace(b) for c, b in f.blocks.items()))
 
     def loop(self, c, side: str) -> float:
-        """Closed c-loop on the 1_{s(c)} sheet (side 'L') or the 1_{t(c)}
-        sheet (side 'R'), evaluated through the cup/cap coefficients."""
-        if c not in self.data.index:
-            raise KeyError(c)
-        if side == "L":
-            z = self.compose(self.dagger(self.coev_simple(c)), self.coev_simple(c))
-            unit = self.data.s(c)
-        elif side == "R":
-            z = self.compose(self.ev_simple(c), self.dagger(self.ev_simple(c)))
-            unit = self.data.t(c)
-        else:
+        """The closed loop of id_c on the 1_{s(c)} sheet (side 'L') or the
+        1_{t(c)} sheet (side 'R'): |beta_c|^2 or |alpha_c|^2."""
+        O = self.simple_obj(c)
+        if side not in ("L", "R"):
             raise InputError("side must be 'L' or 'R'")
+        z = self._closed_loop(self.identity((O,)), side == "R")
+        unit = self.data.t(c) if side == "R" else self.data.s(c)
         return float(self.unit_component(z, unit).real)
 
     def _closed_loop(self, f: Mor, ev: bool) -> Mor:

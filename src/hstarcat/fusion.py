@@ -704,7 +704,7 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     chain d_{s(c)} dim_L(c) = d_c = d_{t(c)} dim_R(c) and the weight
     classification. Cup/cap coefficients are installed from zig-zags taken
     on the returned engine, so the zig-zag and the loop identities hold;
-    the loop values are re-derived numerically by Engine.loop, not trusted.
+    Engine._cup alone reads them, and Engine.loop reads the loops off them.
     """
     if len(psi.psi) != len(data.units):
         raise ShapeMismatch("need one psi entry per unit summand")

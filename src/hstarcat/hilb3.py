@@ -13,8 +13,9 @@ the spherical weight psi. On top of this sit the two completions:
 
 Linking categories (the matrix category of all homs among a finite list
 of objects) are assembled as explicit multifusion data by one numeric
-builder over the bimodule calculus (relative tensors, unitors,
-associator matrix elements in orthonormal intertwiner bases). A
+builder over the bimodule calculus (relative tensors, unitors from the
+dressed actions, associator matrix elements in orthonormal intertwiner
+bases). A
 delooping object 1_u is the trivial monad on u, so it enters the builder
 as the algebra group_algebra(eng, (u,)), like any algebra object; every
 algebra must have one unit summand. The assembled data is always pushed
@@ -54,10 +55,10 @@ from .intalg import (
     dual_bimodule_delta0,
     free_bimodules,
     group_algebra,
-    left_unitor,
+    left_retraction,
     module_category,
     relative_tensor,
-    right_unitor,
+    right_retraction,
     summand_classes,
     unit_summands,
     verify_bimodule,
@@ -120,17 +121,12 @@ class Pre3HilbPresentation:
         raise TypeError(f"not a presentation object: {obj!r}")
 
     def psi_value(self, obj, f: Mor) -> complex:
-        """Psi_a applied to an endomorphism of the unit 1-morphism."""
-        eng = self.eng
+        """Psi_a applied to an endomorphism of the unit 1-morphism: psi of
+        its left closed loop, as every unit has alpha = 1."""
         O = self.unit_obj(obj)
         if f.dom != (O,) or f.cod != (O,):
             raise ShapeMismatch("endomorphism of the wrong unit object")
-        total = 0.0 + 0.0j
-        for u in eng.data.units:
-            b = f.blocks.get(u)
-            if b is not None:
-                total += eng.udf.psi.of_unit(eng.data, u) * np.trace(b)
-        return complex(total)
+        return self.eng.psi_of_unit_endo(self.eng.trace_left(f))
 
 
 def delooping(eng: Engine) -> Pre3HilbPresentation:
@@ -316,6 +312,10 @@ class _LinkingBuilder:
         # itself, so its block has no unit simple
         if any(len(unit_summands(A)) > 1 for A in self.algebras):
             raise InputError("a linking needs algebras with one unit summand each")
+        for A in self.algebras:
+            cert = verify_hstar(A, tol)
+            if not cert.ok:
+                raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
         n = len(self.algebras)
         for i, j in itertools.product(range(n), range(n)):
             frees = free_bimodules(self.algebras[i], self.algebras[j])
@@ -356,11 +356,11 @@ class _LinkingBuilder:
             return self._onbs[(x, y)]
         eng = self.eng
         X, Y = self.simples[x], self.simples[y]
-        T, Vw, _ = self.tensor(x, y)
+        T, Vw = self.tensor(x, y)
         if x in self.units:
-            out = {y: [eng.dagger(left_unitor(X.right, Y, Vw))]}
+            out = {y: [eng.dagger(eng.compose(left_retraction(Y), Vw))]}
         elif y in self.units:
-            out = {x: [eng.dagger(right_unitor(X, Y.left, Vw))]}
+            out = {x: [eng.dagger(eng.compose(right_retraction(X), Vw))]}
         else:
             # homs gives a basis orthonormal in tr(g^dag f); out of a simple
             # Z, g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
@@ -415,7 +415,7 @@ class _LinkingBuilder:
         def push(a, b):
             """{e: [V_ab r for r in onb(a, b)[e]]}."""
             if (a, b) not in pushed:
-                _, V, _ = self.tensor(a, b)
+                _, V = self.tensor(a, b)
                 pushed[(a, b)] = {
                     e: [eng.compose(V, r) for r in rs] for e, rs in self.onb(a, b).items()
                 }
@@ -432,13 +432,13 @@ class _LinkingBuilder:
                     rows, cols = {}, {}  # d -> maps D -> (x, y, z)
                     for e in self.members[(i, k)]:
                         for up in push(x, y).get(e, []):
-                            _, VEZ, _ = self.tensor(e, z)
+                            _, VEZ = self.tensor(e, z)
                             lift = eng.compose(eng.whisker_right_obj(up, self.simples[z].obj), VEZ)
                             for d, r2s in self.onb(e, z).items():
                                 rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
                     for g in self.members[(j, l)]:
                         for up in push(y, z).get(g, []):
-                            _, VXG, _ = self.tensor(x, g)
+                            _, VXG = self.tensor(x, g)
                             lift = eng.compose(eng.whisker_left_obj(self.simples[x].obj, up), VXG)
                             for d, c2s in self.onb(x, g).items():
                                 cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
@@ -535,12 +535,12 @@ def split_monad(
     # nothing takes homs out of it, so it needs no head
     M = Bimodule(A, B, B.obj, eng.left_unitor(A.obj, B.word), B.mu)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
-    T, Vw, _ = relative_tensor(M, Md, tol)
+    T, Vw = relative_tensor(M, Md, tol)
     m, md = M.obj, Md.obj
     # ev0 ev0^dag is a positive scalar on the connected algebra B; the
     # scalar normalizes the middle contraction of the pair monad
     ee = eng.compose(ev0, eng.dagger(ev0))
-    dimB = sum(len(eng.basis((B.obj,), c)) for c in eng.support((B.obj,)))
+    dimB = sum(B.obj)
     lam = (
         sum(np.trace(b) for b in ee.blocks.values()).real / dimB
     )
@@ -643,7 +643,8 @@ def theorem_b_check(
 def canonical_uaf(eng: Engine):
     """One (ev, coev) pair per simple from the engine's cups."""
     return {
-        c: (eng.ev_simple(c), eng.coev_simple(c)) for c in eng.data.simples
+        c: (eng.ev_obj(eng.simple_obj(c)), eng.coev_obj(eng.simple_obj(c)))
+        for c in eng.data.simples
     }
 
 

@@ -7,7 +7,9 @@ categories C_A with the canonical trace psi(iota^dag f iota),
 internal ends (checked through internal_end_comparison only, the
 unitarity of the canonical map A -> [A, A]), bimodules with the relative
 tensor over a middle algebra, and the delta = 0 dual-functor data on
-bimodules.
+bimodules. An action dressed by bubble^{-1/2} comes from one of two
+retractions, left_retraction and right_retraction, the unitors on a
+splitting of A (x)_A M or M (x)_B B.
 
 One class, Bimodule, carries the intertwiner calculus. A right A-module
 is a 1-A bimodule, 1 = group_algebra(eng, units) the tensor unit as an
@@ -214,16 +216,19 @@ def verify_hstar(
     pairing = eng.compose(eng.dagger(A.iota), A.mu)  # (A, A) -> ()
     gaps = []
     for c in eng.data.simples:
-        cb = eng.data.dual[c]
-        fs = eng.hom_basis((eng.simple_obj(c),), word)
-        gs = eng.hom_basis((eng.simple_obj(cb),), word)
+        C, Cb = eng.simple_obj(c), eng.simple_obj(eng.data.dual[c])
+        fs = eng.hom_basis((C,), word)
+        gs = eng.hom_basis((Cb,), word)
+        if not (fs and gs):
+            continue
+        coev, coev_b = eng.coev_obj(C), eng.coev_obj(Cb)
         for f in fs:
             for g in gs:
                 t1 = eng.psi_of_unit_endo(
-                    eng.compose(pairing, eng.compose(eng.tensor(f, g), eng.coev_simple(c)))
+                    eng.compose(pairing, eng.compose(eng.tensor(f, g), coev))
                 )
                 t2 = eng.psi_of_unit_endo(
-                    eng.compose(pairing, eng.compose(eng.tensor(g, f), eng.coev_simple(cb)))
+                    eng.compose(pairing, eng.compose(eng.tensor(g, f), coev_b))
                 )
                 gaps.append(abs(t1 - t2))
     residuals["standardness"] = worst(gaps)
@@ -292,13 +297,6 @@ def module_trace(M: Bimodule, f: Mor) -> complex:
     half = A.bubble_pow(-0.5)
     g = eng.compose(half, eng.compose(s5, eng.compose(s4, eng.compose(s3, eng.compose(s2, eng.compose(s1, half))))))
     return trace_alg_end(A, g)
-
-
-def free_retraction(M: Bimodule) -> Mor:
-    """Coisometry (m, A) -> (m): the right action dressed with
-    bubble^{-1/2}."""
-    eng = M.eng
-    return eng.compose(M.rho, eng.whisker_left_obj(M.obj, M.right.bubble_pow(-0.5)))
 
 
 @dataclass
@@ -428,18 +426,11 @@ def internal_end_comparison(A: AlgebraObject):
         xs = eng.hom_basis((eng.simple_obj(c),), A.word)
         if not xs:
             continue
-        gram_c = np.array(
-            [
-                [eng.categorical_trace(eng.compose(eng.dagger(x), y)) / eng.udf.d(c) for y in xs]
-                for x in xs
-            ]
-        )
-        w = np.linalg.inv(np.linalg.cholesky(gram_c).conj().T)
-        ons = [_mor_combo(eng, xs, w[:, j]) for j in range(len(xs))]
+        # xs is orthonormal: Tr(x^dag y) / d_c = d_c delta_xy / d_c
         # c |> A as a module; 1 (x) c is one tree, so its fused basis is
         # that of (c, A), which _hom_inner fuses
         cmod = free_bimodule(one, c, A)
-        phis = [eng.compose(A.mu, eng.whisker_right_obj(x, A.obj)) for x in ons]
+        phis = [eng.compose(A.mu, eng.whisker_right_obj(x, A.obj)) for x in xs]
         gram_e = np.array(
             [[_hom_inner(eng, cmod, p, q) / eng.udf.d(c) for q in phis] for p in phis]
         )
@@ -580,7 +571,7 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
 def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
     """M (x)_B N: split the separability projection.
 
-    Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n), p).
+    Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
     """
     eng = M.eng
     p = separability_projection(M, N)
@@ -596,24 +587,21 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
     Vw = eng.compose(eng.dagger(u), isometry(eng, (fused,), cols))  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
     rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)
-    return Bimodule(M.left, N.right, Vw.dom[0], lam, rho), Vw, p
+    return Bimodule(M.left, N.right, Vw.dom[0], lam, rho), Vw
 
 
-def left_unitor(A: AlgebraObject, M: Bimodule, Vw: Mor) -> Mor:
-    """A (x)_A M -> M: action dressed with bubble^{-1/2}."""
-    eng = A.eng
-    return eng.compose(
-        M.lam,
-        eng.compose(eng.whisker_right_obj(A.bubble_pow(-0.5), M.obj), Vw),
-    )
+def left_retraction(M: Bimodule) -> Mor:
+    """Coisometry (A, m) -> (m), lam (bubble^{-1/2} (x) id_m) for
+    A = M.left: on the splitting of A (x)_A M, the left unitor."""
+    eng = M.eng
+    return eng.compose(M.lam, eng.whisker_right_obj(M.left.bubble_pow(-0.5), M.obj))
 
 
-def right_unitor(M: Bimodule, B: AlgebraObject, Vw: Mor) -> Mor:
-    eng = B.eng
-    return eng.compose(
-        M.rho,
-        eng.compose(eng.whisker_left_obj(M.obj, B.bubble_pow(-0.5)), Vw),
-    )
+def right_retraction(M: Bimodule) -> Mor:
+    """Coisometry (m, B) -> (m), rho (id_m (x) bubble^{-1/2}) for
+    B = M.right: on the splitting of M (x)_B B, the right unitor."""
+    eng = M.eng
+    return eng.compose(M.rho, eng.whisker_left_obj(M.obj, M.right.bubble_pow(-0.5)))
 
 
 # --- duals of bimodules at delta = 0 -----------------------------------
@@ -671,31 +659,22 @@ def dual_bimodule_delta0(M: Bimodule):
 def delta0_zigzag_residuals(M: Bimodule, Md: Bimodule, ev0: Mor, coev0: Mor):
     """Residuals of both dressed zig-zag identities."""
     eng = M.eng
-    A, B = M.left, M.right
     m, md = M.obj, Md.obj
     # m -> (A, m) -> (m, md, m) -> (m, B) -> m
-    ua_inv = eng.compose(
-        eng.whisker_right_obj(A.bubble_pow(-0.5), m), eng.dagger(M.lam)
-    )
-    ub = eng.compose(M.rho, eng.whisker_left_obj(m, B.bubble_pow(-0.5)))
     z1 = eng.compose(
-        ub,
+        right_retraction(M),
         eng.compose(
             eng.whisker_left((m,), ev0),
-            eng.compose(eng.whisker_right(coev0, (m,)), ua_inv),
+            eng.compose(eng.whisker_right(coev0, (m,)), eng.dagger(left_retraction(M))),
         ),
     )
     r1 = eng.residual(z1, eng.identity(M.word))
     # md -> (md, A) -> (md, m, md) -> (B, md) -> md
-    ua_inv_d = eng.compose(
-        eng.whisker_left_obj(md, A.bubble_pow(-0.5)), eng.dagger(Md.rho)
-    )
-    ub_d = eng.compose(Md.lam, eng.whisker_right_obj(B.bubble_pow(-0.5), md))
     z2 = eng.compose(
-        ub_d,
+        left_retraction(Md),
         eng.compose(
             eng.whisker_right(ev0, (md,)),
-            eng.compose(eng.whisker_left((md,), coev0), ua_inv_d),
+            eng.compose(eng.whisker_left((md,), coev0), eng.dagger(right_retraction(Md))),
         ),
     )
     r2 = eng.residual(z2, eng.identity(Md.word))

@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives and the tolerance policy.
 
-Every other module routes its numerics through the handful of operations
-here so that there is a single audited eigendecomposition path, a single
-row-space routine and a single tolerance convention.
+The operations here are the single row-space routine and the single
+tolerance convention; intalg also calls numpy's eigh and eigvalsh itself
+(endo_power, verify_hstar, spectral_pieces).
 
 The package raises three exception classes of its own, one per kind of
 failure, all defined here: InputError (the input breaks its format or a

@@ -1,13 +1,51 @@
 """String-diagram constructions that hstarcat now reads off the fusion
 data, kept as references for the tests.
 
-The closed loops and the zig-zag are taken here by whiskering and
-composing, the path the engine took before it read them off blocks and
-F-symbols; the tree bases are built one charge at a time, rescanning
-every (x, e, c), as before the engine swept all charges of a word at once.
+The cups and caps of a simple are built here from its bare pairing trees
+(raw_ev, raw_coev) scaled by the dual functor's coefficients, and the
+closed loops and the zig-zag are taken by whiskering and composing: the
+path the engine took before it read them off blocks and F-symbols. The
+tree bases are built one charge at a time, rescanning every (x, e, c), as
+before the engine swept all charges of a word at once.
 """
 
+import numpy as np
+
 from hstarcat.diagram import Engine
+
+
+def raw_ev(eng: Engine, c):
+    """Dagger of the pairing tree vertex 1_{t(c)} -> dual(c) (x) c."""
+    dom = (eng.simple_obj(eng.data.dual[c]), eng.simple_obj(c))
+    return eng.mor(dom, (), {eng.data.t(c): np.ones((1, 1))})
+
+
+def raw_coev(eng: Engine, c):
+    """The pairing tree vertex 1_{s(c)} -> c (x) dual(c)."""
+    cod = (eng.simple_obj(c), eng.simple_obj(eng.data.dual[c]))
+    return eng.mor((), cod, {eng.data.s(c): np.ones((1, 1))})
+
+
+def ev_simple(eng: Engine, c):
+    """ev_c = alpha_c raw_ev."""
+    return eng.scale(eng.udf.alpha[c], raw_ev(eng, c))
+
+
+def coev_simple(eng: Engine, c):
+    """coev_c = beta_c raw_coev."""
+    return eng.scale(eng.udf.beta[c], raw_coev(eng, c))
+
+
+def loop(eng: Engine, c, side: str) -> float:
+    """The closed c-loop coev_c^dagger coev_c on the 1_{s(c)} sheet (side
+    'L') or ev_c ev_c^dagger on the 1_{t(c)} sheet (side 'R')."""
+    if side == "L":
+        coev = coev_simple(eng, c)
+        z, u = eng.compose(eng.dagger(coev), coev), eng.data.s(c)
+    else:
+        ev = ev_simple(eng, c)
+        z, u = eng.compose(ev, eng.dagger(ev)), eng.data.t(c)
+    return float(eng.unit_component(z, u).real)
 
 
 def trace_right(eng: Engine, f):
@@ -28,8 +66,8 @@ def trace_left(eng: Engine, f):
 
 def zigzag_scalar(eng: Engine, c) -> complex:
     """(id_c (x) raw_ev)(raw_coev (x) id_c) = theta_c id_c."""
-    left = eng.whisker_right_obj(eng._raw_coev(c), eng.simple_obj(c))
-    right = eng.whisker_left_obj(eng.simple_obj(c), eng._raw_ev(c))
+    left = eng.whisker_right_obj(raw_coev(eng, c), eng.simple_obj(c))
+    right = eng.whisker_left_obj(eng.simple_obj(c), raw_ev(eng, c))
     z = eng.compose(right, left)
     return complex(eng.block(z, c)[0, 0])
 

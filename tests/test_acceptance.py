@@ -206,7 +206,7 @@ def test_criterion_09_module_trace_formula():
             t1 = intalg.module_trace(M, eng.compose(f, g))
             t2 = intalg.module_trace(M, eng.compose(g, f))
             worst = max(worst, abs(t1 - t2) / max(1.0, abs(t1)))
-        r = intalg.free_retraction(M)
+        r = intalg.right_retraction(M)
         worst = max(
             worst,
             eng.residual(eng.compose(r, eng.dagger(r)), eng.identity(M.word)),

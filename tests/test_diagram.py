@@ -129,7 +129,7 @@ def _reference_ev_obj(eng, O):
                 eng.dagger(eng.include(Od, xb, alpha)),
                 eng.dagger(eng.include(O, x, alpha)),
             )
-            out = eng.add(out, eng.compose(eng.ev_simple(x), proj))
+            out = eng.add(out, eng.compose(diagram_reference.ev_simple(eng, x), proj))
     return out
 
 
@@ -140,7 +140,7 @@ def _reference_coev_obj(eng, O):
         xb = eng.data.dual[x]
         for alpha in range(eng.mult(O, x)):
             incl = eng.tensor(eng.include(O, x, alpha), eng.include(Od, xb, alpha))
-            out = eng.add(out, eng.compose(incl, eng.coev_simple(x)))
+            out = eng.add(out, eng.compose(incl, diagram_reference.coev_simple(eng, x)))
     return out
 
 
@@ -283,6 +283,19 @@ def test_closed_loops_match_the_whiskered_reference(name, psis):
                 want = ref.blocks.get(u, np.zeros((1, 1)))[0, 0]
                 value = eng.unit_component(got, u)
                 assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_loop_is_the_composed_loop_of_the_pairing_trees(name, psis):
+    # the bundled data has real cup coefficients, so |z|^2 and z conj(z)
+    # agree to the bit; a complex alpha_c of the gauged families may part
+    # in the last bits
+    eng = _loop_engine(name, psis)
+    ulps = 0 if name in bundled.NAMES else 4
+    for c in eng.data.simples:
+        for side in ("L", "R"):
+            got, want = eng.loop(c, side), diagram_reference.loop(eng, c, side)
+            assert abs(got - want) <= ulps * np.spacing(want), (c, side, got, want)
 
 
 @pytest.mark.parametrize("name, psis", LOOP_CASES)

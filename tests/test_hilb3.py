@@ -44,6 +44,51 @@ def test_hilbert_sum_certification():
     assert cert.residuals["additivity"] < 1e-9
 
 
+def _psi_block_sum(eng, f):
+    """Psi of an endomorphism of a sum of units as a sum over the units
+    u with a block of psi_u tr(f_u), the form psi_value had before it
+    read the left closed loop."""
+    total = 0.0 + 0.0j
+    for u in eng.data.units:
+        b = f.blocks.get(u)
+        if b is not None:
+            total += eng.udf.psi.of_unit(eng.data, u) * np.trace(b)
+    return complex(total)
+
+
+@pytest.mark.parametrize(
+    "name, psis, parts",
+    [
+        ("hilb_z2", (1.7,), ("1", "1", "1")),
+        ("ising", None, ("1", "1")),
+        ("m2_hilb", (1.0, 4.0), ("11", "22", "22", "11", "22")),
+    ],
+)
+def test_psi_value_is_the_per_unit_block_sum(name, psis, parts):
+    eng = _eng(name, psis)
+    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
+    rng = np.random.default_rng(4)
+    S = hilb3.sum_object(X, parts)
+    for obj in (S, *(hilb3.DeloopObject(u) for u in set(parts))):
+        O = X.unit_obj(obj)
+        for _ in range(5):
+            f = eng.random_mor((O,), (O,), rng)
+            assert X.psi_value(obj, f) == _psi_block_sum(eng, f)
+
+
+def test_linking_of_a_non_hstar_algebra_is_an_input_error():
+    # a gauge of TY(Z_3) under which the group algebra on Z_3 is no
+    # longer associative: the builder must name the H* axiom, not fail
+    # later on the bimodule axioms of a free bimodule
+    eng = fusion.dual_engine(
+        fam.gauge(fam.ty_zn(3), np.random.default_rng(5)), SphericalWeight((1.0,))
+    )
+    A = intalg.group_algebra(eng, ("0", "1", "2"))
+    assert intalg.verify_hstar(A).failed_axiom == "associativity"
+    with pytest.raises(InputError, match="algebra fails H\\* certification: associativity"):
+        hilb3.linking_e1(hilb3.delooping(eng), hilb3.MonadObject(A), hilb3.DeloopObject("0"))
+
+
 @pytest.mark.parametrize(
     "name,mk",
     [
@@ -180,10 +225,10 @@ def _per_triple_f_matrices(b):
                 if j != j2 or k != k2:
                     continue
                 X, Z = b.simples[x], b.simples[z]
-                TXY, VXY, _ = b.tensor(x, y)
-                _, VL, _ = intalg.relative_tensor(TXY, Z, b.tol)
-                TYZ, VYZ, _ = b.tensor(y, z)
-                _, VR, _ = intalg.relative_tensor(X, TYZ, b.tol)
+                TXY, VXY = b.tensor(x, y)
+                _, VL = intalg.relative_tensor(TXY, Z, b.tol)
+                TYZ, VYZ = b.tensor(y, z)
+                _, VR = intalg.relative_tensor(X, TYZ, b.tol)
                 WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
                 WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
                 alpha = eng.compose(eng.dagger(WR), WL)

@@ -9,7 +9,9 @@ that only the tests need. Lint for the engine's door: outside
 diagram.py, morphisms come from the shape-checked eng.mor, deligne
 builds none and takes them from the engine, and outside fusion.py no
 module builds an Engine, which is born with its dual functor in
-fusion.dual_engine. Lint for cache keys: no module calls id().
+fusion.dual_engine, the one place that assigns its cup coefficients
+udf.alpha and udf.beta; only diagram.Engine._cup reads them. Lint for
+cache keys: no module calls id().
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py. Lint for
@@ -295,6 +297,68 @@ def test_engine_lint_catches_a_stray_construction():
     assert _direct_engine_calls("def g(data, udf):\n    return diagram.Engine(data, udf)")
     assert not _direct_engine_calls("eng = dual_engine(data, psi, tol)")
     assert not _direct_engine_calls("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf")
+
+
+# the cup and cap coefficients of the dual functor: read in one place, so
+# that every cup, cap and loop is built from the comb basis there, and
+# written in the one place that installs them
+CUP_COEFFICIENTS = {"alpha", "beta"}
+CUP_READER, CUP_WRITER = "diagram.Engine._cup", "fusion.dual_engine"
+
+
+def _stray_cup_coefficients(source: str, module: str):
+    """(line, message) for each read of udf.alpha or udf.beta outside
+    CUP_READER and each assignment to them outside CUP_WRITER; a
+    subscript or attribute store into them is an assignment."""
+    out = []
+
+    def is_coefficient(node):
+        if not (isinstance(node, ast.Attribute) and node.attr in CUP_COEFFICIENTS):
+            return False
+        owner = node.value
+        return getattr(owner, "id", None) == "udf" or getattr(owner, "attr", None) == "udf"
+
+    def visit(node, scope, written):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            write = child is written or isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if is_coefficient(child) and scope != (CUP_WRITER if write else CUP_READER):
+                what = "assigned" if write else "read"
+                out.append((child.lineno, f"udf.{child.attr} {what} in {scope}"))
+            # a store into a subscript writes through to its value
+            visit(child, inner, child.value if write and isinstance(child, ast.Subscript) else None)
+
+    visit(ast.parse(source), module, None)
+    return out
+
+
+def test_cup_coefficients_have_one_reader_and_one_writer():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{line}: {what}"
+            for line, what in _stray_cup_coefficients(path.read_text(), path.stem)
+        ]
+    assert not found, "\n".join(found)
+
+
+def test_cup_lint_catches_a_stray_read():
+    reader = "class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]"
+    writer = "def dual_engine(data):\n    udf.beta[c] = 1.0\n    udf.alpha[c] = 2.0"
+    assert not _stray_cup_coefficients(reader, "diagram")
+    assert not _stray_cup_coefficients(writer, "fusion")
+    assert _stray_cup_coefficients(reader, "hilb3")
+    assert _stray_cup_coefficients("class Engine:\n    def ev_simple(self, c):\n        return self.udf.alpha[c]", "diagram")
+    assert _stray_cup_coefficients("def loop(eng, c):\n    return abs(eng.udf.beta[c]) ** 2", "fusion")
+    assert _stray_cup_coefficients("z = udf.alpha.get(c, 1.0)", "intalg")
+    assert _stray_cup_coefficients("def dual_engine(udf):\n    return udf.alpha[c]", "fusion")
+    assert _stray_cup_coefficients("def f(eng):\n    eng.udf.alpha[c] = 1.0", "diagram")
+    assert _stray_cup_coefficients("def f(eng):\n    eng.udf.beta[c] *= 2.0", "cli")
+    assert _stray_cup_coefficients("def f(udf):\n    udf.alpha = {}", "hilb3")
+    assert _stray_cup_coefficients("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion")
+    assert not _stray_cup_coefficients("def f(A):\n    return A.alpha + udf.psi", "intalg")
 
 
 # modules the tests use and the package must not import: input documents
