@@ -5,7 +5,8 @@ package asks `within`, so a NaN residual (or bound) fails the check it
 belongs to and names that check's axiom, and `<=` is the comparison
 everywhere. A margin that must stay strictly above a cut (a positivity or
 a dimension) asks `clears`, `margin > cut`, which a NaN fails as well.
-Residuals are folded with numcore.worst, never with Python's max.
+Residuals are folded with numcore.worst, never with Python's max. Every
+Certificate comes from judged, which runs both tests.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ def clears(margin, cut):
 
 
 def judged(residuals: dict, checks, details=None) -> Certificate:
-    """Certificate over named residuals. checks lists (key, bound, axiom)
-    in order of priority; the first residual outside its bound names the
-    failed axiom."""
-    failed = [axiom for key, bound, axiom in checks if not within(residuals[key], bound)]
-    return Certificate(
-        not failed, residuals, details or {}, failed_axiom=failed[0] if failed else None
-    )
+    """The one place a Certificate is made: a verdict over named residuals.
+    checks lists (key, bound, axiom), which passes iff within(value, bound),
+    or (key, cut, axiom, clears) for a margin, in order of priority; the
+    first check that fails names the failed axiom. A key may name a value
+    in details, which the report does not print, rather than a residual."""
+    details = details or {}
+    values = {**details, **residuals}
+    failed = [
+        axiom
+        for key, bound, axiom, *test in checks
+        if not (test[0] if test else within)(values[key], bound)
+    ]
+    return Certificate(not failed, residuals, details, failed[0] if failed else None)
 
 
 def bounded(key: str, residual, bound, axiom, details=None) -> Certificate:

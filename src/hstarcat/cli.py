@@ -56,8 +56,10 @@ from .numcore import InputError, Tolerance, worst
 # its bound. Every bundled example accepts at both ends of the range.
 PSI_MIN, PSI_MAX = 1e-6, 1e6
 
-# the internal-end defect passes through the inverse Cholesky factor of a
-# Gram matrix, which amplifies roundoff beyond one unit bound
+# the internal-end defect is the gap of a module-trace Gram matrix (of the
+# images mu (x (x) id) of an orthonormal basis of c -> A) from the
+# identity; each entry is a module trace of a composite through a fused
+# word, whose roundoff exceeds one unit bound
 INTERNAL_END_FACTOR = 10
 
 
@@ -361,7 +363,7 @@ def _cmd_alg_verify(args):
     from . import intalg
 
     _, A, _, rep = _algebra_run(args)
-    rep.add("hstar_algebra", intalg.verify_hstar(A, args.tolerance, args.seed))
+    rep.add("hstar_algebra", intalg.verify_hstar(A, args.tolerance))
     return rep.finish(args.out)
 
 
@@ -370,14 +372,14 @@ def _cmd_alg_standardize(args):
 
     eng, A, aname, rep = _algebra_run(args)
     try:
-        S = intalg.standardize(A, args.tolerance)
+        S = intalg.standardize(A)
     except InputError as exc:
         raise InputError(f"{aname}: cannot standardize: {exc}")
     special = eng.residual(
         eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
     )
     rep.add("specialness", bounded("mu_mu_dag", special, args.tolerance.bound(), "specialness"))
-    rep.add("hstar_algebra", intalg.verify_hstar(S, args.tolerance, args.seed))
+    rep.add("hstar_algebra", intalg.verify_hstar(S, args.tolerance))
     return rep.finish(args.out)
 
 
@@ -385,7 +387,7 @@ def _cmd_alg_modcat(args):
     from . import intalg
 
     eng, A, _, rep = _algebra_run(args)
-    cert = intalg.verify_hstar(A, args.tolerance, args.seed)
+    cert = intalg.verify_hstar(A, args.tolerance)
     rep.add("hstar_algebra", cert)
     if cert.ok:
         mc = intalg.module_category(eng, A, args.tolerance, args.seed)
@@ -401,7 +403,7 @@ def _cmd_alg_intend(args):
     from . import intalg
 
     _, A, _, rep = _algebra_run(args)
-    cert = intalg.verify_hstar(A, args.tolerance, args.seed)
+    cert = intalg.verify_hstar(A, args.tolerance)
     rep.add("hstar_algebra", cert)
     if cert.ok:
         defect = intalg.internal_end_comparison(A)
@@ -453,7 +455,7 @@ def _cmd_h3_split_monad(args):
     from . import hilb3
 
     _, B, _, rep = _algebra_run(args)
-    split = hilb3.split_monad(B, args.tolerance, args.seed)
+    split = hilb3.split_monad(B, args.tolerance)
     rep.add("split_monad", split.certificate)
     return rep.finish(args.out)
 

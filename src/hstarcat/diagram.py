@@ -45,7 +45,6 @@ from .numcore import InputError, ShapeMismatch
 class Mor:
     """Chargewise matrix presentation of a morphism dom -> cod."""
 
-    eng: "Engine"
     dom: tuple
     cod: tuple
     blocks: dict  # simple label -> (dim Hom(c->cod), dim Hom(c->dom)) matrix
@@ -183,18 +182,17 @@ class Engine:
             shape = (len(self.basis(cod, c)), len(self.basis(dom, c)))
             if m.shape != shape:
                 raise ShapeMismatch(f"block {c}: shape {m.shape}, expected {shape}")
-        return Mor(self, dom, cod, _nonzero(out))
+        return Mor(dom, cod, _nonzero(out))
 
     def identity(self, word) -> Mor:
         return Mor(
-            self,
             word,
             word,
             {c: np.eye(len(self.basis(word, c)), dtype=complex) for c in self.support(word)},
         )
 
     def zero(self, dom, cod) -> Mor:
-        return Mor(self, dom, cod, {})
+        return Mor(dom, cod, {})
 
     def random_mor(self, dom, cod, rng) -> Mor:
         blocks = {}
@@ -202,7 +200,7 @@ class Engine:
             nr, nc = len(self.basis(cod, c)), len(self.basis(dom, c))
             if nr and nc:
                 blocks[c] = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
-        return Mor(self, dom, cod, blocks)
+        return Mor(dom, cod, blocks)
 
     # --- dagger category operations --------------------------------------
 
@@ -215,10 +213,10 @@ class Engine:
             fb = f.blocks.get(c)
             if fb is not None:
                 blocks[c] = fb @ gb
-        return Mor(self, g.dom, f.cod, _nonzero(blocks))
+        return Mor(g.dom, f.cod, _nonzero(blocks))
 
     def dagger(self, f: Mor) -> Mor:
-        return Mor(self, f.cod, f.dom, {c: b.conj().T for c, b in f.blocks.items()})
+        return Mor(f.cod, f.dom, {c: b.conj().T for c, b in f.blocks.items()})
 
     def add(self, f: Mor, g: Mor) -> Mor:
         if f.dom != g.dom or f.cod != g.cod:
@@ -226,10 +224,10 @@ class Engine:
         blocks = dict(f.blocks)
         for c, b in g.blocks.items():
             blocks[c] = blocks.get(c, 0) + b
-        return Mor(self, f.dom, f.cod, _nonzero(blocks))
+        return Mor(f.dom, f.cod, _nonzero(blocks))
 
     def scale(self, z, f: Mor) -> Mor:
-        return Mor(self, f.dom, f.cod, _nonzero({c: z * b for c, b in f.blocks.items()}))
+        return Mor(f.dom, f.cod, _nonzero({c: z * b for c, b in f.blocks.items()}))
 
     def sub(self, f: Mor, g: Mor) -> Mor:
         return self.add(f, self.scale(-1.0, g))
@@ -323,7 +321,7 @@ class Engine:
                     i = gYi[(y, beta, d, u, 0)]
                     M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
             blocks[c] = UY @ M @ UX.conj().T
-        return Mor(self, X + (O,), Y + (O,), _nonzero(blocks))
+        return Mor(X + (O,), Y + (O,), _nonzero(blocks))
 
     def whisker_left_obj(self, O, f: Mor) -> Mor:
         """id_O (x) f: each block f_e lands in one rectangle per run of
@@ -341,7 +339,7 @@ class Engine:
                     i = cod_idx[(x, alpha, e, v, 0)]
                     M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
             blocks[c] = M
-        return Mor(self, dom, cod, _nonzero(blocks))
+        return Mor(dom, cod, _nonzero(blocks))
 
     def whisker_right(self, f: Mor, word) -> Mor:
         for O in word:
@@ -370,7 +368,7 @@ class Engine:
                     if self.mult(U, x):
                         m[si, j] = 1.0
                 blocks[c] = m
-            return Mor(self, dom, word, _nonzero(blocks))
+            return Mor(dom, word, _nonzero(blocks))
 
         return self.derived(("left_unitor", U, word), build)
 
@@ -388,20 +386,17 @@ class Engine:
                     if d == c:
                         m[ti, col] = 1.0
                 blocks[c] = m @ UX.conj().T
-            return Mor(self, dom, word, _nonzero(blocks))
+            return Mor(dom, word, _nonzero(blocks))
 
         return self.derived(("right_unitor", word, U), build)
 
     def derived(self, key, build):
         """build(), made once per engine and key: a value fixed by the data
         alone, such as a unitor or a ladder piece. Keys are values, never
-        id(). A Mor is kept as (dom, cod, blocks), anything else as (value,):
-        a kept Mor would tie the engine into a reference cycle. Callers only read."""
-        hit = self._derived.get(key)
-        if hit is None:
-            v = build()
-            hit = self._derived[key] = (v.dom, v.cod, v.blocks) if isinstance(v, Mor) else (v,)
-        return Mor(self, *hit) if len(hit) == 3 else hit[0]
+        id(). Callers only read."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # --- fusing a word into a single object -------------------------------
 
@@ -496,7 +491,7 @@ class Engine:
         reads the udf, which callers may change."""
         word = (self.dual_obj(O), O)
         blocks = {u: v[None, :] for u, v in self._pairings(O, word, True).items()}
-        return Mor(self, word, (), _nonzero(blocks))
+        return Mor(word, (), _nonzero(blocks))
 
     def coev_obj(self, O) -> Mor:
         """unit -> O (x) dual(O): the direct sum of the coevaluations of the
@@ -506,7 +501,7 @@ class Engine:
         each call, as ev_obj is."""
         word = (O, self.dual_obj(O))
         blocks = {u: v[:, None] for u, v in self._pairings(O, word, False).items()}
-        return Mor(self, (), word, _nonzero(blocks))
+        return Mor((), word, _nonzero(blocks))
 
     # --- traces -----------------------------------------------------------
 
@@ -541,7 +536,7 @@ class Engine:
             term = abs(z) ** 2 * np.trace(fb) if fb is not None else 0.0
             sums[u] = sums.get(u, 0.0) + term
         blocks = {u: np.full((1, 1), v, dtype=complex) for u, v in sums.items()}
-        return Mor(self, (), (), _nonzero(blocks))
+        return Mor((), (), _nonzero(blocks))
 
     def trace_right(self, f: Mor) -> Mor:
         """Right closed loop coev_O^dagger (f (x) id_dual(O)) coev_O of f in

@@ -320,11 +320,15 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     for a, b, c in np.argwhere(frob).tolist():
         problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
     residuals = {"integer_checks": 1.0 if problems else 0.0}
+    details = {"problems": problems[:5]}
 
     blocks = _Blocks(data, N)
     if blocks.mismatch:
-        problem = "tree count mismatch at F^{}{}{}_{}".format(*blocks.mismatch[0])
-        return bounded("integer_checks", 1.0, 0.0, "fusion-associativity", {"problem": problem})
+        # no F block past the mismatch is built; a grading or duality
+        # problem, checked first, keeps its name
+        details["problem"] = "tree count mismatch at F^{}{}{}_{}".format(*blocks.mismatch[0])
+        axiom = "grading/duality" if problems else "fusion-associativity"
+        return bounded("integer_checks", 1.0, 0.0, axiom, details)
     residuals["f_unitarity"] = blocks.unitarity()
     residuals["pentagon"] = worst(_pentagon_gaps(blocks).tolist())
     checks = [
@@ -332,7 +336,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         ("f_unitarity", tol.bound() / F_UNITARITY_DIVISOR, "F-unitarity"),
         ("pentagon", tol.bound() * PENTAGON_FACTOR, "pentagon"),
     ]
-    return judged(residuals, checks, {"problems": problems[:5]})
+    return judged(residuals, checks, details)
 
 
 def pentagon_residual(data: FusionData) -> float:

@@ -121,7 +121,7 @@ def yoneda_decompose(c: H2Object, tol: Tolerance = DEFAULT_TOL):
         )
         summands.append((label, 1.0 / d, m, gram))
     defect = worst(float(np.linalg.norm(gram - np.eye(m))) for _, _, m, gram in summands)
-    return summands, bounded("gram_defect", defect, tol.bound(), None)
+    return summands, bounded("gram_defect", defect, tol.bound(), "Yoneda unitarity")
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):
             gram_b = np.array([[f.inner(g) for g in basis_b] for f in basis_b])
             gram_a = np.array([[f.inner(g) for g in basis_a] for f in basis_a])
             defects.append(float(np.linalg.norm(gram_a - gram_b)))
-    return G, bounded("mate_gram_defect", worst(defects), tol.bound(), None)
+    return G, bounded("mate_gram_defect", worst(defects), tol.bound(), "mate unitarity")
 
 
 def isometry_check(F: DagFunctor, tol: Tolerance = DEFAULT_TOL) -> Certificate:
@@ -189,7 +189,7 @@ def isometry_check(F: DagFunctor, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     used_rows = set()
     for s, label in enumerate(F.domain.labels):
         key = f"dim_gap[{label}]"
-        checks.append((key, tol.bound(F.domain.dims[s]), None))
+        checks.append((key, tol.bound(F.domain.dims[s]), "isometry"))
         col = m[:, s]
         nz = np.flatnonzero(col)
         t = int(nz[0]) if len(nz) == 1 and col[nz[0]] == 1 else None

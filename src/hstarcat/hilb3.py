@@ -261,12 +261,12 @@ def certify_hilbert_sum(
 
 
 def hstar_monad_completion(
-    X: Pre3HilbPresentation, algebras, tol: Tolerance = DEFAULT_TOL, seed: int = 0
+    X: Pre3HilbPresentation, algebras, tol: Tolerance = DEFAULT_TOL
 ) -> Pre3HilbPresentation:
     """Adjoin certified H*-monads (REJECTed algebras raise)."""
     objects = list(X.objects)
     for A in algebras:
-        cert = verify_hstar(A, tol, seed)
+        cert = verify_hstar(A, tol)
         if not cert.ok:
             raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
         objects.append(MonadObject(A))
@@ -524,10 +524,11 @@ def split_monad(
     """Split the monad B over the trivial algebra: exhibit B as
     X (x)_B X^dual for X = B as a (1, B) bimodule, with a certified
     unitary algebra isomorphism u. A B that fails H* certification is
-    not split: its certificate is returned, with no structure."""
+    not split: its certificate is returned, with no structure. seed is
+    unused: the splitting draws nothing."""
     eng = B.eng
     unit = unit_summands(B)[0]
-    cert0 = verify_hstar(B, tol, seed)
+    cert0 = verify_hstar(B, tol)
     if not cert0.ok:
         return MonadSplitting(B, None, None, None, None, None, cert0)
     A = group_algebra(eng, (unit,))

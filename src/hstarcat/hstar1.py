@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Certificate, clears, within
+from .certify import Certificate, clears, judged, within
 from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
 
 # |u><u| = id holds up to the rounding of sqrt(w)^2 / w
@@ -88,9 +88,8 @@ def verify_hstar_algebra(
     there is one weight per block, or one n x n functional matrix per
     block of size n.
     """
-    block_sizes = tuple(int(n) for n in block_sizes)
-    if any(n <= 0 for n in block_sizes):
-        raise InputError("block sizes must be positive")
+    probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))
+    block_sizes = probe.block_sizes
     rng = np.random.default_rng(seed)
 
     if functional is not None:
@@ -104,46 +103,22 @@ def verify_hstar_algebra(
             raise ShapeMismatch("one weight per block required")
         tr = lambda a: sum(w * np.trace(ai) for w, ai in zip(weights, a))
 
-    probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))
     pairs = [(probe.random_element(rng), probe.random_element(rng)) for _ in range(samples)]
-    traciality = worst(abs(tr(probe.mul(a, b)) - tr(probe.mul(b, a))) for a, b in pairs)
-    if not within(traciality, tol.bound()):
-        return Certificate(
-            False,
-            {"traciality": traciality},
-            {"seed": seed},
-            failed_axiom="traciality",
-        )
-
+    residuals = {
+        "traciality": worst(abs(tr(probe.mul(a, b)) - tr(probe.mul(b, a))) for a, b in pairs)
+    }
+    checks = [("traciality", tol.bound(), "traciality")]
     if functional is not None:
         # every tracial functional is blockwise a multiple of the matrix trace
-        projected = [np.trace(phi).real / n for n, phi in zip(block_sizes, functional)]
-        proj_residual = worst(
+        weights = tuple(np.trace(phi).real / n for n, phi in zip(block_sizes, functional))
+        residuals["weight_projection"] = worst(
             float(np.linalg.norm(phi - w * np.eye(n)))
-            for n, phi, w in zip(block_sizes, functional, projected)
+            for n, phi, w in zip(block_sizes, functional, weights)
         )
-        if not within(proj_residual, tol.bound()):
-            return Certificate(
-                False,
-                {"traciality": traciality, "weight_projection": proj_residual},
-                {"seed": seed},
-                failed_axiom="traciality",
-            )
-        weights = tuple(projected)
-
-    positivity = float(np.min(weights))
-    if not clears(positivity, tol.bound()):
-        return Certificate(
-            False,
-            {"traciality": traciality, "positivity_margin": positivity},
-            {"seed": seed},
-            failed_axiom="positivity",
-        )
-    return Certificate(
-        True,
-        {"traciality": traciality, "positivity_margin": positivity},
-        {"seed": seed, "weights": weights},
-    )
+        checks.append(("weight_projection", tol.bound(), "traciality"))
+    residuals["positivity_margin"] = float(np.min(weights))
+    checks.append(("positivity_margin", tol.bound(), "positivity", clears))
+    return judged(residuals, checks, {"seed": seed, "weights": weights})
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,20 @@ def test_hstar_commands(capsys):
     assert rep["values"]["simple_dims"] == [1.0, 0.5]
 
 
+def test_hstar_verify_reads_a_tracial_functional(tmp_path, capsys):
+    # 1.0 tr on M_2 and 0.5 tr on M_3, written as [re, im] entries: the
+    # functional projects onto the weights (1.0, 0.5) with no remainder
+    def scaled_eye(n, w):
+        return [[[w if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+    p = tmp_path / "functional.json"
+    p.write_text(json.dumps({"blocks": [2, 3], "functional": [scaled_eye(2, 1.0), scaled_eye(3, 0.5)]}))
+    code, rep = _run(capsys, "hstar", "verify", str(p))
+    assert code == 0 and rep["verdict"] == "ACCEPT"
+    assert rep["residuals"]["hstar_trace.positivity_margin"] == 0.5
+    assert rep["residuals"]["hstar_trace.weight_projection"] == 0.0
+
+
 def test_h3_theorem_b(capsys):
     code, rep = _run(capsys, "h3", "theorem-b", "fibonacci")
     assert code == 0

@@ -180,8 +180,8 @@ def test_ladder_cache_is_bounded_across_seeds():
 
 
 def test_engine_that_ran_a_deligne_check_is_freed_without_gc():
-    # the kept pieces hold blocks, not Mors, so no cycle runs back to the
-    # engine and reference counting alone frees it
+    # no kept piece refers back to the engine, so reference counting
+    # alone frees it
     gc.collect()
     gc.disable()
     try:

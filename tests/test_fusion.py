@@ -429,6 +429,62 @@ def _random_ring(labels, mult, dual, seed):
     return data
 
 
+def _edited(name, edit):
+    doc = bundled.load(name).to_json()
+    edit(doc)
+    return FusionData.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "name,edit,problems",
+    [
+        (
+            "hilb_z3",
+            lambda d: d["dual"].update(g="g", h="g"),
+            {"dual not involutive at h", "dual pairing multiplicity wrong at g",
+             "Frobenius reciprocity fails at ('1', 'g', 'g')"},
+        ),
+        ("m2_hilb", lambda d: d["dual"].update({"12": "12"}), {"dual grading mismatch at 12"}),
+        (
+            "m2_hilb",
+            lambda d: d["N"].update({"12,12,11": 1}),
+            {"grading incompatibility in N at ('12', '12', '11')"},
+        ),
+    ],
+    ids=["dual", "dual_grading", "n_grading"],
+)
+def test_grading_and_duality_problems_reject_on_their_axiom(name, edit, problems):
+    cert = validate(_edited(name, edit))
+    assert (cert.ok, cert.failed_axiom) == (False, "grading/duality")
+    assert cert.residuals["integer_checks"] == 1.0
+    assert problems <= set(cert.details["problems"])
+
+
+def _tree_count_ring():
+    """x (x) x = 1 + y, x (x) y = x + y, y (x) y = 1 + x, all self-dual:
+    graded, dual and Frobenius-reciprocal, but not associative, since
+    (x x) y = 1 + x + y and x (x y) = 1 + x + 2y."""
+    return _random_ring(("0", "x", "y"), [1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0], ("0", "x", "y"), 0)
+
+
+def test_tree_count_mismatch_alone_rejects_on_associativity():
+    cert = validate(_tree_count_ring())
+    assert (cert.ok, cert.failed_axiom) == (False, "fusion-associativity")
+    assert cert.residuals == {"integer_checks": 1.0}
+    assert cert.details == {"problems": [], "problem": "tree count mismatch at F^xxy_y"}
+
+
+def test_duality_problem_is_named_before_a_tree_count_mismatch():
+    # N[g, g, h] moved to N[g, g, g]: Frobenius reciprocity fails, and so
+    # do the tree counts of F^{ggh}_1; the first check in order is named
+    data = _edited("hilb_z3", lambda d: (d["N"].pop("g,g,h"), d["N"].update({"g,g,g": 1})))
+    cert = validate(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "grading/duality")
+    assert cert.residuals == {"integer_checks": 1.0}
+    assert cert.details["problem"] == "tree count mismatch at F^ggh_1"
+    assert "Frobenius reciprocity fails at ('g', 'g', 'g')" in cert.details["problems"]
+
+
 @st.composite
 def _rings(draw):
     labels = ("0", "1", "2")[: draw(st.integers(2, 3))]

@@ -55,14 +55,16 @@ def test_isometry_check_rejects_collapse():
     sp = TwoHilbertSpace(("a", "b"), (1.0, 1.0))
     tgt = TwoHilbertSpace(("c",), (1.0,))
     F = DagFunctor(sp, tgt, ((1, 1),))
-    assert not hilb2.isometry_check(F).ok
+    cert = hilb2.isometry_check(F)
+    assert (cert.ok, cert.failed_axiom) == (False, "isometry")
 
 
 def test_isometry_check_rejects_dim_gap():
     sp = TwoHilbertSpace(("a",), (1.0,))
     tgt = TwoHilbertSpace(("c",), (2.0,))
     F = DagFunctor(sp, tgt, ((1,),))
-    assert not hilb2.isometry_check(F).ok
+    cert = hilb2.isometry_check(F)
+    assert (cert.ok, cert.failed_axiom) == (False, "isometry")
 
 
 def test_shape_errors():
@@ -87,9 +89,12 @@ def _nan_written(sp, k):
 def test_nan_dimension_rejects():
     sp = _nan_written(TwoHilbertSpace(("a", "b"), (1.0, 1.0)), 1)
     _, cert = hilb2.yoneda_decompose(sp.obj((1, 2)))
-    assert not cert.ok and np.isnan(cert.residuals["gram_defect"])
+    assert (cert.ok, cert.failed_axiom) == (False, "Yoneda unitarity")
+    assert np.isnan(cert.residuals["gram_defect"])
     F = DagFunctor(_space(), _nan_written(_space(), 1), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     cert = hilb2.isometry_check(F)
-    assert not cert.ok and np.isnan(cert.residuals["dim_gap[y]"])
+    assert (cert.ok, cert.failed_axiom) == (False, "isometry")
+    assert np.isnan(cert.residuals["dim_gap[y]"])
     _, cert = hilb2.unitary_adjoint(F)
-    assert not cert.ok and np.isnan(cert.residuals["mate_gram_defect"])
+    assert (cert.ok, cert.failed_axiom) == (False, "mate unitarity")
+    assert np.isnan(cert.residuals["mate_gram_defect"])

@@ -29,6 +29,10 @@ def test_verify_rejects_non_tracial_functional():
     )
     assert not cert.ok
     assert cert.failed_axiom == "traciality"
+    # a REJECT lists every residual, the positivity margin of the
+    # projected weight (1 + 2) / 2 among them
+    assert set(cert.residuals) == {"traciality", "weight_projection", "positivity_margin"}
+    assert cert.residuals["positivity_margin"] == 1.5
 
 
 def test_verify_rejects_nonpositive_weight():

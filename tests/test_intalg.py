@@ -167,6 +167,19 @@ def test_nan_in_mu_rejects_on_unitality():
     assert np.isnan(cert.residuals["unitality"])
 
 
+def test_twisted_cup_rejects_on_standardness_with_every_residual():
+    # doubling one cup coefficient breaks the twisted-trace agreement and
+    # nothing else; a REJECT lists every residual, not those up to the
+    # failed axiom
+    eng = _eng("hilb_z3")
+    eng.udf.beta["g"] *= 2
+    cert = intalg.verify_hstar(intalg.group_algebra(eng, ("1", "g", "h")))
+    assert (cert.ok, cert.failed_axiom) == (False, "H*3-standardness")
+    assert cert.residuals["standardness"] == 1.0
+    others = {k: v for k, v in cert.residuals.items() if k not in ("standardness", "separability_min_eig")}
+    assert others == {"unitality": 0.0, "associativity": 0.0, "frobenius": 0.0}
+
+
 @pytest.mark.parametrize(
     "name,mk",
     [

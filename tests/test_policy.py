@@ -11,7 +11,10 @@ builds none and takes them from the engine, and outside fusion.py no
 module builds an Engine, which is born with its dual functor in
 fusion.dual_engine, the one place that assigns its cup coefficients
 udf.alpha and udf.beta; only diagram.Engine._cup reads them. Lint for
-cache keys: no module calls id().
+cache keys: no module calls id(). Lint for verdicts: outside certify.py
+no module constructs a Certificate, so every one comes from
+certify.judged, and every check passed to judged or bounded names an
+axiom.
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py. Lint for
@@ -245,8 +248,8 @@ def _mor_builds(source: str):
 
 def test_ladder_pieces_come_from_the_engine():
     # deligne gets every morphism from an engine operation or from
-    # Engine.derived, which keeps blocks and hands out a fresh Mor; a Mor
-    # built and kept here would point back at its engine
+    # Engine.derived, so every block it holds passed the engine's shape
+    # checks or was computed by the engine
     found = _mor_builds((SRC / "deligne.py").read_text())
     assert not found, found
 
@@ -359,6 +362,71 @@ def test_cup_lint_catches_a_stray_read():
     assert _stray_cup_coefficients("def f(udf):\n    udf.alpha = {}", "hilb3")
     assert _stray_cup_coefficients("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion")
     assert not _stray_cup_coefficients("def f(A):\n    return A.alpha + udf.psi", "intalg")
+
+
+def _certificate_calls(source: str):
+    """Lines that construct a Certificate, by name or as an attribute."""
+    return [n.lineno for n in _calls(ast.parse(source)) if _name(n.func) == "Certificate"]
+
+
+def test_only_certify_constructs_certificates():
+    # every verdict comes from certify.judged, which runs the bound and
+    # margin tests in the order of its checks and names the first failure
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "certify.py":
+            found += [f"{path.name}:{line}: Certificate(" for line in _certificate_calls(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_certificate_lint_catches_a_stray_construction():
+    assert _certificate_calls("return Certificate(False, residuals, failed_axiom='unitality')")
+    assert _certificate_calls("def f(ok):\n    return certify.Certificate(ok, {})")
+    assert not _certificate_calls("def f(r, checks) -> Certificate:\n    return judged(r, checks)")
+    assert not _certificate_calls("from .certify import Certificate, judged\nc: Certificate = None")
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _unnamed_axioms(source: str):
+    """Lines where a check names no axiom: a bounded call whose axiom is
+    None, or, in a function that calls judged, a check tuple whose third
+    entry, the axiom, is None."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "bounded":
+            axioms = node.args[3:4] + [k.value for k in node.keywords if k.arg == "axiom"]
+            out.update(node.lineno for a in axioms if _is_none(a))
+        if isinstance(node, ast.FunctionDef) and any(_name(c.func) == "judged" for c in _calls(node)):
+            out.update(
+                t.lineno
+                for t in ast.walk(node)
+                if isinstance(t, ast.Tuple) and len(t.elts) in (3, 4) and _is_none(t.elts[2])
+            )
+    return sorted(out)
+
+
+def test_every_check_names_its_axiom():
+    # a REJECT without an axiom tells the reader nothing about what failed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line}: axiom None" for line in _unnamed_axioms(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_axiom_lint_catches_an_unnamed_check():
+    assert _unnamed_axioms("c = bounded('gram_defect', d, tol.bound(), None)")
+    assert _unnamed_axioms("c = bounded('gap', d, b, axiom=None, details={})")
+    assert _unnamed_axioms(
+        "def f(gaps, b):\n    checks = []\n    for k in gaps:\n"
+        "        checks.append((k, b, None))\n    return judged(gaps, checks)"
+    )
+    assert _unnamed_axioms("def f(r, cut):\n    return judged(r, [('m', cut, None, clears)])")
+    assert not _unnamed_axioms("c = bounded('gram_defect', d, tol.bound(), 'Yoneda unitarity')")
+    assert not _unnamed_axioms("def f(r, b):\n    return judged(r, [('u', b, 'unitality')])")
+    assert not _unnamed_axioms("def f(x):\n    return (x, 0, None)")
 
 
 # modules the tests use and the package must not import: input documents
@@ -531,6 +599,15 @@ def test_bound_tests_fail_on_nan():
     assert cert.failed_axiom == "first"
     # an unnamed check still rejects
     assert not judged({"a": nan}, [("a", 1.0, None)]).ok
+    # a margin check passes iff clears(value, cut), and a check may read a
+    # value from details, which stays out of the residuals
+    cert = judged({"m": 1.0}, [("m", 1.0, "margin", clears)])
+    assert (cert.ok, cert.failed_axiom) == (False, "margin")
+    assert not judged({"m": nan}, [("m", 0.0, "margin", clears)]).ok
+    checks = [("m", 1.0, "margin", clears), ("cond", 10.0, "condition")]
+    cert = judged({"m": 2.0}, checks, {"cond": 20.0})
+    assert (cert.ok, cert.failed_axiom, cert.residuals) == (False, "condition", {"m": 2.0})
+    assert judged({"m": 2.0}, checks, {"cond": 5.0}).ok
 
 
 @pytest.mark.parametrize(
