@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import Certificate, bounded
 from .diagram import Engine, Mor
-from .numcore import DEFAULT_TOL, ShapeMismatch, Tolerance, worst
+from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, sample_rng, worst
 
 
 # --- module sides -------------------------------------------------------
@@ -71,7 +71,11 @@ class RegularLeft:
 #   ("act", m2g, f, c1)           m2g o (f |> c1)
 # Scalars are kept beside them: ("live", key) says whether a piece is
 # nonzero, and ("trace", side, what, key) is a module side's trace of an
-# endomorphism built from one piece.
+# endomorphism built from one piece. A sampled check is a fixed linear or
+# bilinear form in the coefficients, kept per ladder object L = m (x) n:
+#   ("action_form", side, m, n)   the ladder trace and the action image's
+#                                 trace of each basis ladder of End(L)
+#   ("trace_form", m, n)          tr(e_i e_j) on the basis ladders e_i
 
 
 def _piece(eng: Engine, key) -> Mor:
@@ -183,6 +187,24 @@ def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
     return LadderHom(src, dst, terms)
 
 
+def _coefficients(rng, shape) -> np.ndarray:
+    """Sampled coefficients of the given shape, drawn from the stream that
+    random_ladder reads: real part, then imaginary part, term by term."""
+    d = rng.standard_normal((*shape, 2))
+    return d[..., 0] + 1j * d[..., 1]
+
+
+def _basis_ladders(L: LadderObject) -> list:
+    """The one-term ladders, coefficient 1, on the basis of End(L), in
+    random_ladder's term order: F = sum_t z_t e_t."""
+    return [
+        LadderHom(L, L, {c: [(1.0, f, g)]})
+        for c, (fs, gs) in ladder_hom_bases(L, L).items()
+        for f in fs
+        for g in gs
+    ]
+
+
 def identity_ladder(L: LadderObject) -> LadderHom:
     """Unit-channel terms: graded projections through strict unitors."""
     eng = _eng(L)
@@ -274,6 +296,21 @@ def act_on_module(F: LadderHom) -> Mor:
     return out
 
 
+def _action_form(mside, L: LadderObject) -> np.ndarray:
+    """Rows w1, w2 over the basis ladders e_t of End(L): w1[t] is the
+    ladder trace of e_t and w2[t] the module trace of its action image,
+    so a ladder F = sum_t z_t e_t has the two traces z @ w1 and z @ w2."""
+    eng = mside.eng
+
+    def build():
+        ones = _basis_ladders(L)
+        w1 = [ladder_trace(e) for e in ones]
+        w2 = [_trace(mside, "act", a, lambda: _piece(eng, a)) for e in ones for _, a in _act_terms(e)]
+        return np.array([w1, w2])
+
+    return eng.derived(("action_form", type(mside).__name__, L.m, L.n), build)
+
+
 def right_action_isometry(
     mside,
     eng: Engine,
@@ -283,23 +320,24 @@ def right_action_isometry(
     tol: Tolerance = DEFAULT_TOL,
 ) -> Certificate:
     """Compare the ladder trace on endos of m (x) c with the module trace
-    of their image under the action functor, which is linear in the terms:
-    the sum of z tr(act(f (x) g))."""
+    of their image under the action functor; both are linear in the
+    sampled coefficients, so all samples of one m (x) c are one product
+    with the action form."""
     if mside.eng is not eng:
         raise ShapeMismatch("the module side belongs to another engine")
+    if not m_objects:
+        raise InputError("the right-action check needs a module object")
     nside = RegularLeft(eng)
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
     gaps = []
     for m in m_objects:
         for c in eng.data.simples:
             L = LadderObject(mside, nside, m, eng.simple_obj(c))
             if ladder_hom_dim(L, L) == 0:
                 continue
-            for _ in range(samples):
-                F = random_ladder(L, L, rng)
-                t1 = ladder_trace(F)
-                t2 = sum(z * _trace(mside, "act", a, lambda: _piece(eng, a)) for z, a in _act_terms(F))
-                gaps.append(abs(t1 - t2))
+            w1, w2 = _action_form(mside, L)
+            z = _coefficients(rng, (samples, len(w1)))
+            gaps += np.abs(z @ w1 - z @ w2).tolist()
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
 
@@ -307,19 +345,34 @@ def right_action_isometry(
 TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
 
 
+def _trace_form(L: LadderObject) -> np.ndarray:
+    """K[i, j] = tr(e_i e_j) on the basis ladders e_i of End(L), so
+    tr(F G) = sum_ij zF_i zG_j K[i, j] and tr(G F) the same sum against
+    the transpose of K."""
+
+    def build():
+        ones = _basis_ladders(L)
+        return np.array([[ladder_trace(ladder_compose(a, b)) for b in ones] for a in ones])
+
+    return _eng(L).derived(("trace_form", L.m, L.n), build)
+
+
 def ladder_traciality(
     eng: Engine, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
     """tr(F G) against tr(G F) on sampled endos of each c (x) c of the
-    regular ladder category."""
+    regular ladder category, all samples of one c (x) c against its trace
+    form at once. Both traces sum the same products zF_i zG_j, formed once
+    as ladder_compose forms them, so a symmetric form gives an exact 0."""
     mside, nside = RegularRight(eng), RegularLeft(eng)
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
     gaps = []
     for c in eng.data.simples:
         L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
         if ladder_hom_dim(L, L) == 0:
             continue
-        for _ in range(samples):
-            F, G = random_ladder(L, L, rng), random_ladder(L, L, rng)
-            gaps.append(abs(ladder_trace(ladder_compose(F, G)) - ladder_trace(ladder_compose(G, F))))
+        K = _trace_form(L)
+        z = _coefficients(rng, (samples, 2, len(K)))
+        P = z[:, 0, :, None] * z[:, 1, None, :]
+        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
     return bounded("traciality", worst(gaps), tol.bound(TRACE_SCALE), "traciality")

@@ -40,6 +40,8 @@ import numpy as np
 
 from .numcore import InputError, ShapeMismatch
 
+_UNBUILT = object()  # Engine.derived's mark for a key not built yet
+
 
 @dataclass
 class Mor:
@@ -393,10 +395,12 @@ class Engine:
     def derived(self, key, build):
         """build(), made once per engine and key: a value fixed by the data
         alone, such as a unitor or a ladder piece. Keys are values, never
-        id(). Callers only read."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+        id(). Callers only read. The key is hashed once on a hit: ladder
+        keys are deep tuples, whose hash Python does not cache."""
+        value = self._derived.get(key, _UNBUILT)
+        if value is _UNBUILT:
+            value = self._derived[key] = build()
+        return value
 
     # --- fusing a word into a single object -------------------------------
 

@@ -64,7 +64,15 @@ from .intalg import (
     verify_bimodule,
     verify_hstar,
 )
-from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
+from .numcore import (
+    DEFAULT_TOL,
+    ConsistencyError,
+    InputError,
+    ShapeMismatch,
+    Tolerance,
+    sample_rng,
+    worst,
+)
 
 # the identity is resolved as a sum of one projection per part, each with
 # its own roundoff
@@ -164,7 +172,7 @@ def presentation_sphericality(
     when the cups and caps of the udf are spherical for psi; the check
     reads the udf on every call, so a rescaled alpha_x or beta_x shows."""
     eng = X.eng
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
     gaps = []
     for _ in range(samples):
         mult = {c: int(rng.integers(0, 3)) for c in eng.data.simples}
@@ -234,7 +242,7 @@ def certify_hilbert_sum(
     for inc in incs:
         total = eng.add(total, eng.compose(inc, eng.dagger(inc)))
     res_defect = eng.residual(total, eng.identity((O,)))
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
     gaps = []
     for _ in range(samples):
         f = eng.random_mor((O,), (O,), rng)

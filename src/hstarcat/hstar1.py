@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Certificate, clears, judged, within
-from .numcore import DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, worst
+from .numcore import (
+    DEFAULT_TOL,
+    ConsistencyError,
+    InputError,
+    ShapeMismatch,
+    Tolerance,
+    sample_rng,
+    worst,
+)
 
 # |u><u| = id holds up to the rounding of sqrt(w)^2 / w
 FRAME_TOL = 1e-12
@@ -90,7 +98,7 @@ def verify_hstar_algebra(
     """
     probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))
     block_sizes = probe.block_sizes
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
 
     if functional is not None:
         functional = [np.asarray(phi, dtype=complex) for phi in functional]
@@ -240,7 +248,7 @@ def module_trace_law_residual(
     mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 20
 ) -> float:
     """Max residual of Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) over random vectors."""
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(samples, seed)
     gaps = []
     for _ in range(samples):
         xi = mod.random_vector(rng)

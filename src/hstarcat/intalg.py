@@ -50,6 +50,7 @@ from .numcore import (
     ShapeMismatch,
     Tolerance,
     row_space,
+    sample_rng,
     split_projection,
     worst,
 )
@@ -722,6 +723,7 @@ def delta0_norm_identity(
     """max over sampled bimodule maps f of
     |Tr^{C_B}_{N (x) M}(f^dag f) - Tr^{C_A}_N(mate^dag mate)|."""
     eng = N.eng
+    rng = sample_rng(samples, seed)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
     basis = bimodule_map_basis(N, M, P)
     if not basis:
@@ -732,7 +734,6 @@ def delta0_norm_identity(
     lam = carry_left(eng.dagger(u), eng.whisker_right(N.lam, M.word), N.left)
     rho = carry_right(eng.dagger(u), eng.whisker_left(N.word, M.rho), M.right)
     NM = Bimodule(N.left, M.right, fused, lam, rho)
-    rng = np.random.default_rng(seed)
     gaps = []
     for _ in range(samples):
         z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

@@ -70,6 +70,15 @@ def worst(values):
     return out
 
 
+def sample_rng(samples: int, seed) -> np.random.Generator:
+    """The generator of a sampled check, which needs a sample: with none,
+    its residual would be worst of nothing, 0.0, and it would ACCEPT
+    anything."""
+    if samples < 1:
+        raise InputError(f"a sampled check needs at least one sample, not {samples}")
+    return np.random.default_rng(seed)
+
+
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce input to a 2d complex ndarray (the working CMatrix form)."""
     m = np.asarray(entries, dtype=complex)

@@ -7,8 +7,10 @@ import pytest
 
 from bench_families import fam
 from hstarcat import bundled, deligne, hilb3
+from hstarcat.certify import bounded
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
+from hstarcat.numcore import DEFAULT_TOL, worst
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -216,6 +218,16 @@ def test_nan_side_trace_rejects_both_checks(monkeypatch, side):
         assert np.isnan(tr.residuals["traciality"])
 
 
+def test_nan_trace_rejects_traciality(monkeypatch):
+    # the trace form keeps the NaN, on the first call and the warm one
+    monkeypatch.setattr(deligne, "ladder_trace", lambda F: complex("nan"))
+    eng = _eng("fibonacci")
+    for _ in range(2):
+        cert = deligne.ladder_traciality(eng, 2, 0)
+        assert (cert.ok, cert.failed_axiom) == (False, "traciality")
+        assert np.isnan(cert.residuals["traciality"])
+
+
 DIAGRAM_WORK = ("compose", "whisker_right_obj", "whisker_left_obj", "scale", "add", "categorical_trace")
 
 
@@ -300,15 +312,23 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * (1 + abs(b))
 
 
-@pytest.mark.parametrize("name", ["ising", "fibonacci", "gauged_ty_z3", "twisted_z4"])
+REFERENCE_CATEGORIES = {
+    "ising": lambda: bundled.load("ising"),
+    "fibonacci": lambda: bundled.load("fibonacci"),
+    "gauged_ty_z3": lambda: fam.gauge(fam.ty_zn(3), np.random.default_rng(7)),
+    "twisted_z4": lambda: fam.vec_zn(4, 1),
+}
+
+
+def _reference_engine(name):
+    data = REFERENCE_CATEGORIES[name]()
+    return Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CATEGORIES))
 def test_keyed_terms_agree_with_the_mor_reference(name):
-    data = {
-        "ising": lambda: bundled.load("ising"),
-        "fibonacci": lambda: bundled.load("fibonacci"),
-        "gauged_ty_z3": lambda: fam.gauge(fam.ty_zn(3), np.random.default_rng(7)),
-        "twisted_z4": lambda: fam.vec_zn(4, 1),
-    }[name]()
-    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    eng = _reference_engine(name)
+    data = eng.data
     simples = [eng.simple_obj(c) for c in data.simples]
     mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
     for seed in (0, 1, 2):
@@ -335,3 +355,88 @@ def test_keyed_terms_agree_with_the_mor_reference(name):
             F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
             ref = _ref_compose(L, _ref_terms(F), _ref_terms(G))
             assert _close(deligne.ladder_trace(deligne.ladder_compose(F, G)), _ref_trace(L, ref))
+
+
+# --- the per-sample reference ---------------------------------------------
+# Both sampled checks as they were before they became linear forms: each
+# sample is a ladder of its own, traced term by term.
+
+
+def _per_sample_right_action(mside, eng, m_objects, samples, seed, tol=DEFAULT_TOL):
+    nside = deligne.RegularLeft(eng)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for m in m_objects:
+        for c in eng.data.simples:
+            L = deligne.LadderObject(mside, nside, m, eng.simple_obj(c))
+            if deligne.ladder_hom_dim(L, L) == 0:
+                continue
+            for _ in range(samples):
+                F = deligne.random_ladder(L, L, rng)
+                t1 = deligne.ladder_trace(F)
+                t2 = sum(z * mside.trace(deligne._piece(eng, a)) for z, a in deligne._act_terms(F))
+                gaps.append(abs(t1 - t2))
+    details = {"samples": len(gaps)}
+    return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
+
+
+def _per_sample_traciality(eng, samples, seed, tol=DEFAULT_TOL):
+    mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for c in eng.data.simples:
+        L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
+        if deligne.ladder_hom_dim(L, L) == 0:
+            continue
+        for _ in range(samples):
+            F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
+            gaps.append(
+                abs(
+                    deligne.ladder_trace(deligne.ladder_compose(F, G))
+                    - deligne.ladder_trace(deligne.ladder_compose(G, F))
+                )
+            )
+    return bounded("traciality", worst(gaps), tol.bound(deligne.TRACE_SCALE), "traciality")
+
+
+def _same_certificate(cert, ref):
+    assert (cert.ok, cert.failed_axiom, cert.details) == (ref.ok, ref.failed_axiom, ref.details)
+    assert cert.residuals.keys() == ref.residuals.keys()
+    for key, value in ref.residuals.items():
+        assert abs(cert.residuals[key] - value) <= 1e-13, (key, cert.residuals[key], value)
+
+
+def _skewed_trace(self, f):
+    # a trace off by an amount per charge: both identities fail by O(1),
+    # so the coefficients of the forms show in the residuals
+    return self.eng.categorical_trace(f) + 0.25 * sum(1 + self.eng.data.index[c] for c in f.blocks)
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["trace", "skewed_trace"])
+@pytest.mark.parametrize("name", list(REFERENCE_CATEGORIES))
+def test_sampled_forms_agree_with_the_per_sample_checks(name, skewed, monkeypatch):
+    if skewed:
+        monkeypatch.setattr(deligne.RegularRight, "trace", _skewed_trace)
+    eng = _reference_engine(name)
+    mside = deligne.RegularRight(eng)
+    simples = [eng.simple_obj(c) for c in eng.data.simples]
+    for seed in (0, 1, 2):
+        _same_certificate(
+            deligne.right_action_isometry(mside, eng, simples, samples=3, seed=seed),
+            _per_sample_right_action(mside, eng, simples, 3, seed),
+        )
+        _same_certificate(deligne.ladder_traciality(eng, 3, seed), _per_sample_traciality(eng, 3, seed))
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CATEGORIES))
+def test_batched_draw_is_the_draw_of_random_ladder(name):
+    eng = _reference_engine(name)
+    for c in eng.data.simples:
+        L = _regular_ladder(eng, c, c)
+        rng = np.random.default_rng(9)
+        drawn = [
+            [z for terms in deligne.random_ladder(L, L, rng).terms.values() for z, _, _ in terms]
+            for _ in range(4)
+        ]
+        batched = deligne._coefficients(np.random.default_rng(9), (4, deligne.ladder_hom_dim(L, L)))
+        assert np.array_equal(batched, np.array(drawn))

@@ -246,6 +246,23 @@ def test_pairings_make_no_diagram_calls():
         assert +calls == Counter(ev_obj=5, coev_obj=5), dict(calls)
 
 
+@pytest.mark.parametrize("value", [False, 0.0, None])
+def test_derived_builds_a_falsy_value_once_per_key(value):
+    # a value is kept whatever its truth: deligne's _live keeps False for
+    # a dead piece
+    eng = _eng("fibonacci")
+    builds = Counter()
+
+    def build(key):
+        builds[key] += 1
+        return value
+
+    for _ in range(3):
+        for key in (("live", "a"), ("live", ("b", 1))):
+            assert eng.derived(key, lambda key=key: build(key)) is value
+    assert builds == Counter({("live", "a"): 1, ("live", ("b", 1)): 1})
+
+
 def test_closed_loops_make_no_diagram_calls(monkeypatch):
     # both loops are read off the blocks of f: no cup, cap, whisker or
     # grouped basis is built for (O, dual(O))

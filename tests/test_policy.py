@@ -18,7 +18,9 @@ axiom.
 Lint for reach: every definition is used by a command, a criterion or the
 benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py. Lint for
-the bound factors: no bare number scales a .bound( call."""
+the bound factors: no bare number scales a .bound( call. Lint for the
+sampled checks: every function that takes a samples count is shown to
+refuse a count below one."""
 
 import ast
 import builtins
@@ -29,11 +31,12 @@ from collections import Counter
 
 import pytest
 
+from hstarcat import bundled, deligne, hilb3, hstar1, intalg
 from hstarcat.certify import bounded, clears, judged, within
-from hstarcat.fusion import SphericalWeight
+from hstarcat.fusion import SphericalWeight, dual_engine
 from hstarcat.hilb2 import TwoHilbertSpace
 from hstarcat.hstar1 import HStarAlgebra
-from hstarcat.numcore import InputError
+from hstarcat.numcore import InputError, sample_rng
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hstarcat"
@@ -625,3 +628,88 @@ def test_positive_inputs_reject_nan_at_construction(make):
     for bad in (math.nan, 0.0, -1.0):
         with pytest.raises(InputError):
             make(bad)
+
+
+def _fibonacci():
+    return dual_engine(bundled.load("fibonacci"), SphericalWeight((1.0,)))
+
+
+def _right_action(samples):
+    eng = _fibonacci()
+    simples = [eng.simple_obj(c) for c in eng.data.simples]
+    return deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=samples)
+
+
+def _hilbert_sum(samples):
+    X = hilb3.hilbert_sum_completion(hilb3.delooping(_fibonacci()))
+    return hilb3.certify_hilbert_sum(X, hilb3.sum_object(X, ["1", "1"]), samples=samples)
+
+
+def _delta0(samples):
+    eng = _fibonacci()
+    A = intalg.group_algebra(eng, ("1",))
+    M = intalg.free_bimodule(A, "1", intalg.pair_algebra(eng, eng.obj({"t": 1})))
+    return intalg.delta0_norm_identity(intalg.free_bimodule(A, "t", A), M, M, samples=samples)
+
+
+# every function of the package with a samples parameter, by module and
+# name, and a call of it with a given count
+SAMPLED = {
+    "deligne.right_action_isometry": _right_action,
+    "deligne.ladder_traciality": lambda samples: deligne.ladder_traciality(_fibonacci(), samples, 0),
+    "hilb3.presentation_sphericality": lambda samples: hilb3.presentation_sphericality(
+        hilb3.delooping(_fibonacci()), samples=samples
+    ),
+    "hilb3.certify_hilbert_sum": _hilbert_sum,
+    "hstar1.verify_hstar_algebra": lambda samples: hstar1.verify_hstar_algebra(
+        (2, 1), (1.0, 1.0), samples=samples
+    ),
+    "hstar1.module_trace_law_residual": lambda samples: hstar1.module_trace_law_residual(
+        hstar1.gns(HStarAlgebra((2,), (1.0,))), samples=samples
+    ),
+    "intalg.delta0_norm_identity": _delta0,
+    "numcore.sample_rng": lambda samples: sample_rng(samples, 0),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_a_sampled_check_without_samples_is_an_input_error(name, samples):
+    # with no sample a residual is worst of nothing, 0.0, which passes
+    # every bound, so a REJECT would read ACCEPT; one sample runs
+    SAMPLED[name](1)
+    with pytest.raises(InputError):
+        SAMPLED[name](samples)
+
+
+def test_right_action_without_module_objects_is_an_input_error():
+    eng = _fibonacci()
+    with pytest.raises(InputError):
+        deligne.right_action_isometry(deligne.RegularRight(eng), eng, [], samples=2)
+
+
+def _sampled_functions(sources: dict):
+    """module.name of each function, in the sources by module name, that
+    takes a parameter called samples."""
+    out = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, FUNCS):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "samples" for a in params):
+                    out.add(f"{module}.{node.name}")
+    return out
+
+
+def test_every_sampled_check_refuses_no_samples():
+    found = _sampled_functions({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert found == set(SAMPLED), found ^ set(SAMPLED)
+
+
+def test_sampled_lint_finds_every_samples_parameter():
+    sources = {
+        "a": "def f(x, samples=3):\n    pass\n\n\ndef g(n):\n    pass",
+        "b": "class C:\n    def m(self, *, samples):\n        pass\n\n\ndef h(samples, /):\n    pass",
+    }
+    assert _sampled_functions(sources) == {"a.f", "b.m", "b.h"}
+    assert not _sampled_functions({"c": "def f(sample, n_samples):\n    samples = 2"})
