@@ -30,6 +30,11 @@ splitting V_L of p_{XY,Z} gives V_L V_L^dag (r (x) id_Z) V_EZ =
 through the pair tensors alone, as (V_XY r (x) id_Z) V_EZ, and likewise
 on the right as (id_X (x) V_YZ r) V_XG. Each F-matrix entry is then the
 scalar of one composite of such lifts between maps out of a simple D.
+
+A unit factor needs no tensor: the pushed tree of Y in A (x)_A Y is
+V (l V)^dag = p l^dag for the left retraction l of Y, and p fixes l^dag
+by the module axioms, so the tree is l^dag itself (on the right, the
+dagger of X's right retraction).
 """
 
 from __future__ import annotations
@@ -299,21 +304,19 @@ def _scalar_gram(eng: Engine, fs, gs) -> np.ndarray:
 
 class _LinkingBuilder:
     """Numeric skeletonization of the category of bimodules among a list
-    of H*-algebras: simples, fusion rules, duals and F-matrices, all
-    extracted from relative tensors in orthonormal intertwiner bases.
+    of H*-algebras: simples, fusion rules, duals and F-matrices, all read
+    off one table of pushed trees, trees(x, y).
 
     Simples are numbered in label order: simples[k] is the bimodule,
     blocks[k] its (i, j) pair and labels[k] its label "ij:n"; units holds
     the positions of the algebras themselves, and members[(i, j)] the
-    positions of block (i, j). Tensors and intertwiner bases are keyed by
-    pairs of positions."""
+    positions of block (i, j). The table is keyed by pairs of positions."""
 
     def __init__(self, eng: Engine, algebras, tol: Tolerance, seed: int):
         self.eng = eng
         self.algebras = list(algebras)
         self.tol = tol
-        self._tensors = {}
-        self._onbs = {}
+        self._trees = {}
         self.simples, self.blocks, self.labels, self.units = [], [], [], []
         self.members = {}
         # with two unit summands the algebra is not a simple bimodule over
@@ -349,27 +352,23 @@ class _LinkingBuilder:
             self.blocks[a][1] == self.blocks[b][0] for a, b in zip(ks, ks[1:])
         )
 
-    # -- tensors and intertwiner bases ----------------------------------
+    # -- pushed trees ---------------------------------------------------
 
-    def tensor(self, x: int, y: int):
-        if (x, y) not in self._tensors:
-            self._tensors[(x, y)] = relative_tensor(self.simples[x], self.simples[y], self.tol)
-        return self._tensors[(x, y)]
-
-    def onb(self, x: int, y: int):
-        """dict simple z -> orthonormal isometries z -> x (x)_A y; unit
-        factors use the (unitary) unitors so the unit F-matrices come out
-        strict."""
-        if (x, y) in self._onbs:
-            return self._onbs[(x, y)]
+    def trees(self, x: int, y: int):
+        """dict simple z -> orthonormal isometries z -> (x, y): the copies
+        of z inside x (x)_A y, pushed through V_XY. A unit factor's tree is
+        the dagger of the other factor's retraction (the unitor, so the
+        unit F-matrices come out strict); no tensor is built for it."""
+        if (x, y) in self._trees:
+            return self._trees[(x, y)]
         eng = self.eng
         X, Y = self.simples[x], self.simples[y]
-        T, Vw = self.tensor(x, y)
         if x in self.units:
-            out = {y: [eng.dagger(eng.compose(left_retraction(Y), Vw))]}
+            out = {y: [eng.dagger(left_retraction(Y))]}
         elif y in self.units:
-            out = {x: [eng.dagger(eng.compose(right_retraction(X), Vw))]}
+            out = {x: [eng.dagger(right_retraction(X))]}
         else:
+            T, Vw = relative_tensor(X, Y, self.tol)
             # homs gives a basis orthonormal in tr(g^dag f); out of a simple
             # Z, g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
             out = {}
@@ -377,8 +376,8 @@ class _LinkingBuilder:
                 Z = self.simples[z]
                 basis = Z.homs(T)
                 if basis:
-                    out[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
-        self._onbs[(x, y)] = out
+                    out[z] = [eng.compose(Vw, eng.scale(np.sqrt(sum(Z.obj)), f)) for f in basis]
+        self._trees[(x, y)] = out
         return out
 
     def fusion_mults(self):
@@ -386,7 +385,7 @@ class _LinkingBuilder:
         N = {}
         for x, y in itertools.product(range(len(lab)), repeat=2):
             if self.composable(x, y):
-                for z, fs in self.onb(x, y).items():
+                for z, fs in self.trees(x, y).items():
                     N[(lab[x], lab[y], lab[z])] = len(fs)
         return N
 
@@ -395,7 +394,7 @@ class _LinkingBuilder:
         whose tensor x (x) z holds the unit of i."""
         dual = {}
         for x, (i, j) in enumerate(self.blocks):
-            matches = [z for z in self.members[(j, i)] if self.units[i] in self.onb(x, z)]
+            matches = [z for z in self.members[(j, i)] if self.units[i] in self.trees(x, z)]
             if len(matches) != 1:
                 raise ConsistencyError(
                     f"{self.labels[x]} has {len(matches)} dual matches, not one"
@@ -407,28 +406,17 @@ class _LinkingBuilder:
 
     def f_matrices(self):
         """F^{XYZ}_D[a, b] = col_b^dag row_a as a scalar, with both trees
-        pushed down to maps D -> (x, y, z) through the cached pair
-        tensors: row (E, r1, r2) is (V_XY r1 (x) id_z) V_EZ r2 and column
-        (G, c1, c2) is (id_x (x) V_YZ c1) V_XG c2. V_XY r1 and V_YZ c1 are
-        built once per pair, their lifts once per triple, and only the
-        triples that the grading allows are visited; the module docstring
-        says why no tensor of a tensor is needed."""
+        lifted to maps D -> (x, y, z) through the table: row (E, up, t) is
+        (up (x) id_z) t for up in trees(x, y)[E] and t in trees(E, z)[D],
+        and column (G, up, t) is (id_x (x) up) t for up in trees(y, z)[G]
+        and t in trees(x, G)[D]. Only the triples that the grading allows
+        are visited; the module docstring says why no tensor of a tensor
+        is needed."""
         eng, lab = self.eng, self.labels
         starts = {}  # i -> the non-unit simples of the blocks (i, -), ascending
         for y, (i, _) in enumerate(self.blocks):
             if y not in self.units:
                 starts.setdefault(i, []).append(y)
-        pushed = {}
-
-        def push(a, b):
-            """{e: [V_ab r for r in onb(a, b)[e]]}."""
-            if (a, b) not in pushed:
-                _, V = self.tensor(a, b)
-                pushed[(a, b)] = {
-                    e: [eng.compose(V, r) for r in rs] for e, rs in self.onb(a, b).items()
-                }
-            return pushed[(a, b)]
-
         F = {}
         for x, (i, j) in enumerate(self.blocks):
             if x in self.units:
@@ -438,18 +426,16 @@ class _LinkingBuilder:
                 for z in starts.get(k, []):
                     l = self.blocks[z][1]
                     rows, cols = {}, {}  # d -> maps D -> (x, y, z)
-                    for e in self.members[(i, k)]:
-                        for up in push(x, y).get(e, []):
-                            _, VEZ = self.tensor(e, z)
-                            lift = eng.compose(eng.whisker_right_obj(up, self.simples[z].obj), VEZ)
-                            for d, r2s in self.onb(e, z).items():
-                                rows.setdefault(d, []).extend(eng.compose(lift, r2) for r2 in r2s)
-                    for g in self.members[(j, l)]:
-                        for up in push(y, z).get(g, []):
-                            _, VXG = self.tensor(x, g)
-                            lift = eng.compose(eng.whisker_left_obj(self.simples[x].obj, up), VXG)
-                            for d, c2s in self.onb(x, g).items():
-                                cols.setdefault(d, []).extend(eng.compose(lift, c2) for c2 in c2s)
+                    for e, ups in self.trees(x, y).items():
+                        for up in ups:
+                            lift = eng.whisker_right_obj(up, self.simples[z].obj)
+                            for d, ts in self.trees(e, z).items():
+                                rows.setdefault(d, []).extend(eng.compose(lift, t) for t in ts)
+                    for g, ups in self.trees(y, z).items():
+                        for up in ups:
+                            lift = eng.whisker_left_obj(self.simples[x].obj, up)
+                            for d, ts in self.trees(x, g).items():
+                                cols.setdefault(d, []).extend(eng.compose(lift, t) for t in ts)
                     for d in self.members[(i, l)]:
                         if rows.get(d):
                             F[(lab[x], lab[y], lab[z], lab[d])] = _scalar_gram(

@@ -567,7 +567,7 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
 
 
 def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
-    """M (x)_B N: split the separability projection.
+    """M (x)_B N: split the separability projection on its own blocks.
 
     Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
     """
@@ -579,10 +579,8 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
         raise ConsistencyError("separability projection is not idempotent")
     if not within(eng.residual(eng.dagger(p), p), tol.bound(scale)):
         raise ConsistencyError("separability projection is not self-adjoint")
-    fused, u = eng.fuse(word)
-    pf = eng.compose(u, eng.compose(p, eng.dagger(u)))
-    cols = {c: split_projection(eng.block(pf, c)) for c in eng.support((fused,))}
-    Vw = eng.compose(eng.dagger(u), isometry(eng, (fused,), cols))  # (T,) -> (m, n)
+    cols = {c: split_projection(eng.block(p, c)) for c in eng.support(word)}
+    Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
     rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)
     return Bimodule(M.left, N.right, Vw.dom[0], lam, rho), Vw
@@ -725,10 +723,10 @@ def delta0_norm_identity(
     eng = N.eng
     rng = sample_rng(samples, seed)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
+    zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
     basis = bimodule_map_basis(N, M, P)
     if not basis:
-        return 0.0, (0.0, 0.0)
-    zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
+        return 0.0, zz
     # N (x) M as a 1-B bimodule, fused to one object
     fused, u = eng.fuse(N.word + M.word)
     lam = carry_left(eng.dagger(u), eng.whisker_right(N.lam, M.word), N.left)

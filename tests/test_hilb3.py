@@ -206,9 +206,33 @@ def _per_triple_f_matrices(b):
     before it assembled F from pair tensors alone: for every triple, the
     relative tensors (X (x) Y) (x) Z and X (x) (Y (x) Z), alpha = W_R^dag
     W_L between them, and each entry as the trace of C^dag alpha R over
-    dim D. Kept as the reference for f_matrices; the tensors of tensors
-    come from intalg.relative_tensor, outside the builder's cache."""
+    dim D. Kept as the reference for f_matrices. Every tensor, pair
+    tensors included, comes from intalg.relative_tensor and every basis
+    from Z.homs, outside the builder's table; a unit factor's basis is
+    the unitor (retraction V)^dag, as the builder took it before it
+    dropped the tensor of a unit factor."""
     eng = b.eng
+    pairs = {}
+
+    def pair(x, y):
+        """(T, V, onb) for x (x)_A y: onb maps each simple z to orthonormal
+        isometries z -> T."""
+        if (x, y) not in pairs:
+            X, Y = b.simples[x], b.simples[y]
+            T, V = intalg.relative_tensor(X, Y, b.tol)
+            if x in b.units:
+                onb = {y: [eng.dagger(eng.compose(intalg.left_retraction(Y), V))]}
+            elif y in b.units:
+                onb = {x: [eng.dagger(eng.compose(intalg.right_retraction(X), V))]}
+            else:
+                onb = {}
+                for z in b.members[(b.blocks[x][0], b.blocks[y][1])]:
+                    Z = b.simples[z]
+                    basis = Z.homs(T)
+                    if basis:
+                        onb[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
+            pairs[(x, y)] = T, V, onb
+        return pairs[(x, y)]
 
     def scalar(f):
         dim = sum(len(eng.basis(f.dom, c)) for c in eng.support(f.dom))
@@ -225,9 +249,9 @@ def _per_triple_f_matrices(b):
                 if j != j2 or k != k2:
                     continue
                 X, Z = b.simples[x], b.simples[z]
-                TXY, VXY = b.tensor(x, y)
+                TXY, VXY, _ = pair(x, y)
                 _, VL = intalg.relative_tensor(TXY, Z, b.tol)
-                TYZ, VYZ = b.tensor(y, z)
+                TYZ, VYZ, _ = pair(y, z)
                 _, VR = intalg.relative_tensor(X, TYZ, b.tol)
                 WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
                 WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
@@ -238,24 +262,24 @@ def _per_triple_f_matrices(b):
                             eng.dagger(VL),
                             eng.compose(
                                 eng.whisker_right_obj(r1, Z.obj),
-                                eng.compose(b.tensor(e, z)[1], r2),
+                                eng.compose(pair(e, z)[1], r2),
                             ),
                         )
                         for e in b.members[(i, k)]
-                        for r1 in b.onb(x, y).get(e, [])
-                        for r2 in b.onb(e, z).get(d, [])
+                        for r1 in pair(x, y)[2].get(e, [])
+                        for r2 in pair(e, z)[2].get(d, [])
                     ]
                     cols = [
                         eng.compose(
                             eng.dagger(VR),
                             eng.compose(
                                 eng.whisker_left_obj(X.obj, c1),
-                                eng.compose(b.tensor(x, g)[1], c2),
+                                eng.compose(pair(x, g)[1], c2),
                             ),
                         )
                         for g in b.members[(j, l)]
-                        for c1 in b.onb(y, z).get(g, [])
-                        for c2 in b.onb(x, g).get(d, [])
+                        for c1 in pair(y, z)[2].get(g, [])
+                        for c2 in pair(x, g)[2].get(d, [])
                     ]
                     if rows:
                         F[(b.labels[x], b.labels[y], b.labels[z], b.labels[d])] = np.array(
@@ -288,12 +312,12 @@ def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
 
     monkeypatch.setattr(hilb3, "relative_tensor", recording)
     F = b.f_matrices()
-    # pair tensors only: each relative tensor is of two of the builder's
-    # simples, built once and cached under their positions
-    simple = lambda M: any(M is S for S in b.simples)
-    assert built and all(simple(M) and simple(N) for M, N in built)
-    assert len(built) == len(b._tensors)
-    assert all(len(key) == 2 and set(key) <= set(range(len(b.simples))) for key in b._tensors)
+    # pair tensors only, and none with a unit factor: each relative tensor
+    # is of two of the builder's non-unit simples, each pair built once
+    position = lambda M: next(k for k, S in enumerate(b.simples) if M is S)
+    keys = [(position(M), position(N)) for M, N in built]
+    assert not {k for key in keys for k in key} & set(b.units)
+    assert len(set(keys)) == len(keys) == {"ising": 50, "fibonacci": 18}[name]
     ref = _per_triple_f_matrices(b)
     assert list(F) == list(ref)
     for key, m in F.items():

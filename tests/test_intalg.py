@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import solve_reference as ref
 from bench_families import fam
-from hstarcat import bundled, intalg
+from hstarcat import bundled, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
+from hstarcat.numcore import DEFAULT_TOL
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -119,16 +122,40 @@ def test_internal_end_comparison():
         assert intalg.internal_end_comparison(mk(eng)) < 1e-8
 
 
+# the Ising [1+p, 1], Fibonacci [t t*, 1] and TY(Z_3) [Z_3, 1] linkings
+LINKINGS = [
+    ("ising", lambda e: intalg.group_algebra(e, ("1", "p")), "1"),
+    ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1})), "1"),
+    ("ty3", lambda e: intalg.group_algebra(e, ("0", "1", "2")), "0"),
+]
+
+
 def test_relative_tensor_unitors():
-    eng = _eng("ising")
-    A = intalg.group_algebra(eng, ("1", "p"))
-    M = intalg.algebra_bimodule(A)
-    T, Vw = intalg.relative_tensor(M, M)
-    lu = eng.compose(intalg.left_retraction(M), Vw)
-    ru = eng.compose(intalg.right_retraction(M), Vw)
-    for u in (lu, ru):
-        assert eng.residual(eng.compose(u, eng.dagger(u)), eng.identity(M.word)) < 1e-9
-        assert eng.residual(eng.compose(eng.dagger(u), u), eng.identity(T.word)) < 1e-9
+    # every composable pair of a linking's simples: the split V of p is an
+    # isometry onto p, and on a unit factor V V^dag fixes the dagger of
+    # the other factor's retraction, whose composite with V is the unitor
+    units = 0
+    for name, mk, unit in LINKINGS:
+        data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
+        eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], DEFAULT_TOL, 0)
+        for x, y in itertools.product(range(len(b.simples)), repeat=2):
+            if b.blocks[x][1] != b.blocks[y][0]:
+                continue
+            X, Y = b.simples[x], b.simples[y]
+            T, Vw = intalg.relative_tensor(X, Y)
+            p = intalg.separability_projection(X, Y)
+            assert eng.residual(eng.compose(eng.dagger(Vw), Vw), eng.identity(T.word)) < 1e-13
+            assert eng.residual(eng.compose(Vw, eng.dagger(Vw)), p) < 1e-13
+            if x in b.units or y in b.units:
+                units += 1
+                ret = intalg.left_retraction(Y) if x in b.units else intalg.right_retraction(X)
+                fixed = eng.compose(Vw, eng.compose(eng.dagger(Vw), eng.dagger(ret)))
+                assert eng.residual(fixed, eng.dagger(ret)) < 1e-13
+                u = eng.compose(ret, Vw)
+                assert eng.residual(eng.compose(u, eng.dagger(u)), eng.identity(u.cod)) < 1e-9
+                assert eng.residual(eng.compose(eng.dagger(u), u), eng.identity(T.word)) < 1e-9
+    assert units == 66
 
 
 def test_delta0_zigzag_and_norm():
@@ -144,6 +171,28 @@ def test_delta0_zigzag_and_norm():
     )
     assert worst < 1e-9
     assert max(z1, z2) < 1e-9
+
+
+def test_delta0_norm_identity_reads_the_zigzags_without_maps(monkeypatch):
+    # N (x) M -> P has no bimodule map here, yet a broken dual must show
+    # in the zig-zags: a doubled coev0 doubles both zig-zag composites
+    eng = _eng("hilb_z2")
+    A = intalg.group_algebra(eng, ("1",))
+    one = intalg.group_algebra(eng, eng.data.units)
+    N = intalg.free_bimodule(one, "g", A)
+    M = intalg.free_bimodule(A, "1", A)
+    P = intalg.free_bimodule(one, "1", A)
+    assert not intalg.bimodule_map_basis(N, M, P)
+    dual = intalg.dual_bimodule_delta0
+
+    def doubled(M):
+        Md, ev0, coev0 = dual(M)
+        return Md, ev0, eng.scale(2.0, coev0)
+
+    monkeypatch.setattr(intalg, "dual_bimodule_delta0", doubled)
+    worst, zz = intalg.delta0_norm_identity(N, M, P)
+    assert worst == 0.0
+    assert zz == pytest.approx((1.0, 1.0))
 
 
 def test_not_projection_raised():

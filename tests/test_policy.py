@@ -142,15 +142,18 @@ def test_bound_factor_lint_catches_a_bare_literal():
     assert not _bare_bound_factors("x = 2 * y")
 
 
-# routines that only their one caller may call, as module.function
+# routines that only their named callers may call, as module.function:
+# relative_tensor builds the linking's pair tensors (never one with a
+# unit factor, never a tensor of a tensor) and the pair of a split monad
 ONE_CALLER = {
-    "spectral_pieces": "intalg.split_summands",
+    "spectral_pieces": {"intalg.split_summands"},
+    "relative_tensor": {"hilb3._LinkingBuilder.trees", "hilb3.split_monad"},
 }
 
 
 def _misplaced_calls(source: str, module: str):
     """(line, message) for each call of a ONE_CALLER routine made outside
-    its caller; the scope of a call is the chain of defs around it."""
+    its callers; the scope of a call is the chain of defs around it."""
     out = []
 
     def visit(node, scope):
@@ -160,7 +163,7 @@ def _misplaced_calls(source: str, module: str):
                 inner = f"{scope}.{child.name}"
             if isinstance(child, ast.Call):
                 name = _name(child.func)
-                if name in ONE_CALLER and ONE_CALLER[name] != scope:
+                if name in ONE_CALLER and scope not in ONE_CALLER[name]:
                     out.append((child.lineno, f"{name} called in {scope}"))
             visit(child, inner)
 
@@ -184,6 +187,10 @@ def test_one_caller_lint_catches_a_second_caller():
     assert _misplaced_calls("class M:\n    def homs(self):\n        return spectral_pieces(a)", "intalg")
     assert _misplaced_calls("pieces = spectral_pieces(eng, word, comm, rng)", "intalg")
     assert not _misplaced_calls("def split_summands(F):\n    return spectral_pieces(F)", "intalg")
+    builder = "class _LinkingBuilder:\n    def {}(self):\n        return relative_tensor(X, Y, tol)"
+    assert _misplaced_calls(builder.format("f_matrices"), "hilb3")
+    assert not _misplaced_calls(builder.format("trees"), "hilb3")
+    assert not _misplaced_calls("def split_monad(B):\n    return relative_tensor(M, Md)", "hilb3")
 
 
 # the solver routines: no module defines or calls them, since hom spaces
