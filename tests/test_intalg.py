@@ -134,7 +134,7 @@ def test_relative_tensor_unitors():
     # every composable pair of a linking's simples: the split V of p is an
     # isometry onto p, and on a unit factor V V^dag fixes the dagger of
     # the other factor's retraction, whose composite with V is the unitor
-    units = 0
+    units = checked = 0
     for name, mk, unit in LINKINGS:
         data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
         eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
@@ -147,15 +147,18 @@ def test_relative_tensor_unitors():
             p = intalg.separability_projection(X, Y)
             assert eng.residual(eng.compose(eng.dagger(Vw), Vw), eng.identity(T.word)) < 1e-13
             assert eng.residual(eng.compose(Vw, eng.dagger(Vw)), p) < 1e-13
-            if x in b.units or y in b.units:
-                units += 1
-                ret = intalg.left_retraction(Y) if x in b.units else intalg.right_retraction(X)
+            rets = [intalg.left_retraction(Y)] if x in b.units else []
+            rets += [intalg.right_retraction(X)] if y in b.units else []
+            units += bool(rets)
+            for ret in rets:
+                checked += 1
                 fixed = eng.compose(Vw, eng.compose(eng.dagger(Vw), eng.dagger(ret)))
                 assert eng.residual(fixed, eng.dagger(ret)) < 1e-13
                 u = eng.compose(ret, Vw)
                 assert eng.residual(eng.compose(u, eng.dagger(u)), eng.identity(u.cod)) < 1e-9
                 assert eng.residual(eng.compose(eng.dagger(u), u), eng.identity(T.word)) < 1e-9
-    assert units == 66
+    # both unitors on the 6 unit-unit pairs A (x)_A A, one on the other 60
+    assert (units, checked) == (66, 72)
 
 
 def test_delta0_zigzag_and_norm():
