@@ -335,7 +335,7 @@ def _cmd_fusion_udf(args):
             for c in data.simples
             for side, u in (("L", data.s(c)), ("R", data.t(c)))
         )
-        bound = args.tolerance.bound(max(udf.dims.values()))
+        bound = eng.tol.bound(max(udf.dims.values()))
         rep.add("loops", bounded("loop_gap", gap, bound, "loop normalization"))
         rep.add_values({"dims": {c: udf.d(c) for c in data.simples}})
     return rep.finish(args.out)
@@ -363,7 +363,7 @@ def _cmd_alg_verify(args):
     from . import intalg
 
     _, A, _, rep = _algebra_run(args)
-    rep.add("hstar_algebra", intalg.verify_hstar(A, args.tolerance))
+    rep.add("hstar_algebra", intalg.verify_hstar(A))
     return rep.finish(args.out)
 
 
@@ -378,8 +378,8 @@ def _cmd_alg_standardize(args):
     special = eng.residual(
         eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
     )
-    rep.add("specialness", bounded("mu_mu_dag", special, args.tolerance.bound(), "specialness"))
-    rep.add("hstar_algebra", intalg.verify_hstar(S, args.tolerance))
+    rep.add("specialness", bounded("mu_mu_dag", special, eng.tol.bound(), "specialness"))
+    rep.add("hstar_algebra", intalg.verify_hstar(S))
     return rep.finish(args.out)
 
 
@@ -387,10 +387,10 @@ def _cmd_alg_modcat(args):
     from . import intalg
 
     eng, A, _, rep = _algebra_run(args)
-    cert = intalg.verify_hstar(A, args.tolerance)
+    cert = intalg.verify_hstar(A)
     rep.add("hstar_algebra", cert)
     if cert.ok:
-        mc = intalg.module_category(eng, A, args.tolerance, args.seed)
+        mc = intalg.module_category(eng, A, seed=args.seed)
         if not mc.certificate.ok:
             rep.add("module_category", mc.certificate)
         rep.add_values(
@@ -402,12 +402,12 @@ def _cmd_alg_modcat(args):
 def _cmd_alg_intend(args):
     from . import intalg
 
-    _, A, _, rep = _algebra_run(args)
-    cert = intalg.verify_hstar(A, args.tolerance)
+    eng, A, _, rep = _algebra_run(args)
+    cert = intalg.verify_hstar(A)
     rep.add("hstar_algebra", cert)
     if cert.ok:
         defect = intalg.internal_end_comparison(A)
-        bound = args.tolerance.bound() * INTERNAL_END_FACTOR
+        bound = eng.tol.bound() * INTERNAL_END_FACTOR
         rep.add(
             "internal_end",
             bounded("comparison_unitarity", defect, bound, "internal-end comparison"),
@@ -424,11 +424,9 @@ def _cmd_deligne_check(args):
     m_objects = [eng.simple_obj(c) for c in eng.data.simples]
     rep.add(
         "right_action",
-        deligne.right_action_isometry(
-            mside, eng, m_objects, samples=5, seed=args.seed, tol=args.tolerance
-        ),
+        deligne.right_action_isometry(mside, eng, m_objects, samples=5, seed=args.seed),
     )
-    rep.add("ladder_trace", deligne.ladder_traciality(eng, 5, args.seed, args.tolerance))
+    rep.add("ladder_trace", deligne.ladder_traciality(eng, 5, args.seed))
     return rep.finish(args.out)
 
 
@@ -438,16 +436,10 @@ def _cmd_h3_complete(args):
     eng, digest, name = _fusion_engine(args, args.paths[0])
     rep = Report(args, {name: digest})
     X = hilb3.delooping(eng)
-    rep.add(
-        "sphericality",
-        hilb3.presentation_sphericality(X, seed=args.seed, tol=args.tolerance),
-    )
+    rep.add("sphericality", hilb3.presentation_sphericality(X, seed=args.seed))
     Xs = hilb3.hilbert_sum_completion(X)
     S = hilb3.sum_object(Xs, list(eng.data.units) + [eng.data.units[0]])
-    rep.add(
-        "hilbert_sum",
-        hilb3.certify_hilbert_sum(Xs, S, seed=args.seed, tol=args.tolerance),
-    )
+    rep.add("hilbert_sum", hilb3.certify_hilbert_sum(Xs, S, seed=args.seed))
     return rep.finish(args.out)
 
 
@@ -455,7 +447,7 @@ def _cmd_h3_split_monad(args):
     from . import hilb3
 
     _, B, _, rep = _algebra_run(args)
-    split = hilb3.split_monad(B, args.tolerance)
+    split = hilb3.split_monad(B)
     rep.add("split_monad", split.certificate)
     return rep.finish(args.out)
 

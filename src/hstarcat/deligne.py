@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import Certificate, bounded
 from .diagram import Engine, Mor
-from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, sample_rng, worst
+from .numcore import InputError, ShapeMismatch, sample_rng, worst
 
 
 # --- module sides -------------------------------------------------------
@@ -312,12 +312,7 @@ def _action_form(mside, L: LadderObject) -> np.ndarray:
 
 
 def right_action_isometry(
-    mside,
-    eng: Engine,
-    m_objects,
-    samples: int = 20,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    mside, eng: Engine, m_objects, samples: int = 20, seed: int = 0
 ) -> Certificate:
     """Compare the ladder trace on endos of m (x) c with the module trace
     of their image under the action functor; both are linear in the
@@ -339,7 +334,7 @@ def right_action_isometry(
             z = _coefficients(rng, (samples, len(w1)))
             gaps += np.abs(z @ w1 - z @ w2).tolist()
     details = {"samples": len(gaps)}
-    return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
+    return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", details)
 
 
 TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
@@ -357,9 +352,7 @@ def _trace_form(L: LadderObject) -> np.ndarray:
     return _eng(L).derived(("trace_form", L.m, L.n), build)
 
 
-def ladder_traciality(
-    eng: Engine, samples: int, seed: int, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
+def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
     """tr(F G) against tr(G F) on sampled endos of each c (x) c of the
     regular ladder category, all samples of one c (x) c against its trace
     form at once. Both traces sum the same products zF_i zG_j, formed once
@@ -375,4 +368,4 @@ def ladder_traciality(
         z = _coefficients(rng, (samples, 2, len(K)))
         P = z[:, 0, :, None] * z[:, 1, None, :]
         gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
-    return bounded("traciality", worst(gaps), tol.bound(TRACE_SCALE), "traciality")
+    return bounded("traciality", worst(gaps), eng.tol.bound(TRACE_SCALE), "traciality")

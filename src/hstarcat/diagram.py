@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import InputError, ShapeMismatch
+from .numcore import DEFAULT_TOL, InputError, ShapeMismatch
 
 _UNBUILT = object()  # Engine.derived's mark for a key not built yet
 
@@ -59,9 +59,14 @@ def _nonzero(blocks) -> dict:
 
 
 class Engine:
-    def __init__(self, data, udf):
+    """Morphisms over data under the dual functor udf, and the tolerance
+    tol that every check on them reads; fusion.dual_engine builds it with
+    a command's tolerance."""
+
+    def __init__(self, data, udf, tol=DEFAULT_TOL):
         self.data = data
         self.udf = udf
+        self.tol = tol
         self._basis = {}
         self._index = {}
         self._support = {}

@@ -702,7 +702,7 @@ class UdfData:
 
 def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL) -> Engine:
     """The diagram engine of data with the unique unitary dual functor
-    for which psi is spherical.
+    for which psi is spherical, carrying tol for every check on it.
 
     d_c = sqrt(psi_{s(c)} psi_{t(c)}) FPdim(c), forced by the constraint
     chain d_{s(c)} dim_L(c) = d_c = d_{t(c)} dim_R(c) and the weight
@@ -724,7 +724,7 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     )
     if not within(chain, tol.bound()):
         raise ConsistencyError(f"dimension chain residual {chain}")
-    eng = Engine(data, udf)
+    eng = Engine(data, udf, tol)
     for c in data.simples:
         beta = float(np.sqrt(udf.dims[c] / udf.dims[data.s(c)]))
         theta = eng.zigzag_scalar(c)

@@ -160,10 +160,7 @@ def monad_psi(A: AlgebraObject, f: Mor) -> complex:
 
 
 def presentation_sphericality(
-    X: Pre3HilbPresentation,
-    samples: int = 5,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    X: Pre3HilbPresentation, samples: int = 5, seed: int = 0
 ) -> Certificate:
     """Sampled left/right closed-loop agreement for 1-morphisms between
     the engine-backed objects of the presentation.
@@ -189,7 +186,7 @@ def presentation_sphericality(
         right = eng.psi_of_unit_endo(eng.trace_right(f))
         gaps.append(abs(left - right))
     scale = 1.0 + eng.udf.psi.total()
-    return bounded("sphericality", worst(gaps), tol.bound(scale), "sphericality")
+    return bounded("sphericality", worst(gaps), eng.tol.bound(scale), "sphericality")
 
 
 # --- Hilbert direct sum completion -------------------------------------
@@ -232,11 +229,7 @@ def sum_isometries(X: Pre3HilbPresentation, S: SumObject):
 
 
 def certify_hilbert_sum(
-    X: Pre3HilbPresentation,
-    S: SumObject,
-    samples: int = 5,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    X: Pre3HilbPresentation, S: SumObject, samples: int = 5, seed: int = 0
 ) -> Certificate:
     """Resolution of the identity by the coordinate inclusions and
     additivity of Psi over the summands."""
@@ -264,8 +257,8 @@ def certify_hilbert_sum(
     return judged(
         {"resolution": res_defect, "additivity": worst(gaps)},
         [
-            ("resolution", tol.bound() * RESOLUTION_FACTOR, "direct-sum resolution"),
-            ("additivity", tol.bound(scale), "Psi additivity"),
+            ("resolution", eng.tol.bound() * RESOLUTION_FACTOR, "direct-sum resolution"),
+            ("additivity", eng.tol.bound(scale), "Psi additivity"),
         ],
     )
 
@@ -273,13 +266,11 @@ def certify_hilbert_sum(
 # --- H*-monad completion -----------------------------------------------
 
 
-def hstar_monad_completion(
-    X: Pre3HilbPresentation, algebras, tol: Tolerance = DEFAULT_TOL
-) -> Pre3HilbPresentation:
+def hstar_monad_completion(X: Pre3HilbPresentation, algebras) -> Pre3HilbPresentation:
     """Adjoin certified H*-monads (REJECTed algebras raise)."""
     objects = list(X.objects)
     for A in algebras:
-        cert = verify_hstar(A, tol)
+        cert = verify_hstar(A)
         if not cert.ok:
             raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
         objects.append(MonadObject(A))
@@ -312,10 +303,9 @@ class _LinkingBuilder:
     the positions of the algebras themselves, and members[(i, j)] the
     positions of block (i, j). The table is keyed by pairs of positions."""
 
-    def __init__(self, eng: Engine, algebras, tol: Tolerance, seed: int):
+    def __init__(self, eng: Engine, algebras, *, seed: int):
         self.eng = eng
         self.algebras = list(algebras)
-        self.tol = tol
         self._trees = {}
         self.simples, self.blocks, self.labels, self.units = [], [], [], []
         self.members = {}
@@ -324,14 +314,14 @@ class _LinkingBuilder:
         if any(len(unit_summands(A)) > 1 for A in self.algebras):
             raise InputError("a linking needs algebras with one unit summand each")
         for A in self.algebras:
-            cert = verify_hstar(A, tol)
+            cert = verify_hstar(A)
             if not cert.ok:
                 raise InputError(f"algebra fails H* certification: {cert.failed_axiom}")
         n = len(self.algebras)
         for i, j in itertools.product(range(n), range(n)):
             frees = free_bimodules(self.algebras[i], self.algebras[j])
             for c, F in frees.items():
-                if not within(verify_bimodule(F), tol.bound() * FREE_BIMODULE_FACTOR):
+                if not within(verify_bimodule(F), eng.tol.bound() * FREE_BIMODULE_FACTOR):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
             found = summand_classes(frees.values(), seed)
             start = len(self.simples)
@@ -368,7 +358,7 @@ class _LinkingBuilder:
         elif y in self.units:
             out = {x: [eng.dagger(right_retraction(X))]}
         else:
-            T, Vw = relative_tensor(X, Y, self.tol)
+            T, Vw = relative_tensor(X, Y)
             # homs gives a basis orthonormal in tr(g^dag f); out of a simple
             # Z, g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
             out = {}
@@ -462,16 +452,11 @@ class _LinkingBuilder:
         return data, weight
 
 
-def algebra_linking(
-    eng: Engine, algebras, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-):
-    builder = _LinkingBuilder(eng, algebras, tol, seed)
-    return builder.fusion_data()
+def algebra_linking(eng: Engine, algebras, *, seed: int = 0):
+    return _LinkingBuilder(eng, algebras, seed=seed).fusion_data()
 
 
-def linking_e1(
-    X: Pre3HilbPresentation, a, b, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-):
+def linking_e1(X: Pre3HilbPresentation, a, b, *, seed: int = 0):
     """The 2x2 linking multifusion category of a pair of objects, with
     its weight; a delooping object 1_u enters as the trivial algebra on
     u. An algebra with more than one unit summand is an input error. The
@@ -484,8 +469,8 @@ def linking_e1(
             algs.append(group_algebra(X.eng, (obj.unit,)))
         else:
             raise TypeError(f"unsupported linking operand: {obj!r}")
-    data, weight = algebra_linking(X.eng, algs, tol, seed)
-    cert = validate(data, tol)
+    data, weight = algebra_linking(X.eng, algs, seed=seed)
+    cert = validate(data, X.eng.tol)
     if not cert.ok:
         raise ConsistencyError(f"assembled linking data fails validation: {cert.failed_axiom}")
     return data, weight, cert
@@ -512,9 +497,7 @@ class MonadSplitting:
     certificate: Certificate
 
 
-def split_monad(
-    B: AlgebraObject, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> MonadSplitting:
+def split_monad(B: AlgebraObject, *, seed: int = 0) -> MonadSplitting:
     """Split the monad B over the trivial algebra: exhibit B as
     X (x)_B X^dual for X = B as a (1, B) bimodule, with a certified
     unitary algebra isomorphism u. A B that fails H* certification is
@@ -522,7 +505,7 @@ def split_monad(
     unused: the splitting draws nothing."""
     eng = B.eng
     unit = unit_summands(B)[0]
-    cert0 = verify_hstar(B, tol)
+    cert0 = verify_hstar(B)
     if not cert0.ok:
         return MonadSplitting(B, None, None, None, None, None, cert0)
     A = group_algebra(eng, (unit,))
@@ -530,7 +513,7 @@ def split_monad(
     # nothing takes homs out of it, so it needs no head
     M = Bimodule(A, B, B.obj, eng.left_unitor(A.obj, B.word), B.mu)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
-    T, Vw = relative_tensor(M, Md, tol)
+    T, Vw = relative_tensor(M, Md)
     m, md = M.obj, Md.obj
     # ev0 ev0^dag is a positive scalar on the connected algebra B; the
     # scalar normalizes the middle contraction of the pair monad
@@ -567,7 +550,7 @@ def split_monad(
         "ev_normalization": ev_norm,
     }
     # the largest failing residual names the axiom, a NaN before any number
-    bound = tol.bound(1.0 + eng.l2_norm(u))
+    bound = eng.tol.bound(1.0 + eng.l2_norm(u))
     order = sorted(resid, key=lambda k: -resid[k] if resid[k] == resid[k] else -np.inf)
     cert = judged(resid, [(k, bound, k) for k in order])
     pair = Bimodule(A, A, T.obj, T.lam, T.rho)
@@ -577,19 +560,14 @@ def split_monad(
 # --- weight on module categories and the comparison --------------------
 
 
-def weight_mod_dagger(
-    eng: Engine,
-    A: AlgebraObject,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-):
+def weight_mod_dagger(eng: Engine, A: AlgebraObject, *, seed: int = 0):
     """Psi on module natural endomorphisms of id over the category of
     A-modules at the identity: sum of d_m^2, with the per-component
     rescaling by the reciprocal of the renormalization value."""
-    mc = module_category(eng, A, tol, seed)
+    mc = module_category(eng, A, seed=seed)
     dims = list(mc.dims)
     raw = sum(d * d for d in dims)
-    _, prefactors = renorm_scalar(eng.udf, tol)
+    _, prefactors = renorm_scalar(eng.udf, eng.tol)
     # modules over an algebra in one component rescale uniformly
     pre = prefactors[unit_summands(A)[0]]
     return {
@@ -616,7 +594,7 @@ def theorem_b_check(
     psi1 = psi.of_unit(data, u1)
     A = group_algebra(eng, (u1,))
     lhs = monad_psi(A, A.identity()).real
-    modules = weight_mod_dagger(eng, A, tol=tol, seed=seed)
+    modules = weight_mod_dagger(eng, A, seed=seed)
     if not modules["certificate"].ok:
         return modules["certificate"]
     rhs = modules["rescaled"].real
@@ -652,7 +630,7 @@ def gauge_uaf(eng: Engine, phases: dict):
     return out
 
 
-def _candidate_sphericality(eng: Engine, cand, tol: Tolerance) -> float:
+def _candidate_sphericality(eng: Engine, cand) -> float:
     gaps = []
     for c, (ev, coev) in cand.items():
         left = eng.psi_of_unit_endo(eng.compose(ev, eng.dagger(ev)))
@@ -661,15 +639,13 @@ def _candidate_sphericality(eng: Engine, cand, tol: Tolerance) -> float:
     return worst(gaps)
 
 
-def uaf_uniqueness_check(
-    eng: Engine, cand1, cand2, tol: Tolerance = DEFAULT_TOL
-) -> Certificate:
+def uaf_uniqueness_check(eng: Engine, cand1, cand2) -> Certificate:
     """Compare two adjoint-family candidates: after checking each makes
     the loop traces spherical, the mixed comparison cup composite must
     be unitary on every generator."""
     for name, cand in (("first", cand1), ("second", cand2)):
-        defect = _candidate_sphericality(eng, cand, tol)
-        if not within(defect, tol.bound()):
+        defect = _candidate_sphericality(eng, cand)
+        if not within(defect, eng.tol.bound()):
             raise InputError(
                 f"{name} candidate has loop asymmetry {defect:.3e}"
             )
@@ -683,5 +659,5 @@ def uaf_uniqueness_check(
             eng.whisker_left((cb,), coev2),
         )
         residuals[f"zeta[{c}]"] = _unitarity_residual(eng, zeta)
-    return judged(residuals, [(k, tol.bound(), "comparison unitarity") for k in residuals])
+    return judged(residuals, [(k, eng.tol.bound(), "comparison unitarity") for k in residuals])
 

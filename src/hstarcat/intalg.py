@@ -44,11 +44,9 @@ import numpy as np
 from .certify import Certificate, clears, judged, within
 from .diagram import Engine, Mor
 from .numcore import (
-    DEFAULT_TOL,
     ConsistencyError,
     InputError,
     ShapeMismatch,
-    Tolerance,
     row_space,
     sample_rng,
     split_projection,
@@ -63,7 +61,7 @@ CONDITION_CUT = 1e12
 CLUSTER_GAP = 1e-6
 
 
-def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> Mor:
+def endo_power(eng: Engine, f: Mor, r: float) -> Mor:
     """f^r for a positive invertible chargewise-Hermitian endomorphism.
 
     Rejects inputs whose condition number exceeds the separability cut.
@@ -77,7 +75,7 @@ def endo_power(eng: Engine, f: Mor, r: float, tol: Tolerance = DEFAULT_TOL) -> M
         if b.size == 0:
             continue
         h = (b + b.conj().T) / 2
-        if not within(np.linalg.norm(b - h), tol.bound(np.linalg.norm(b))):
+        if not within(np.linalg.norm(b - h), eng.tol.bound(np.linalg.norm(b))):
             raise InputError(f"non-hermitian block at charge {c}")
         vals, vecs = np.linalg.eigh(h)
         vals_all.extend(vals.tolist())
@@ -165,9 +163,7 @@ def pair_algebra(eng: Engine, O) -> AlgebraObject:
     return AlgebraObject(eng, A, mu, iota)
 
 
-def verify_hstar(
-    A: AlgebraObject, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> Certificate:
+def verify_hstar(A: AlgebraObject, *, seed: int = 0) -> Certificate:
     """Certify unitality, associativity, and the H* axioms. seed is
     unused: every check is exhaustive.
 
@@ -224,13 +220,14 @@ def verify_hstar(
                 )
                 gaps.append(abs(t1 - t2))
     residuals["standardness"] = worst(gaps)
+    bound = eng.tol.bound()
     checks = [
-        ("unitality", tol.bound(), "unitality"),
-        ("associativity", tol.bound(), "associativity"),
-        ("frobenius", tol.bound(), "H*1-frobenius"),
-        ("separability_min_eig", tol.bound(), "H*2-separability", clears),
+        ("unitality", bound, "unitality"),
+        ("associativity", bound, "associativity"),
+        ("frobenius", bound, "H*1-frobenius"),
+        ("separability_min_eig", bound, "H*2-separability", clears),
         ("condition", CONDITION_CUT, "H*2-separability"),
-        ("standardness", tol.bound(), "H*3-standardness"),
+        ("standardness", bound, "H*3-standardness"),
     ]
     return judged(residuals, checks, {"condition": cond})
 
@@ -379,9 +376,7 @@ def summand_classes(frees, seed: int = 0):
     return found
 
 
-def module_category(
-    eng: Engine, A: AlgebraObject, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> ModuleCategory:
+def module_category(eng: Engine, A: AlgebraObject, *, seed: int = 0) -> ModuleCategory:
     """Enumerate simple right A-modules by splitting the free modules
     c (x) A, as the free 1-A bimodules 1 (x) c (x) A."""
     one = group_algebra(eng, eng.data.units)
@@ -389,7 +384,7 @@ def module_category(
     # module dimensions scale with the unit weights, and so does their cut;
     # like the separability margin, a dimension that does not clear it
     # REJECTs on its own axiom
-    cut = tol.bound() * min(eng.udf.psi.psi)
+    cut = eng.tol.bound() * min(eng.udf.psi.psi)
     dims = [module_trace(M, eng.identity(M.word)).real for M in simples]
     least = float(np.min(dims))
     cert = judged(
@@ -566,7 +561,7 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
     return eng.compose(s3, eng.compose(s2, s1))
 
 
-def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
+def relative_tensor(M: Bimodule, N: Bimodule):
     """M (x)_B N: split the separability projection on its own blocks.
 
     Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
@@ -574,12 +569,12 @@ def relative_tensor(M: Bimodule, N: Bimodule, tol: Tolerance = DEFAULT_TOL):
     eng = M.eng
     p = separability_projection(M, N)
     word = M.word + N.word
-    scale = eng.l2_norm(p)
-    if not within(eng.residual(eng.compose(p, p), p), tol.bound(scale)):
+    bound = eng.tol.bound(eng.l2_norm(p))
+    if not within(eng.residual(eng.compose(p, p), p), bound):
         raise ConsistencyError("separability projection is not idempotent")
-    if not within(eng.residual(eng.dagger(p), p), tol.bound(scale)):
+    if not within(eng.residual(eng.dagger(p), p), bound):
         raise ConsistencyError("separability projection is not self-adjoint")
-    cols = {c: split_projection(eng.block(p, c)) for c in eng.support(word)}
+    cols = {c: split_projection(eng.block(p, c), eng.tol) for c in eng.support(word)}
     Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
     rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)

@@ -15,7 +15,10 @@ schema keyword.
 The tolerance policy: a bound is tol.bound(scale), possibly times a
 fixed factor, and a residual passes it iff residual <= bound
 (certify.within), so a NaN residual fails. Residuals are folded with
-worst, which keeps a NaN that Python's max would drop.
+worst, which keeps a NaN that Python's max would drop. A command's
+tolerance lives on its one engine (fusion.dual_engine stores it as
+Engine.tol), and every check on that engine's morphisms reads it there;
+functions that run before an engine exists or without one take tol.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise InputError("tolerances must be nonnegative")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise InputError("tolerances must be finite and nonnegative")
 
     def bound(self, scale: float = 1.0) -> float:
         return self.eps + self.eps * abs(scale)

@@ -8,7 +8,7 @@ from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL, InputError
+from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, split_projection
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -219,7 +219,7 @@ def _per_triple_f_matrices(b):
         isometries z -> T."""
         if (x, y) not in pairs:
             X, Y = b.simples[x], b.simples[y]
-            T, V = intalg.relative_tensor(X, Y, b.tol)
+            T, V = intalg.relative_tensor(X, Y)
             if x in b.units:
                 onb = {y: [eng.dagger(eng.compose(intalg.left_retraction(Y), V))]}
             elif y in b.units:
@@ -250,9 +250,9 @@ def _per_triple_f_matrices(b):
                     continue
                 X, Z = b.simples[x], b.simples[z]
                 TXY, VXY, _ = pair(x, y)
-                _, VL = intalg.relative_tensor(TXY, Z, b.tol)
+                _, VL = intalg.relative_tensor(TXY, Z)
                 TYZ, VYZ, _ = pair(y, z)
-                _, VR = intalg.relative_tensor(X, TYZ, b.tol)
+                _, VR = intalg.relative_tensor(X, TYZ)
                 WL = eng.compose(eng.whisker_right_obj(VXY, Z.obj), VL)
                 WR = eng.compose(eng.whisker_left_obj(X.obj, VYZ), VR)
                 alpha = eng.compose(eng.dagger(WR), WL)
@@ -303,12 +303,12 @@ def _per_triple_f_matrices(b):
 )
 def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
     eng = _eng(name)
-    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, ("1",))], DEFAULT_TOL, 0)
+    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, ("1",))], seed=0)
     built = []
 
-    def recording(M, N, tol):
+    def recording(M, N):
         built.append((M, N))
-        return intalg.relative_tensor(M, N, tol)
+        return intalg.relative_tensor(M, N)
 
     monkeypatch.setattr(hilb3, "relative_tensor", recording)
     F = b.f_matrices()
@@ -352,6 +352,31 @@ def test_nan_unitarity_residual_rejects_on_its_axiom(monkeypatch):
     # split_monad names its largest residual; a NaN counts as the largest
     split = hilb3.split_monad(intalg.group_algebra(eng, ("1", "p")))
     assert (split.certificate.ok, split.certificate.failed_axiom) == (False, "u_unitarity")
+
+
+def test_split_monad_splits_at_the_engine_tolerance(monkeypatch):
+    # every projection split of the relative tensor gets the engine's tol
+    data = bundled.load("hilb_z2")
+    tol = Tolerance(1e-6)
+    eng = fusion.dual_engine(data, SphericalWeight((1.0,)), tol)
+    seen = []
+
+    def recording(p, t):
+        seen.append(t)
+        return split_projection(p, t)
+
+    monkeypatch.setattr(intalg, "split_projection", recording)
+    assert hilb3.split_monad(intalg.group_algebra(eng, ("1", "g"))).certificate.ok
+    assert seen and all(t is tol for t in seen)
+
+
+def test_split_monad_takes_no_positional_tolerance():
+    eng = _eng("hilb_z2")
+    B = intalg.group_algebra(eng, ("1", "g"))
+    with pytest.raises(TypeError):
+        hilb3.split_monad(B, DEFAULT_TOL)
+    with pytest.raises(TypeError):
+        hilb3.weight_mod_dagger(eng, B, DEFAULT_TOL)
 
 
 def test_split_monad_without_unit_summand_is_a_value_error():
@@ -401,7 +426,7 @@ def _solved_linking(monkeypatch, eng, algebras):
     intalg.dual_bimodule_delta0. Returns the builder, its N and duals."""
     with monkeypatch.context() as m:
         m.setattr(intalg.Bimodule, "homs", solve_reference.bimodule_homs)
-        b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+        b = hilb3._LinkingBuilder(eng, algebras, seed=0)
         N = b.fusion_mults()
         dual = {}
         for x, (i, j) in enumerate(b.blocks):
@@ -442,7 +467,7 @@ def test_module_category_is_a_linking_block(name, mk):
     eng = _eng(name)
     A = mk(eng)
     mc = intalg.module_category(eng, A)
-    b = hilb3._LinkingBuilder(eng, [intalg.group_algebra(eng, ("1",)), A], DEFAULT_TOL, 0)
+    b = hilb3._LinkingBuilder(eng, [intalg.group_algebra(eng, ("1",)), A], seed=0)
     block = [b.simples[k] for k in b.members[(0, 1)]]
     assert [M.obj for M in block] == [M.obj for M in mc.simples]
     dims = [intalg.module_trace(M, eng.identity(M.word)).real for M in block]
@@ -465,7 +490,7 @@ def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
     algebras = [
         intalg.group_algebra(eng, (o,)) if isinstance(o, str) else o(eng) for o in objects
     ]
-    b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+    b = hilb3._LinkingBuilder(eng, algebras, seed=0)
     for X in b.simples:
         assert X.head is not None
         gap = eng.residual(eng.compose(eng.dagger(X.head), X.head), eng.identity(X.word))
@@ -486,7 +511,7 @@ def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, 
     eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
     algebras = [mk(eng), intalg.group_algebra(eng, (unit,))]
     ref, ref_N, ref_dual = _solved_linking(monkeypatch, eng, algebras)
-    b = hilb3._LinkingBuilder(eng, algebras, DEFAULT_TOL, 0)
+    b = hilb3._LinkingBuilder(eng, algebras, seed=0)
     # each simple is isomorphic to exactly one solved simple of its block
     perm = {}
     for x, X in enumerate(b.simples):

@@ -7,8 +7,8 @@ import solve_reference as ref
 from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
 from hstarcat.diagram import Engine
-from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL
+from hstarcat.fusion import SphericalWeight, dual_engine, udf_from_weight
+from hstarcat.numcore import InputError, Tolerance
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -24,6 +24,34 @@ def _free_module(A, c):
     over the tensor unit 1."""
     one = intalg.group_algebra(A.eng, A.eng.data.units)
     return intalg.free_bimodule(one, c, A)
+
+
+def test_endo_power_reads_the_engine_tolerance():
+    # the Hermitian check on a bubble power runs at the engine's tolerance:
+    # a 1e-7 anti-Hermitian part fails at 1e-12 and passes at 1e-3
+    data = bundled.load("hilb_z2")
+    rng = np.random.default_rng(0)
+    K = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    block = np.eye(2) + 1e-7 * (K - K.conj().T)
+
+    def power(eps):
+        eng = dual_engine(data, SphericalWeight((1.0,)), Tolerance(eps))
+        O = eng.obj({"1": 2})
+        return intalg.endo_power(eng, eng.mor((O,), (O,), {"1": block}), 0.5)
+
+    with pytest.raises(InputError, match="non-hermitian"):
+        power(1e-12)
+    power(1e-3)
+
+
+def test_seed_is_keyword_only_where_tol_was():
+    # a stale positional tolerance is a TypeError, not a silent seed
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1",))
+    with pytest.raises(TypeError):
+        intalg.verify_hstar(A, Tolerance(1e-3))
+    with pytest.raises(TypeError):
+        intalg.module_category(eng, A, Tolerance(1e-3))
 
 
 def test_trivial_algebra_is_hstar():
@@ -138,7 +166,7 @@ def test_relative_tensor_unitors():
     for name, mk, unit in LINKINGS:
         data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
         eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
-        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], DEFAULT_TOL, 0)
+        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], seed=0)
         for x, y in itertools.product(range(len(b.simples)), repeat=2):
             if b.blocks[x][1] != b.blocks[y][0]:
                 continue

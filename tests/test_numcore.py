@@ -25,6 +25,13 @@ def test_tolerance_bound():
         Tolerance(-1.0)
 
 
+def test_tolerance_rejects_nan_and_infinity_at_construction():
+    # nan < 0 is false, and an infinite eps bounds every finite residual
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            Tolerance(bad)
+
+
 def test_split_projection():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))

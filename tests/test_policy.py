@@ -20,7 +20,9 @@ benchmark, not by its own unit test alone. Lint for the failure kinds: the
 package defines one exception class per kind, all in numcore.py. Lint for
 the bound factors: no bare number scales a .bound( call. Lint for the
 sampled checks: every function that takes a samples count is shown to
-refuse a count below one."""
+refuse a count below one. Lint for the one tolerance per engine: no
+function that takes an engine-backed object also takes a tol; it reads
+the engine's."""
 
 import ast
 import builtins
@@ -310,6 +312,38 @@ def test_engine_lint_catches_a_stray_construction():
     assert _direct_engine_calls("def g(data, udf):\n    return diagram.Engine(data, udf)")
     assert not _direct_engine_calls("eng = dual_engine(data, psi, tol)")
     assert not _direct_engine_calls("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf")
+
+
+# parameter annotations that bring an engine, whose tol every check reads
+ENGINE_BACKED = {"Engine", "AlgebraObject", "Bimodule", "Pre3HilbPresentation"}
+
+
+def _tol_beside_engine(source: str):
+    """Names of the functions with a parameter called tol beside one
+    annotated as an engine-backed object."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCS):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            kinds = {_name(a.annotation) for a in params if a.annotation is not None}
+            if any(a.arg == "tol" for a in params) and kinds & ENGINE_BACKED:
+                out.append(node.name)
+    return out
+
+
+def test_checks_read_the_tolerance_from_the_engine():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}: {f}" for f in _tol_beside_engine(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def test_tolerance_lint_catches_a_tol_beside_an_engine():
+    assert _tol_beside_engine("def f(eng: Engine, tol=DEFAULT_TOL):\n    pass")
+    assert _tol_beside_engine("def g(A: AlgebraObject, tol):\n    pass")
+    assert _tol_beside_engine("def h(M: intalg.Bimodule, *, tol):\n    pass")
+    assert not _tol_beside_engine("def validate(data: FusionData, tol):\n    pass")
+    assert not _tol_beside_engine("def theorem_b_check(data, psi, tol, seed):\n    pass")
 
 
 # the cup and cap coefficients of the dual functor: read in one place, so
