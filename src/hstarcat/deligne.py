@@ -7,6 +7,16 @@ channels with a d_j^{-1} weight.
 
 Module sides are realized inside the fusion-tree engine: the regular
 C-module on either side.
+
+A ladder morphism is its coefficient vector z on the basis ladders
+f (x) g of its hom space: the middle simples c in label order, and for each
+c the elementary bases (Engine.hom_basis) of M(m1 -> m2 <| c) and
+N(c |> n1 -> n2), f major. Composition is bilinear and the trace linear in
+the coefficients, so both are fixed tensors on the basis ladders, kept on
+the engine (Engine.derived) per module sides and ladder objects: T[k, p, q]
+with (F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
+tr F = w . z. The action images of the basis ladders and the forms of the
+sampled checks are kept the same way, so a new sample is numpy work alone.
 """
 
 from __future__ import annotations
@@ -57,69 +67,6 @@ class RegularLeft:
 
 
 # --- ladder category ----------------------------------------------------
-# A term of a ladder morphism is (z, key of f, key of g): the sampled
-# coefficient z on the elementary tensor of two pieces. Every sum in this
-# model is linear in the coefficients, so the pieces, and everything built
-# from pieces alone, are kept on the engine (Engine.derived) under value
-# keys that spell out how to build them:
-#   ("basis", X, Y, k)            the k-th elementary morphism X -> Y
-#   ("unitor", u, n)              the left unitor (1_u, n) -> (n)
-#   ("counitor", m, u)            the inverse right unitor (m) -> (m, 1_u)
-#   ("dagger", h), ("whisker", w, h)   h^dagger, w <| h
-#   ("rung", g2, c2, g1, nu, n1)  g2 o (c2 <| g1) o (nu |> n1)
-#   ("stack", m3nu, f2, c1, f1)   m3nu o (f2 |> c1) o f1
-#   ("act", m2g, f, c1)           m2g o (f |> c1)
-# Scalars are kept beside them: ("live", key) says whether a piece is
-# nonzero, and ("trace", side, what, key) is a module side's trace of an
-# endomorphism built from one piece. A sampled check is a fixed linear or
-# bilinear form in the coefficients, kept per ladder object L = m (x) n:
-#   ("action_form", side, m, n)   the ladder trace and the action image's
-#                                 trace of each basis ladder of End(L)
-#   ("trace_form", m, n)          tr(e_i e_j) on the basis ladders e_i
-
-
-def _piece(eng: Engine, key) -> Mor:
-    """The morphism a value key names, built once per engine."""
-    return eng.derived(key, lambda: _build(eng, *key))
-
-
-def _build(eng: Engine, kind, *args) -> Mor:
-    if kind == "basis":
-        X, Y, k = args
-        return eng.hom_basis(X, Y)[k]
-    if kind == "unitor":
-        return eng.left_unitor(*args)
-    if kind == "counitor":
-        return eng.dagger(eng.right_unitor(*args))
-    if kind == "dagger":
-        return eng.dagger(_piece(eng, *args))
-    if kind == "whisker":
-        return eng.whisker_left(args[0], _piece(eng, args[1]))
-    if kind == "stack":
-        m3nu, f2, c1o, f1 = args
-        fs = eng.compose(eng.whisker_right_obj(_piece(eng, f2), c1o), _piece(eng, f1))
-        return eng.compose(_piece(eng, m3nu), fs)
-    if kind == "act":
-        m2g, f, c1w = args
-        return eng.compose(_piece(eng, m2g), eng.whisker_right(_piece(eng, f), c1w))
-    g2, c2o, g1, nu, n1w = args
-    gs = eng.compose(_piece(eng, g2), eng.whisker_left((c2o,), _piece(eng, g1)))
-    return eng.compose(gs, eng.whisker_right(_piece(eng, nu), n1w))
-
-
-def _live(eng: Engine, key) -> bool:
-    """Whether the piece a key names has a nonzero block."""
-    return eng.derived(("live", key), lambda: bool(_piece(eng, key).blocks))
-
-
-def _trace(side, what, key, build) -> complex:
-    """side.trace(build()) for the endomorphism build() makes from the
-    piece key, once per engine; a NaN is kept like any other value."""
-    return side.eng.derived(("trace", type(side).__name__, what, key), lambda: side.trace(build()))
-
-
-def _basis_keys(eng: Engine, X, Y) -> tuple:
-    return tuple(("basis", X, Y, k) for k in range(eng.hom_dim(X, Y)))
 
 
 @dataclass
@@ -136,153 +83,163 @@ class LadderObject:
 
 @dataclass
 class LadderHom:
-    """Sum of elementary tensors: per middle simple c, a list of terms
-    (z, key of f: m1 -> m2 <| c, key of g: c |> n1 -> n2) that stand for
-    z f (x) g."""
+    """sum_t z[t] e_t over the basis ladders e_t of Hom(src -> dst)."""
 
     src: LadderObject
     dst: LadderObject
-    terms: dict  # c -> list[(complex, key, key)]
+    z: np.ndarray
 
 
 def _eng(L: LadderObject) -> Engine:
     return L.mside.eng
 
 
-def _mword(L: LadderObject):
-    return L.mside.word(L.m)
+def _kept(what, build, *Ls):
+    """build(), kept on the engine under what, the module sides and the
+    objects of the ladder objects Ls."""
+    sides = (type(Ls[0].mside).__name__, type(Ls[0].nside).__name__)
+    return _eng(Ls[0]).derived((what, *sides, *(x for L in Ls for x in (L.m, L.n))), build)
 
 
-def _nword(L: LadderObject):
-    return L.nside.word(L.n)
-
-
-def ladder_hom_bases(src: LadderObject, dst: LadderObject):
-    """c -> (basis keys of M(m1 -> m2 <| c), basis keys of N(c |> n1 ->
-    n2)) for the channels where both are nonempty, built once per engine
-    and (m1, n1, m2, n2)."""
+def _channels(src: LadderObject, dst: LadderObject) -> tuple:
+    """(c, span, basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for
+    the middle simples c where both are nonempty: the basis ladders of
+    Hom(src -> dst) through c, at the slice span of the coefficients."""
     src.check_shared(dst)
     eng = _eng(src)
 
     def build():
-        out = {}
+        out, offset = [], 0
         for c in eng.data.simples:
-            fs = _basis_keys(eng, *src.mside.hom(src.m, dst.m, c))
-            gs = _basis_keys(eng, *src.nside.hom(c, src.n, dst.n))
+            fs = eng.hom_basis(*src.mside.hom(src.m, dst.m, c))
+            gs = eng.hom_basis(*src.nside.hom(c, src.n, dst.n))
             if fs and gs:
-                out[c] = (fs, gs)
-        return out
+                span = slice(offset, offset + len(fs) * len(gs))
+                out.append((c, span, fs, gs))
+                offset = span.stop
+        return tuple(out)
 
-    return eng.derived(("ladder_homs", src.m, src.n, dst.m, dst.n), build)
+    return _kept("channels", build, src, dst)
 
 
 def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
-    return sum(len(fs) * len(gs) for fs, gs in ladder_hom_bases(src, dst).values())
-
-
-def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
-    terms = {}
-    for c, (fs, gs) in ladder_hom_bases(src, dst).items():
-        terms[c] = [(rng.standard_normal() + 1j * rng.standard_normal(), f, g) for f in fs for g in gs]
-    return LadderHom(src, dst, terms)
+    return sum(len(fs) * len(gs) for _, _, fs, gs in _channels(src, dst))
 
 
 def _coefficients(rng, shape) -> np.ndarray:
-    """Sampled coefficients of the given shape, drawn from the stream that
-    random_ladder reads: real part, then imaginary part, term by term."""
+    """Sampled coefficients of the given shape: real part, then imaginary
+    part, coefficient by coefficient, the stream random_ladder reads."""
     d = rng.standard_normal((*shape, 2))
     return d[..., 0] + 1j * d[..., 1]
 
 
-def _basis_ladders(L: LadderObject) -> list:
-    """The one-term ladders, coefficient 1, on the basis of End(L), in
-    random_ladder's term order: F = sum_t z_t e_t."""
-    return [
-        LadderHom(L, L, {c: [(1.0, f, g)]})
-        for c, (fs, gs) in ladder_hom_bases(L, L).items()
-        for f in fs
-        for g in gs
-    ]
+def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
+    return LadderHom(src, dst, _coefficients(rng, (ladder_hom_dim(src, dst),)))
 
 
 def identity_ladder(L: LadderObject) -> LadderHom:
-    """Unit-channel terms: graded projections through strict unitors."""
+    """Unit channels: graded projections through strict unitors."""
     eng = _eng(L)
-    mw, nw = _mword(L), _nword(L)
-    terms = {}
-    for j in eng.data.units:
-        ju = eng.simple_obj(j)
-        f = ("counitor", mw, ju)  # (m) -> (m, 1_j)
-        g = ("unitor", ju, nw)  # (1_j, n) -> (n)
-        if _live(eng, f) and _live(eng, g):
-            terms[j] = [(1.0, f, g)]
-    return LadderHom(L, L, terms)
+    mw, nw = L.mside.word(L.m), L.nside.word(L.n)
+    z = np.zeros(ladder_hom_dim(L, L), dtype=complex)
+    for j, span, fs, gs in _channels(L, L):
+        if j in eng.data.units:
+            ju = eng.simple_obj(j)
+            f = eng.to_vector(eng.dagger(eng.right_unitor(mw, ju)))  # (m) -> (m, 1_j)
+            g = eng.to_vector(eng.left_unitor(ju, nw))  # (1_j, n) -> (n)
+            z[span] = np.outer(f, g).reshape(-1)
+    return LadderHom(L, L, z)
 
 
 def _same_obj(a, b) -> bool:
     return a is b or (isinstance(a, tuple) and isinstance(b, tuple) and a == b)
 
 
+def _compose_tensor(L1: LadderObject, L2: LadderObject, L3: LadderObject) -> np.ndarray:
+    """T[k, p, q], the k-th coefficient of e_p o e_q for the basis ladders
+    e_p = f2 (x) g2 of Hom(L2 -> L3) and e_q = f1 (x) g1 of Hom(L1 -> L2):
+    each vertex nu: e -> c2 c1 resolves the doubled middle string into the
+    M factor (m3 <| nu^dagger)(f2 |> c1) f1 and the N factor
+    g2 (c2 |> g1)(nu |> n1) over the middle e."""
+    eng = _eng(L1)
+    m3w, n1w = L3.mside.word(L3.m), L1.nside.word(L1.n)
+
+    def build():
+        spans = {e: k for e, k, _, _ in _channels(L1, L3)}
+        T = np.zeros((ladder_hom_dim(L1, L3), ladder_hom_dim(L2, L3), ladder_hom_dim(L1, L2)), dtype=complex)
+        for c2, p, f2s, g2s in _channels(L2, L3):
+            c2o = eng.simple_obj(c2)
+            for c1, q, f1s, g1s in _channels(L1, L2):
+                c1o = eng.simple_obj(c1)
+                fs = [[eng.compose(eng.whisker_right_obj(f2, c1o), f1) for f1 in f1s] for f2 in f2s]
+                gs = [[eng.compose(g2, eng.whisker_left_obj(c2o, g1)) for g1 in g1s] for g2 in g2s]
+                for e in eng.support((c2o, c1o)):
+                    if e not in spans:
+                        continue
+                    block = T[spans[e], p, q]
+                    for nu in eng.hom_basis((eng.simple_obj(e),), (c2o, c1o)):
+                        top = eng.whisker_left(m3w, eng.dagger(nu))
+                        bottom = eng.whisker_right(nu, n1w)
+                        A = np.array([[eng.to_vector(eng.compose(top, f)) for f in row] for row in fs])
+                        B = np.array([[eng.to_vector(eng.compose(g, bottom)) for g in row] for row in gs])
+                        # A[f2, f1, f3] B[g2, g1, g3] -> T[(f3, g3), (f2, g2), (f1, g1)], f major
+                        block += np.einsum("ika,jlb->abijkl", A, B).reshape(block.shape)
+        return T
+
+    return _kept("compose_tensor", build, L1, L2, L3)
+
+
 def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
     """F o G by stacking and resolving the doubled middle string."""
+    G.dst.check_shared(F.src)
     if not (_same_obj(G.dst.m, F.src.m) and _same_obj(G.dst.n, F.src.n)):
         raise ShapeMismatch("non-composable ladder morphisms")
-    eng = _eng(F.src)
-    m3w = _mword(F.dst)
-    n1w = _nword(G.src)
-    terms = {}
-    for c2, terms2 in F.terms.items():
-        c2o = eng.simple_obj(c2)
-        for c1, terms1 in G.terms.items():
-            c1o = eng.simple_obj(c1)
-            c2c1 = (c2o, c1o)
-            vertices = eng.derived(
-                ("vertices", c2c1),
-                lambda: tuple(
-                    (e, nu) for e in eng.support(c2c1) for nu in _basis_keys(eng, (eng.simple_obj(e),), c2c1)
-                ),
-            )
-            for z2, f2, g2 in terms2:
-                for z1, f1, g1 in terms1:
-                    z = z2 * z1
-                    for e, nu in vertices:
-                        fe = ("stack", ("whisker", m3w, ("dagger", nu)), f2, c1o, f1)
-                        ge = ("rung", g2, c2o, g1, nu, n1w)
-                        if _live(eng, fe) and _live(eng, ge):
-                            terms.setdefault(e, []).append((z, fe, ge))
-    return LadderHom(G.src, F.dst, terms)
+    return LadderHom(G.src, F.dst, _compose_tensor(G.src, G.dst, F.dst) @ G.z @ F.z)
+
+
+def _trace_vector(L: LadderObject) -> np.ndarray:
+    """w with tr F = w . z on End(L): only the unit channels j survive, and
+    a basis ladder f (x) g of one weighs tr(f) tr(g) / d_j, f and g closed
+    through the unitors and traced by their module sides."""
+    eng = _eng(L)
+    mw, nw = L.mside.word(L.m), L.nside.word(L.n)
+
+    def build():
+        w = np.zeros(ladder_hom_dim(L, L), dtype=complex)
+        for j, span, fs, gs in _channels(L, L):
+            if j not in eng.data.units:
+                continue
+            ju, dj = eng.simple_obj(j), eng.udf.d(j)
+            tms = [L.mside.trace(eng.compose(eng.right_unitor(mw, ju), f)) for f in fs]
+            tns = [L.nside.trace(eng.compose(g, eng.dagger(eng.left_unitor(ju, nw)))) for g in gs]
+            # scalar by scalar: numpy's complex outer product rounds otherwise
+            w[span] = [tm * tn / dj for tm in tms for tn in tns]
+        return w
+
+    return _kept("trace_vector", build, L)
 
 
 def ladder_trace(F: LadderHom) -> complex:
-    """Only unit channels survive, weighted by d_j^{-1}: the sum of
-    z tr(f) tr(g) / d_j over their terms."""
+    """Only unit channels survive, weighted by d_j^{-1}: w . z."""
     if not (_same_obj(F.src.m, F.dst.m) and _same_obj(F.src.n, F.dst.n)):
         raise ShapeMismatch("trace of a non-endomorphism")
-    eng = _eng(F.src)
-    mside, nside = F.src.mside, F.src.nside
-    mw, nw = _mword(F.src), _nword(F.src)
-    total = 0.0
-    for j in eng.data.units:
-        terms = F.terms.get(j)
-        if not terms:
-            continue
-        ju = eng.simple_obj(j)
-        dj = eng.udf.d(j)
-        for z, f, g in terms:
-            # f: (m) -> (m, 1_j) and g: (1_j, n) -> (n) fix j, m and n
-            tm = _trace(mside, "unit", f, lambda: eng.compose(eng.right_unitor(mw, ju), _piece(eng, f)))
-            tn = _trace(
-                nside, "unit", g, lambda: eng.compose(_piece(eng, g), eng.dagger(eng.left_unitor(ju, nw)))
-            )
-            total += z * tm * tn / dj
-    return complex(total)
+    return complex(_trace_vector(F.src) @ F.z)
 
 
-def _act_terms(F: LadderHom) -> list:
-    """(z, key of the image of f (x) g) per term of F under the right
-    action functor."""
-    m2w, c1w = _mword(F.dst), _nword(F.src)
-    return [(z, ("act", ("whisker", m2w, g), f, c1w)) for terms in F.terms.values() for z, f, g in terms]
+def _images(src: LadderObject, dst: LadderObject) -> list:
+    """The images (m2 <| g)(f |> n1) of the basis ladders f (x) g of
+    Hom(src -> dst) under the right action functor."""
+    eng = _eng(src)
+    m2w, n1w = dst.mside.word(dst.m), src.nside.word(src.n)
+
+    def build():
+        out = []
+        for _, _, fs, gs in _channels(src, dst):
+            m2gs = [eng.whisker_left(m2w, g) for g in gs]
+            out += [eng.compose(m2g, eng.whisker_right(f, n1w)) for f in fs for m2g in m2gs]
+        return out
+
+    return _kept("images", build, src, dst)
 
 
 def act_on_module(F: LadderHom) -> Mor:
@@ -290,34 +247,20 @@ def act_on_module(F: LadderHom) -> Mor:
     m (x) c -> m <| c (n-side must be the regular module); on the C-C
     regular ladder this is the balanced tensor functor m (x) n."""
     eng = _eng(F.src)
-    out = eng.zero(_mword(F.src) + _nword(F.src), _mword(F.dst) + _nword(F.dst))
-    for z, a in _act_terms(F):
-        out = eng.add(out, eng.scale(z, _piece(eng, a)))
+    out = eng.zero(*(L.mside.word(L.m) + L.nside.word(L.n) for L in (F.src, F.dst)))
+    for z, a in zip(F.z, _images(F.src, F.dst)):
+        out = eng.add(out, eng.scale(z, a))
     return out
-
-
-def _action_form(mside, L: LadderObject) -> np.ndarray:
-    """Rows w1, w2 over the basis ladders e_t of End(L): w1[t] is the
-    ladder trace of e_t and w2[t] the module trace of its action image,
-    so a ladder F = sum_t z_t e_t has the two traces z @ w1 and z @ w2."""
-    eng = mside.eng
-
-    def build():
-        ones = _basis_ladders(L)
-        w1 = [ladder_trace(e) for e in ones]
-        w2 = [_trace(mside, "act", a, lambda: _piece(eng, a)) for e in ones for _, a in _act_terms(e)]
-        return np.array([w1, w2])
-
-    return eng.derived(("action_form", type(mside).__name__, L.m, L.n), build)
 
 
 def right_action_isometry(
     mside, eng: Engine, m_objects, samples: int = 20, seed: int = 0
 ) -> Certificate:
     """Compare the ladder trace on endos of m (x) c with the module trace
-    of their image under the action functor; both are linear in the
-    sampled coefficients, so all samples of one m (x) c are one product
-    with the action form."""
+    of their image under the action functor. Both are linear in the
+    sampled coefficients z: z . w with the trace vector w, and z . v with
+    v[t] the module trace of the t-th basis ladder's image. So all samples
+    of one m (x) c are one product with the action form [w, v]."""
     if mside.eng is not eng:
         raise ShapeMismatch("the module side belongs to another engine")
     if not m_objects:
@@ -330,9 +273,11 @@ def right_action_isometry(
             L = LadderObject(mside, nside, m, eng.simple_obj(c))
             if ladder_hom_dim(L, L) == 0:
                 continue
-            w1, w2 = _action_form(mside, L)
-            z = _coefficients(rng, (samples, len(w1)))
-            gaps += np.abs(z @ w1 - z @ w2).tolist()
+            w, v = _kept(
+                "action_form", lambda: np.array([_trace_vector(L), [mside.trace(a) for a in _images(L, L)]]), L
+            )
+            z = _coefficients(rng, (samples, len(w)))
+            gaps += np.abs(z @ w - z @ v).tolist()
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", details)
 
@@ -340,23 +285,12 @@ def right_action_isometry(
 TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
 
 
-def _trace_form(L: LadderObject) -> np.ndarray:
-    """K[i, j] = tr(e_i e_j) on the basis ladders e_i of End(L), so
-    tr(F G) = sum_ij zF_i zG_j K[i, j] and tr(G F) the same sum against
-    the transpose of K."""
-
-    def build():
-        ones = _basis_ladders(L)
-        return np.array([[ladder_trace(ladder_compose(a, b)) for b in ones] for a in ones])
-
-    return _eng(L).derived(("trace_form", L.m, L.n), build)
-
-
 def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
     """tr(F G) against tr(G F) on sampled endos of each c (x) c of the
     regular ladder category, all samples of one c (x) c against its trace
-    form at once. Both traces sum the same products zF_i zG_j, formed once
-    as ladder_compose forms them, so a symmetric form gives an exact 0."""
+    form K[p, q] = tr(e_p e_q) = w . T[:, p, q] at once: tr(F G) sums
+    zF_p zG_q K[p, q] and tr(G F) the same products against the transpose
+    of K, so a symmetric form gives an exact 0."""
     mside, nside = RegularRight(eng), RegularLeft(eng)
     rng = sample_rng(samples, seed)
     gaps = []
@@ -364,7 +298,7 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
         L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
         if ladder_hom_dim(L, L) == 0:
             continue
-        K = _trace_form(L)
+        K = _kept("trace_form", lambda: np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1), L)
         z = _coefficients(rng, (samples, 2, len(K)))
         P = z[:, 0, :, None] * z[:, 1, None, :]
         gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()

@@ -399,9 +399,9 @@ class Engine:
 
     def derived(self, key, build):
         """build(), made once per engine and key: a value fixed by the data
-        alone, such as a unitor or a ladder piece. Keys are values, never
+        alone, such as a unitor or a ladder tensor. Keys are values, never
         id(). Callers only read. The key is hashed once on a hit: ladder
-        keys are deep tuples, whose hash Python does not cache."""
+        keys are nested tuples, whose hash Python does not cache."""
         value = self._derived.get(key, _UNBUILT)
         if value is _UNBUILT:
             value = self._derived[key] = build()

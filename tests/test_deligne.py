@@ -101,14 +101,36 @@ def test_shape_mismatch():
         deligne.ladder_compose(F, G)
 
 
+def test_compose_rejects_ladders_of_two_products():
+    # the unit objects of hilb_z2 and Fibonacci are equal tuples, but
+    # ladders over the two are of different products: composing them is a
+    # shape error, not a number, also once both engines keep the tensor of
+    # a composition on these objects
+    z2, fib = _eng("hilb_z2"), _eng("fibonacci")
+    rng = np.random.default_rng(0)
+    F = deligne.random_ladder(*[_regular_ladder(z2, "1", "1")] * 2, rng)
+    G = deligne.random_ladder(*[_regular_ladder(fib, "1", "1")] * 2, rng)
+    assert F.src.m == G.dst.m and F.src.n == G.dst.n
+    for A, B in ((F, G), (G, F)):
+        with pytest.raises(deligne.ShapeMismatch):
+            deligne.ladder_compose(A, B)
+        deligne.ladder_compose(A, A)
+
+
+def _nan_trace_vector(L):
+    return np.full(deligne.ladder_hom_dim(L, L), complex("nan"))
+
+
 def test_nan_trace_rejects_right_action(monkeypatch):
+    # the action form keeps the NaN, on the first call and the warm one
     eng = _eng("fibonacci")
-    monkeypatch.setattr(deligne, "ladder_trace", lambda F: complex("nan"))
-    cert = deligne.right_action_isometry(
-        deligne.RegularRight(eng), eng, [eng.simple_obj("t")], samples=2
-    )
-    assert (cert.ok, cert.failed_axiom) == (False, "right-action isometry")
-    assert np.isnan(cert.residuals["action_trace_gap"])
+    monkeypatch.setattr(deligne, "_trace_vector", _nan_trace_vector)
+    for _ in range(2):
+        cert = deligne.right_action_isometry(
+            deligne.RegularRight(eng), eng, [eng.simple_obj("t")], samples=2
+        )
+        assert (cert.ok, cert.failed_axiom) == (False, "right-action isometry")
+        assert np.isnan(cert.residuals["action_trace_gap"])
 
 
 def _ladder_checks(data, seed=0):
@@ -155,14 +177,23 @@ def _warm_cache_engines():
 
 
 def _deligne_residuals(eng, seed):
+    """Both sampled checks, and the per-sample path of the benchmark and
+    the traciality criterion: random_ladder, ladder_compose, ladder_trace."""
     simples = [eng.simple_obj(c) for c in eng.data.simples]
-    ra = deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=2, seed=seed)
+    mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
+    ra = deligne.right_action_isometry(mside, eng, simples, samples=2, seed=seed)
     tr = deligne.ladder_traciality(eng, 2, seed)
-    return repr((ra.residuals, tr.residuals))
+    rng = np.random.default_rng(seed)
+    traces = []
+    for c in simples:
+        L = deligne.LadderObject(mside, nside, c, c)
+        F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
+        traces.append(deligne.ladder_trace(deligne.ladder_compose(F, G)))
+    return repr((ra.residuals, tr.residuals, traces))
 
 
 def test_warm_engine_gives_the_cold_residuals():
-    # the pieces an engine keeps between calls change no rounding
+    # the tensors an engine keeps between calls change no rounding
     for fresh in _warm_cache_engines():
         warm = fresh()
         for seed in (3, 4):
@@ -182,8 +213,8 @@ def test_ladder_cache_is_bounded_across_seeds():
 
 
 def test_engine_that_ran_a_deligne_check_is_freed_without_gc():
-    # no kept piece refers back to the engine, so reference counting
-    # alone frees it
+    # no kept tensor, basis or image refers back to the engine, so
+    # reference counting alone frees it
     gc.collect()
     gc.disable()
     try:
@@ -220,7 +251,7 @@ def test_nan_side_trace_rejects_both_checks(monkeypatch, side):
 
 def test_nan_trace_rejects_traciality(monkeypatch):
     # the trace form keeps the NaN, on the first call and the warm one
-    monkeypatch.setattr(deligne, "ladder_trace", lambda F: complex("nan"))
+    monkeypatch.setattr(deligne, "_trace_vector", _nan_trace_vector)
     eng = _eng("fibonacci")
     for _ in range(2):
         cert = deligne.ladder_traciality(eng, 2, 0)
@@ -228,12 +259,23 @@ def test_nan_trace_rejects_traciality(monkeypatch):
         assert np.isnan(cert.residuals["traciality"])
 
 
-DIAGRAM_WORK = ("compose", "whisker_right_obj", "whisker_left_obj", "scale", "add", "categorical_trace")
+DIAGRAM_WORK = (
+    "compose",
+    "whisker_right_obj",
+    "whisker_left_obj",
+    "dagger",
+    "scale",
+    "add",
+    "categorical_trace",
+    "hom_basis",
+    "to_vector",
+)
 
 
 def test_warm_engine_does_no_diagram_work_for_a_new_seed(monkeypatch):
-    # every sum is linear in the sampled coefficients, so once the keyed
-    # pieces and their traces are kept a new seed is scalar work alone
+    # composition and the trace are multilinear in the sampled
+    # coefficients, so once their tensors are kept a new seed, through the
+    # checks or ladder by ladder, is numpy work alone
     calls = Counter()
     for name in DIAGRAM_WORK:
         def counted(self, *args, _run=getattr(Engine, name), _name=name):
@@ -252,36 +294,45 @@ def test_warm_engine_does_no_diagram_work_for_a_new_seed(monkeypatch):
 
 # --- the Mor-per-term reference -------------------------------------------
 # Each term carries its M-side factor as a morphism scaled by its sampled
-# coefficient, and every sample is whiskered, composed and traced anew:
-# the path the keyed terms replaced, kept to check them against.
+# coefficient, on the elementary hom bases of the engine, and every sample
+# is whiskered, composed and traced anew: the path the coefficient tensors
+# replaced, kept to check them against.
+
+
+def _ref_basis(src, dst):
+    """(c, f, g) per basis ladder f (x) g of Hom(src -> dst) of the regular
+    ladder category: middle simples in label order, f major."""
+    eng = src.mside.eng
+    out = []
+    for c in eng.data.simples:
+        co = eng.simple_obj(c)
+        fs = eng.hom_basis((src.m,), (dst.m, co))
+        out += [(c, f, g) for f in fs for g in eng.hom_basis((co, src.n), (dst.n,))]
+    return out
 
 
 def _ref_terms(F):
     eng = F.src.mside.eng
-    return {c: [(eng.scale(z, deligne._piece(eng, f)), g) for z, f, g in ts] for c, ts in F.terms.items()}
+    basis = _ref_basis(F.src, F.dst)
+    assert len(basis) == len(F.z)
+    return [(c, eng.scale(z, f), g) for z, (c, f, g) in zip(F.z, basis)]
 
 
 def _ref_compose(L, terms2, terms1):
     """The terms of F o G on the endos of L, from those of F and G."""
     eng = L.mside.eng
     m3w, n1w = (L.m,), (L.n,)
-    out = {}
-    for c2, pairs2 in terms2.items():
+    out = []
+    for c2, f2, g2 in terms2:
         c2o = eng.simple_obj(c2)
-        for c1, pairs1 in terms1.items():
+        for c1, f1, g1 in terms1:
             c1o = eng.simple_obj(c1)
-            c2c1 = (c2o, c1o)
-            vertices = [
-                (e, nu) for e in eng.support(c2c1) for nu in deligne._basis_keys(eng, (eng.simple_obj(e),), c2c1)
-            ]
-            for f2, g2 in pairs2:
-                for f1, g1 in pairs1:
-                    fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
-                    for e, nu in vertices:
-                        fe = eng.compose(deligne._piece(eng, ("whisker", m3w, ("dagger", nu))), fs)
-                        ge = ("rung", g2, c2o, g1, nu, n1w)
-                        if fe.blocks and deligne._piece(eng, ge).blocks:
-                            out.setdefault(e, []).append((fe, ge))
+            fs = eng.compose(eng.whisker_right_obj(f2, c1o), f1)
+            gs = eng.compose(g2, eng.whisker_left((c2o,), g1))
+            for e in eng.support((c2o, c1o)):
+                for nu in eng.hom_basis((eng.simple_obj(e),), (c2o, c1o)):
+                    fe = eng.compose(eng.whisker_left(m3w, eng.dagger(nu)), fs)
+                    out.append((e, fe, eng.compose(gs, eng.whisker_right(nu, n1w))))
     return out
 
 
@@ -289,22 +340,25 @@ def _ref_trace(L, terms):
     eng = L.mside.eng
     mw, nw = (L.m,), (L.n,)
     total = 0.0
-    for j in eng.data.units:
-        ju = eng.simple_obj(j)
-        for f, g in terms.get(j, []):
+    for j, f, g in terms:
+        if j in eng.data.units:
+            ju = eng.simple_obj(j)
             tm = L.mside.trace(eng.compose(eng.right_unitor(mw, ju), f))
-            tn = L.nside.trace(eng.compose(deligne._piece(eng, g), eng.dagger(eng.left_unitor(ju, nw))))
+            tn = L.nside.trace(eng.compose(g, eng.dagger(eng.left_unitor(ju, nw))))
             total += tm * tn / eng.udf.d(j)
     return complex(total)
+
+
+def _ref_image(L, f, g):
+    eng = L.mside.eng
+    return eng.compose(eng.whisker_left((L.m,), g), eng.whisker_right(f, (L.n,)))
 
 
 def _ref_act(L, terms):
     eng = L.mside.eng
     out = eng.zero((L.m, L.n), (L.m, L.n))
-    for pairs in terms.values():
-        for f, g in pairs:
-            m2g = deligne._piece(eng, ("whisker", (L.m,), g))
-            out = eng.add(out, eng.compose(m2g, eng.whisker_right(f, (L.n,))))
+    for _, f, g in terms:
+        out = eng.add(out, _ref_image(L, f, g))
     return out
 
 
@@ -318,6 +372,15 @@ REFERENCE_CATEGORIES = {
     "gauged_ty_z3": lambda: fam.gauge(fam.ty_zn(3), np.random.default_rng(7)),
     "twisted_z4": lambda: fam.vec_zn(4, 1),
 }
+
+
+def _sum_ladder(mside, nside):
+    """(1 + x) (x) (2 1 + x) for the first unit 1 and the last simple x:
+    its channels hold more than one basis ladder, of unequal M and N
+    dimensions."""
+    eng = mside.eng
+    u, x = eng.data.units[0], eng.data.simples[-1]
+    return deligne.LadderObject(mside, nside, eng.obj({u: 1, x: 1}), eng.obj({u: 2, x: 1}))
 
 
 def _reference_engine(name):
@@ -350,16 +413,54 @@ def test_keyed_terms_agree_with_the_mor_reference(name):
         cert = deligne.right_action_isometry(mside, eng, simples, samples=1, seed=seed)
         assert _close(cert.residuals["action_trace_gap"], max(ref_gaps))
         rng = np.random.default_rng(seed)
-        for c in simples:
-            L = deligne.LadderObject(mside, nside, c, c)
+        for L in [*(deligne.LadderObject(mside, nside, c, c) for c in simples), _sum_ladder(mside, nside)]:
             F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
-            ref = _ref_compose(L, _ref_terms(F), _ref_terms(G))
-            assert _close(deligne.ladder_trace(deligne.ladder_compose(F, G)), _ref_trace(L, ref))
+            FG, ref = deligne.ladder_compose(F, G), _ref_compose(L, _ref_terms(F), _ref_terms(G))
+            assert _close(deligne.ladder_trace(FG), _ref_trace(L, ref))
+            act, ref_act = deligne.act_on_module(FG), _ref_act(L, ref)
+            assert eng.residual(act, ref_act) <= 1e-12 * (1 + eng.l2_norm(ref_act))
+
+
+LAW_CATEGORIES = {**REFERENCE_CATEGORIES, "m2_hilb": lambda: bundled.load("m2_hilb")}
+
+
+@pytest.mark.parametrize("name", list(LAW_CATEGORIES))
+def test_ladder_category_laws(name):
+    # identities are units on both sides, composition is associative, and
+    # the action functor sends the identity ladder to the identity, on
+    # every hom space between ladder objects a (x) b of composable simples
+    # and the sum ladder
+    data = LAW_CATEGORIES[name]()
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0, 2.0)[: len(data.units)])))
+    mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
+    objects = [
+        deligne.LadderObject(mside, nside, eng.simple_obj(a), eng.simple_obj(b))
+        for a in data.simples
+        for b in data.simples
+        if data.t(a) == data.s(b)
+    ]
+    objects.append(_sum_ladder(mside, nside))
+    rng = np.random.default_rng(0)
+    for X in objects:
+        ident = deligne.identity_ladder(X)
+        assert eng.residual(deligne.act_on_module(ident), eng.identity((X.m, X.n))) <= 1e-13
+        for Y in objects:
+            F, H = deligne.random_ladder(X, Y, rng), deligne.random_ladder(X, Y, rng)
+            G = deligne.random_ladder(Y, X, rng)
+            for FI in (
+                deligne.ladder_compose(deligne.identity_ladder(Y), F),
+                deligne.ladder_compose(F, ident),
+            ):
+                assert np.abs(FI.z - F.z).max(initial=0) <= 1e-13
+            lhs = deligne.ladder_compose(deligne.ladder_compose(F, G), H).z
+            rhs = deligne.ladder_compose(F, deligne.ladder_compose(G, H)).z
+            assert np.abs(lhs - rhs).max(initial=0) <= 1e-13 * (1 + np.abs(rhs).max(initial=0))
 
 
 # --- the per-sample reference ---------------------------------------------
 # Both sampled checks as they were before they became linear forms: each
-# sample is a ladder of its own, traced term by term.
+# sample is a ladder of its own, and the action image of each of its basis
+# ladders is traced before the coefficient scales it.
 
 
 def _per_sample_right_action(mside, eng, m_objects, samples, seed, tol=DEFAULT_TOL):
@@ -374,7 +475,7 @@ def _per_sample_right_action(mside, eng, m_objects, samples, seed, tol=DEFAULT_T
             for _ in range(samples):
                 F = deligne.random_ladder(L, L, rng)
                 t1 = deligne.ladder_trace(F)
-                t2 = sum(z * mside.trace(deligne._piece(eng, a)) for z, a in deligne._act_terms(F))
+                t2 = sum(z * mside.trace(_ref_image(L, f, g)) for z, (_, f, g) in zip(F.z, _ref_basis(L, L)))
                 gaps.append(abs(t1 - t2))
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
@@ -434,9 +535,6 @@ def test_batched_draw_is_the_draw_of_random_ladder(name):
     for c in eng.data.simples:
         L = _regular_ladder(eng, c, c)
         rng = np.random.default_rng(9)
-        drawn = [
-            [z for terms in deligne.random_ladder(L, L, rng).terms.values() for z, _, _ in terms]
-            for _ in range(4)
-        ]
+        drawn = [deligne.random_ladder(L, L, rng).z for _ in range(4)]
         batched = deligne._coefficients(np.random.default_rng(9), (4, deligne.ladder_hom_dim(L, L)))
         assert np.array_equal(batched, np.array(drawn))

@@ -248,8 +248,8 @@ def test_pairings_make_no_diagram_calls():
 
 @pytest.mark.parametrize("value", [False, 0.0, None])
 def test_derived_builds_a_falsy_value_once_per_key(value):
-    # a value is kept whatever its truth: deligne's _live keeps False for
-    # a dead piece
+    # a value is kept whatever its truth: a False, a zero or a None is
+    # built once like any other
     eng = _eng("fibonacci")
     builds = Counter()
 
