@@ -76,8 +76,14 @@ class LadderObject:
     m: object
     n: object
 
+    def product(self) -> tuple:
+        """The product this object lies in: each module side by its type
+        and engine, as _kept keys what it keeps on the engine; two sides
+        built alike on one engine are one side."""
+        return tuple((type(side), side.eng) for side in (self.mside, self.nside))
+
     def check_shared(self, other: "LadderObject"):
-        if self.mside is not other.mside or self.nside is not other.nside:
+        if self.product() != other.product():
             raise ShapeMismatch("ladder objects from different products")
 
 

@@ -23,7 +23,11 @@ or cap whiskered by strands keeps its pairing tree with coefficient 1:
 the evaluation and coevaluation of a direct sum are placed on the comb
 trees of their copies, both closed loops of an endomorphism f are sums
 over the simples x of |alpha_x|^2 tr(f_x) or |beta_x|^2 tr(f_x), and the
-zig-zag of a simple c is one entry of F^{c, dual(c), c}_c. The tree bases
+zig-zag of a simple c is one entry of F^{c, dual(c), c}_c. The same rule
+makes the unit itself cost nothing: for U a sum of distinct units, the
+trees of W (x) U at a charge c with t(c) in U are those of W, in the same
+order, so f (x) id_U keeps f's blocks at those charges and both unitors
+are identity blocks; neither meets group_last. The tree bases
 of a word are built for every charge in one sweep over the fusion
 products of its first object with the charges of the rest.
 
@@ -75,6 +79,7 @@ class Engine:
         self._fcache = {}
         self._simple = {}
         self._derived = {}
+        self._is_unit = tuple(c in data.units for c in data.simples)
 
     # --- objects and words ----------------------------------------------
 
@@ -104,6 +109,11 @@ class Engine:
 
     def mult(self, O, x) -> int:
         return O[self.data.index[x]]
+
+    def is_unit_sum(self, O) -> bool:
+        """Whether O is a sum of distinct unit objects 1_u; the zero object
+        is the empty sum."""
+        return all(m == 0 or (m == 1 and u) for m, u in zip(O, self._is_unit))
 
     # --- tree bases ------------------------------------------------------
 
@@ -309,12 +319,17 @@ class Engine:
     def whisker_right_obj(self, f: Mor, O) -> Mor:
         """f (x) id_O for a single object O. In the grouped bases the trees
         of one group (y, beta, d, u) are contiguous, so each block f_d lands
-        in one rectangle per group."""
+        in one rectangle per group. For O a sum of distinct units the
+        result is f's blocks at the charges c with t(c) in O (strict
+        unit)."""
         X, Y = f.dom, f.cod
-        blocks = {}
         # charges in the order of the simples (as support lists them), so
         # that the block order, and with it every later sum over blocks,
         # does not depend on hashing
+        if self.is_unit_sum(O):
+            blocks = {c: f.blocks[c] for c in self.support(X + (O,)) if c in f.blocks}
+            return Mor(X + (O,), Y + (O,), blocks)
+        blocks = {}
         cod_support = self.support(Y + (O,))
         for c in self.support(X + (O,)):
             if c not in cod_support:
@@ -361,41 +376,29 @@ class Engine:
     def tensor(self, f: Mor, g: Mor) -> Mor:
         return self.compose(self.whisker_left(f.cod, g), self.whisker_right(f, g.dom))
 
-    def left_unitor(self, U, word) -> Mor:
-        """(U, word) -> (word) for U a sum of distinct unit objects 1_u:
-        identity on tree coefficients, built once per (U, word)."""
-        dom = (U,) + word
+    def _unitor(self, U, word, dom, side) -> Mor:
+        """dom -> word for dom = (U,) + word or word + (U,), U a sum of
+        distinct units: the trees of dom at a charge c are those of word,
+        in the same order (strict unit), so every block is an identity;
+        built once per (side, U, word)."""
 
         def build():
-            blocks = {}
-            for c in self.support(dom):
-                dgb = self.basis(dom, c)
-                m = np.zeros((len(self.basis(word, c)), len(dgb)), dtype=complex)
-                for j, (x, alpha, e, v, si) in enumerate(dgb):
-                    if self.mult(U, x):
-                        m[si, j] = 1.0
-                blocks[c] = m
-            return Mor(dom, word, _nonzero(blocks))
+            if not self.is_unit_sum(U):
+                raise InputError(f"the {side} unitor needs a sum of distinct units, got {U}")
+            eyes = {c: np.eye(len(self.basis(word, c)), dtype=complex) for c in self.support(dom)}
+            return Mor(dom, word, eyes)
 
-        return self.derived(("left_unitor", U, word), build)
+        return self.derived((f"{side}_unitor", U, word), build)
+
+    def left_unitor(self, U, word) -> Mor:
+        """(U, word) -> (word) for U a sum of distinct unit objects 1_u;
+        InputError for any other U."""
+        return self._unitor(U, word, (U,) + word, "left")
 
     def right_unitor(self, word, U) -> Mor:
-        """(word, 1_u) -> (word): identity on tree coefficients, built once
-        per (word, U)."""
-        dom = word + (U,)
-
-        def build():
-            blocks = {}
-            for c in self.support(dom):
-                gX, _, UX = self.group_last(word, U, c)
-                m = np.zeros((len(self.basis(word, c)), len(gX)), dtype=complex)
-                for col, (y, beta, d, u, ti) in enumerate(gX):
-                    if d == c:
-                        m[ti, col] = 1.0
-                blocks[c] = m @ UX.conj().T
-            return Mor(dom, word, _nonzero(blocks))
-
-        return self.derived(("right_unitor", word, U), build)
+        """(word, U) -> (word) for U a sum of distinct unit objects 1_u;
+        InputError for any other U."""
+        return self._unitor(U, word, word + (U,), "right")
 
     def derived(self, key, build):
         """build(), made once per engine and key: a value fixed by the data

@@ -14,6 +14,10 @@ splitting of A (x)_A M or M (x)_B B.
 One class, Bimodule, carries the intertwiner calculus. A right A-module
 is a 1-A bimodule, 1 = group_algebra(eng, units) the tensor unit as an
 algebra, so the module category of A is the (1, A) block of a linking.
+The unit algebra acts by its unitors: a free bimodule takes the engine's
+left or right unitor as the action of a side that is the algebra
+group_algebra builds on units (AlgebraObject.acts_by_unitors); by the
+strict-unit rule that is its multiplication carried along the fusion.
 A free bimodule A (x) c (x) B, and every summand of one, keeps its free
 presentation: head, an isometry of its word into the unfused free word.
 The algebra as its own bimodule is the summand of A (x) U (x) A, U its
@@ -114,6 +118,20 @@ class AlgebraObject:
 
     def identity(self) -> Mor:
         return self.eng.identity(self.word)
+
+    def acts_by_unitors(self) -> bool:
+        """Whether this is the algebra that group_algebra builds on units:
+        a sum of distinct units, with every block of mu and iota exactly
+        [[1]]. Its action on any object is then the unitor."""
+        eng = self.eng
+        if not eng.is_unit_sum(self.obj):
+            return False
+        units = {u for u in eng.data.units if eng.mult(self.obj, u)}
+        return all(
+            f.blocks.keys() == units
+            and all(b.shape == (1, 1) and b[0, 0] == 1 for b in f.blocks.values())
+            for f in (self.mu, self.iota)
+        )
 
 
 def group_algebra(eng: Engine, labels) -> AlgebraObject:
@@ -480,14 +498,22 @@ class Bimodule:
 
 def free_bimodule(Ai: AlgebraObject, c, Aj: AlgebraObject) -> Bimodule:
     """A_i (x) c (x) A_j with outer multiplications, fused; its head is
-    the inverse of the fusion."""
+    the inverse of the fusion. A side that acts by unitors (the unit
+    algebra) acts on the fused object by its unitor, which is what its
+    multiplication carried along the fusion gives."""
     eng = Ai.eng
     if isinstance(c, str):
         c = eng.simple_obj(c)
     fused, u = eng.fuse((Ai.obj, c, Aj.obj))
     V = eng.dagger(u)
-    lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
-    rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
+    if Ai.acts_by_unitors():
+        lam = eng.left_unitor(Ai.obj, (fused,))
+    else:
+        lam = carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
+    if Aj.acts_by_unitors():
+        rho = eng.right_unitor((fused,), Aj.obj)
+    else:
+        rho = carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
     return Bimodule(Ai, Aj, fused, lam, rho, V)
 
 

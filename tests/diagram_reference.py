@@ -6,11 +6,14 @@ The cups and caps of a simple are built here from its bare pairing trees
 closed loops and the zig-zag are taken by whiskering and composing: the
 path the engine took before it read them off blocks and F-symbols. The
 tree bases are built one charge at a time, rescanning every (x, e, c), as
-before the engine swept all charges of a word at once.
+before the engine swept all charges of a word at once. The actions of a
+free bimodule are its outer multiplications carried along the fusion, as
+before the unit algebra acted by its unitors.
 """
 
 import numpy as np
 
+from hstarcat import intalg
 from hstarcat.diagram import Engine
 
 
@@ -104,3 +107,14 @@ class PerChargeBases:
 
     def support(self, word):
         return tuple(c for c in self.data.simples if self.basis(word, c))
+
+
+def free_actions(Ai, c, Aj):
+    """(lam, rho) of the free bimodule A_i (x) c (x) A_j: mu_i (x) id and
+    id (x) mu_j carried along the inverse V of the fusion."""
+    eng = Ai.eng
+    _, u = eng.fuse((Ai.obj, c, Aj.obj))
+    V = eng.dagger(u)
+    lam = intalg.carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
+    rho = intalg.carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
+    return lam, rho

@@ -117,6 +117,24 @@ def test_compose_rejects_ladders_of_two_products():
         deligne.ladder_compose(A, A)
 
 
+def test_sides_built_twice_on_one_engine_are_one_product():
+    # a module side is known by its type and engine, as the tensors kept
+    # on the engine are: t (x) t from two pairs of sides has the one-pair
+    # hom space, and ladders across the pairs compose; sides on another
+    # engine, even of the same data, are another product
+    eng = _eng("fibonacci")
+    L1, L2 = _regular_ladder(eng, "t", "t"), _regular_ladder(eng, "t", "t")
+    assert L1.mside is not L2.mside and L1.nside is not L2.nside
+    assert deligne.ladder_hom_dim(L1, L2) == deligne.ladder_hom_dim(L1, L1) == 2
+    rng = np.random.default_rng(4)
+    F, G = deligne.random_ladder(L2, L1, rng), deligne.random_ladder(L1, L2, rng)
+    FG = deligne.ladder_compose(F, G)
+    assert np.array_equal(FG.z, deligne.ladder_compose(deligne.LadderHom(L1, L1, F.z), G).z)
+    other = _regular_ladder(_eng("fibonacci"), "t", "t")
+    with pytest.raises(deligne.ShapeMismatch):
+        deligne.ladder_hom_dim(L1, other)
+
+
 def _nan_trace_vector(L):
     return np.full(deligne.ladder_hom_dim(L, L), complex("nan"))
 

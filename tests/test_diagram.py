@@ -493,12 +493,22 @@ def _assert_same_blocks(got, ref):
         assert np.array_equal(got.blocks[c], b, equal_nan=True), c
 
 
-# (fusion data, objects) with the words built from them below: a
-# multiplicity-2 object, objects with a unit summand, and the empty word
+# (fusion data, objects) with the words built from the first three below:
+# a multiplicity-2 object, objects with a unit summand, and the empty
+# word; the sums of distinct units and the zero object after them are
+# whiskered by too, so the strict-unit path meets the grouped reference
 WHISKER_CASES = {
-    "ising": [{"1": 1, "s": 1, "p": 1}, {"s": 1}, {"p": 1}],
-    "fibonacci": [{"t": 2}, {"1": 1, "t": 2}, {"t": 1}],
-    "m2_hilb": [{"11": 1, "12": 1}, {"21": 1, "22": 1}, {"12": 1}],
+    "ising": [{"1": 1, "s": 1, "p": 1}, {"s": 1}, {"p": 1}, {"1": 1}, {}],
+    "fibonacci": [{"t": 2}, {"1": 1, "t": 2}, {"t": 1}, {"1": 1}, {}],
+    "m2_hilb": [
+        {"11": 1, "12": 1},
+        {"21": 1, "22": 1},
+        {"12": 1},
+        {"11": 1},
+        {"22": 1},
+        {"11": 1, "22": 1},
+        {},
+    ],
 }
 
 
@@ -508,15 +518,19 @@ def test_whiskers_match_the_per_entry_reference(name):
     rng = np.random.default_rng(11)
     objs = [eng.obj(o) for o in WHISKER_CASES[name]]
     words = [(), (objs[0],), (objs[1],), (objs[0], objs[2]), (objs[2], objs[1], objs[0])]
-    checked = 0
+    checked = Counter()
     for X in words:
         for Y in words:
             f = _sparse_mor(eng, X, Y, rng)
             for O in objs:
-                _assert_same_blocks(eng.whisker_right_obj(f, O), _whisker_right_ref(eng, f, O))
+                got = eng.whisker_right_obj(f, O)
+                _assert_same_blocks(got, _whisker_right_ref(eng, f, O))
                 _assert_same_blocks(eng.whisker_left_obj(O, f), _whisker_left_ref(eng, O, f))
-                checked += bool(f.blocks)
-    assert checked > 20
+                checked[eng.is_unit_sum(O), bool(got.blocks)] += bool(f.blocks)
+    # non-empty results on both paths, and empty ones of a non-zero f
+    # whiskered by the zero object or by units off its charges
+    assert checked[False, True] >= 10 and checked[True, True] >= 10
+    assert checked[True, False] >= 10
 
 
 def test_engine_operations_keep_the_zero_block_rule():
@@ -528,6 +542,7 @@ def test_engine_operations_keep_the_zero_block_rule():
     f = eng.mor(W, W, {"1": [[1.0]], "t": [[1.0, 0.0], [0.0, 0.0]]})
     g = eng.mor(W, W, {"1": [[2.0]], "t": [[0.0, 0.0], [0.0, 1.0]]})
     nan = eng.mor(W, W, {"t": [[np.nan, 0.0], [0.0, 0.0]]})
+    one = eng.simple_obj("1")
 
     def no_zero_block(m):
         return all(b.any() for b in m.blocks.values())
@@ -551,5 +566,40 @@ def test_engine_operations_keep_the_zero_block_rule():
         eng.scale(0.0, nan),
         eng.whisker_right_obj(nan, O),
         eng.whisker_left_obj(O, nan),
+        eng.whisker_right_obj(nan, one),
     ]:
         assert any(np.isnan(b).any() for b in m.blocks.values())
+    # whiskered by the unit, the NaN stays in its own entry: the block is
+    # f's, not a product with identities that spreads it along a row
+    assert np.isnan(eng.whisker_right_obj(nan, one).blocks["t"]).sum() == 1
+
+
+def test_unitors_need_a_sum_of_distinct_units():
+    # a unitor is the identity on trees only for a sum of distinct units:
+    # any other object is an input error, never a wrong map
+    eng = _eng("ising")
+    W = (eng.obj({"s": 1, "p": 1}),)
+    for U in ({"1": 2}, {"1": 1, "p": 1}, {"s": 1}):
+        with pytest.raises(InputError, match="sum of distinct units"):
+            eng.left_unitor(eng.obj(U), W)
+        with pytest.raises(InputError, match="sum of distinct units"):
+            eng.right_unitor(W, eng.obj(U))
+    one = eng.obj({"1": 1})
+    for unitor, dom in ((eng.left_unitor(one, W), (one,) + W), (eng.right_unitor(W, one), W + (one,))):
+        assert (unitor.dom, unitor.cod) == (dom, W)
+        assert eng.residual(eng.compose(unitor, eng.dagger(unitor)), eng.identity(W)) == 0.0
+
+
+def test_unitors_are_the_grouped_identity_on_m2_hilb():
+    # on two units, each unitor of U is the identity at the charges whose
+    # source (left) or target (right) unit is in U and zero at the others;
+    # the right one equals the dagger of the group_last regrouping
+    eng = _eng("m2_hilb")
+    W = (eng.obj({"11": 1, "12": 1, "21": 1}),)
+    for units in (("11",), ("22",), ("11", "22")):
+        U = eng.obj(dict.fromkeys(units, 1))
+        left, right = eng.left_unitor(U, W), eng.right_unitor(W, U)
+        assert list(left.blocks) == [c for c in eng.support(W) if eng.data.s(c) in units]
+        assert list(right.blocks) == [c for c in eng.support(W) if eng.data.t(c) in units]
+        for c, b in right.blocks.items():
+            assert np.array_equal(b, eng.group_last(W, U, c)[2].conj().T)

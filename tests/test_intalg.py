@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import diagram_reference
 import solve_reference as ref
 from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
@@ -245,6 +246,106 @@ def test_nan_in_mu_rejects_on_unitality():
     cert = intalg.verify_hstar(A)
     assert (cert.ok, cert.failed_axiom) == (False, "unitality")
     assert np.isnan(cert.residuals["unitality"])
+
+
+def _m2_pair(eng):
+    """The pair algebra of 11 + 12 + 22 on m2_hilb: 2 11 + 12 + 21 + 22."""
+    return intalg.pair_algebra(eng, eng.obj({"11": 1, "12": 1, "22": 1}))
+
+
+# (fusion data, the units of a unit algebra, an algebra that is not one)
+UNIT_ALGEBRA_CASES = [
+    ("ising", ("1",), lambda e: intalg.group_algebra(e, ("1", "p"))),
+    ("fibonacci", ("1",), lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ("m2_hilb", ("11",), _m2_pair),
+    ("m2_hilb", ("22",), _m2_pair),
+    ("m2_hilb", ("11", "22"), _m2_pair),
+]
+
+
+@pytest.mark.parametrize("name,units,mk", UNIT_ALGEBRA_CASES)
+def test_unit_algebra_acts_by_its_unitors(name, units, mk):
+    # a free bimodule over the unit algebra on either side takes that
+    # side's unitor as its action, and the unitor agrees entrywise with
+    # the multiplication carried along the fusion
+    eng = _eng(name)
+    one, other = intalg.group_algebra(eng, units), mk(eng)
+    assert one.acts_by_unitors() and not other.acts_by_unitors()
+    checked = 0
+    for Ai, Aj in ((one, one), (one, other), (other, one)):
+        for c in eng.data.simples:
+            F = intalg.free_bimodule(Ai, c, Aj)
+            if not any(F.obj):
+                continue
+            lam, rho = diagram_reference.free_actions(Ai, eng.simple_obj(c), Aj)
+            for got, carried in ((F.lam, lam), (F.rho, rho)):
+                assert (got.dom, got.cod) == (carried.dom, carried.cod)
+                gap = np.abs(eng.to_vector(got) - eng.to_vector(carried))
+                assert gap.max(initial=0.0) <= 1e-15, c
+            assert intalg.verify_bimodule(F) < 1e-12
+            checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("name,units", [("ising", ("1",)), ("m2_hilb", ("11", "22"))])
+def test_a_rescaled_unit_algebra_keeps_the_carried_actions(name, units):
+    # 2 mu with iota / 2 is an algebra on the unit objects, but not the one
+    # group_algebra builds: it is not taken for the unit algebra, so its
+    # free bimodules carry their actions, twice the unitors, and are
+    # bimodules
+    eng = _eng(name)
+    one = intalg.group_algebra(eng, units)
+    A = intalg.AlgebraObject(eng, one.obj, eng.scale(2.0, one.mu), eng.scale(0.5, one.iota))
+    assert not A.acts_by_unitors()
+    assert intalg.verify_hstar(A).residuals["unitality"] == 0.0
+    for c in eng.data.simples:
+        F = intalg.free_bimodule(A, c, A)
+        if not any(F.obj):
+            continue
+        lam, rho = diagram_reference.free_actions(A, eng.simple_obj(c), A)
+        assert eng.residual(F.lam, lam) == 0.0 and eng.residual(F.rho, rho) == 0.0
+        twice = eng.scale(2.0, eng.left_unitor(A.obj, F.word))
+        assert eng.residual(F.lam, twice) <= 1e-15
+        assert intalg.verify_bimodule(F) < 1e-12
+
+
+def test_a_nan_unit_is_no_unit_algebra_and_rejects():
+    # a NaN in iota is not the unit algebra's [[1]]: the algebra keeps the
+    # carried path and REJECTs on unitality, its NaN whiskered by the unit
+    eng = _eng("fibonacci")
+    one = intalg.group_algebra(eng, ("1",))
+    A = intalg.AlgebraObject(eng, one.obj, one.mu, eng.mor((), one.word, {"1": [[np.nan]]}))
+    assert not A.acts_by_unitors()
+    cert = intalg.verify_hstar(A)
+    assert (cert.ok, cert.failed_axiom) == (False, "unitality")
+    assert np.isnan(cert.residuals["unitality"])
+
+
+@pytest.mark.parametrize("name,unit", [("ising", "1"), ("m2_hilb", "11"), ("m2_hilb", "22")])
+def test_module_category_over_a_unit_regroups_no_unit(monkeypatch, name, unit):
+    # the unit algebra acts by its unitors and whiskering by a unit keeps
+    # f's blocks: a cold module category over 1_u builds no grouped basis
+    # that ends in a unit object, and no word (U, U, c, B) of the unit
+    # algebra's multiplication whiskered out
+    eng = _eng(name)
+    last_objects, words = [], []
+    group_last, trees = Engine.group_last, Engine._trees
+
+    def recorded_group_last(self, W, O, c):
+        last_objects.append(O)
+        return group_last(self, W, O, c)
+
+    def recorded_trees(self, word):
+        words.append(word)
+        return trees(self, word)
+
+    monkeypatch.setattr(Engine, "group_last", recorded_group_last)
+    monkeypatch.setattr(Engine, "_trees", recorded_trees)
+    mc = intalg.module_category(eng, intalg.group_algebra(eng, (unit,)))
+    assert mc.certificate.ok
+    assert len(mc.simples) == sum(eng.data.t(c) == unit for c in eng.data.simples)
+    assert words and not [O for O in last_objects if eng.is_unit_sum(O)]
+    assert not [w for w in words if len(w) == 4 and eng.is_unit_sum(w[0]) and eng.is_unit_sum(w[1])]
 
 
 def test_twisted_cup_rejects_on_standardness_with_every_residual():
