@@ -29,7 +29,8 @@ trees of W (x) U at a charge c with t(c) in U are those of W, in the same
 order, so f (x) id_U keeps f's blocks at those charges and both unitors
 are identity blocks; neither meets group_last. The tree bases
 of a word are built for every charge in one sweep over the fusion
-products of its first object with the charges of the rest.
+products (FusionData.fusion_products) of its first object with the
+charges of the rest.
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
@@ -74,7 +75,6 @@ class Engine:
         self._basis = {}
         self._index = {}
         self._support = {}
-        self._product = {}
         self._group = {}
         self._fcache = {}
         self._simple = {}
@@ -139,16 +139,6 @@ class Engine:
             out = self._support[word]
         return out
 
-    def _products(self, x, e):
-        """The charges c of x (x) e with their multiplicities N_xe^c, in
-        the order of the simples; one table per engine."""
-        out = self._product.get((x, e))
-        if out is None:
-            out = self._product[(x, e)] = [
-                (c, n) for c in self.data.simples if (n := self.data.n(x, e, c))
-            ]
-        return out
-
     def _trees(self, word):
         """The bases of word at every charge, with their indices and the
         support, in one sweep over the fusion products x (x) e; each
@@ -164,7 +154,7 @@ class Engine:
                 n = self.mult(O, x)
                 if not n:
                     continue
-                fused = [(e, k, self._products(x, e)) for e, k in inner]
+                fused = [(e, k, self.data.fusion_products(x, e)) for e, k in inner]
                 for alpha in range(n):
                     for e, k, products in fused:
                         for c, m in products:

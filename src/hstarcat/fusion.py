@@ -18,14 +18,16 @@ grouped to the left onto the basis {(f; ka in V(b,c;f), la in V(a,f;d))}
 grouped to the right, where V(x,y;z) is the vertex space Hom(z -> x(x)y).
 F blocks with a unit argument are required to be identities (strict unit).
 
-Validation compiles the data into tables once per call: a dense N[a, b, c]
-with the strict-unit rules folded in, and every F block that has trees,
-in index order, with its entries in one flat array (_Blocks). Tree bases
-are numbered by pairs of vertices, and the pentagon evaluates all its
+N is compiled once, at construction, into FusionData.table, the dense
+N[a, b, c] with the strict-unit rules folded in; n, fusion_products and
+every FPdim (the largest singular value of a fusion matrix) are read off
+it. F blocks are read per call and never stored, since tests edit F after
+construction: validation gathers every F block that has trees, in index
+order, with its entries in one flat array (_Blocks). Tree bases are
+numbered by pairs of vertices, and the pentagon evaluates all its
 instances in one batch of integer index arrays and float64 arithmetic,
 in the order of a scalar loop over them, so its residual is the loop's
-to the last bit (see pentagon_residual). The tables are never stored on
-FusionData, so they cannot go stale when F is edited after construction.
+to the last bit (see pentagon_residual).
 Non-finite F entries are an InputError at construction; a non-finite
 residual that still arises fails its bound test and rejects.
 """
@@ -42,8 +44,6 @@ from .numcore import (
     DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, unitarity_defect, worst,
 )
 
-# the power iteration for FPdim^2 stops once a step moves it by less
-FP_TOL = 1e-12
 # F-symbols are given data, so their unitarity holds to roundoff: 1e-10
 # at the default tolerance
 F_UNITARITY_DIVISOR = 20
@@ -101,7 +101,41 @@ class FusionData:
         for k, m in self.F.items():
             if not np.isfinite(m).all():
                 raise InputError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
-        self._fpdims = None
+        if not self.units:
+            raise InputError("no unit summand")
+        self._compile()
+
+    def _compile(self):
+        """The fusion rules as table[a, b, c] = N_{ab}^c over simple
+        indices, with the strict-unit rules in place of any stored entry
+        with a unit argument: 1_u (x) x = x when s(x) = s(u), and x (x) 1_u
+        = x when t(x) = s(u) for a simple x that is not a unit. The lookups
+        of n and fusion_products, and every FPdim, are read off it."""
+        S, n = self.simples, len(self.simples)
+        table = np.zeros((n,) * 3, dtype=int)
+        for (a, b, c), m in self.N.items():
+            table[self.index[a], self.index[b], self.index[c]] = m
+        unit = np.array([c in self.units for c in S])
+        s = np.array([self.index[self.s(c)] for c in S])
+        t = np.array([self.index[self.t(c)] for c in S])
+        table[unit] = 0
+        table[:, unit] = 0
+        u, x = (unit[:, None] & (s[:, None] == s)).nonzero()
+        table[u, x, x] = 1
+        x, u = (~unit[:, None] & unit & (t[:, None] == s)).nonzero()
+        table[x, u, x] = 1
+        self.table = table
+        self._n, products = {}, {}
+        a, b, c = table.nonzero()
+        for i, j, k, m in zip(a.tolist(), b.tolist(), c.tolist(), table[a, b, c].tolist()):
+            self._n[(S[i], S[j], S[k])] = m
+            products.setdefault((S[i], S[j]), []).append((S[k], m))
+        # tuples, since every caller shares them
+        self._products = {k: tuple(v) for k, v in products.items()}
+        # FPdim(a)^2 is the spectral radius of L_{a*} L_a = L_a^T L_a for
+        # the fusion matrix L_a[c, b] = N_{ab}^c (Frobenius reciprocity)
+        sv = np.linalg.svd(table.astype(float), compute_uv=False)
+        self._fpdims = dict(zip(S, sv[:, 0].tolist()))
 
     # --- basic accessors -------------------------------------------------
 
@@ -113,18 +147,19 @@ class FusionData:
 
     def n(self, a, b, c) -> int:
         """Multiplicity N_{ab}^c = dim Hom(c -> a (x) b)."""
-        if a in self.units:
-            return 1 if (b == c and self.s(b) == self.s(a)) else 0
-        if b in self.units:
-            return 1 if (a == c and self.t(a) == self.s(b)) else 0
-        return self.N.get((a, b, c), 0)
+        return self._n.get((a, b, c), 0)
+
+    def fusion_products(self, a, b):
+        """The charges c of a (x) b with their multiplicities N_{ab}^c, in
+        the order of the simples."""
+        return self._products.get((a, b), ())
 
     def tree_rows(self, a, b, c, d):
         """Canonical order of the left-grouped tree basis of Hom(d -> abc)."""
         return [
             (e, mu, nu)
-            for e in self.simples
-            for mu in range(self.n(a, b, e))
+            for e, m in self.fusion_products(a, b)
+            for mu in range(m)
             for nu in range(self.n(e, c, d))
         ]
 
@@ -132,8 +167,8 @@ class FusionData:
         """Canonical order of the right-grouped tree basis."""
         return [
             (f, ka, la)
-            for f in self.simples
-            for ka in range(self.n(b, c, f))
+            for f, m in self.fusion_products(b, c)
+            for ka in range(m)
             for la in range(self.n(a, f, d))
         ]
 
@@ -151,39 +186,7 @@ class FusionData:
     # --- Frobenius-Perron dimensions ------------------------------------
 
     def fpdim(self, a) -> float:
-        """Spectral radius of the left fusion matrix of a, by power iteration."""
-        if self._fpdims is None:
-            self._fpdims = {}
-        if a in self._fpdims:
-            return self._fpdims[a]
-        n = len(self.simples)
-        mat = np.zeros((n, n))
-        for bi, b in enumerate(self.simples):
-            for ci, c in enumerate(self.simples):
-                mat[ci, bi] = self.n(a, b, c)
-        # power iteration on M + M^T M guard: iterate on the symmetrized
-        # product with the dual to stay on the right graded block
-        dual_mat = np.zeros((n, n))
-        ab = self.dual[a]
-        for bi, b in enumerate(self.simples):
-            for ci, c in enumerate(self.simples):
-                dual_mat[ci, bi] = self.n(ab, b, c)
-        prod = dual_mat @ mat  # nonnegative, spectral radius FPdim(a)^2
-        v = np.ones(n)
-        val = 1.0
-        for _ in range(10000):
-            w = prod @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                val = 0.0
-                break
-            w = w / nw
-            newval = float(w @ (prod @ w))
-            if abs(newval - val) < FP_TOL:
-                val = newval
-                break
-            val, v = newval, w
-        self._fpdims[a] = float(np.sqrt(max(val, 0.0)))
+        """FPdim(a), the largest singular value of the fusion matrix of a."""
         return self._fpdims[a]
 
     def fpdim_total(self, component=None) -> float:
@@ -283,16 +286,18 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
     pentagon equation.
 
-    Each call compiles its own tables from the data (see _Blocks). The
-    integer identities are comparisons of the dense table N[a, b, c], and
-    the tree counts sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of
-    every F^{abc}_d must agree. F-unitarity is checked on the blocks that
-    have trees and no unit argument (unit blocks are identities): the 1x1
-    blocks in one array expression that rounds exactly like
-    numcore.unitarity_defect, each larger block by unitarity_defect. The
-    pentagon is checked on admissible instances without a unit leg only,
-    all in one batch (see pentagon_residual). Every bound test reads
-    `not (residual <= bound)`, so a NaN residual rejects on its axiom.
+    N is compiled at construction (data.table); the F blocks are read in
+    each call and never stored (see _Blocks). The grading check runs over
+    the stored entries of N, the other integer identities are comparisons
+    of the dense table N[a, b, c], and the tree counts sum_e N[a,b,e]
+    N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every F^{abc}_d must agree.
+    F-unitarity is checked on the blocks that have trees and no unit
+    argument (unit blocks are identities): the 1x1 blocks in one array
+    expression that rounds exactly like numcore.unitarity_defect, each
+    larger block by unitarity_defect. The pentagon is checked on
+    admissible instances without a unit leg only, all in one batch (see
+    pentagon_residual). Every bound test reads `not (residual <= bound)`,
+    so a NaN residual rejects on its axiom.
 
     The bounds scale with tol.bound(), the bound at unit scale: F-unitarity
     at tol.bound() / F_UNITARITY_DIVISOR (20) and the pentagon at
@@ -300,7 +305,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     default tolerance (2e-9), so a smaller tol never accepts more.
     """
     S, idx = data.simples, data.index
-    N = _fusion_table(data)
+    N = data.table
     problems = []
     for c in S:
         cb = data.dual[c]
@@ -322,7 +327,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     residuals = {"integer_checks": 1.0 if problems else 0.0}
     details = {"problems": problems[:5]}
 
-    blocks = _Blocks(data, N)
+    blocks = _Blocks(data)
     if blocks.mismatch:
         # no F block past the mismatch is built; a grading or duality
         # problem, checked first, keeps its name
@@ -371,7 +376,7 @@ def pentagon_residual(data: FusionData) -> float:
     entry, which is what np.linalg.norm returns for it, and
     np.linalg.norm of the instance's entries in row-major order for a
     larger instance."""
-    blocks = _Blocks(data, _fusion_table(data))
+    blocks = _Blocks(data)
     if blocks.mismatch:
         key, r, k = blocks.mismatch
         raise InputError("F^{},{},{}_{}: tree counts differ ({} vs {})".format(*key, r, k))
@@ -391,29 +396,11 @@ def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
     return m
 
 
-def _fusion_table(data: FusionData) -> np.ndarray:
-    """Dense N[a, b, c] over simple indices, equal to FusionData.n: the
-    strict-unit rules replace any stored entry with a unit argument."""
-    S, idx = data.simples, data.index
-    N = np.zeros((len(S),) * 3, dtype=int)
-    for (a, b, c), m in data.N.items():
-        N[idx[a], idx[b], idx[c]] = m
-    units = [idx[u] for u in data.units]
-    N[units] = 0
-    N[:, units] = 0
-    for u in data.units:
-        for i, x in enumerate(S):
-            if x not in data.units and data.t(x) == data.s(u):
-                N[i, idx[u], i] = 1
-            if data.s(x) == data.s(u):
-                N[idx[u], i, i] = 1
-    return N
-
-
 class _Blocks:
     """The F blocks that have trees, of one FusionData for one validate or
-    pentagon_residual call; never stored on the data, so they cannot go
-    stale when F is edited after construction.
+    pentagon_residual call, on the tree counts of data.table, which
+    construction compiled; the blocks are read per call and never stored
+    on the data, so they cannot go stale when F is edited afterwards.
 
     Blocks are read in index order of their (a, b, c, d) up to the first
     whose tree counts differ; a stored block of the wrong shape before it
@@ -424,8 +411,8 @@ class _Blocks:
     vals from at[i]. trees[a, b, c, d] counts the left trees of every
     quadruple, and unit marks the unit simples."""
 
-    def __init__(self, data: FusionData, N: np.ndarray):
-        self.data, self.N = data, N
+    def __init__(self, data: FusionData):
+        self.data, N = data, data.table
         S, n = data.simples, len(data.simples)
         self.trees = np.einsum("abe,ecd->abcd", N, N)
         cols = np.einsum("bcf,afd->abcd", N, N)
@@ -499,7 +486,7 @@ class _Trees:
     the size of its block."""
 
     def __init__(self, blocks: _Blocks):
-        N, dims = blocks.N, blocks.dims
+        N, dims = blocks.data.table, blocks.dims
         bx, by, bz, bw = blocks.keys
         n = len(N)
         counts = N.ravel()
@@ -561,7 +548,7 @@ def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray
     a, b and c, d composable non-unit pairs (pair[x n + y]) and b, c
     composable; instances in key order, each one's start trees in
     canonical order, and the instance key of each."""
-    n = len(blocks.N)
+    n = len(blocks.data.simples)
     bx, by, bz, bw = blocks.keys
     P = pair[tr.vxy].nonzero()[0]
     rows = pair[by * n + bz][tr.rblk].nonzero()[0]
@@ -609,7 +596,7 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R):
 def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     """The gap of every pentagon instance, by the batched method of
     pentagon_residual."""
-    data, N = blocks.data, blocks.N
+    data, N = blocks.data, blocks.data.table
     n = len(data.simples)
     free = ~blocks.unit
     source = np.array([data.index[data.s(c)] for c in data.simples])

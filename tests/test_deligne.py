@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bench_families import fam
+from test_fusion import DFT5, ROT, _multiplicity_two
 from hstarcat import bundled, deligne, hilb3
 from hstarcat.certify import bounded
 from hstarcat.diagram import Engine
@@ -401,12 +402,19 @@ def _sum_ladder(mside, nside):
     return deligne.LadderObject(mside, nside, eng.obj({u: 1, x: 1}), eng.obj({u: 2, x: 1}))
 
 
+# x (x) x = 1 + 2x has two vertices (x, x; x), so the vertex sum of
+# deligne._compose_tensor has two terms; ladder_trace keeps only unit
+# channels, so the action image is what sees it. It fails the pentagon,
+# so it stays out of LAW_CATEGORIES
+KEYED_CATEGORIES = {**REFERENCE_CATEGORIES, "multiplicity_two": lambda: _multiplicity_two(DFT5, ROT)}
+
+
 def _reference_engine(name):
-    data = REFERENCE_CATEGORIES[name]()
+    data = KEYED_CATEGORIES[name]()
     return Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
 
 
-@pytest.mark.parametrize("name", list(REFERENCE_CATEGORIES))
+@pytest.mark.parametrize("name", list(KEYED_CATEGORIES))
 def test_keyed_terms_agree_with_the_mor_reference(name):
     eng = _reference_engine(name)
     data = eng.data

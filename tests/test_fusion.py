@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hstarcat.diagram import Engine
 from hstarcat.fusion import (
     FusionData,
     SphericalWeight,
-    _fusion_table,
     loop_eval,
     pentagon_residual,
     renorm_scalar,
@@ -52,6 +52,42 @@ def test_fpdims():
     ising = bundled.load("ising")
     assert ising.fpdim("s") == pytest.approx(np.sqrt(2))
     assert ising.fpdim_total() == pytest.approx(4.0)
+
+
+def _gauged_ty(n):
+    return fam.gauge(fam.ty_zn(n, -1), np.random.default_rng(n))
+
+
+def _fpdim_cases():
+    """The bundled categories, plain and twisted Vec(Z_2..12), and plain
+    and gauged TY(Z_2..7), each with the exact FPdim of every simple."""
+    cases = []
+    for name in bundled.NAMES:
+        exact = {"t": (1 + 5**0.5) / 2, "s": math.sqrt(2)}
+        cases.append((name, lambda name=name: bundled.load(name), exact))
+    for n in range(2, 13):
+        for p in (0, 1):
+            cases.append((f"vec{n}_{p}", lambda n=n, p=p: fam.vec_zn(n, p), {}))
+    for n in range(2, 8):
+        exact = {"m": math.sqrt(n)}
+        cases.append((f"ty{n}", lambda n=n: fam.ty_zn(n), exact))
+        cases.append((f"ty{n}_gauged", lambda n=n: _gauged_ty(n), exact))
+    return cases
+
+
+FPDIM_CASES = _fpdim_cases()
+
+
+@pytest.mark.parametrize("name,make,exact", FPDIM_CASES, ids=[c[0] for c in FPDIM_CASES])
+def test_fpdims_are_exact(name, make, exact):
+    # every other simple is invertible; compared with ==, not approx
+    data = make()
+    assert {c: data.fpdim(c) for c in data.simples} == {c: exact.get(c, 1.0) for c in data.simples}
+
+
+def test_a_category_without_a_unit_is_a_schema_error():
+    with pytest.raises(InputError, match="no unit summand"):
+        FusionData((), (), {}, {}, {}, {})
 
 
 def test_components():
@@ -350,12 +386,35 @@ REFERENCE_CASES += [
 ]
 
 
-@pytest.mark.parametrize("name,make", REFERENCE_CASES, ids=[n for n, _ in REFERENCE_CASES])
+def _strict_unit_n(data, a, b, c):
+    """N_{ab}^c by the strict-unit rule, one label triple at a time: a
+    unit argument fixes the multiplicity, whatever N stores for it."""
+    if a in data.units:
+        return 1 if (b == c and data.s(b) == data.s(a)) else 0
+    if b in data.units:
+        return 1 if (a == c and data.t(a) == data.s(b)) else 0
+    return data.N.get((a, b, c), 0)
+
+
+def _stored_unit_entries():
+    """Fibonacci whose stored N contradicts the strict-unit rule at two
+    entries with a unit argument."""
+    return _edited("fibonacci", lambda d: d["N"].update({"1,t,1": 1, "t,1,t": 3}))
+
+
+TABLE_CASES = REFERENCE_CASES + [("stored_unit_entries", _stored_unit_entries)]
+
+
+@pytest.mark.parametrize("name,make", TABLE_CASES, ids=[n for n, _ in TABLE_CASES])
 def test_tables_match_label_accessors(name, make):
     data = make()
-    N = _fusion_table(data)
+    overridden = [k for k in data.N if data.N[k] != _strict_unit_n(data, *k)]
+    assert bool(overridden) == (name == "stored_unit_entries")
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(data.simples), repeat=3):
-        assert N[i, j, k] == data.n(a, b, c)
+        assert data.n(a, b, c) == data.table[i, j, k] == _strict_unit_n(data, a, b, c)
+    for a, b in itertools.product(data.simples, repeat=2):
+        products = [(c, m) for c in data.simples if (m := _strict_unit_n(data, a, b, c))]
+        assert list(data.fusion_products(a, b)) == products
     assert pentagon_residual(data) == _reference_pentagon(data)
 
 

@@ -22,7 +22,10 @@ the bound factors: no bare number scales a .bound( call. Lint for the
 sampled checks: every function that takes a samples count is shown to
 refuse a count below one. Lint for the one tolerance per engine: no
 function that takes an engine-backed object also takes a tol; it reads
-the engine's."""
+the engine's. Lint for the one source of the fusion rules: outside the
+construction of FusionData, to_json and validate's grading check, no
+module reads the stored multiplicities N; the rest read the compiled
+rules."""
 
 import ast
 import builtins
@@ -406,6 +409,58 @@ def test_cup_lint_catches_a_stray_read():
     assert _stray_cup_coefficients("def f(udf):\n    udf.alpha = {}", "hilb3")
     assert _stray_cup_coefficients("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion")
     assert not _stray_cup_coefficients("def f(A):\n    return A.alpha + udf.psi", "intalg")
+
+
+# the stored fusion multiplicities FusionData.N: read to build the table at
+# construction, to write them out, and by validate's grading check over
+# the stored entries; everything else reads n, fusion_products or the
+# table, which carry the strict-unit rule
+N_READERS = {
+    "fusion.FusionData.__post_init__",
+    "fusion.FusionData._compile",
+    "fusion.FusionData.to_json",
+    "fusion.validate",
+}
+
+
+def _stray_n_reads(source: str, module: str):
+    """(line, message) for each attribute .N named outside N_READERS; the
+    scope of a use is the chain of defs around it."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Attribute) and child.attr == "N" and scope not in N_READERS:
+                out.append((child.lineno, f".N read in {scope}"))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_stored_multiplicities_are_read_only_by_fusion():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{line}: {what}" for line, what in _stray_n_reads(path.read_text(), path.stem)
+        ]
+    assert not found, "\n".join(found)
+
+
+def test_n_lint_catches_a_stray_read():
+    assert _stray_n_reads("def f(data):\n    return data.N.get((a, b, c), 0)", "diagram")
+    assert _stray_n_reads("rows = eng.data.N", "hilb3")
+    assert _stray_n_reads("def pentagon_residual(data):\n    return len(data.N)", "fusion")
+    fd = "class FusionData:\n    def {}(self):\n        return self.N.get(k, 0)"
+    assert _stray_n_reads(fd.format("n"), "fusion")
+    assert not _stray_n_reads(fd.format("to_json"), "fusion")
+    assert _stray_n_reads(fd.format("to_json"), "hilb3")
+    assert not _stray_n_reads("def validate(data):\n    for a, b, c in data.N:\n        pass", "fusion")
+    assert not _stray_n_reads("def f(data):\n    return data.n(a, b, c) + data.table[0, 0, 0]", "diagram")
+    assert not _stray_n_reads("data = FusionData(S, U, G, D, N=mults, F=F)", "hilb3")
 
 
 def _certificate_calls(source: str):
