@@ -12,10 +12,13 @@ that re-expresses "tree of W fused with one extra strand" trees in the
 right-comb basis; that unitary is assembled recursively from one F-symbol
 per level. Both whiskers place each block of f by one slice assignment
 per run of trees that share their top vertex, since those runs are
-contiguous in the grouped and the comb bases. Cups and caps carry
-explicit coefficients alpha_c, beta_c from the unitary dual functor that
-the engine is built with (fusion.dual_engine), read by _cup alone; cups
-and caps are built by ev_obj and coev_obj only, loops by _closed_loop.
+contiguous in the grouped and the comb bases; whisker_right_cols and
+whisker_left_cols apply a whiskered map at one charge to a few vectors
+through the same placements, without forming the whiskered morphism.
+Cups and caps carry explicit coefficients alpha_c, beta_c from the
+unitary dual functor that the engine is built with (fusion.dual_engine),
+read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
+loops by _closed_loop.
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -273,7 +276,12 @@ class Engine:
     def group_last(self, W, O, c):
         """Unitary from the grouped basis of Hom(c -> W (x) O) to the
         right-comb basis of the concatenated word. Returns (grouped,
-        index dict, matrix)."""
+        index dict, matrix). Column (y, beta, d, u, ti), with ti the tree
+        (x1, a1, e1, v1, si) of W at d, is the F-move of its top two
+        vertices, sum over (g, t, r) of F^{x1 e1 y}_c[(d, v1, u), (g, t, r)]
+        times the column (y, beta, e1, t, si) of group_last(W[1:], O, g)
+        placed on the comb trees (x1, a1, g, r, .), which are contiguous:
+        one slice per F coefficient."""
         key = (W, O, c)
         hit = self._group.get(key)
         if hit is not None:
@@ -299,19 +307,30 @@ class Engine:
                     if coeff == 0:
                         continue
                     gp, gp_idx, Up = self.group_last(Wp, O, g)
-                    colvec = Up[:, gp_idx[(y, beta, e1, t, si)]]
-                    for k in np.flatnonzero(np.abs(colvec) > 0):
-                        tgt = (x1, a1, g, r, int(k))
-                        U[comb_idx[tgt], col] += coeff * colvec[k]
+                    # the comb trees (x1, a1, g, r, .) are contiguous
+                    i = comb_idx[(x1, a1, g, r, 0)]
+                    U[i : i + Up.shape[0], col] += coeff * Up[:, gp_idx[(y, beta, e1, t, si)]]
         self._group[key] = (grouped, gidx, U)
         return self._group[key]
 
+    def _right_parts(self, f: Mor, O, c):
+        """(UX, M, UY) with (f (x) id_O)_c = UY M UX^dag: in the grouped
+        bases the trees of one group (y, beta, d, u) are contiguous, so each
+        block f_d lands in one rectangle of M per group."""
+        gX, _, UX = self.group_last(f.dom, O, c)
+        _, gYi, UY = self.group_last(f.cod, O, c)
+        M = np.zeros((UY.shape[1], UX.shape[1]), dtype=complex)
+        for j, (y, beta, d, u, ti) in enumerate(gX):
+            fb = f.blocks.get(d)
+            if ti == 0 and fb is not None:
+                i = gYi[(y, beta, d, u, 0)]
+                M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
+        return UX, M, UY
+
     def whisker_right_obj(self, f: Mor, O) -> Mor:
-        """f (x) id_O for a single object O. In the grouped bases the trees
-        of one group (y, beta, d, u) are contiguous, so each block f_d lands
-        in one rectangle per group. For O a sum of distinct units the
-        result is f's blocks at the charges c with t(c) in O (strict
-        unit)."""
+        """f (x) id_O for a single object O, one block UY M UX^dag per
+        charge (_right_parts). For O a sum of distinct units the result is
+        f's blocks at the charges c with t(c) in O (strict unit)."""
         X, Y = f.dom, f.cod
         # charges in the order of the simples (as support lists them), so
         # that the block order, and with it every later sum over blocks,
@@ -322,36 +341,48 @@ class Engine:
         blocks = {}
         cod_support = self.support(Y + (O,))
         for c in self.support(X + (O,)):
-            if c not in cod_support:
-                continue
-            gX, _, UX = self.group_last(X, O, c)
-            _, gYi, UY = self.group_last(Y, O, c)
-            M = np.zeros((UY.shape[1], UX.shape[1]), dtype=complex)
-            for j, (y, beta, d, u, ti) in enumerate(gX):
-                fb = f.blocks.get(d)
-                if ti == 0 and fb is not None:
-                    i = gYi[(y, beta, d, u, 0)]
-                    M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
-            blocks[c] = UY @ M @ UX.conj().T
+            if c in cod_support:
+                UX, M, UY = self._right_parts(f, O, c)
+                blocks[c] = UY @ M @ UX.conj().T
         return Mor(X + (O,), Y + (O,), _nonzero(blocks))
 
-    def whisker_left_obj(self, O, f: Mor) -> Mor:
-        """id_O (x) f: each block f_e lands in one rectangle per run of
+    def whisker_right_cols(self, f: Mor, O, c, v) -> np.ndarray:
+        """(f (x) id_O)_c v for columns v in the comb basis of f.dom + (O,)
+        at charge c, as UY (M (UX^dag v)): no block of f (x) id_O is
+        formed."""
+        cod = f.cod + (O,)
+        if c in self.support(cod):
+            if not self.is_unit_sum(O):
+                UX, M, UY = self._right_parts(f, O, c)
+                return UY @ (M @ (UX.conj().T @ v))
+            fb = f.blocks.get(c)
+            if fb is not None:
+                return fb @ v
+        return np.zeros((len(self.basis(cod, c)),) + v.shape[1:], dtype=complex)
+
+    def _left_block(self, O, f: Mor, c) -> np.ndarray:
+        """(id_O (x) f)_c: each block f_e lands in one rectangle per run of
         trees (x, alpha, e, v) of the comb basis."""
-        X, Y = f.dom, f.cod
-        dom, cod = (O,) + X, (O,) + Y
-        blocks = {}
-        for c in self.support(dom):
-            cod_idx = self.basis_index(cod, c)
-            dom_basis = self.basis(dom, c)
-            M = np.zeros((len(self.basis(cod, c)), len(dom_basis)), dtype=complex)
-            for j, (x, alpha, e, v, ti) in enumerate(dom_basis):
-                fb = f.blocks.get(e)
-                if ti == 0 and fb is not None:
-                    i = cod_idx[(x, alpha, e, v, 0)]
-                    M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
-            blocks[c] = M
+        cod_idx = self.basis_index((O,) + f.cod, c)
+        dom_basis = self.basis((O,) + f.dom, c)
+        M = np.zeros((len(cod_idx), len(dom_basis)), dtype=complex)
+        for j, (x, alpha, e, v, ti) in enumerate(dom_basis):
+            fb = f.blocks.get(e)
+            if ti == 0 and fb is not None:
+                i = cod_idx[(x, alpha, e, v, 0)]
+                M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
+        return M
+
+    def whisker_left_obj(self, O, f: Mor) -> Mor:
+        """id_O (x) f, one block per charge (_left_block)."""
+        dom, cod = (O,) + f.dom, (O,) + f.cod
+        blocks = {c: self._left_block(O, f, c) for c in self.support(dom)}
         return Mor(dom, cod, _nonzero(blocks))
+
+    def whisker_left_cols(self, O, f: Mor, c, v) -> np.ndarray:
+        """(id_O (x) f)_c v for columns v in the comb basis of (O,) + f.dom
+        at charge c; only the block at c is formed."""
+        return self._left_block(O, f, c) @ v
 
     def whisker_right(self, f: Mor, word) -> Mor:
         for O in word:

@@ -288,9 +288,12 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
 
     N is compiled at construction (data.table); the F blocks are read in
     each call and never stored (see _Blocks). The grading check runs over
-    the stored entries of N, the other integer identities are comparisons
-    of the dense table N[a, b, c], and the tree counts sum_e N[a,b,e]
-    N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every F^{abc}_d must agree.
+    the stored entries of N, and so does the strict-unit check: a stored
+    entry with a unit argument must equal n(a, b, c), the value of the
+    rule that construction put in its place. The other integer identities
+    are comparisons of the dense table N[a, b, c], and the tree counts
+    sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every F^{abc}_d
+    must agree.
     F-unitarity is checked on the blocks that have trees and no unit
     argument (unit blocks are identities): the 1x1 blocks in one array
     expression that rounds exactly like numcore.unitarity_defect, each
@@ -316,9 +319,11 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         i, ib = idx[c], idx[cb]
         if N[i, ib, idx[data.s(c)]] != 1 or N[ib, i, idx[data.t(c)]] != 1:
             problems.append(f"dual pairing multiplicity wrong at {c}")
-    for a, b, c in data.N:
+    for (a, b, c), m in data.N.items():
         if data.t(a) != data.s(b) or data.s(c) != data.s(a) or data.t(c) != data.t(b):
             problems.append(f"grading incompatibility in N at {(a, b, c)}")
+        if (a in data.units or b in data.units) and m != data.n(a, b, c):
+            problems.append(f"stored N breaks the strict-unit rule at {(a, b, c)}")
     # Frobenius reciprocity: N_{ab}^c = N_{a* c}^b = N_{c b*}^a
     D = [idx[data.dual[c]] for c in S]
     frob = (N != N[D].transpose(0, 2, 1)) | (N != N[:, D].transpose(2, 1, 0))

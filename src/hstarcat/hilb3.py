@@ -29,7 +29,10 @@ splitting V_L of p_{XY,Z} gives V_L V_L^dag (r (x) id_Z) V_EZ =
 (r (x) id_Z) V_EZ: every tree of (X (x) Y) (x) Z lifts into (x, y, z)
 through the pair tensors alone, as (V_XY r (x) id_Z) V_EZ, and likewise
 on the right as (id_X (x) V_YZ r) V_XG. Each F-matrix entry is then the
-scalar of one composite of such lifts between maps out of a simple D.
+scalar z of g^dag f = z id_D for two such lifts f, g out of a simple D,
+so one column of D gives it: the lifts are applied, as vectors, to the
+first basis vector of D at its first charge, and no whiskered morphism is
+formed.
 
 A unit factor needs no tensor: the pushed tree of Y in A (x)_A Y is
 V (l V)^dag = p l^dag for the left retraction l of Y, and p fixes l^dag
@@ -277,19 +280,6 @@ def hstar_monad_completion(X: Pre3HilbPresentation, algebras) -> Pre3HilbPresent
     return Pre3HilbPresentation(X.eng, objects)
 
 
-# --- orthonormal intertwiner bases --------------------------------------
-
-
-def _scalar_gram(eng: Engine, fs, gs) -> np.ndarray:
-    """m[a, b] = the scalar z with g_b^dag f_a = z id, for bimodule maps
-    f_a, g_b out of one simple bimodule (where every such composite is a
-    scalar): tr(g_b^dag f_a) / dim, as one product of to_vector rows."""
-    dim = sum(fs[0].dom[0])
-    F = np.array([eng.to_vector(f) for f in fs])
-    G = np.array([eng.to_vector(g) for g in gs], dtype=complex)
-    return F @ G.reshape(len(gs), F.shape[1]).conj().T / dim
-
-
 # --- linking categories ------------------------------------------------
 
 
@@ -306,7 +296,7 @@ class _LinkingBuilder:
     def __init__(self, eng: Engine, algebras, *, seed: int):
         self.eng = eng
         self.algebras = list(algebras)
-        self._trees = {}
+        self._trees, self._columns = {}, {}
         self.simples, self.blocks, self.labels, self.units = [], [], [], []
         self.members = {}
         # with two unit summands the algebra is not a simple bimodule over
@@ -394,14 +384,30 @@ class _LinkingBuilder:
 
     # -- associator matrix elements -------------------------------------
 
+    def _first_columns(self, x: int, y: int):
+        """dict simple d -> (c, V): c the first charge of D, in label order,
+        and the columns of V the first columns at c of the trees
+        trees(x, y)[d], in their order."""
+        if (x, y) not in self._columns:
+            eng = self.eng
+            out = {}
+            for d, ts in self.trees(x, y).items():
+                c = next(c for c, m in zip(eng.data.simples, self.simples[d].obj) if m)
+                out[d] = c, np.stack([eng.block(t, c)[:, 0] for t in ts], axis=1)
+            self._columns[(x, y)] = out
+        return self._columns[(x, y)]
+
     def f_matrices(self):
         """F^{XYZ}_D[a, b] = col_b^dag row_a as a scalar, with both trees
         lifted to maps D -> (x, y, z) through the table: row (E, up, t) is
         (up (x) id_z) t for up in trees(x, y)[E] and t in trees(E, z)[D],
         and column (G, up, t) is (id_x (x) up) t for up in trees(y, z)[G]
-        and t in trees(x, G)[D]. Only the triples that the grading allows
-        are visited; the module docstring says why no tensor of a tensor
-        is needed."""
+        and t in trees(x, G)[D]. On the simple D, col^dag row = F id_D, so
+        one column of D gives the entry: each lift is applied to column 0
+        of t at the first charge c of D (engine whisker_right_cols and
+        whisker_left_cols), and F = R^T conj(C) for the stacked rows R and
+        columns C. Only the triples that the grading allows are visited;
+        the module docstring says why no tensor of a tensor is needed."""
         eng, lab = self.eng, self.labels
         starts = {}  # i -> the non-unit simples of the blocks (i, -), ascending
         for y, (i, _) in enumerate(self.blocks):
@@ -411,26 +417,28 @@ class _LinkingBuilder:
         for x, (i, j) in enumerate(self.blocks):
             if x in self.units:
                 continue
+            X = self.simples[x].obj
             for y in starts.get(j, []):
                 k = self.blocks[y][1]
                 for z in starts.get(k, []):
                     l = self.blocks[z][1]
-                    rows, cols = {}, {}  # d -> maps D -> (x, y, z)
+                    Z = self.simples[z].obj
+                    rows, cols = {}, {}  # d -> column blocks at the first charge of D
                     for e, ups in self.trees(x, y).items():
-                        for up in ups:
-                            lift = eng.whisker_right_obj(up, self.simples[z].obj)
-                            for d, ts in self.trees(e, z).items():
-                                rows.setdefault(d, []).extend(eng.compose(lift, t) for t in ts)
+                        for d, (c, ts) in self._first_columns(e, z).items():
+                            rows.setdefault(d, []).extend(
+                                eng.whisker_right_cols(up, Z, c, ts) for up in ups
+                            )
                     for g, ups in self.trees(y, z).items():
-                        for up in ups:
-                            lift = eng.whisker_left_obj(self.simples[x].obj, up)
-                            for d, ts in self.trees(x, g).items():
-                                cols.setdefault(d, []).extend(eng.compose(lift, t) for t in ts)
+                        for d, (c, ts) in self._first_columns(x, g).items():
+                            cols.setdefault(d, []).extend(
+                                eng.whisker_left_cols(X, up, c, ts) for up in ups
+                            )
                     for d in self.members[(i, l)]:
                         if rows.get(d):
-                            F[(lab[x], lab[y], lab[z], lab[d])] = _scalar_gram(
-                                eng, rows[d], cols.get(d, [])
-                            )
+                            R = np.hstack(rows[d])
+                            C = np.hstack(cols[d]) if d in cols else np.zeros((len(R), 0))
+                            F[(lab[x], lab[y], lab[z], lab[d])] = R.T @ C.conj()
         return F
 
     # -- final assembly --------------------------------------------------

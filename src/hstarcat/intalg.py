@@ -22,11 +22,14 @@ A free bimodule A (x) c (x) B, and every summand of one, keeps its free
 presentation: head, an isometry of its word into the unfused free word.
 The algebra as its own bimodule is the summand of A (x) U (x) A, U its
 unit summands, cut by the dressed comultiplication, so every simple of a
-linking has a head, units included. Free is left adjoint to forgetful,
-so Hom_{A-B}(A (x) c (x) B, M) = Hom(c, M) (Etingof-Gelaki-Nikshych-
-Ostrik, Tensor Categories, Sec. 7.8): a hom space out of such a source
-is spanned by act_M (id_A (x) g (x) id_B) head over a basis of g: c -> M,
-and cut to an orthonormal basis (_adjoint_span). The balanced maps of
+linking has a head, units included. Over the unit algebra the relative
+tensor is the plain fused tensor: both actions are unitors, so the unit
+axiom makes the separability projection the identity, and none is
+built. Free is left adjoint to forgetful, so Hom_{A-B}(A (x) c (x) B, M)
+= Hom(c, M) (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, Sec.
+7.8): a hom space out of such a source is spanned by act_M (id_A (x) g
+(x) id_B) head over a basis of g: c -> M, and cut to an orthonormal basis
+(_adjoint_span), which only normalizes a single map. The balanced maps of
 bimodule_map_basis come the same way from a free right module, so no hom
 space is solved for. Every sub-bimodule carries its actions along an
 isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its
@@ -48,6 +51,7 @@ import numpy as np
 from .certify import Certificate, clears, judged, within
 from .diagram import Engine, Mor
 from .numcore import (
+    RANK_CUT,
     ConsistencyError,
     InputError,
     ShapeMismatch,
@@ -278,9 +282,13 @@ def carry_right(V: Mor, rho: Mor, B: AlgebraObject) -> Mor:
 
 def _adjoint_span(eng: Engine, dom, cod, maps):
     """Orthonormal basis (in the to_vector inner product) of the span of
-    maps dom -> cod, through the rows of an SVD."""
+    maps dom -> cod, through the rows of an SVD. A single map of finite
+    norm is only normalized, under the cut of row_space; a NaN still
+    reaches the SVD, which raises on it."""
     if not maps:
         return []
+    if len(maps) == 1 and np.isfinite(norm := eng.l2_norm(maps[0])):
+        return [eng.scale(1.0 / norm, maps[0])] if norm > RANK_CUT * max(1.0, norm) else []
     rows = row_space(np.array([eng.to_vector(f) for f in maps]))
     return [eng.from_vector(dom, cod, v) for v in rows]
 
@@ -589,19 +597,28 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
 
 def relative_tensor(M: Bimodule, N: Bimodule):
     """M (x)_B N: split the separability projection on its own blocks.
+    Over the unit algebra (M.right and N.left both act by unitors) the
+    projection is the identity, and the tensor is the plain fused tensor
+    eng.fuse(M.word + N.word), with V the dagger of the fusion; no
+    projection is built, checked or split.
 
     Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
     """
     eng = M.eng
-    p = separability_projection(M, N)
     word = M.word + N.word
-    bound = eng.tol.bound(eng.l2_norm(p))
-    if not within(eng.residual(eng.compose(p, p), p), bound):
-        raise ConsistencyError("separability projection is not idempotent")
-    if not within(eng.residual(eng.dagger(p), p), bound):
-        raise ConsistencyError("separability projection is not self-adjoint")
-    cols = {c: split_projection(eng.block(p, c), eng.tol) for c in eng.support(word)}
-    Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
+    if M.right.obj == N.left.obj and M.right.acts_by_unitors() and N.left.acts_by_unitors():
+        # both actions are unitors, so p is the identity by the unit axiom;
+        # differing middle algebras still reach separability_projection
+        Vw = eng.dagger(eng.fuse(word)[1])
+    else:
+        p = separability_projection(M, N)
+        bound = eng.tol.bound(eng.l2_norm(p))
+        if not within(eng.residual(eng.compose(p, p), p), bound):
+            raise ConsistencyError("separability projection is not idempotent")
+        if not within(eng.residual(eng.dagger(p), p), bound):
+            raise ConsistencyError("separability projection is not self-adjoint")
+        cols = {c: split_projection(eng.block(p, c), eng.tol) for c in eng.support(word)}
+        Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
     rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)
     return Bimodule(M.left, N.right, Vw.dom[0], lam, rho), Vw

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bench_families import fam
 from hstarcat import bundled, fusion
+from hstarcat.cli import main
 from hstarcat.diagram import Engine
 from hstarcat.fusion import (
     FusionData,
@@ -517,6 +519,24 @@ def test_grading_and_duality_problems_reject_on_their_axiom(name, edit, problems
     assert (cert.ok, cert.failed_axiom) == (False, "grading/duality")
     assert cert.residuals["integer_checks"] == 1.0
     assert problems <= set(cert.details["problems"])
+
+
+def test_stored_unit_entries_reject_on_grading_and_duality(tmp_path, capsys):
+    # construction puts the strict-unit rule in place of a stored entry
+    # with a unit argument; validate rejects each stored entry that the
+    # rule overrode, and so does the CLI on the JSON, which keeps them
+    data = _stored_unit_entries()
+    cert = validate(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "grading/duality")
+    assert cert.residuals["integer_checks"] == 1.0
+    assert cert.details["problems"] == [
+        "stored N breaks the strict-unit rule at ('1', 't', '1')",
+        "stored N breaks the strict-unit rule at ('t', '1', 't')",
+    ]
+    path = tmp_path / "stored_unit_entries.json"
+    path.write_text(json.dumps(data.to_json()))
+    assert main(["fusion", "validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["violated_axioms"] == {"fusion": "grading/duality"}
 
 
 def _tree_count_ring():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -294,16 +295,25 @@ def _per_triple_f_matrices(b):
     return F
 
 
-@pytest.mark.parametrize(
-    "name,mk",
-    [
-        ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
-        ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
-    ],
-)
+# the [A, 1] linkings of the F-matrix tests, by the name of their data
+F_LINKINGS = [
+    ("ising", lambda e: intalg.group_algebra(e, ("1", "p"))),
+    ("fibonacci", lambda e: intalg.pair_algebra(e, e.obj({"t": 1}))),
+    ("vec4", lambda e: intalg.group_algebra(e, ("0", "2"))),
+    ("ty3", lambda e: intalg.group_algebra(e, ("0", "1", "2"))),
+]
+
+
+def _f_builder(name, mk):
+    families = {"vec4": lambda: fam.vec_zn(4), "ty3": lambda: fam.ty_zn(3, 1)}
+    data = families[name]() if name in families else bundled.load(name)
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    return hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, data.units[:1])], seed=0)
+
+
+@pytest.mark.parametrize("name,mk", F_LINKINGS)
 def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
-    eng = _eng(name)
-    b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, ("1",))], seed=0)
+    b = _f_builder(name, mk)
     built = []
 
     def recording(M, N):
@@ -317,12 +327,46 @@ def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
     position = lambda M: next(k for k, S in enumerate(b.simples) if M is S)
     keys = [(position(M), position(N)) for M, N in built]
     assert not {k for key in keys for k in key} & set(b.units)
-    assert len(set(keys)) == len(keys) == {"ising": 50, "fibonacci": 18}[name]
+    tensors = {"ising": 50, "fibonacci": 18, "vec4": 50, "ty3": 98}[name]
+    assert len(set(keys)) == len(keys) == tensors
     ref = _per_triple_f_matrices(b)
     assert list(F) == list(ref)
     for key, m in F.items():
         assert m.shape == ref[key].shape, key
         assert np.abs(m - ref[key]).max(initial=0.0) < 1e-12, key
+
+
+@pytest.mark.parametrize("name,mk,projections", [(*F_LINKINGS[0], 25), (*F_LINKINGS[1], 9)])
+def test_linking_f_matrices_whisker_no_mor(monkeypatch, name, mk, projections):
+    # a full build splits a separability projection only for the pair
+    # tensors over A, not over the unit algebra; once the table of pushed
+    # trees is built, f_matrices reads each F entry off one column of D
+    # and forms no whiskered Mor and no composite
+    calls = Counter()
+    separability_projection = intalg.separability_projection
+
+    def counted(M, N):
+        calls["separability_projection"] += 1
+        return separability_projection(M, N)
+
+    with monkeypatch.context() as m:
+        m.setattr(intalg, "separability_projection", counted)
+        _f_builder(name, mk).fusion_data()
+    assert calls["separability_projection"] == projections
+    b = _f_builder(name, mk)
+    for x, y in itertools.product(range(len(b.simples)), repeat=2):
+        if b.blocks[x][1] == b.blocks[y][0]:
+            b.trees(x, y)
+    calls.clear()
+    for method in ("whisker_right_obj", "whisker_left_obj", "compose"):
+
+        def inner(self, *args, _run=getattr(Engine, method), _name=method):
+            calls[_name] += 1
+            return _run(self, *args)
+
+        monkeypatch.setattr(Engine, method, inner)
+    assert b.f_matrices()
+    assert not calls, dict(calls)
 
 
 def test_three_algebra_linking_z2():

@@ -9,7 +9,7 @@ from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, dual_engine, udf_from_weight
-from hstarcat.numcore import InputError, Tolerance
+from hstarcat.numcore import RANK_CUT, InputError, Tolerance, row_space
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -188,6 +188,31 @@ def test_relative_tensor_unitors():
                 assert eng.residual(eng.compose(eng.dagger(u), u), eng.identity(T.word)) < 1e-9
     # both unitors on the 6 unit-unit pairs A (x)_A A, one on the other 60
     assert (units, checked) == (66, 72)
+
+
+def test_a_tensor_over_the_unit_algebra_splits_no_projection():
+    # over the unit algebra relative_tensor takes the fused tensor with no
+    # projection: for every pair tensor over it, in every linking, the
+    # projection built anyway is the identity, and so is the V V^dag of
+    # the isometry returned, whatever basis it picks
+    checked = 0
+    for name, mk, unit in LINKINGS + [("vec4", lambda e: intalg.group_algebra(e, ("0", "2")), "0")]:
+        data = fam.vec_zn(4) if name == "vec4" else fam.ty_zn(3) if name == "ty3" else bundled.load(name)
+        eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], seed=0)
+        for x, y in itertools.product(range(len(b.simples)), repeat=2):
+            if b.blocks[x][1] != b.blocks[y][0] or not b.simples[x].right.acts_by_unitors():
+                continue
+            X, Y = b.simples[x], b.simples[y]
+            _, Vw = intalg.relative_tensor(X, Y)
+            p = intalg.separability_projection(X, Y)
+            bound = eng.tol.bound()
+            assert eng.residual(p, eng.identity(X.word + Y.word)) <= bound
+            assert eng.residual(eng.compose(Vw, eng.dagger(Vw)), p) <= bound
+            checked += 1
+    # pairs over the unit algebra: 36 on Ising, 16 on Fibonacci, 36 on
+    # Vec(Z_4) and 64 on TY(Z_3)
+    assert checked == 152
 
 
 def test_delta0_zigzag_and_norm():
@@ -512,3 +537,21 @@ def test_balanced_maps_match_the_solve():
         _same_hom_space(eng, basis, ref.bimodule_map_basis(N, M, P))
         nonzero += bool(basis)
     assert nonzero >= 20
+
+
+def test_adjoint_span_of_one_map_is_the_normalized_map():
+    # one map is normalized, not decomposed: the same span as row_space
+    # gives, and nothing for a zero map or one below RANK_CUT
+    eng = _eng("ising")
+    rng = np.random.default_rng(3)
+    s, sp = eng.obj({"s": 1}), eng.obj({"s": 1, "p": 1})
+    dom, cod = (s, sp), (eng.obj({"1": 1, "s": 1, "p": 2}),)
+    f = eng.random_mor(dom, cod, rng)
+    (g,) = intalg._adjoint_span(eng, dom, cod, [f])
+    v, rows = eng.to_vector(g), row_space(eng.to_vector(f)[None, :])
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(np.outer(v.conj(), v) - rows.conj().T @ rows).max() < 1e-14
+    tiny = eng.scale(0.5 * RANK_CUT / eng.l2_norm(f), f)
+    for m in (eng.zero(dom, cod), tiny):
+        assert intalg._adjoint_span(eng, dom, cod, [m]) == []
+        assert row_space(eng.to_vector(m)[None, :]).shape[0] == 0
