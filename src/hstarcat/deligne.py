@@ -13,15 +13,27 @@ f (x) g of its hom space: the middle simples c in label order, and for each
 c the elementary bases (Engine.hom_basis) of M(m1 -> m2 <| c) and
 N(c |> n1 -> n2), f major. Composition is bilinear and the trace linear in
 the coefficients, so both are fixed tensors on the basis ladders, kept on
-the engine (Engine.derived) per module sides and ladder objects: T[k, p, q]
+the engine (Engine.derived, through _kept) per ladder objects: T[k, p, q]
 with (F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
-tr F = w . z. The action images of the basis ladders and the forms of the
-sampled checks are kept the same way, so a new sample is numpy work alone.
+tr F = w . z. The action images of the basis ladders are kept the same
+way, and each sampled check keeps the list of its forms, one per ladder
+object.
+
+Kept values are keyed by numbers, not words. A ladder object takes two
+from its engine's intern table (Engine.intern) when it is built: one for
+its product, the types of its module sides, and one for the product with
+its objects m and n. A kept key is a name and such numbers, so a warm
+ladder call (ladder_hom_dim, random_ladder, ladder_compose, ladder_trace)
+costs one dict lookup on a flat key plus its numpy work, and a new sample
+or seed does no diagram work. A sampled check draws all its coefficients
+in one call and slices the draw per ladder object, in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,19 +83,29 @@ class RegularLeft:
 
 @dataclass
 class LadderObject:
+    """m (x) n in the product of two module sides over one engine. At
+    construction the engine interns product, for the side types, and key,
+    for the product with m and n: sides of one type on one engine are one
+    product, and no number is given twice, so equal keys mean one object
+    of one product."""
+
     mside: object
     nside: object
     m: object
     n: object
+    eng: Engine = field(init=False, repr=False, compare=False)
+    product: int = field(init=False, repr=False, compare=False)
+    key: int = field(init=False, repr=False, compare=False)
 
-    def product(self) -> tuple:
-        """The product this object lies in: each module side by its type
-        and engine, as _kept keys what it keeps on the engine; two sides
-        built alike on one engine are one side."""
-        return tuple((type(side), side.eng) for side in (self.mside, self.nside))
+    def __post_init__(self):
+        self.eng = self.mside.eng
+        if self.nside.eng is not self.eng:
+            raise ShapeMismatch("the module sides belong to two engines")
+        self.product = self.eng.intern((type(self.mside), type(self.nside)))
+        self.key = self.eng.intern((self.product, self.m, self.n))
 
     def check_shared(self, other: "LadderObject"):
-        if self.product() != other.product():
+        if self.product != other.product:
             raise ShapeMismatch("ladder objects from different products")
 
 
@@ -96,25 +118,29 @@ class LadderHom:
     z: np.ndarray
 
 
-def _eng(L: LadderObject) -> Engine:
-    return L.mside.eng
+def _kept(eng: Engine, key: tuple, build):
+    """build(), kept on eng under key: a name, then the keys of ladder
+    objects (LadderObject.key) or plain values of the call, never their
+    words. No value on ladder objects of two products is kept, as every
+    such build meets _channels, which refuses them."""
+    return eng.derived(key, build)
 
 
-def _kept(what, build, *Ls):
-    """build(), kept on the engine under what, the module sides and the
-    objects of the ladder objects Ls."""
-    sides = (type(Ls[0].mside).__name__, type(Ls[0].nside).__name__)
-    return _eng(Ls[0]).derived((what, *sides, *(x for L in Ls for x in (L.m, L.n))), build)
+class _Channels(NamedTuple):
+    """Hom(src -> dst): its dimension, and through, the tuple of (c, span,
+    basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for the middle
+    simples c where both are nonempty: the basis ladders through c, at the
+    slice span of the coefficients."""
+
+    dim: int
+    through: tuple
 
 
-def _channels(src: LadderObject, dst: LadderObject) -> tuple:
-    """(c, span, basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for
-    the middle simples c where both are nonempty: the basis ladders of
-    Hom(src -> dst) through c, at the slice span of the coefficients."""
-    src.check_shared(dst)
-    eng = _eng(src)
+def _channels(src: LadderObject, dst: LadderObject) -> _Channels:
+    eng = src.eng
 
     def build():
+        src.check_shared(dst)
         out, offset = [], 0
         for c in eng.data.simples:
             fs = eng.hom_basis(*src.mside.hom(src.m, dst.m, c))
@@ -123,13 +149,13 @@ def _channels(src: LadderObject, dst: LadderObject) -> tuple:
                 span = slice(offset, offset + len(fs) * len(gs))
                 out.append((c, span, fs, gs))
                 offset = span.stop
-        return tuple(out)
+        return _Channels(offset, tuple(out))
 
-    return _kept("channels", build, src, dst)
+    return _kept(eng, ("channels", src.key, dst.key), build)
 
 
 def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
-    return sum(len(fs) * len(gs) for _, _, fs, gs in _channels(src, dst))
+    return _channels(src, dst).dim
 
 
 def _coefficients(rng, shape) -> np.ndarray:
@@ -139,16 +165,27 @@ def _coefficients(rng, shape) -> np.ndarray:
     return d[..., 0] + 1j * d[..., 1]
 
 
+def _coefficient_blocks(rng, shapes):
+    """_coefficients(rng, shape) for each shape in turn, from one draw
+    sliced in order: the normal stream is sequential, so each block is bit
+    for bit the draw of a call of its own."""
+    sizes = [math.prod(shape) for shape in shapes]
+    z, start = _coefficients(rng, (sum(sizes),)), 0
+    for shape, size in zip(shapes, sizes):
+        yield z[start : start + size].reshape(shape)
+        start += size
+
+
 def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
     return LadderHom(src, dst, _coefficients(rng, (ladder_hom_dim(src, dst),)))
 
 
 def identity_ladder(L: LadderObject) -> LadderHom:
     """Unit channels: graded projections through strict unitors."""
-    eng = _eng(L)
+    eng = L.eng
     mw, nw = L.mside.word(L.m), L.nside.word(L.n)
     z = np.zeros(ladder_hom_dim(L, L), dtype=complex)
-    for j, span, fs, gs in _channels(L, L):
+    for j, span, fs, gs in _channels(L, L).through:
         if j in eng.data.units:
             ju = eng.simple_obj(j)
             f = eng.to_vector(eng.dagger(eng.right_unitor(mw, ju)))  # (m) -> (m, 1_j)
@@ -157,25 +194,21 @@ def identity_ladder(L: LadderObject) -> LadderHom:
     return LadderHom(L, L, z)
 
 
-def _same_obj(a, b) -> bool:
-    return a is b or (isinstance(a, tuple) and isinstance(b, tuple) and a == b)
-
-
 def _compose_tensor(L1: LadderObject, L2: LadderObject, L3: LadderObject) -> np.ndarray:
     """T[k, p, q], the k-th coefficient of e_p o e_q for the basis ladders
     e_p = f2 (x) g2 of Hom(L2 -> L3) and e_q = f1 (x) g1 of Hom(L1 -> L2):
     each vertex nu: e -> c2 c1 resolves the doubled middle string into the
     M factor (m3 <| nu^dagger)(f2 |> c1) f1 and the N factor
     g2 (c2 |> g1)(nu |> n1) over the middle e."""
-    eng = _eng(L1)
+    eng = L1.eng
     m3w, n1w = L3.mside.word(L3.m), L1.nside.word(L1.n)
 
     def build():
-        spans = {e: k for e, k, _, _ in _channels(L1, L3)}
+        spans = {e: k for e, k, _, _ in _channels(L1, L3).through}
         T = np.zeros((ladder_hom_dim(L1, L3), ladder_hom_dim(L2, L3), ladder_hom_dim(L1, L2)), dtype=complex)
-        for c2, p, f2s, g2s in _channels(L2, L3):
+        for c2, p, f2s, g2s in _channels(L2, L3).through:
             c2o = eng.simple_obj(c2)
-            for c1, q, f1s, g1s in _channels(L1, L2):
+            for c1, q, f1s, g1s in _channels(L1, L2).through:
                 c1o = eng.simple_obj(c1)
                 fs = [[eng.compose(eng.whisker_right_obj(f2, c1o), f1) for f1 in f1s] for f2 in f2s]
                 gs = [[eng.compose(g2, eng.whisker_left_obj(c2o, g1)) for g1 in g1s] for g2 in g2s]
@@ -192,13 +225,13 @@ def _compose_tensor(L1: LadderObject, L2: LadderObject, L3: LadderObject) -> np.
                         block += np.einsum("ika,jlb->abijkl", A, B).reshape(block.shape)
         return T
 
-    return _kept("compose_tensor", build, L1, L2, L3)
+    return _kept(eng, ("compose_tensor", L1.key, L2.key, L3.key), build)
 
 
 def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
-    """F o G by stacking and resolving the doubled middle string."""
-    G.dst.check_shared(F.src)
-    if not (_same_obj(G.dst.m, F.src.m) and _same_obj(G.dst.n, F.src.n)):
+    """F o G by stacking and resolving the doubled middle string; G's
+    target must be F's source, one object of one product."""
+    if G.dst.key != F.src.key:
         raise ShapeMismatch("non-composable ladder morphisms")
     return LadderHom(G.src, F.dst, _compose_tensor(G.src, G.dst, F.dst) @ G.z @ F.z)
 
@@ -207,12 +240,12 @@ def _trace_vector(L: LadderObject) -> np.ndarray:
     """w with tr F = w . z on End(L): only the unit channels j survive, and
     a basis ladder f (x) g of one weighs tr(f) tr(g) / d_j, f and g closed
     through the unitors and traced by their module sides."""
-    eng = _eng(L)
+    eng = L.eng
     mw, nw = L.mside.word(L.m), L.nside.word(L.n)
 
     def build():
         w = np.zeros(ladder_hom_dim(L, L), dtype=complex)
-        for j, span, fs, gs in _channels(L, L):
+        for j, span, fs, gs in _channels(L, L).through:
             if j not in eng.data.units:
                 continue
             ju, dj = eng.simple_obj(j), eng.udf.d(j)
@@ -222,12 +255,12 @@ def _trace_vector(L: LadderObject) -> np.ndarray:
             w[span] = [tm * tn / dj for tm in tms for tn in tns]
         return w
 
-    return _kept("trace_vector", build, L)
+    return _kept(eng, ("trace_vector", L.key), build)
 
 
 def ladder_trace(F: LadderHom) -> complex:
     """Only unit channels survive, weighted by d_j^{-1}: w . z."""
-    if not (_same_obj(F.src.m, F.dst.m) and _same_obj(F.src.n, F.dst.n)):
+    if F.src.key != F.dst.key:
         raise ShapeMismatch("trace of a non-endomorphism")
     return complex(_trace_vector(F.src) @ F.z)
 
@@ -235,24 +268,24 @@ def ladder_trace(F: LadderHom) -> complex:
 def _images(src: LadderObject, dst: LadderObject) -> list:
     """The images (m2 <| g)(f |> n1) of the basis ladders f (x) g of
     Hom(src -> dst) under the right action functor."""
-    eng = _eng(src)
+    eng = src.eng
     m2w, n1w = dst.mside.word(dst.m), src.nside.word(src.n)
 
     def build():
         out = []
-        for _, _, fs, gs in _channels(src, dst):
+        for _, _, fs, gs in _channels(src, dst).through:
             m2gs = [eng.whisker_left(m2w, g) for g in gs]
             out += [eng.compose(m2g, eng.whisker_right(f, n1w)) for f in fs for m2g in m2gs]
         return out
 
-    return _kept("images", build, src, dst)
+    return _kept(eng, ("images", src.key, dst.key), build)
 
 
 def act_on_module(F: LadderHom) -> Mor:
     """Image of a ladder morphism under the right action functor
     m (x) c -> m <| c (n-side must be the regular module); on the C-C
     regular ladder this is the balanced tensor functor m (x) n."""
-    eng = _eng(F.src)
+    eng = F.src.eng
     out = eng.zero(*(L.mside.word(L.m) + L.nside.word(L.n) for L in (F.src, F.dst)))
     for z, a in zip(F.z, _images(F.src, F.dst)):
         out = eng.add(out, eng.scale(z, a))
@@ -266,24 +299,31 @@ def right_action_isometry(
     of their image under the action functor. Both are linear in the
     sampled coefficients z: z . w with the trace vector w, and z . v with
     v[t] the module trace of the t-th basis ladder's image. So all samples
-    of one m (x) c are one product with the action form [w, v]."""
+    of one m (x) c are one product with the action form [w, v]. The forms
+    of the nonempty m (x) c, m major and c in label order, are one list
+    kept per side type and m_objects, and all samples are one draw, sliced
+    per m (x) c in that order: bit for bit the draws of one call each."""
     if mside.eng is not eng:
         raise ShapeMismatch("the module side belongs to another engine")
-    if not m_objects:
+    ms = tuple(m_objects)
+    if not ms:
         raise InputError("the right-action check needs a module object")
     nside = RegularLeft(eng)
     rng = sample_rng(samples, seed)
+
+    def build():
+        forms = []
+        for m in ms:
+            for c in eng.data.simples:
+                L = LadderObject(mside, nside, m, eng.simple_obj(c))
+                if ladder_hom_dim(L, L):
+                    forms.append(np.array([_trace_vector(L), [mside.trace(a) for a in _images(L, L)]]))
+        return forms
+
+    forms = _kept(eng, ("action_forms", type(mside), *ms), build)
     gaps = []
-    for m in m_objects:
-        for c in eng.data.simples:
-            L = LadderObject(mside, nside, m, eng.simple_obj(c))
-            if ladder_hom_dim(L, L) == 0:
-                continue
-            w, v = _kept(
-                "action_form", lambda: np.array([_trace_vector(L), [mside.trace(a) for a in _images(L, L)]]), L
-            )
-            z = _coefficients(rng, (samples, len(w)))
-            gaps += np.abs(z @ w - z @ v).tolist()
+    for (w, v), z in zip(forms, _coefficient_blocks(rng, [(samples, len(w)) for w, _ in forms])):
+        gaps += np.abs(z @ w - z @ v).tolist()
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", details)
 
@@ -296,16 +336,23 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
     regular ladder category, all samples of one c (x) c against its trace
     form K[p, q] = tr(e_p e_q) = w . T[:, p, q] at once: tr(F G) sums
     zF_p zG_q K[p, q] and tr(G F) the same products against the transpose
-    of K, so a symmetric form gives an exact 0."""
-    mside, nside = RegularRight(eng), RegularLeft(eng)
+    of K, so a symmetric form gives an exact 0. The forms are one kept list
+    and the samples one draw, sliced per c (x) c as in
+    right_action_isometry."""
     rng = sample_rng(samples, seed)
+
+    def build():
+        mside, nside = RegularRight(eng), RegularLeft(eng)
+        forms = []
+        for c in eng.data.simples:
+            L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
+            if ladder_hom_dim(L, L):
+                forms.append(np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1))
+        return forms
+
+    forms = _kept(eng, ("trace_forms",), build)
     gaps = []
-    for c in eng.data.simples:
-        L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
-        if ladder_hom_dim(L, L) == 0:
-            continue
-        K = _kept("trace_form", lambda: np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1), L)
-        z = _coefficients(rng, (samples, 2, len(K)))
+    for K, z in zip(forms, _coefficient_blocks(rng, [(samples, 2, len(K)) for K in forms])):
         P = z[:, 0, :, None] * z[:, 1, None, :]
         gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
     return bounded("traciality", worst(gaps), eng.tol.bound(TRACE_SCALE), "traciality")

@@ -42,6 +42,7 @@ block only when every entry equals zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ import numpy as np
 from .numcore import DEFAULT_TOL, InputError, ShapeMismatch
 
 _UNBUILT = object()  # Engine.derived's mark for a key not built yet
+_SERIAL = itertools.count()  # Engine.intern's numbers, one count for all engines
 
 
 @dataclass
@@ -82,6 +84,7 @@ class Engine:
         self._fcache = {}
         self._simple = {}
         self._derived = {}
+        self._interned = {}
         self._is_unit = tuple(c in data.units for c in data.simples)
 
     # --- objects and words ----------------------------------------------
@@ -424,12 +427,23 @@ class Engine:
     def derived(self, key, build):
         """build(), made once per engine and key: a value fixed by the data
         alone, such as a unitor or a ladder tensor. Keys are values, never
-        id(). Callers only read. The key is hashed once on a hit: ladder
-        keys are nested tuples, whose hash Python does not cache."""
+        id(). Callers only read. The key is hashed once on a hit, as Python
+        caches no tuple's hash; ladder keys are a name and interned numbers
+        (intern), so theirs is cheap."""
         value = self._derived.get(key, _UNBUILT)
         if value is _UNBUILT:
             value = self._derived[key] = build()
         return value
+
+    def intern(self, key) -> int:
+        """A number for the value key: the same for equal keys on this
+        engine, and one no other key on any engine gets, as one count runs
+        across all engines. A caller hashes its key once and then keys by
+        the number, whose hash is free."""
+        n = self._interned.get(key)
+        if n is None:
+            n = self._interned[key] = next(_SERIAL)
+        return n
 
     # --- fusing a word into a single object -------------------------------
 
@@ -550,7 +564,8 @@ class Engine:
         O = self.simple_obj(c)
         if side not in ("L", "R"):
             raise InputError("side must be 'L' or 'R'")
-        z = self._closed_loop(self.identity((O,)), side == "R")
+        # id_c on its one tree: identity((O,)) would sweep the word's trees
+        z = self._closed_loop(Mor((O,), (O,), {c: np.eye(1, dtype=complex)}), side == "R")
         unit = self.data.t(c) if side == "R" else self.data.s(c)
         return float(self.unit_component(z, unit).real)
 

@@ -131,9 +131,46 @@ def test_sides_built_twice_on_one_engine_are_one_product():
     F, G = deligne.random_ladder(L2, L1, rng), deligne.random_ladder(L1, L2, rng)
     FG = deligne.ladder_compose(F, G)
     assert np.array_equal(FG.z, deligne.ladder_compose(deligne.LadderHom(L1, L1, F.z), G).z)
+    assert (L1.product, L1.key) == (L2.product, L2.key)
     other = _regular_ladder(_eng("fibonacci"), "t", "t")
     with pytest.raises(deligne.ShapeMismatch):
         deligne.ladder_hom_dim(L1, other)
+
+
+def test_equal_objects_on_two_engines_keep_separate_values():
+    # m2_hilb under two weights: one data, equal (m, n) tuples, and the
+    # trace vector of 22 (x) 22 is 1 on one engine and 4 on the other;
+    # warmed in turn, each engine keeps its own values, and objects of
+    # the two do not meet
+    data = bundled.load("m2_hilb")
+    weights = ((1.0, 1.0), (1.0, 4.0))
+    engines = [Engine(data, udf_from_weight(data, SphericalWeight(w))) for w in weights]
+    rows = [[_regular_ladder(eng, c, c) for c in data.simples] for eng in engines]
+    for L1, L2 in zip(*rows):
+        assert (L1.m, L1.n) == (L2.m, L2.n) and L1.key != L2.key and L1.product != L2.product
+        for L in (L1, L2):
+            deligne.ladder_trace(deligne.identity_ladder(L))
+        with pytest.raises(deligne.ShapeMismatch):
+            deligne.ladder_hom_dim(L1, L2)
+    for w, row in zip(weights, rows):
+        fresh = Engine(data, udf_from_weight(data, SphericalWeight(w)))
+        for c, L in zip(data.simples, row):
+            assert np.array_equal(deligne._trace_vector(L), deligne._trace_vector(_regular_ladder(fresh, c, c)))
+    assert [deligne._trace_vector(L)[0] for L in (rows[0][3], rows[1][3])] == [1.0, 4.0]
+
+
+def test_side_types_are_part_of_the_key():
+    # right and left regular sides in either slot are three products, so
+    # equal objects get three keys; sides over two engines are refused
+    eng = _eng("fibonacci")
+    t = eng.simple_obj("t")
+    R, Lf = deligne.RegularRight(eng), deligne.RegularLeft(eng)
+    objs = [deligne.LadderObject(a, b, t, t) for a, b in ((R, Lf), (Lf, R), (R, R))]
+    assert len({L.product for L in objs}) == len({L.key for L in objs}) == 3
+    with pytest.raises(deligne.ShapeMismatch):
+        deligne.ladder_hom_dim(objs[0], objs[1])
+    with pytest.raises(deligne.ShapeMismatch):
+        deligne.LadderObject(R, deligne.RegularLeft(_eng("fibonacci")), t, t)
 
 
 def _nan_trace_vector(L):
@@ -564,3 +601,72 @@ def test_batched_draw_is_the_draw_of_random_ladder(name):
         drawn = [deligne.random_ladder(L, L, rng).z for _ in range(4)]
         batched = deligne._coefficients(np.random.default_rng(9), (4, deligne.ladder_hom_dim(L, L)))
         assert np.array_equal(batched, np.array(drawn))
+
+
+# --- the one-draw-per-object reference --------------------------------------
+# Both sampled checks as they were before each drew all its samples at
+# once: one _coefficients call per ladder object, in turn, against the
+# same kept forms.
+
+
+def _per_object_right_action(mside, eng, m_objects, samples, seed):
+    nside = deligne.RegularLeft(eng)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for m in m_objects:
+        for c in eng.data.simples:
+            L = deligne.LadderObject(mside, nside, m, eng.simple_obj(c))
+            if deligne.ladder_hom_dim(L, L) == 0:
+                continue
+            w, v = np.array([deligne._trace_vector(L), [mside.trace(a) for a in deligne._images(L, L)]])
+            z = deligne._coefficients(rng, (samples, len(w)))
+            gaps += np.abs(z @ w - z @ v).tolist()
+    return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", {"samples": len(gaps)})
+
+
+def _per_object_traciality(eng, samples, seed):
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for c in eng.data.simples:
+        L = _regular_ladder(eng, c, c)
+        if deligne.ladder_hom_dim(L, L) == 0:
+            continue
+        K = np.tensordot(deligne._trace_vector(L), deligne._compose_tensor(L, L, L), 1)
+        z = deligne._coefficients(rng, (samples, 2, len(K)))
+        P = z[:, 0, :, None] * z[:, 1, None, :]
+        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
+    return bounded("traciality", worst(gaps), eng.tol.bound(deligne.TRACE_SCALE), "traciality")
+
+
+ONE_DRAW_CATEGORIES = {
+    "hilb_z2": lambda: bundled.load("hilb_z2"),
+    "fibonacci": lambda: bundled.load("fibonacci"),
+    "ising": lambda: bundled.load("ising"),
+    "gauged_ty_z3": lambda: fam.gauge(fam.ty_zn(3), np.random.default_rng(7)),
+    "twisted_z4": lambda: fam.vec_zn(4, 1),
+}
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["trace", "skewed_trace"])
+@pytest.mark.parametrize("name", list(ONE_DRAW_CATEGORIES))
+def test_one_draw_is_the_stream_of_one_draw_per_object(name, skewed, monkeypatch):
+    # the normal stream is sequential, so slicing one draw changes no
+    # coefficient and no rounding: the residuals are the same to the bit
+    if skewed:
+        monkeypatch.setattr(deligne.RegularRight, "trace", _skewed_trace)
+    data = ONE_DRAW_CATEGORIES[name]()
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    mside = deligne.RegularRight(eng)
+    simples = [eng.simple_obj(c) for c in data.simples]
+    for seed in (0, 1, 2):
+        for samples in (1, 2, 5):
+            pairs = (
+                (
+                    deligne.right_action_isometry(mside, eng, simples, samples=samples, seed=seed),
+                    _per_object_right_action(mside, eng, simples, samples, seed),
+                ),
+                (deligne.ladder_traciality(eng, samples, seed), _per_object_traciality(eng, samples, seed)),
+            )
+            for cert, ref in pairs:
+                assert repr(cert.residuals) == repr(ref.residuals), (seed, samples)
+                assert (cert.ok, cert.details) == (ref.ok, ref.details)

@@ -315,6 +315,32 @@ def test_loop_is_the_composed_loop_of_the_pairing_trees(name, psis):
             assert abs(got - want) <= ulps * np.spacing(want), (c, side, got, want)
 
 
+# the bundled categories and Vec(Z_n), twisted Vec(Z_n) and TY(Z_n) of the
+# benchmark's families
+LOOP_DATA = {
+    **{name: lambda name=name: bundled.load(name) for name in bundled.NAMES},
+    **{f"vec_z{n}_{p}": lambda n=n, p=p: fam.vec_zn(n, p) for n, p in ((2, 0), (4, 1), (6, 5))},
+    **{f"ty_z{n}_{s}": lambda n=n, s=s: fam.ty_zn(n, s) for n, s in ((3, 1), (5, -1))},
+}
+
+
+@pytest.mark.parametrize("name", list(LOOP_DATA))
+def test_loop_of_a_simple_is_the_loop_of_its_identity(name, monkeypatch):
+    # loop closes the one-tree identity of c, not identity((c,)), which
+    # sweeps the trees of the word: the same |z|^2 tr(eye(1)) to the bit
+    data = LOOP_DATA[name]()
+    eng = _engine(data)
+    want = {}
+    for c in data.simples:
+        f = eng.identity((eng.simple_obj(c),))
+        for side, unit in (("L", data.s(c)), ("R", data.t(c))):
+            want[c, side] = float(eng.unit_component(eng._closed_loop(f, side == "R"), unit).real)
+    monkeypatch.setattr(Engine, "identity", None)
+    fresh = _engine(data)
+    for (c, side), value in want.items():
+        assert repr(fresh.loop(c, side)) == repr(value), (c, side)
+
+
 @pytest.mark.parametrize("name, psis", LOOP_CASES)
 def test_zigzag_scalar_is_the_whiskered_value(name, psis):
     eng = _loop_engine(name, psis)

@@ -11,7 +11,9 @@ builds none and takes them from the engine, and outside fusion.py no
 module builds an Engine, which is born with its dual functor in
 fusion.dual_engine, the one place that assigns its cup coefficients
 udf.alpha and udf.beta; only diagram.Engine._cup reads them. Lint for
-cache keys: no module calls id(). Lint for verdicts: outside certify.py
+cache keys: no module calls id(), and in deligne only _kept calls
+Engine.derived, under a key of interned numbers, never the words of a
+ladder object. Lint for verdicts: outside certify.py
 no module constructs a Certificate, so every one comes from
 certify.judged, and every check passed to judged or bounded names an
 axiom.
@@ -293,6 +295,48 @@ def test_id_lint_catches_an_id_key():
     assert _id_calls("def f(self, x):\n    return self._cache.get(id(x))")
     assert _id_calls("k = builtins.id(x)")
     assert not _id_calls("key = (dst.m, dst.n)\nvid = row.vid")
+
+
+def _kept_key_faults(source: str):
+    """(line, message) for each Engine.derived call outside _kept, and each
+    _kept call whose key is not a tuple written out at the call or reads a
+    word (.m or .n) of a ladder object: kept keys name ladder objects by
+    their interned numbers, so a ladder call hashes no word tuple."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _name(child.func)
+                if name == "derived" and scope != "_kept":
+                    out.append((child.lineno, f"derived called in {scope}"))
+                elif name == "_kept":
+                    keys = child.args[1:2] + [k.value for k in child.keywords if k.arg == "key"]
+                    if not (keys and isinstance(keys[0], ast.Tuple)):
+                        out.append((child.lineno, "_kept key not written out"))
+                    elif any(isinstance(n, ast.Attribute) and n.attr in ("m", "n") for n in ast.walk(keys[0])):
+                        out.append((child.lineno, "_kept key reads a word"))
+            visit(child, child.name if isinstance(child, FUNCS) else scope)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_ladder_values_are_kept_under_interned_keys():
+    found = _kept_key_faults((SRC / "deligne.py").read_text())
+    assert not found, found
+
+
+def test_kept_key_lint_catches_a_word_key():
+    assert _kept_key_faults("def f(L):\n    return L.eng.derived(('x', L.key), build)")
+    assert _kept_key_faults("def _channels(s, d):\n    def build():\n        return eng.derived(k, b)")
+    assert _kept_key_faults("w = _kept(eng, ('channels', src.m, dst.n), build)")
+    assert _kept_key_faults("w = _kept(eng, ('images', *(x for L in Ls for x in (L.m, L.n))), build)")
+    assert _kept_key_faults("w = _kept(eng, key=('trace_vector', L.m), build=build)")
+    assert _kept_key_faults("key = ('x', L.key)\nw = _kept(eng, key, build)")
+    assert not _kept_key_faults("def _kept(eng, key, build):\n    return eng.derived(key, build)")
+    assert not _kept_key_faults("w = _kept(eng, ('compose_tensor', L1.key, L2.key, L3.key), build)")
+    assert not _kept_key_faults("f = _kept(eng, ('action_forms', type(mside), *ms), build)")
 
 
 def _direct_engine_calls(source: str):
