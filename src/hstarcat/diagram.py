@@ -30,10 +30,15 @@ zig-zag of a simple c is one entry of F^{c, dual(c), c}_c. The same rule
 makes the unit itself cost nothing: for U a sum of distinct units, the
 trees of W (x) U at a charge c with t(c) in U are those of W, in the same
 order, so f (x) id_U keeps f's blocks at those charges and both unitors
-are identity blocks; neither meets group_last. The tree bases
-of a word are built for every charge in one sweep over the fusion
-products (FusionData.fusion_products) of its first object with the
-charges of the rest.
+are identity blocks; neither meets group_last.
+
+The comb tree bases depend on N alone, so the engine builds none: it
+reads them from the tables of its FusionData, which sweeps each word
+once for every charge (FusionData.sweep) and shares the result with
+every engine on that data, whatever its dual functor or tolerance.
+What reads F, the dual functor or the tolerance stays on the engine:
+the grouped-basis unitaries (group_last), the F blocks (_fsym) and
+derived values.
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
@@ -77,9 +82,11 @@ class Engine:
         self.data = data
         self.udf = udf
         self.tol = tol
-        self._basis = {}
-        self._index = {}
-        self._support = {}
+        # the data's comb tree tables, shared with every engine on it
+        # (FusionData.sweep); held here so that a hit is one dict lookup
+        self._bases = data.comb_bases
+        self._indices = data.comb_indices
+        self._supports = data.comb_supports
         self._group = {}
         self._fcache = {}
         self._simple = {}
@@ -124,55 +131,29 @@ class Engine:
     # --- tree bases ------------------------------------------------------
 
     def basis(self, word, c):
-        """Right-comb tree basis of Hom(c -> word). Entries for nonempty
-        words are (x, alpha, e, v, sub_index): strand simple x, copy alpha,
-        inner charge e, vertex v in V(x, e; c), tree index into
-        basis(word[1:], e)."""
-        out = self._basis.get((word, c))
+        """Right-comb tree basis of Hom(c -> word), from the data's tables
+        (FusionData.sweep). Entries for nonempty words are (x, alpha, e,
+        v, sub_index): strand simple x, copy alpha, inner charge e, vertex
+        v in V(x, e; c), tree index into basis(word[1:], e)."""
+        out = self._bases.get((word, c))
         if out is None:
-            self._trees(word)
-            out = self._basis[(word, c)]
+            self.data.sweep(word)
+            out = self._bases[(word, c)]
         return out
 
     def basis_index(self, word, c):
-        self.basis(word, c)
-        return self._index[(word, c)]
-
-    def support(self, word):
-        out = self._support.get(word)
+        out = self._indices.get((word, c))
         if out is None:
-            self._trees(word)
-            out = self._support[word]
+            self.data.sweep(word)
+            out = self._indices[(word, c)]
         return out
 
-    def _trees(self, word):
-        """The bases of word at every charge, with their indices and the
-        support, in one sweep over the fusion products x (x) e; each
-        charge gets its trees in the order (x, alpha, e, v, sub_index)."""
-        trees = {c: [] for c in self.data.simples}
-        if not word:
-            for u in self.data.units:
-                trees[u].append(())
-        else:
-            O, rest = word[0], word[1:]
-            inner = [(e, len(self.basis(rest, e))) for e in self.support(rest)]
-            for x in self.data.simples:
-                n = self.mult(O, x)
-                if not n:
-                    continue
-                fused = [(e, k, self.data.fusion_products(x, e)) for e, k in inner]
-                for alpha in range(n):
-                    for e, k, products in fused:
-                        for c, m in products:
-                            out = trees[c]
-                            for v in range(m):
-                                for si in range(k):
-                                    out.append((x, alpha, e, v, si))
-        for c, out in trees.items():
-            key = (word, c)
-            self._basis[key] = out
-            self._index[key] = {b: i for i, b in enumerate(out)}
-        self._support[word] = tuple(c for c, out in trees.items() if out)
+    def support(self, word):
+        out = self._supports.get(word)
+        if out is None:
+            self.data.sweep(word)
+            out = self._supports[word]
+        return out
 
     def hom_dim(self, X, Y) -> int:
         return sum(
@@ -258,8 +239,7 @@ class Engine:
         if key not in self._fcache:
             m = self.data.f_matrix(a, b, c, d)
             rows = {r: i for i, r in enumerate(self.data.tree_rows(a, b, c, d))}
-            cols = list(self.data.tree_cols(a, b, c, d))
-            self._fcache[key] = (m, rows, cols)
+            self._fcache[key] = (m, rows, self.data.tree_cols(a, b, c, d))
         return self._fcache[key]
 
     def _grouped(self, W, O, c):

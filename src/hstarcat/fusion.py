@@ -21,7 +21,15 @@ F blocks with a unit argument are required to be identities (strict unit).
 N is compiled once, at construction, into FusionData.table, the dense
 N[a, b, c] with the strict-unit rules folded in; n, fusion_products and
 every FPdim (the largest singular value of a fusion matrix) are read off
-it. F blocks are read per call and never stored, since tests edit F after
+it. What else depends on N alone is compiled on demand and kept on the
+data for as long as it lives: the tree orders of each F block (tree_rows,
+tree_cols) and the right-comb tree bases of each tensor word, swept for
+every charge at once (FusionData.sweep). Every diagram.Engine on the data
+reads those tables and none keeps its own, so engines under different
+weights or tolerances share them; the tables hold only labels and
+numbers, never an engine. What reads F or the dual functor (the F-block
+cache, group_last, derived values) stays on each engine.
+F blocks are read per call and never stored, since tests edit F after
 construction: validation gathers every F block that has trees, in index
 order, with its entries in one flat array (_Blocks). Tree bases are
 numbered by pairs of vertices, and the pentagon evaluates all its
@@ -136,6 +144,10 @@ class FusionData:
         # the fusion matrix L_a[c, b] = N_{ab}^c (Frobenius reciprocity)
         sv = np.linalg.svd(table.astype(float), compute_uv=False)
         self._fpdims = dict(zip(S, sv[:, 0].tolist()))
+        # filled on demand: the F-move tree orders per (a, b, c, d), and the
+        # comb tree tables per word (sweep)
+        self._rows, self._cols = {}, {}
+        self.comb_bases, self.comb_indices, self.comb_supports = {}, {}, {}
 
     # --- basic accessors -------------------------------------------------
 
@@ -154,23 +166,75 @@ class FusionData:
         the order of the simples."""
         return self._products.get((a, b), ())
 
-    def tree_rows(self, a, b, c, d):
-        """Canonical order of the left-grouped tree basis of Hom(d -> abc)."""
-        return [
-            (e, mu, nu)
-            for e, m in self.fusion_products(a, b)
-            for mu in range(m)
-            for nu in range(self.n(e, c, d))
-        ]
+    def tree_rows(self, a, b, c, d) -> tuple:
+        """Canonical order of the left-grouped tree basis of Hom(d -> abc),
+        built once per (a, b, c, d) and kept on the data."""
+        key = (a, b, c, d)
+        out = self._rows.get(key)
+        if out is None:
+            out = self._rows[key] = tuple(
+                (e, mu, nu)
+                for e, m in self.fusion_products(a, b)
+                for mu in range(m)
+                for nu in range(self.n(e, c, d))
+            )
+        return out
 
-    def tree_cols(self, a, b, c, d):
-        """Canonical order of the right-grouped tree basis."""
-        return [
-            (f, ka, la)
-            for f, m in self.fusion_products(b, c)
-            for ka in range(m)
-            for la in range(self.n(a, f, d))
-        ]
+    def tree_cols(self, a, b, c, d) -> tuple:
+        """Canonical order of the right-grouped tree basis, kept on the
+        data as tree_rows is."""
+        key = (a, b, c, d)
+        out = self._cols.get(key)
+        if out is None:
+            out = self._cols[key] = tuple(
+                (f, ka, la)
+                for f, m in self.fusion_products(b, c)
+                for ka in range(m)
+                for la in range(self.n(a, f, d))
+            )
+        return out
+
+    def sweep(self, word) -> None:
+        """The right-comb tree bases of Hom(c -> word) at every charge c,
+        in one sweep over the fusion products x (x) e of the first object
+        of word with the charges e of the rest; the rest is swept first if
+        it has not been. Each charge gets its trees in the order (x, alpha,
+        e, v, sub_index): strand simple x, copy alpha, inner charge e,
+        vertex v in V(x, e; c) and tree index into the basis of word[1:] at
+        e; the empty word has the one tree () at each unit.
+
+        The results go into comb_bases[(word, c)] (the tree list),
+        comb_indices[(word, c)] (tree -> position) and comb_supports[word]
+        (the charges with trees, in the order of the simples). They depend
+        on N alone, hold only labels and numbers, are keyed by word values,
+        and live as long as the data: every diagram.Engine on this data
+        reads them, and none stores its own."""
+        trees = {c: [] for c in self.simples}
+        if not word:
+            for u in self.units:
+                trees[u].append(())
+        else:
+            O, rest = word[0], word[1:]
+            if rest not in self.comb_supports:
+                self.sweep(rest)
+            inner = [(e, len(self.comb_bases[(rest, e)])) for e in self.comb_supports[rest]]
+            for i, x in enumerate(self.simples):
+                n = O[i]
+                if not n:
+                    continue
+                fused = [(e, k, self.fusion_products(x, e)) for e, k in inner]
+                for alpha in range(n):
+                    for e, k, products in fused:
+                        for c, m in products:
+                            out = trees[c]
+                            for v in range(m):
+                                for si in range(k):
+                                    out.append((x, alpha, e, v, si))
+        for c, out in trees.items():
+            key = (word, c)
+            self.comb_bases[key] = out
+            self.comb_indices[key] = {b: i for i, b in enumerate(out)}
+        self.comb_supports[word] = tuple(c for c, out in trees.items() if out)
 
     def f_matrix(self, a, b, c, d) -> np.ndarray:
         rows = self.tree_rows(a, b, c, d)
@@ -376,7 +440,9 @@ def pentagon_residual(data: FusionData) -> float:
     the loop, a zero F entry at a path's first move and a zero product
     of its first two moves end the term; the zero terms the loop drops
     after that change no sum. Each (final tree, start tree) entry of an
-    instance sums its terms in loop order with np.bincount, and the gap
+    instance sums its terms in loop order with np.bincount; an instance
+    with one start tree has one final tree, so the final trees are
+    numbered only when some instance has more (_Trees.finals). The gap
     is the norm of path A minus path B: sqrt(dr*dr + di*di) for a single
     entry, which is what np.linalg.norm returns for it, and
     np.linalg.norm of the instance's entries in row-major order for a
@@ -482,13 +548,17 @@ class _Trees:
     left trees (x, y; e)(e, z; w) and the right trees (y, z; f)(x, f; w)
     of a block are numbered alike, block by block, in canonical order.
     Left tree r is (rv1[r], rv2[r]) of block rblk[r], and row[v1, v2]
-    numbers the left tree (v1, v2), col[v4, v3] the right tree (v3, v4).
-    The entries of left tree r lie in blocks.vals from row_at[r], one per
-    right tree of its block (in_row[r], or in_row_nz[r] for the nonzero
-    ones); entry k is in column ecol[k], whose vertices are ev3[k] and
-    ev4[k]. csuf[c] is the position of right tree c of block
-    (b, c, d, f) among the final trees (f3, l3, k3) through f, and cdim[c]
-    the size of its block."""
+    numbers the left tree (v1, v2). The entries of left tree r lie in
+    blocks.vals from row_at[r], one per right tree of its block (in_row[r],
+    or in_row_nz[r] for the nonzero ones); entry k is in column ecol[k],
+    whose vertices are ev3[k] and ev4[k].
+
+    finals() numbers the right trees as final trees, which only an
+    instance with more than one start tree needs, so it is built on
+    demand: (col, csuf, cdim), where col[v4, v3] numbers the right tree
+    (v3, v4), csuf[c] is the position of right tree c of block (b, c, d,
+    f) among the final trees (f3, l3, k3) through f, and cdim[c] is the
+    size of its block."""
 
     def __init__(self, blocks: _Blocks):
         N, dims = blocks.data.table, blocks.dims
@@ -527,10 +597,14 @@ class _Trees:
         ka, la = pos // k, pos % k
         cv3 = vid[by[sb], bz[sb], sf][run] + ka
         cv4 = vid[bx[sb], sf, bw[sb]][run] + la
-        self.csuf = (np.add.accumulate(wc, axis=1) - wc)[sb, sf][run] + la * nyz[sb, sf][run] + ka
-        self.cdim = dims[sb[run]]
-        self.col = np.full((nv, nv), -1)
-        self.col[cv4, cv3] = np.arange(len(cv3))
+
+        def finals():
+            col = np.full((nv, nv), -1)
+            col[cv4, cv3] = np.arange(len(cv3))
+            csuf = (np.add.accumulate(wc, axis=1) - wc)[sb, sf][run] + la * nyz[sb, sf][run] + ka
+            return col, csuf, dims[sb[run]]
+
+        self.finals = finals
         # the entries of each row, and those of them that are not zero
         self.in_row = np.arange(dims.max()) < width[:, None]
         r, j = self.in_row.nonzero()
@@ -569,12 +643,14 @@ def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray
     return P[keep], tr.rv1[rows], tr.rv2[rows], inst[keep]
 
 
-def _terms(tr: _Trees, vals: np.ndarray, P, Q, R):
+def _terms(tr: _Trees, vals: np.ndarray, P, Q, R, col):
     """The terms of both paths on the start trees (P, Q, R), path A's
     first, each path's in loop order: the start tree t, the vertex X =
     (a, f2; u) and the right tree c of block (b, c, d, f2) of the final
     tree, and the value (wr, wi) of each term, and the number of path A's
-    terms. A zero entry or product ends a term where the loop ends it."""
+    terms. X and c are None without col (_Trees.finals), which numbers
+    the right trees. A zero entry or product ends a term where the loop
+    ends it."""
     m = len(P)
     vr, vi = vals.real, vals.imag
     # F^{abc}_g on path A and F^{ecd}_u on path B
@@ -593,8 +669,10 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R):
     s3, e3 = tr.entries(tr.in_row, x1[sa], tr.ev3[e[:k2]])
     ar, ai = _times(pr[s3], pi[s3], vr[e3], vi[e3])
     t = np.concatenate((ta[sa][s3], tb[sb]))
-    X = np.concatenate((tr.ev4[e[:k2]][s3], tr.ev4[eb]))
-    c = np.concatenate((tr.ecol[e3], tr.col[tr.ev3[eb], x4[sb]]))
+    X = c = None
+    if col is not None:
+        X = np.concatenate((tr.ev4[e[:k2]][s3], tr.ev4[eb]))
+        c = np.concatenate((tr.ecol[e3], col[tr.ev3[eb], x4[sb]]))
     return t, X, c, np.concatenate((ar, pr[k2:])), np.concatenate((ai, pi[k2:])), len(s3)
 
 
@@ -621,19 +699,25 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     inst = np.add.accumulate(new) - 1
     size = np.bincount(inst)  # start trees, equal to final trees
     base = np.add.accumulate(size * size) - size * size
-    # final tree (f2, l2, f3, l3, k3), the vertices (c, d; f3)(b, f3; f2)
-    # (a, f2; u), is number lead[f2] + l2 T[b,c,d,f2] + its position among
-    # the right trees of block (b, c, d, f2) through f3; lead is kept only
-    # for instances with more than one start tree, the others read row 0
+    # an instance with one start tree has one final tree, 0; the final
+    # trees are numbered only when some instance has more
     many = (size > 1).nonzero()[0]
-    h = head[many]
-    # N[a, f, u] T[b, c, d, f] of P = (a, b; e), Q = (e, c; g), R = (g, d; u)
-    p, q, r = P[h], Q[h], R[h]
-    wf = N[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
-    lead = np.zeros((len(many) + 1, n), dtype=int)
-    lead[1:] = np.add.accumulate(wf, axis=1) - wf
-    lead_row = np.zeros(len(size), dtype=int)
-    lead_row[many] = np.arange(1, len(many) + 1)
+    col = None
+    if many.size:
+        col, csuf, cdim = tr.finals()
+        # final tree (f2, l2, f3, l3, k3), the vertices (c, d; f3)(b, f3;
+        # f2)(a, f2; u), is number lead[f2] + l2 T[b,c,d,f2] + its position
+        # among the right trees of block (b, c, d, f2) through f3; lead is
+        # kept only for instances with more than one start tree, the
+        # others read row 0
+        h = head[many]
+        # N[a, f, u] T[b, c, d, f] of P = (a, b; e), Q = (e, c; g), R = (g, d; u)
+        p, q, r = P[h], Q[h], R[h]
+        wf = N[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
+        lead = np.zeros((len(many) + 1, n), dtype=int)
+        lead[1:] = np.add.accumulate(wf, axis=1) - wf
+        lead_row = np.zeros(len(size), dtype=int)
+        lead_row[many] = np.arange(1, len(many) + 1)
     # entry (final, start) of an instance is slot base + final size + start,
     # path A's sums in row 0 of sums and path B's in row 1. Each slot is one
     # start tree's, so the start trees go in chunks, which bound the
@@ -642,14 +726,16 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     sums_r, sums_i = np.zeros((2, ms)), np.zeros((2, ms))
     for lo in range(0, len(P), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        t, X, c, wr, wi, na = _terms(tr, blocks.vals, P[part], Q[part], R[part])
+        t, X, c, wr, wi, na = _terms(tr, blocks.vals, P[part], Q[part], R[part], col)
         t += lo
         i = inst[t]
-        fin = lead[lead_row[i], tr.vy[X]] + tr.vmu[X] * tr.cdim[c] + tr.csuf[c]
         last = inst[min(lo + _CHUNK, len(P)) - 1]
         w0 = base[inst[lo]]
         w = int(base[last] + size[last] ** 2 - w0)
-        at = base[i] - w0 + fin * size[i] + t - head[i]
+        at = base[i] - w0
+        if col is not None:
+            fin = lead[lead_row[i], tr.vy[X]] + tr.vmu[X] * cdim[c] + csuf[c]
+            at += fin * size[i] + t - head[i]
         at[na:] += w
         sums_r[:, w0 : w0 + w] += np.bincount(at, wr, 2 * w).reshape(2, w)
         sums_i[:, w0 : w0 + w] += np.bincount(at, wi, 2 * w).reshape(2, w)

@@ -594,7 +594,13 @@ def theorem_b_check(
     seed: int = 0,
 ) -> Certificate:
     """Compare Psi at the standard unit monad with the rescaled Psi at
-    the column module category; both must equal the unit weight."""
+    the column module category; both must equal the unit weight.
+
+    Each call builds its own engine under psi (dual_engine). That engine
+    reads the comb tree bases from the tables on data, which every earlier
+    engine on the same data has filled, so repeated calls sweep each word
+    once; the F-block cache and the group_last unitaries are the engine's
+    own and start empty on every call."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
     eng = dual_engine(data, psi, tol)

@@ -6,7 +6,9 @@ The cups and caps of a simple are built here from its bare pairing trees
 closed loops and the zig-zag are taken by whiskering and composing: the
 path the engine took before it read them off blocks and F-symbols. The
 tree bases are built one charge at a time, rescanning every (x, e, c), as
-before the engine swept all charges of a word at once. The actions of a
+before the engine swept all charges of a word at once; and swept per
+object with its own tables (SweptBases), as each engine did before the
+sweep and its tables moved onto the fusion data. The actions of a
 free bimodule are its outer multiplications carried along the fusion, as
 before the unit algebra acted by its unitors.
 """
@@ -107,6 +109,56 @@ class PerChargeBases:
 
     def support(self, word):
         return tuple(c for c in self.data.simples if self.basis(word, c))
+
+
+class SweptBases:
+    """Right-comb tree bases of tensor words, swept for every charge of a
+    word at once into tables of this object's own, the per-engine sweep
+    that FusionData.sweep replaced."""
+
+    def __init__(self, data):
+        self.data = data
+        self._basis, self._index, self._support = {}, {}, {}
+
+    def basis(self, word, c):
+        if (word, c) not in self._basis:
+            self._trees(word)
+        return self._basis[(word, c)]
+
+    def basis_index(self, word, c):
+        self.basis(word, c)
+        return self._index[(word, c)]
+
+    def support(self, word):
+        if word not in self._support:
+            self._trees(word)
+        return self._support[word]
+
+    def _trees(self, word):
+        trees = {c: [] for c in self.data.simples}
+        if not word:
+            for u in self.data.units:
+                trees[u].append(())
+        else:
+            O, rest = word[0], word[1:]
+            inner = [(e, len(self.basis(rest, e))) for e in self.support(rest)]
+            for x in self.data.simples:
+                n = O[self.data.index[x]]
+                if not n:
+                    continue
+                fused = [(e, k, self.data.fusion_products(x, e)) for e, k in inner]
+                for alpha in range(n):
+                    for e, k, products in fused:
+                        for c, m in products:
+                            out = trees[c]
+                            for v in range(m):
+                                for si in range(k):
+                                    out.append((x, alpha, e, v, si))
+        for c, out in trees.items():
+            key = (word, c)
+            self._basis[key] = out
+            self._index[key] = {b: i for i, b in enumerate(out)}
+        self._support[word] = tuple(c for c, out in trees.items() if out)
 
 
 def free_actions(Ai, c, Aj):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -6,9 +8,9 @@ import pytest
 import diagram_reference
 from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
-from hstarcat.diagram import Engine
-from hstarcat.numcore import InputError, ShapeMismatch
-from hstarcat.fusion import SphericalWeight, udf_from_weight
+from hstarcat.diagram import Engine, Mor
+from hstarcat.numcore import InputError, ShapeMismatch, Tolerance
+from hstarcat.fusion import FusionData, SphericalWeight, dual_engine, udf_from_weight
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -397,6 +399,105 @@ def test_bases_match_the_per_charge_reference(make):
             assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
             checked += len(ref.basis(word, c))
     assert checked > 200, checked
+
+
+# the bundled categories and two seeded families, at sizes that keep words
+# of three objects small
+SWEEP_CASES = {
+    **{name: (lambda name=name: bundled.load(name)) for name in bundled.NAMES},
+    "twisted6": lambda: fam.gauge(fam.vec_zn(6, 1), np.random.default_rng(6)),
+    "ty4": lambda: fam.gauge(fam.ty_zn(4, -1), np.random.default_rng(4)),
+}
+
+
+def _sweep_words(data, rng):
+    """The empty word, words of the zero object, of a sum of distinct
+    units and of single simples, and 30 words of up to three objects with
+    multiplicities drawn from 0..2, a unit sum among them now and then."""
+    k = len(data.simples)
+    zero = (0,) * k
+    units = tuple(int(c in data.units) for c in data.simples)
+    simples = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    words = [(), (zero,), (units,), (units, units)] + [(s,) for s in simples]
+    for _ in range(30):
+        words.append(
+            tuple(
+                units if rng.random() < 0.2 else tuple(int(m) for m in rng.integers(0, 3, size=k))
+                for _ in range(int(rng.integers(1, 4)))
+            )
+        )
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_shared_tables_equal_the_per_engine_sweep(name):
+    # the data's tables hold what each engine swept into its own before:
+    # the same trees in the same order, for every word the engine asked
+    # for and every suffix of it, and nothing more
+    data = SWEEP_CASES[name]()
+    eng, ref = Engine(data, None), diagram_reference.SweptBases(data)
+    for word in _sweep_words(data, np.random.default_rng(21)):
+        assert eng.support(word) == ref.support(word), word
+        for c in data.simples:
+            assert eng.basis(word, c) == ref.basis(word, c), (word, c)
+            assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
+    assert data.comb_bases == ref._basis
+    assert data.comb_indices == ref._index
+    assert data.comb_supports == ref._support
+
+
+def test_engines_on_one_data_share_the_tree_lists():
+    data = fam.gauge(fam.ty_zn(3), np.random.default_rng(3))
+    one = dual_engine(data, SphericalWeight((1.0,)))
+    other = dual_engine(data, SphericalWeight((2.5,)), Tolerance(1e-6))
+    word = (one.obj({"m": 1, "1": 2}), one.obj({"m": 2}), one.obj({"0": 1, "2": 1}))
+    assert other.support(word) is one.support(word)
+    for c in data.simples:
+        assert other.basis(word, c) is one.basis(word, c)
+        assert other.basis_index(word, c) is one.basis_index(word, c)
+    # an equal copy of the data has tables of its own, equal to the first
+    copy = FusionData.from_json(data.to_json())
+    third = dual_engine(copy, SphericalWeight((1.0,)))
+    assert third.support(word) == one.support(word)
+    for c in data.simples:
+        assert third.basis(word, c) == one.basis(word, c)
+        assert third.basis(word, c) is not one.basis(word, c)
+    assert copy.comb_bases is not data.comb_bases
+
+
+def _values(table):
+    """Every value held in a tree table, containers and leaves alike."""
+    stack = list(table.items())
+    while stack:
+        item = stack.pop()
+        yield item
+        if isinstance(item, dict):
+            stack.extend(item.items())
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+
+
+def test_an_engine_is_freed_by_refcount_alone():
+    data = bundled.load("ising")
+    gc.disable()
+    try:
+        eng = dual_engine(data, SphericalWeight((1.0,)))
+        s, p = eng.simple_obj("s"), eng.obj({"1": 1, "p": 1})
+        f = eng.random_mor((s, p), (s, p), np.random.default_rng(1))
+        g = eng.tensor(f, eng.ev_obj(s))
+        eng.left_unitor(eng.simple_obj("1"), (s, p))
+        eng.trace_left(eng.identity((s,)))
+        assert g.blocks and data.comb_bases
+        alive = weakref.ref(eng)
+        del eng
+        assert alive() is None
+    finally:
+        gc.enable()
+    # the tables hold labels and numbers, and no engine or morphism
+    for table in (data.comb_bases, data.comb_indices, data.comb_supports):
+        for v in _values(table):
+            assert isinstance(v, (str, int, tuple, list, dict)), type(v)
+            assert not isinstance(v, (Engine, Mor))
 
 
 def test_loop_traces_match_dims():

@@ -438,6 +438,28 @@ def test_chunks_of_start_trees_match_the_reference(monkeypatch, chunk):
         assert pentagon_residual(data) == _reference_pentagon(data)
 
 
+@pytest.mark.parametrize(
+    "name,numbered",
+    [("hilb_z3", False), ("m2_hilb_gauged", False), ("vec5_gauged", False),
+     ("fibonacci", True), ("multiplicity_two", True), ("ty4_gauged", True)],
+)
+def test_final_trees_are_numbered_only_when_an_instance_has_several(monkeypatch, name, numbered):
+    # an instance with one start tree has one final tree, so data whose
+    # every instance has one (every pointed input) skips the numbering and
+    # still matches the reference loop
+    cols = []
+    terms = fusion._terms
+
+    def recorded(tr, vals, P, Q, R, col):
+        cols.append(col)
+        return terms(tr, vals, P, Q, R, col)
+
+    monkeypatch.setattr(fusion, "_terms", recorded)
+    data = dict(REFERENCE_CASES)[name]()
+    assert pentagon_residual(data) == _reference_pentagon(data)
+    assert cols and all((col is not None) == numbered for col in cols)
+
+
 def test_permuted_ising_rejects_on_pentagon():
     cert = validate(_ising_permuted())
     assert (cert.ok, cert.failed_axiom) == (False, "pentagon")

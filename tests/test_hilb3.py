@@ -195,6 +195,77 @@ def test_theorem_b_takes_one_zigzag_per_simple(monkeypatch, name):
     assert len({e for e, _ in taken}) == 1
 
 
+THEOREM_B_CASES = {
+    "ising": lambda: bundled.load("ising"),
+    "twisted8": lambda: fam.gauge(fam.vec_zn(8, 3), np.random.default_rng(4)),
+    "ty5": lambda: fam.gauge(fam.ty_zn(5, -1), np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_B_CASES))
+def test_theorem_b_repeats_on_one_data_as_on_fresh_data(name):
+    # every call after the first reads the comb tree tables that the
+    # earlier calls left on the data; the residuals are those of calls on
+    # a fresh copy, whose tables start empty
+    data = THEOREM_B_CASES[name]()
+    psi = SphericalWeight(tuple(1.0 for _ in data.units))
+    for seed in (0, 1, 2):
+        warm = hilb3.theorem_b_check(data, psi, seed=seed)
+        fresh = hilb3.theorem_b_check(fusion.FusionData.from_json(data.to_json()), psi, seed=seed)
+        assert warm.ok and fresh.ok
+        assert repr(warm.residuals) == repr(fresh.residuals)
+        assert repr(warm.details) == repr(fresh.details)
+
+
+def _doubled_alpha(dual_engine):
+    """dual_engine with alpha_c doubled for the first non-unit simple c."""
+
+    def wrapped(data, psi, tol=DEFAULT_TOL):
+        eng = dual_engine(data, psi, tol)
+        c = next(c for c in data.simples if c not in data.units)
+        eng.udf.alpha[c] *= 2.0
+        return eng
+
+    return wrapped
+
+
+def _doubled_weight(dual_engine):
+    """dual_engine under twice the weight it is given."""
+
+    def wrapped(data, psi, tol=DEFAULT_TOL):
+        return dual_engine(data, SphericalWeight(tuple(2.0 * p for p in psi.psi)), tol)
+
+    return wrapped
+
+
+# (defect, the residuals it pushes past their bound)
+THEOREM_B_DEFECTS = [
+    # the unit monad meets no cup of a non-unit simple; the module dims do
+    (_doubled_alpha, {"module_side", "gap"}),
+    # both sides follow the engine's weight, which is not psi
+    (_doubled_weight, {"monad_side", "module_side"}),
+]
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_B_CASES))
+@pytest.mark.parametrize("defect,broken", THEOREM_B_DEFECTS, ids=["alpha", "weight"])
+def test_theorem_b_rejects_a_defective_dual_functor(monkeypatch, name, defect, broken):
+    data = THEOREM_B_CASES[name]()
+    psi = SphericalWeight(tuple(1.0 for _ in data.units))
+    monkeypatch.setattr(hilb3, "dual_engine", defect(hilb3.dual_engine))
+    cert = hilb3.theorem_b_check(data, psi)
+    assert (cert.ok, cert.failed_axiom) == (False, "weight comparison")
+    bound = DEFAULT_TOL.bound(1.0)
+    assert {k for k, v in cert.residuals.items() if not v <= bound} == broken, cert.residuals
+
+
+def test_theorem_b_defects_break_every_key():
+    # each residual of the comparison is pushed past its bound by some
+    # defect above
+    keys = set(hilb3.theorem_b_check(bundled.load("ising"), SphericalWeight((1.0,))).residuals)
+    assert keys == set().union(*(broken for _, broken in THEOREM_B_DEFECTS))
+
+
 def test_weight_mod_dagger_rescaled_matches_psi():
     eng = _eng("hilb_z2", (1.3,))
     A = intalg.group_algebra(eng, ("1", "g"))

@@ -8,7 +8,7 @@ import solve_reference as ref
 from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
 from hstarcat.diagram import Engine
-from hstarcat.fusion import SphericalWeight, dual_engine, udf_from_weight
+from hstarcat.fusion import FusionData, SphericalWeight, dual_engine, udf_from_weight
 from hstarcat.numcore import RANK_CUT, InputError, Tolerance, row_space
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -354,18 +354,18 @@ def test_module_category_over_a_unit_regroups_no_unit(monkeypatch, name, unit):
     # algebra's multiplication whiskered out
     eng = _eng(name)
     last_objects, words = [], []
-    group_last, trees = Engine.group_last, Engine._trees
+    group_last, sweep = Engine.group_last, FusionData.sweep
 
     def recorded_group_last(self, W, O, c):
         last_objects.append(O)
         return group_last(self, W, O, c)
 
-    def recorded_trees(self, word):
+    def recorded_sweep(self, word):
         words.append(word)
-        return trees(self, word)
+        return sweep(self, word)
 
     monkeypatch.setattr(Engine, "group_last", recorded_group_last)
-    monkeypatch.setattr(Engine, "_trees", recorded_trees)
+    monkeypatch.setattr(FusionData, "sweep", recorded_sweep)
     mc = intalg.module_category(eng, intalg.group_algebra(eng, (unit,)))
     assert mc.certificate.ok
     assert len(mc.simples) == sum(eng.data.t(c) == unit for c in eng.data.simples)

@@ -27,7 +27,9 @@ function that takes an engine-backed object also takes a tol; it reads
 the engine's. Lint for the one source of the fusion rules: outside the
 construction of FusionData, to_json and validate's grading check, no
 module reads the stored multiplicities N; the rest read the compiled
-rules."""
+rules. Lint for the one tree sweep: comb tree bases are swept and stored
+in FusionData.sweep alone; no engine builds or keeps tree lists of its
+own, and outside fusion no module reads the fusion products."""
 
 import ast
 import builtins
@@ -505,6 +507,92 @@ def test_n_lint_catches_a_stray_read():
     assert not _stray_n_reads("def validate(data):\n    for a, b, c in data.N:\n        pass", "fusion")
     assert not _stray_n_reads("def f(data):\n    return data.n(a, b, c) + data.table[0, 0, 0]", "diagram")
     assert not _stray_n_reads("data = FusionData(S, U, G, D, N=mults, F=F)", "hilb3")
+
+
+# the comb tree tables as FusionData names them and as an Engine holds them
+TREE_TABLES = {"comb_bases", "comb_indices", "comb_supports", "_bases", "_indices", "_supports"}
+# the one sweep that fills them, and the construction that makes them empty
+TREE_SWEEPERS = {"fusion.FusionData.sweep", "fusion.FusionData._compile"}
+# the per-engine tables of the sweep that the data replaced
+ENGINE_TABLES = {"_basis", "_index", "_support"}
+TABLE_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
+
+def _stray_tree_sweeps(source: str, module: str):
+    """(line, message) for each place that sweeps or stores comb tree
+    bases outside FusionData.sweep: a write into a tree table, a read of
+    fusion_products (the sweep's input) outside fusion, and in diagram a
+    def _trees, a per-engine _basis, _index or _support table, or a tree
+    table attribute bound to anything but the data's table."""
+    out = []
+
+    def is_table(node):
+        return isinstance(node, ast.Attribute) and node.attr in TREE_TABLES
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+                if module == "diagram" and child.name == "_trees":
+                    out.append((child.lineno, f"{inner} sweeps trees"))
+            swept = scope in TREE_SWEEPERS
+            if isinstance(child, (ast.Assign, ast.AugAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for t in targets:
+                    for part in t.elts if isinstance(t, ast.Tuple) else [t]:
+                        if isinstance(part, ast.Subscript) and is_table(part.value) and not swept:
+                            out.append((child.lineno, f"writes .{part.value.attr} in {scope}"))
+                        if is_table(part) and not swept and not is_table(child.value):
+                            out.append((child.lineno, f"binds .{part.attr} to a table of its own in {scope}"))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr in TABLE_WRITES and is_table(child.func.value) and not swept:
+                    out.append((child.lineno, f"writes .{child.func.value.attr} in {scope}"))
+            if isinstance(child, ast.Attribute):
+                if child.attr == "fusion_products" and module != "fusion":
+                    out.append((child.lineno, f"reads fusion_products in {scope}"))
+                if child.attr in ENGINE_TABLES and module == "diagram":
+                    out.append((child.lineno, f"keeps a table .{child.attr} in {scope}"))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_comb_trees_are_swept_only_by_fusion():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{line}: {what}"
+            for line, what in _stray_tree_sweeps(path.read_text(), path.stem)
+        ]
+    assert not found, "\n".join(found)
+
+
+def test_tree_sweep_lint_catches_an_engine_sweep():
+    # the engine's sweep and tables before they moved onto the data
+    engine = (
+        "class Engine:\n"
+        "    def __init__(self, data):\n"
+        "        self._basis = {}\n"
+        "    def _trees(self, word):\n"
+        "        for c, m in self.data.fusion_products(x, e):\n"
+        "            pass\n"
+    )
+    found = _stray_tree_sweeps(engine, "diagram")
+    assert len(found) == 3, found
+    assert _stray_tree_sweeps("class Engine:\n    def f(self):\n        self._bases = {}", "diagram")
+    assert _stray_tree_sweeps("def f(eng, k):\n    eng._bases[k] = []", "intalg")
+    assert _stray_tree_sweeps("def f(data, k):\n    data.comb_supports.setdefault(k, ())", "hilb3")
+    assert _stray_tree_sweeps("def f(data, k):\n    data.comb_bases[k], x = [], 1", "fusion")
+    assert _stray_tree_sweeps("def f(data):\n    return data.fusion_products(a, b)", "hilb3")
+    sweep = "class FusionData:\n    def {}(self, word):\n        self.comb_bases[(word, c)] = out"
+    assert not _stray_tree_sweeps(sweep.format("sweep"), "fusion")
+    assert _stray_tree_sweeps(sweep.format("tree_rows"), "fusion")
+    held = "class Engine:\n    def __init__(self, data):\n        self._bases = data.comb_bases"
+    assert not _stray_tree_sweeps(held, "diagram")
+    assert not _stray_tree_sweeps("def f(self):\n    return self._bases.get(k)", "diagram")
+    assert not _stray_tree_sweeps("def f(self):\n    self._trees = {}", "hilb3")
 
 
 def _certificate_calls(source: str):
