@@ -10,8 +10,9 @@ identical inputs and seed produce byte-identical output. Exit codes:
 parser rejects, or any numcore.InputError, which main alone maps to exit
 2. That includes a --psi entry outside [PSI_MIN, PSI_MAX], an algebra
 document with a label outside the category or a trivial algebra on a
-non-unit, an algebra with no unit summand for split-monad and
-standardize, a decomposable category for theorem-b, an H*-algebra
+non-unit or a pair algebra on the zero object, an algebra with no unit
+summand for split-monad and standardize, a decomposable category for
+theorem-b, an H*-algebra
 document whose trace is missing, does not match its blocks in shape, or
 has a weight or functional entry that is not finite, and an --out file
 that cannot be opened for writing. Any other exception (a

@@ -32,13 +32,13 @@ trees of W (x) U at a charge c with t(c) in U are those of W, in the same
 order, so f (x) id_U keeps f's blocks at those charges and both unitors
 are identity blocks; neither meets group_last.
 
-The comb tree bases depend on N alone, so the engine builds none: it
-reads them from the tables of its FusionData, which sweeps each word
-once for every charge (FusionData.sweep) and shares the result with
-every engine on that data, whatever its dual functor or tolerance.
-What reads F, the dual functor or the tolerance stays on the engine:
-the grouped-basis unitaries (group_last), the F blocks (_fsym) and
-derived values.
+N and F are fixed when the FusionData is built, and what they fix lives
+on the data, shared by every engine on it whatever its dual functor or
+tolerance: the comb tree bases, swept once per word for every charge
+(FusionData.sweep), the F blocks (FusionData.f_matrix) and the
+grouped-basis unitaries, which group_last builds into the data's table.
+Only what reads the dual functor or the tolerance, the derived values,
+stays on the engine.
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
@@ -87,8 +87,7 @@ class Engine:
         self._bases = data.comb_bases
         self._indices = data.comb_indices
         self._supports = data.comb_supports
-        self._group = {}
-        self._fcache = {}
+        self._group = data.grouped_unitaries
         self._simple = {}
         self._derived = {}
         self._interned = {}
@@ -234,14 +233,6 @@ class Engine:
 
     # --- whiskering -------------------------------------------------------
 
-    def _fsym(self, a, b, c, d):
-        key = (a, b, c, d)
-        if key not in self._fcache:
-            m = self.data.f_matrix(a, b, c, d)
-            rows = {r: i for i, r in enumerate(self.data.tree_rows(a, b, c, d))}
-            self._fcache[key] = (m, rows, self.data.tree_cols(a, b, c, d))
-        return self._fcache[key]
-
     def _grouped(self, W, O, c):
         """Basis of Hom(c -> W (x) O) grouped as vertex V(d, y; c) on a tree
         of W at charge d, one strand y from O: entries (y, beta, d, u, ti)."""
@@ -259,12 +250,13 @@ class Engine:
     def group_last(self, W, O, c):
         """Unitary from the grouped basis of Hom(c -> W (x) O) to the
         right-comb basis of the concatenated word. Returns (grouped,
-        index dict, matrix). Column (y, beta, d, u, ti), with ti the tree
-        (x1, a1, e1, v1, si) of W at d, is the F-move of its top two
-        vertices, sum over (g, t, r) of F^{x1 e1 y}_c[(d, v1, u), (g, t, r)]
-        times the column (y, beta, e1, t, si) of group_last(W[1:], O, g)
-        placed on the comb trees (x1, a1, g, r, .), which are contiguous:
-        one slice per F coefficient."""
+        index dict, read-only matrix), kept in data.grouped_unitaries for
+        every engine. Column (y, beta, d, u, ti), with ti the tree (x1,
+        a1, e1, v1, si) of W at d, is the F-move of its top two vertices,
+        sum over (g, t, r) of F^{x1 e1 y}_c[(d, v1, u), (g, t, r)] times
+        the column (y, beta, e1, t, si) of group_last(W[1:], O, g) placed
+        on the comb trees (x1, a1, g, r, .), which are contiguous: one
+        slice per F coefficient."""
         key = (W, O, c)
         hit = self._group.get(key)
         if hit is not None:
@@ -280,12 +272,12 @@ class Engine:
                 tgt = (y, beta, self.data.t(y), 0, 0)
                 U[comb_idx[tgt], col] = 1.0
         else:
-            Wp = W[1:]
+            Wp, data = W[1:], self.data
             for col, (y, beta, d, u, ti) in enumerate(grouped):
                 x1, a1, e1, v1, si = self.basis(W, d)[ti]
-                fm, frow, fcols = self._fsym(x1, e1, y, c)
-                row = fm[frow[(d, v1, u)], :]
-                for j, (g, t, r) in enumerate(fcols):
+                k = (x1, e1, y, c)
+                row = data.f_matrix(*k)[data.tree_rows(*k)[(d, v1, u)], :]
+                for j, (g, t, r) in enumerate(data.tree_cols(*k)):
                     coeff = row[j]
                     if coeff == 0:
                         continue
@@ -293,6 +285,7 @@ class Engine:
                     # the comb trees (x1, a1, g, r, .) are contiguous
                     i = comb_idx[(x1, a1, g, r, 0)]
                     U[i : i + Up.shape[0], col] += coeff * Up[:, gp_idx[(y, beta, e1, t, si)]]
+        U.flags.writeable = False
         self._group[key] = (grouped, gidx, U)
         return self._group[key]
 
@@ -463,12 +456,13 @@ class Engine:
         block onto the comb trees (c, 0, g, r, .), and the evaluation
         keeps only g = t(c); the F blocks that move the inner pairing tree
         have a unit argument and are identities by the strict-unit rule."""
-        cb = self.data.dual[c]
-        s, t = self.data.s(c), self.data.t(c)
+        data, cb = self.data, self.data.dual[c]
+        s, t = data.s(c), data.t(c)
         self._pairing(c, cb, s)
         self._pairing(cb, c, t)
-        m, rows, cols = self._fsym(c, cb, c, c)
-        return complex(m[rows[(s, 0, 0)], cols.index((t, 0, 0))])
+        k = (c, cb, c, c)
+        row, col = data.tree_rows(*k)[(s, 0, 0)], data.tree_cols(*k)[(t, 0, 0)]
+        return complex(data.f_matrix(*k)[row, col])
 
     def _cup(self, x, ev: bool):
         """(a, b, u, z) of the evaluation (ev) or coevaluation of the

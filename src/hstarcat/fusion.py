@@ -18,24 +18,22 @@ grouped to the left onto the basis {(f; ka in V(b,c;f), la in V(a,f;d))}
 grouped to the right, where V(x,y;z) is the vertex space Hom(z -> x(x)y).
 F blocks with a unit argument are required to be identities (strict unit).
 
-N is compiled once, at construction, into FusionData.table, the dense
-N[a, b, c] with the strict-unit rules folded in; n, fusion_products and
-every FPdim (the largest singular value of a fusion matrix) are read off
-it. What else depends on N alone is compiled on demand and kept on the
-data for as long as it lives: the tree orders of each F block (tree_rows,
-tree_cols) and the right-comb tree bases of each tensor word, swept for
-every charge at once (FusionData.sweep). Every diagram.Engine on the data
-reads those tables and none keeps its own, so engines under different
-weights or tolerances share them; the tables hold only labels and
-numbers, never an engine. What reads F or the dual functor (the F-block
-cache, group_last, derived values) stays on each engine.
-F blocks are read per call and never stored, since tests edit F after
-construction: validation gathers every F block that has trees, in index
-order, with its entries in one flat array (_Blocks). Tree bases are
-numbered by pairs of vertices, and the pentagon evaluates all its
-instances in one batch of integer index arrays and float64 arithmetic,
-in the order of a scalar loop over them, so its residual is the loop's
-to the last bit (see pentagon_residual).
+N and F are fixed at construction: N, F, grading and dual are read-only
+mappings, each F block a read-only copy of the caller's. What they fix
+lives on the data, and every diagram.Engine on it reads it, whatever its
+weight or tolerance: the dense N[a, b, c] with the strict-unit rules
+folded in (FusionData.table, off which n, fusion_products and every
+FPdim, the largest singular value of a fusion matrix, are read), and, on
+demand, the tree orders (tree_rows, tree_cols) and the block (f_matrix)
+of each F-move, the right-comb tree bases of each tensor word, swept for
+every charge at once (sweep), and the grouped-basis unitaries of
+diagram.Engine.group_last. These tables hold labels, numbers and
+read-only arrays, never an engine. Validation gathers every F block that
+has trees, in index order, with its entries in one flat array (_Blocks).
+Tree bases are numbered by pairs of vertices, and the pentagon evaluates
+all its instances in one batch of integer index arrays and float64
+arithmetic, in the order of a scalar loop over them, so its residual is
+the loop's to the last bit (see pentagon_residual).
 Non-finite F entries are an InputError at construction; a non-finite
 residual that still arises fails its bound test and rejects.
 """
@@ -43,6 +41,7 @@ residual that still arises fails its bound test and rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,10 +68,10 @@ _CHUNK = 512
 class FusionData:
     simples: tuple
     units: tuple  # unit summand labels, a subset of simples
-    grading: dict  # label -> (source unit label, target unit label)
-    dual: dict  # label -> label
-    N: dict  # (a, b, c) -> nonnegative int, omitted means 0
-    F: dict  # (a, b, c, d) -> complex matrix in the canonical tree order
+    grading: dict  # read-only: label -> (source unit label, target unit label)
+    dual: dict  # read-only: label -> label
+    N: dict  # read-only: (a, b, c) -> nonnegative int, omitted means 0
+    F: dict  # (a, b, c, d) -> read-only complex matrix in the canonical tree order
 
     def __post_init__(self):
         self.simples = tuple(self.simples)
@@ -104,11 +103,15 @@ class FusionData:
                 raise InputError(
                     f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not an integer in [0, 2**31)"
                 )
-        self.N = {k: int(v) for k, v in self.N.items() if v}
-        self.F = {k: np.asarray(v, dtype=complex) for k, v in self.F.items()}
+        self.N = MappingProxyType({k: int(v) for k, v in self.N.items() if v})
+        # a copy of each block is frozen, never the caller's array
+        self.F = MappingProxyType({k: np.array(v, dtype=complex) for k, v in self.F.items()})
         for k, m in self.F.items():
             if not np.isfinite(m).all():
                 raise InputError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
+            m.flags.writeable = False
+        self.grading = MappingProxyType({c: tuple(self.grading[c]) for c in self.simples})
+        self.dual = MappingProxyType(dict(self.dual))
         if not self.units:
             raise InputError("no unit summand")
         self._compile()
@@ -144,10 +147,13 @@ class FusionData:
         # the fusion matrix L_a[c, b] = N_{ab}^c (Frobenius reciprocity)
         sv = np.linalg.svd(table.astype(float), compute_uv=False)
         self._fpdims = dict(zip(S, sv[:, 0].tolist()))
-        # filled on demand: the F-move tree orders per (a, b, c, d), and the
-        # comb tree tables per word (sweep)
-        self._rows, self._cols = {}, {}
+        # filled on demand: the F-move tree orders and blocks per (a, b, c,
+        # d), one identity block per size, the comb tree tables per word
+        # (sweep), and the grouped-basis unitaries per (word, object,
+        # charge), built by Engine.group_last
+        self._rows, self._cols, self._blocks, self._eyes = {}, {}, {}, {}
         self.comb_bases, self.comb_indices, self.comb_supports = {}, {}, {}
+        self.grouped_unitaries = {}
 
     # --- basic accessors -------------------------------------------------
 
@@ -166,32 +172,30 @@ class FusionData:
         the order of the simples."""
         return self._products.get((a, b), ())
 
-    def tree_rows(self, a, b, c, d) -> tuple:
-        """Canonical order of the left-grouped tree basis of Hom(d -> abc),
-        built once per (a, b, c, d) and kept on the data."""
+    def tree_rows(self, a, b, c, d) -> dict:
+        """The left-grouped tree basis of Hom(d -> abc) in canonical order,
+        each tree mapped to its position; built once per (a, b, c, d) and
+        kept on the data."""
         key = (a, b, c, d)
         out = self._rows.get(key)
         if out is None:
-            out = self._rows[key] = tuple(
-                (e, mu, nu)
-                for e, m in self.fusion_products(a, b)
-                for mu in range(m)
-                for nu in range(self.n(e, c, d))
-            )
+            out = self._rows[key] = {}
+            for e, m in self.fusion_products(a, b):
+                for mu in range(m):
+                    for nu in range(self.n(e, c, d)):
+                        out[(e, mu, nu)] = len(out)
         return out
 
-    def tree_cols(self, a, b, c, d) -> tuple:
-        """Canonical order of the right-grouped tree basis, kept on the
-        data as tree_rows is."""
+    def tree_cols(self, a, b, c, d) -> dict:
+        """The right-grouped tree basis, kept on the data as tree_rows is."""
         key = (a, b, c, d)
         out = self._cols.get(key)
         if out is None:
-            out = self._cols[key] = tuple(
-                (f, ka, la)
-                for f, m in self.fusion_products(b, c)
-                for ka in range(m)
-                for la in range(self.n(a, f, d))
-            )
+            out = self._cols[key] = {}
+            for f, m in self.fusion_products(b, c):
+                for ka in range(m):
+                    for la in range(self.n(a, f, d)):
+                        out[(f, ka, la)] = len(out)
         return out
 
     def sweep(self, word) -> None:
@@ -237,15 +241,31 @@ class FusionData:
         self.comb_supports[word] = tuple(c for c, out in trees.items() if out)
 
     def f_matrix(self, a, b, c, d) -> np.ndarray:
-        rows = self.tree_rows(a, b, c, d)
-        cols = self.tree_cols(a, b, c, d)
-        if len(rows) != len(cols):
-            raise InputError(
-                f"F^{a},{b},{c}_{d}: tree counts differ ({len(rows)} vs {len(cols)})"
-            )
-        if not rows:
-            return np.zeros((0, 0), dtype=complex)
-        return _stored_block(self, (a, b, c, d), len(rows))
+        """F^{abc}_d from the trees of tree_rows to those of tree_cols
+        (_block); InputError when their counts differ."""
+        rows, cols = len(self.tree_rows(a, b, c, d)), len(self.tree_cols(a, b, c, d))
+        if rows != cols:
+            raise InputError(f"F^{a},{b},{c}_{d}: tree counts differ ({rows} vs {cols})")
+        return self._block((a, b, c, d), rows)
+
+    def _block(self, key, dim: int) -> np.ndarray:
+        """The F block at a label key whose tree bases have dim elements,
+        read-only, built once and kept: the identity when an argument is a
+        unit (strict unit), the tree bases are empty or no block is stored,
+        else the stored block, which must be dim x dim (InputError)."""
+        m = self._blocks.get(key)
+        if m is None:
+            a, b, c, d = key
+            m = self.F.get(key)
+            if m is None or not dim or a in self.units or b in self.units or c in self.units:
+                m = self._eyes.get(dim)
+                if m is None:
+                    m = self._eyes[dim] = np.eye(dim, dtype=complex)
+                    m.flags.writeable = False
+            elif m.shape != (dim, dim):
+                raise InputError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
+            self._blocks[key] = m
+        return m
 
     # --- Frobenius-Perron dimensions ------------------------------------
 
@@ -350,8 +370,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
     pentagon equation.
 
-    N is compiled at construction (data.table); the F blocks are read in
-    each call and never stored (see _Blocks). The grading check runs over
+    N is compiled at construction (data.table), and each F block is read
+    once per data and kept on it (see _Blocks). The grading check runs over
     the stored entries of N, and so does the strict-unit check: a stored
     entry with a unit argument must equal n(a, b, c), the value of the
     rule that construction put in its place. The other integer identities
@@ -454,24 +474,11 @@ def pentagon_residual(data: FusionData) -> float:
     return worst(_pentagon_gaps(blocks).tolist())
 
 
-def _stored_block(data: FusionData, key, dim: int) -> np.ndarray:
-    """The F block at a label key whose tree bases have dim elements: the
-    identity when an argument is a unit (strict unit) or no block is
-    stored, else the stored matrix, which must be dim x dim."""
-    a, b, c, d = key
-    m = data.F.get(key)
-    if m is None or a in data.units or b in data.units or c in data.units:
-        return np.eye(dim, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InputError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
-    return m
-
-
 class _Blocks:
     """The F blocks that have trees, of one FusionData for one validate or
     pentagon_residual call, on the tree counts of data.table, which
-    construction compiled; the blocks are read per call and never stored
-    on the data, so they cannot go stale when F is edited afterwards.
+    construction compiled; each block is the data's own (FusionData._block,
+    the store behind f_matrix), read once per data and kept.
 
     Blocks are read in index order of their (a, b, c, d) up to the first
     whose tree counts differ; a stored block of the wrong shape before it
@@ -496,16 +503,8 @@ class _Blocks:
         dims, cols = self.trees[self.keys], cols[self.keys]
         bad = (dims != cols).nonzero()[0]
         stop = bad[0] if bad.size else len(dims)
-        eye = {}
-        self.mats = []
-        keys = zip(*(i[:stop].tolist() for i in self.keys))
-        for key, r, plain in zip(keys, dims.tolist(), self.plain.tolist()):
-            if plain:
-                self.mats.append(_stored_block(data, tuple(S[i] for i in key), r))
-            else:
-                if r not in eye:
-                    eye[r] = np.eye(r, dtype=complex)
-                self.mats.append(eye[r])
+        rows = zip(*(i[:stop].tolist() for i in self.keys), dims.tolist())
+        self.mats = [data._block((S[i], S[j], S[k], S[l]), r) for i, j, k, l, r in rows]
         self.mismatch = None
         if bad.size:
             key = tuple(S[i[stop]] for i in self.keys)

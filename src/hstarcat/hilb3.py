@@ -597,10 +597,9 @@ def theorem_b_check(
     the column module category; both must equal the unit weight.
 
     Each call builds its own engine under psi (dual_engine). That engine
-    reads the comb tree bases from the tables on data, which every earlier
-    engine on the same data has filled, so repeated calls sweep each word
-    once; the F-block cache and the group_last unitaries are the engine's
-    own and start empty on every call."""
+    reads the comb tree bases, the F blocks and the group_last unitaries
+    from the tables on data, which every earlier engine on the same data
+    has filled, so repeated calls build each of them once."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
     eng = dual_engine(data, psi, tol)

@@ -171,9 +171,12 @@ def group_algebra(eng: Engine, labels) -> AlgebraObject:
 
 
 def pair_algebra(eng: Engine, O) -> AlgebraObject:
-    """c (x) c* with mu = id (x) ev (x) id and iota = coev."""
+    """c (x) c* with mu = id (x) ev (x) id and iota = coev; the zero
+    object, whose pair algebra has no unit summand, is an InputError."""
     if isinstance(O, str):
         O = eng.simple_obj(O)
+    if not any(O):
+        raise InputError("the pair algebra of the zero object has no unit summand")
     Od = eng.dual_obj(O)
     W = (O, Od)
     A, u = eng.fuse(W)

@@ -230,6 +230,7 @@ BAD_ALGEBRAS = {
     # no unit summand: no monad to split, no bubble to standardize
     "group_no_unit": {"kind": "group", "labels": ["s"]},
     "pair_empty": {"kind": "pair", "object": {}},
+    "pair_zero": {"kind": "pair", "object": {"s": 0, "p": 0}},
     # past the schema's size cap: never built
     "pair_over_cap": {"kind": "pair", "object": {"s": 3}},
 }
@@ -250,6 +251,23 @@ def test_bad_algebra_file_exit_2_without_report(tmp_path, capsys, command, name)
     group = "h3" if command == "split-monad" else "alg"
     assert main([group, command, "ising", str(p)]) == 2
     assert capsys.readouterr().out == ""
+
+
+ALGEBRA_COMMANDS = [("alg", "verify"), ("alg", "standardize"), ("alg", "modcat"),
+                    ("alg", "intend"), ("h3", "split-monad")]
+
+
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS, ids=[c for _, c in ALGEBRA_COMMANDS])
+@pytest.mark.parametrize("name", ["pair_empty", "pair_zero"])
+def test_an_algebra_on_the_zero_object_is_an_input_error(tmp_path, capsys, command, name):
+    # the zero algebra has no unit summand: input, not a verdict, for
+    # every command that takes an algebra
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(BAD_ALGEBRAS[name]))
+    assert main([*command, "ising", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: the pair algebra of the zero object has no unit summand\n"
 
 
 @pytest.mark.parametrize(
@@ -434,6 +452,23 @@ def test_accepting_commands(capsys, argv, checks):
     assert code == 0
     assert rep["verdict"] == "ACCEPT"
     assert sorted(rep["verdicts"]) == checks
+
+
+def test_a_standardization_off_by_a_scalar_rejects_on_specialness(monkeypatch, capsys):
+    # (2 mu, iota / 2) is an H* algebra isomorphic to the standard one, but
+    # mu mu^dag = 4 id: only the specialness check sees the defect
+    standardize = intalg.standardize
+
+    def off_by_two(A):
+        S = standardize(A)
+        eng = S.eng
+        return intalg.AlgebraObject(eng, S.obj, eng.scale(2.0, S.mu), eng.scale(0.5, S.iota))
+
+    monkeypatch.setattr(intalg, "standardize", off_by_two)
+    code, rep = _run(capsys, "alg", "standardize", "ising", "ising_qsystem")
+    assert code == 1
+    assert rep["verdicts"] == {"specialness": "REJECT", "hstar_algebra": "ACCEPT"}
+    assert rep["violated_axioms"] == {"specialness": "specialness"}
 
 
 def test_cli_import_leaves_scipy_out():

@@ -183,7 +183,10 @@ def test_sphericality_sees_a_rescaled_cup(name, gap):
 def test_pairing_without_its_tree_is_an_input_error():
     # a dual that does not pair with its simple: no cup or cap is read off
     eng = _eng("hilb_z2")
-    eng.data.dual["g"] = "1"
+    data = eng.data
+    dual = {**data.dual, "g": "1"}
+    bad_data = FusionData(data.simples, data.units, data.grading, dual, data.N, data.F)
+    eng = Engine(bad_data, eng.udf)
     g = eng.simple_obj("g")
     for build in (eng.ev_obj, eng.coev_obj):
         with pytest.raises(InputError, match="not one tree"):
@@ -455,6 +458,14 @@ def test_engines_on_one_data_share_the_tree_lists():
     for c in data.simples:
         assert other.basis(word, c) is one.basis(word, c)
         assert other.basis_index(word, c) is one.basis_index(word, c)
+    # so do the F blocks and the grouped unitaries, which read F too
+    blocks = fam.f_blocks(data)
+    grouped = [(word[:2], word[2], c) for c in one.support(word)]
+    assert blocks and grouped
+    for key in blocks:
+        assert other.data.f_matrix(*key) is one.data.f_matrix(*key)
+    for key in grouped:
+        assert all(x is y for x, y in zip(other.group_last(*key), one.group_last(*key)))
     # an equal copy of the data has tables of its own, equal to the first
     copy = FusionData.from_json(data.to_json())
     third = dual_engine(copy, SphericalWeight((1.0,)))
@@ -463,6 +474,13 @@ def test_engines_on_one_data_share_the_tree_lists():
         assert third.basis(word, c) == one.basis(word, c)
         assert third.basis(word, c) is not one.basis(word, c)
     assert copy.comb_bases is not data.comb_bases
+    for key in blocks:
+        assert np.array_equal(copy.f_matrix(*key), data.f_matrix(*key))
+        assert copy.f_matrix(*key) is not data.f_matrix(*key)
+    for key in grouped:
+        (g, gi, U), (h, hi, V) = third.group_last(*key), one.group_last(*key)
+        assert (g, gi) == (h, hi) and np.array_equal(U, V) and U is not V
+    assert copy.grouped_unitaries is not data.grouped_unitaries
 
 
 def _values(table):
@@ -493,10 +511,15 @@ def test_an_engine_is_freed_by_refcount_alone():
         assert alive() is None
     finally:
         gc.enable()
-    # the tables hold labels and numbers, and no engine or morphism
-    for table in (data.comb_bases, data.comb_indices, data.comb_supports):
+    # the tables hold labels, numbers and read-only arrays, and no engine
+    # or morphism
+    assert data.grouped_unitaries and data._blocks and data._rows
+    tables = (data.comb_bases, data.comb_indices, data.comb_supports, data.grouped_unitaries,
+              data._blocks, data._rows, data._cols)
+    for table in tables:
         for v in _values(table):
-            assert isinstance(v, (str, int, tuple, list, dict)), type(v)
+            assert isinstance(v, (str, int, tuple, list, dict, np.ndarray)), type(v)
+            assert not isinstance(v, np.ndarray) or not v.flags.writeable
             assert not isinstance(v, (Engine, Mor))
 
 

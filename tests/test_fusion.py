@@ -163,6 +163,36 @@ def test_json_round_trip():
             assert np.allclose(back.F[k], m)
 
 
+def test_fusion_data_is_read_only_once_built():
+    ising = bundled.load("ising")
+    block = np.array([[0, 1], [1, 0]], dtype=complex)
+    data = _with_block(ising, ("s", "s", "s", "s"), block)
+    edits = [
+        (data.N, ("s", "s", "p"), 2),
+        (data.F, ("s", "s", "s", "s"), block),
+        (data.grading, "s", ("1", "1")),
+        (data.dual, "s", "p"),
+    ]
+    for table, key, value in edits:
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(TypeError):
+            del table[key]
+    # the stored block, a plain block read through f_matrix, and the
+    # identity of a unit argument
+    keys = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("1", "s", "s", "1")]
+    read = [data.F[("s", "s", "s", "s")]] + [data.f_matrix(*key) for key in keys]
+    eng = fusion.dual_engine(ising, SphericalWeight((1.0,)))
+    s = eng.simple_obj("s")
+    read.append(eng.group_last((s, s), s, "s")[2])
+    for m in read:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+    # the constructor froze a copy: the caller's array stays writeable
+    block[0, 0] = 2.0
+    assert data.F[("s", "s", "s", "s")][0, 0] == 0.0
+
+
 def test_schema_errors():
     with pytest.raises(InputError):
         FusionData(("a", "a"), ("a",), {"a": ("a", "a")}, {"a": "a"}, {}, {})
@@ -170,9 +200,25 @@ def test_schema_errors():
         FusionData(("a",), ("b",), {"a": ("a", "a")}, {"a": "a"}, {}, {})
 
 
-def test_nan_written_after_construction_rejects_on_f_unitarity():
+def _with_block(data, key, block):
+    """data with the F block at key replaced, built through the
+    constructor, since a FusionData is read-only once built."""
+    F = {**data.F, key: block}
+    return FusionData(data.simples, data.units, data.grading, data.dual, data.N, F)
+
+
+def _overflowing_fibonacci():
+    """Fibonacci with F^{ttt}_t[0, 0] = 1e200 + 1e200i: finite, so
+    construction accepts it, but its square overflows, so its unitarity
+    defect and the pentagon gaps through it are NaN."""
     data = bundled.load("fibonacci")
-    data.F[("t", "t", "t", "t")][0, 0] = np.nan
+    block = data.f_matrix("t", "t", "t", "t").copy()
+    block[0, 0] = 1e200 + 1e200j
+    return _with_block(data, ("t", "t", "t", "t"), block)
+
+
+def test_an_overflowing_f_entry_rejects_on_f_unitarity():
+    data = _overflowing_fibonacci()
     cert = validate(data)
     assert not cert.ok
     assert cert.failed_axiom == "F-unitarity"
@@ -375,9 +421,9 @@ REFERENCE_CASES.append(("multiplicity_two", lambda: _multiplicity_two(DFT5, ROT)
 def _ising_permuted():
     """Ising with F^{sss}_s replaced by a permutation matrix: unitary, with
     exact zeros, and not a solution of the pentagon."""
-    data = bundled.load("ising")
-    data.F[("s", "s", "s", "s")] = np.array([[0, 1], [1, 0]], dtype=complex)
-    return data
+    return _with_block(
+        bundled.load("ising"), ("s", "s", "s", "s"), np.array([[0, 1], [1, 0]], dtype=complex)
+    )
 
 
 # instances with two to five start trees (TY), and exact zeros in a block
@@ -467,8 +513,7 @@ def test_permuted_ising_rejects_on_pentagon():
 
 
 def test_nan_entry_gives_nan_pentagon_and_rejects_on_f_unitarity():
-    data = bundled.load("fibonacci")
-    data.F[("t", "t", "t", "t")][0, 0] = np.nan
+    data = _overflowing_fibonacci()
     assert np.isnan(pentagon_residual(data))
     assert np.isnan(_reference_pentagon(data))
     cert = validate(data)
@@ -494,22 +539,19 @@ def test_degenerate_zigzag_scalar_fails_closed(monkeypatch, theta):
 def _random_ring(labels, mult, dual, seed):
     """A ring on the labels with unit "0": N[a, b, c] = mult for the
     non-unit a, b in product order, and a random unitary F block wherever
-    the tree counts agree and no argument is a unit."""
-    data = FusionData(
-        labels,
-        ("0",),
-        {c: ("0", "0") for c in labels},
-        dict(zip(labels, dual)),
-        {key: m for key, m in zip(itertools.product(labels[1:], labels[1:], labels), mult) if m},
-        {},
-    )
+    the tree counts agree and no argument is a unit; the tree counts are
+    read off the ring without F."""
+    grading = {c: ("0", "0") for c in labels}
+    N = {key: m for key, m in zip(itertools.product(labels[1:], labels[1:], labels), mult) if m}
+    ring = FusionData(labels, ("0",), grading, dict(zip(labels, dual)), N, {})
     rng = np.random.default_rng(seed)
+    F = {}
     for key in itertools.product(labels[1:], labels[1:], labels[1:], labels):
-        r = len(data.tree_rows(*key))
-        if r and r == len(data.tree_cols(*key)):
+        r = len(ring.tree_rows(*key))
+        if r and r == len(ring.tree_cols(*key)):
             q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
-            data.F[key] = q
-    return data
+            F[key] = q
+    return FusionData(labels, ("0",), grading, ring.dual, N, F)
 
 
 def _edited(name, edit):

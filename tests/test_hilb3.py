@@ -9,7 +9,7 @@ from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, split_projection
+from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, sample_rng, split_projection
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -43,6 +43,65 @@ def test_hilbert_sum_certification():
     assert cert.ok
     assert cert.residuals["resolution"] < 1e-10
     assert cert.residuals["additivity"] < 1e-9
+
+
+def _hidden_direction(fs):
+    """A Hermitian D of unit norm with tr(D f) = 0 for every f in fs: a
+    null vector of the real map from the Hermitian basis to the real and
+    imaginary parts of those traces, which has one when 2 len(fs) < k^2."""
+    k = len(fs[0])
+    basis = []
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
+        for z in (1, 1j) if i < j else (1,):
+            H = np.zeros((k, k), dtype=complex)
+            H[i, j], H[j, i] = z, np.conj(z)
+            basis.append(H)
+    traces = np.array([[np.trace(H @ f) for H in basis] for f in fs])
+    c = np.linalg.svd(np.vstack([traces.real, traces.imag]))[2][-1]
+    D = sum(x * H for x, H in zip(c, basis))
+    return D / np.linalg.norm(D)
+
+
+def test_a_resolution_defect_hidden_from_the_samples_rejects_on_resolution(monkeypatch):
+    # additivity reads Psi on 5 sampled endomorphisms only; inclusions
+    # I'_j = R I_j with R^2 = id + eps D, D a direction none of the samples
+    # sees, keep it at roundoff, and the exhaustive resolution check alone
+    # rejects
+    eng = _eng("hilb_z2")
+    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
+    S = hilb3.sum_object(X, ["1"] * 4)
+    O = X.unit_obj(S)
+    rng = sample_rng(5, 3)
+    D = _hidden_direction([eng.random_mor((O,), (O,), rng).blocks["1"] for _ in range(5)])
+    w, V = np.linalg.eigh(1e-3 * D)
+    R = eng.mor((O,), (O,), {"1": (V * np.sqrt(1 + w)) @ V.conj().T})
+    inclusions = hilb3.sum_isometries
+    monkeypatch.setattr(
+        hilb3, "sum_isometries", lambda X, S: [eng.compose(R, i) for i in inclusions(X, S)]
+    )
+    cert = hilb3.certify_hilbert_sum(X, S, samples=5, seed=3)
+    assert (cert.ok, cert.failed_axiom) == (False, "direct-sum resolution")
+    assert cert.residuals["resolution"] == pytest.approx(1e-3)
+    assert cert.residuals["additivity"] < 1e-12
+
+
+class _DoubledSumPsi(hilb3.Pre3HilbPresentation):
+    """A presentation whose Psi on a sum object is twice the sum of Psi on
+    its parts."""
+
+    def psi_value(self, obj, f):
+        z = super().psi_value(obj, f)
+        return 2 * z if isinstance(obj, hilb3.SumObject) else z
+
+
+def test_a_psi_that_is_not_additive_rejects_on_additivity():
+    eng = _eng("hilb_z2")
+    X = _DoubledSumPsi(eng, hilb3.hilbert_sum_completion(hilb3.delooping(eng)).objects)
+    S = hilb3.sum_object(X, ["1", "1"])
+    cert = hilb3.certify_hilbert_sum(X, S, samples=5)
+    assert (cert.ok, cert.failed_axiom) == (False, "Psi additivity")
+    assert cert.residuals["resolution"] == 0.0
+    assert cert.residuals["additivity"] > 0.1
 
 
 def _psi_block_sum(eng, f):

@@ -28,8 +28,10 @@ the engine's. Lint for the one source of the fusion rules: outside the
 construction of FusionData, to_json and validate's grading check, no
 module reads the stored multiplicities N; the rest read the compiled
 rules. Lint for the one tree sweep: comb tree bases are swept and stored
-in FusionData.sweep alone; no engine builds or keeps tree lists of its
-own, and outside fusion no module reads the fusion products."""
+in FusionData.sweep alone, and grouped-basis unitaries in the data's
+table by Engine.group_last alone; no engine builds or keeps tree lists,
+F blocks or grouped unitaries of its own, and outside fusion no module
+reads the fusion products."""
 
 import ast
 import builtins
@@ -513,41 +515,53 @@ def test_n_lint_catches_a_stray_read():
 TREE_TABLES = {"comb_bases", "comb_indices", "comb_supports", "_bases", "_indices", "_supports"}
 # the one sweep that fills them, and the construction that makes them empty
 TREE_SWEEPERS = {"fusion.FusionData.sweep", "fusion.FusionData._compile"}
-# the per-engine tables of the sweep that the data replaced
-ENGINE_TABLES = {"_basis", "_index", "_support"}
+# the grouped-basis unitaries, as FusionData names them and as an Engine
+# holds them, and the one builder that fills them
+GROUP_TABLES = {"grouped_unitaries", "_group"}
+GROUP_BUILDERS = {"diagram.Engine.group_last", "fusion.FusionData._compile"}
+# the per-engine tables that the data replaced: of the sweep, and of F
+ENGINE_TABLES = {"_basis", "_index", "_support", "_fcache"}
+# the per-engine methods that the data replaced
+ENGINE_DEFS = {"_trees": "sweeps trees", "_fsym": "keeps F blocks of its own"}
 TABLE_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
 
 
 def _stray_tree_sweeps(source: str, module: str):
     """(line, message) for each place that sweeps or stores comb tree
-    bases outside FusionData.sweep: a write into a tree table, a read of
+    bases outside FusionData.sweep, or grouped-basis unitaries outside
+    Engine.group_last: a write into a tree or group table, a read of
     fusion_products (the sweep's input) outside fusion, and in diagram a
-    def _trees, a per-engine _basis, _index or _support table, or a tree
-    table attribute bound to anything but the data's table."""
+    def _trees or _fsym, a per-engine _basis, _index, _support or _fcache
+    table, or a tree or group table attribute bound to anything but the
+    data's table."""
     out = []
 
     def is_table(node):
-        return isinstance(node, ast.Attribute) and node.attr in TREE_TABLES
+        return isinstance(node, ast.Attribute) and node.attr in TREE_TABLES | GROUP_TABLES
+
+    def may_write(table, scope):
+        return scope in (TREE_SWEEPERS if table.attr in TREE_TABLES else GROUP_BUILDERS)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-                if module == "diagram" and child.name == "_trees":
-                    out.append((child.lineno, f"{inner} sweeps trees"))
-            swept = scope in TREE_SWEEPERS
+                if module == "diagram" and child.name in ENGINE_DEFS:
+                    out.append((child.lineno, f"{inner} {ENGINE_DEFS[child.name]}"))
             if isinstance(child, (ast.Assign, ast.AugAssign)):
                 targets = child.targets if isinstance(child, ast.Assign) else [child.target]
                 for t in targets:
                     for part in t.elts if isinstance(t, ast.Tuple) else [t]:
-                        if isinstance(part, ast.Subscript) and is_table(part.value) and not swept:
-                            out.append((child.lineno, f"writes .{part.value.attr} in {scope}"))
-                        if is_table(part) and not swept and not is_table(child.value):
+                        table = part.value if isinstance(part, ast.Subscript) else None
+                        if is_table(table) and not may_write(table, scope):
+                            out.append((child.lineno, f"writes .{table.attr} in {scope}"))
+                        if is_table(part) and not may_write(part, scope) and not is_table(child.value):
                             out.append((child.lineno, f"binds .{part.attr} to a table of its own in {scope}"))
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                if child.func.attr in TABLE_WRITES and is_table(child.func.value) and not swept:
-                    out.append((child.lineno, f"writes .{child.func.value.attr} in {scope}"))
+                table = child.func.value
+                if child.func.attr in TABLE_WRITES and is_table(table) and not may_write(table, scope):
+                    out.append((child.lineno, f"writes .{table.attr} in {scope}"))
             if isinstance(child, ast.Attribute):
                 if child.attr == "fusion_products" and module != "fusion":
                     out.append((child.lineno, f"reads fusion_products in {scope}"))
@@ -581,6 +595,23 @@ def test_tree_sweep_lint_catches_an_engine_sweep():
     )
     found = _stray_tree_sweeps(engine, "diagram")
     assert len(found) == 3, found
+    # the engine's F blocks and grouped unitaries before they moved too
+    engine = (
+        "class Engine:\n"
+        "    def __init__(self, data):\n"
+        "        self._group = {}\n"
+        "        self._fcache = {}\n"
+        "    def _fsym(self, a, b, c, d):\n"
+        "        return self.data.f_matrix(a, b, c, d)\n"
+    )
+    found = _stray_tree_sweeps(engine, "diagram")
+    assert len(found) == 3, found
+    held = "class Engine:\n    def __init__(self, data):\n        self._group = data.grouped_unitaries"
+    assert not _stray_tree_sweeps(held, "diagram")
+    built = "class Engine:\n    def {}(self, key):\n        self._group[key] = (grouped, gidx, U)"
+    assert not _stray_tree_sweeps(built.format("group_last"), "diagram")
+    assert _stray_tree_sweeps(built.format("whisker_right_obj"), "diagram")
+    assert _stray_tree_sweeps("def f(data, k):\n    data.grouped_unitaries.pop(k)", "hilb3")
     assert _stray_tree_sweeps("class Engine:\n    def f(self):\n        self._bases = {}", "diagram")
     assert _stray_tree_sweeps("def f(eng, k):\n    eng._bases[k] = []", "intalg")
     assert _stray_tree_sweeps("def f(data, k):\n    data.comb_supports.setdefault(k, ())", "hilb3")
