@@ -99,6 +99,7 @@ _TYPES = {
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "number": _is_number,
+    "null": lambda x: x is None,
     "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
 }
 _RULES = {
@@ -263,7 +264,9 @@ def _round(x, nd=14):
     if isinstance(x, complex):
         x = x.real if abs(x.imag) < 1e-300 else x
     if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.{nd}e}")
+        # strict JSON has no NaN or infinity, so a non-finite number is
+        # written as null
+        return float(f"{float(x):.{nd}e}") if math.isfinite(x) else None
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, dict):
@@ -299,7 +302,7 @@ class Report:
     def finish(self, out) -> int:
         ok = all(v == "ACCEPT" for v in self.doc["verdicts"].values())
         self.doc["verdict"] = "ACCEPT" if ok else "REJECT"
-        text = json.dumps(_round(self.doc), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_round(self.doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
         if out:
             try:
                 fh = open(out, "w")

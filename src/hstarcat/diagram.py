@@ -34,11 +34,12 @@ are identity blocks; neither meets group_last.
 
 N and F are fixed when the FusionData is built, and what they fix lives
 on the data, shared by every engine on it whatever its dual functor or
-tolerance: the comb tree bases, swept once per word for every charge
-(FusionData.sweep), the F blocks (FusionData.f_matrix) and the
-grouped-basis unitaries, which group_last builds into the data's table.
-Only what reads the dual functor or the tolerance, the derived values,
-stays on the engine.
+tolerance: the comb tree bases, swept once per word for every charge and
+stored only at the charges that have trees (FusionData.sweep; basis and
+basis_index read any other charge as one shared, immutable empty value),
+the F blocks (FusionData.f_matrix) and the grouped-basis unitaries, which
+group_last builds into the data's table. Only what reads the dual functor
+or the tolerance, the derived values, stays on the engine.
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,6 +58,11 @@ from .numcore import DEFAULT_TOL, InputError, ShapeMismatch
 
 _UNBUILT = object()  # Engine.derived's mark for a key not built yet
 _SERIAL = itertools.count()  # Engine.intern's numbers, one count for all engines
+# what basis and basis_index read at a charge outside a word's support,
+# which the data's tables do not key: one immutable value each, shared by
+# every engine
+_NO_TREES = ()
+_NO_INDEX = MappingProxyType({})
 
 
 @dataclass
@@ -131,20 +138,27 @@ class Engine:
 
     def basis(self, word, c):
         """Right-comb tree basis of Hom(c -> word), from the data's tables
-        (FusionData.sweep). Entries for nonempty words are (x, alpha, e,
-        v, sub_index): strand simple x, copy alpha, inner charge e, vertex
-        v in V(x, e; c), tree index into basis(word[1:], e)."""
+        (FusionData.sweep), or the shared empty _NO_TREES at a charge
+        outside the support of word. Entries for nonempty words are (x,
+        alpha, e, v, sub_index): strand simple x, copy alpha, inner charge
+        e, vertex v in V(x, e; c), tree index into basis(word[1:], e)."""
         out = self._bases.get((word, c))
         if out is None:
+            if word in self._supports:
+                return _NO_TREES
             self.data.sweep(word)
-            out = self._bases[(word, c)]
+            out = self._bases.get((word, c), _NO_TREES)
         return out
 
     def basis_index(self, word, c):
+        """Each tree of basis(word, c) mapped to its position, or the shared
+        empty _NO_INDEX at a charge outside the support of word."""
         out = self._indices.get((word, c))
         if out is None:
+            if word in self._supports:
+                return _NO_INDEX
             self.data.sweep(word)
-            out = self._indices[(word, c)]
+            out = self._indices.get((word, c), _NO_INDEX)
         return out
 
     def support(self, word):

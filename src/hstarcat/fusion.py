@@ -26,16 +26,19 @@ folded in (FusionData.table, off which n, fusion_products and every
 FPdim, the largest singular value of a fusion matrix, are read), and, on
 demand, the tree orders (tree_rows, tree_cols) and the block (f_matrix)
 of each F-move, the right-comb tree bases of each tensor word, swept for
-every charge at once (sweep), and the grouped-basis unitaries of
-diagram.Engine.group_last. These tables hold labels, numbers and
-read-only arrays, never an engine. Validation gathers every F block that
-has trees, in index order, with its entries in one flat array (_Blocks).
-Tree bases are numbered by pairs of vertices, and the pentagon evaluates
-all its instances in one batch of integer index arrays and float64
-arithmetic, in the order of a scalar loop over them, so its residual is
-the loop's to the last bit (see pentagon_residual).
+every charge at once and stored only at the charges that have trees
+(sweep; diagram.Engine reads any other charge as one shared empty
+value), and the grouped-basis unitaries of diagram.Engine.group_last.
+These tables hold labels, numbers and read-only arrays, never an engine.
+Validation gathers every F block that has trees, in index order, with its
+entries in one flat array (_Blocks). Tree bases are numbered by pairs of
+vertices, and the pentagon evaluates all its instances in one batch of
+integer index arrays and float64 arithmetic, in the order of a scalar
+loop over them, so its residual is the loop's to the last bit (see
+pentagon_residual).
 Non-finite F entries are an InputError at construction; a non-finite
-residual that still arises fails its bound test and rejects.
+residual that still arises (a huge finite entry overflows) fails its
+bound test and rejects, without a warning.
 """
 
 from __future__ import annotations
@@ -209,7 +212,10 @@ class FusionData:
 
         The results go into comb_bases[(word, c)] (the tree list),
         comb_indices[(word, c)] (tree -> position) and comb_supports[word]
-        (the charges with trees, in the order of the simples). They depend
+        (the charges with trees, in the order of the simples); the first
+        two key only the charges in comb_supports[word], and
+        diagram.Engine reads any other charge as one shared, immutable
+        empty value (most charges of a long word have no tree). They depend
         on N alone, hold only labels and numbers, are keyed by word values,
         and live as long as the data: every diagram.Engine on this data
         reads them, and none stores its own."""
@@ -234,11 +240,14 @@ class FusionData:
                             for v in range(m):
                                 for si in range(k):
                                     out.append((x, alpha, e, v, si))
+        support = []
         for c, out in trees.items():
-            key = (word, c)
-            self.comb_bases[key] = out
-            self.comb_indices[key] = {b: i for i, b in enumerate(out)}
-        self.comb_supports[word] = tuple(c for c, out in trees.items() if out)
+            if out:
+                key = (word, c)
+                self.comb_bases[key] = out
+                self.comb_indices[key] = {b: i for i, b in enumerate(out)}
+                support.append(c)
+        self.comb_supports[word] = tuple(support)
 
     def f_matrix(self, a, b, c, d) -> np.ndarray:
         """F^{abc}_d from the trees of tree_rows to those of tree_cols
@@ -534,8 +543,10 @@ def _runs(counts: np.ndarray):
 
 
 def _times(xr, xi, yr, yi):
-    """The complex product x y from float64 parts, rounded like Python's."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
+    """The complex product x y from float64 parts, rounded like Python's;
+    an overflow gives a non-finite part, and so a non-finite gap."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 class _Trees:
@@ -742,13 +753,16 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     dr -= sums_r[1]
     di -= sums_i[1]
     r0, i0 = dr[base], di[base]
-    gaps = np.sqrt(r0 * r0 + i0 * i0)
-    if many.size:
-        diff = np.empty(ms, dtype=complex)
-        diff.real, diff.imag = dr, di
-        ends = base + size * size
-        for i in many.tolist():
-            gaps[i] = np.linalg.norm(diff[base[i] : ends[i]])
+    # a huge F entry overflows a gap to a non-finite one, which fails its
+    # bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.sqrt(r0 * r0 + i0 * i0)
+        if many.size:
+            diff = np.empty(ms, dtype=complex)
+            diff.real, diff.imag = dr, di
+            ends = base + size * size
+            for i in many.tolist():
+                gaps[i] = np.linalg.norm(diff[base[i] : ends[i]])
     return gaps
 
 

@@ -4,14 +4,17 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
+from importlib import resources
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bench_families import fam
 from hstarcat import intalg
-from hstarcat.cli import main
+from hstarcat.cli import main, schema_violation
 from hstarcat.numcore import ConsistencyError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -49,8 +52,6 @@ def test_schema_violation_exit_2(tmp_path, capsys):
 
 
 def _fibonacci_doc():
-    from importlib import resources
-
     return json.loads(resources.files("hstarcat").joinpath("data/fibonacci.json").read_text())
 
 
@@ -77,6 +78,37 @@ def test_bad_fusion_file_exit_2_without_report(tmp_path, capsys, edit, command):
     p.write_text(json.dumps(doc))
     assert main(["fusion", command, str(p)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and infinity, as strict parsers do."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_non_finite_residual_is_written_as_null(tmp_path, capsys):
+    # F^{ttt}_t[0, 0] = 1e200 + 1e200i is finite, so the document is
+    # valid, but its unitarity defect and the pentagon gaps through it
+    # overflow to NaN; the expected overflow warns nothing
+    doc = _fibonacci_doc()
+    doc["F"]["t,t,t,t"][0][0] = [1e200, 1e200]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fusion", "validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    with pytest.raises(ValueError):
+        _strict_json(out.replace("null", "NaN"))
+    rep = _strict_json(out)
+    assert (rep["verdict"], rep["violated_axioms"]) == ("REJECT", {"fusion": "F-unitarity"})
+    assert rep["residuals"] == {"fusion.f_unitarity": None, "fusion.integer_checks": 0.0, "fusion.pentagon": None}
+    schema = json.loads(resources.files("hstarcat").joinpath("schema/v1/report.schema.json").read_text())
+    assert jsonschema.Draft202012Validator(schema).is_valid(rep)
+    assert schema_violation(rep, "report") is None
 
 
 def test_unknown_subcommand_exit_2(capsys):

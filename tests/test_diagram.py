@@ -397,11 +397,22 @@ def test_bases_match_the_per_charge_reference(make):
             for _ in range(int(rng.integers(0, 5)))
         )
         assert eng.support(word) == ref.support(word), word
-        for c in data.simples:
-            assert eng.basis(word, c) == ref.basis(word, c), (word, c)
-            assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
-            checked += len(ref.basis(word, c))
+        _assert_bases_equal(eng, ref, word)
+        checked += sum(len(ref.basis(word, c)) for c in data.simples)
     assert checked > 200, checked
+
+
+def _assert_bases_equal(eng, ref, word):
+    """The engine's trees and their positions at each charge of word are
+    the reference's; a charge at which the reference has no tree reads as
+    empty in both."""
+    for c in eng.data.simples:
+        trees = ref.basis(word, c)
+        if trees:
+            assert eng.basis(word, c) == trees, (word, c)
+            assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
+        else:
+            assert eng.basis(word, c) == () and eng.basis_index(word, c) == {}, (word, c)
 
 
 # the bundled categories and two seeded families, at sizes that keep words
@@ -434,18 +445,16 @@ def _sweep_words(data, rng):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_shared_tables_equal_the_per_engine_sweep(name):
-    # the data's tables hold what each engine swept into its own before:
-    # the same trees in the same order, for every word the engine asked
-    # for and every suffix of it, and nothing more
+    # the data's tables hold the nonempty part of what each engine swept
+    # into its own before: the same trees in the same order, for every
+    # word the engine asked for and every suffix of it, and nothing more
     data = SWEEP_CASES[name]()
     eng, ref = Engine(data, None), diagram_reference.SweptBases(data)
     for word in _sweep_words(data, np.random.default_rng(21)):
         assert eng.support(word) == ref.support(word), word
-        for c in data.simples:
-            assert eng.basis(word, c) == ref.basis(word, c), (word, c)
-            assert eng.basis_index(word, c) == ref.basis_index(word, c), (word, c)
-    assert data.comb_bases == ref._basis
-    assert data.comb_indices == ref._index
+        _assert_bases_equal(eng, ref, word)
+    assert data.comb_bases == {k: v for k, v in ref._basis.items() if v}
+    assert data.comb_indices == {k: v for k, v in ref._index.items() if v}
     assert data.comb_supports == ref._support
 
 
@@ -481,6 +490,33 @@ def test_engines_on_one_data_share_the_tree_lists():
         (g, gi, U), (h, hi, V) = third.group_last(*key), one.group_last(*key)
         assert (g, gi) == (h, hi) and np.array_equal(U, V) and U is not V
     assert copy.grouped_unitaries is not data.grouped_unitaries
+
+
+def test_the_tree_tables_key_only_supported_charges():
+    # the Vec(Z_8) [Z_2, 1] linking sweeps thousands of words of C, most
+    # of them supported at a few of its 8 charges
+    data = fam.vec_zn(8)
+    eng = _engine(data)
+    A = intalg.group_algebra(eng, ("0", "4"))
+    _, _, cert = hilb3.linking_e1(hilb3.delooping(eng), hilb3.MonadObject(A), hilb3.DeloopObject("0"))
+    assert cert.ok
+    assert len(data.comb_supports) > 1000
+    assert all(data.comb_bases.values()) and all(data.comb_indices.values())
+    keys = {(w, c) for w, support in data.comb_supports.items() for c in support}
+    assert set(data.comb_bases) == keys == set(data.comb_indices)
+    # a charge outside a word's support reads as one empty value per
+    # method, the same object on every engine, which nothing can change
+    word, c = next(
+        (w, c) for w, support in data.comb_supports.items() for c in data.simples if c not in support
+    )
+    other = dual_engine(data, SphericalWeight((2.0,)), Tolerance(1e-6))
+    trees, index = eng.basis(word, c), eng.basis_index(word, c)
+    assert trees == () and index == {}
+    assert other.basis(word, c) is trees and other.basis_index(word, c) is index
+    with pytest.raises(TypeError):
+        index[()] = 0
+    with pytest.raises(AttributeError):
+        trees.append(())
 
 
 def _values(table):

@@ -223,6 +223,10 @@ def test_draft_2020_12_types():
     assert cli._violation(1.0, integer) is None and cli._violation(1e300, integer) is None
     assert cli._violation(1.5, integer) and cli._violation(math.inf, integer)
     assert cli._violation(10**400, integer) is None
+    # a report writes a non-finite residual as null, which is no number
+    null = {"type": "null"}
+    assert cli._violation(None, null) is None and cli._violation(None, number)
+    assert cli._violation(0.0, null) and cli._violation(False, null)
 
 
 def test_reports_satisfy_the_report_schema(tmp_path, capsys):
