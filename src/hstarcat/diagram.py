@@ -18,7 +18,8 @@ through the same placements, without forming the whiskered morphism.
 Cups and caps carry explicit coefficients alpha_c, beta_c from the
 unitary dual functor that the engine is built with (fusion.dual_engine),
 read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
-loops by _closed_loop.
+the closed loops of a morphism by _closed_loop, and the loop of a simple
+is read off its cup coefficient (loop).
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -548,14 +549,14 @@ class Engine:
 
     def loop(self, c, side: str) -> float:
         """The closed loop of id_c on the 1_{s(c)} sheet (side 'L') or the
-        1_{t(c)} sheet (side 'R'): |beta_c|^2 or |alpha_c|^2."""
-        O = self.simple_obj(c)
+        1_{t(c)} sheet (side 'R'): |beta_c|^2 or |alpha_c|^2, read off the
+        coefficient of the cup (_cup), which is what _closed_loop of id_c
+        gives there, to the last bit, since tr(id_c) = 1."""
+        self.simple_obj(c)  # KeyError for an unknown label
         if side not in ("L", "R"):
             raise InputError("side must be 'L' or 'R'")
-        # id_c on its one tree: identity((O,)) would sweep the word's trees
-        z = self._closed_loop(Mor((O,), (O,), {c: np.eye(1, dtype=complex)}), side == "R")
-        unit = self.data.t(c) if side == "R" else self.data.s(c)
-        return float(self.unit_component(z, unit).real)
+        _, _, _, z = self._cup(c, side == "R")
+        return float(abs(z) ** 2)
 
     def _closed_loop(self, f: Mor, ev: bool) -> Mor:
         """Per unit u, the sum over the simples x in O of |z_x|^2 tr(f_x),

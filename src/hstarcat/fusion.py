@@ -19,23 +19,26 @@ grouped to the right, where V(x,y;z) is the vertex space Hom(z -> x(x)y).
 F blocks with a unit argument are required to be identities (strict unit).
 
 N and F are fixed at construction: N, F, grading and dual are read-only
-mappings, each F block a read-only copy of the caller's. What they fix
-lives on the data, and every diagram.Engine on it reads it, whatever its
-weight or tolerance: the dense N[a, b, c] with the strict-unit rules
-folded in (FusionData.table, off which n, fusion_products and every
-FPdim, the largest singular value of a fusion matrix, are read), and, on
-demand, the tree orders (tree_rows, tree_cols) and the block (f_matrix)
-of each F-move, the right-comb tree bases of each tensor word, swept for
-every charge at once and stored only at the charges that have trees
-(sweep; diagram.Engine reads any other charge as one shared empty
-value), and the grouped-basis unitaries of diagram.Engine.group_last.
-These tables hold labels, numbers and read-only arrays, never an engine.
-Validation gathers every F block that has trees, in index order, with its
-entries in one flat array (_Blocks). Tree bases are numbered by pairs of
-vertices, and the pentagon evaluates all its instances in one batch of
-integer index arrays and float64 arithmetic, in the order of a scalar
-loop over them, so its residual is the loop's to the last bit (see
-pentagon_residual).
+mappings, and F is compiled flat, one read-only array of every stored
+entry (FusionData.f_entries) with each F block a read-only view into it.
+What they fix lives on the data, and every diagram.Engine on it reads it,
+whatever its weight or tolerance: the dense N[a, b, c] with the
+strict-unit rules folded in (FusionData.table, off which n,
+fusion_products and every FPdim, the largest singular value of a fusion
+matrix, are read), and, on demand, the tree orders (tree_rows,
+tree_cols) and the block (f_matrix) of each F-move, the right-comb tree
+bases of each tensor word, swept for every charge at once and stored
+only at the charges that have trees (sweep; diagram.Engine reads any
+other charge as one shared empty value), and the grouped-basis unitaries
+of diagram.Engine.group_last. These tables hold labels, numbers and
+read-only arrays, never an engine.
+Validation runs on index arrays: the integer checks on those of the
+duals, gradings and stored N, and the F blocks that have trees are laid
+out in index order in one flat array by two scatters from the compiled F
+(_Blocks). Tree bases are numbered by pairs of vertices, and the
+pentagon evaluates all its instances in one batch of integer index
+arrays and float64 arithmetic, in the order of a scalar loop over them,
+so its residual is the loop's to the last bit (see pentagon_residual).
 Non-finite F entries are an InputError at construction; a non-finite
 residual that still arises (a huge finite entry overflows) fails its
 bound test and rejects, without a warning.
@@ -43,6 +46,7 @@ bound test and rejects, without a warning.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -64,7 +68,15 @@ PENTAGON_FACTOR = 5
 # unitary data; at or below this cut (or NaN) it cannot be divided out
 PAIRING_CUT = 1e-14
 # start trees per batch of the pentagon, which bounds its working memory
-_CHUNK = 512
+_CHUNK = 2048
+# validate's integer problems, by the index of the flag that finds them:
+# the dual c* of a simple c, and a stored entry of N
+_DUAL_PROBLEMS = (
+    "dual not involutive at {}",
+    "dual grading mismatch at {}",
+    "dual pairing multiplicity wrong at {}",
+)
+_N_PROBLEMS = ("grading incompatibility in N at {}", "stored N breaks the strict-unit rule at {}")
 
 
 @dataclass
@@ -74,7 +86,7 @@ class FusionData:
     grading: dict  # read-only: label -> (source unit label, target unit label)
     dual: dict  # read-only: label -> label
     N: dict  # read-only: (a, b, c) -> nonnegative int, omitted means 0
-    F: dict  # (a, b, c, d) -> read-only complex matrix in the canonical tree order
+    F: dict  # (a, b, c, d) -> read-only view of f_entries, in the canonical tree order
 
     def __post_init__(self):
         self.simples = tuple(self.simples)
@@ -95,10 +107,17 @@ class FusionData:
                 raise InputError(f"grading of {c} is not a pair of units: {ends}")
             if self.dual[c] not in self.index:
                 raise InputError(f"dual of {c} is not a simple: {self.dual[c]}")
-        for table, arity in ((self.N, 3), (self.F, 4)):
-            for k in table:
-                if len(k) != arity or any(x not in self.index for x in k):
-                    raise InputError(f"entry with unknown label: {k}")
+        for k in self.N:
+            if len(k) != 3 or any(x not in self.index for x in k):
+                raise InputError(f"entry with unknown label: {k}")
+        # the linear simple index ((a n + b) n + c) n + d of each F key
+        n, fkeys = len(self.simples), array("q")
+        for k in self.F:
+            row = [self.index.get(x, -1) for x in k]
+            if len(row) != 4 or -1 in row:
+                raise InputError(f"entry with unknown label: {k}")
+            a, b, c, d = row
+            fkeys.append(((a * n + b) * n + c) * n + d)
         # a whole number below 2**31, so that tree counts (sums of products
         # of two) fit int64 tables; NaN and infinity fail the range test
         for k, v in self.N.items():
@@ -107,31 +126,61 @@ class FusionData:
                     f"N^{k[0]},{k[1]}_{k[2]} = {v:.3g} is not an integer in [0, 2**31)"
                 )
         self.N = MappingProxyType({k: int(v) for k, v in self.N.items() if v})
-        # a copy of each block is frozen, never the caller's array
-        self.F = MappingProxyType({k: np.array(v, dtype=complex) for k, v in self.F.items()})
-        for k, m in self.F.items():
-            if not np.isfinite(m).all():
-                raise InputError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
-            m.flags.writeable = False
+        self._compile_f(fkeys)
         self.grading = MappingProxyType({c: tuple(self.grading[c]) for c in self.simples})
         self.dual = MappingProxyType(dict(self.dual))
         if not self.units:
             raise InputError("no unit summand")
         self._compile()
 
+    def _compile_f(self, fkeys):
+        """F as one read-only flat array, f_entries, of the entries of every
+        stored block, row by row in F order, each F[k] a read-only view
+        into it: one copy of F, and never the caller's array. A non-finite
+        entry is an InputError naming the first such block in F order.
+        Kept for validate: the linear simple indices of the stored keys
+        (fkeys) in sorted order, and the side of each block (-1 unless it
+        is square) and the offset of its entries."""
+        mats = [np.asarray(m, dtype=complex) for m in self.F.values()]
+        flat = np.concatenate(mats, axis=None) if mats else np.zeros(0, dtype=complex)
+        flat.flags.writeable = False
+        views, at, sides, i = {}, array("q"), array("q"), 0
+        for k, m in zip(self.F, mats):
+            views[k] = flat[i : i + m.size].reshape(m.shape)
+            at.append(i)
+            sides.append(len(m) if m.ndim == 2 and len(m) == m.shape[1] else -1)
+            i += m.size
+        at = np.frombuffer(at, dtype=np.int64)
+        bad = ~np.isfinite(flat)
+        if bad.any():
+            k = list(self.F)[np.searchsorted(at, bad.argmax(), "right") - 1]
+            raise InputError(f"F^{k[0]},{k[1]},{k[2]}_{k[3]} has a non-finite entry")
+        self.f_entries, self.F = flat, MappingProxyType(views)
+        lin = np.frombuffer(fkeys, dtype=np.int64)
+        order = lin.argsort()
+        self._f_keys, self._f_at = lin[order], at[order]
+        self._f_sides = np.frombuffer(sides, dtype=np.int64)[order]
+
     def _compile(self):
         """The fusion rules as table[a, b, c] = N_{ab}^c over simple
         indices, with the strict-unit rules in place of any stored entry
         with a unit argument: 1_u (x) x = x when s(x) = s(u), and x (x) 1_u
         = x when t(x) = s(u) for a simple x that is not a unit. The lookups
-        of n and fusion_products, and every FPdim, are read off it."""
+        of n and fusion_products, and every FPdim, are read off it. The
+        index arrays that validate checks are kept too: the source, target
+        and dual of each simple, the unit mask, and (a, b, c, m) of each
+        stored entry of N in N order."""
         S, n = self.simples, len(self.simples)
         table = np.zeros((n,) * 3, dtype=int)
-        for (a, b, c), m in self.N.items():
-            table[self.index[a], self.index[b], self.index[c]] = m
-        unit = np.array([c in self.units for c in S])
-        s = np.array([self.index[self.s(c)] for c in S])
-        t = np.array([self.index[self.t(c)] for c in S])
+        ix = self.index
+        stored = [(ix[a], ix[b], ix[c], m) for (a, b, c), m in self.N.items()]
+        self._stored_n = np.array(stored, dtype=int).reshape(-1, 4).T
+        a, b, c, m = self._stored_n
+        table[a, b, c] = m
+        self._unit = unit = np.array([c in self.units for c in S])
+        self._source = s = np.array([self.index[self.s(c)] for c in S])
+        self._target = t = np.array([self.index[self.t(c)] for c in S])
+        self._dual = np.array([self.index[self.dual[c]] for c in S])
         table[unit] = 0
         table[:, unit] = 0
         u, x = (unit[:, None] & (s[:, None] == s)).nonzero()
@@ -379,12 +428,13 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
     pentagon equation.
 
-    N is compiled at construction (data.table), and each F block is read
-    once per data and kept on it (see _Blocks). The grading check runs over
-    the stored entries of N, and so does the strict-unit check: a stored
-    entry with a unit argument must equal n(a, b, c), the value of the
-    rule that construction put in its place. The other integer identities
-    are comparisons of the dense table N[a, b, c], and the tree counts
+    N and F are compiled at construction (data.table, data.f_entries), and
+    the integer checks run on index arrays. The dual checks run over the
+    simples, and the grading and strict-unit checks over the stored
+    entries of N: a stored entry with a unit argument must equal n(a, b,
+    c), the value of the rule that construction put in its place. Each
+    problem is listed in that order. The other integer identities are
+    comparisons of the dense table N[a, b, c], and the tree counts
     sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every F^{abc}_d
     must agree.
     F-unitarity is checked on the blocks that have trees and no unit
@@ -400,25 +450,27 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     tol.bound() * PENTAGON_FACTOR (5), exactly 1e-10 and 1e-8 at the
     default tolerance (2e-9), so a smaller tol never accepts more.
     """
-    S, idx = data.simples, data.index
-    N = data.table
-    problems = []
-    for c in S:
-        cb = data.dual[c]
-        if data.dual.get(cb) != c:
-            problems.append(f"dual not involutive at {c}")
-        if data.grading[cb] != (data.t(c), data.s(c)):
-            problems.append(f"dual grading mismatch at {c}")
-        i, ib = idx[c], idx[cb]
-        if N[i, ib, idx[data.s(c)]] != 1 or N[ib, i, idx[data.t(c)]] != 1:
-            problems.append(f"dual pairing multiplicity wrong at {c}")
-    for (a, b, c), m in data.N.items():
-        if data.t(a) != data.s(b) or data.s(c) != data.s(a) or data.t(c) != data.t(b):
-            problems.append(f"grading incompatibility in N at {(a, b, c)}")
-        if (a in data.units or b in data.units) and m != data.n(a, b, c):
-            problems.append(f"stored N breaks the strict-unit rule at {(a, b, c)}")
+    S, N = data.simples, data.table
+    s, t, D, unit = data._source, data._target, data._dual, data._unit
+    i = np.arange(len(S))
+    # per simple c, in order, the three identities of its dual c*
+    flags = np.array([
+        D[D] != i,
+        (s[D] != t) | (t[D] != s),
+        (N[i, D, s] != 1) | (N[D, i, t] != 1),
+    ]).T
+    problems = [_DUAL_PROBLEMS[k].format(S[c]) for c, k in zip(*flags.nonzero())]
+    # per stored entry (a, b, c) of N, in N order: its grading, and the
+    # strict-unit rule, which construction put in place of an entry with a
+    # unit argument
+    abc, m = data._stored_n[:3], data._stored_n[3]
+    (sa, sb, sc), (ta, tb, tc), (ua, ub, _) = s[abc], t[abc], unit[abc]
+    flags = np.array([(ta != sb) | (sc != sa) | (tc != tb), (ua | ub) & (m != N[tuple(abc)])]).T
+    entries, kinds = flags.nonzero()
+    if entries.size:
+        keys = list(data.N)
+        problems += [_N_PROBLEMS[k].format(tuple(keys[e])) for e, k in zip(entries, kinds)]
     # Frobenius reciprocity: N_{ab}^c = N_{a* c}^b = N_{c b*}^a
-    D = [idx[data.dual[c]] for c in S]
     frob = (N != N[D].transpose(0, 2, 1)) | (N != N[:, D].transpose(2, 1, 0))
     for a, b, c in np.argwhere(frob).tolist():
         problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
@@ -433,7 +485,7 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         axiom = "grading/duality" if problems else "fusion-associativity"
         return bounded("integer_checks", 1.0, 0.0, axiom, details)
     residuals["f_unitarity"] = blocks.unitarity()
-    residuals["pentagon"] = worst(_pentagon_gaps(blocks).tolist())
+    residuals["pentagon"] = _worst_gap(blocks)
     checks = [
         ("integer_checks", 0.0, "grading/duality"),
         ("f_unitarity", tol.bound() / F_UNITARITY_DIVISOR, "F-unitarity"),
@@ -480,59 +532,82 @@ def pentagon_residual(data: FusionData) -> float:
     if blocks.mismatch:
         key, r, k = blocks.mismatch
         raise InputError("F^{},{},{}_{}: tree counts differ ({} vs {})".format(*key, r, k))
-    return worst(_pentagon_gaps(blocks).tolist())
+    return _worst_gap(blocks)
+
+
+def _worst_gap(blocks) -> float:
+    """The worst pentagon gap, as numcore.worst takes it, in one reduction:
+    NaN if any gap is NaN, else the largest, 0.0 for none."""
+    return float(_pentagon_gaps(blocks).max(initial=0.0))
 
 
 class _Blocks:
     """The F blocks that have trees, of one FusionData for one validate or
-    pentagon_residual call, on the tree counts of data.table, which
-    construction compiled; each block is the data's own (FusionData._block,
-    the store behind f_matrix), read once per data and kept.
+    pentagon_residual call, on the tree counts of data.table and the flat
+    F store (FusionData.f_entries), both compiled at construction.
 
-    Blocks are read in index order of their (a, b, c, d) up to the first
-    whose tree counts differ; a stored block of the wrong shape before it
-    raises InputError. mismatch is that block's (labels, rows, cols), and
-    then nothing more is built, or None. Block i has indices keys[k][i]
-    (k = 0..3), dims[i] trees and matrix mats[i], an identity unless
-    plain[i] (no unit among a, b, c), and its entries lie row by row in
-    vals from at[i]. trees[a, b, c, d] counts the left trees of every
-    quadruple, and unit marks the unit simples."""
+    Blocks are taken in index order of their (a, b, c, d) up to the first
+    whose tree counts differ; a stored plain block of the wrong shape
+    before it raises InputError (the first in index order). mismatch is
+    that block's (labels, rows, cols), and then nothing more is built, or
+    None. Block i has indices keys[k][i] (k = 0..3) and dims[i] trees, and
+    its entries lie row by row in vals from at[i]: the stored block if it
+    is plain[i] (no unit among a, b, c) and stored, else the identity,
+    each put in place by one vectorized scatter. trees[a, b, c, d] counts
+    the left trees of every quadruple, and unit marks the unit simples."""
 
     def __init__(self, data: FusionData):
-        self.data, N = data, data.table
-        S, n = data.simples, len(data.simples)
+        self.data, N, S = data, data.table, data.simples
         self.trees = np.einsum("abe,ecd->abcd", N, N)
         cols = np.einsum("bcf,afd->abcd", N, N)
         has = (self.trees != 0) | (cols != 0)
-        self.keys = has.nonzero()
-        self.unit = np.zeros(n, dtype=bool)
-        self.unit[[data.index[u] for u in data.units]] = True
+        lin = has.ravel().nonzero()[0]
+        self.keys = np.unravel_index(lin, has.shape)
+        self.unit = data._unit
         x, y, z, _ = self.keys
         self.plain = ~(self.unit[x] | self.unit[y] | self.unit[z])
         dims, cols = self.trees[self.keys], cols[self.keys]
         bad = (dims != cols).nonzero()[0]
         stop = bad[0] if bad.size else len(dims)
-        rows = zip(*(i[:stop].tolist() for i in self.keys), dims.tolist())
-        self.mats = [data._block((S[i], S[j], S[k], S[l]), r) for i, j, k, l, r in rows]
+        # the stored plain blocks before the mismatch, and where F holds them
+        fkeys = data._f_keys
+        pos = np.searchsorted(fkeys, lin[:stop])
+        blk = (self.plain[:stop] & (pos < len(fkeys))).nonzero()[0]
+        blk = blk[fkeys[pos[blk]] == lin[blk]]
+        pos = pos[blk]
+        wrong = (data._f_sides[pos] != dims[blk]).nonzero()[0]
+        if wrong.size:
+            key = tuple(S[i[blk[wrong[0]]]] for i in self.keys)
+            raise InputError("F^{},{},{}_{} has shape {}".format(*key, data.F[key].shape))
         self.mismatch = None
         if bad.size:
             key = tuple(S[i[stop]] for i in self.keys)
             self.mismatch = (key, int(dims[stop]), int(cols[stop]))
             return
         self.dims = dims
-        self.at = np.add.accumulate(dims * dims) - dims * dims
-        self.vals = np.concatenate([m.ravel() for m in self.mats] or [np.zeros(0, complex)])
+        size = dims * dims
+        self.at = np.add.accumulate(size) - size
+        self.vals = np.zeros(size.sum(), dtype=complex)
+        run, j = _runs(dims)
+        self.vals[self.at[run] + j * (dims[run] + 1)] = 1.0
+        run, j = _runs(size[blk])
+        self.vals[self.at[blk][run] + j] = data.f_entries[data._f_at[pos][run] + j]
 
     def unitarity(self) -> float:
         """Worst unitarity defect of the blocks with no unit argument."""
-        # conj(z) z - 1 of each 1x1 block, rounded as matmul and norm round it
+        # conj(z) z - 1 of each 1x1 block, rounded as matmul and norm round
+        # it; a huge entry overflows to a non-finite defect, which fails its
+        # bound
         z = self.vals[self.at[self.plain & (self.dims == 1)]]
         zr, zi = z.real, z.imag
-        dr = zr * zr + zi * zi - 1.0
-        di = zr * zi - zi * zr
-        larger = (self.plain & (self.dims > 1)).nonzero()[0].tolist()
-        defects = np.sqrt(dr * dr + di * di).tolist()
-        return worst(defects + [unitarity_defect(self.mats[i]) for i in larger])
+        with np.errstate(over="ignore", invalid="ignore"):
+            dr = zr * zr + zi * zi - 1.0
+            di = zr * zi - zi * zr
+            defects = np.sqrt(dr * dr + di * di).tolist()
+        larger = self.plain & (self.dims > 1)
+        for i, d in zip(self.at[larger].tolist(), self.dims[larger].tolist()):
+            defects.append(unitarity_defect(self.vals[i : i + d * d].reshape(d, d)))
+        return worst(defects)
 
 
 def _runs(counts: np.ndarray):
@@ -692,9 +767,7 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     data, N = blocks.data, blocks.data.table
     n = len(data.simples)
     free = ~blocks.unit
-    source = np.array([data.index[data.s(c)] for c in data.simples])
-    target = np.array([data.index[data.t(c)] for c in data.simples])
-    comp = target[:, None] == source
+    comp = data._target[:, None] == data._source
     pair = (free[:, None] & free & comp).ravel()
     if not (pair.reshape(n, n, 1) & (N != 0)).any():
         return np.zeros(0)

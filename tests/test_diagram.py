@@ -331,8 +331,9 @@ LOOP_DATA = {
 
 @pytest.mark.parametrize("name", list(LOOP_DATA))
 def test_loop_of_a_simple_is_the_loop_of_its_identity(name, monkeypatch):
-    # loop closes the one-tree identity of c, not identity((c,)), which
-    # sweeps the trees of the word: the same |z|^2 tr(eye(1)) to the bit
+    # loop reads |z|^2 off the cup and builds no identity((c,)), which
+    # sweeps the trees of the word; the closed loop of that identity is
+    # |z|^2 tr(eye(1)), the same to the bit
     data = LOOP_DATA[name]()
     eng = _engine(data)
     want = {}

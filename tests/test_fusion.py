@@ -193,6 +193,21 @@ def test_fusion_data_is_read_only_once_built():
     assert data.F[("s", "s", "s", "s")][0, 0] == 0.0
 
 
+def test_f_blocks_are_views_of_one_flat_array():
+    # F is one read-only array, each block a view into it; the caller's
+    # blocks are copied into it and stay writeable
+    for name in bundled.NAMES:
+        data = bundled.load(name)
+        for m in data.F.values():
+            assert np.shares_memory(m, data.f_entries) and not m.flags.writeable
+    block = np.array([[0, 1], [1, 0]], dtype=complex)
+    data = _with_block(bundled.load("ising"), ("s", "s", "s", "s"), block)
+    assert data.F[("s", "s", "s", "s")].base is data.f_entries
+    assert block.flags.writeable and not np.shares_memory(block, data.f_entries)
+    assert not data.f_entries.flags.writeable
+    assert data.f_entries.size == sum(m.size for m in data.F.values())
+
+
 def test_schema_errors():
     with pytest.raises(InputError):
         FusionData(("a", "a"), ("a",), {"a": ("a", "a")}, {"a": "a"}, {}, {})
@@ -217,12 +232,20 @@ def _overflowing_fibonacci():
     return _with_block(data, ("t", "t", "t", "t"), block)
 
 
+def _overflowing_one_by_one():
+    """Fibonacci with the 1x1 F^{ttt}_1 = [[1e200 + 1e200i]], whose
+    unitarity defect is taken in one array expression, not by
+    unitarity_defect."""
+    block = np.array([[1e200 + 1e200j]])
+    return _with_block(bundled.load("fibonacci"), ("t", "t", "t", "1"), block)
+
+
 def test_an_overflowing_f_entry_rejects_on_f_unitarity():
-    data = _overflowing_fibonacci()
-    cert = validate(data)
-    assert not cert.ok
-    assert cert.failed_axiom == "F-unitarity"
-    assert np.isnan(cert.residuals["f_unitarity"])
+    for data in (_overflowing_fibonacci(), _overflowing_one_by_one()):
+        cert = validate(data)
+        assert not cert.ok
+        assert cert.failed_axiom == "F-unitarity"
+        assert np.isnan(cert.residuals["f_unitarity"])
 
 
 @pytest.mark.parametrize(
@@ -579,10 +602,37 @@ def _edited(name, edit):
     ids=["dual", "dual_grading", "n_grading"],
 )
 def test_grading_and_duality_problems_reject_on_their_axiom(name, edit, problems):
-    cert = validate(_edited(name, edit))
+    data = _edited(name, edit)
+    cert = validate(data)
     assert (cert.ok, cert.failed_axiom) == (False, "grading/duality")
     assert cert.residuals["integer_checks"] == 1.0
     assert problems <= set(cert.details["problems"])
+    assert cert.details["problems"] == _reference_problems(data)[:5]
+
+
+def _reference_problems(data):
+    """validate's integer problems by label loops, in its order: the dual
+    of each simple, then the grading and the strict-unit rule at each
+    stored entry of N, then Frobenius reciprocity in index order."""
+    problems = []
+    for c in data.simples:
+        cb = data.dual[c]
+        if data.dual.get(cb) != c:
+            problems.append(f"dual not involutive at {c}")
+        if data.grading[cb] != (data.t(c), data.s(c)):
+            problems.append(f"dual grading mismatch at {c}")
+        if data.n(c, cb, data.s(c)) != 1 or data.n(cb, c, data.t(c)) != 1:
+            problems.append(f"dual pairing multiplicity wrong at {c}")
+    for (a, b, c), m in data.N.items():
+        if data.t(a) != data.s(b) or data.s(c) != data.s(a) or data.t(c) != data.t(b):
+            problems.append(f"grading incompatibility in N at {(a, b, c)}")
+        if (a in data.units or b in data.units) and m != data.n(a, b, c):
+            problems.append(f"stored N breaks the strict-unit rule at {(a, b, c)}")
+    for a, b, c in itertools.product(data.simples, repeat=3):
+        n, ab, cb = data.n(a, b, c), data.dual[a], data.dual[b]
+        if n != data.n(ab, c, b) or n != data.n(c, cb, a):
+            problems.append(f"Frobenius reciprocity fails at {(a, b, c)}")
+    return problems
 
 
 def test_stored_unit_entries_reject_on_grading_and_duality(tmp_path, capsys):
@@ -649,3 +699,56 @@ def test_random_rings_match_the_reference(data):
         except InputError as exc:
             outcomes.append(f"InputError: {exc}")
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=_rings())
+def test_random_rings_list_the_reference_problems(data):
+    assert validate(data).details["problems"] == _reference_problems(data)[:5]
+
+
+def _raised(f, data):
+    with pytest.raises(InputError) as exc:
+        f(data)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1), (4,)])
+def test_a_wrong_shaped_block_raises_as_f_matrix_does(shape):
+    data = _with_block(bundled.load("ising"), ("s", "s", "s", "s"), np.ones(shape))
+    message = _raised(lambda d: d.f_matrix("s", "s", "s", "s"), data)
+    assert message == f"F^s,s,s_s has shape {shape}"
+    assert _raised(validate, data) == _raised(pentagon_residual, data) == message
+
+
+def test_the_first_wrong_shaped_block_in_index_order_is_named():
+    # stored in the reverse of index order, so F's order would name the other
+    ising = bundled.load("ising")
+    F = {("p", "s", "s", "p"): np.ones((2, 2)), **ising.F, ("s", "p", "s", "p"): np.ones((1, 2))}
+    data = FusionData(ising.simples, ising.units, ising.grading, ising.dual, ising.N, F)
+    message = "F^s,p,s_p has shape (1, 2)"
+    assert _raised(validate, data) == _raised(pentagon_residual, data) == message
+
+
+def test_a_wrong_shaped_block_with_a_unit_argument_is_ignored():
+    # the strict-unit rule makes it the identity, whatever is stored
+    ising = bundled.load("ising")
+    data = _with_block(ising, ("s", "1", "s", "1"), np.ones((3, 3)))
+    assert np.array_equal(data.f_matrix("s", "1", "s", "1"), np.eye(1))
+    assert repr(validate(data)) == repr(validate(ising))
+    assert pentagon_residual(data) == pentagon_residual(ising)
+
+
+def test_no_block_past_a_tree_count_mismatch_is_read():
+    # F^xxy_y is the first block in index order whose tree counts differ:
+    # a wrong-shaped block before it raises, one after it is never read
+    ring = _tree_count_ring()
+    before, after = ("x", "x", "x", "x"), ("y", "y", "y", "y")
+    for key in (before, after):
+        assert len(ring.tree_rows(*key)) == len(ring.tree_cols(*key)) == 2
+    late = _with_block(ring, after, np.ones((3, 3)))
+    assert repr(validate(late)) == repr(validate(ring))
+    assert _raised(pentagon_residual, late) == "F^x,x,y_y: tree counts differ (1 vs 2)"
+    early = _with_block(ring, before, np.ones((3, 3)))
+    message = "F^x,x,x_x has shape (3, 3)"
+    assert _raised(validate, early) == _raised(pentagon_residual, early) == message
