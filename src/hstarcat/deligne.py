@@ -13,8 +13,8 @@ f (x) g of its hom space: the middle simples c in label order, and for each
 c the elementary bases (Engine.hom_basis) of M(m1 -> m2 <| c) and
 N(c |> n1 -> n2), f major. Composition is bilinear and the trace linear in
 the coefficients, so both are fixed tensors on the basis ladders, kept on
-the engine (Engine.derived, through _kept) per ladder objects: T[k, p, q]
-with (F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
+the engine (Engine.derived) per ladder objects: T[k, p, q] with
+(F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
 tr F = w . z. The action images of the basis ladders are kept the same
 way, and each sampled check keeps the list of its forms, one per ladder
 object.
@@ -118,14 +118,6 @@ class LadderHom:
     z: np.ndarray
 
 
-def _kept(eng: Engine, key: tuple, build):
-    """build(), kept on eng under key: a name, then the keys of ladder
-    objects (LadderObject.key) or plain values of the call, never their
-    words. No value on ladder objects of two products is kept, as every
-    such build meets _channels, which refuses them."""
-    return eng.derived(key, build)
-
-
 class _Channels(NamedTuple):
     """Hom(src -> dst): its dimension, and through, the tuple of (c, span,
     basis of M(m1 -> m2 <| c), basis of N(c |> n1 -> n2)) for the middle
@@ -140,6 +132,7 @@ def _channels(src: LadderObject, dst: LadderObject) -> _Channels:
     eng = src.eng
 
     def build():
+        # every kept build meets this check, so nothing on two products is kept
         src.check_shared(dst)
         out, offset = [], 0
         for c in eng.data.simples:
@@ -151,7 +144,7 @@ def _channels(src: LadderObject, dst: LadderObject) -> _Channels:
                 offset = span.stop
         return _Channels(offset, tuple(out))
 
-    return _kept(eng, ("channels", src.key, dst.key), build)
+    return eng.derived(("channels", src.key, dst.key), build)
 
 
 def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
@@ -225,7 +218,7 @@ def _compose_tensor(L1: LadderObject, L2: LadderObject, L3: LadderObject) -> np.
                         block += np.einsum("ika,jlb->abijkl", A, B).reshape(block.shape)
         return T
 
-    return _kept(eng, ("compose_tensor", L1.key, L2.key, L3.key), build)
+    return eng.derived(("compose_tensor", L1.key, L2.key, L3.key), build)
 
 
 def ladder_compose(F: LadderHom, G: LadderHom) -> LadderHom:
@@ -255,7 +248,7 @@ def _trace_vector(L: LadderObject) -> np.ndarray:
             w[span] = [tm * tn / dj for tm in tms for tn in tns]
         return w
 
-    return _kept(eng, ("trace_vector", L.key), build)
+    return eng.derived(("trace_vector", L.key), build)
 
 
 def ladder_trace(F: LadderHom) -> complex:
@@ -278,7 +271,7 @@ def _images(src: LadderObject, dst: LadderObject) -> list:
             out += [eng.compose(m2g, eng.whisker_right(f, n1w)) for f in fs for m2g in m2gs]
         return out
 
-    return _kept(eng, ("images", src.key, dst.key), build)
+    return eng.derived(("images", src.key, dst.key), build)
 
 
 def act_on_module(F: LadderHom) -> Mor:
@@ -320,7 +313,7 @@ def right_action_isometry(
                     forms.append(np.array([_trace_vector(L), [mside.trace(a) for a in _images(L, L)]]))
         return forms
 
-    forms = _kept(eng, ("action_forms", type(mside), *ms), build)
+    forms = eng.derived(("action_forms", type(mside), *ms), build)
     gaps = []
     for (w, v), z in zip(forms, _coefficient_blocks(rng, [(samples, len(w)) for w, _ in forms])):
         gaps += np.abs(z @ w - z @ v).tolist()
@@ -350,7 +343,7 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
                 forms.append(np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1))
         return forms
 
-    forms = _kept(eng, ("trace_forms",), build)
+    forms = eng.derived(("trace_forms",), build)
     gaps = []
     for K, z in zip(forms, _coefficient_blocks(rng, [(samples, 2, len(K)) for K in forms])):
         P = z[:, 0, :, None] * z[:, 1, None, :]
