@@ -28,8 +28,9 @@ class Rule(NamedTuple):
     __import__ of a literal; write, a store or delete of an attribute, also
     through a subscript of it or by a mutating method on it; and read, any
     other mention of an attribute. A name "owner.attr" covers only the
-    attributes of an owner so named. Binding one of a rule's names to
-    another, as an engine holds the data's table, is no write."""
+    attributes of an owner so named. A plain binding of one of a rule's
+    names to an attribute that the rule also covers, as an engine holds
+    the data's table, is no write."""
 
     kinds: tuple
     names: tuple
@@ -80,7 +81,7 @@ def _name(func):
 
 
 def _written(tree) -> dict:
-    """Each attribute node that the tree writes, with the attribute name
+    """Each attribute node that the tree writes, with the attribute node
     that a plain binding gives it, else None."""
     todo, out = [], {}
     for node in ast.walk(tree):
@@ -95,11 +96,11 @@ def _written(tree) -> dict:
     while todo:
         target, value = todo.pop()
         if isinstance(target, (ast.Tuple, ast.List)):
-            todo += itertools.zip_longest(target.elts, getattr(value, "elts", []))
+            todo += [(t, None) for t in target.elts]
         elif isinstance(target, (ast.Subscript, ast.Starred)):
             todo.append((target.value, None))
         elif isinstance(target, ast.Attribute):
-            out[target] = getattr(value, "attr", None)
+            out[target] = value if isinstance(value, ast.Attribute) else None
     return out
 
 
@@ -124,6 +125,13 @@ def _allowed(scope: str, rule: Rule) -> bool:
     return any(scope == s or ("." not in s and scope.startswith(s + ".")) for s in rule.scopes)
 
 
+def _covered(rule: Rule, name, owner) -> list:
+    """The rule's names, each split as (owner, dot, attr), that cover
+    name taken off owner."""
+    parts = [full.rpartition(".") for full in rule.names]
+    return [(want, dot, attr) for want, dot, attr in parts if attr == name and want in ("", owner)]
+
+
 def _faults(source: str, module: str):
     """(line, rule, message) for each use in the source, read as module,
     that a rule covers outside its scopes; the scope of a use is the chain
@@ -135,13 +143,12 @@ def _faults(source: str, module: str):
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             for (kind, name, owner), rule in itertools.product(_uses(child, written), OWNERSHIP):
-                parts = [full.rpartition(".") for full in rule.names]
-                alias = kind == "write" and written[child] in {attr for _, _, attr in parts}
+                value = written.get(child) if kind == "write" else None
+                alias = value is not None and _covered(rule, value.attr, _name(value.value))
                 if kind not in rule.kinds or alias or _allowed(scope, rule):
                     continue
-                for want, dot, attr in parts:
-                    if attr == name and want in ("", owner):
-                        out.append((child.lineno, rule, f"{kind} {want}{dot}{attr} in {scope}"))
+                for want, dot, attr in _covered(rule, name, owner):
+                    out.append((child.lineno, rule, f"{kind} {want}{dot}{attr} in {scope}"))
             visit(child, f"{scope}.{child.name}" if isinstance(child, DEFS) else scope)
 
     visit(tree, module)
@@ -204,6 +211,7 @@ FLAGS = [
     ("def f(eng):\n    eng.udf.alpha[c] = 1.0", "diagram", True),
     ("def f(eng):\n    eng.udf.beta[c] *= 2.0", "cli", True),
     ("def f(udf):\n    udf.alpha = {}", "hilb3", True),
+    ("def f(udf, base):\n    udf.alpha = base.alpha", "hilb3", True),
     ("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion", True),
     ("def f(A):\n    return A.alpha + udf.psi", "intalg", False),
     ("def f(data):\n    return data.N.get((a, b, c), 0)", "diagram", True),
@@ -235,6 +243,7 @@ FLAGS = [
     ("class FusionData:\n    def sweep(self, word):\n        self.comb_bases[(word, c)] = out", "fusion", False),
     ("class FusionData:\n    def tree_rows(self, word):\n        self.comb_bases[(word, c)] = out", "fusion", True),
     ("class Engine:\n    def __init__(self, data):\n        self._bases = data.comb_bases", "diagram", False),
+    ("def f(eng, data):\n    eng._bases, x = data.comb_bases, 1", "hilb3", True),
     ("def f(self):\n    return self._bases.get(k)", "diagram", False),
     ("def f(self):\n    self._trees = {}", "hilb3", False),
     ("return Certificate(False, residuals, failed_axiom='unitality')", "intalg", True),

@@ -9,7 +9,6 @@ reached; and every sampled check refuses fewer than one sample."""
 import ast
 import builtins
 import math
-import pathlib
 import re
 from collections import Counter
 
@@ -21,16 +20,10 @@ from hstarcat.fusion import SphericalWeight, dual_engine
 from hstarcat.hilb2 import TwoHilbertSpace
 from hstarcat.hstar1 import HStarAlgebra
 from hstarcat.numcore import InputError, sample_rng
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "hstarcat"
+from test_ownership import ROOT, SRC, _name
 
 # calls whose value is a residual: a gap norm, or a named residual routine
 RESIDUAL_CALLS = {"residual", "unitarity_defect", "_unitarity_residual", "verify_bimodule"}
-
-
-def _name(func):
-    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def _calls(node):
