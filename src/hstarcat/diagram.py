@@ -15,6 +15,11 @@ per run of trees that share their top vertex, since those runs are
 contiguous in the grouped and the comb bases; whisker_right_cols and
 whisker_left_cols apply a whiskered map at one charge to a few vectors
 through the same placements, without forming the whiskered morphism.
+The placements take blocks with a leading stack axis as well, so that
+elementary_images whiskers all the elementary maps of a hom space at one
+charge in one pass. A regrouping unitary that is the identity is the
+data's shared identity, and the right whiskers skip their product with
+it.
 Cups and caps carry explicit coefficients alpha_c, beta_c from the
 unitary dual functor that the engine is built with (fusion.dual_engine),
 read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
@@ -75,6 +80,14 @@ class Mor:
     blocks: dict  # simple label -> (dim Hom(c->cod), dim Hom(c->dom)) matrix
 
 
+def _stack(f: Mor) -> tuple:
+    """The leading stack axes of f's blocks: () for one morphism, (K,) for
+    a stack of K morphisms that share dom and cod (elementary_images)."""
+    for b in f.blocks.values():
+        return b.shape[:-2]
+    return ()
+
+
 def _nonzero(blocks) -> dict:
     """The blocks of a morphism without those whose every entry compares
     equal to zero; a block that holds a NaN is kept."""
@@ -100,6 +113,7 @@ class Engine:
         self._derived = {}
         self._interned = {}
         self._is_unit = tuple(c in data.units for c in data.simples)
+        self._unit_sums = {}
 
     # --- objects and words ----------------------------------------------
 
@@ -132,8 +146,11 @@ class Engine:
 
     def is_unit_sum(self, O) -> bool:
         """Whether O is a sum of distinct unit objects 1_u; the zero object
-        is the empty sum."""
-        return all(m == 0 or (m == 1 and u) for m, u in zip(O, self._is_unit))
+        is the empty sum. Kept per object, as every right whisker asks."""
+        out = self._unit_sums.get(O)
+        if out is None:
+            out = self._unit_sums[O] = all(m == 0 or (m == 1 and u) for m, u in zip(O, self._is_unit))
+        return out
 
     # --- tree bases ------------------------------------------------------
 
@@ -266,7 +283,8 @@ class Engine:
         """Unitary from the grouped basis of Hom(c -> W (x) O) to the
         right-comb basis of the concatenated word. Returns (grouped,
         index dict, read-only matrix), kept in data.grouped_unitaries for
-        every engine. Column (y, beta, d, u, ti), with ti the tree (x1,
+        every engine; an identity is the data's shared one of its size
+        (FusionData.eye). Column (y, beta, d, u, ti), with ti the tree (x1,
         a1, e1, v1, si) of W at d, is the F-move of its top two vertices,
         sum over (g, t, r) of F^{x1 e1 y}_c[(d, v1, u), (g, t, r)] times
         the column (y, beta, e1, t, si) of group_last(W[1:], O, g) placed
@@ -300,6 +318,10 @@ class Engine:
                     # the comb trees (x1, a1, g, r, .) are contiguous
                     i = comb_idx[(x1, a1, g, r, 0)]
                     U[i : i + Up.shape[0], col] += coeff * Up[:, gp_idx[(y, beta, e1, t, si)]]
+        n = len(U)
+        if U.shape[1] == n and U.diagonal().tolist() == [1] * n and np.count_nonzero(U) == n:
+            # the identity: the right whiskers skip their product with it
+            U = self.data.eye(n)
         U.flags.writeable = False
         self._group[key] = (grouped, gidx, U)
         return self._group[key]
@@ -307,15 +329,16 @@ class Engine:
     def _right_parts(self, f: Mor, O, c):
         """(UX, M, UY) with (f (x) id_O)_c = UY M UX^dag: in the grouped
         bases the trees of one group (y, beta, d, u) are contiguous, so each
-        block f_d lands in one rectangle of M per group."""
+        block f_d lands in one rectangle of M per group. Blocks with a
+        leading stack axis give M that axis."""
         gX, _, UX = self.group_last(f.dom, O, c)
         _, gYi, UY = self.group_last(f.cod, O, c)
-        M = np.zeros((UY.shape[1], UX.shape[1]), dtype=complex)
+        M = np.zeros(_stack(f) + (UY.shape[1], UX.shape[1]), dtype=complex)
         for j, (y, beta, d, u, ti) in enumerate(gX):
             fb = f.blocks.get(d)
             if ti == 0 and fb is not None:
                 i = gYi[(y, beta, d, u, 0)]
-                M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
+                M[..., i : i + fb.shape[-2], j : j + fb.shape[-1]] = fb
         return UX, M, UY
 
     def whisker_right_obj(self, f: Mor, O) -> Mor:
@@ -334,7 +357,9 @@ class Engine:
         for c in self.support(X + (O,)):
             if c in cod_support:
                 UX, M, UY = self._right_parts(f, O, c)
-                blocks[c] = UY @ M @ UX.conj().T
+                if not self.data.is_eye(UY):
+                    M = UY @ M
+                blocks[c] = M if self.data.is_eye(UX) else M @ UX.conj().T
         return Mor(X + (O,), Y + (O,), _nonzero(blocks))
 
     def whisker_right_cols(self, f: Mor, O, c, v) -> np.ndarray:
@@ -345,7 +370,10 @@ class Engine:
         if c in self.support(cod):
             if not self.is_unit_sum(O):
                 UX, M, UY = self._right_parts(f, O, c)
-                return UY @ (M @ (UX.conj().T @ v))
+                if not self.data.is_eye(UX):
+                    v = UX.conj().T @ v
+                v = M @ v
+                return v if self.data.is_eye(UY) else UY @ v
             fb = f.blocks.get(c)
             if fb is not None:
                 return fb @ v
@@ -353,15 +381,16 @@ class Engine:
 
     def _left_block(self, O, f: Mor, c) -> np.ndarray:
         """(id_O (x) f)_c: each block f_e lands in one rectangle per run of
-        trees (x, alpha, e, v) of the comb basis."""
+        trees (x, alpha, e, v) of the comb basis. Blocks with a leading
+        stack axis give the result that axis."""
         cod_idx = self.basis_index((O,) + f.cod, c)
         dom_basis = self.basis((O,) + f.dom, c)
-        M = np.zeros((len(cod_idx), len(dom_basis)), dtype=complex)
+        M = np.zeros(_stack(f) + (len(cod_idx), len(dom_basis)), dtype=complex)
         for j, (x, alpha, e, v, ti) in enumerate(dom_basis):
             fb = f.blocks.get(e)
             if ti == 0 and fb is not None:
                 i = cod_idx[(x, alpha, e, v, 0)]
-                M[i : i + fb.shape[0], j : j + fb.shape[1]] = fb
+                M[..., i : i + fb.shape[-2], j : j + fb.shape[-1]] = fb
         return M
 
     def whisker_left_obj(self, O, f: Mor) -> Mor:
@@ -624,16 +653,48 @@ class Engine:
         return out
 
     def to_vector(self, f: Mor) -> np.ndarray:
-        parts = []
+        """f's blocks flattened in charge order; blocks with a leading
+        stack axis give one row per morphism of the stack."""
+        lead, parts = _stack(f), []
         for c in self.support(f.dom):
-            parts.append(self.block(f, c).reshape(-1))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+            b = f.blocks.get(c)
+            if b is None:
+                b = np.zeros(lead + (len(self.basis(f.cod, c)), len(self.basis(f.dom, c))), dtype=complex)
+            parts.append(b.reshape(lead + (-1,)))
+        return np.concatenate(parts, axis=-1) if parts else np.zeros(lead + (0,), dtype=complex)
+
+    def elementary_images(self, head: Mor, post: Mor) -> np.ndarray:
+        """The K x D array whose row k is to_vector(post (id_a (x) g_k (x)
+        id_b) head), for head: dom -> (a, c, b), post: (a, *word, b) -> cod
+        and g_k the K elementary maps (c,) -> word in hom_basis order. The
+        elementary maps at one charge go through the whiskers and composes
+        as one stack (blocks with a leading axis), so no Mor is formed per
+        map."""
+        a, c, b = head.cod
+        word = post.dom[1:-1]
+        rows = []
+        for e in self.support((c,)):
+            nr, nc = len(self.basis(word, e)), len(self.basis((c,), e))
+            k = nr * nc
+            if k:
+                g = Mor((c,), word, {e: self.data.eye(k).reshape(k, nr, nc)})
+                w = self.whisker_left_obj(a, self.whisker_right_obj(g, b))
+                stack = self.compose(post, self.compose(w, head))
+                # a stack without blocks is k zero maps
+                rows.append(self.to_vector(stack) if stack.blocks else self._zero_rows(k, head, post))
+        return np.concatenate(rows) if rows else self._zero_rows(0, head, post)
+
+    def _zero_rows(self, k, head: Mor, post: Mor) -> np.ndarray:
+        """The rows of k zero maps head.dom -> post.cod."""
+        return np.zeros((k, self.hom_dim(head.dom, post.cod)), dtype=complex)
 
     def from_vector(self, X, Y, v) -> Mor:
+        """The morphism X -> Y whose to_vector is v; each block is cut to
+        its shape, so none is re-checked."""
         blocks = {}
         pos = 0
         for c in self.support(X):
             nr, nc = len(self.basis(Y, c)), len(self.basis(X, c))
-            blocks[c] = np.asarray(v[pos : pos + nr * nc]).reshape(nr, nc)
+            blocks[c] = np.asarray(v[pos : pos + nr * nc], dtype=complex).reshape(nr, nc)
             pos += nr * nc
-        return self.mor(X, Y, blocks)
+        return Mor(X, Y, _nonzero(blocks))

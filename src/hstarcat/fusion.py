@@ -316,14 +316,25 @@ class FusionData:
             a, b, c, d = key
             m = self.F.get(key)
             if m is None or not dim or a in self.units or b in self.units or c in self.units:
-                m = self._eyes.get(dim)
-                if m is None:
-                    m = self._eyes[dim] = np.eye(dim, dtype=complex)
-                    m.flags.writeable = False
+                m = self.eye(dim)
             elif m.shape != (dim, dim):
                 raise InputError(f"F^{a},{b},{c}_{d} has shape {m.shape}")
             self._blocks[key] = m
         return m
+
+    def eye(self, dim: int) -> np.ndarray:
+        """The read-only dim x dim identity, one per size, shared by the F
+        blocks and the grouped-basis unitaries."""
+        m = self._eyes.get(dim)
+        if m is None:
+            m = self._eyes[dim] = np.eye(dim, dtype=complex)
+            m.flags.writeable = False
+        return m
+
+    def is_eye(self, m: np.ndarray) -> bool:
+        """Whether m is the shared identity of its size: an is test, so an
+        equal copy is not."""
+        return self._eyes.get(len(m)) is m
 
     # --- Frobenius-Perron dimensions ------------------------------------
 

@@ -13,13 +13,24 @@ the spherical weight psi. On top of this sit the two completions:
 
 Linking categories (the matrix category of all homs among a finite list
 of objects) are assembled as explicit multifusion data by one numeric
-builder over the bimodule calculus (relative tensors, unitors from the
-dressed actions, associator matrix elements in orthonormal intertwiner
-bases). A
+builder over the bimodule calculus (separability projections, unitors
+from the dressed actions, associator matrix elements in orthonormal
+intertwiner bases). A
 delooping object 1_u is the trivial monad on u, so it enters the builder
 as the algebra group_algebra(eng, (u,)), like any algebra object; every
 algebra must have one unit summand. The assembled data is always pushed
 back through the full validator.
+
+The builder forms no relative tensor. A tree of a pair is an isometric
+bimodule map z -> (x, y) onto a copy of the simple z in X (x)_B Y, read
+as the image of the separability projection p of (x, y) (the identity
+over the unit algebra). For a splitting V V^dag = p of the tensor T, the
+trees pushed through V are V Hom(Z, T) = p act (id_A (x) Hom(c, (x, y))
+(x) id_C) head_Z, for act = (lam_X (x) id_y)(id_{a, x} (x) rho_Y) and the
+free presentation head_Z: z -> (a, c, b) of Z, since p is a bimodule map
+and V an isometry; so the builder spans that image directly, and the
+counts N and the orthonormality are those of Hom(Z, T). A z whose
+object exceeds the rank of p at some charge has no copy in it.
 
 The associator needs no relative tensor of a relative tensor. For an
 intertwiner r: E -> X (x)_B Y whose dagger is an intertwiner too (every
@@ -27,14 +38,14 @@ isometry of an orthonormal intertwiner basis), the separability
 projections satisfy p_{XY,Z} (r (x) id_Z) = (r (x) id_Z) p_{E,Z}. So the
 splitting V_L of p_{XY,Z} gives V_L V_L^dag (r (x) id_Z) V_EZ =
 (r (x) id_Z) V_EZ: every tree of (X (x) Y) (x) Z lifts into (x, y, z)
-through the pair tensors alone, as (V_XY r (x) id_Z) V_EZ, and likewise
-on the right as (id_X (x) V_YZ r) V_XG. Each F-matrix entry is then the
-scalar z of g^dag f = z id_D for two such lifts f, g out of a simple D,
-so one column of D gives it: the lifts are applied, as vectors, to the
-first basis vector of D at its first charge, and no whiskered morphism is
-formed.
+through the pair trees alone, as (t (x) id_Z) V_EZ for the tree t = V_XY
+r, and likewise on the right as (id_X (x) t) V_XG. Each F-matrix entry
+is then the scalar z of g^dag f = z id_D for two such lifts f, g out of
+a simple D, so one column of D gives it: the lifts are applied, as
+vectors, to the first basis vector of D at its first charge, and no
+whiskered morphism is formed.
 
-A unit factor needs no tensor: the pushed tree of Y in A (x)_A Y is
+A unit factor needs no projection: the pushed tree of Y in A (x)_A Y is
 V (l V)^dag = p l^dag for the left retraction l of Y, and p fixes l^dag
 by the module axioms, so the tree is l^dag itself (on the right, the
 dagger of X's right retraction).
@@ -65,6 +76,7 @@ from .intalg import (
     group_algebra,
     left_retraction,
     module_category,
+    pair_projection,
     relative_tensor,
     right_retraction,
     summand_classes,
@@ -286,7 +298,7 @@ def hstar_monad_completion(X: Pre3HilbPresentation, algebras) -> Pre3HilbPresent
 class _LinkingBuilder:
     """Numeric skeletonization of the category of bimodules among a list
     of H*-algebras: simples, fusion rules, duals and F-matrices, all read
-    off one table of pushed trees, trees(x, y).
+    off one table of trees, trees(x, y).
 
     Simples are numbered in label order: simples[k] is the bimodule,
     blocks[k] its (i, j) pair and labels[k] its label "ij:n"; units holds
@@ -318,7 +330,7 @@ class _LinkingBuilder:
             if i == j:
                 # canonical representative for the unit: the algebra itself
                 unit = algebra_bimodule(self.algebras[i])
-                found = [unit] + [p for p in found if not p.homs(unit)]
+                found = [unit] + [p for p in found if not (p.obj == unit.obj and p.homs(unit))]
                 self.units.append(start)
             self.simples += found
             self.blocks += [(i, j)] * len(found)
@@ -332,13 +344,16 @@ class _LinkingBuilder:
             self.blocks[a][1] == self.blocks[b][0] for a, b in zip(ks, ks[1:])
         )
 
-    # -- pushed trees ---------------------------------------------------
+    # -- trees ----------------------------------------------------------
 
     def trees(self, x: int, y: int):
         """dict simple z -> orthonormal isometries z -> (x, y): the copies
-        of z inside x (x)_A y, pushed through V_XY. A unit factor's tree is
-        the dagger of the other factor's retraction (the unitor, so the
-        unit F-matrices come out strict); no tensor is built for it."""
+        of z inside x (x)_A y, spanned in the image of the separability
+        projection p of (x, y) as p act (id_A (x) g (x) id_C) head_Z over
+        the elementary g: c -> (x, y) (Bimodule.span_through; the module
+        docstring says why), with no relative tensor. A unit factor's tree
+        is the dagger of the other factor's retraction (the unitor, so the
+        unit F-matrices come out strict); no projection is built for it."""
         if (x, y) in self._trees:
             return self._trees[(x, y)]
         eng = self.eng
@@ -348,15 +363,23 @@ class _LinkingBuilder:
         elif y in self.units:
             out = {x: [eng.dagger(right_retraction(X))]}
         else:
-            T, Vw = relative_tensor(X, Y)
-            # homs gives a basis orthonormal in tr(g^dag f); out of a simple
-            # Z, g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
+            p, ranks = pair_projection(X, Y)
+            # act = (lam_X (x) id_y)(id_{a, x} (x) rho_Y): (a, x, y, b) -> (x, y)
+            act = eng.compose(
+                eng.whisker_right(X.lam, Y.word), eng.whisker_left((X.left.obj, X.obj), Y.rho)
+            )
+            post = act if p is None else eng.compose(p, act)
+            # the span is orthonormal in tr(g^dag f); out of a simple Z,
+            # g^dag f is a scalar times id_Z, whose trace is sum(Z.obj)
             out = {}
             for z in self.members[(self.blocks[x][0], self.blocks[y][1])]:
                 Z = self.simples[z]
-                basis = Z.homs(T)
+                # a copy of Z in p's image fits in p's rank at every charge
+                if any(m > ranks.get(c, 0) for c, m in zip(eng.data.simples, Z.obj)):
+                    continue
+                basis = Z.span_through(post)
                 if basis:
-                    out[z] = [eng.compose(Vw, eng.scale(np.sqrt(sum(Z.obj)), f)) for f in basis]
+                    out[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
         self._trees[(x, y)] = out
         return out
 

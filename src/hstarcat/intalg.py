@@ -28,8 +28,12 @@ axiom makes the separability projection the identity, and none is
 built. Free is left adjoint to forgetful, so Hom_{A-B}(A (x) c (x) B, M)
 = Hom(c, M) (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, Sec.
 7.8): a hom space out of such a source is spanned by act_M (id_A (x) g
-(x) id_B) head over a basis of g: c -> M, and cut to an orthonormal basis
-(_adjoint_span), which only normalizes a single map. The balanced maps of
+(x) id_B) head over the elementary g: c -> M, and cut to an orthonormal
+basis (_adjoint_span), which only normalizes a single map. One routine,
+Bimodule.span_through, builds every such span, for Bimodule.homs and
+for the linking's trees (where act is followed by a separability
+projection, pair_projection); the engine whiskers all the g of one
+charge as one stack (Engine.elementary_images). The balanced maps of
 bimodule_map_basis come the same way from a free right module, so no hom
 space is solved for. Every sub-bimodule carries its actions along an
 isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its
@@ -55,6 +59,7 @@ from .numcore import (
     ConsistencyError,
     InputError,
     ShapeMismatch,
+    projection_rank,
     row_space,
     sample_rng,
     split_projection,
@@ -283,17 +288,16 @@ def carry_right(V: Mor, rho: Mor, B: AlgebraObject) -> Mor:
     return eng.compose(eng.dagger(V), eng.compose(rho, eng.whisker_right_obj(V, B.obj)))
 
 
-def _adjoint_span(eng: Engine, dom, cod, maps):
+def _adjoint_span(eng: Engine, dom, cod, rows: np.ndarray):
     """Orthonormal basis (in the to_vector inner product) of the span of
-    maps dom -> cod, through the rows of an SVD. A single map of finite
-    norm is only normalized, under the cut of row_space; a NaN still
-    reaches the SVD, which raises on it."""
-    if not maps:
-        return []
-    if len(maps) == 1 and np.isfinite(norm := eng.l2_norm(maps[0])):
-        return [eng.scale(1.0 / norm, maps[0])] if norm > RANK_CUT * max(1.0, norm) else []
-    rows = row_space(np.array([eng.to_vector(f) for f in maps]))
-    return [eng.from_vector(dom, cod, v) for v in rows]
+    the maps dom -> cod whose to_vector are the rows, through the rows of
+    an SVD. A single map of finite norm is only normalized, under the cut
+    of row_space; a NaN still reaches the SVD, which raises on it."""
+    if len(rows) == 1:
+        f = eng.from_vector(dom, cod, rows[0])
+        if np.isfinite(norm := eng.l2_norm(f)):
+            return [eng.scale(1.0 / norm, f)] if norm > RANK_CUT * max(1.0, norm) else []
+    return [eng.from_vector(dom, cod, v) for v in row_space(rows)] if len(rows) else []
 
 
 # --- modules: the 1-A bimodules -----------------------------------------
@@ -379,19 +383,26 @@ def split_summands(F: Bimodule, seed: int = 0, depth: int = 0):
     F.head^dag piece.head is its inclusion into F: split along the
     spectrum of a random Hermitian element of the commutant F.homs(F),
     and again in each piece, since residual eigenvalue collisions leave
-    non-simple pieces. Depth d draws from the seed seed + d."""
+    non-simple pieces. A split into as many pieces as the commutant has
+    dimensions needs no second look: that dimension is the sum of m^2
+    over the multiplicities m of F's simple summands, and each piece
+    holds at least one summand, so every piece is simple. Depth d draws
+    from the seed seed + d."""
     eng = F.eng
+    # the commutant holds id_F and is spanned by one map per elementary
+    # c -> F (homs), so with one such map F is simple
+    if eng.hom_dim((F.head.cod[1],), F.word) == 1:
+        return [F]
     comm = F.homs(F)
     if len(comm) == 1:
         return [F]
     if depth > 8:
         raise ConsistencyError("splitting did not terminate")
     rng = np.random.default_rng(seed + depth)
-    return [
-        piece
-        for V in spectral_pieces(eng, F.word, comm, rng)
-        for piece in split_summands(F.carried(V), seed, depth + 1)
-    ]
+    pieces = [F.carried(V) for V in spectral_pieces(eng, F.word, comm, rng)]
+    if len(pieces) == len(comm):
+        return pieces
+    return [piece for P in pieces for piece in split_summands(P, seed, depth + 1)]
 
 
 def summand_classes(frees, seed: int = 0):
@@ -400,7 +411,8 @@ def summand_classes(frees, seed: int = 0):
     found = []
     for F in frees:
         for piece in split_summands(F, seed):
-            if not any(piece.homs(old) for old in found):
+            # simples on different objects are never isomorphic
+            if not any(piece.obj == old.obj and piece.homs(old) for old in found):
                 found.append(piece)
     return found
 
@@ -487,18 +499,19 @@ class Bimodule:
         """Basis of bimodule maps self -> other: act (id_A (x) g (x) id_B)
         head over g: c -> other, with act = lam (id_A (x) rho) of other."""
         eng = self.eng
-        a, c, b = self.head.cod
-        gs = eng.hom_basis((c,), other.word)
-        if not gs:
+        a, c, _ = self.head.cod
+        if not eng.hom_dim((c,), other.word):
             return []
-        act = eng.compose(other.lam, eng.whisker_left_obj(a, other.rho))  # (A, m, B) -> (m)
-        maps = [
-            eng.compose(
-                act, eng.compose(eng.whisker_left_obj(a, eng.whisker_right_obj(g, b)), self.head)
-            )
-            for g in gs
-        ]
-        return _adjoint_span(eng, self.word, other.word, maps)
+        return self.span_through(eng.compose(other.lam, eng.whisker_left_obj(a, other.rho)))
+
+    def span_through(self, post: Mor):
+        """Orthonormal basis of the span of post (id_A (x) g (x) id_B) head
+        over the elementary g: c -> word, for post: (A, *word, B) -> cod:
+        the one routine of every hom space out of a free presentation. The
+        engine applies the whiskers to all the g at once
+        (Engine.elementary_images)."""
+        eng = self.eng
+        return _adjoint_span(eng, self.word, post.cod, eng.elementary_images(self.head, post))
 
     def carried(self, V: Mor) -> "Bimodule":
         """The sub-bimodule on the domain of an isometry V into self.word."""
@@ -598,28 +611,44 @@ def separability_projection(M: Bimodule, N: Bimodule) -> Mor:
     return eng.compose(s3, eng.compose(s2, s1))
 
 
+def pair_projection(M: Bimodule, N: Bimodule):
+    """(p, ranks): p the separability projection on (m, n), checked to be
+    idempotent and self-adjoint on the whole map (at the engine's
+    tolerance, scaled by its norm) and an orthogonal projection at each
+    charge (numcore.projection_rank, the check of split_projection), and
+    ranks its rank at each charge of (m, n), which is the multiplicity of
+    that charge in M (x)_B N. Over the unit algebra (M.right and N.left
+    both act by unitors) p is the identity by the unit axiom: p is None,
+    no projection is built or checked, and the ranks are the tree counts
+    of (m, n)."""
+    eng = M.eng
+    word = M.word + N.word
+    if M.right.obj == N.left.obj and M.right.acts_by_unitors() and N.left.acts_by_unitors():
+        # differing middle algebras still reach separability_projection
+        return None, {c: len(eng.basis(word, c)) for c in eng.support(word)}
+    p = separability_projection(M, N)
+    bound = eng.tol.bound(eng.l2_norm(p))
+    if not within(eng.residual(eng.compose(p, p), p), bound):
+        raise ConsistencyError("separability projection is not idempotent")
+    if not within(eng.residual(eng.dagger(p), p), bound):
+        raise ConsistencyError("separability projection is not self-adjoint")
+    return p, {c: projection_rank(eng.block(p, c), eng.tol) for c in eng.support(word)}
+
+
 def relative_tensor(M: Bimodule, N: Bimodule):
-    """M (x)_B N: split the separability projection on its own blocks.
-    Over the unit algebra (M.right and N.left both act by unitors) the
-    projection is the identity, and the tensor is the plain fused tensor
-    eng.fuse(M.word + N.word), with V the dagger of the fusion; no
+    """M (x)_B N: split the separability projection of pair_projection on
+    its own blocks. Over the unit algebra the tensor is the plain fused
+    tensor eng.fuse(M.word + N.word), with V the dagger of the fusion; no
     projection is built, checked or split.
 
     Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
     """
     eng = M.eng
     word = M.word + N.word
-    if M.right.obj == N.left.obj and M.right.acts_by_unitors() and N.left.acts_by_unitors():
-        # both actions are unitors, so p is the identity by the unit axiom;
-        # differing middle algebras still reach separability_projection
+    p, _ = pair_projection(M, N)
+    if p is None:
         Vw = eng.dagger(eng.fuse(word)[1])
     else:
-        p = separability_projection(M, N)
-        bound = eng.tol.bound(eng.l2_norm(p))
-        if not within(eng.residual(eng.compose(p, p), p), bound):
-            raise ConsistencyError("separability projection is not idempotent")
-        if not within(eng.residual(eng.dagger(p), p), bound):
-            raise ConsistencyError("separability projection is not self-adjoint")
         cols = {c: split_projection(eng.block(p, c), eng.tol) for c in eng.support(word)}
         Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
@@ -734,11 +763,11 @@ def bimodule_map_basis(N: Bimodule, M: Bimodule, P: Bimodule):
         eng.whisker_left(tuple(pre), eng.compose(M.head, M.lam)),
         eng.whisker_right(N.head, M.word),
     )  # (n, m) -> (1, c, *mid, B)
-    maps = [
-        eng.compose(P.rho, eng.compose(eng.whisker_right_obj(g, b), into))
+    rows = [
+        eng.to_vector(eng.compose(P.rho, eng.compose(eng.whisker_right_obj(g, b), into)))
         for g in eng.hom_basis((*pre, *mid), P.word)
     ]
-    return _adjoint_span(eng, N.word + M.word, P.word, maps)
+    return _adjoint_span(eng, N.word + M.word, P.word, np.array(rows))
 
 
 def mate_delta0(f: Mor, N: Bimodule, M: Bimodule, coev0: Mor) -> Mor:

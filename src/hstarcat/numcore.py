@@ -117,22 +117,33 @@ def _require_square(m: np.ndarray):
         raise ShapeMismatch(f"expected square matrix, got shape {m.shape}")
 
 
-def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Split an orthogonal projection P as V V-dagger with V-dagger V = I.
-
-    Columns of V: eigenvectors of P with eigenvalue 1, descending order,
-    phase-normalized. Rank is the count of eigenvalues above 1/2.
-    """
+def _projection_part(p, tol: Tolerance) -> np.ndarray:
+    """The Hermitian part of p, once p is checked to be an orthogonal
+    projection within tol (ConsistencyError if not)."""
     p = as_cmatrix(p)
     _require_square(p)
     scale = max(1.0, float(np.linalg.norm(p)))
     defect = worst([np.linalg.norm(p - p.conj().T), np.linalg.norm(p @ p - p)])
     if not within(defect, tol.bound(scale)):
         raise ConsistencyError("input is not an orthogonal projection within tolerance")
-    h = (p + p.conj().T) / 2
-    vals, vecs = _sorted_eigh(h)
+    return (p + p.conj().T) / 2
+
+
+def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Split an orthogonal projection P as V V-dagger with V-dagger V = I.
+
+    Columns of V: eigenvectors of P with eigenvalue 1, descending order,
+    phase-normalized. Rank is the count of eigenvalues above 1/2.
+    """
+    vals, vecs = _sorted_eigh(_projection_part(p, tol))
     rank = int(np.sum(vals > 0.5))
     return vecs[:, :rank]
+
+
+def projection_rank(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """The rank of an orthogonal projection P, under the check and the
+    count of split_projection, with no eigenvectors formed."""
+    return int(np.sum(np.linalg.eigvalsh(_projection_part(p, tol)) > 0.5))
 
 
 # singular values at or below RANK_CUT * max(1, sigma_max) count as zero:

@@ -334,14 +334,14 @@ def test_weight_mod_dagger_rescaled_matches_psi():
 
 def _per_triple_f_matrices(b):
     """The associator by the per-triple formula that _LinkingBuilder used
-    before it assembled F from pair tensors alone: for every triple, the
+    before it assembled F from pair trees alone: for every triple, the
     relative tensors (X (x) Y) (x) Z and X (x) (Y (x) Z), alpha = W_R^dag
     W_L between them, and each entry as the trace of C^dag alpha R over
     dim D. Kept as the reference for f_matrices. Every tensor, pair
-    tensors included, comes from intalg.relative_tensor and every basis
-    from Z.homs, outside the builder's table; a unit factor's basis is
-    the unitor (retraction V)^dag, as the builder took it before it
-    dropped the tensor of a unit factor."""
+    tensors included, comes from intalg.relative_tensor, outside the
+    builder; each basis of z -> T is V^dag t over the builder's trees t
+    (test_linking_trees_are_orthonormal_bimodule_maps checks them against
+    Z.homs(T)), so the reference and the builder share one gauge."""
     eng = b.eng
     pairs = {}
 
@@ -349,19 +349,10 @@ def _per_triple_f_matrices(b):
         """(T, V, onb) for x (x)_A y: onb maps each simple z to orthonormal
         isometries z -> T."""
         if (x, y) not in pairs:
-            X, Y = b.simples[x], b.simples[y]
-            T, V = intalg.relative_tensor(X, Y)
-            if x in b.units:
-                onb = {y: [eng.dagger(eng.compose(intalg.left_retraction(Y), V))]}
-            elif y in b.units:
-                onb = {x: [eng.dagger(eng.compose(intalg.right_retraction(X), V))]}
-            else:
-                onb = {}
-                for z in b.members[(b.blocks[x][0], b.blocks[y][1])]:
-                    Z = b.simples[z]
-                    basis = Z.homs(T)
-                    if basis:
-                        onb[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
+            T, V = intalg.relative_tensor(b.simples[x], b.simples[y])
+            onb = {
+                z: [eng.compose(eng.dagger(V), t) for t in ts] for z, ts in b.trees(x, y).items()
+            }
             pairs[(x, y)] = T, V, onb
         return pairs[(x, y)]
 
@@ -442,23 +433,45 @@ def _f_builder(name, mk):
 
 
 @pytest.mark.parametrize("name,mk", F_LINKINGS)
-def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
+def test_linking_trees_are_orthonormal_bimodule_maps(name, mk):
+    # every tree of a non-unit pair is an isometry z -> (x, y) in the image
+    # of the separability projection p and an A-C bimodule map; the trees
+    # of one pair are orthonormal, and each z has as many as Z.homs(T)
+    # gives for the relative tensor T
     b = _f_builder(name, mk)
-    built = []
+    eng = b.eng
+    seen = 0
+    for x, y in itertools.product(range(len(b.simples)), repeat=2):
+        if not b.composable(x, y):
+            continue
+        X, Y = b.simples[x], b.simples[y]
+        T, V = intalg.relative_tensor(X, Y)
+        p = eng.compose(V, eng.dagger(V))
+        act_l = eng.whisker_right(X.lam, Y.word)  # (a, x, y) -> (x, y)
+        act_r = eng.whisker_left(X.word, Y.rho)  # (x, y, b) -> (x, y)
+        trees = b.trees(x, y)
+        ts = [(z, t) for z, zs in trees.items() for t in zs]
+        for z in b.members[(b.blocks[x][0], b.blocks[y][1])]:
+            Z = b.simples[z]
+            assert len(trees.get(z, [])) == len(Z.homs(T)), (x, y, z)
+        for z, t in ts:
+            Z = b.simples[z]
+            assert eng.residual(eng.compose(p, t), t) < 1e-12
+            left = eng.compose(act_l, eng.whisker_left_obj(Z.left.obj, t))
+            assert eng.residual(eng.compose(t, Z.lam), left) < 1e-12
+            right = eng.compose(act_r, eng.whisker_right_obj(t, Z.right.obj))
+            assert eng.residual(eng.compose(t, Z.rho), right) < 1e-12
+        for (_, s), (_, t) in itertools.product(ts, repeat=2):
+            want = eng.identity(s.dom) if s is t else eng.zero(t.dom, s.dom)
+            assert eng.residual(eng.compose(eng.dagger(s), t), want) < 1e-12
+        seen += len(ts)
+    assert seen
 
-    def recording(M, N):
-        built.append((M, N))
-        return intalg.relative_tensor(M, N)
 
-    monkeypatch.setattr(hilb3, "relative_tensor", recording)
+@pytest.mark.parametrize("name,mk", F_LINKINGS)
+def test_linking_f_matrices_match_per_triple_formula(name, mk):
+    b = _f_builder(name, mk)
     F = b.f_matrices()
-    # pair tensors only, and none with a unit factor: each relative tensor
-    # is of two of the builder's non-unit simples, each pair built once
-    position = lambda M: next(k for k, S in enumerate(b.simples) if M is S)
-    keys = [(position(M), position(N)) for M, N in built]
-    assert not {k for key in keys for k in key} & set(b.units)
-    tensors = {"ising": 50, "fibonacci": 18, "vec4": 50, "ty3": 98}[name]
-    assert len(set(keys)) == len(keys) == tensors
     ref = _per_triple_f_matrices(b)
     assert list(F) == list(ref)
     for key, m in F.items():
@@ -468,21 +481,22 @@ def test_linking_f_matrices_match_per_triple_formula(monkeypatch, name, mk):
 
 @pytest.mark.parametrize("name,mk,projections", [(*F_LINKINGS[0], 25), (*F_LINKINGS[1], 9)])
 def test_linking_f_matrices_whisker_no_mor(monkeypatch, name, mk, projections):
-    # a full build splits a separability projection only for the pair
-    # tensors over A, not over the unit algebra; once the table of pushed
-    # trees is built, f_matrices reads each F entry off one column of D
-    # and forms no whiskered Mor and no composite
+    # a full build builds no relative tensor, and a separability projection
+    # only for the pairs over A, not over the unit algebra; once the table
+    # of pushed trees is built, f_matrices reads each F entry off one
+    # column of D and forms no whiskered Mor and no composite
     calls = Counter()
-    separability_projection = intalg.separability_projection
-
-    def counted(M, N):
-        calls["separability_projection"] += 1
-        return separability_projection(M, N)
-
     with monkeypatch.context() as m:
-        m.setattr(intalg, "separability_projection", counted)
+        for module, fn in ((intalg, "separability_projection"), (intalg, "relative_tensor"),
+                           (hilb3, "relative_tensor")):
+
+            def counted(*args, _run=getattr(module, fn), _name=fn):
+                calls[_name] += 1
+                return _run(*args)
+
+            m.setattr(module, fn, counted)
         _f_builder(name, mk).fusion_data()
-    assert calls["separability_projection"] == projections
+    assert calls == {"separability_projection": projections}
     b = _f_builder(name, mk)
     for x, y in itertools.product(range(len(b.simples)), repeat=2):
         if b.blocks[x][1] == b.blocks[y][0]:

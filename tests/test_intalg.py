@@ -114,6 +114,28 @@ def test_module_category_counts_and_dims():
     assert sum(d * d for d in mc.dims) == pytest.approx(2.0)
 
 
+def test_summand_classes_take_no_homs_between_objects(monkeypatch):
+    # simple bimodules on different objects are never isomorphic, so
+    # neither summand_classes nor the linking's unit de-duplication asks
+    # for a hom space between two of them
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1", "p"))
+    calls = []
+    homs = intalg.Bimodule.homs
+
+    def recording(self, other):
+        calls.append((self.obj, other.obj))
+        return homs(self, other)
+
+    monkeypatch.setattr(intalg.Bimodule, "homs", recording)
+    found = intalg.summand_classes(intalg.free_bimodules(A, A).values())
+    assert len({M.obj for M in found}) > 1
+    assert calls and all(a == b for a, b in calls)
+    calls.clear()
+    hilb3._LinkingBuilder(eng, [A, intalg.group_algebra(eng, ("1",))], seed=0)
+    assert calls and all(a == b for a, b in calls)
+
+
 def test_module_trace_traciality_and_retraction():
     eng = _eng("fibonacci")
     A = intalg.pair_algebra(eng, eng.obj({"t": 1}))
@@ -547,11 +569,11 @@ def test_adjoint_span_of_one_map_is_the_normalized_map():
     s, sp = eng.obj({"s": 1}), eng.obj({"s": 1, "p": 1})
     dom, cod = (s, sp), (eng.obj({"1": 1, "s": 1, "p": 2}),)
     f = eng.random_mor(dom, cod, rng)
-    (g,) = intalg._adjoint_span(eng, dom, cod, [f])
+    (g,) = intalg._adjoint_span(eng, dom, cod, eng.to_vector(f)[None, :])
     v, rows = eng.to_vector(g), row_space(eng.to_vector(f)[None, :])
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
     assert np.abs(np.outer(v.conj(), v) - rows.conj().T @ rows).max() < 1e-14
     tiny = eng.scale(0.5 * RANK_CUT / eng.l2_norm(f), f)
     for m in (eng.zero(dom, cod), tiny):
-        assert intalg._adjoint_span(eng, dom, cod, [m]) == []
+        assert intalg._adjoint_span(eng, dom, cod, eng.to_vector(m)[None, :]) == []
         assert row_space(eng.to_vector(m)[None, :]).shape[0] == 0

@@ -45,8 +45,8 @@ N_READERS = (
 )
 OWNERSHIP = (
     Rule(("call",), ("spectral_pieces",), ("intalg.split_summands",), "commutants split in one place"),
-    Rule(("call",), ("relative_tensor",), ("hilb3._LinkingBuilder.trees", "hilb3.split_monad"),
-         "the linking's pair tensors and a split monad's pair: none with a unit factor, none of a tensor"),
+    Rule(("call",), ("relative_tensor",), ("hilb3.split_monad",),
+         "a split monad's pair; the linking reads its pair trees off the separability projection"),
     Rule(("call", "def"), SOLVERS, (),
          "hom spaces come from the free-forgetful adjunction; the dense solve is the tests' reference"),
     Rule(("call",), ("Mor",), ("diagram",), "the engine builds its own results; the rest go through Engine.mor"),
@@ -174,7 +174,7 @@ FLAGS = [
     ("pieces = spectral_pieces(eng, word, comm, rng)", "intalg", True),
     ("def split_summands(F):\n    return spectral_pieces(F)", "intalg", False),
     ("class _LinkingBuilder:\n    def f_matrices(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
-    ("class _LinkingBuilder:\n    def trees(self):\n        return relative_tensor(X, Y, tol)", "hilb3", False),
+    ("class _LinkingBuilder:\n    def trees(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
     ("def split_monad(B):\n    return relative_tensor(M, Md)", "hilb3", False),
     ("basis = intalg._solve(eng, pair, [])", "hilb3", True),
     ("def f(eng):\n    return eng.linear_matrix(g, p, q)", "diagram", True),
