@@ -25,7 +25,7 @@ def load(name: str, trust: bool = False) -> FusionData:
     Negative-control files are loadable only with trust=True, since they
     fail validation by design.
     """
-    text = resources.files("hstarcat").joinpath(f"data/{name}.json").read_text()
+    text = resources.files(__package__).joinpath(f"data/{name}.json").read_text()
     data = FusionData.from_json(json.loads(text))
     if not trust:
         cert = validate(data)

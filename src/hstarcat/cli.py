@@ -72,7 +72,7 @@ def _read_input(path: str):
     """Returns (parsed json, sha256, display name). Bare names resolve to
     the packaged data files when one exists."""
     if "/" not in path and not path.endswith(".json"):
-        packaged = resources.files("hstarcat").joinpath(f"data/{path}.json")
+        packaged = resources.files(__package__).joinpath(f"data/{path}.json")
         if packaged.is_file():
             raw = packaged.read_bytes()
             return json.loads(raw), _sha256_bytes(raw), f"bundled:{path}"
@@ -173,7 +173,7 @@ def schema_violation(doc, schema_name: str):
     """Checks a document against the packaged schema/v1/<schema_name>
     schema: the first violation as a message, or None."""
     raw = (
-        resources.files("hstarcat")
+        resources.files(__package__)
         .joinpath(f"schema/v1/{schema_name}.schema.json")
         .read_text()
     )

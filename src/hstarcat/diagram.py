@@ -13,8 +13,10 @@ right-comb basis; that unitary is assembled recursively from one F-symbol
 per level. Both whiskers place each block of f by one slice assignment
 per run of trees that share their top vertex, since those runs are
 contiguous in the grouped and the comb bases; whisker_right_cols and
-whisker_left_cols apply a whiskered map at one charge to a few vectors
-through the same placements, without forming the whiskered morphism.
+whisker_left_cols apply a whiskered map at one charge to a list of
+column blocks through the same placements, made once for the list, with
+each product kept to the shape of its block and no whiskered morphism
+formed.
 The placements take blocks with a leading stack axis as well, so that
 elementary_images whiskers all the elementary maps of a hom space at one
 charge in one pass. A regrouping unitary that is the identity is the
@@ -49,7 +51,9 @@ or the tolerance, the derived values, stays on the engine.
 
 Engine.mor is the one door that checks block shapes; the engine's own
 operations build their results without re-checking them. Both drop a
-block only when every entry equals zero.
+block only when every entry equals zero. Norms are numcore.frobenius,
+np.linalg.norm's arithmetic without its wrapper, and residual takes
+the norm of f - g block by block, with no difference morphism formed.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .numcore import DEFAULT_TOL, InputError, ShapeMismatch
+from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, frobenius
 
 _UNBUILT = object()  # Engine.derived's mark for a key not built yet
 _SERIAL = itertools.count()  # Engine.intern's numbers, one count for all engines
@@ -237,8 +241,10 @@ class Engine:
         for c, gb in g.blocks.items():
             fb = f.blocks.get(c)
             if fb is not None:
-                blocks[c] = fb @ gb
-        return Mor(g.dom, f.cod, _nonzero(blocks))
+                m = fb @ gb
+                if np.count_nonzero(m):
+                    blocks[c] = m
+        return Mor(g.dom, f.cod, blocks)
 
     def dagger(self, f: Mor) -> Mor:
         return Mor(f.cod, f.dom, {c: b.conj().T for c, b in f.blocks.items()})
@@ -258,10 +264,20 @@ class Engine:
         return self.add(f, self.scale(-1.0, g))
 
     def l2_norm(self, f: Mor) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in f.blocks.values())))
+        return float(np.sqrt(sum(frobenius(b) ** 2 for b in f.blocks.values())))
 
     def residual(self, f: Mor, g: Mor) -> float:
-        return self.l2_norm(self.sub(f, g))
+        """l2_norm(sub(f, g)), in one pass over the blocks and with no Mor
+        formed: f_c - g_c, f_c or g_c in the order of sub's blocks, f's
+        charges and then g's others. The same value to the last bit for
+        finite entries; an infinite entry of g reads inf here, where sub's
+        scale by -1.0 can make it NaN, and either fails a finite bound."""
+        if f.dom != g.dom or f.cod != g.cod:
+            raise ShapeMismatch("sum word mismatch")
+        fbs, gbs = f.blocks, g.blocks
+        total = sum(frobenius(b - gbs[c] if c in gbs else b) ** 2 for c, b in fbs.items())
+        total = sum((frobenius(b) ** 2 for c, b in gbs.items() if c not in fbs), total)
+        return float(np.sqrt(total))
 
     # --- whiskering -------------------------------------------------------
 
@@ -334,9 +350,9 @@ class Engine:
         gX, _, UX = self.group_last(f.dom, O, c)
         _, gYi, UY = self.group_last(f.cod, O, c)
         M = np.zeros(_stack(f) + (UY.shape[1], UX.shape[1]), dtype=complex)
+        blocks = f.blocks
         for j, (y, beta, d, u, ti) in enumerate(gX):
-            fb = f.blocks.get(d)
-            if ti == 0 and fb is not None:
+            if ti == 0 and (fb := blocks.get(d)) is not None:
                 i = gYi[(y, beta, d, u, 0)]
                 M[..., i : i + fb.shape[-2], j : j + fb.shape[-1]] = fb
         return UX, M, UY
@@ -359,50 +375,72 @@ class Engine:
                 UX, M, UY = self._right_parts(f, O, c)
                 if not self.data.is_eye(UY):
                     M = UY @ M
-                blocks[c] = M if self.data.is_eye(UX) else M @ UX.conj().T
-        return Mor(X + (O,), Y + (O,), _nonzero(blocks))
+                if not self.data.is_eye(UX):
+                    M = M @ UX.conj().T
+                if np.count_nonzero(M):
+                    blocks[c] = M
+        return Mor(X + (O,), Y + (O,), blocks)
 
-    def whisker_right_cols(self, f: Mor, O, c, v) -> np.ndarray:
-        """(f (x) id_O)_c v for columns v in the comb basis of f.dom + (O,)
-        at charge c, as UY (M (UX^dag v)): no block of f (x) id_O is
-        formed."""
+    def whisker_right_cols(self, f: Mor, O, c, vs) -> list:
+        """(f (x) id_O)_c v for each block of columns v in the list vs, all
+        in the comb basis of f.dom + (O,) at charge c, as UY (M (UX^dag
+        v)): the parts are placed once for the list (_right_parts), each
+        product keeps the shape of its block, and no block of f (x) id_O
+        is formed."""
         cod = f.cod + (O,)
         if c in self.support(cod):
             if not self.is_unit_sum(O):
                 UX, M, UY = self._right_parts(f, O, c)
-                if not self.data.is_eye(UX):
-                    v = UX.conj().T @ v
-                v = M @ v
-                return v if self.data.is_eye(UY) else UY @ v
+                UXh = None if self.data.is_eye(UX) else UX.conj().T
+                out = [M @ (v if UXh is None else UXh @ v) for v in vs]
+                return out if self.data.is_eye(UY) else [UY @ v for v in out]
             fb = f.blocks.get(c)
             if fb is not None:
-                return fb @ v
-        return np.zeros((len(self.basis(cod, c)),) + v.shape[1:], dtype=complex)
+                return [fb @ v for v in vs]
+        return self._zero_cols(cod, c, vs)
 
-    def _left_block(self, O, f: Mor, c) -> np.ndarray:
+    def _zero_cols(self, cod, c, vs) -> list:
+        """One zero block per block of columns in vs, with the rows of the
+        comb basis of cod at charge c."""
+        n = len(self.basis(cod, c))
+        return [np.zeros((n,) + v.shape[1:], dtype=complex) for v in vs]
+
+    def _left_block(self, O, f: Mor, c):
         """(id_O (x) f)_c: each block f_e lands in one rectangle per run of
-        trees (x, alpha, e, v) of the comb basis. Blocks with a leading
-        stack axis give the result that axis."""
+        trees (x, alpha, e, v) of the comb basis; None, with nothing
+        allocated, where no block of f lands. Blocks with a leading stack
+        axis give the result that axis."""
         cod_idx = self.basis_index((O,) + f.cod, c)
         dom_basis = self.basis((O,) + f.dom, c)
-        M = np.zeros(_stack(f) + (len(cod_idx), len(dom_basis)), dtype=complex)
+        M, blocks = None, f.blocks
         for j, (x, alpha, e, v, ti) in enumerate(dom_basis):
-            fb = f.blocks.get(e)
-            if ti == 0 and fb is not None:
+            if ti == 0 and (fb := blocks.get(e)) is not None:
+                if M is None:
+                    M = np.zeros(_stack(f) + (len(cod_idx), len(dom_basis)), dtype=complex)
                 i = cod_idx[(x, alpha, e, v, 0)]
                 M[..., i : i + fb.shape[-2], j : j + fb.shape[-1]] = fb
         return M
 
     def whisker_left_obj(self, O, f: Mor) -> Mor:
-        """id_O (x) f, one block per charge (_left_block)."""
+        """id_O (x) f, one block per charge where a block of f lands
+        (_left_block)."""
         dom, cod = (O,) + f.dom, (O,) + f.cod
-        blocks = {c: self._left_block(O, f, c) for c in self.support(dom)}
-        return Mor(dom, cod, _nonzero(blocks))
+        blocks = {}
+        for c in self.support(dom):
+            M = self._left_block(O, f, c)
+            if M is not None and np.count_nonzero(M):
+                blocks[c] = M
+        return Mor(dom, cod, blocks)
 
-    def whisker_left_cols(self, O, f: Mor, c, v) -> np.ndarray:
-        """(id_O (x) f)_c v for columns v in the comb basis of (O,) + f.dom
-        at charge c; only the block at c is formed."""
-        return self._left_block(O, f, c) @ v
+    def whisker_left_cols(self, O, f: Mor, c, vs) -> list:
+        """(id_O (x) f)_c v for each block of columns v in the list vs, all
+        in the comb basis of (O,) + f.dom at charge c: the block at c is
+        placed once for the list (_left_block), and each product keeps the
+        shape of its block."""
+        M = self._left_block(O, f, c)
+        if M is None:
+            return self._zero_cols((O,) + f.cod, c, vs)
+        return [M @ v for v in vs]
 
     def whisker_right(self, f: Mor, word) -> Mor:
         for O in word:

@@ -55,7 +55,7 @@ import numpy as np
 from .certify import Certificate, bounded, clears, judged, within
 from .diagram import Engine
 from .numcore import (
-    DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, unitarity_defect, worst,
+    DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, frobenius, unitarity_defect, worst,
 )
 
 # F-symbols are given data, so their unitarity holds to roundoff: 1e-10
@@ -536,9 +536,9 @@ def pentagon_residual(data: FusionData) -> float:
     with one start tree has one final tree, so the final trees are
     numbered only when some instance has more (_Trees.finals). The gap
     is the norm of path A minus path B: sqrt(dr*dr + di*di) for a single
-    entry, which is what np.linalg.norm returns for it, and
-    np.linalg.norm of the instance's entries in row-major order for a
-    larger instance."""
+    entry, which is what np.linalg.norm returns for it, and the norm of
+    the instance's entries in row-major order for a larger instance, by
+    np.linalg.norm's own arithmetic (numcore.frobenius)."""
     blocks = _Blocks(data)
     if blocks.mismatch:
         key, r, k = blocks.mismatch
@@ -846,7 +846,7 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
             diff.real, diff.imag = dr, di
             ends = base + size * size
             for i in many.tolist():
-                gaps[i] = np.linalg.norm(diff[base[i] : ends[i]])
+                gaps[i] = frobenius(diff[base[i] : ends[i]])
     return gaps
 
 

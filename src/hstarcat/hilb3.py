@@ -43,7 +43,9 @@ r, and likewise on the right as (id_X (x) t) V_XG. Each F-matrix entry
 is then the scalar z of g^dag f = z id_D for two such lifts f, g out of
 a simple D, so one column of D gives it: the lifts are applied, as
 vectors, to the first basis vector of D at its first charge, and no
-whiskered morphism is formed.
+whiskered morphism is formed. A lift reads only its tree, the object of
+the strand it adds and that charge, so it is placed once for all the
+triples and simples D that share them.
 
 A unit factor needs no projection: the pushed tree of Y in A (x)_A Y is
 V (l V)^dag = p l^dag for the left retraction l of Y, and p fixes l^dag
@@ -408,15 +410,19 @@ class _LinkingBuilder:
     # -- associator matrix elements -------------------------------------
 
     def _first_columns(self, x: int, y: int):
-        """dict simple d -> (c, V): c the first charge of D, in label order,
-        and the columns of V the first columns at c of the trees
-        trees(x, y)[d], in their order."""
+        """dict charge c -> (ds, vs), grouped by the first charge c of D in
+        label order: ds the simples d with that first charge, in the
+        order of trees(x, y), and vs[k] the block whose columns are the
+        first columns at c of the trees trees(x, y)[ds[k]], in their
+        order. A lift placed once at c applies to every block of vs."""
         if (x, y) not in self._columns:
             eng = self.eng
             out = {}
             for d, ts in self.trees(x, y).items():
                 c = next(c for c, m in zip(eng.data.simples, self.simples[d].obj) if m)
-                out[d] = c, np.stack([eng.block(t, c)[:, 0] for t in ts], axis=1)
+                ds, vs = out.setdefault(c, ([], []))
+                ds.append(d)
+                vs.append(np.stack([eng.block(t, c)[:, 0] for t in ts], axis=1))
             self._columns[(x, y)] = out
         return self._columns[(x, y)]
 
@@ -429,38 +435,54 @@ class _LinkingBuilder:
         one column of D gives the entry: each lift is applied to column 0
         of t at the first charge c of D (engine whisker_right_cols and
         whisker_left_cols), and F = R^T conj(C) for the stacked rows R and
-        columns C. Only the triples that the grading allows are visited;
-        the module docstring says why no tensor of a tensor is needed."""
-        eng, lab = self.eng, self.labels
-        starts = {}  # i -> the non-unit simples of the blocks (i, -), ascending
-        for y, (i, _) in enumerate(self.blocks):
+        columns C; a row or column of one block is used as it is. A right
+        lift reads only (up, Z, c) and a left lift only (X, up, c), so
+        each is placed once for every D whose first charge is c
+        (_lift_groups) and every z with object Z, or every x with object
+        X in one block: those x lift their columns together at the first
+        of them, which are kept until each x reads its own. Only the
+        triples that the grading allows are visited; the module docstring
+        says why no tensor of a tensor is needed."""
+        eng, lab, columns = self.eng, self.labels, self._first_columns
+        obj = [S.obj for S in self.simples]
+        # i -> the non-unit simples of the blocks (i, -), and (object, j)
+        # -> those of the blocks (-, j) with that object, ascending
+        starts, same = {}, {}
+        for y, (i, j) in enumerate(self.blocks):
             if y not in self.units:
                 starts.setdefault(i, []).append(y)
-        F = {}
+                same.setdefault((obj[y], j), []).append(y)
+        F, cols = {}, {}  # cols: (x, y, z, d) -> column blocks at the first charge of D
         for x, (i, j) in enumerate(self.blocks):
             if x in self.units:
                 continue
-            X = self.simples[x].obj
+            if (obj[x], j) in same:
+                # the x with one object and one block lift their columns
+                # together, at the first of them
+                xs = same.pop((obj[x], j))
+                for y in starts.get(j, []):
+                    for z in starts.get(self.blocks[y][1], []):
+                        for g, ups in self.trees(y, z).items():
+                            groups = _lift_groups((obj[x2], (x2, y, z), columns(x2, g)) for x2 in xs)
+                            for (X, c), (keys, blocks) in groups.items():
+                                for up in ups:
+                                    for key, r in zip(keys, eng.whisker_left_cols(X, up, c, blocks)):
+                                        cols.setdefault(key, []).append(r)
             for y in starts.get(j, []):
-                k = self.blocks[y][1]
-                for z in starts.get(k, []):
-                    l = self.blocks[z][1]
-                    Z = self.simples[z].obj
-                    rows, cols = {}, {}  # d -> column blocks at the first charge of D
-                    for e, ups in self.trees(x, y).items():
-                        for d, (c, ts) in self._first_columns(e, z).items():
-                            rows.setdefault(d, []).extend(
-                                eng.whisker_right_cols(up, Z, c, ts) for up in ups
-                            )
-                    for g, ups in self.trees(y, z).items():
-                        for d, (c, ts) in self._first_columns(x, g).items():
-                            cols.setdefault(d, []).extend(
-                                eng.whisker_left_cols(X, up, c, ts) for up in ups
-                            )
-                    for d in self.members[(i, l)]:
-                        if rows.get(d):
-                            R = np.hstack(rows[d])
-                            C = np.hstack(cols[d]) if d in cols else np.zeros((len(R), 0))
+                zs = starts.get(self.blocks[y][1], [])
+                rows = {}  # (z, d) -> column blocks at the first charge of D
+                for e, ups in self.trees(x, y).items():
+                    groups = _lift_groups((obj[z], (z,), columns(e, z)) for z in zs)
+                    for (Z, c), (keys, blocks) in groups.items():
+                        for up in ups:
+                            for key, r in zip(keys, eng.whisker_right_cols(up, Z, c, blocks)):
+                                rows.setdefault(key, []).append(r)
+                for z in zs:
+                    for d in self.members[(i, self.blocks[z][1])]:
+                        C = cols.pop((x, y, z, d), None)
+                        if rows.get((z, d)):
+                            R = _joined(rows[(z, d)])
+                            C = _joined(C) if C else np.zeros((len(R), 0))
                             F[(lab[x], lab[y], lab[z], lab[d])] = R.T @ C.conj()
         return F
 
@@ -481,6 +503,25 @@ class _LinkingBuilder:
             [monad_psi(A, A.identity()).real for A in self.algebras]
         )
         return data, weight
+
+
+def _lift_groups(tables):
+    """(object, c) -> ([owner + (d,)], [block]) over (object, owner,
+    _first_columns table): the first-column blocks that one lift at
+    charge c serves, for every simple with the object of the strand it
+    adds, in the order given."""
+    out = {}
+    for O, owner, table in tables:
+        for c, (ds, vs) in table.items():
+            keys, blocks = out.setdefault((O, c), ([], []))
+            keys += [owner + (d,) for d in ds]
+            blocks += vs
+    return out
+
+
+def _joined(blocks):
+    """The column blocks side by side; a single block as it is."""
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 def algebra_linking(eng: Engine, algebras, *, seed: int = 0):

@@ -59,6 +59,7 @@ from .numcore import (
     ConsistencyError,
     InputError,
     ShapeMismatch,
+    projection_gaps,
     projection_rank,
     row_space,
     sample_rng,
@@ -107,6 +108,17 @@ class AlgebraObject:
     mu: Mor  # (A, A) -> (A)
     iota: Mor  # () -> (A)
     _powers: dict = field(default_factory=dict)
+    _unitors: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # mu and iota are never reassigned, so the test is made once
+        eng = self.eng
+        units = {u for u in eng.data.units if eng.mult(self.obj, u)}
+        self._unitors = eng.is_unit_sum(self.obj) and all(
+            f.blocks.keys() == units
+            and all(b.shape == (1, 1) and b[0, 0] == 1 for b in f.blocks.values())
+            for f in (self.mu, self.iota)
+        )
 
     @property
     def word(self):
@@ -131,16 +143,9 @@ class AlgebraObject:
     def acts_by_unitors(self) -> bool:
         """Whether this is the algebra that group_algebra builds on units:
         a sum of distinct units, with every block of mu and iota exactly
-        [[1]]. Its action on any object is then the unitor."""
-        eng = self.eng
-        if not eng.is_unit_sum(self.obj):
-            return False
-        units = {u for u in eng.data.units if eng.mult(self.obj, u)}
-        return all(
-            f.blocks.keys() == units
-            and all(b.shape == (1, 1) and b[0, 0] == 1 for b in f.blocks.values())
-            for f in (self.mu, self.iota)
-        )
+        [[1]]. Its action on any object is then the unitor. Tested once,
+        at construction."""
+        return self._unitors
 
 
 def group_algebra(eng: Engine, labels) -> AlgebraObject:
@@ -617,7 +622,12 @@ def pair_projection(M: Bimodule, N: Bimodule):
     tolerance, scaled by its norm) and an orthogonal projection at each
     charge (numcore.projection_rank, the check of split_projection), and
     ranks its rank at each charge of (m, n), which is the multiplicity of
-    that charge in M (x)_B N. Over the unit algebra (M.right and N.left
+    that charge in M (x)_B N. One pass over the blocks of p forms each
+    p_c^dag, p_c p_c, ||p_c|| and the gaps ||p_c p_c - p_c|| and ||p_c -
+    p_c^dag|| once (numcore.projection_gaps); the whole-map residuals sum
+    their squares as Engine.residual does, the idempotency gap at the
+    charges where p_c p_c is zero last, so both checks see the residual's
+    value to the last bit. Over the unit algebra (M.right and N.left
     both act by unitors) p is the identity by the unit axiom: p is None,
     no projection is built or checked, and the ranks are the tree counts
     of (m, n)."""
@@ -627,12 +637,19 @@ def pair_projection(M: Bimodule, N: Bimodule):
         # differing middle algebras still reach separability_projection
         return None, {c: len(eng.basis(word, c)) for c in eng.support(word)}
     p = separability_projection(M, N)
-    bound = eng.tol.bound(eng.l2_norm(p))
-    if not within(eng.residual(eng.compose(p, p), p), bound):
+    parts = {c: projection_gaps(b) for c, b in p.blocks.items()}
+    bound = eng.tol.bound(float(np.sqrt(sum(norm ** 2 for _, _, norm, _ in parts.values()))))
+    # Engine.residual(p p, p) meets the charges where p_c p_c is zero
+    # last, as compose drops those blocks
+    idem = sorted(parts.values(), key=lambda part: not np.count_nonzero(part[1]))
+    if not within(float(np.sqrt(sum(gaps[1] ** 2 for *_, gaps in idem))), bound):
         raise ConsistencyError("separability projection is not idempotent")
-    if not within(eng.residual(eng.dagger(p), p), bound):
+    if not within(float(np.sqrt(sum(gaps[0] ** 2 for *_, gaps in parts.values()))), bound):
         raise ConsistencyError("separability projection is not self-adjoint")
-    return p, {c: projection_rank(eng.block(p, c), eng.tol) for c in eng.support(word)}
+    ranks = {c: 0 for c in eng.support(word)}
+    for c, part in parts.items():
+        ranks[c] = projection_rank(p.blocks[c], part, eng.tol)
+    return p, ranks
 
 
 def relative_tensor(M: Bimodule, N: Bimodule):

@@ -1,8 +1,11 @@
 """Dense complex linear algebra primitives and the tolerance policy.
 
-The operations here are the single row-space routine and the single
-tolerance convention; intalg also calls numpy's eigh and eigvalsh itself
-(endo_power, verify_hstar, spectral_pieces).
+The operations here are the single row-space routine, the single
+tolerance convention, the Frobenius norm of the engine's blocks
+(frobenius) and the one check that a matrix is an orthogonal projection
+(check_projection, on the values of projection_gaps); intalg also calls
+numpy's eigh and eigvalsh itself (endo_power, verify_hstar,
+spectral_pieces).
 
 The package raises three exception classes of its own, one per kind of
 failure, all defined here: InputError (the input breaks its format or a
@@ -117,16 +120,51 @@ def _require_square(m: np.ndarray):
         raise ShapeMismatch(f"expected square matrix, got shape {m.shape}")
 
 
+def frobenius(m: np.ndarray) -> np.float64:
+    """The Frobenius norm of a float or complex array by np.linalg.norm's
+    own arithmetic, sqrt(xr.xr + xi.xi) on the real and imaginary views of
+    m.ravel(order="K"), so the same value to the last bit, without the
+    wrapper's argument handling."""
+    x = m.ravel(order="K")
+    xr, xi = x.real, x.imag
+    return np.sqrt(xr.dot(xr) + xi.dot(xi))
+
+
+def projection_gaps(p: np.ndarray):
+    """(p^dag, p p, ||p||, [||p - p^dag||, ||p p - p||]) of a square
+    matrix p, each formed once: what check_projection reads, and what a
+    caller that also sums the gaps over charges reads (intalg's
+    pair_projection)."""
+    ph = p.conj().T
+    pp = p @ p
+    return ph, pp, frobenius(p), [frobenius(p - ph), frobenius(pp - p)]
+
+
+def check_projection(norm, gaps, tol: Tolerance):
+    """The check that p is an orthogonal projection within tol, on the
+    values of projection_gaps: the worse gap within tol.bound(max(1,
+    ||p||)), else ConsistencyError."""
+    if not within(worst(gaps), tol.bound(max(1.0, float(norm)))):
+        raise ConsistencyError("input is not an orthogonal projection within tolerance")
+
+
+def projection_rank(p: np.ndarray, parts, tol: Tolerance) -> int:
+    """The rank of an orthogonal projection p, from its projection_gaps
+    parts: the check of split_projection (check_projection), then the
+    count of its eigenvalues above 1/2, with no eigenvectors formed."""
+    ph, _, norm, gaps = parts
+    check_projection(norm, gaps, tol)
+    return int(np.sum(np.linalg.eigvalsh((p + ph) / 2) > 0.5))
+
+
 def _projection_part(p, tol: Tolerance) -> np.ndarray:
     """The Hermitian part of p, once p is checked to be an orthogonal
     projection within tol (ConsistencyError if not)."""
     p = as_cmatrix(p)
     _require_square(p)
-    scale = max(1.0, float(np.linalg.norm(p)))
-    defect = worst([np.linalg.norm(p - p.conj().T), np.linalg.norm(p @ p - p)])
-    if not within(defect, tol.bound(scale)):
-        raise ConsistencyError("input is not an orthogonal projection within tolerance")
-    return (p + p.conj().T) / 2
+    ph, _, norm, gaps = projection_gaps(p)
+    check_projection(norm, gaps, tol)
+    return (p + ph) / 2
 
 
 def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -138,12 +176,6 @@ def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     vals, vecs = _sorted_eigh(_projection_part(p, tol))
     rank = int(np.sum(vals > 0.5))
     return vecs[:, :rank]
-
-
-def projection_rank(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """The rank of an orthogonal projection P, under the check and the
-    count of split_projection, with no eigenvectors formed."""
-    return int(np.sum(np.linalg.eigvalsh(_projection_part(p, tol)) > 0.5))
 
 
 # singular values at or below RANK_CUT * max(1, sigma_max) count as zero:

@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bench_families import fam
-from hstarcat import intalg
-from hstarcat.cli import main, schema_violation
+import hstarcat
+from hstarcat import bundled, intalg
+from hstarcat.cli import _read_input, main, schema_violation
 from hstarcat.numcore import ConsistencyError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -538,3 +541,26 @@ def test_unexpected_exception_exits_3_with_one_json_line(monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "ConsistencyError", "message": "splitting did not terminate"}
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_files(tmp_path, monkeypatch):
+    # bundled.load, _read_input and schema_violation find their files
+    # through their own package, so a copy under another name (two
+    # versions side by side in one process) reads the copy's data and
+    # schemas, not the installed package's
+    src = pathlib.Path(hstarcat.__file__).parent
+    copy = tmp_path / "hstarcat_copy"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "data" / "hilb.json").write_text((src / "data" / "hilb_z2.json").read_text())
+    (copy / "schema" / "v1" / "fusion.schema.json").write_text('{"type": "array"}')
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        other = importlib.import_module("hstarcat_copy.bundled")
+        other_cli = importlib.import_module("hstarcat_copy.cli")
+        assert other.load("hilb").simples == bundled.load("hilb_z2").simples != bundled.load("hilb").simples
+        doc, digest, name = other_cli._read_input("hilb")
+        assert (doc, name) == (_read_input("hilb_z2")[0], "bundled:hilb") and digest != _read_input("hilb")[1]
+        assert other_cli.schema_violation(doc, "fusion") and schema_violation(doc, "fusion") is None
+    finally:
+        for module in [m for m in sys.modules if m.split(".")[0] == "hstarcat_copy"]:
+            del sys.modules[module]

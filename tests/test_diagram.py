@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -718,6 +719,82 @@ def test_whiskers_match_the_per_entry_reference(name):
     # whiskered by the zero object or by units off its charges
     assert checked[False, True] >= 10 and checked[True, True] >= 10
     assert checked[True, False] >= 10
+
+
+@pytest.mark.parametrize("name", list(WHISKER_CASES))
+def test_column_whiskers_match_the_whole_whiskers(name):
+    # the column whiskers place a lift once and apply it to each block of
+    # a list: the left one gives exactly the whiskered block at c times
+    # each block, the right one the same up to the association of its
+    # three factors; every charge is tried, those outside the codomain's
+    # support included, and the objects include the zero object and sums
+    # of distinct units
+    eng = _eng(name)
+    rng = np.random.default_rng(12)
+    objs = [eng.obj(o) for o in WHISKER_CASES[name]]
+    words = [(), (objs[0],), (objs[1],), (objs[0], objs[2])]
+    seen = Counter()
+    for X, Y, O in itertools.product(words, words, objs):
+        f = _sparse_mor(eng, X, Y, rng)
+        right, left = eng.whisker_right_obj(f, O), eng.whisker_left_obj(O, f)
+        for c in eng.data.simples:
+            for whole, got_of, dom in (
+                (right, lambda vs: eng.whisker_right_cols(f, O, c, vs), X + (O,)),
+                (left, lambda vs: eng.whisker_left_cols(O, f, c, vs), (O,) + X),
+            ):
+                n = len(eng.basis(dom, c))
+                vs = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)) for k in (1, 3)]
+                got = got_of(vs)
+                assert len(got) == len(vs)
+                for g, v in zip(got, vs):
+                    want = eng.block(whole, c) @ v
+                    assert g.shape == want.shape
+                    if whole is left:
+                        assert np.array_equal(g, want)
+                    else:
+                        scale = max(1.0, np.abs(want).max(initial=0.0))
+                        assert np.abs(g - want).max(initial=0.0) <= 1e-13 * scale
+                seen[whole is left, c in eng.support(whole.cod), bool(n)] += 1
+    # both sides meet charges in and outside the codomain's support
+    assert all(seen[side, True, True] and seen[side, False, False] for side in (False, True))
+
+
+def _residual_cases(eng, rng):
+    """Pairs (f, g) of _sparse_mor maps, with blocks on one side only, a
+    NaN block and -0.0 entries."""
+    objs = [eng.obj(o) for o in WHISKER_CASES["ising"][:3]]
+    words = [(objs[0],), (objs[1],), (objs[0], objs[2])]
+    for X, Y in itertools.product(words, repeat=2):
+        f, g = _sparse_mor(eng, X, Y, rng), _sparse_mor(eng, X, Y, rng)
+        yield f, g
+        yield g, f
+        if not (f.blocks and g.blocks):
+            continue
+        first = next(iter(f.blocks))
+        yield f, eng.mor(X, Y, {c: b for c, b in f.blocks.items() if c != first})
+        yield eng.mor(X, Y, {first: f.blocks[first]}), g
+        nan = {c: b.copy() for c, b in g.blocks.items()}
+        nan[next(iter(nan))][0, 0] = np.nan
+        yield f, eng.mor(X, Y, nan)
+        signed = {c: np.where(b == 0, complex(-0.0, -0.0), b) for c, b in f.blocks.items()}
+        yield eng.mor(X, Y, signed), f
+        yield f, f
+
+
+def test_residual_is_the_norm_of_the_difference_to_the_last_bit():
+    # residual takes the norm in one pass over the blocks, with no Mor
+    # formed, and gives what l2_norm(sub(f, g)) gives, NaN included
+    eng = _eng("ising")
+    rng = np.random.default_rng(13)
+    kinds = Counter()
+    for f, g in _residual_cases(eng, rng):
+        got, want = eng.residual(f, g), eng.l2_norm(eng.sub(f, g))
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+        kinds[np.isnan(want), want == 0.0, f.blocks.keys() == g.blocks.keys()] += 1
+    assert kinds[True, False, True] and kinds[False, True, True] and kinds[False, False, False]
+    W, V = (eng.simple_obj("s"),), (eng.simple_obj("p"),)
+    with pytest.raises(ShapeMismatch, match="sum word mismatch"):
+        eng.residual(eng.identity(W), eng.identity(V))
 
 
 def test_engine_operations_keep_the_zero_block_rule():

@@ -509,8 +509,35 @@ def test_linking_f_matrices_whisker_no_mor(monkeypatch, name, mk, projections):
             return _run(self, *args)
 
         monkeypatch.setattr(Engine, method, inner)
+    placed = []  # (side, tree, object, charge) of each lift placed
+    for method, side in (("_right_parts", "right"), ("_left_block", "left")):
+
+        def place(self, a, b, c, _run=getattr(Engine, method), _side=side):
+            tree, O = (a, b) if _side == "right" else (b, a)
+            placed.append((_side, id(tree), O, c))
+            return _run(self, a, b, c)
+
+        monkeypatch.setattr(Engine, method, place)
     assert b.f_matrices()
     assert not calls, dict(calls)
+    # one placement per (tree, object, charge) group of the triples: a
+    # lift serves every simple with that object and every D with that
+    # first charge; the right whisker places nothing at a charge outside
+    # the codomain's support or for a sum of units
+    want = set()
+    eng = b.eng
+    for x, y, z in itertools.product(range(len(b.simples)), repeat=3):
+        if not b.composable(x, y, z):
+            continue
+        X, Z = b.simples[x].obj, b.simples[z].obj
+        for e, ups in b.trees(x, y).items():
+            for c in b._first_columns(e, z):
+                if c in eng.support(ups[0].cod + (Z,)) and not eng.is_unit_sum(Z):
+                    want.update(("right", id(up), Z, c) for up in ups)
+        for g, ups in b.trees(y, z).items():
+            want.update(("left", id(up), X, c) for up in ups for c in b._first_columns(x, g))
+    assert Counter(placed).most_common(1)[0][1] == 1
+    assert set(placed) == want
 
 
 def test_three_algebra_linking_z2():

@@ -284,6 +284,48 @@ def test_not_projection_raised():
         intalg.relative_tensor(M, bad)
 
 
+def _tampered_pair_projection(monkeypatch, change):
+    """pair_projection of the free bimodule A (x) 1 (x) A with itself,
+    A = 1 + p on Ising, under a separability projection whose block at
+    the charge 1 (8 x 8, rank 4, so ||p_1|| = 2 < ||p|| = 2 sqrt 2) is
+    replaced by change(block)."""
+    monkeypatch.undo()  # the tampering of an earlier call
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1", "p"))
+    M = intalg.free_bimodule(A, "1", A)
+    real = intalg.separability_projection
+
+    def tampered(X, Y):
+        p = real(X, Y)
+        return eng.mor(p.dom, p.cod, {**p.blocks, "1": change(p.blocks["1"])})
+
+    monkeypatch.setattr(intalg, "separability_projection", tampered)
+    return eng, lambda: intalg.pair_projection(M, M)
+
+
+def test_pair_projection_raises_each_of_its_three_checks(monkeypatch):
+    # the whole-map checks and the per-charge check read one pass of
+    # gaps; each raises on its own, in their order
+    eng, run = _tampered_pair_projection(monkeypatch, lambda b: b)
+    p, ranks = run()
+    assert ranks == {"1": 4, "p": 4}
+    with pytest.raises(intalg.ConsistencyError, match="not idempotent"):
+        _tampered_pair_projection(monkeypatch, lambda b: 2.0 * b)[1]()
+    # oblique: P + P N (1 - P) is idempotent but not self-adjoint
+    rng = np.random.default_rng(3)
+    N = 0.5 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    with pytest.raises(intalg.ConsistencyError, match="not self-adjoint"):
+        _tampered_pair_projection(monkeypatch, lambda b: b + b @ N @ (np.eye(8) - b))[1]()
+    # P + t id is self-adjoint, with idempotency gap t ||2P - 1|| = t sqrt 8
+    # at the charge 1 alone: set between the per-charge bound, scaled by
+    # max(1, ||p_1||) = 2, and the whole-map bound, scaled by ||p||, it
+    # passes the whole map and fails the charge
+    tol = eng.tol
+    gap = (tol.bound(2.0) + tol.bound(eng.l2_norm(p))) / 2
+    with pytest.raises(intalg.ConsistencyError, match="not an orthogonal projection"):
+        _tampered_pair_projection(monkeypatch, lambda b: b + gap / np.sqrt(8.0) * np.eye(8))[1]()
+
+
 def test_nan_in_mu_rejects_on_unitality():
     # the first axiom checked; the NaN used to slip through unitality,
     # associativity and Frobenius and REJECT only at separability

@@ -31,13 +31,13 @@ def _calls(node):
 
 
 def _is_residual(node) -> bool:
-    """The expression holds a residual: |a - b|, ||a - b|| or a call of a
-    residual routine."""
+    """The expression holds a residual: |a - b|, ||a - b|| (np.linalg.norm
+    or numcore.frobenius) or a call of a residual routine."""
     for call in _calls(node):
         name = _name(call.func)
         if name in RESIDUAL_CALLS:
             return True
-        if name in ("abs", "norm") and call.args and isinstance(call.args[0], ast.BinOp):
+        if name in ("abs", "norm", "frobenius") and call.args and isinstance(call.args[0], ast.BinOp):
             if isinstance(call.args[0].op, ast.Sub):
                 return True
     return False
@@ -79,6 +79,7 @@ def test_lint_catches_the_patterns_it_forbids():
     assert _lint("worst = max(worst, abs(a - b))")
     assert _lint("r = max(eng.residual(f, g), eng.residual(g, h))")
     assert _lint("d = max(np.linalg.norm(a - b), np.linalg.norm(c - d))")
+    assert _lint("d = max(frobenius(a - b), frobenius(c - d))")
     assert _lint("low = min(low, w)")
     assert not _lint("ok = within(r, tol.bound(2.0))")
     assert not _lint("scale = max(1.0, float(np.linalg.norm(m)))")
