@@ -26,7 +26,7 @@ Cups and caps carry explicit coefficients alpha_c, beta_c from the
 unitary dual functor that the engine is built with (fusion.dual_engine),
 read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
 the closed loops of a morphism by _closed_loop, and the loop of a simple
-is read off its cup coefficient (loop).
+is read off its cup coefficient (loop, which needs no engine).
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -96,6 +96,39 @@ def _nonzero(blocks) -> dict:
     """The blocks of a morphism without those whose every entry compares
     equal to zero; a block that holds a NaN is kept."""
     return {c: m for c, m in blocks.items() if np.count_nonzero(m)}
+
+
+def _pairing(data, a, b, u):
+    """Check that Hom(1_u -> a (x) b) is the one pairing tree."""
+    if data.n(a, b, u) != 1:
+        raise InputError(f"the pairing of {a} and {b} at {u} is not one tree")
+
+
+def _cup(data, udf, x, ev: bool):
+    """(a, b, u, z) of the evaluation (ev) or coevaluation of the simple x
+    under udf: its pairing tree of (a, b) = (dual(x), x) at u = t(x) with
+    coefficient alpha_x, or of (x, dual(x)) at u = s(x) with beta_x; the
+    pairing is checked to be one tree."""
+    xb = data.dual[x]
+    if ev:
+        a, b, u, z = xb, x, data.t(x), udf.alpha[x]
+    else:
+        a, b, u, z = x, xb, data.s(x), udf.beta[x]
+    _pairing(data, a, b, u)
+    return a, b, u, z
+
+
+def loop(data, udf, c, side: str) -> float:
+    """The closed loop of id_c on the 1_{s(c)} sheet (side 'L') or the
+    1_{t(c)} sheet (side 'R') under udf: |beta_c|^2 or |alpha_c|^2, read
+    off the coefficient of the cup (_cup), which is what _closed_loop of
+    id_c gives there, to the last bit, since tr(id_c) = 1."""
+    if c not in data.index:
+        raise KeyError(f"unknown simple {c}")
+    if side not in ("L", "R"):
+        raise InputError("side must be 'L' or 'R'")
+    _, _, _, z = _cup(data, udf, c, side == "R")
+    return float(abs(z) ** 2)
 
 
 class Engine:
@@ -525,11 +558,6 @@ class Engine:
         m[idx, 0] = 1.0
         return self.mor((self.simple_obj(x),), (O,), {c: m})
 
-    def _pairing(self, a, b, u):
-        """Check that Hom(1_u -> a (x) b) is the one pairing tree."""
-        if self.data.n(a, b, u) != 1:
-            raise InputError(f"the pairing of {a} and {b} at {u} is not one tree")
-
     def zigzag_scalar(self, c) -> complex:
         """(id_c (x) e)(k (x) id_c) = theta_c id_c for the bare pairing
         trees k of (c, dual(c)) and e^dag of (dual(c), c), read off the
@@ -540,24 +568,11 @@ class Engine:
         have a unit argument and are identities by the strict-unit rule."""
         data, cb = self.data, self.data.dual[c]
         s, t = data.s(c), data.t(c)
-        self._pairing(c, cb, s)
-        self._pairing(cb, c, t)
+        _pairing(data, c, cb, s)
+        _pairing(data, cb, c, t)
         k = (c, cb, c, c)
         row, col = data.tree_rows(*k)[(s, 0, 0)], data.tree_cols(*k)[(t, 0, 0)]
         return complex(data.f_matrix(*k)[row, col])
-
-    def _cup(self, x, ev: bool):
-        """(a, b, u, z) of the evaluation (ev) or coevaluation of the
-        simple x: its pairing tree of (a, b) = (dual(x), x) at u = t(x)
-        with coefficient alpha_x, or of (x, dual(x)) at u = s(x) with
-        beta_x; the pairing is checked to be one tree."""
-        xb = self.data.dual[x]
-        if ev:
-            a, b, u, z = xb, x, self.data.t(x), self.udf.alpha[x]
-        else:
-            a, b, u, z = x, xb, self.data.s(x), self.udf.beta[x]
-        self._pairing(a, b, u)
-        return a, b, u, z
 
     def _pairings(self, O, word, ev: bool) -> dict:
         """Per unit u, the comb coefficients at charge u of the sum over
@@ -570,7 +585,7 @@ class Engine:
             n = self.mult(O, x)
             if not n:
                 continue
-            a, b, u, z = self._cup(x, ev)
+            a, b, u, z = _cup(self.data, self.udf, x, ev)
             idx = self.basis_index(word, u)
             v = blocks.get(u)
             if v is None:
@@ -615,15 +630,8 @@ class Engine:
         return complex(sum(self.udf.d(c) * np.trace(b) for c, b in f.blocks.items()))
 
     def loop(self, c, side: str) -> float:
-        """The closed loop of id_c on the 1_{s(c)} sheet (side 'L') or the
-        1_{t(c)} sheet (side 'R'): |beta_c|^2 or |alpha_c|^2, read off the
-        coefficient of the cup (_cup), which is what _closed_loop of id_c
-        gives there, to the last bit, since tr(id_c) = 1."""
-        self.simple_obj(c)  # KeyError for an unknown label
-        if side not in ("L", "R"):
-            raise InputError("side must be 'L' or 'R'")
-        _, _, _, z = self._cup(c, side == "R")
-        return float(abs(z) ** 2)
+        """The closed loop of id_c on a sheet (loop)."""
+        return loop(self.data, self.udf, c, side)
 
     def _closed_loop(self, f: Mor, ev: bool) -> Mor:
         """Per unit u, the sum over the simples x in O of |z_x|^2 tr(f_x),
@@ -635,7 +643,7 @@ class Engine:
         for x in self.data.simples:
             if not self.mult(O, x):
                 continue
-            _, _, u, z = self._cup(x, ev)
+            _, _, u, z = _cup(self.data, self.udf, x, ev)
             fb = f.blocks.get(x)
             term = abs(z) ** 2 * np.trace(fb) if fb is not None else 0.0
             sums[u] = sums.get(u, 0.0) + term

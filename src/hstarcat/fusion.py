@@ -8,7 +8,8 @@ the unitary dual functor, all quantum dimensions, and the loop values.
 
 dual_engine builds a diagram.Engine together with that dual functor, so a
 command builds one engine; udf_from_weight and loop_eval remain for
-callers that hold only a UdfData, such as the benchmark.
+callers that hold only a UdfData, such as the benchmark, and loop_eval
+builds no engine: it reads the cup coefficient (diagram.loop).
 
 Conventions: fusion-tree bases are orthonormal (vertices are isometries),
 daggers of tree coefficients are conjugate transposes, and all bending is
@@ -23,29 +24,21 @@ mappings, and F is compiled flat, one read-only array of every stored
 entry (FusionData.f_entries) with each F block a read-only view into it.
 What they fix lives on the data, and every diagram.Engine on it reads it,
 whatever its weight or tolerance: the dense N[a, b, c] with the
-strict-unit rules folded in (FusionData.table, off which n,
-fusion_products and every FPdim, the largest singular value of a fusion
-matrix, are read), and, on demand, the tree orders (tree_rows,
-tree_cols) and the block (f_matrix) of each F-move, the right-comb tree
-bases of each tensor word, swept for every charge at once and stored
-only at the charges that have trees (sweep; diagram.Engine reads any
-other charge as one shared empty value), and the grouped-basis unitaries
-of diagram.Engine.group_last. These tables hold labels, numbers and
-read-only arrays, never an engine.
-Validation runs on index arrays: the integer checks on those of the
-duals, gradings and stored N, and the F blocks that have trees are laid
-out in index order in one flat array by two scatters from the compiled F
-(_Blocks). Tree bases are numbered by pairs of vertices, and the
-pentagon evaluates all its instances in one batch of integer index
-arrays and float64 arithmetic, in the order of a scalar loop over them,
-so its residual is the loop's to the last bit (see pentagon_residual).
-Non-finite F entries are an InputError at construction; a non-finite
-residual that still arises (a huge finite entry overflows) fails its
-bound test and rejects, without a warning.
+strict-unit rules folded in (FusionData.table; n, fusion_products and
+every FPdim are read off it), and, on demand, the tree orders
+(tree_rows, tree_cols) and block (f_matrix) of each F-move, the
+right-comb tree bases of each tensor word at the charges that have trees
+(sweep), and the grouped-basis unitaries of diagram.Engine.group_last:
+labels, numbers and read-only arrays, never an engine.
+validate and pentagon_residual run on integer index arrays and float64
+batches, with the arithmetic of scalar loops to the last bit. Non-finite
+F entries are an InputError at construction; a non-finite residual that
+still arises (a huge finite entry overflows) rejects, without a warning.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -53,9 +46,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .certify import Certificate, bounded, clears, judged, within
-from .diagram import Engine
+from .diagram import Engine, loop
 from .numcore import (
-    DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, frobenius, unitarity_defect, worst,
+    DEFAULT_TOL, ConsistencyError, InputError, ShapeMismatch, Tolerance, frobenius_rows, unitarity_defect, worst,
 )
 
 # F-symbols are given data, so their unitarity holds to roundoff: 1e-10
@@ -439,22 +432,18 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify grading/dual integer identities, F-unitarity, and the
     pentagon equation.
 
-    N and F are compiled at construction (data.table, data.f_entries), and
-    the integer checks run on index arrays. The dual checks run over the
-    simples, and the grading and strict-unit checks over the stored
-    entries of N: a stored entry with a unit argument must equal n(a, b,
-    c), the value of the rule that construction put in its place. Each
-    problem is listed in that order. The other integer identities are
-    comparisons of the dense table N[a, b, c], and the tree counts
-    sum_e N[a,b,e] N[e,c,d] and sum_f N[b,c,f] N[a,f,d] of every F^{abc}_d
-    must agree.
+    The integer checks run on index arrays: the dual checks over the
+    simples, the grading and strict-unit checks over the stored entries of
+    N (one with a unit argument must equal n(a, b, c), the rule put in its
+    place), then Frobenius reciprocity on N[a, b, c]; problems are listed
+    in that order. The tree counts of every F^{abc}_d (_tree_counts) must
+    agree.
     F-unitarity is checked on the blocks that have trees and no unit
-    argument (unit blocks are identities): the 1x1 blocks in one array
-    expression that rounds exactly like numcore.unitarity_defect, each
-    larger block by unitarity_defect. The pentagon is checked on
-    admissible instances without a unit leg only, all in one batch (see
-    pentagon_residual). Every bound test reads `not (residual <= bound)`,
-    so a NaN residual rejects on its axiom.
+    argument: the 1x1 blocks in one array expression that rounds like
+    numcore.unitarity_defect, the larger ones by it, one stack per size.
+    The pentagon skips instances with a unit leg (pentagon_residual).
+    Every bound test reads `not (residual <= bound)`, so a NaN residual
+    rejects on its axiom.
 
     The bounds scale with tol.bound(), the bound at unit scale: F-unitarity
     at tol.bound() / F_UNITARITY_DIVISOR (20) and the pentagon at
@@ -464,27 +453,24 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     S, N = data.simples, data.table
     s, t, D, unit = data._source, data._target, data._dual, data._unit
     i = np.arange(len(S))
-    # per simple c, in order, the three identities of its dual c*
-    flags = np.array([
-        D[D] != i,
-        (s[D] != t) | (t[D] != s),
-        (N[i, D, s] != 1) | (N[D, i, t] != 1),
-    ]).T
-    problems = [_DUAL_PROBLEMS[k].format(S[c]) for c, k in zip(*flags.nonzero())]
+    # per simple c, the three identities of its dual c*
+    dual = np.array([D[D] != i, (s[D] != t) | (t[D] != s), (N[i, D, s] != 1) | (N[D, i, t] != 1)])
     # per stored entry (a, b, c) of N, in N order: its grading, and the
     # strict-unit rule, which construction put in place of an entry with a
     # unit argument
     abc, m = data._stored_n[:3], data._stored_n[3]
     (sa, sb, sc), (ta, tb, tc), (ua, ub, _) = s[abc], t[abc], unit[abc]
-    flags = np.array([(ta != sb) | (sc != sa) | (tc != tb), (ua | ub) & (m != N[tuple(abc)])]).T
-    entries, kinds = flags.nonzero()
-    if entries.size:
-        keys = list(data.N)
-        problems += [_N_PROBLEMS[k].format(tuple(keys[e])) for e, k in zip(entries, kinds)]
+    stored = np.array([(ta != sb) | (sc != sa) | (tc != tb), (ua | ub) & (m != N[tuple(abc)])])
     # Frobenius reciprocity: N_{ab}^c = N_{a* c}^b = N_{c b*}^a
     frob = (N != N[D].transpose(0, 2, 1)) | (N != N[:, D].transpose(2, 1, 0))
-    for a, b, c in np.argwhere(frob).tolist():
-        problems.append(f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}")
+    problems = []
+    if dual.any():
+        problems += [_DUAL_PROBLEMS[k].format(S[c]) for c, k in zip(*dual.T.nonzero())]
+    if stored.any():
+        keys = list(data.N)
+        problems += [_N_PROBLEMS[k].format(tuple(keys[e])) for e, k in zip(*stored.T.nonzero())]
+    if frob.any():
+        problems += [f"Frobenius reciprocity fails at {(S[a], S[b], S[c])}" for a, b, c in np.argwhere(frob).tolist()]
     residuals = {"integer_checks": 1.0 if problems else 0.0}
     details = {"problems": problems[:5]}
 
@@ -519,26 +505,20 @@ def pentagon_residual(data: FusionData) -> float:
     wrong shape, raises InputError.
 
     All instances are evaluated in one batch, with the arithmetic of a
-    scalar loop over them (the reference loop in the tests). A tree is a
-    pair of vertices, and a pentagon state a triple; each F-move looks up
-    the row of two adjacent vertices and replaces them by the column of
-    each entry. The start trees of every instance, in canonical order,
-    are gathered as integer index arrays, and so are the terms of each
-    path, F^{abc}_g F^{afd}_u F^{bcd}_f on path A and F^{ecd}_u F^{abh}_u
-    on path B, in chunks of start trees that bound the working memory.
-    Each product is formed left to right from float64 parts,
-    (xr*yr - xi*yi, xr*yi + xi*yr), which rounds like Python's complex
-    multiply; numpy's complex multiply of arrays does not always. As in
-    the loop, a zero F entry at a path's first move and a zero product
-    of its first two moves end the term; the zero terms the loop drops
-    after that change no sum. Each (final tree, start tree) entry of an
-    instance sums its terms in loop order with np.bincount; an instance
-    with one start tree has one final tree, so the final trees are
-    numbered only when some instance has more (_Trees.finals). The gap
-    is the norm of path A minus path B: sqrt(dr*dr + di*di) for a single
-    entry, which is what np.linalg.norm returns for it, and the norm of
-    the instance's entries in row-major order for a larger instance, by
-    np.linalg.norm's own arithmetic (numcore.frobenius)."""
+    scalar loop over them. A tree is a pair of vertices; each F-move looks up the row of two adjacent
+    vertices and replaces them by the column of each entry. The terms of
+    path A, F^{abc}_g F^{afd}_u F^{bcd}_f, and of path B, F^{ecd}_u
+    F^{abh}_u, are gathered as index arrays in chunks of start trees that
+    bound the memory. Each product is formed left to right from float64
+    parts, (xr*yr - xi*yi, xr*yi + xi*yr), which rounds like Python's
+    complex multiply (numpy's array multiply does not always). As in the
+    loop, a zero first F entry or zero product of the first two moves
+    ends a term; the later zero terms change no sum. np.bincount sums each
+    (final tree, start tree) entry in loop order; final trees are
+    numbered only when an instance has more than one (_Trees.finals). The
+    gap is the norm of path A minus path B: sqrt(dr*dr + di*di) for one
+    entry, and frobenius_rows of a larger instance's row-major entries,
+    one stack per size."""
     blocks = _Blocks(data)
     if blocks.mismatch:
         key, r, k = blocks.mismatch
@@ -549,35 +529,35 @@ def pentagon_residual(data: FusionData) -> float:
 def _worst_gap(blocks) -> float:
     """The worst pentagon gap, as numcore.worst takes it, in one reduction:
     NaN if any gap is NaN, else the largest, 0.0 for none."""
-    return float(_pentagon_gaps(blocks).max(initial=0.0))
+    # a huge F entry overflows to a non-finite gap, which fails its bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_pentagon_gaps(blocks).max(initial=0.0))
 
 
 class _Blocks:
     """The F blocks that have trees, of one FusionData for one validate or
-    pentagon_residual call, on the tree counts of data.table and the flat
-    F store (FusionData.f_entries), both compiled at construction.
+    pentagon_residual call, from data.table and FusionData.f_entries.
 
     Blocks are taken in index order of their (a, b, c, d) up to the first
-    whose tree counts differ; a stored plain block of the wrong shape
-    before it raises InputError (the first in index order). mismatch is
-    that block's (labels, rows, cols), and then nothing more is built, or
-    None. Block i has indices keys[k][i] (k = 0..3) and dims[i] trees, and
-    its entries lie row by row in vals from at[i]: the stored block if it
-    is plain[i] (no unit among a, b, c) and stored, else the identity,
-    each put in place by one vectorized scatter. trees[a, b, c, d] counts
-    the left trees of every quadruple, and unit marks the unit simples."""
+    whose tree counts (_tree_counts) differ; a stored plain block of the
+    wrong shape before it raises InputError (the first in index order).
+    mismatch is that block's (labels, rows, cols), and then nothing more
+    is built, or None. Block i has linear index lin[i], indices keys[k][i]
+    (k = 0..3) and dims[i] trees, and its entries lie row by row in vals
+    from at[i]: the stored block if it is plain[i] (no unit among a, b, c)
+    and stored, else the identity, each placed by one scatter. trees[a, b,
+    c, d] counts left trees, and unit marks the unit simples."""
 
     def __init__(self, data: FusionData):
-        self.data, N, S = data, data.table, data.simples
-        self.trees = np.einsum("abe,ecd->abcd", N, N)
-        cols = np.einsum("bcf,afd->abcd", N, N)
-        has = (self.trees != 0) | (cols != 0)
-        lin = has.ravel().nonzero()[0]
-        self.keys = np.unravel_index(lin, has.shape)
+        self.data, S = data, data.simples
+        self.trees, cols = _tree_counts(data.table)
+        # a quadruple has trees iff trees | cols, bitwise, is not 0
+        self.lin = lin = (self.trees | cols).ravel().nonzero()[0]
+        self.keys = np.unravel_index(lin, self.trees.shape)
         self.unit = data._unit
         x, y, z, _ = self.keys
         self.plain = ~(self.unit[x] | self.unit[y] | self.unit[z])
-        dims, cols = self.trees[self.keys], cols[self.keys]
+        dims, cols = self.trees.ravel()[lin], cols.ravel()[lin]
         bad = (dims != cols).nonzero()[0]
         stop = bad[0] if bad.size else len(dims)
         # the stored plain blocks before the mismatch, and where F holds them
@@ -605,20 +585,31 @@ class _Blocks:
         self.vals[self.at[blk][run] + j] = data.f_entries[data._f_at[pos][run] + j]
 
     def unitarity(self) -> float:
-        """Worst unitarity defect of the blocks with no unit argument."""
+        """Worst unitarity defect of the blocks with no unit argument, NaN
+        if any is NaN (numcore.worst)."""
         # conj(z) z - 1 of each 1x1 block, rounded as matmul and norm round
-        # it; a huge entry overflows to a non-finite defect, which fails its
-        # bound
+        # it; an overflow gives a non-finite defect, which fails its bound
         z = self.vals[self.at[self.plain & (self.dims == 1)]]
         zr, zi = z.real, z.imag
         with np.errstate(over="ignore", invalid="ignore"):
             dr = zr * zr + zi * zi - 1.0
             di = zr * zi - zi * zr
-            defects = np.sqrt(dr * dr + di * di).tolist()
+            out = np.sqrt(dr * dr + di * di).max(initial=0.0)
         larger = self.plain & (self.dims > 1)
-        for i, d in zip(self.at[larger].tolist(), self.dims[larger].tolist()):
-            defects.append(unitarity_defect(self.vals[i : i + d * d].reshape(d, d)))
-        return worst(defects)
+        for d in set(self.dims[larger].tolist()):
+            at = self.at[larger & (self.dims == d)]
+            out = worst((out, unitarity_defect(self.vals[at[:, None] + np.arange(d * d)].reshape(-1, d, d))))
+        return float(out)
+
+
+def _tree_counts(N):
+    """The left and right tree counts of every F^{abc}_d, sum_e N[a,b,e]
+    N[e,c,d] and sum_f N[b,c,f] N[a,f,d], in integers: the right ones by
+    the rows N[b, c, :] times each N[a] as a stack, which is 2-3 times
+    faster than einsum's loop up to 12 simples, and the left ones by
+    einsum, as fast as a matmul there and faster from 36 simples."""
+    n = len(N)
+    return np.einsum("abe,ecd->abcd", N, N), (N.reshape(n * n, n) @ N).reshape((n,) * 4)
 
 
 def _runs(counts: np.ndarray):
@@ -631,8 +622,7 @@ def _runs(counts: np.ndarray):
 def _times(xr, xi, yr, yi):
     """The complex product x y from float64 parts, rounded like Python's;
     an overflow gives a non-finite part, and so a non-finite gap."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return xr * yr - xi * yi, xr * yi + xi * yr
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 class _Trees:
@@ -643,18 +633,18 @@ class _Trees:
     vy[v], z = vz[v] and index vmu[v]. A tree is a pair of vertices: the
     left trees (x, y; e)(e, z; w) and the right trees (y, z; f)(x, f; w)
     of a block are numbered alike, block by block, in canonical order.
-    Left tree r is (rv1[r], rv2[r]) of block rblk[r], and row[v1, v2]
-    numbers the left tree (v1, v2). The entries of left tree r lie in
-    blocks.vals from row_at[r], one per right tree of its block (in_row[r],
-    or in_row_nz[r] for the nonzero ones); entry k is in column ecol[k],
-    whose vertices are ev3[k] and ev4[k].
+    Left tree r is (rv1[r], rv2[r]) of block rblk[r], and row[v1 nv + v2]
+    numbers the left tree (v1, v2). Its entries, one per right tree of its
+    block, are in_row[r] in blocks.vals (-1 past them), the nonzero ones
+    in_row_nz[r]; entry k is in column ecol[k], whose vertices are ev3[k]
+    and ev4[k]. Block (x, y, z, w) has yz = y n + z.
 
     finals() numbers the right trees as final trees, which only an
-    instance with more than one start tree needs, so it is built on
-    demand: (col, csuf, cdim), where col[v4, v3] numbers the right tree
-    (v3, v4), csuf[c] is the position of right tree c of block (b, c, d,
-    f) among the final trees (f3, l3, k3) through f, and cdim[c] is the
-    size of its block."""
+    instance with several start trees needs, on demand: (col, csuf,
+    cdim), where col[v4 nv + v3] numbers the right tree (v3, v4), csuf[c]
+    is the position of right tree c of block (b, c, d, f) among the final
+    trees (f3, l3, k3) through f, and cdim[c] is the size of its block.
+    Tables are read by take or a 1-d index."""
 
     def __init__(self, blocks: _Blocks):
         N, dims = blocks.data.table, blocks.dims
@@ -662,59 +652,64 @@ class _Trees:
         n = len(N)
         counts = N.ravel()
         vid = np.add.accumulate(counts) - counts
-        lin = np.arange(n**3).repeat(counts)
-        self.vmu = np.arange(len(lin)) - vid[lin]
-        self.vxy, self.vz = lin // n, lin % n
+        lin, self.vmu = _runs(counts)
+        self.vxy, self.vz = divmod(lin, n)
         self.vy = self.vxy % n
-        vid = vid.reshape(N.shape)
-        nv = len(lin)
+        self.nv = nv = len(lin)
         first = np.add.accumulate(dims) - dims
-        # left trees of block (x, y, z, w) through each e
-        inner = N[:, bz, bw].T
-        wr = N[bx, by, :] * inner
-        sb, se = wr.nonzero()
-        run, pos = _runs(wr[sb, se])
-        k = inner[sb, se][run]
-        self.rv1 = vid[bx[sb], by[sb], se][run] + pos // k
-        self.rv2 = vid[se, bz[sb], bw[sb]][run] + pos % k
+        xy, zw = divmod(blocks.lin, n * n)
+        self.yz = yz = by * n + bz
+        rows = N.reshape(n * n, n)
+        # left trees of block (x, y, z, w) through each e, N[x, y, e] N[e, z, w]
+        inner = N.reshape(n, n * n).T.take(zw, axis=0).ravel()
+        wr = rows.take(xy, axis=0).ravel() * inner
+        f = wr.nonzero()[0]
+        sb, se = divmod(f, n)
+        run, pos = _runs(wr[f])
+        mu, nu = divmod(pos, inner[f][run])
+        self.rv1 = vid[xy[sb] * n + se][run] + mu
+        self.rv2 = vid[se * n * n + zw[sb]][run] + nu
         self.rblk = rblk = sb[run]
-        self.row = np.full((nv, nv), -1)
-        self.row[self.rv1, self.rv2] = np.arange(len(rblk))
-        width = dims[rblk]
-        self.row_at = blocks.at[rblk] + (np.arange(len(rblk)) - first[rblk]) * width
-        # right trees of block (x, y, z, w) through each f; the final trees
-        # through f are ordered (f, la, ka)
-        inner = N[bx, :, bw]
-        nyz = N[by, bz, :]
+        self.row = np.full(nv * nv, -1)
+        self.row[self.rv1 * nv + self.rv2] = np.arange(len(rblk))
+        # right trees through each f, N[y, z, f] N[x, f, w]; the final
+        # trees through f are ordered (f, la, ka)
+        nyz = rows.take(yz, axis=0).ravel()
+        inner = N[bx, :, bw].ravel()
         wc = nyz * inner
-        sb, sf = wc.nonzero()
-        run, pos = _runs(wc[sb, sf])
-        k = inner[sb, sf][run]
-        ka, la = pos // k, pos % k
-        cv3 = vid[by[sb], bz[sb], sf][run] + ka
-        cv4 = vid[bx[sb], sf, bw[sb]][run] + la
+        f = wc.nonzero()[0]
+        sb, sf = divmod(f, n)
+        run, pos = _runs(wc[f])
+        f = f[run]
+        ka, la = divmod(pos, inner[f])
+        cv3 = vid[yz[sb] * n + sf][run] + ka
+        cv4 = vid[(bx[sb] * n + sf) * n + bw[sb]][run] + la
 
         def finals():
-            col = np.full((nv, nv), -1)
-            col[cv4, cv3] = np.arange(len(cv3))
-            csuf = (np.add.accumulate(wc, axis=1) - wc)[sb, sf][run] + la * nyz[sb, sf][run] + ka
+            col = np.full(nv * nv, -1)
+            col[cv4 * nv + cv3] = np.arange(len(cv3))
+            lead = np.add.accumulate(wc.reshape(-1, n), axis=1).ravel() - wc
+            csuf = lead[f] + la * nyz[f] + ka
             return col, csuf, dims[sb[run]]
 
         self.finals = finals
-        # the entries of each row, and those of them that are not zero
-        self.in_row = np.arange(dims.max()) < width[:, None]
-        r, j = self.in_row.nonzero()
+        # the entries lie in blocks.vals row by row
+        w = dims.max()
+        r, j = _runs(dims[rblk])
+        e = np.arange(len(r))
+        self.in_row, self.in_row_nz = np.full((2, len(rblk), w), -1)
+        at = r * w + j
+        self.in_row.ravel()[at] = e
+        self.in_row_nz.ravel()[at] = np.where(blocks.vals != 0, e, -1)
         self.ecol = first[rblk[r]] + j
         self.ev3, self.ev4 = cv3[self.ecol], cv4[self.ecol]
-        self.in_row_nz = self.in_row.copy()
-        self.in_row_nz[r, j] = blocks.vals != 0
 
-    def entries(self, mask, p, q):
+    def entries(self, table, p, q):
         """The source index and the entry of every entry of the left trees
-        (p, q) that the mask keeps, in order."""
-        r = self.row[p, q]
-        src, j = mask[r].nonzero()
-        return src, self.row_at[r[src]] + j
+        (p, q) that the table (in_row or in_row_nz) keeps, in order."""
+        e = table.take(self.row[p * self.nv + q], axis=0).ravel()
+        src = (e >= 0).nonzero()[0]
+        return src // table.shape[1], e[src]
 
 
 def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray):
@@ -724,16 +719,16 @@ def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray
     composable; instances in key order, each one's start trees in
     canonical order, and the instance key of each."""
     n = len(blocks.data.simples)
-    bx, by, bz, bw = blocks.keys
+    bx, by, _, _ = blocks.keys
     P = pair[tr.vxy].nonzero()[0]
-    rows = pair[by * n + bz][tr.rblk].nonzero()[0]
+    rows = pair[tr.yz][tr.rblk].nonzero()[0]
     lo = np.searchsorted(bx[tr.rblk[rows]], np.arange(n + 1))
     e = tr.vz[P]
     run, j = _runs(lo[e + 1] - lo[e])
     P, rows = P[run], rows[lo[e][run] + j]
     blk = tr.rblk[rows]
-    keep = comp[tr.vy[P], by[blk]].nonzero()[0]
-    inst = tr.vxy[P] * n**3 + (by[blk] * n + bz[blk]) * n + bw[blk]
+    keep = comp.ravel()[tr.vy[P] * n + by[blk]].nonzero()[0]
+    inst = tr.vxy[P] * n**3 + blocks.lin[blk] % n**3
     keep = keep[inst[keep].argsort(kind="stable")]
     rows = rows[keep]
     return P[keep], tr.rv1[rows], tr.rv2[rows], inst[keep]
@@ -743,10 +738,10 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R, col):
     """The terms of both paths on the start trees (P, Q, R), path A's
     first, each path's in loop order: the start tree t, the vertex X =
     (a, f2; u) and the right tree c of block (b, c, d, f2) of the final
-    tree, and the value (wr, wi) of each term, and the number of path A's
-    terms. X and c are None without col (_Trees.finals), which numbers
-    the right trees. A zero entry or product ends a term where the loop
-    ends it."""
+    tree, the values, real parts then imaginary parts, and the number of
+    path A's terms. X and c are None without col (_Trees.finals), which
+    numbers the right trees. A zero entry or product ends a term where
+    the loop ends it."""
     m = len(P)
     vr, vi = vals.real, vals.imag
     # F^{abc}_g on path A and F^{ecd}_u on path B
@@ -756,7 +751,8 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R, col):
     tb, x4, y4 = s[k:] - m, tr.ev3[e[k:]], tr.ev4[e[k:]]  # x4 = (c, d; h)
     # then F^{a f1 d}_u on path A and F^{abh}_u on path B
     s, e2 = tr.entries(tr.in_row, np.concatenate((y1, P[tb])), np.concatenate((R[ta], y4)))
-    pr, pi = _times(vr[e][s], vi[e][s], vr[e2], vi[e2])
+    e = e[s]
+    pr, pi = _times(vr[e], vi[e], vr[e2], vi[e2])
     nz = ((pr != 0) | (pi != 0)).nonzero()[0]
     s, e, pr, pi = s[nz], e2[nz], pr[nz], pi[nz]
     k2 = np.searchsorted(s, k)
@@ -768,19 +764,19 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R, col):
     X = c = None
     if col is not None:
         X = np.concatenate((tr.ev4[e[:k2]][s3], tr.ev4[eb]))
-        c = np.concatenate((tr.ecol[e3], col[tr.ev3[eb], x4[sb]]))
-    return t, X, c, np.concatenate((ar, pr[k2:])), np.concatenate((ai, pi[k2:])), len(s3)
+        c = np.concatenate((tr.ecol[e3], col[tr.ev3[eb] * tr.nv + x4[sb]]))
+    return t, X, c, np.concatenate((ar, pr[k2:], ai, pi[k2:])), len(s3)
 
 
 def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     """The gap of every pentagon instance, by the batched method of
     pentagon_residual."""
-    data, N = blocks.data, blocks.data.table
+    data = blocks.data
     n = len(data.simples)
     free = ~blocks.unit
     comp = data._target[:, None] == data._source
     pair = (free[:, None] & free & comp).ravel()
-    if not (pair.reshape(n, n, 1) & (N != 0)).any():
+    if not pair.any():
         return np.zeros(0)
     tr = _Trees(blocks)
     P, Q, R, inst = _start_trees(blocks, tr, pair, comp)
@@ -807,20 +803,21 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
         h = head[many]
         # N[a, f, u] T[b, c, d, f] of P = (a, b; e), Q = (e, c; g), R = (g, d; u)
         p, q, r = P[h], Q[h], R[h]
-        wf = N[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
+        wf = data.table[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
         lead = np.zeros((len(many) + 1, n), dtype=int)
         lead[1:] = np.add.accumulate(wf, axis=1) - wf
         lead_row = np.zeros(len(size), dtype=int)
-        lead_row[many] = np.arange(1, len(many) + 1)
+        lead_row[many] = np.arange(n, lead.size, n)
     # entry (final, start) of an instance is slot base + final size + start,
-    # path A's sums in row 0 of sums and path B's in row 1. Each slot is one
-    # start tree's, so the start trees go in chunks, which bound the
-    # memory, each adding its window of slots; the other chunks add +0.0
+    # path A's real sums in row 0 of sums, path B's in row 1, and their
+    # imaginary sums in rows 2 and 3. Each slot is one start tree's, so the
+    # start trees go in chunks, which bound the memory, each adding its
+    # window of slots; the other chunks add +0.0
     ms = int(base[-1] + size[-1] ** 2)
-    sums_r, sums_i = np.zeros((2, ms)), np.zeros((2, ms))
+    sums = np.zeros((4, ms))
     for lo in range(0, len(P), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        t, X, c, wr, wi, na = _terms(tr, blocks.vals, P[part], Q[part], R[part], col)
+        t, X, c, vals, na = _terms(tr, blocks.vals, P[part], Q[part], R[part], col)
         t += lo
         i = inst[t]
         last = inst[min(lo + _CHUNK, len(P)) - 1]
@@ -828,25 +825,22 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
         w = int(base[last] + size[last] ** 2 - w0)
         at = base[i] - w0
         if col is not None:
-            fin = lead[lead_row[i], tr.vy[X]] + tr.vmu[X] * cdim[c] + csuf[c]
+            fin = lead.ravel()[lead_row[i] + tr.vy[X]] + tr.vmu[X] * cdim[c] + csuf[c]
             at += fin * size[i] + t - head[i]
         at[na:] += w
-        sums_r[:, w0 : w0 + w] += np.bincount(at, wr, 2 * w).reshape(2, w)
-        sums_i[:, w0 : w0 + w] += np.bincount(at, wi, 2 * w).reshape(2, w)
-    dr, di = sums_r[0], sums_i[0]
-    dr -= sums_r[1]
-    di -= sums_i[1]
+        sums[:, w0 : w0 + w] += np.bincount(np.concatenate((at, at + 2 * w)), vals, 4 * w).reshape(4, w)
+    dr, di = sums[0], sums[2]
+    dr -= sums[1]
+    di -= sums[3]
     r0, i0 = dr[base], di[base]
-    # a huge F entry overflows a gap to a non-finite one, which fails its
-    # bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.sqrt(r0 * r0 + i0 * i0)
-        if many.size:
-            diff = np.empty(ms, dtype=complex)
-            diff.real, diff.imag = dr, di
-            ends = base + size * size
-            for i in many.tolist():
-                gaps[i] = frobenius(diff[base[i] : ends[i]])
+    gaps = np.sqrt(r0 * r0 + i0 * i0)
+    if many.size:
+        diff = np.empty(ms, dtype=complex)
+        diff.real, diff.imag = dr, di
+        sq = size[many] ** 2
+        for k in set(sq.tolist()):
+            i = many[sq == k]
+            gaps[i] = frobenius_rows(diff[base[i, None] + np.arange(k)])
     return gaps
 
 
@@ -854,9 +848,10 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
 class UdfData:
     """Unitary dual functor data induced by a spherical weight.
 
-    Quantum dimensions d_c, the one-sided dims dim_L, dim_R, and the
-    cup/cap coefficients alpha_c (evaluation), beta_c (coevaluation):
-    ev_c = alpha_c * (dual pairing vertex)^dagger, coev_c = beta_c * vertex.
+    Quantum dimensions d_c, whose one-sided dims are d_c / d_{s(c)} and
+    d_c / d_{t(c)}, and the cup/cap coefficients alpha_c (evaluation),
+    beta_c (coevaluation): ev_c = alpha_c * (dual pairing vertex)^dagger,
+    coev_c = beta_c * vertex.
     """
 
     data: FusionData
@@ -868,12 +863,6 @@ class UdfData:
     def d(self, c) -> float:
         return self.dims[c]
 
-    def dim_left(self, c) -> float:
-        return self.dims[c] / self.dims[self.data.s(c)]
-
-    def dim_right(self, c) -> float:
-        return self.dims[c] / self.dims[self.data.t(c)]
-
 
 def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT_TOL) -> Engine:
     """The diagram engine of data with the unique unitary dual functor
@@ -883,25 +872,22 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     chain d_{s(c)} dim_L(c) = d_c = d_{t(c)} dim_R(c) and the weight
     classification. Cup/cap coefficients are installed from zig-zags taken
     on the returned engine, so the zig-zag and the loop identities hold;
-    Engine._cup alone reads them, and Engine.loop reads the loops off them.
+    diagram._cup alone reads them, and diagram.loop the loops.
     """
     if len(psi.psi) != len(data.units):
         raise ShapeMismatch("need one psi entry per unit summand")
     udf = UdfData(data, psi)
+    dims = udf.dims
+    # math.sqrt rounds as np.sqrt does
     for c in data.simples:
-        ps = psi.of_unit(data, data.s(c))
-        pt = psi.of_unit(data, data.t(c))
-        udf.dims[c] = float(np.sqrt(ps * pt) * data.fpdim(c))
-    chain = worst(
-        abs(udf.dims[u] * dim(c) - udf.dims[c])
-        for c in data.simples
-        for u, dim in ((data.s(c), udf.dim_left), (data.t(c), udf.dim_right))
-    )
+        dims[c] = math.sqrt(psi.of_unit(data, data.s(c)) * psi.of_unit(data, data.t(c))) * data.fpdim(c)
+    # d_u dim(c) - d_c, the one-sided dims at u = s(c) and u = t(c)
+    chain = worst(abs(dims[u] * (dims[c] / dims[u]) - dims[c]) for c in data.simples for u in data.grading[c])
     if not within(chain, tol.bound()):
         raise ConsistencyError(f"dimension chain residual {chain}")
     eng = Engine(data, udf, tol)
     for c in data.simples:
-        beta = float(np.sqrt(udf.dims[c] / udf.dims[data.s(c)]))
+        beta = math.sqrt(dims[c] / dims[data.s(c)])
         theta = eng.zigzag_scalar(c)
         if not clears(abs(theta), PAIRING_CUT):
             raise InputError(f"degenerate duality pairing for {c}")
@@ -918,8 +904,8 @@ def udf_from_weight(
 
 
 def loop_eval(udf: UdfData, c, side: str) -> float:
-    """Engine.loop on a fresh engine, for callers that hold only udf."""
-    return Engine(udf.data, udf).loop(c, side)
+    """Engine.loop for callers that hold only udf (diagram.loop)."""
+    return loop(udf.data, udf, c, side)
 
 
 def renorm_scalar(udf: UdfData, tol: Tolerance = DEFAULT_TOL):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hstar1
 from .certify import bounded, clears, judged
-from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, worst
+from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, frobenius, worst
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def yoneda_decompose(c: H2Object, tol: Tolerance = DEFAULT_TOL):
             [[(1.0 / d) * f.inner(g) for g in basis] for f in basis], dtype=complex
         )
         summands.append((label, 1.0 / d, m, gram))
-    defect = worst(float(np.linalg.norm(gram - np.eye(m))) for _, _, m, gram in summands)
+    defect = worst(float(frobenius(gram - np.eye(m))) for _, _, m, gram in summands)
     return summands, bounded("gram_defect", defect, tol.bound(), "Yoneda unitarity")
 
 
@@ -176,7 +176,7 @@ def unitary_adjoint(F: DagFunctor, tol: Tolerance = DEFAULT_TOL):
                 basis_a.append(H2Morphism(src, gt, tuple(ba)))
             gram_b = np.array([[f.inner(g) for g in basis_b] for f in basis_b])
             gram_a = np.array([[f.inner(g) for g in basis_a] for f in basis_a])
-            defects.append(float(np.linalg.norm(gram_a - gram_b)))
+            defects.append(float(frobenius(gram_a - gram_b)))
     return G, bounded("mate_gram_defect", worst(defects), tol.bound(), "mate unitarity")
 
 

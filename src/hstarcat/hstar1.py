@@ -18,6 +18,7 @@ from .numcore import (
     InputError,
     ShapeMismatch,
     Tolerance,
+    frobenius,
     sample_rng,
     worst,
 )
@@ -120,7 +121,7 @@ def verify_hstar_algebra(
         # every tracial functional is blockwise a multiple of the matrix trace
         weights = tuple(np.trace(phi).real / n for n, phi in zip(block_sizes, functional))
         residuals["weight_projection"] = worst(
-            float(np.linalg.norm(phi - w * np.eye(n)))
+            float(frobenius(phi - w * np.eye(n)))
             for n, phi, w in zip(block_sizes, functional, weights)
         )
         checks.append(("weight_projection", tol.bound(), "traciality"))
@@ -200,7 +201,7 @@ def _simple_quantum_dim(n: int, w: float) -> float:
     u[0][0, 0] = np.sqrt(w)
     op = mod.rank_one(u, u)
     # frame property: |u><u| must be the identity of End(H_A)
-    if not within(np.linalg.norm(op[0] - np.eye(1)), FRAME_TOL):
+    if not within(frobenius(op[0] - np.eye(1)), FRAME_TOL):
         raise ConsistencyError(f"|u><u| is not the identity for the weight {w}")
     return float(algebra.trace(mod.a_valued_inner(u, u)).real)
 

@@ -59,6 +59,7 @@ from .numcore import (
     ConsistencyError,
     InputError,
     ShapeMismatch,
+    frobenius,
     projection_gaps,
     projection_rank,
     row_space,
@@ -89,7 +90,7 @@ def endo_power(eng: Engine, f: Mor, r: float) -> Mor:
         if b.size == 0:
             continue
         h = (b + b.conj().T) / 2
-        if not within(np.linalg.norm(b - h), eng.tol.bound(np.linalg.norm(b))):
+        if not within(frobenius(b - h), eng.tol.bound(frobenius(b))):
             raise InputError(f"non-hermitian block at charge {c}")
         vals, vecs = np.linalg.eigh(h)
         vals_all.extend(vals.tolist())
@@ -473,7 +474,7 @@ def internal_end_comparison(A: AlgebraObject):
         gram_e = np.array(
             [[_hom_inner(eng, cmod, p, q) / eng.udf.d(c) for q in phis] for p in phis]
         )
-        defects.append(float(np.linalg.norm(gram_e - np.eye(len(phis)))))
+        defects.append(float(frobenius(gram_e - np.eye(len(phis)))))
     return worst(defects)
 
 

@@ -116,7 +116,7 @@ def _sorted_eigh(m: np.ndarray):
 
 
 def _require_square(m: np.ndarray):
-    if m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ShapeMismatch(f"expected square matrix, got shape {m.shape}")
 
 
@@ -128,6 +128,14 @@ def frobenius(m: np.ndarray) -> np.float64:
     x = m.ravel(order="K")
     xr, xi = x.real, x.imag
     return np.sqrt(xr.dot(xr) + xi.dot(xi))
+
+
+def frobenius_rows(x: np.ndarray) -> np.ndarray:
+    """frobenius of each row (last axis), to the last bit: its two dots as
+    (1, L) @ (L, 1) matmuls, which run ndarray.dot's routine."""
+    x = x[..., None, :]
+    xr, xi = x.real, x.imag
+    return np.sqrt(xr @ xr.swapaxes(-1, -2) + xi @ xi.swapaxes(-1, -2))[..., 0, 0]
 
 
 def projection_gaps(p: np.ndarray):
@@ -194,11 +202,14 @@ def row_space(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """max(||M*M - I||_F, ||M M* - I||_F); zero iff M is unitary."""
-    m = as_cmatrix(m)
+    """max(||M*M - I||_F, ||M M* - I||_F), zero iff M is unitary; of a
+    stack of matrices, the worst, NaN if any is. A stacked matmul's slice
+    is the 2-d product, and frobenius_rows gives frobenius's bits."""
+    m = np.asarray(m, dtype=complex)
     _require_square(m)
-    eye = np.eye(m.shape[0])
+    mh, d = m.conj().swapaxes(-1, -2), m.shape[-1]
+    eye, rows = np.eye(d), m.shape[:-2] + (1, d * d)
     # a huge entry overflows to a non-finite defect, which fails its bound
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = [np.linalg.norm(m.conj().T @ m - eye), np.linalg.norm(m @ m.conj().T - eye)]
-    return float(worst(defects))
+        g = np.concatenate(((mh @ m - eye).reshape(rows), (m @ mh - eye).reshape(rows)))
+        return float(frobenius_rows(g).max(initial=0.0))

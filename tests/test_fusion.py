@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hstarcat.fusion import (
     udf_from_weight,
     validate,
 )
-from hstarcat.numcore import InputError
+from hstarcat.numcore import InputError, worst
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -108,8 +109,9 @@ def test_udf_dims_formula():
     assert udf.d("11") == pytest.approx(1.0)
     assert udf.d("22") == pytest.approx(4.0)
     assert udf.d("12") == pytest.approx(2.0)
-    assert udf.dim_left("12") == pytest.approx(2.0)
-    assert udf.dim_right("12") == pytest.approx(0.5)
+    # the one-sided dims d_c / d_{s(c)} and d_c / d_{t(c)}
+    assert udf.d("12") / udf.d(m2.s("12")) == pytest.approx(2.0)
+    assert udf.d("12") / udf.d(m2.t("12")) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("name", bundled.NAMES)
@@ -124,19 +126,36 @@ def test_loops_match_dims(name):
             assert abs(loop_eval(udf, c, "R") - udf.d(c) / udf.d(data.t(c))) < 1e-9
 
 
-@pytest.mark.parametrize("name", bundled.NAMES)
-def test_engine_loops_equal_loop_eval(name):
-    # fusion udf evaluates its loops on the command's one engine, whose
-    # caches the zig-zags have warmed; loop_eval builds a cold one
-    data = bundled.load(name)
+LOOP_CASES = [(name, lambda name=name: bundled.load(name)) for name in bundled.NAMES] + [
+    ("vec5_twisted_gauged", lambda: fam.gauge(fam.vec_zn(5, 2), np.random.default_rng(31))),
+    ("ty3_gauged", lambda: fam.gauge(fam.ty_zn(3, -1), np.random.default_rng(32))),
+    ("ty4", lambda: fam.ty_zn(4)),
+]
+
+
+@pytest.mark.parametrize("name,make", LOOP_CASES, ids=[n for n, _ in LOOP_CASES])
+def test_engine_loops_equal_loop_eval(monkeypatch, name, make):
+    # fusion udf evaluates its loops on the command's one engine; loop_eval
+    # reads the same cup coefficient off the udf alone and builds no engine
+    data = make()
+    built = []
+    init = Engine.__init__
     rng = np.random.default_rng(12)
     for p in [tuple(1.0 for _ in data.units), tuple(rng.uniform(0.2, 3.0, len(data.units)))]:
         eng = fusion.dual_engine(data, SphericalWeight(p))
         udf = udf_from_weight(data, SphericalWeight(p))
         assert (udf.dims, udf.alpha, udf.beta) == (eng.udf.dims, eng.udf.alpha, eng.udf.beta)
+        monkeypatch.setattr(Engine, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
         for c in data.simples:
             for side in "LR":
-                assert eng.loop(c, side) == loop_eval(udf, c, side)
+                assert eng.loop(c, side).hex() == loop_eval(udf, c, side).hex()
+        for loop in (eng.loop, lambda c, side: loop_eval(udf, c, side)):
+            with pytest.raises(KeyError, match="unknown simple zz"):
+                loop("zz", "L")
+            with pytest.raises(InputError, match="side must be 'L' or 'R'"):
+                loop(data.simples[0], "X")
+        monkeypatch.undo()
+    assert not built
 
 
 def test_renorm_scalar_formula():
@@ -754,3 +773,108 @@ def test_no_block_past_a_tree_count_mismatch_is_read():
     early = _with_block(ring, before, np.ones((3, 3)))
     message = "F^x,x,x_x has shape (3, 3)"
     assert _raised(validate, early) == _raised(pentagon_residual, early) == message
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_counts_match_the_einsum_reference(n):
+    # entries up to 3, so that vertices carry multiplicities
+    N = np.random.default_rng(40 + n).integers(0, 4, (n, n, n))
+    trees, cols = fusion._tree_counts(N)
+    assert np.array_equal(trees, np.einsum("abe,ecd->abcd", N, N))
+    assert np.array_equal(cols, np.einsum("bcf,afd->abcd", N, N))
+
+
+def _first_count_mismatch(data):
+    """The first (a, b, c, d) in index order whose tree bases differ in
+    size, by the label accessors, with both sizes."""
+    for key in itertools.product(data.simples, repeat=4):
+        r, k = len(data.tree_rows(*key)), len(data.tree_cols(*key))
+        if r != k:
+            return key, r, k
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rings_with_multiplicities_keep_their_tree_count_mismatch(seed):
+    rng = np.random.default_rng(seed)
+    ring = _random_ring(("0", "1", "2"), rng.integers(0, 4, 12).tolist(), ("0", "2", "1"), seed)
+    first = _first_count_mismatch(ring)
+    assert first is not None and max(ring.N.values()) > 1
+    (a, b, c, d), r, k = first
+    cert = validate(ring)
+    assert cert.failed_axiom in ("grading/duality", "fusion-associativity")
+    assert cert.details["problem"] == f"tree count mismatch at F^{a}{b}{c}_{d}"
+    assert _raised(pentagon_residual, ring) == f"F^{a},{b},{c}_{d}: tree counts differ ({r} vs {k})"
+
+
+def _reference_unitarity(data):
+    """The F-unitarity residual as validate once took it: the worst, NaN
+    first, of max(||M*M - I||, ||M M* - I||) by np.linalg.norm over the
+    blocks that have trees and no unit argument, in index order."""
+    defects = []
+    for a, b, c, d in itertools.product(data.simples, repeat=4):
+        if {a, b, c} & set(data.units) or not data.tree_rows(a, b, c, d):
+            continue
+        m = data.f_matrix(a, b, c, d)
+        eye = np.eye(len(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects.append(worst([np.linalg.norm(m.conj().T @ m - eye), np.linalg.norm(m @ m.conj().T - eye)]))
+    return float(worst(defects))
+
+
+UNITARITY_CASES = REFERENCE_CASES + [
+    (f"{kind}{n}_gauged", lambda kind=kind, n=n: fam.gauge(
+        fam.ty_zn(n) if kind == "ty" else fam.vec_zn(n, n - 1), np.random.default_rng(50 + n)))
+    for kind, n in (("ty", 2), ("ty", 3), ("ty", 5), ("vec", 3), ("vec", 6))
+] + [("overflowing_fibonacci", _overflowing_fibonacci), ("overflowing_one_by_one", _overflowing_one_by_one)]
+
+
+@pytest.mark.parametrize("name,make", UNITARITY_CASES, ids=[n for n, _ in UNITARITY_CASES])
+def test_f_unitarity_matches_the_norm_reference(name, make):
+    data = make()
+    got, want = validate(data).residuals["f_unitarity"], _reference_unitarity(data)
+    assert repr(got) == repr(want)
+
+
+def _with_entry(data, key, index, value):
+    """data with one entry of its compiled F block at key set to value,
+    which construction would refuse for a non-finite value: the flat F
+    store that validate reads is swapped for an edited copy."""
+    n = len(data.simples)
+    a, b, c, d = (data.index[x] for x in key)
+    pos = np.searchsorted(data._f_keys, ((a * n + b) * n + c) * n + d)
+    assert data._f_keys[pos] == ((a * n + b) * n + c) * n + d
+    flat = data.f_entries.copy()
+    flat[data._f_at[pos] + index] = value
+    data.f_entries = flat
+    return data
+
+
+@pytest.mark.parametrize(
+    "key,index,value",
+    [(("t", "t", "t", "1"), 0, np.nan), (("t", "t", "t", "t"), 3, np.inf), (("t", "t", "t", "t"), 1, np.nan)],
+    ids=["nan_one_by_one", "inf_larger", "nan_larger"],
+)
+def test_a_non_finite_block_rejects_on_f_unitarity_without_a_warning(key, index, value):
+    # F^{ttt}_1 stored as the 1x1 identity, so that it has an entry to edit
+    fib = _with_block(bundled.load("fibonacci"), ("t", "t", "t", "1"), np.eye(1))
+    data = _with_entry(fib, key, index, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = validate(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "F-unitarity")
+    assert not np.isfinite(cert.residuals["f_unitarity"])
+
+
+def test_a_huge_finite_entry_overflows_without_a_warning():
+    # F^{ttt}_t[1, 1] = 1e200 is finite, so construction takes it, but the
+    # two paths' sums at one slot overflow to inf - inf
+    fib = bundled.load("fibonacci")
+    block = fib.f_matrix("t", "t", "t", "t").copy()
+    block[1, 1] = 1e200
+    data = _with_block(fib, ("t", "t", "t", "t"), block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert, gap = validate(data), pentagon_residual(data)
+    assert (cert.ok, cert.failed_axiom) == (False, "F-unitarity")
+    assert np.isnan(gap) and np.isnan(cert.residuals["pentagon"])

@@ -56,7 +56,7 @@ OWNERSHIP = (
     Rule(("call",), ("Engine",), ("fusion",), "an engine is born with its dual functor, in fusion.dual_engine"),
     Rule(("call",), ("Certificate",), ("certify",),
          "every verdict comes from certify.judged, which names the first failed axiom"),
-    Rule(("read",), CUPS, ("diagram.Engine._cup",), "every cup, cap and loop is built from the comb basis there"),
+    Rule(("read",), CUPS, ("diagram._cup",), "every cup, cap and loop is built from the comb basis there"),
     Rule(("write",), CUPS, ("fusion.dual_engine",), "the cup coefficients are installed once, with the engine"),
     Rule(("read", "write"), ("N",), N_READERS,
          "the stored multiplicities are compiled, written out and grading-checked; the rest read the compiled rules"),
@@ -69,6 +69,8 @@ OWNERSHIP = (
     Rule(("read", "write"), ("_basis", "_index", "_support", "_fcache"), (),
          "the per-engine tables that the data's tables replaced"),
     Rule(("def",), ("_trees", "_fsym"), (), "the per-engine tree sweep and F blocks that the data replaced"),
+    Rule(("read",), ("linalg.norm",), (),
+         "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
     Rule(("import",), ("jsonschema", "hypothesis", "pytest"), (),
          "test dependencies: cli checks input documents with its own schema checker"),
 )
@@ -201,9 +203,9 @@ FLAGS = [
     ("def g(data, udf):\n    return diagram.Engine(data, udf)", "intalg", True),
     ("eng = dual_engine(data, psi, tol)", "hilb3", False),
     ("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf", "intalg", False),
-    ("class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]", "diagram", False),
+    ("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "diagram", False),
     ("def dual_engine(data):\n    udf.beta[c] = 1.0\n    udf.alpha[c] = 2.0", "fusion", False),
-    ("class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]", "hilb3", True),
+    ("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "hilb3", True),
     ("class Engine:\n    def ev_simple(self, c):\n        return self.udf.alpha[c]", "diagram", True),
     ("def loop(eng, c):\n    return abs(eng.udf.beta[c]) ** 2", "fusion", True),
     ("z = udf.alpha.get(c, 1.0)", "intalg", True),
@@ -257,6 +259,15 @@ FLAGS = [
     ("m = __import__('hypothesis')", "bundled", True),
     ("import json\nfrom importlib import resources", "cli", False),
     ("from . import cli\nimport jsonschema_like", "cli", False),
+    # the cup reader's place before it left the engine, so that loop_eval
+    # needs none
+    ("class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]", "diagram", True),
+    ("def loop(data, udf, c, side):\n    return abs(udf.beta[c]) ** 2", "diagram", True),
+    ("d = worst(float(np.linalg.norm(g - np.eye(m))) for g in grams)", "hilb2", True),
+    ("def frobenius(m):\n    return numpy.linalg.norm(m)", "numcore", True),
+    ("norm = np.linalg.norm\nd = norm(a - b)", "intalg", True),
+    ("d = worst(float(frobenius(g - np.eye(m))) for g in grams)", "hilb2", False),
+    ("def f(x):\n    return x.norm() + eng.l2_norm(x)", "hilb2", False),
 ]
 
 
