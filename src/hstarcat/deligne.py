@@ -16,8 +16,8 @@ the coefficients, so both are fixed tensors on the basis ladders, kept on
 the engine (Engine.derived) per ladder objects: T[k, p, q] with
 (F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
 tr F = w . z. The action images of the basis ladders are kept the same
-way, and each sampled check keeps the list of its forms, one per ladder
-object.
+way, and each sampled check keeps its forms, one per ladder object,
+stacked by length.
 
 Kept values are keyed by numbers, not words. A ladder object takes two
 from its engine's intern table (Engine.intern) when it is built: one for
@@ -25,8 +25,11 @@ its product, the types of its module sides, and one for the product with
 its objects m and n. A kept key is a name and such numbers, so a warm
 ladder call (ladder_hom_dim, random_ladder, ladder_compose, ladder_trace)
 costs one dict lookup on a flat key plus its numpy work, and a new sample
-or seed does no diagram work. A sampled check draws all its coefficients
-in one call and slices the draw per ladder object, in order.
+or seed does no diagram work. A sampled check keeps its forms stacked by
+length and draws all its coefficients in one call; it gathers the
+coefficients of all forms of one length as one stack and evaluates them
+in one pass, and each form's coefficients are still, bit for bit, the
+draw of a call of its own.
 """
 
 from __future__ import annotations
@@ -154,19 +157,32 @@ def ladder_hom_dim(src: LadderObject, dst: LadderObject) -> int:
 def _coefficients(rng, shape) -> np.ndarray:
     """Sampled coefficients of the given shape: real part, then imaginary
     part, coefficient by coefficient, the stream random_ladder reads."""
-    d = rng.standard_normal((*shape, 2))
-    return d[..., 0] + 1j * d[..., 1]
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
-def _coefficient_blocks(rng, shapes):
-    """_coefficients(rng, shape) for each shape in turn, from one draw
-    sliced in order: the normal stream is sequential, so each block is bit
-    for bit the draw of a call of its own."""
-    sizes = [math.prod(shape) for shape in shapes]
-    z, start = _coefficients(rng, (sum(sizes),)), 0
-    for shape, size in zip(shapes, sizes):
-        yield z[start : start + size].reshape(shape)
-        start += size
+def _by_length(forms) -> tuple:
+    """The forms, arrays whose last axis runs over their L coefficients,
+    as (total, groups): total the sum of the L, and per L in order of first
+    appearance (L, starts, stack), with starts the position of each form's
+    first coefficient among all forms' and stack the forms of that length."""
+    groups, total = {}, 0
+    for form in forms:
+        L = form.shape[-1]
+        groups.setdefault(L, []).append((total, form))
+        total += L
+    return total, tuple((L, np.array([s for s, _ in g]), np.stack([f for _, f in g])) for L, g in groups.items())
+
+
+def _sampled(rng, lead, kept):
+    """For each group of kept = _by_length(forms): the coefficients of its
+    forms as one (n, *lead, L) stack, and the stack of its forms. One draw
+    holds them all, form by form in order, so each form's block is bit for
+    bit the draw of _coefficients(rng, (*lead, L)) of its own."""
+    total, groups = kept
+    k = math.prod(lead)
+    z = _coefficients(rng, (k * total,))
+    for L, starts, stack in groups:
+        yield z[k * starts[:, None] + np.arange(k * L)].reshape(len(starts), *lead, L), stack
 
 
 def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
@@ -194,9 +210,9 @@ def _compose_tensor(L1: LadderObject, L2: LadderObject, L3: LadderObject) -> np.
     M factor (m3 <| nu^dagger)(f2 |> c1) f1 and the N factor
     g2 (c2 |> g1)(nu |> n1) over the middle e."""
     eng = L1.eng
-    m3w, n1w = L3.mside.word(L3.m), L1.nside.word(L1.n)
 
     def build():
+        m3w, n1w = L3.mside.word(L3.m), L1.nside.word(L1.n)
         spans = {e: k for e, k, _, _ in _channels(L1, L3).through}
         T = np.zeros((ladder_hom_dim(L1, L3), ladder_hom_dim(L2, L3), ladder_hom_dim(L1, L2)), dtype=complex)
         for c2, p, f2s, g2s in _channels(L2, L3).through:
@@ -234,9 +250,9 @@ def _trace_vector(L: LadderObject) -> np.ndarray:
     a basis ladder f (x) g of one weighs tr(f) tr(g) / d_j, f and g closed
     through the unitors and traced by their module sides."""
     eng = L.eng
-    mw, nw = L.mside.word(L.m), L.nside.word(L.n)
 
     def build():
+        mw, nw = L.mside.word(L.m), L.nside.word(L.n)
         w = np.zeros(ladder_hom_dim(L, L), dtype=complex)
         for j, span, fs, gs in _channels(L, L).through:
             if j not in eng.data.units:
@@ -291,11 +307,11 @@ def right_action_isometry(
     """Compare the ladder trace on endos of m (x) c with the module trace
     of their image under the action functor. Both are linear in the
     sampled coefficients z: z . w with the trace vector w, and z . v with
-    v[t] the module trace of the t-th basis ladder's image. So all samples
-    of one m (x) c are one product with the action form [w, v]. The forms
-    of the nonempty m (x) c, m major and c in label order, are one list
-    kept per side type and m_objects, and all samples are one draw, sliced
-    per m (x) c in that order: bit for bit the draws of one call each."""
+    v[t] the module trace of the t-th basis ladder's image. The action
+    forms [w, v] of the nonempty m (x) c, m major and c in label order,
+    are kept per side type and m_objects, stacked by length (_by_length),
+    and all samples are one draw (_sampled): each length costs one
+    product of its stacked samples with its stacked w and one with its v."""
     if mside.eng is not eng:
         raise ShapeMismatch("the module side belongs to another engine")
     ms = tuple(m_objects)
@@ -311,14 +327,12 @@ def right_action_isometry(
                 L = LadderObject(mside, nside, m, eng.simple_obj(c))
                 if ladder_hom_dim(L, L):
                     forms.append(np.array([_trace_vector(L), [mside.trace(a) for a in _images(L, L)]]))
-        return forms
+        return _by_length(forms)
 
-    forms = eng.derived(("action_forms", type(mside), *ms), build)
-    gaps = []
-    for (w, v), z in zip(forms, _coefficient_blocks(rng, [(samples, len(w)) for w, _ in forms])):
-        gaps += np.abs(z @ w - z @ v).tolist()
-    details = {"samples": len(gaps)}
-    return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", details)
+    kept = eng.derived(("action_forms", type(mside), *ms), build)
+    gaps = [np.abs(z @ wv[:, 0, :, None] - z @ wv[:, 1, :, None]) for z, wv in _sampled(rng, (samples,), kept)]
+    gap, details = worst(g.max().item() for g in gaps), {"samples": sum(g.size for g in gaps)}
+    return bounded("action_trace_gap", gap, eng.tol.bound(), "right-action isometry", details)
 
 
 TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
@@ -329,9 +343,9 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
     regular ladder category, all samples of one c (x) c against its trace
     form K[p, q] = tr(e_p e_q) = w . T[:, p, q] at once: tr(F G) sums
     zF_p zG_q K[p, q] and tr(G F) the same products against the transpose
-    of K, so a symmetric form gives an exact 0. The forms are one kept list
-    and the samples one draw, sliced per c (x) c as in
-    right_action_isometry."""
+    of K, so a symmetric form gives an exact 0. The forms are kept stacked
+    by length and the samples are one draw, as in right_action_isometry,
+    so each length is one stack of products."""
     rng = sample_rng(samples, seed)
 
     def build():
@@ -341,11 +355,10 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
             L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
             if ladder_hom_dim(L, L):
                 forms.append(np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1))
-        return forms
+        return _by_length(forms)
 
-    forms = eng.derived(("trace_forms",), build)
     gaps = []
-    for K, z in zip(forms, _coefficient_blocks(rng, [(samples, 2, len(K)) for K in forms])):
-        P = z[:, 0, :, None] * z[:, 1, None, :]
-        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
-    return bounded("traciality", worst(gaps), eng.tol.bound(TRACE_SCALE), "traciality")
+    for z, K in _sampled(rng, (samples, 2), eng.derived(("trace_forms",), build)):
+        P, K = z[:, :, 0, :, None] * z[:, :, 1, None, :], K[:, None]
+        gaps.append(np.abs((P * K).sum(axis=(2, 3)) - (P * K.swapaxes(-1, -2)).sum(axis=(2, 3))))
+    return bounded("traciality", worst(g.max().item() for g in gaps), eng.tol.bound(TRACE_SCALE), "traciality")

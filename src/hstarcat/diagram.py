@@ -25,8 +25,9 @@ it.
 Cups and caps carry explicit coefficients alpha_c, beta_c from the
 unitary dual functor that the engine is built with (fusion.dual_engine),
 read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
-the closed loops of a morphism by _closed_loop, and the loop of a simple
-is read off its cup coefficient (loop, which needs no engine).
+the closed loops of a morphism by _closed_loop, which reads the traces of
+its blocks, and the loop of a simple is read off its cup coefficient
+(loop, which needs no engine).
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -38,7 +39,9 @@ zig-zag of a simple c is one entry of F^{c, dual(c), c}_c. The same rule
 makes the unit itself cost nothing: for U a sum of distinct units, the
 trees of W (x) U at a charge c with t(c) in U are those of W, in the same
 order, so f (x) id_U keeps f's blocks at those charges and both unitors
-are identity blocks; neither meets group_last.
+are identity blocks; neither meets group_last. Every identity block, of
+identity, the unitors and fuse, is the data's one read-only identity of
+its size (FusionData.eye), and nothing writes into a block in place.
 
 N and F are fixed when the FusionData is built, and what they fix lives
 on the data, shared by every engine on it whatever its dual functor or
@@ -157,10 +160,13 @@ class Engine:
     def obj(self, mults):
         """Multiplicity vector over the simples, from a dict or sequence."""
         if isinstance(mults, dict):
-            for k in mults:
-                if k not in self.data.index:
+            index = self.data.index
+            out = [0] * len(index)
+            for k, m in mults.items():
+                if k not in index:
                     raise KeyError(f"unknown simple {k}")
-            return tuple(int(mults.get(c, 0)) for c in self.data.simples)
+                out[index[k]] = int(m)
+            return tuple(out)
         out = tuple(int(m) for m in mults)
         if len(out) != len(self.data.simples):
             raise ShapeMismatch("one multiplicity per simple required")
@@ -173,9 +179,11 @@ class Engine:
         return o
 
     def dual_obj(self, O):
-        out = [0] * len(self.data.simples)
-        for i, c in enumerate(self.data.simples):
-            out[self.data.index[self.data.dual[c]]] += O[i]
+        data = self.data
+        out = [0] * len(data.simples)
+        for c, m in zip(data.simples, O):
+            if m:
+                out[data.index[data.dual[c]]] += m
         return tuple(out)
 
     def mult(self, O, x) -> int:
@@ -247,21 +255,28 @@ class Engine:
         return Mor(dom, cod, _nonzero(out))
 
     def identity(self, word) -> Mor:
-        return Mor(
-            word,
-            word,
-            {c: np.eye(len(self.basis(word, c)), dtype=complex) for c in self.support(word)},
-        )
+        eye = self.data.eye
+        return Mor(word, word, {c: eye(len(self.basis(word, c))) for c in self.support(word)})
 
     def zero(self, dom, cod) -> Mor:
         return Mor(dom, cod, {})
 
     def random_mor(self, dom, cod, rng) -> Mor:
-        blocks = {}
+        """Normal real and imaginary parts, from one draw that holds, per
+        charge in order, the real block and then the imaginary block: the
+        stream of two draws per charge."""
+        shapes, size = [], 0
         for c in self.support(dom):
             nr, nc = len(self.basis(cod, c)), len(self.basis(dom, c))
             if nr and nc:
-                blocks[c] = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+                shapes.append((c, nr, nc))
+                size += 2 * nr * nc
+        d = rng.standard_normal(size)
+        di, end, blocks = 1j * d, 0, {}
+        for c, nr, nc in shapes:
+            k = nr * nc
+            blocks[c] = d[end : end + k].reshape(nr, nc) + di[end + k : end + 2 * k].reshape(nr, nc)
+            end += 2 * k
         return Mor(dom, cod, blocks)
 
     # --- dagger category operations --------------------------------------
@@ -497,8 +512,8 @@ class Engine:
         def build():
             if not self.is_unit_sum(U):
                 raise InputError(f"the {side} unitor needs a sum of distinct units, got {U}")
-            eyes = {c: np.eye(len(self.basis(word, c)), dtype=complex) for c in self.support(dom)}
-            return Mor(dom, word, eyes)
+            eye = self.data.eye
+            return Mor(dom, word, {c: eye(len(self.basis(word, c))) for c in self.support(dom)})
 
         return self.derived((f"{side}_unitor", U, word), build)
 
@@ -539,14 +554,12 @@ class Engine:
         """(O, u) with u: word -> (O,) unitary; O[c] = dim Hom(c -> word).
 
         The comb tree basis is itself the identification, so every block
-        of u is an identity matrix in the canonical orders.
+        of u is an identity matrix in the canonical orders, the data's
+        shared one of its size.
         """
-        O = tuple(len(self.basis(word, c)) for c in self.data.simples)
-        blocks = {
-            c: np.eye(len(self.basis(word, c)), dtype=complex)
-            for c in self.support(word)
-        }
-        return O, self.mor(word, (O,), blocks)
+        simples, eye = self.data.simples, self.data.eye
+        O = tuple(len(self.basis(word, c)) for c in simples)
+        return O, Mor(word, (O,), {c: eye(n) for c, n in zip(simples, O) if n})
 
     # --- inclusions, cups, caps ------------------------------------------
 
@@ -581,8 +594,7 @@ class Engine:
         of word, with (a, b) = (dual(x), x) for ev and (x, dual(x)) for
         coev, and zero elsewhere."""
         blocks = {}
-        for x in self.data.simples:
-            n = self.mult(O, x)
+        for x, n in zip(self.data.simples, O):
             if not n:
                 continue
             a, b, u, z = _cup(self.data, self.udf, x, ev)
@@ -635,20 +647,21 @@ class Engine:
 
     def _closed_loop(self, f: Mor, ev: bool) -> Mor:
         """Per unit u, the sum over the simples x in O of |z_x|^2 tr(f_x),
-        with (u, z_x) = (t(x), alpha_x) for ev and (s(x), beta_x) else."""
-        (O,) = f.dom
+        with (u, z_x) = (t(x), alpha_x) for ev and (s(x), beta_x) else, for
+        f in End((O,)); a sum that equals zero gives no block."""
         if f.cod != f.dom:
             raise ShapeMismatch("trace of a non-endomorphism")
-        sums = {}
-        for x in self.data.simples:
-            if not self.mult(O, x):
-                continue
-            _, _, u, z = _cup(self.data, self.udf, x, ev)
-            fb = f.blocks.get(x)
-            term = abs(z) ** 2 * np.trace(fb) if fb is not None else 0.0
-            sums[u] = sums.get(u, 0.0) + term
-        blocks = {u: np.full((1, 1), v, dtype=complex) for u, v in sums.items()}
-        return Mor((), (), _nonzero(blocks))
+        if len(f.dom) != 1:
+            raise ShapeMismatch(f"a closed loop needs a word of one object, not {len(f.dom)}")
+        sums, blocks = {}, f.blocks
+        for x, n in zip(self.data.simples, f.dom[0]):
+            if n:
+                _, _, u, z = _cup(self.data, self.udf, x, ev)
+                fb = blocks.get(x)
+                term = abs(z) ** 2 * fb.trace() if fb is not None else 0.0
+                sums[u] = sums.get(u, 0.0) + term
+        # a NaN sum compares unequal to zero, and is kept
+        return Mor((), (), {u: np.array([[v]], dtype=complex) for u, v in sums.items() if v != 0})
 
     def trace_right(self, f: Mor) -> Mor:
         """Right closed loop coev_O^dagger (f (x) id_dual(O)) coev_O of f in
@@ -668,21 +681,14 @@ class Engine:
         with no F block at all."""
         return self._closed_loop(f, True)
 
-    def unit_component(self, z: Mor, u) -> complex:
+    def psi_of_unit_endo(self, z: Mor) -> complex:
+        """psi applied to an endomorphism of the tensor unit: the sum over
+        the units u, in order, of psi_u times z's entry at u."""
         if z.dom != () or z.cod != ():
             raise ShapeMismatch("expected an endomorphism of the unit")
-        b = z.blocks.get(u)
-        return complex(b[0, 0]) if b is not None else 0.0
-
-    def psi_of_unit_endo(self, z: Mor) -> complex:
-        """psi applied to an endomorphism of the tensor unit."""
-        psi = self.udf.psi
-        return complex(
-            sum(
-                psi.of_unit(self.data, u) * self.unit_component(z, u)
-                for u in self.data.units
-            )
-        )
+        b = z.blocks
+        terms = zip(self.udf.psi.psi, self.data.units)
+        return complex(sum(p * (complex(b[u][0, 0]) if u in b else 0.0) for p, u in terms))
 
     # --- hom spaces as inner product spaces -------------------------------
 

@@ -193,10 +193,12 @@ def presentation_sphericality(
     eng = X.eng
     rng = sample_rng(samples, seed)
     gaps = []
+    simples = eng.data.simples
     for _ in range(samples):
-        mult = {c: int(rng.integers(0, 3)) for c in eng.data.simples}
+        # one draw of all multiplicities: the stream of one draw per simple
+        mult = dict(zip(simples, rng.integers(0, 3, size=len(simples)).tolist()))
         if not any(mult.values()):
-            mult[eng.data.simples[0]] = 1
+            mult[simples[0]] = 1
         O = eng.obj(mult)
         f = eng.random_mor((O,), (O,), rng)
         left = eng.psi_of_unit_endo(eng.trace_left(f))
@@ -661,9 +663,12 @@ def theorem_b_check(
     the column module category; both must equal the unit weight.
 
     Each call builds its own engine under psi (dual_engine). That engine
-    reads the comb tree bases, the F blocks and the group_last unitaries
-    from the tables on data, which every earlier engine on the same data
-    has filled, so repeated calls build each of them once."""
+    reads the comb tree bases, the F blocks, the group_last unitaries and
+    its identity blocks (FusionData.eye) from data, which every earlier
+    engine on the same data has filled, so repeated calls build each of
+    them once. What reads the engine, such as its unitors, the algebras
+    and the powers of their bubbles, is built again on each call: nothing
+    derived is kept across engines."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
     eng = dual_engine(data, psi, tol)

@@ -11,12 +11,129 @@ object with its own tables (SweptBases), as each engine did before the
 sweep and its tables moved onto the fusion data. The actions of a
 free bimodule are its outer multiplications carried along the fusion, as
 before the unit algebra acted by its unitors.
+
+The sampled draws, closed loops and unit weights are kept as the engine
+and the sampled checks computed them before each was batched or read off
+the blocks directly: two normal draws per random block, one draw per
+multiplicity of a sampled object, real and imaginary parts added, one
+product per action form and per trace form, and closed loops summed over
+every simple.
 """
+
+import math
 
 import numpy as np
 
-from hstarcat import intalg
-from hstarcat.diagram import Engine
+from hstarcat import deligne, intalg
+from hstarcat.certify import bounded
+from hstarcat.diagram import Engine, Mor, _cup
+from hstarcat.numcore import ShapeMismatch, worst
+
+
+def unit_component(z, u) -> complex:
+    """The entry of an endomorphism z of the unit at the unit u."""
+    if z.dom != () or z.cod != ():
+        raise ShapeMismatch("expected an endomorphism of the unit")
+    b = z.blocks.get(u)
+    return complex(b[0, 0]) if b is not None else 0.0
+
+
+def psi_of_unit_endo(eng: Engine, z) -> complex:
+    """psi applied to z, one unit_component per unit."""
+    psi = eng.udf.psi
+    return complex(sum(psi.of_unit(eng.data, u) * unit_component(z, u) for u in eng.data.units))
+
+
+def closed_loop(eng: Engine, f, ev: bool):
+    """Per unit u, the sum over every simple x with a copy in O of |z_x|^2
+    tr(f_x), zero sums dropped by their entries."""
+    (O,) = f.dom
+    if f.cod != f.dom:
+        raise ShapeMismatch("trace of a non-endomorphism")
+    sums = {}
+    for x in eng.data.simples:
+        if not eng.mult(O, x):
+            continue
+        _, _, u, z = _cup(eng.data, eng.udf, x, ev)
+        fb = f.blocks.get(x)
+        term = abs(z) ** 2 * np.trace(fb) if fb is not None else 0.0
+        sums[u] = sums.get(u, 0.0) + term
+    blocks = {u: np.full((1, 1), v, dtype=complex) for u, v in sums.items()}
+    return Mor((), (), {u: m for u, m in blocks.items() if np.count_nonzero(m)})
+
+
+def random_mor(eng: Engine, dom, cod, rng):
+    """A random morphism, two draws per charge: the real block, then the
+    imaginary block."""
+    blocks = {}
+    for c in eng.support(dom):
+        nr, nc = len(eng.basis(cod, c)), len(eng.basis(dom, c))
+        if nr and nc:
+            blocks[c] = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+    return Mor(dom, cod, blocks)
+
+
+def presentation_sphericality(X, samples, seed):
+    """hilb3.presentation_sphericality with one draw per multiplicity and
+    the random morphism, closed loops and weights above."""
+    eng, rng, gaps = X.eng, np.random.default_rng(seed), []
+    for _ in range(samples):
+        mult = {c: int(rng.integers(0, 3)) for c in eng.data.simples}
+        if not any(mult.values()):
+            mult[eng.data.simples[0]] = 1
+        O = eng.obj(mult)
+        f = random_mor(eng, (O,), (O,), rng)
+        left = psi_of_unit_endo(eng, closed_loop(eng, f, True))
+        right = psi_of_unit_endo(eng, closed_loop(eng, f, False))
+        gaps.append(abs(left - right))
+    return bounded("sphericality", worst(gaps), eng.tol.bound(1.0 + eng.udf.psi.total()), "sphericality")
+
+
+def coefficients(rng, shape) -> np.ndarray:
+    """Sampled ladder coefficients: real part, then imaginary part,
+    coefficient by coefficient, added."""
+    d = rng.standard_normal((*shape, 2))
+    return d[..., 0] + 1j * d[..., 1]
+
+
+def coefficient_blocks(rng, shapes):
+    """coefficients(rng, shape) for each shape in turn, from one draw
+    sliced in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    z, start = coefficients(rng, (sum(sizes),)), 0
+    for shape, size in zip(shapes, sizes):
+        yield z[start : start + size].reshape(shape)
+        start += size
+
+
+def right_action_isometry(mside, eng: Engine, m_objects, samples, seed):
+    """deligne.right_action_isometry with one product per action form."""
+    nside, forms = deligne.RegularLeft(eng), []
+    for m in m_objects:
+        for c in eng.data.simples:
+            L = deligne.LadderObject(mside, nside, m, eng.simple_obj(c))
+            if deligne.ladder_hom_dim(L, L):
+                forms.append(np.array([deligne._trace_vector(L), [mside.trace(a) for a in deligne._images(L, L)]]))
+    gaps = []
+    rng = np.random.default_rng(seed)
+    for (w, v), z in zip(forms, coefficient_blocks(rng, [(samples, len(w)) for w, _ in forms])):
+        gaps += np.abs(z @ w - z @ v).tolist()
+    return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", {"samples": len(gaps)})
+
+
+def ladder_traciality(eng: Engine, samples, seed):
+    """deligne.ladder_traciality with one sum of products per trace form."""
+    mside, nside, forms = deligne.RegularRight(eng), deligne.RegularLeft(eng), []
+    for c in eng.data.simples:
+        L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
+        if deligne.ladder_hom_dim(L, L):
+            forms.append(np.tensordot(deligne._trace_vector(L), deligne._compose_tensor(L, L, L), 1))
+    gaps = []
+    rng = np.random.default_rng(seed)
+    for K, z in zip(forms, coefficient_blocks(rng, [(samples, 2, len(K)) for K in forms])):
+        P = z[:, 0, :, None] * z[:, 1, None, :]
+        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
+    return bounded("traciality", worst(gaps), eng.tol.bound(deligne.TRACE_SCALE), "traciality")
 
 
 def raw_ev(eng: Engine, c):
@@ -50,7 +167,7 @@ def loop(eng: Engine, c, side: str) -> float:
     else:
         ev = ev_simple(eng, c)
         z, u = eng.compose(ev, eng.dagger(ev)), eng.data.t(c)
-    return float(eng.unit_component(z, u).real)
+    return float(unit_component(z, u).real)
 
 
 def trace_right(eng: Engine, f):

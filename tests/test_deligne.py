@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import diagram_reference
 from bench_families import fam
 from test_fusion import DFT5, ROT, _multiplicity_two
 from hstarcat import bundled, deligne, hilb3
@@ -670,3 +671,34 @@ def test_one_draw_is_the_stream_of_one_draw_per_object(name, skewed, monkeypatch
             for cert, ref in pairs:
                 assert repr(cert.residuals) == repr(ref.residuals), (seed, samples)
                 assert (cert.ok, cert.details) == (ref.ok, ref.details)
+
+
+# every bundled category and the benchmark's gauged twisted Vec(Z_8) and TY(Z_5)
+PER_FORM_CATEGORIES = {
+    **{name: lambda name=name: bundled.load(name) for name in bundled.NAMES},
+    "gauged_twisted_z8": lambda: fam.gauge(fam.vec_zn(8, 3), np.random.default_rng(8)),
+    "gauged_ty_z5": lambda: fam.gauge(fam.ty_zn(5, -1), np.random.default_rng(8)),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_FORM_CATEGORIES))
+def test_stacked_checks_are_the_per_form_checks_to_the_bit(name):
+    # one stack per form length, gathered from the one draw, against one
+    # product per form of the re + 1j * im draw: equal certificates
+    data = PER_FORM_CATEGORIES[name]()
+    eng = Engine(data, udf_from_weight(data, SphericalWeight(tuple(1.0 for _ in data.units))))
+    mside = deligne.RegularRight(eng)
+    simples = [eng.simple_obj(c) for c in data.simples]
+    for seed in range(10):
+        got = deligne._coefficients(np.random.default_rng(seed), (3, 2, 7))
+        assert got.tobytes() == diagram_reference.coefficients(np.random.default_rng(seed), (3, 2, 7)).tobytes()
+        pairs = (
+            (
+                deligne.right_action_isometry(mside, eng, simples, samples=5, seed=seed),
+                diagram_reference.right_action_isometry(mside, eng, simples, 5, seed),
+            ),
+            (deligne.ladder_traciality(eng, 5, seed), diagram_reference.ladder_traciality(eng, 5, seed)),
+        )
+        for cert, ref in pairs:
+            assert repr(cert) == repr(ref), seed
+

@@ -304,8 +304,97 @@ def test_closed_loops_match_the_whiskered_reference(name, psis):
         ):
             for u in eng.data.units:
                 want = ref.blocks.get(u, np.zeros((1, 1)))[0, 0]
-                value = eng.unit_component(got, u)
+                value = diagram_reference.unit_component(got, u)
                 assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+
+
+def _same_mor(got, want):
+    assert (got.dom, got.cod, list(got.blocks)) == (want.dom, want.cod, list(want.blocks))
+    for c, b in want.blocks.items():
+        assert (got.blocks[c].dtype, got.blocks[c].shape) == (b.dtype, b.shape), c
+        assert got.blocks[c].tobytes() == b.tobytes(), c
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_one_draw_random_mor_is_the_two_draw_reference(name, psis):
+    # one draw holds, charge by charge, the real block and then the
+    # imaginary block: the stream of two draws per charge
+    eng = _loop_engine(name, psis)
+    for seed in range(10):
+        words = [(O,) for O in _random_objects(eng, np.random.default_rng(seed), 3)]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for dom, cod in zip(words, words[1:] + words[:1]):
+            _same_mor(eng.random_mor(dom, cod, got_rng), diagram_reference.random_mor(eng, dom, cod, want_rng))
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_closed_loops_and_unit_weights_are_the_reference_to_the_bit(name, psis):
+    # the loops walk the multiplicities of O and drop a zero sum without a
+    # pass over the blocks, and psi reads z's blocks by unit position: the
+    # blocks, their order and the weights are the summed reference's
+    eng = _loop_engine(name, psis)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for O in _random_objects(eng, rng, 4):
+            f = eng.random_mor((O,), (O,), rng)
+            # without a block, with a NaN block, and with blocks that
+            # cancel to an exact zero sum
+            dropped = Mor(f.dom, f.cod, dict(list(f.blocks.items())[1:]))
+            nan = Mor(f.dom, f.cod, {c: np.full_like(b, np.nan) for c, b in list(f.blocks.items())[:1]})
+            zero = Mor(f.dom, f.cod, {c: np.zeros_like(b) for c, b in f.blocks.items()})
+            for g in (f, dropped, nan, zero):
+                for ev in (True, False):
+                    got, want = eng._closed_loop(g, ev), diagram_reference.closed_loop(eng, g, ev)
+                    _same_mor(got, want)
+                    assert repr(eng.psi_of_unit_endo(got)) == repr(diagram_reference.psi_of_unit_endo(eng, want))
+
+
+@pytest.mark.parametrize("name, psis", LOOP_CASES)
+def test_sphericality_is_the_per_simple_draw_reference(name, psis):
+    # all multiplicities of a sampled object in one draw are the stream of
+    # one draw each, and the check reads the loops above
+    X = hilb3.delooping(_loop_engine(name, psis))
+    for seed in range(10):
+        want = diagram_reference.presentation_sphericality(X, 5, seed)
+        assert repr(hilb3.presentation_sphericality(X, seed=seed)) == repr(want), seed
+
+
+@pytest.mark.parametrize("word", [("t", "t"), ("1", "t", "t"), ()])
+def test_closed_loops_of_a_word_not_of_one_object_raise_shape_mismatch(word):
+    eng = _eng("fibonacci")
+    f = eng.identity(tuple(eng.simple_obj(c) for c in word))
+    for trace in (eng.trace_left, eng.trace_right):
+        with pytest.raises(ShapeMismatch, match="one object"):
+            trace(f)
+    with pytest.raises(ShapeMismatch, match="non-endomorphism"):
+        eng.trace_left(eng.zero((eng.simple_obj("t"),), (eng.simple_obj("1"),)))
+    if word:
+        with pytest.raises(ShapeMismatch, match="endomorphism of the unit"):
+            eng.psi_of_unit_endo(f)
+
+
+@pytest.mark.parametrize("name", PAIRING_CASES)
+def test_identity_blocks_are_the_data_shared_read_only_identity(name):
+    # identity, both unitors and fuse take each block from FusionData.eye;
+    # nothing writes into a block in place, and a write raises
+    eng = _pairing_engine(name)
+    data = eng.data
+    unit = eng.obj({u: 1 for u in data.units})
+    for O in _random_objects(eng, np.random.default_rng(3), 4):
+        morphisms = [
+            eng.identity((O,)),
+            eng.identity((O, eng.dual_obj(O))),
+            eng.left_unitor(unit, (O,)),
+            eng.right_unitor((O,), unit),
+            eng.fuse((O, O))[1],
+        ]
+        for f in morphisms:
+            assert f.blocks
+            for b in f.blocks.values():
+                assert data.is_eye(b)
+                with pytest.raises(ValueError, match="read-only"):
+                    b[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("name, psis", LOOP_CASES)
@@ -341,7 +430,7 @@ def test_loop_of_a_simple_is_the_loop_of_its_identity(name, monkeypatch):
     for c in data.simples:
         f = eng.identity((eng.simple_obj(c),))
         for side, unit in (("L", data.s(c)), ("R", data.t(c))):
-            want[c, side] = float(eng.unit_component(eng._closed_loop(f, side == "R"), unit).real)
+            want[c, side] = float(diagram_reference.unit_component(eng._closed_loop(f, side == "R"), unit).real)
     monkeypatch.setattr(Engine, "identity", None)
     fresh = _engine(data)
     for (c, side), value in want.items():

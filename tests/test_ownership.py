@@ -71,6 +71,8 @@ OWNERSHIP = (
     Rule(("def",), ("_trees", "_fsym"), (), "the per-engine tree sweep and F blocks that the data replaced"),
     Rule(("read",), ("linalg.norm",), (),
          "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
+    Rule(("read",), ("np.eye",), ("fusion.FusionData.eye", "hilb2", "hstar1", "intalg", "numcore"),
+         "the engine's identity blocks are the data's one read-only identity of each size"),
     Rule(("import",), ("jsonschema", "hypothesis", "pytest"), (),
          "test dependencies: cli checks input documents with its own schema checker"),
 )
@@ -268,6 +270,13 @@ FLAGS = [
     ("norm = np.linalg.norm\nd = norm(a - b)", "intalg", True),
     ("d = worst(float(frobenius(g - np.eye(m))) for g in grams)", "hilb2", False),
     ("def f(x):\n    return x.norm() + eng.l2_norm(x)", "hilb2", False),
+    # identity blocks before they were the data's shared ones
+    ("class Engine:\n    def identity(self, word):\n        return {c: np.eye(n) for c in word}", "diagram", True),
+    ("def f(n):\n    return np.eye(n, dtype=complex)", "diagram", True),
+    ("class FusionData:\n    def f_matrix(self, n):\n        return np.eye(n)", "fusion", True),
+    ("class Engine:\n    def identity(self, word):\n        return {c: self.data.eye(n) for c in word}", "diagram", False),
+    ("class FusionData:\n    def eye(self, dim):\n        return np.eye(dim, dtype=complex)", "fusion", False),
+    ("d = frobenius(gram - np.eye(m))", "hilb2", False),
 ]
 
 
