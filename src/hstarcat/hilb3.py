@@ -666,9 +666,9 @@ def theorem_b_check(
     reads the comb tree bases, the F blocks, the group_last unitaries and
     its identity blocks (FusionData.eye) from data, which every earlier
     engine on the same data has filled, so repeated calls build each of
-    them once. What reads the engine, such as its unitors, the algebras
-    and the powers of their bubbles, is built again on each call: nothing
-    derived is kept across engines."""
+    them once. What reads the engine, such as its unitors and the
+    algebras, is built again on each call: nothing derived is kept across
+    engines. The unit algebra's bubble powers are identities (bubble_pow)."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
     eng = dual_engine(data, psi, tol)

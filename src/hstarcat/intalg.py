@@ -3,11 +3,11 @@
 Certification of the three H*-algebra axioms (Frobenius, separable,
 standard), standardization to a special Q-system, group algebras (the
 unit summands 1_u among them) and pair algebras c (x) c*, module
-categories C_A with the canonical trace psi(iota^dag f iota),
-internal ends (checked through internal_end_comparison only, the
-unitarity of the canonical map A -> [A, A]), bimodules with the relative
-tensor over a middle algebra, and the delta = 0 dual-functor data on
-bimodules. An action dressed by bubble^{-1/2} comes from one of two
+categories C_A with the trace psi of the closed loop of r^dag f r
+(module_trace), internal ends (checked through internal_end_comparison
+only, the unitarity of the canonical map A -> [A, A]), bimodules with the
+relative tensor over a middle algebra, and the delta = 0 dual-functor
+data on bimodules. An action dressed by bubble^{-1/2} comes from one of two
 retractions, left_retraction and right_retraction, the unitors on a
 splitting of A (x)_A M or M (x)_B B.
 
@@ -134,8 +134,10 @@ class AlgebraObject:
         return self.eng.compose(self.mu, self.mu_dag)
 
     def bubble_pow(self, r: float) -> Mor:
+        """bubble^r, made once per r; for an algebra that acts by unitors
+        the bubble is the identity, and so is each power, with no eigh."""
         if r not in self._powers:
-            self._powers[r] = endo_power(self.eng, self.bubble, r)
+            self._powers[r] = self.identity() if self._unitors else endo_power(self.eng, self.bubble, r)
         return self._powers[r]
 
     def identity(self) -> Mor:
@@ -309,28 +311,17 @@ def _adjoint_span(eng: Engine, dom, cod, rows: np.ndarray):
 # --- modules: the 1-A bimodules -----------------------------------------
 
 
-def trace_alg_end(A: AlgebraObject, f: Mor) -> complex:
-    """Tr^{C_A}_A(f) = psi(iota^dag f iota) on End(A_A)."""
-    eng = A.eng
-    return eng.psi_of_unit_endo(eng.compose(eng.dagger(A.iota), eng.compose(f, A.iota)))
-
-
 def module_trace(M: Bimodule, f: Mor) -> complex:
     """Module trace of f in End_A(M) for a right A-module M (the right
-    action of a bimodule), via the dual closure of M dressed with
-    bubble^{-1/2} on both released action strands."""
+    action of a bimodule): psi of the left closed loop of r^dag f r, for
+    r = rho (id_m (x) b iota) and b = bubble^{-1/2}. By the interchange
+    law it is the dual closure psi(iota^dag b (ev_m (x) id_A) (id_md (x)
+    rho^dag f rho) (ev_m^dag (x) id_A) b iota): b iota slides up past
+    ev_m^dag onto the A strand of rho, and iota^dag b down to rho^dag."""
     eng = M.eng
     A = M.right
-    m, md = M.obj, eng.dual_obj(M.obj)
-    ev = eng.ev_obj(m)  # (md, m) -> ()
-    s1 = eng.whisker_right(eng.dagger(ev), (A.obj,))  # (A) -> (md, m, A)
-    s2 = eng.whisker_left((md,), M.rho)  # (md, m, A) -> (md, m)
-    s3 = eng.whisker_left_obj(md, f)
-    s4 = eng.whisker_left((md,), eng.dagger(M.rho))  # -> (md, m, A)
-    s5 = eng.whisker_right(ev, (A.obj,))  # -> (A)
-    half = A.bubble_pow(-0.5)
-    g = eng.compose(half, eng.compose(s5, eng.compose(s4, eng.compose(s3, eng.compose(s2, eng.compose(s1, half))))))
-    return trace_alg_end(A, g)
+    r = eng.compose(M.rho, eng.whisker_left_obj(M.obj, eng.compose(A.bubble_pow(-0.5), A.iota)))
+    return eng.psi_of_unit_endo(eng.trace_left(eng.compose(eng.dagger(r), eng.compose(f, r))))
 
 
 @dataclass

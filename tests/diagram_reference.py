@@ -18,6 +18,12 @@ the blocks directly: two normal draws per random block, one draw per
 multiplicity of a sampled object, real and imaginary parts added, one
 product per action form and per trace form, and closed loops summed over
 every simple.
+
+The module trace is kept as the dual closure of the module: the right
+action and its dagger closed through ev_obj of the module's object,
+dressed with bubble^{-1/2} on both released action strands, and read as
+psi(iota^dag g iota) on the algebra (trace_alg_end), as intalg took it
+before it read the closed loop of one dressed action off the blocks.
 """
 
 import math
@@ -287,3 +293,27 @@ def free_actions(Ai, c, Aj):
     lam = intalg.carry_left(V, eng.whisker_right(eng.whisker_right_obj(Ai.mu, c), (Aj.obj,)), Ai)
     rho = intalg.carry_right(V, eng.whisker_left((Ai.obj, c), Aj.mu), Aj)
     return lam, rho
+
+
+def trace_alg_end(A, f) -> complex:
+    """Tr^{C_A}_A(f) = psi(iota^dag f iota) on End(A_A)."""
+    eng = A.eng
+    return eng.psi_of_unit_endo(eng.compose(eng.dagger(A.iota), eng.compose(f, A.iota)))
+
+
+def module_trace(M, f) -> complex:
+    """Module trace of f in End_A(M) for a right A-module M, via the dual
+    closure of M dressed with bubble^{-1/2} on both released action
+    strands."""
+    eng = M.eng
+    A = M.right
+    m, md = M.obj, eng.dual_obj(M.obj)
+    ev = eng.ev_obj(m)  # (md, m) -> ()
+    s1 = eng.whisker_right(eng.dagger(ev), (A.obj,))  # (A) -> (md, m, A)
+    s2 = eng.whisker_left((md,), M.rho)  # (md, m, A) -> (md, m)
+    s3 = eng.whisker_left_obj(md, f)
+    s4 = eng.whisker_left((md,), eng.dagger(M.rho))  # -> (md, m, A)
+    s5 = eng.whisker_right(ev, (A.obj,))  # -> (A)
+    half = A.bubble_pow(-0.5)
+    g = eng.compose(half, eng.compose(s5, eng.compose(s4, eng.compose(s3, eng.compose(s2, eng.compose(s1, half))))))
+    return trace_alg_end(A, g)

@@ -129,6 +129,20 @@ def test_determinism_and_out_flag(tmp_path, capsys):
     assert dims == pytest.approx([2**-0.5, 2**-0.5, 1.0])
 
 
+@pytest.mark.parametrize(
+    "category, algebra", [("ising", "ising_qsystem"), ("fibonacci", "fibonacci_pair"), ("hilb_z2", "hilb_z2_group")]
+)
+def test_modcat_values_do_not_depend_on_the_seed(capsys, category, algebra):
+    # the seed picks the eigenbasis of the split; a simple's dimension must
+    # not depend on it, to the last printed digit
+    values = set()
+    for seed in range(8):
+        code, rep = _run(capsys, "alg", "modcat", category, algebra, "--seed", str(seed))
+        assert code == 0
+        values.add(json.dumps(rep["values"]))
+    assert len(values) == 1, values
+
+
 def test_deligne_check_independent_of_hash_seed(tmp_path):
     # the order of the blocks, and with it the summation order of every
     # trace and the last digits of the report, must not follow hash order

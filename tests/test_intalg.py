@@ -7,9 +7,9 @@ import diagram_reference
 import solve_reference as ref
 from bench_families import fam
 from hstarcat import bundled, hilb3, intalg
-from hstarcat.diagram import Engine
+from hstarcat.diagram import Engine, Mor
 from hstarcat.fusion import FusionData, SphericalWeight, dual_engine, udf_from_weight
-from hstarcat.numcore import RANK_CUT, InputError, Tolerance, row_space
+from hstarcat.numcore import RANK_CUT, InputError, ShapeMismatch, Tolerance, row_space
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -159,9 +159,103 @@ def test_module_trace_traciality_and_retraction():
 def test_trace_alg_end_matches_psi():
     eng = _eng("hilb_z2", (1.7,))
     A = intalg.group_algebra(eng, ("1", "g"))
-    val = intalg.trace_alg_end(A, eng.identity(A.word)).real
+    val = diagram_reference.trace_alg_end(A, eng.identity(A.word)).real
     # iota is the unit inclusion: Tr(id) = psi(iota^dag iota) = psi_1
     assert val == pytest.approx(1.7)
+
+
+MODULE_TRACE_CASES = [
+    ("ising", None, ("1", "p")),
+    ("fibonacci", None, {"t": 1}),
+    ("hilb_z2", None, ("1", "g")),
+    *(("m2_hilb", psi, (u,)) for psi in ((1.0, 4.0), (0.3, 2.5)) for u in ("11", "22")),
+]
+
+
+@pytest.mark.parametrize("name, psi, labels", MODULE_TRACE_CASES)
+def test_module_trace_matches_the_dual_closure(name, psi, labels):
+    # the closed loop of the dressed action is the dual closure of the
+    # module by the interchange law: the same value on every simple and
+    # free module of ising_qsystem, fibonacci_pair, hilb_z2_group and the
+    # unit algebras of m2_hilb, for the identity and for random f
+    eng = _eng(name, psi)
+    A = (intalg.pair_algebra(eng, eng.obj(labels)) if isinstance(labels, dict)
+         else intalg.group_algebra(eng, labels))
+    modules = intalg.module_category(eng, A).simples
+    modules += intalg.free_bimodules(intalg.group_algebra(eng, eng.data.units), A).values()
+    rng = np.random.default_rng(11)
+    for M in modules:
+        for f in (eng.identity(M.word), eng.random_mor(M.word, M.word, rng)):
+            want = diagram_reference.module_trace(M, f)
+            assert abs(intalg.module_trace(M, f) - want) <= 1e-13 * (1 + abs(want))
+
+
+def test_module_trace_fails_closed():
+    eng = _eng("ising")
+    A = intalg.group_algebra(eng, ("1", "p"))
+    M = _free_module(A, "s")
+    other = (eng.simple_obj("1"),)
+    for f in (eng.zero(other, M.word), eng.zero(M.word, other)):
+        with pytest.raises(ShapeMismatch):
+            intalg.module_trace(M, f)
+    ident = eng.identity(M.word)
+    c, b = next(iter(ident.blocks.items()))
+    f = Mor(M.word, M.word, {**ident.blocks, c: np.full(b.shape, np.nan, dtype=complex)})
+    assert np.isnan(intalg.module_trace(M, f))
+
+
+def test_nan_module_dimension_rejects(monkeypatch):
+    # a NaN power of the bubble reaches every module dimension through the
+    # closed loop, and the positivity margin REJECTs on it
+    eng = _eng("ising")
+    power = intalg.AlgebraObject.bubble_pow
+    monkeypatch.setattr(
+        intalg.AlgebraObject, "bubble_pow", lambda A, r: eng.scale(np.nan, power(A, r))
+    )
+    mc = intalg.module_category(eng, intalg.group_algebra(eng, ("1", "p")))
+    assert all(np.isnan(d) for d in mc.dims)
+    assert (mc.certificate.ok, mc.certificate.failed_axiom) == (False, "module-dimension positivity")
+
+
+@pytest.mark.parametrize("name", bundled.NAMES)
+def test_unit_algebra_bubble_powers_are_the_shared_identity(monkeypatch, name):
+    # the bubble of an algebra that acts by unitors is exactly the
+    # identity: each power is endo_power's value to the bit, with the
+    # data's read-only identity blocks, and endo_power is never reached
+    eng = _eng(name)
+    data = eng.data
+    for labels in (data.units, *((u,) for u in data.units)):
+        A = intalg.group_algebra(eng, labels)
+        assert A.acts_by_unitors()
+        for r in (-1.0, -0.5, 0.5):
+            want = intalg.endo_power(eng, A.bubble, r)
+            got = A.bubble_pow(r)
+            assert (got.dom, got.cod, got.blocks.keys()) == (want.dom, want.cod, want.blocks.keys())
+            for c, b in got.blocks.items():
+                assert b.dtype == want.blocks[c].dtype and b.tobytes() == want.blocks[c].tobytes()
+                assert data.is_eye(b)
+                with pytest.raises(ValueError):
+                    b[0, 0] = 2.0
+    seen = []
+    monkeypatch.setattr(intalg, "endo_power", lambda e, f, r: seen.append(r))
+    intalg.group_algebra(eng, data.units).bubble_pow(0.5)
+    assert seen == []
+
+
+def test_other_bubble_powers_go_through_endo_power(monkeypatch):
+    # the group algebra of Z_2 has bubble 2 id: its powers are eigh's, at
+    # the engine's tolerance
+    tol = Tolerance(1e-3)
+    eng = dual_engine(bundled.load("hilb_z2"), SphericalWeight((1.0,)), tol)
+    A = intalg.group_algebra(eng, ("1", "g"))
+    assert not A.acts_by_unitors()
+    half = A.bubble_pow(-0.5)
+    assert eng.residual(half, eng.scale(2 ** -0.5, eng.identity(A.word))) < 1e-15
+    assert not any(eng.data.is_eye(b) for b in half.blocks.values())
+    seen, power = [], intalg.endo_power
+    monkeypatch.setattr(intalg, "endo_power", lambda e, f, r: seen.append(e.tol) or power(e, f, r))
+    A.bubble_pow(0.5)
+    assert seen == [tol]
 
 
 def test_internal_end_comparison():
