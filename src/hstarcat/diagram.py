@@ -62,6 +62,7 @@ the norm of f - g block by block, with no difference morphism formed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -158,19 +159,23 @@ class Engine:
     # --- objects and words ----------------------------------------------
 
     def obj(self, mults):
-        """Multiplicity vector over the simples, from a dict or sequence."""
+        """Multiplicity vector over the simples, from a dict or sequence;
+        InputError for a multiplicity that is not a nonnegative whole
+        number (NaN and infinity fail the range test)."""
         if isinstance(mults, dict):
             index = self.data.index
             out = [0] * len(index)
             for k, m in mults.items():
                 if k not in index:
                     raise KeyError(f"unknown simple {k}")
-                out[index[k]] = int(m)
-            return tuple(out)
-        out = tuple(int(m) for m in mults)
-        if len(out) != len(self.data.simples):
-            raise ShapeMismatch("one multiplicity per simple required")
-        return out
+                out[index[k]] = m
+        else:
+            out = list(mults)
+            if len(out) != len(self.data.simples):
+                raise ShapeMismatch("one multiplicity per simple required")
+        if not all(0 <= m < math.inf and m == int(m) for m in out):
+            raise InputError(f"multiplicities must be nonnegative whole numbers, not {out}")
+        return tuple(int(m) for m in out)
 
     def simple_obj(self, c):
         o = self._simple.get(c)

@@ -870,9 +870,11 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
 
     d_c = sqrt(psi_{s(c)} psi_{t(c)}) FPdim(c), forced by the constraint
     chain d_{s(c)} dim_L(c) = d_c = d_{t(c)} dim_R(c) and the weight
-    classification. Cup/cap coefficients are installed from zig-zags taken
-    on the returned engine, so the zig-zag and the loop identities hold;
-    diagram._cup alone reads them, and diagram.loop the loops.
+    classification; for equal weights the root is the weight itself, which
+    sqrt(psi^2) rounds to unless psi^2 overflows or underflows. Cup/cap
+    coefficients are installed from zig-zags taken on the returned engine,
+    so the zig-zag and the loop identities hold; diagram._cup alone reads
+    them, and diagram.loop the loops.
     """
     if len(psi.psi) != len(data.units):
         raise ShapeMismatch("need one psi entry per unit summand")
@@ -880,7 +882,8 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     dims = udf.dims
     # math.sqrt rounds as np.sqrt does
     for c in data.simples:
-        dims[c] = math.sqrt(psi.of_unit(data, data.s(c)) * psi.of_unit(data, data.t(c))) * data.fpdim(c)
+        p, q = psi.of_unit(data, data.s(c)), psi.of_unit(data, data.t(c))
+        dims[c] = (p if p == q else math.sqrt(p * q)) * data.fpdim(c)
     # d_u dim(c) - d_c, the one-sided dims at u = s(c) and u = t(c)
     chain = worst(abs(dims[u] * (dims[c] / dims[u]) - dims[c]) for c in data.simples for u in data.grading[c])
     if not within(chain, tol.bound()):

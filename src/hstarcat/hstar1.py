@@ -1,17 +1,25 @@
 """H*-algebras in Hilb: multimatrix algebras with a faithful positive trace.
 
-An element of the algebra A = (+)_i M_{n_i} is a list of per-block complex
-matrices; the trace is Tr_A(a) = sum_i w_i tr(a_i) with strictly positive
-weights w_i. The GNS inner product is <a|b> = Tr_A(a^* b).
+The algebra A = (+)_i M_{n_i} with the trace Tr_A(a) = sum_i w_i tr(a_i),
+for strictly positive weights w_i, is End(X) for X = sum_i n_i 1_i in the
+2-Hilbert space with one simple 1_i of dimension w_i per block (space):
+the diagram engine on unit-only fusion data (hilb2.TwoHilbertSpace). Its
+elements are diagram.Mor endomorphisms of X, its product is compose, its
+star is dagger, Tr_A is categorical_trace, and the GNS inner product is
+<a|b> = Tr_A(a^* b). A right module (+)_i C^{m_i x n_i} is Hom(X, Y) for
+Y = sum_i m_i 1_i, with A acting by precomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certify import Certificate, clears, judged, within
+from .diagram import Engine
+from .hilb2 import TwoHilbertSpace
 from .numcore import (
     DEFAULT_TOL,
     ConsistencyError,
@@ -46,38 +54,18 @@ class HStarAlgebra:
     def dim(self) -> int:
         return sum(n * n for n in self.block_sizes)
 
-    def unit(self):
-        return [np.eye(n, dtype=complex) for n in self.block_sizes]
+    @cached_property
+    def space(self) -> Engine:
+        """The 2-Hilbert space with one simple block{i} of dimension w_i
+        per block, in which A = End(X) and Tr_A = categorical_trace: built
+        from the weights on first use and kept, so that every computation
+        on A runs on one engine."""
+        return TwoHilbertSpace(tuple(f"block{i}" for i in range(len(self.block_sizes))), self.weights)
 
-    def random_element(self, rng: np.random.Generator):
-        return [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in self.block_sizes
-        ]
-
-    def trace(self, a) -> complex:
-        return sum(w * np.trace(ai) for w, ai in zip(self.weights, a))
-
-    def mul(self, a, b):
-        return [ai @ bi for ai, bi in zip(a, b)]
-
-    def star(self, a):
-        return [ai.conj().T for ai in a]
-
-    def inner(self, a, b) -> complex:
-        """GNS inner product <a|b> = Tr_A(a^* b)."""
-        return self.trace(self.mul(self.star(a), b))
-
-    def to_json(self) -> dict:
-        return {"blocks": list(self.block_sizes), "weights": list(self.weights)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HStarAlgebra":
-        return cls(tuple(data["blocks"]), tuple(data["weights"]))
-
-
-def _functional_trace(functional, a) -> complex:
-    return sum(np.trace(phi @ ai) for phi, ai in zip(functional, a))
+    @property
+    def obj(self):
+        """X = sum_i n_i 1_i in space."""
+        return self.space.obj(self.block_sizes)
 
 
 def verify_hstar_algebra(
@@ -95,33 +83,38 @@ def verify_hstar_algebra(
     functional is projected onto weight form and rejected when the
     projection residual exceeds tolerance. Raises ShapeMismatch unless
     there is one weight per block, or one n x n functional matrix per
-    block of size n.
+    block of size n. Elements are drawn and multiplied in the space of
+    unit weights, and the trace under test is applied to their blocks
+    here, so that no engine is built from weights that may be negative,
+    NaN or not tracial.
     """
     probe = HStarAlgebra(block_sizes, tuple(1.0 for _ in block_sizes))
     block_sizes = probe.block_sizes
     rng = sample_rng(samples, seed)
+    eng, X = probe.space, probe.obj
+    labels = eng.data.simples
 
     if functional is not None:
         functional = [np.asarray(phi, dtype=complex) for phi in functional]
         if [phi.shape for phi in functional] != [(n, n) for n in block_sizes]:
             raise ShapeMismatch("the functional needs one n x n matrix per block of size n")
-        tr = lambda a: _functional_trace(functional, a)
+        tr = lambda a: sum(np.trace(phi @ eng.block(a, c)) for phi, c in zip(functional, labels))
     else:
         weights = tuple(float(w) for w in weights or ())
         if len(weights) != len(block_sizes):
             raise ShapeMismatch("one weight per block required")
-        tr = lambda a: sum(w * np.trace(ai) for w, ai in zip(weights, a))
+        tr = lambda a: sum(w * np.trace(eng.block(a, c)) for w, c in zip(weights, labels))
 
-    pairs = [(probe.random_element(rng), probe.random_element(rng)) for _ in range(samples)]
+    pairs = [(eng.random_mor((X,), (X,), rng), eng.random_mor((X,), (X,), rng)) for _ in range(samples)]
     residuals = {
-        "traciality": worst(abs(tr(probe.mul(a, b)) - tr(probe.mul(b, a))) for a, b in pairs)
+        "traciality": worst(abs(tr(eng.compose(a, b)) - tr(eng.compose(b, a))) for a, b in pairs)
     }
     checks = [("traciality", tol.bound(), "traciality")]
     if functional is not None:
         # every tracial functional is blockwise a multiple of the matrix trace
         weights = tuple(np.trace(phi).real / n for n, phi in zip(block_sizes, functional))
         residuals["weight_projection"] = worst(
-            float(frobenius(phi - w * np.eye(n)))
+            float(frobenius(phi - w * eng.data.eye(n)))
             for n, phi, w in zip(block_sizes, functional, weights)
         )
         checks.append(("weight_projection", tol.bound(), "traciality"))
@@ -132,13 +125,12 @@ def verify_hstar_algebra(
 
 @dataclass(frozen=True)
 class HStarModuleRep:
-    """Right module H = (+)_i C^{m_i x n_i} over a multimatrix H*-algebra.
-
-    Block i of the algebra acts by right matrix multiplication; the inner
-    product is the standard <u|v> = sum_i tr(u_i^* v_i). The module trace
-    on End(H_A) = (+)_i M_{m_i} determined by the rank-one trace law is
-    Tr_H(f) = sum_i w_i tr(f_i).
-    """
+    """Right module H = Hom(X, Y) over A = End(X) in algebra.space, for
+    Y = sum_i m_i 1_i: blockwise (+)_i C^{m_i x n_i}, with block i of the
+    algebra acting by right matrix multiplication. The inner product is
+    the standard <u|v> = sum_i tr(u_i^* v_i). The module trace on
+    End(H_A) = End(Y) determined by the rank-one trace law is Tr_H =
+    categorical_trace, sum_i w_i tr(f_i)."""
 
     algebra: HStarAlgebra
     mults: tuple
@@ -152,34 +144,24 @@ class HStarModuleRep:
     def dim(self) -> int:
         return sum(m * n for m, n in zip(self.mults, self.algebra.block_sizes))
 
-    def module_trace(self, f) -> complex:
-        """Tr_H on End(H_A); f is a list of m_i x m_i blocks."""
-        return sum(w * np.trace(fi) for w, fi in zip(self.algebra.weights, f))
 
-    def random_vector(self, rng: np.random.Generator):
-        return [
-            rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            for m, n in zip(self.mults, self.algebra.block_sizes)
-        ]
+def _per_weight(eng, f):
+    """f with each block divided by the weight of its block, the dimension
+    of its simple."""
+    return eng.mor(f.dom, f.cod, {c: b / eng.udf.d(c) for c, b in f.blocks.items()})
 
-    def a_valued_inner(self, eta, xi):
-        """<eta|xi>_A, the composite <eta| o |xi> in End(A_A) = A.
 
-        Characterized by Tr_A(x^* <eta|xi>_A) = <xi x | eta ... i.e. by
-        adjointness of |xi>: a -> xi a against the GNS inner product.
-        Blockwise this is eta_i^* xi_i / w_i.
-        """
-        return [
-            e.conj().T @ x / w
-            for e, x, w in zip(eta, xi, self.algebra.weights)
-        ]
+def a_valued_inner(eng, eta, xi):
+    """<eta|xi>_A, the composite <eta| o |xi> in End(X) = A: blockwise
+    eta_i^* xi_i / w_i, fixed by the adjointness of |xi>: a -> xi a
+    against the GNS inner product."""
+    return _per_weight(eng, eng.compose(eng.dagger(eta), xi))
 
-    def rank_one(self, xi, eta):
-        """|xi><eta| in End(H_A): zeta -> xi <eta|zeta>_A."""
-        return [
-            x @ e.conj().T / w
-            for x, e, w in zip(xi, eta, self.algebra.weights)
-        ]
+
+def rank_one(eng, xi, eta):
+    """|xi><eta| in End(Y) = End(H_A): zeta -> xi <eta|zeta>_A, blockwise
+    xi_i eta_i^* / w_i."""
+    return _per_weight(eng, eng.compose(xi, eng.dagger(eta)))
 
 
 def gns(A: HStarAlgebra) -> HStarModuleRep:
@@ -187,40 +169,31 @@ def gns(A: HStarAlgebra) -> HStarModuleRep:
     return HStarModuleRep(A, A.block_sizes)
 
 
-def _simple_quantum_dim(n: int, w: float) -> float:
-    """Tr_H(id) for the row module C^{1xn} of (M_n, w tr), computed by
-    expressing id_H through rank-one operators and applying the trace law.
+def simple_modules(A: HStarAlgebra):
+    """One simple right module per block, the row module Hom(n_i 1_i, 1_i),
+    with its quantum dimension Tr_H(id), computed by expressing id_H
+    through rank-one operators and applying the trace law.
 
     A Pimsner-Popa style frame for the A-valued inner product is the single
-    vector u = sqrt(w) e_1: |u><u| = id_H, so Tr_H(id) = Tr_A(<u|u>_A).
-    Computed numerically rather than assumed.
-    """
-    algebra = HStarAlgebra((n,), (w,))
-    mod = HStarModuleRep(algebra, (1,))
-    u = [np.zeros((1, n), dtype=complex)]
-    u[0][0, 0] = np.sqrt(w)
-    op = mod.rank_one(u, u)
-    # frame property: |u><u| must be the identity of End(H_A)
-    if not within(frobenius(op[0] - np.eye(1)), FRAME_TOL):
-        raise ConsistencyError(f"|u><u| is not the identity for the weight {w}")
-    return float(algebra.trace(mod.a_valued_inner(u, u)).real)
-
-
-def simple_modules(A: HStarAlgebra):
-    """One simple right module per block, with its quantum dimension.
-
+    vector u = sqrt(w_i) e_1: |u><u| = id_H, so Tr_H(id) = Tr_A(<u|u>_A).
     The computed value comes out as d_i = w_i, independent of the inner
     product normalization on the row module: scaling <.|.>_H rescales
     <eta|xi>_A and |xi><eta| by reciprocal factors, leaving Tr_H(id) fixed.
     """
+    eng = A.space
     out = []
-    for i, (n, w) in enumerate(zip(A.block_sizes, A.weights)):
-        mults = tuple(1 if j == i else 0 for j in range(len(A.block_sizes)))
-        out.append((HStarModuleRep(A, mults), _simple_quantum_dim(n, w)))
+    for i, (c, n, w) in enumerate(zip(eng.data.simples, A.block_sizes, A.weights)):
+        Y = (eng.simple_obj(c),)
+        u = eng.scale(np.sqrt(w), eng.dagger(eng.include(eng.obj({c: n}), c, 0)))
+        # frame property: |u><u| must be the identity of End(H_A)
+        if not within(eng.residual(rank_one(eng, u, u), eng.identity(Y)), FRAME_TOL):
+            raise ConsistencyError(f"|u><u| is not the identity for the weight {w}")
+        mults = tuple(int(j == i) for j in range(len(A.block_sizes)))
+        out.append((HStarModuleRep(A, mults), float(eng.categorical_trace(a_valued_inner(eng, u, u)).real)))
     return out
 
 
-def linking_algebra(objects) -> HStarAlgebra:
+def linking_algebra(space: Engine, objects) -> HStarAlgebra:
     """Linking algebra of a finite list of objects of one skeletal 2-Hilbert
     space: formal matrices of hom spaces with matrix-multiplication product
     and dagger-transpose star.
@@ -231,17 +204,14 @@ def linking_algebra(objects) -> HStarAlgebra:
     """
     if not objects:
         raise InputError("need at least one object")
-    space = objects[0].space
-    for o in objects:
-        if o.space is not space and o.space != space:
-            raise ShapeMismatch("objects live in different 2-Hilbert spaces")
+    # ShapeMismatch for an object of another space, one with more or fewer labels
+    objects = [space.obj(o) for o in objects]
     sizes = []
     weights = []
-    for idx, d in enumerate(space.dims):
-        total = sum(o.mults[idx] for o in objects)
+    for s, total in zip(space.data.simples, map(sum, zip(*objects))):
         if total > 0:
             sizes.append(total)
-            weights.append(d)
+            weights.append(space.udf.d(s))
     return HStarAlgebra(tuple(sizes), tuple(weights))
 
 
@@ -250,11 +220,13 @@ def module_trace_law_residual(
 ) -> float:
     """Max residual of Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) over random vectors."""
     rng = sample_rng(samples, seed)
+    eng = mod.algebra.space
+    H = (mod.algebra.obj,), (eng.obj(mod.mults),)
     gaps = []
     for _ in range(samples):
-        xi = mod.random_vector(rng)
-        eta = mod.random_vector(rng)
-        lhs = mod.module_trace(mod.rank_one(xi, eta))
-        rhs = mod.algebra.trace(mod.a_valued_inner(eta, xi))
+        xi = eng.random_mor(*H, rng)
+        eta = eng.random_mor(*H, rng)
+        lhs = eng.categorical_trace(rank_one(eng, xi, eta))
+        rhs = eng.categorical_trace(a_valued_inner(eng, eta, xi))
         gaps.append(abs(lhs - rhs))
     return worst(gaps)

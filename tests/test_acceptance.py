@@ -70,9 +70,8 @@ def test_criterion_02_two_hilbert_round_trip():
         sp = TwoHilbertSpace(tuple(f"s{i}" for i in range(n)), dims)
         recovered, cert = hilb2.round_trip(sp)
         assert cert.ok, cert.residuals
-        worst = max(
-            worst, max(abs(a - b) for a, b in zip(recovered.dims, dims))
-        )
+        got = [recovered.udf.d(s) for s in recovered.data.simples]
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, dims)))
     _report(2, "2-Hilbert round trip", worst < 1e-9, f"dim gap {worst:.2e}")
 
 
@@ -104,7 +103,7 @@ def test_criterion_03_mate_unitarity_and_yoneda():
             ("x", "y", "z"), tuple(float(d) for d in rng2.uniform(0.3, 4.0, 3))
         )
         c = sp.obj(tuple(int(x) for x in rng2.integers(1, 4, 3)))
-        _, cert = hilb2.yoneda_decompose(c)
+        _, cert = hilb2.yoneda_decompose(sp, c)
         yworst = max(yworst, cert.residuals["gram_defect"])
     _report(
         3,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
 
@@ -60,6 +61,18 @@ def test_object_arithmetic():
     assert eng.dual_obj(O) == O  # all Ising simples self-dual
     with pytest.raises(KeyError):
         eng.obj({"nope": 1})
+    # a multiplicity is a nonnegative whole number, by dict or by sequence:
+    # -1 once gave an object with empty hom spaces, and 1.5 and 2.7 were
+    # truncated
+    assert eng.obj((1.0, 0, 2)) == (1, 0, 2)
+    bad = (-1, 1.5, 2.7, math.nan, math.inf, -math.inf)
+    for m in bad:
+        for mults in ({"s": m}, (0, m, 0)):
+            with pytest.raises(InputError):
+                eng.obj(mults)
+    fib = _eng("fibonacci")
+    with pytest.raises(InputError):
+        intalg.pair_algebra(fib, fib.obj({"t": -1}))
 
 
 def test_fuse_dims_match_fusion_rules():

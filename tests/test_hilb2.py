@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hstarcat import hilb2
-from hstarcat.hilb2 import DagFunctor, H2Morphism, TwoHilbertSpace
-from hstarcat.numcore import InputError
+from hstarcat.hilb2 import DagFunctor, TwoHilbertSpace
+from hstarcat.numcore import InputError, ShapeMismatch
 
 
 def _space():
@@ -13,18 +13,18 @@ def _space():
 def test_trace_and_inner():
     sp = _space()
     o = sp.obj((2, 1, 0))
-    f = H2Morphism.identity(o)
-    assert f.trace() == pytest.approx(2 * 1.0 + 1 * 1.618)
+    assert sp.categorical_trace(sp.identity((o,))) == pytest.approx(2 * 1.0 + 1 * 1.618)
     rng = np.random.default_rng(0)
-    g = H2Morphism.random(o, o, rng)
-    assert g.inner(g).real > 0
-    assert g.inner(g).real == pytest.approx(g.norm() ** 2)
+    g = sp.random_mor((o,), (o,), rng)
+    assert hilb2.inner(sp, g, g).real > 0
+    norms = sum(sp.udf.d(s) * np.linalg.norm(b) ** 2 for s, b in g.blocks.items())
+    assert hilb2.inner(sp, g, g).real == pytest.approx(norms)
 
 
 def test_yoneda_gram_identity():
     sp = _space()
     c = sp.obj((3, 2, 1))
-    summands, cert = hilb2.yoneda_decompose(c)
+    summands, cert = hilb2.yoneda_decompose(sp, c)
     assert cert.ok
     assert [s[0] for s in summands] == ["x", "y", "z"]
     for _, _, m, gram in summands:
@@ -48,7 +48,7 @@ def test_round_trip_recovers_dims():
         sp = TwoHilbertSpace(tuple(f"s{i}" for i in range(n)), dims)
         recovered, cert = hilb2.round_trip(sp)
         assert cert.ok
-        assert recovered.dims == pytest.approx(dims)
+        assert [recovered.udf.d(s) for s in recovered.data.simples] == pytest.approx(dims)
 
 
 def test_isometry_check_rejects_collapse():
@@ -71,24 +71,28 @@ def test_shape_errors():
     sp = _space()
     o = sp.obj((1, 0, 0))
     p = sp.obj((0, 1, 0))
-    with pytest.raises(hilb2.ShapeMismatch):
-        H2Morphism.identity(o).compose(H2Morphism.identity(p))
+    with pytest.raises(ShapeMismatch):
+        sp.compose(sp.identity((o,)), sp.identity((p,)))
     with pytest.raises(InputError):
         TwoHilbertSpace(("a",), (-1.0,))
+    with pytest.raises(ShapeMismatch):
+        TwoHilbertSpace(("a", "b"), (1.0,))
+    # an object has one nonnegative whole multiplicity per label
+    for mults in ((1, 0), (-1, 0, 0), (0.5, 0, 0)):
+        with pytest.raises((ShapeMismatch, InputError)):
+            sp.obj(mults)
 
 
 def _nan_written(sp, k):
     """sp with a NaN written into dimension k after construction (the
     constructor itself rejects a NaN dimension)."""
-    dims = list(sp.dims)
-    dims[k] = float("nan")
-    object.__setattr__(sp, "dims", tuple(dims))
+    sp.udf.dims[sp.data.simples[k]] = float("nan")
     return sp
 
 
 def test_nan_dimension_rejects():
     sp = _nan_written(TwoHilbertSpace(("a", "b"), (1.0, 1.0)), 1)
-    _, cert = hilb2.yoneda_decompose(sp.obj((1, 2)))
+    _, cert = hilb2.yoneda_decompose(sp, sp.obj((1, 2)))
     assert (cert.ok, cert.failed_axiom) == (False, "Yoneda unitarity")
     assert np.isnan(cert.residuals["gram_defect"])
     F = DagFunctor(_space(), _nan_written(_space(), 1), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -98,3 +102,14 @@ def test_nan_dimension_rejects():
     _, cert = hilb2.unitary_adjoint(F)
     assert (cert.ok, cert.failed_axiom) == (False, "mate unitarity")
     assert np.isnan(cert.residuals["mate_gram_defect"])
+
+
+def test_dimensions_are_the_given_ones_at_any_scale():
+    # d_s was sqrt(psi_s psi_s) on the engine, and the square overflowed to
+    # inf at 1e200 (a ConsistencyError) and underflowed to 0 at 1e-200 (a
+    # ZeroDivisionError)
+    dims = (1e200, 1.0, 1e-200, 5e-324)
+    sp = TwoHilbertSpace(("a", "b", "c", "d"), dims)
+    assert tuple(sp.udf.d(s) for s in sp.data.simples) == dims
+    recovered, cert = hilb2.round_trip(TwoHilbertSpace(("a", "b", "c"), dims[:3]))
+    assert cert.ok, cert.residuals

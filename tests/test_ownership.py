@@ -50,8 +50,9 @@ OWNERSHIP = (
     Rule(("call", "def"), SOLVERS, (),
          "hom spaces come from the free-forgetful adjunction; the dense solve is the tests' reference"),
     Rule(("call",), ("Mor",), ("diagram",), "the engine builds its own results; the rest go through Engine.mor"),
-    Rule(("call",), ("mor",), ("diagram", "intalg"),
-         "Engine.mor checks block shapes; deligne takes every morphism from an engine operation"),
+    Rule(("call",), ("mor",), ("diagram", "hstar1._per_weight", "intalg"),
+         "Engine.mor checks block shapes; deligne takes every morphism from an engine operation, "
+         "and hstar1 divides blocks by their weight, which no engine operation does"),
     Rule(("call",), ("id",), (), "a cache keyed by id() can hand its entry to a later object that reuses the id"),
     Rule(("call",), ("Engine",), ("fusion",), "an engine is born with its dual functor, in fusion.dual_engine"),
     Rule(("call",), ("Certificate",), ("certify",),
@@ -69,9 +70,10 @@ OWNERSHIP = (
     Rule(("read", "write"), ("_basis", "_index", "_support", "_fcache"), (),
          "the per-engine tables that the data's tables replaced"),
     Rule(("def",), ("_trees", "_fsym"), (), "the per-engine tree sweep and F blocks that the data replaced"),
+    Rule(("def",), ("H2Object", "H2Morphism"), (), "one morphism model: diagram.Mor"),
     Rule(("read",), ("linalg.norm",), (),
          "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
-    Rule(("read",), ("np.eye",), ("fusion.FusionData.eye", "hilb2", "hstar1", "intalg", "numcore"),
+    Rule(("read",), ("np.eye",), ("fusion.FusionData.eye", "intalg", "numcore"),
          "the engine's identity blocks are the data's one read-only identity of each size"),
     Rule(("import",), ("jsonschema", "hypothesis", "pytest"), (),
          "test dependencies: cli checks input documents with its own schema checker"),
@@ -268,7 +270,7 @@ FLAGS = [
     ("d = worst(float(np.linalg.norm(g - np.eye(m))) for g in grams)", "hilb2", True),
     ("def frobenius(m):\n    return numpy.linalg.norm(m)", "numcore", True),
     ("norm = np.linalg.norm\nd = norm(a - b)", "intalg", True),
-    ("d = worst(float(frobenius(g - np.eye(m))) for g in grams)", "hilb2", False),
+    ("d = worst(float(frobenius(g - space.data.eye(m))) for g in grams)", "hilb2", False),
     ("def f(x):\n    return x.norm() + eng.l2_norm(x)", "hilb2", False),
     # identity blocks before they were the data's shared ones
     ("class Engine:\n    def identity(self, word):\n        return {c: np.eye(n) for c in word}", "diagram", True),
@@ -276,7 +278,14 @@ FLAGS = [
     ("class FusionData:\n    def f_matrix(self, n):\n        return np.eye(n)", "fusion", True),
     ("class Engine:\n    def identity(self, word):\n        return {c: self.data.eye(n) for c in word}", "diagram", False),
     ("class FusionData:\n    def eye(self, dim):\n        return np.eye(dim, dtype=complex)", "fusion", False),
-    ("d = frobenius(gram - np.eye(m))", "hilb2", False),
+    ("d = frobenius(gram - np.eye(m))", "hilb2", True),
+    # the 2-Hilbert spaces' own objects and morphisms, before both became
+    # the engine's, and the one block division hstar1 makes through the door
+    ("class H2Morphism:\n    def compose(self, other):\n        pass", "hilb2", True),
+    ("class H2Object:\n    pass", "hstar1", True),
+    ("d = frobenius(gram - space.data.eye(m))", "hilb2", False),
+    ("def _per_weight(eng, f):\n    return eng.mor(f.dom, f.cod, {})", "hstar1", False),
+    ("def rank_one(eng, xi, eta):\n    return eng.mor(xi.dom, eta.dom, {})", "hstar1", True),
 ]
 
 
