@@ -14,8 +14,9 @@ non-unit or a pair algebra on the zero object, an algebra with no unit
 summand for split-monad and standardize, a decomposable category for
 theorem-b, an H*-algebra
 document whose trace is missing, does not match its blocks in shape, or
-has a weight or functional entry that is not finite, and an --out file
-that cannot be opened for writing. Any other exception (a
+has a weight or functional entry that is not finite (for hstar gns, a
+weight outside [hstar1.WEIGHT_MIN, WEIGHT_MAX]), and an --out file that
+cannot be opened for writing. Any other exception (a
 ConsistencyError, say) exits 3 with no report and one JSON line
 {"error", "message"} on stderr, so that no failure of a run reads as a
 REJECT.
@@ -51,8 +52,8 @@ from .numcore import InputError, Tolerance, worst
 
 # Range of a --psi entry. Outside it the dimensions d_c = sqrt(psi_s psi_t)
 # FPdim(c) leave the scale that the absolute part of the tolerance is set
-# for: 1e300 overflows d_c to inf and 1e-300 underflows it to 0 (both end
-# in a ZeroDivisionError), 1e-100 puts module dimensions under the
+# for: 1e300 overflows d_c to inf and 1e-300 underflows it to 0 (both an
+# InputError of fusion.dual_engine), 1e-100 puts module dimensions under the
 # positivity cut and 1e100 puts the roundoff of the dimension chain over
 # its bound. Every bundled example accepts at both ends of the range.
 PSI_MIN, PSI_MAX = 1e-6, 1e6

@@ -39,6 +39,7 @@ still arises (a huge finite entry overflows) rejects, without a warning.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -111,8 +112,8 @@ class FusionData:
                 raise InputError(f"entry with unknown label: {k}")
             a, b, c, d = row
             fkeys.append(((a * n + b) * n + c) * n + d)
-        # a whole number below 2**31, so that tree counts (sums of products
-        # of two) fit int64 tables; NaN and infinity fail the range test
+        # a whole number below 2**31, so that a product of two of validate's
+        # vertex and tree counts fits int64; NaN and infinity fail the range test
         for k, v in self.N.items():
             if not (0 <= v < 2**31 and v == int(v)):
                 raise InputError(
@@ -436,8 +437,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     simples, the grading and strict-unit checks over the stored entries of
     N (one with a unit argument must equal n(a, b, c), the rule put in its
     place), then Frobenius reciprocity on N[a, b, c]; problems are listed
-    in that order. The tree counts of every F^{abc}_d (_tree_counts) must
-    agree.
+    in that order. The left and right tree counts of every F^{abc}_d must
+    agree; both come from the trees that one vertex join lists (_Trees).
     F-unitarity is checked on the blocks that have trees and no unit
     argument: the 1x1 blocks in one array expression that rounds like
     numcore.unitarity_defect, the larger ones by it, one stack per size.
@@ -538,26 +539,24 @@ class _Blocks:
     """The F blocks that have trees, of one FusionData for one validate or
     pentagon_residual call, from data.table and FusionData.f_entries.
 
-    Blocks are taken in index order of their (a, b, c, d) up to the first
-    whose tree counts (_tree_counts) differ; a stored plain block of the
-    wrong shape before it raises InputError (the first in index order).
-    mismatch is that block's (labels, rows, cols), and then nothing more
-    is built, or None. Block i has linear index lin[i], indices keys[k][i]
-    (k = 0..3) and dims[i] trees, and its entries lie row by row in vals
-    from at[i]: the stored block if it is plain[i] (no unit among a, b, c)
-    and stored, else the identity, each placed by one scatter. trees[a, b,
-    c, d] counts left trees, and unit marks the unit simples."""
+    The blocks and their trees are those of tr (_Trees). Blocks are taken
+    in index order of their (a, b, c, d) up to the first whose left and
+    right tree counts differ; a stored plain block of the wrong shape
+    before it raises InputError (the first in index order). mismatch is
+    that block's (labels, rows, cols), and then nothing more is built, or
+    None. Block i has linear index lin[i], indices keys[k][i] (k = 0..3)
+    and dims[i] trees, and its entries lie row by row in vals from at[i]:
+    the stored block if it is plain[i] (no unit among a, b, c) and stored,
+    else the identity, each placed by one scatter."""
 
     def __init__(self, data: FusionData):
         self.data, S = data, data.simples
-        self.trees, cols = _tree_counts(data.table)
-        # a quadruple has trees iff trees | cols, bitwise, is not 0
-        self.lin = lin = (self.trees | cols).ravel().nonzero()[0]
-        self.keys = np.unravel_index(lin, self.trees.shape)
-        self.unit = data._unit
+        self.tr = tr = _Trees(data.table)
+        self.lin = lin = tr.lin
+        self.keys = np.unravel_index(lin, (len(S),) * 4)
         x, y, z, _ = self.keys
-        self.plain = ~(self.unit[x] | self.unit[y] | self.unit[z])
-        dims, cols = self.trees.ravel()[lin], cols.ravel()[lin]
+        self.plain = ~(data._unit[x] | data._unit[y] | data._unit[z])
+        dims, cols = tr.dims, tr.cols
         bad = (dims != cols).nonzero()[0]
         stop = bad[0] if bad.size else len(dims)
         # the stored plain blocks before the mismatch, and where F holds them
@@ -602,16 +601,6 @@ class _Blocks:
         return float(out)
 
 
-def _tree_counts(N):
-    """The left and right tree counts of every F^{abc}_d, sum_e N[a,b,e]
-    N[e,c,d] and sum_f N[b,c,f] N[a,f,d], in integers: the right ones by
-    the rows N[b, c, :] times each N[a] as a stack, which is 2-3 times
-    faster than einsum's loop up to 12 simples, and the left ones by
-    einsum, as fast as a matmul there and faster from 36 simples."""
-    n = len(N)
-    return np.einsum("abe,ecd->abcd", N, N), (N.reshape(n * n, n) @ N).reshape((n,) * 4)
-
-
 def _runs(counts: np.ndarray):
     """Runs of the given lengths laid end to end: the run of each position
     and the position within its run."""
@@ -626,83 +615,84 @@ def _times(xr, xi, yr, yi):
 
 
 class _Trees:
-    """The vertices and trees of the blocks of one _Blocks.
+    """The vertices of a fusion table N, and the trees of every block
+    (x, y, z, w) that has any, found by one join.
 
-    A vertex (x, y; z) is one multiplicity index of N[x, y, z]; vertices
-    are numbered in index order, and vertex v has x n + y = vxy[v], y =
-    vy[v], z = vz[v] and index vmu[v]. A tree is a pair of vertices: the
-    left trees (x, y; e)(e, z; w) and the right trees (y, z; f)(x, f; w)
-    of a block are numbered alike, block by block, in canonical order.
-    Left tree r is (rv1[r], rv2[r]) of block rblk[r], and row[v1 nv + v2]
-    numbers the left tree (v1, v2). Its entries, one per right tree of its
-    block, are in_row[r] in blocks.vals (-1 past them), the nonzero ones
-    in_row_nz[r]; entry k is in column ecol[k], whose vertices are ev3[k]
-    and ev4[k]. Block (x, y, z, w) has yz = y n + z.
+    A vertex (x, y; z) is one multiplicity index of N[x, y, z], numbered
+    in index order: vertex v has x n + y = vxy[v], y = vy[v], z = vz[v],
+    index vmu[v] and multiplicity vn[v] = N[x, y, z]. A tree is a pair of
+    vertices; the left trees (x, y; e)(e, z; w) and the right trees (y,
+    z; f)(x, f; w) of a block are numbered alike, block by block, in
+    canonical order (e, mu, nu) and (f, ka, la). Block i, in index order,
+    has linear index lin[i], dims[i] left and cols[i] right trees. Left
+    tree r is (rv1[r], rv2[r]) of block rblk[r], right tree c (cv3[c],
+    cv4[c]).
 
-    finals() numbers the right trees as final trees, which only an
-    instance with several start trees needs, on demand: (col, csuf,
-    cdim), where col[v4 nv + v3] numbers the right tree (v3, v4), csuf[c]
-    is the position of right tree c of block (b, c, d, f) among the final
-    trees (f3, l3, k3) through f, and cdim[c] is the size of its block.
-    Tables are read by take or a 1-d index."""
+    tables(vals), once the counts agree, adds the pentagon's lookups:
+    row[v1 nv + v2] numbers the left tree (v1, v2), whose entries in vals,
+    one per right tree of its block, are in_row[r] (-1 past them), the
+    nonzero ones in_row_nz[r]; entry k is in column ecol[k], whose
+    vertices are ev3[k] and ev4[k]. finals() numbers the right trees as
+    final trees, which only an instance with several start trees needs:
+    (col, csuf, cdim), where col[v4 nv + v3] numbers the right tree (v3,
+    v4), csuf[c] is the position of right tree c of block (b, c, d, f)
+    among the final trees (f3, l3, k3) through f, and cdim[c] is the size
+    of its block. Tables are read by take or a 1-d index."""
 
-    def __init__(self, blocks: _Blocks):
-        N, dims = blocks.data.table, blocks.dims
-        bx, by, bz, bw = blocks.keys
+    def __init__(self, N):
         n = len(N)
-        counts = N.ravel()
-        vid = np.add.accumulate(counts) - counts
-        lin, self.vmu = _runs(counts)
-        self.vxy, self.vz = divmod(lin, n)
-        self.vy = self.vxy % n
-        self.nv = nv = len(lin)
-        first = np.add.accumulate(dims) - dims
-        xy, zw = divmod(blocks.lin, n * n)
-        self.yz = yz = by * n + bz
-        rows = N.reshape(n * n, n)
-        # left trees of block (x, y, z, w) through each e, N[x, y, e] N[e, z, w]
-        inner = N.reshape(n, n * n).T.take(zw, axis=0).ravel()
-        wr = rows.take(xy, axis=0).ravel() * inner
-        f = wr.nonzero()[0]
-        sb, se = divmod(f, n)
-        run, pos = _runs(wr[f])
-        mu, nu = divmod(pos, inner[f][run])
-        self.rv1 = vid[xy[sb] * n + se][run] + mu
-        self.rv2 = vid[se * n * n + zw[sb]][run] + nu
-        self.rblk = rblk = sb[run]
+        vlin, self.vmu = _runs(N.ravel())
+        self.vn = N.ravel()[vlin]
+        self.vxy, self.vz = divmod(vlin, n)
+        vx, self.vy = divmod(self.vxy, n)
+        self.nv = len(vx)
+
+        def join(second, key, head, tail):
+            # pair each vertex v with the u of second (sorted by key) at key
+            # vz[v]; a stable sort by block, head[v] + tail[u], keeps v, then u, in order
+            at = np.searchsorted(key[second], np.arange(n + 1))
+            v, j = _runs(np.diff(at)[self.vz])
+            u = second[at[self.vz[v]] + j]
+            lin = head[v] + tail[u]
+            order = lin.argsort(kind="stable")
+            return lin[order], v[order], u[order]
+
+        # (e, z; w) after (x, y; e), from the vertices in index order, and
+        # (x, f; w) after (y, z; f), from them in (y, x, z, mu) order
+        left, self.rv1, self.rv2 = join(np.arange(self.nv), vx, self.vxy * n * n, vlin % (n * n))
+        right, self.cv3, self.cv4 = join(self.vy.argsort(kind="stable"), self.vy, self.vxy * n, vx * n**3 + self.vz)
+        # the union of the block keys, each key at the start of its run; a stable
+        # sort, as in the joins, since np.sort's default pages in 0.25 MB more code
+        both = np.sort(np.concatenate((left, right)), kind="stable")
+        self.lin = lin = both[np.searchsorted(both, both) == np.arange(len(both))]
+        self.dims = np.searchsorted(left, lin, "right") - np.searchsorted(left, lin)
+        self.cols = np.searchsorted(right, lin, "right") - np.searchsorted(right, lin)
+        self.rblk = np.arange(len(lin)).repeat(self.dims)
+
+    def tables(self, vals):
+        nv, dims, rblk = self.nv, self.dims, self.rblk
         self.row = np.full(nv * nv, -1)
         self.row[self.rv1 * nv + self.rv2] = np.arange(len(rblk))
-        # right trees through each f, N[y, z, f] N[x, f, w]; the final
-        # trees through f are ordered (f, la, ka)
-        nyz = rows.take(yz, axis=0).ravel()
-        inner = N[bx, :, bw].ravel()
-        wc = nyz * inner
-        f = wc.nonzero()[0]
-        sb, sf = divmod(f, n)
-        run, pos = _runs(wc[f])
-        f = f[run]
-        ka, la = divmod(pos, inner[f])
-        cv3 = vid[yz[sb] * n + sf][run] + ka
-        cv4 = vid[(bx[sb] * n + sf) * n + bw[sb]][run] + la
-
-        def finals():
-            col = np.full(nv * nv, -1)
-            col[cv4 * nv + cv3] = np.arange(len(cv3))
-            lead = np.add.accumulate(wc.reshape(-1, n), axis=1).ravel() - wc
-            csuf = lead[f] + la * nyz[f] + ka
-            return col, csuf, dims[sb[run]]
-
-        self.finals = finals
-        # the entries lie in blocks.vals row by row
         w = dims.max()
         r, j = _runs(dims[rblk])
         e = np.arange(len(r))
         self.in_row, self.in_row_nz = np.full((2, len(rblk), w), -1)
         at = r * w + j
         self.in_row.ravel()[at] = e
-        self.in_row_nz.ravel()[at] = np.where(blocks.vals != 0, e, -1)
-        self.ecol = first[rblk[r]] + j
-        self.ev3, self.ev4 = cv3[self.ecol], cv4[self.ecol]
+        self.in_row_nz.ravel()[at] = np.where(vals != 0, e, -1)
+        self.ecol = (np.add.accumulate(dims) - dims)[rblk[r]] + j
+        self.ev3, self.ev4 = self.cv3[self.ecol], self.cv4[self.ecol]
+
+    def finals(self):
+        cv3, cv4, nv = self.cv3, self.cv4, self.nv
+        col = np.full(nv * nv, -1)
+        col[cv4 * nv + cv3] = np.arange(len(cv3))
+        # right tree (y, z; f, ka)(x, f; w, la) is number pos = lead + ka
+        # N[x, f, w] + la of its block, and final tree lead + la N[y, z, f] + ka
+        cblk, pos = _runs(self.cols)
+        ka, la = self.vmu[cv3], self.vmu[cv4]
+        lead = pos - ka * self.vn[cv4] - la
+        return col, lead + la * self.vn[cv3] + ka, self.dims[cblk]
 
     def entries(self, table, p, q):
         """The source index and the entry of every entry of the left trees
@@ -719,9 +709,9 @@ def _start_trees(blocks: _Blocks, tr: _Trees, pair: np.ndarray, comp: np.ndarray
     composable; instances in key order, each one's start trees in
     canonical order, and the instance key of each."""
     n = len(blocks.data.simples)
-    bx, by, _, _ = blocks.keys
+    bx, by, bz, _ = blocks.keys
     P = pair[tr.vxy].nonzero()[0]
-    rows = pair[tr.yz][tr.rblk].nonzero()[0]
+    rows = pair[by * n + bz][tr.rblk].nonzero()[0]
     lo = np.searchsorted(bx[tr.rblk[rows]], np.arange(n + 1))
     e = tr.vz[P]
     run, j = _runs(lo[e + 1] - lo[e])
@@ -773,12 +763,13 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
     pentagon_residual."""
     data = blocks.data
     n = len(data.simples)
-    free = ~blocks.unit
+    free = ~data._unit
     comp = data._target[:, None] == data._source
     pair = (free[:, None] & free & comp).ravel()
     if not pair.any():
         return np.zeros(0)
-    tr = _Trees(blocks)
+    tr = blocks.tr
+    tr.tables(blocks.vals)
     P, Q, R, inst = _start_trees(blocks, tr, pair, comp)
     if not len(P):
         return np.zeros(0)
@@ -797,15 +788,20 @@ def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
         col, csuf, cdim = tr.finals()
         # final tree (f2, l2, f3, l3, k3), the vertices (c, d; f3)(b, f3;
         # f2)(a, f2; u), is number lead[f2] + l2 T[b,c,d,f2] + its position
-        # among the right trees of block (b, c, d, f2) through f3; lead is
-        # kept only for instances with more than one start tree, the
-        # others read row 0
+        # among the right trees of block (b, c, d, f2) through f3; lead sums
+        # N[a, f, u] T[b, c, d, f] over f < f2 for P = (a, b; e), Q = (e, c;
+        # g), R = (g, d; u), T read off the run of blocks (b, c, d, .), for
+        # the instances with more than one start tree (the rest read row 0)
         h = head[many]
-        # N[a, f, u] T[b, c, d, f] of P = (a, b; e), Q = (e, c; g), R = (g, d; u)
         p, q, r = P[h], Q[h], R[h]
-        wf = data.table[tr.vxy[p] // n, :, tr.vz[r]] * blocks.trees[tr.vy[p], tr.vxy[q] % n, tr.vy[r], :]
+        key = ((tr.vy[p] * n + tr.vy[q]) * n + tr.vy[r]) * n
+        lo = np.searchsorted(blocks.lin, key)
+        i, j = _runs(np.searchsorted(blocks.lin, key + n) - lo)
+        j += lo[i]
+        f = blocks.lin[j] % n
         lead = np.zeros((len(many) + 1, n), dtype=int)
-        lead[1:] = np.add.accumulate(wf, axis=1) - wf
+        lead[1 + i, f] = data.table[tr.vxy[p[i]] // n, f, tr.vz[r[i]]] * blocks.dims[j]
+        lead[1:] = np.add.accumulate(lead[1:], axis=1) - lead[1:]
         lead_row = np.zeros(len(size), dtype=int)
         lead_row[many] = np.arange(n, lead.size, n)
     # entry (final, start) of an instance is slot base + final size + start,
@@ -874,7 +870,8 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     sqrt(psi^2) rounds to unless psi^2 overflows or underflows. Cup/cap
     coefficients are installed from zig-zags taken on the returned engine,
     so the zig-zag and the loop identities hold; diagram._cup alone reads
-    them, and diagram.loop the loops.
+    them, and diagram.loop the loops. A d_c that is zero, subnormal or not
+    finite is an InputError naming c, raised before any division.
     """
     if len(psi.psi) != len(data.units):
         raise ShapeMismatch("need one psi entry per unit summand")
@@ -883,7 +880,9 @@ def dual_engine(data: FusionData, psi: SphericalWeight, tol: Tolerance = DEFAULT
     # math.sqrt rounds as np.sqrt does
     for c in data.simples:
         p, q = psi.of_unit(data, data.s(c)), psi.of_unit(data, data.t(c))
-        dims[c] = (p if p == q else math.sqrt(p * q)) * data.fpdim(c)
+        d = dims[c] = (p if p == q else math.sqrt(p * q)) * data.fpdim(c)
+        if not sys.float_info.min <= d < math.inf:
+            raise InputError(f"d_{c} = {d} is zero, subnormal or not finite")
     # d_u dim(c) - d_c, the one-sided dims at u = s(c) and u = t(c)
     chain = worst(abs(dims[u] * (dims[c] / dims[u]) - dims[c]) for c in data.simples for u in data.grading[c])
     if not within(chain, tol.bound()):

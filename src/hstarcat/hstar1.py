@@ -33,6 +33,10 @@ from .numcore import (
 
 # |u><u| = id holds up to the rounding of sqrt(w)^2 / w
 FRAME_TOL = 1e-12
+# Range of a trace weight. Outside it the frame check and the trace law
+# leave float64: sqrt(w)^2 of a subnormal w underflows, and the block
+# divisions by the smallest normal w overflow.
+WEIGHT_MIN, WEIGHT_MAX = 1e-300, 1e300
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class HStarAlgebra:
             raise ShapeMismatch("one weight per block required")
         if any(n <= 0 for n in self.block_sizes):
             raise InputError("block sizes must be positive")
-        if not all(clears(w, 0) for w in self.weights):
-            raise InputError("trace weights must be strictly positive")
+        if not all(WEIGHT_MIN <= w <= WEIGHT_MAX for w in self.weights):
+            raise InputError(f"trace weights must lie in [{WEIGHT_MIN:g}, {WEIGHT_MAX:g}]")
 
     @property
     def dim(self) -> int:

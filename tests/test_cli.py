@@ -381,6 +381,18 @@ def test_bad_hstar_file_exit_2_without_report(tmp_path, capsys, doc, command):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("weight", ["5e-324", "2.2250738585072014e-308"])
+def test_gns_weight_outside_its_range_exit_2_without_warning(tmp_path, capsys, weight):
+    # the schema accepts both; sqrt(w)^2 of the subnormal one underflows,
+    # and dividing by the smallest normal one overflows (hstar1.WEIGHT_MIN)
+    p = tmp_path / "hstar.json"
+    p.write_text(f'{{"blocks": [2], "weights": [{weight}]}}')
+    assert main(["hstar", "gns", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "RuntimeWarning" not in err
+    assert "trace weights must lie in [1e-300, 1e+300]" in err
+
+
 @pytest.mark.parametrize("argv", [("hstar", "gns", "hstar_example"), ("deligne", "check", "ising")])
 def test_optimized_interpreter_gives_the_same_report(argv):
     # python -O strips assert statements, so no check may be one

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -580,6 +581,13 @@ def test_degenerate_zigzag_scalar_fails_closed(monkeypatch, theta):
         fusion.dual_engine(bundled.load("fibonacci"), SphericalWeight((1.0,)))
 
 
+def test_dual_engine_names_a_dimension_it_cannot_divide_by():
+    # psi_11 psi_22 = 1e-330 underflows to 0, so d_12 = sqrt(0) FPdim(12)
+    # is 0, once a bare ZeroDivisionError in the cup coefficients
+    with pytest.raises(InputError, match="^d_12 = 0.0 is zero, subnormal or not finite$"):
+        fusion.dual_engine(bundled.load("m2_hilb"), SphericalWeight((1e-170, 1e-160)))
+
+
 def _random_ring(labels, mult, dual, seed):
     """A ring on the labels with unit "0": N[a, b, c] = mult for the
     non-unit a, b in product order, and a random unitary F block wherever
@@ -779,9 +787,38 @@ def test_no_block_past_a_tree_count_mismatch_is_read():
 def test_tree_counts_match_the_einsum_reference(n):
     # entries up to 3, so that vertices carry multiplicities
     N = np.random.default_rng(40 + n).integers(0, 4, (n, n, n))
-    trees, cols = fusion._tree_counts(N)
-    assert np.array_equal(trees, np.einsum("abe,ecd->abcd", N, N))
-    assert np.array_equal(cols, np.einsum("bcf,afd->abcd", N, N))
+    tr = fusion._Trees(N)
+    left, right = np.einsum("abe,ecd->abcd", N, N).ravel(), np.einsum("bcf,afd->abcd", N, N).ravel()
+    assert np.array_equal(tr.lin, (left | right).nonzero()[0])
+    assert np.array_equal(tr.dims, left[tr.lin]) and np.array_equal(tr.cols, right[tr.lin])
+    # every tree, block by block in canonical order, by the loops of
+    # tree_rows and tree_cols over vertex numbers in index order
+    first = np.add.accumulate(N.ravel()) - N.ravel()
+
+    def v(x, y, z, mu):
+        return first[(x * n + y) * n + z] + mu
+
+    rows, cols = [], []
+    for x, y, z, w in itertools.product(range(n), repeat=4):
+        for e in range(n):
+            rows += [(v(x, y, e, mu), v(e, z, w, nu)) for mu in range(N[x, y, e]) for nu in range(N[e, z, w])]
+        for f in range(n):
+            cols += [(v(y, z, f, ka), v(x, f, w, la)) for ka in range(N[y, z, f]) for la in range(N[x, f, w])]
+    assert list(zip(tr.rv1.tolist(), tr.rv2.tolist())) == rows
+    assert list(zip(tr.cv3.tolist(), tr.cv4.tolist())) == cols
+
+
+def test_validate_builds_no_dense_tree_count_table():
+    # one int64 table over all (a, b, c, d) of Vec(Z_40) takes 40**4 * 8
+    # bytes, 19.5 MiB; the vertex join takes a few MiB there
+    data = fam.vec_zn(40)
+    tracemalloc.start()
+    try:
+        fusion._Blocks(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40**4 * 8
 
 
 def _first_count_mismatch(data):

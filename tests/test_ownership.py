@@ -70,6 +70,7 @@ OWNERSHIP = (
     Rule(("read", "write"), ("_basis", "_index", "_support", "_fcache"), (),
          "the per-engine tables that the data's tables replaced"),
     Rule(("def",), ("_trees", "_fsym"), (), "the per-engine tree sweep and F blocks that the data replaced"),
+    Rule(("def",), ("_tree_counts",), (), "the dense n⁴ tree-count tables that the vertex join replaced"),
     Rule(("def",), ("H2Object", "H2Morphism"), (), "one morphism model: diagram.Mor"),
     Rule(("read",), ("linalg.norm",), (),
          "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
