@@ -14,10 +14,11 @@ non-unit or a pair algebra on the zero object, an algebra with no unit
 summand for split-monad and standardize, a decomposable category for
 theorem-b, an H*-algebra
 document whose trace is missing, does not match its blocks in shape, or
-has a weight or functional entry that is not finite (for hstar gns, a
-weight outside [hstar1.WEIGHT_MIN, WEIGHT_MAX]), and an --out file that
-cannot be opened for writing. Any other exception (a
-ConsistencyError, say) exits 3 with no report and one JSON line
+has a weight or a real or imaginary part of a functional entry that is
+not finite or of magnitude above hstar1.WEIGHT_MAX (for hstar gns, a
+document without weights or a weight outside [hstar1.WEIGHT_MIN,
+WEIGHT_MAX]), and an --out file that cannot be opened for writing. Any
+other exception (a ConsistencyError, say) exits 3 with no report and one JSON line
 {"error", "message"} on stderr, so that no failure of a run reads as a
 REJECT.
 
@@ -202,7 +203,11 @@ def _load_fusion(path: str):
 def _read_hstar(path: str):
     """An H*-algebra document, checked against its schema; it must give a
     trace as one weight per block, or one n x n functional matrix per block
-    of size n, and weights and functional entries must be finite."""
+    of size n, and every weight and every real and imaginary part of a
+    functional entry must be finite, of magnitude at most
+    hstar1.WEIGHT_MAX, past which the trace of a product overflows."""
+    from .hstar1 import WEIGHT_MAX
+
     doc, digest, name = _read_input(path)
     _check_schema(doc, "hstar", name)
     blocks, weights, phis = doc["blocks"], doc.get("weights"), doc.get("functional")
@@ -216,8 +221,10 @@ def _read_hstar(path: str):
     ):
         raise InputError(f"{name}: the functional needs one n x n matrix per block of size n")
     entries = [x for phi in phis or () for row in phi for z in row for x in z]
-    if not all(math.isfinite(x) for x in list(weights or ()) + entries):
-        raise InputError(f"{name}: weights and functional entries must be finite")
+    if not all(abs(x) <= WEIGHT_MAX for x in list(weights or ()) + entries):
+        raise InputError(
+            f"{name}: weights and functional entries must be finite, of magnitude at most {WEIGHT_MAX:g}"
+        )
     return doc, digest, name
 
 
@@ -441,10 +448,10 @@ def _cmd_h3_complete(args):
     eng, digest, name = _fusion_engine(args, args.paths[0])
     rep = Report(args, {name: digest})
     X = hilb3.delooping(eng)
-    rep.add("sphericality", hilb3.presentation_sphericality(X, seed=args.seed))
+    rep.add("sphericality", hilb3.presentation_sphericality(X))
     Xs = hilb3.hilbert_sum_completion(X)
     S = hilb3.sum_object(Xs, list(eng.data.units) + [eng.data.units[0]])
-    rep.add("hilbert_sum", hilb3.certify_hilbert_sum(Xs, S, seed=args.seed))
+    rep.add("hilbert_sum", hilb3.certify_hilbert_sum(Xs, S))
     return rep.finish(args.out)
 
 
@@ -494,9 +501,11 @@ def _cmd_hstar_gns(args):
 
     doc, digest, name = _read_hstar(args.paths[0])
     rep = Report(args, {name: digest})
+    if doc.get("weights") is None:
+        raise InputError(f"{name}: hstar gns needs weights, not a functional")
     try:
         A = hstar1.HStarAlgebra(tuple(doc["blocks"]), tuple(doc["weights"]))
-    except (KeyError, InputError) as exc:
+    except InputError as exc:
         raise InputError(f"{name}: bad H*-algebra spec: {exc}")
     mod = hstar1.gns(A)
     resid = hstar1.module_trace_law_residual(mod, args.tolerance, args.seed)

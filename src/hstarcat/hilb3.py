@@ -92,7 +92,6 @@ from .numcore import (
     InputError,
     ShapeMismatch,
     Tolerance,
-    sample_rng,
     worst,
 )
 
@@ -176,31 +175,22 @@ def monad_psi(A: AlgebraObject, f: Mor) -> complex:
 # --- sphericality of an installed Psi ----------------------------------
 
 
-def presentation_sphericality(
-    X: Pre3HilbPresentation, samples: int = 5, seed: int = 0
-) -> Certificate:
-    """Sampled left/right closed-loop agreement for 1-morphisms between
-    the engine-backed objects of the presentation.
+def presentation_sphericality(X: Pre3HilbPresentation, *, seed: int = 0) -> Certificate:
+    """Left/right closed-loop agreement for 1-morphisms between the
+    engine-backed objects of the presentation, on id_x for every simple x.
 
-    Each sample draws an object O (multiplicities 0-2 per simple) and a
-    random f in End(O), and compares psi of its two loops, which the
-    engine reads off f's blocks: the sum over the simples x of
-    psi_{t(x)} |alpha_x|^2 tr(f_x) (left) against psi_{s(x)} |beta_x|^2
-    tr(f_x) (right). They agree for every f exactly when psi_{t(x)}
-    |alpha_x|^2 = psi_{s(x)} |beta_x|^2 for each simple x in O, that is,
-    when the cups and caps of the udf are spherical for psi; the check
-    reads the udf on every call, so a rescaled alpha_x or beta_x shows."""
+    psi of the two loops of f in End(O) is, read off f's blocks, the sum
+    over the simples x of psi_{t(x)} |alpha_x|^2 tr(f_x) (left) against
+    psi_{s(x)} |beta_x|^2 tr(f_x) (right). Both are linear in the traces
+    tr(f_x), so they agree for every f exactly when they agree on each
+    id_x: psi_{t(x)} |alpha_x|^2 = psi_{s(x)} |beta_x|^2, that is, when
+    the cups and caps of the udf are spherical for psi. The check reads
+    the udf on every call, so a rescaled alpha_x or beta_x shows. seed is
+    unused: the check draws nothing."""
     eng = X.eng
-    rng = sample_rng(samples, seed)
     gaps = []
-    simples = eng.data.simples
-    for _ in range(samples):
-        # one draw of all multiplicities: the stream of one draw per simple
-        mult = dict(zip(simples, rng.integers(0, 3, size=len(simples)).tolist()))
-        if not any(mult.values()):
-            mult[simples[0]] = 1
-        O = eng.obj(mult)
-        f = eng.random_mor((O,), (O,), rng)
+    for x in eng.data.simples:
+        f = eng.identity((eng.simple_obj(x),))
         left = eng.psi_of_unit_endo(eng.trace_left(f))
         right = eng.psi_of_unit_endo(eng.trace_right(f))
         gaps.append(abs(left - right))
@@ -247,11 +237,11 @@ def sum_isometries(X: Pre3HilbPresentation, S: SumObject):
     return out
 
 
-def certify_hilbert_sum(
-    X: Pre3HilbPresentation, S: SumObject, samples: int = 5, seed: int = 0
-) -> Certificate:
+def certify_hilbert_sum(X: Pre3HilbPresentation, S: SumObject, *, seed: int = 0) -> Certificate:
     """Resolution of the identity by the coordinate inclusions and
-    additivity of Psi over the summands."""
+    additivity of Psi over the summands, on every elementary endomorphism
+    of S: both sides are linear, so they agree everywhere exactly when
+    they agree on a basis. seed is unused: the check draws nothing."""
     eng = X.eng
     O = X.unit_obj(S)
     incs = sum_isometries(X, S)
@@ -259,10 +249,8 @@ def certify_hilbert_sum(
     for inc in incs:
         total = eng.add(total, eng.compose(inc, eng.dagger(inc)))
     res_defect = eng.residual(total, eng.identity((O,)))
-    rng = sample_rng(samples, seed)
     gaps = []
-    for _ in range(samples):
-        f = eng.random_mor((O,), (O,), rng)
+    for f in eng.hom_basis((O,), (O,)):
         whole = X.psi_value(S, f)
         split = sum(
             X.psi_value(
@@ -627,8 +615,7 @@ def split_monad(B: AlgebraObject, *, seed: int = 0) -> MonadSplitting:
     bound = eng.tol.bound(1.0 + eng.l2_norm(u))
     order = sorted(resid, key=lambda k: -resid[k] if resid[k] == resid[k] else -np.inf)
     cert = judged(resid, [(k, bound, k) for k in order])
-    pair = Bimodule(A, A, T.obj, T.lam, T.rho)
-    return MonadSplitting(B, M, pair, mu_T, iota_T, u, cert)
+    return MonadSplitting(B, M, T, mu_T, iota_T, u, cert)
 
 
 # --- weight on module categories and the comparison --------------------

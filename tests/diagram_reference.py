@@ -14,10 +14,10 @@ before the unit algebra acted by its unitors.
 
 The sampled draws, closed loops and unit weights are kept as the engine
 and the sampled checks computed them before each was batched or read off
-the blocks directly: two normal draws per random block, one draw per
-multiplicity of a sampled object, real and imaginary parts added, one
-product per action form and per trace form, and closed loops summed over
-every simple.
+the blocks directly: two normal draws per random block, real and
+imaginary parts added, one product per action form and per trace form,
+and closed loops summed over every simple. Sphericality compares the
+whiskered loops of each id_x.
 
 The module trace is kept as the dual closure of the module: the right
 action and its dagger closed through ev_obj of the module's object,
@@ -79,18 +79,14 @@ def random_mor(eng: Engine, dom, cod, rng):
     return Mor(dom, cod, blocks)
 
 
-def presentation_sphericality(X, samples, seed):
-    """hilb3.presentation_sphericality with one draw per multiplicity and
-    the random morphism, closed loops and weights above."""
-    eng, rng, gaps = X.eng, np.random.default_rng(seed), []
-    for _ in range(samples):
-        mult = {c: int(rng.integers(0, 3)) for c in eng.data.simples}
-        if not any(mult.values()):
-            mult[eng.data.simples[0]] = 1
-        O = eng.obj(mult)
-        f = random_mor(eng, (O,), (O,), rng)
-        left = psi_of_unit_endo(eng, closed_loop(eng, f, True))
-        right = psi_of_unit_endo(eng, closed_loop(eng, f, False))
+def presentation_sphericality(X):
+    """hilb3.presentation_sphericality with the whiskered closed loops of
+    id_x for every simple x, weighed one unit at a time."""
+    eng, gaps = X.eng, []
+    for x in eng.data.simples:
+        f = eng.identity((eng.simple_obj(x),))
+        left = psi_of_unit_endo(eng, trace_left(eng, f))
+        right = psi_of_unit_endo(eng, trace_right(eng, f))
         gaps.append(abs(left - right))
     return bounded("sphericality", worst(gaps), eng.tol.bound(1.0 + eng.udf.psi.total()), "sphericality")
 

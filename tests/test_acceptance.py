@@ -296,7 +296,7 @@ def test_criterion_12_completions():
         X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
         parts = [hilb3.DeloopObject(u) for u in eng.data.units]
         S = hilb3.sum_object(X, parts + parts[:1])
-        cert = hilb3.certify_hilbert_sum(X, S, samples=5)
+        cert = hilb3.certify_hilbert_sum(X, S)
         res = max(res, cert.residuals["resolution"])
         add = max(add, cert.residuals["additivity"])
     sph = 0.0
@@ -304,7 +304,7 @@ def test_criterion_12_completions():
     for name, A in _bundled_algebras():
         eng = A.eng
         X = hilb3.hstar_monad_completion(hilb3.delooping(eng), [A])
-        cert = hilb3.presentation_sphericality(X, samples=5)
+        cert = hilb3.presentation_sphericality(X)
         sph = max(sph, max(cert.residuals.values()))
         sp = hilb3.split_monad(A)
         assert sp.certificate.ok, (name, sp.certificate.residuals)

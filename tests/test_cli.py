@@ -393,6 +393,75 @@ def test_gns_weight_outside_its_range_exit_2_without_warning(tmp_path, capsys, w
     assert "trace weights must lie in [1e-300, 1e+300]" in err
 
 
+
+def _main_without_warnings(capsys, *argv):
+    """main's exit code and captured (out, err), asserting that the run
+    raised no RuntimeWarning: the test settings make one an error, which
+    main reports on stderr."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert "RuntimeWarning" not in err
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"blocks": [2], "weights": [1e308]}',
+        '{"blocks": [1, 2], "weights": [1.0, -1e308]}',
+        '{"blocks": [2], "functional": [[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]}',
+        '{"blocks": [1], "functional": [[[[1.0, -1e308]]]]}',
+    ],
+    ids=["weight", "negative_weight", "functional_real", "functional_imag"],
+)
+@pytest.mark.parametrize("command", ["verify", "gns"])
+def test_hstar_entry_above_weight_max_exit_2_without_warning(tmp_path, capsys, doc, command):
+    # past hstar1.WEIGHT_MAX the trace of a product overflows; the input
+    # is refused before any is formed
+    p = tmp_path / "hstar.json"
+    p.write_text(doc)
+    code, out, err = _main_without_warnings(capsys, "hstar", command, str(p))
+    assert (code, out) == (2, "")
+    assert "of magnitude at most 1e+300" in err
+
+
+@pytest.mark.parametrize("weight", ["-1.0", "0.0", "1e-320"])
+def test_hstar_verify_non_positive_or_tiny_weight_rejects_on_positivity(tmp_path, capsys, weight):
+    p = tmp_path / "hstar.json"
+    p.write_text(f'{{"blocks": [2], "weights": [{weight}]}}')
+    code, out, _ = _main_without_warnings(capsys, "hstar", "verify", str(p))
+    rep = json.loads(out)
+    assert (code, rep["violated_axioms"]) == (1, {"hstar_trace": "positivity"})
+    assert rep["residuals"]["hstar_trace.positivity_margin"] == float(weight)
+
+
+def test_hstar_gns_of_a_functional_alone_says_it_needs_weights(tmp_path, capsys):
+    p = tmp_path / "hstar.json"
+    p.write_text('{"blocks": [1], "functional": [[[[1.0, 0.0]]]]}')
+    code, out, err = _main_without_warnings(capsys, "hstar", "gns", str(p))
+    assert (code, out) == (2, "")
+    assert "hstar gns needs weights" in err and "'weights'" not in err
+
+
+def test_h3_complete_reports_do_not_depend_on_the_seed(capsys):
+    # both completion checks run on a basis and draw nothing
+    reps = []
+    for seed in range(4):
+        code, rep = _run(capsys, "h3", "complete", "m2_hilb", "--psi", "1.0,4.0", "--seed", str(seed))
+        assert code == 0 and rep.pop("seed") == seed
+        reps.append(rep)
+    assert all(rep == reps[0] for rep in reps)
+
+
+@pytest.mark.parametrize(
+    "name, psi",
+    [(name, psi) for name in bundled.NAMES if name != "m2_hilb" for psi in ("1e-6", "1e6")]
+    + [("m2_hilb", "1e-6,1e6"), ("m2_hilb", "1e6,1e-6")],
+)
+def test_h3_complete_accepts_at_the_psi_range_ends(capsys, name, psi):
+    code, rep = _run(capsys, "h3", "complete", name, "--psi", psi)
+    assert code == 0 and rep["verdict"] == "ACCEPT"
+
 @pytest.mark.parametrize("argv", [("hstar", "gns", "hstar_example"), ("deligne", "check", "ising")])
 def test_optimized_interpreter_gives_the_same_report(argv):
     # python -O strips assert statements, so no check may be one

@@ -178,19 +178,26 @@ def test_pairings_match_the_tensor_calculus_reference(name):
 
 
 @pytest.mark.parametrize(
-    "name, gap", [("ising", 10.119), ("fibonacci", 5.936), ("m2_hilb", 4.219), ("hilb_z2", 3.669)]
+    "name, gap", [("ising", 5.303), ("fibonacci", 6.068), ("m2_hilb", 3.75), ("hilb_z2", 3.75)]
 )
 def test_sphericality_sees_a_rescaled_cup(name, gap):
     # alpha_c beta_c is kept, so the zig-zags still hold, but the left and
-    # right loops of c part: the check must read the udf on every call
+    # right loops of id_c part by |4 psi_t(c) |alpha_c|^2 - psi_s(c)
+    # |beta_c|^2 / 4|: the check must read the udf on every call
     eng = _eng(name)
     X = hilb3.delooping(eng)
-    assert hilb3.presentation_sphericality(X, seed=3).ok
+    assert hilb3.presentation_sphericality(X).ok
     c = next(c for c in eng.data.simples if c not in eng.data.units)
+    data, udf = eng.data, eng.udf
+    closed = abs(
+        4 * udf.psi.of_unit(data, data.t(c)) * abs(udf.alpha[c]) ** 2
+        - udf.psi.of_unit(data, data.s(c)) * abs(udf.beta[c]) ** 2 / 4
+    )
     eng.udf.alpha[c] *= 2.0
     eng.udf.beta[c] /= 2.0
-    cert = hilb3.presentation_sphericality(X, seed=3)
+    cert = hilb3.presentation_sphericality(X)
     assert (cert.ok, cert.failed_axiom) == (False, "sphericality")
+    assert cert.residuals["sphericality"] == pytest.approx(closed, rel=1e-12)
     assert cert.residuals["sphericality"] == pytest.approx(gap, abs=1e-3)
 
 
@@ -231,8 +238,8 @@ def _count_calls(monkeypatch, entries, counted):
     return calls
 
 
-def _sampled_objects(X, seed):
-    """The objects whose loops presentation_sphericality samples."""
+def _looped_objects(X):
+    """The objects whose loops presentation_sphericality reads."""
     seen = []
     run = Engine.trace_left
 
@@ -242,7 +249,7 @@ def _sampled_objects(X, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "trace_left", recorded)
-        hilb3.presentation_sphericality(X, seed=seed)
+        hilb3.presentation_sphericality(X)
     return seen
 
 
@@ -250,11 +257,12 @@ def test_pairings_make_no_diagram_calls():
     # ev_obj and coev_obj write their entries into zero blocks: no tensor
     # calculus, and nothing kept in Engine.derived, whose values must not
     # depend on the udf; called on a warm engine, on the objects of a
-    # sampled sphericality check
+    # sphericality check, one simple each
     for data in (bundled.load("ising"), fam.gauge(fam.ty_zn(3), np.random.default_rng(11))):
         X = hilb3.delooping(_engine(data))
-        hilb3.presentation_sphericality(X, seed=0)
-        objects = _sampled_objects(X, seed=1)
+        hilb3.presentation_sphericality(X)
+        objects = _looped_objects(X)
+        assert objects == [X.eng.simple_obj(c) for c in data.simples]
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_calls(
                 mp, ("ev_obj", "coev_obj"), ("tensor", "include", "compose", "add", "derived")
@@ -262,7 +270,7 @@ def test_pairings_make_no_diagram_calls():
             for O in objects:
                 X.eng.ev_obj(O)
                 X.eng.coev_obj(O)
-        assert +calls == Counter(ev_obj=5, coev_obj=5), dict(calls)
+        assert +calls == Counter(ev_obj=len(objects), coev_obj=len(objects)), dict(calls)
 
 
 @pytest.mark.parametrize("value", [False, 0.0, None])
@@ -291,8 +299,9 @@ def test_closed_loops_make_no_diagram_calls(monkeypatch):
         ("ev_obj", "coev_obj", "whisker_left_obj", "whisker_right_obj", "group_last", "compose"),
     )
     X = hilb3.delooping(_pairing_engine("ty5"))
-    assert hilb3.presentation_sphericality(X, seed=4).ok
-    assert +calls == Counter(trace_left=5, trace_right=5), dict(calls)
+    assert hilb3.presentation_sphericality(X).ok
+    n = len(X.eng.data.simples)
+    assert +calls == Counter(trace_left=n, trace_right=n), dict(calls)
 
 
 # (case, psi) for the closed-loop and zig-zag references: the bundled
@@ -365,12 +374,13 @@ def test_closed_loops_and_unit_weights_are_the_reference_to_the_bit(name, psis):
 
 @pytest.mark.parametrize("name, psis", LOOP_CASES)
 def test_sphericality_is_the_per_simple_draw_reference(name, psis):
-    # all multiplicities of a sampled object in one draw are the stream of
-    # one draw each, and the check reads the loops above
+    # one loop pair per simple x, on id_x: the loops read off the blocks
+    # give the whiskered loops' certificate; the whiskers of a gauged
+    # category pass through F blocks, so the residuals agree to roundoff
     X = hilb3.delooping(_loop_engine(name, psis))
-    for seed in range(10):
-        want = diagram_reference.presentation_sphericality(X, 5, seed)
-        assert repr(hilb3.presentation_sphericality(X, seed=seed)) == repr(want), seed
+    got, want = hilb3.presentation_sphericality(X), diagram_reference.presentation_sphericality(X)
+    assert (got.ok, got.failed_axiom, list(got.residuals)) == (want.ok, want.failed_axiom, list(want.residuals))
+    assert abs(got.residuals["sphericality"] - want.residuals["sphericality"]) <= 1e-12
 
 
 @pytest.mark.parametrize("word", [("t", "t"), ("1", "t", "t"), ()])
@@ -461,13 +471,13 @@ def test_zigzag_scalar_is_the_whiskered_value(name, psis):
 @pytest.mark.parametrize("name", PAIRING_CASES)
 def test_sphericality_sees_a_rescaled_evaluation(name):
     # alpha_c alone doubled: the zig-zag and the left loop of c break, and
-    # the sampled loops must part
+    # the loops of id_c must part
     eng = _pairing_engine(name)
     X = hilb3.delooping(eng)
-    assert hilb3.presentation_sphericality(X, seed=5).ok
+    assert hilb3.presentation_sphericality(X).ok
     c = next(c for c in eng.data.simples if c not in eng.data.units)
     eng.udf.alpha[c] *= 2.0
-    cert = hilb3.presentation_sphericality(X, seed=5)
+    cert = hilb3.presentation_sphericality(X)
     assert (cert.ok, cert.failed_axiom) == (False, "sphericality")
 
 

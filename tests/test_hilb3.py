@@ -9,7 +9,7 @@ from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, sample_rng, split_projection
+from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, split_projection
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -30,8 +30,70 @@ def test_monad_psi_scaling():
 def test_presentation_sphericality():
     eng = _eng("ising", (0.8,))
     X = hilb3.delooping(eng)
-    cert = hilb3.presentation_sphericality(X, samples=5)
+    cert = hilb3.presentation_sphericality(X)
     assert cert.ok, cert.residuals
+
+
+@pytest.mark.parametrize(
+    "name, c, seeds",
+    [("fibonacci", "t", (71, 246)), ("ising", "p", (311, 357)), ("ising", "s", (522, 612))],
+    ids=["fibonacci-t", "ising-p", "ising-s"],
+)
+def test_a_rescaled_cup_rejects_at_every_seed(name, c, seeds):
+    # alpha_c doubled and beta_c halved part the loops of id_c alone; a
+    # draw that gave c multiplicity 0 missed it, as five draws did at
+    # these seeds, and the check on every simple cannot
+    eng = _eng(name)
+    X = hilb3.delooping(eng)
+    eng.udf.alpha[c] *= 2.0
+    eng.udf.beta[c] /= 2.0
+    for seed in seeds:
+        cert = hilb3.presentation_sphericality(X, seed=seed)
+        assert (cert.ok, cert.failed_axiom) == (False, "sphericality"), seed
+
+
+def test_completion_checks_draw_nothing(monkeypatch):
+    # both checks run on a basis: no random morphism and no generator,
+    # and seed, kept for callers that pass it, is keyword-only
+    eng = _eng("m2_hilb", (1.0, 4.0))
+    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
+    S = hilb3.sum_object(X, ["11", "22", "11"])
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a completion check drew a sample")
+
+    monkeypatch.setattr(Engine, "random_mor", drawn)
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    sph = [repr(hilb3.presentation_sphericality(X, seed=s)) for s in range(3)]
+    add = [repr(hilb3.certify_hilbert_sum(X, S, seed=s)) for s in range(3)]
+    assert len(set(sph)) == len(set(add)) == 1
+    with pytest.raises(TypeError):
+        hilb3.presentation_sphericality(X, 0)
+    with pytest.raises(TypeError):
+        hilb3.certify_hilbert_sum(X, S, 0)
+    for check, args in ((hilb3.presentation_sphericality, (X,)), (hilb3.certify_hilbert_sum, (X, S))):
+        with pytest.raises(TypeError):
+            check(*args, samples=5)
+
+
+def test_additivity_reads_every_elementary_endomorphism(monkeypatch):
+    # k parts give one Psi on S per elementary map of End(S): here k = 3
+    # over two units, so 2^2 + 1^2 maps
+    eng = _eng("m2_hilb", (1.0, 4.0))
+    X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
+    S = hilb3.sum_object(X, ["11", "22", "11"])
+    seen = []
+    psi_value = hilb3.Pre3HilbPresentation.psi_value
+
+    def recorded(self, obj, f):
+        if isinstance(obj, hilb3.SumObject):
+            seen.append(f)
+        return psi_value(self, obj, f)
+
+    monkeypatch.setattr(hilb3.Pre3HilbPresentation, "psi_value", recorded)
+    assert hilb3.certify_hilbert_sum(X, S).ok
+    O = X.unit_obj(S)
+    assert [eng.to_vector(f).tolist() for f in seen] == np.eye(eng.hom_dim((O,), (O,))).tolist()
 
 
 def test_hilbert_sum_certification():
@@ -39,7 +101,7 @@ def test_hilbert_sum_certification():
     X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
     # repeated parts are allowed
     S = hilb3.sum_object(X, [hilb3.DeloopObject("1")] * 3)
-    cert = hilb3.certify_hilbert_sum(X, S, samples=5)
+    cert = hilb3.certify_hilbert_sum(X, S)
     assert cert.ok
     assert cert.residuals["resolution"] < 1e-10
     assert cert.residuals["additivity"] < 1e-9
@@ -63,15 +125,15 @@ def _hidden_direction(fs):
 
 
 def test_a_resolution_defect_hidden_from_the_samples_rejects_on_resolution(monkeypatch):
-    # additivity reads Psi on 5 sampled endomorphisms only; inclusions
-    # I'_j = R I_j with R^2 = id + eps D, D a direction none of the samples
-    # sees, keep it at roundoff, and the exhaustive resolution check alone
-    # rejects
+    # inclusions I'_j = R I_j with R^2 = id + eps D, D a direction that
+    # five random endomorphisms do not see: the resolution check rejects,
+    # and additivity, read on every elementary endomorphism E_ij, sees the
+    # defect as psi_1 eps |D_ji|
     eng = _eng("hilb_z2")
     X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
     S = hilb3.sum_object(X, ["1"] * 4)
     O = X.unit_obj(S)
-    rng = sample_rng(5, 3)
+    rng = np.random.default_rng(3)
     D = _hidden_direction([eng.random_mor((O,), (O,), rng).blocks["1"] for _ in range(5)])
     w, V = np.linalg.eigh(1e-3 * D)
     R = eng.mor((O,), (O,), {"1": (V * np.sqrt(1 + w)) @ V.conj().T})
@@ -79,10 +141,11 @@ def test_a_resolution_defect_hidden_from_the_samples_rejects_on_resolution(monke
     monkeypatch.setattr(
         hilb3, "sum_isometries", lambda X, S: [eng.compose(R, i) for i in inclusions(X, S)]
     )
-    cert = hilb3.certify_hilbert_sum(X, S, samples=5, seed=3)
+    cert = hilb3.certify_hilbert_sum(X, S)
     assert (cert.ok, cert.failed_axiom) == (False, "direct-sum resolution")
     assert cert.residuals["resolution"] == pytest.approx(1e-3)
-    assert cert.residuals["additivity"] < 1e-12
+    assert cert.residuals["additivity"] == pytest.approx(1e-3 * np.abs(D).max(), rel=1e-6)
+    assert cert.residuals["additivity"] > DEFAULT_TOL.bound(2.0)
 
 
 class _DoubledSumPsi(hilb3.Pre3HilbPresentation):
@@ -98,10 +161,11 @@ def test_a_psi_that_is_not_additive_rejects_on_additivity():
     eng = _eng("hilb_z2")
     X = _DoubledSumPsi(eng, hilb3.hilbert_sum_completion(hilb3.delooping(eng)).objects)
     S = hilb3.sum_object(X, ["1", "1"])
-    cert = hilb3.certify_hilbert_sum(X, S, samples=5)
+    cert = hilb3.certify_hilbert_sum(X, S)
     assert (cert.ok, cert.failed_axiom) == (False, "Psi additivity")
     assert cert.residuals["resolution"] == 0.0
-    assert cert.residuals["additivity"] > 0.1
+    # on E_11: 2 psi_1 against psi_1
+    assert cert.residuals["additivity"] == 1.0
 
 
 def _psi_block_sum(eng, f):

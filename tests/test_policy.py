@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from hstarcat import bundled, deligne, hilb3, hstar1, intalg
+from hstarcat import bundled, deligne, hstar1, intalg
 from hstarcat.certify import bounded, clears, judged, within
 from hstarcat.fusion import SphericalWeight, dual_engine
 from hstarcat.hilb2 import TwoHilbertSpace
@@ -398,11 +398,6 @@ def _right_action(samples):
     return deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=samples)
 
 
-def _hilbert_sum(samples):
-    X = hilb3.hilbert_sum_completion(hilb3.delooping(_fibonacci()))
-    return hilb3.certify_hilbert_sum(X, hilb3.sum_object(X, ["1", "1"]), samples=samples)
-
-
 def _delta0(samples):
     eng = _fibonacci()
     A = intalg.group_algebra(eng, ("1",))
@@ -415,10 +410,6 @@ def _delta0(samples):
 SAMPLED = {
     "deligne.right_action_isometry": _right_action,
     "deligne.ladder_traciality": lambda samples: deligne.ladder_traciality(_fibonacci(), samples, 0),
-    "hilb3.presentation_sphericality": lambda samples: hilb3.presentation_sphericality(
-        hilb3.delooping(_fibonacci()), samples=samples
-    ),
-    "hilb3.certify_hilbert_sum": _hilbert_sum,
     "hstar1.verify_hstar_algebra": lambda samples: hstar1.verify_hstar_algebra(
         (2, 1), (1.0, 1.0), samples=samples
     ),
