@@ -438,7 +438,7 @@ def _cmd_deligne_check(args):
         "right_action",
         deligne.right_action_isometry(mside, eng, m_objects, samples=5, seed=args.seed),
     )
-    rep.add("ladder_trace", deligne.ladder_traciality(eng, 5, args.seed))
+    rep.add("ladder_trace", deligne.ladder_traciality(eng))
     return rep.finish(args.out)
 
 
@@ -489,9 +489,7 @@ def _cmd_hstar_verify(args):
         functional = [np.array([[complex(*e) for e in row] for row in phi]) for phi in functional]
     rep.add(
         "hstar_trace",
-        hstar1.verify_hstar_algebra(
-            doc["blocks"], doc.get("weights"), functional, args.tolerance, args.seed
-        ),
+        hstar1.verify_hstar_algebra(doc["blocks"], doc.get("weights"), functional, args.tolerance),
     )
     return rep.finish(args.out)
 

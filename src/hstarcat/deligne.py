@@ -16,8 +16,9 @@ the coefficients, so both are fixed tensors on the basis ladders, kept on
 the engine (Engine.derived) per ladder objects: T[k, p, q] with
 (F o G)_k = T[k, p, q] zF_p zG_q, and the trace vector w with
 tr F = w . z. The action images of the basis ladders are kept the same
-way, and each sampled check keeps its forms, one per ladder object,
-stacked by length.
+way, and each check keeps its forms, one per ladder object: the
+right-action check stacked by length for its samples, and the traciality
+check as a list, read on the basis ladders.
 
 Kept values are keyed by numbers, not words. A ladder object takes two
 from its engine's intern table (Engine.intern) when it is built: one for
@@ -25,16 +26,14 @@ its product, the types of its module sides, and one for the product with
 its objects m and n. A kept key is a name and such numbers, so a warm
 ladder call (ladder_hom_dim, random_ladder, ladder_compose, ladder_trace)
 costs one dict lookup on a flat key plus its numpy work, and a new sample
-or seed does no diagram work. A sampled check keeps its forms stacked by
-length and draws all its coefficients in one call; it gathers the
-coefficients of all forms of one length as one stack and evaluates them
-in one pass, and each form's coefficients are still, bit for bit, the
-draw of a call of its own.
+or seed does no diagram work. The right-action check draws all its
+coefficients in one call; it gathers the coefficients of all forms of
+one length as one stack and evaluates them in one pass, and each form's
+coefficients are still, bit for bit, the draw of a call of its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -173,16 +172,15 @@ def _by_length(forms) -> tuple:
     return total, tuple((L, np.array([s for s, _ in g]), np.stack([f for _, f in g])) for L, g in groups.items())
 
 
-def _sampled(rng, lead, kept):
+def _sampled(rng, k, kept):
     """For each group of kept = _by_length(forms): the coefficients of its
-    forms as one (n, *lead, L) stack, and the stack of its forms. One draw
-    holds them all, form by form in order, so each form's block is bit for
-    bit the draw of _coefficients(rng, (*lead, L)) of its own."""
+    forms as one (n, k, L) stack of k samples each, and the stack of its
+    forms. One draw holds them all, form by form in order, so each form's
+    block is bit for bit the draw of _coefficients(rng, (k, L)) of its own."""
     total, groups = kept
-    k = math.prod(lead)
     z = _coefficients(rng, (k * total,))
     for L, starts, stack in groups:
-        yield z[k * starts[:, None] + np.arange(k * L)].reshape(len(starts), *lead, L), stack
+        yield z[k * starts[:, None] + np.arange(k * L)].reshape(len(starts), k, L), stack
 
 
 def random_ladder(src: LadderObject, dst: LadderObject, rng) -> LadderHom:
@@ -311,7 +309,10 @@ def right_action_isometry(
     forms [w, v] of the nonempty m (x) c, m major and c in label order,
     are kept per side type and m_objects, stacked by length (_by_length),
     and all samples are one draw (_sampled): each length costs one
-    product of its stacked samples with its stacked w and one with its v."""
+    product of its stacked samples with its stacked w and one with its v.
+    The check stays sampled because its callers set the sample count and
+    read it back: the benchmark's deligne workload passes samples=5 and
+    checks details["samples"]."""
     if mside.eng is not eng:
         raise ShapeMismatch("the module side belongs to another engine")
     ms = tuple(m_objects)
@@ -330,23 +331,22 @@ def right_action_isometry(
         return _by_length(forms)
 
     kept = eng.derived(("action_forms", type(mside), *ms), build)
-    gaps = [np.abs(z @ wv[:, 0, :, None] - z @ wv[:, 1, :, None]) for z, wv in _sampled(rng, (samples,), kept)]
+    gaps = [np.abs(z @ wv[:, 0, :, None] - z @ wv[:, 1, :, None]) for z, wv in _sampled(rng, samples, kept)]
     gap, details = worst(g.max().item() for g in gaps), {"samples": sum(g.size for g in gaps)}
     return bounded("action_trace_gap", gap, eng.tol.bound(), "right-action isometry", details)
 
 
-TRACE_SCALE = 10.0  # |tr(F G)| for sampled ladders: at most about 8 on the bundled data
+TRACE_SCALE = 10.0  # |tr(e_p e_q)| for basis ladders: d_c^2, 2.6 on the bundled data, 5 on TY(Z_5)
 
 
-def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
-    """tr(F G) against tr(G F) on sampled endos of each c (x) c of the
-    regular ladder category, all samples of one c (x) c against its trace
-    form K[p, q] = tr(e_p e_q) = w . T[:, p, q] at once: tr(F G) sums
-    zF_p zG_q K[p, q] and tr(G F) the same products against the transpose
-    of K, so a symmetric form gives an exact 0. The forms are kept stacked
-    by length and the samples are one draw, as in right_action_isometry,
-    so each length is one stack of products."""
-    rng = sample_rng(samples, seed)
+def ladder_traciality(eng: Engine) -> Certificate:
+    """tr(F G) against tr(G F) on the endos of each c (x) c of the regular
+    ladder category. Both are bilinear in the coefficients: with the trace
+    form K[p, q] = tr(e_p e_q) = w . T[:, p, q] of the basis ladders,
+    tr(F G) - tr(G F) = zF . (K - K^T) zG, so the identity holds on every
+    pair exactly when K is symmetric, and the residual is the largest
+    entry of |K - K^T| over the kept forms: the worst pair of basis
+    ladders. Nothing is drawn."""
 
     def build():
         mside, nside = RegularRight(eng), RegularLeft(eng)
@@ -355,10 +355,7 @@ def ladder_traciality(eng: Engine, samples: int, seed: int) -> Certificate:
             L = LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
             if ladder_hom_dim(L, L):
                 forms.append(np.tensordot(_trace_vector(L), _compose_tensor(L, L, L), 1))
-        return _by_length(forms)
+        return forms
 
-    gaps = []
-    for z, K in _sampled(rng, (samples, 2), eng.derived(("trace_forms",), build)):
-        P, K = z[:, :, 0, :, None] * z[:, :, 1, None, :], K[:, None]
-        gaps.append(np.abs((P * K).sum(axis=(2, 3)) - (P * K.swapaxes(-1, -2)).sum(axis=(2, 3))))
-    return bounded("traciality", worst(g.max().item() for g in gaps), eng.tol.bound(TRACE_SCALE), "traciality")
+    gap = worst(np.abs(K - K.T).max().item() for K in eng.derived(("trace_forms",), build))
+    return bounded("traciality", gap, eng.tol.bound(TRACE_SCALE), "traciality")

@@ -7,9 +7,10 @@ categories C_A with the trace psi of the closed loop of r^dag f r
 (module_trace), internal ends (checked through internal_end_comparison
 only, the unitarity of the canonical map A -> [A, A]), bimodules with the
 relative tensor over a middle algebra, and the delta = 0 dual-functor
-data on bimodules. An action dressed by bubble^{-1/2} comes from one of two
-retractions, left_retraction and right_retraction, the unitors on a
-splitting of A (x)_A M or M (x)_B B.
+data on bimodules, whose norm identity compares two Gram matrices on a
+basis of bimodule maps (delta0_norm_identity). An action dressed by
+bubble^{-1/2} comes from one of two retractions, left_retraction and
+right_retraction, the unitors on a splitting of A (x)_A M or M (x)_B B.
 
 One class, Bimodule, carries the intertwiner calculus. A right A-module
 is a 1-A bimodule, 1 = group_algebra(eng, units) the tensor unit as an
@@ -63,7 +64,6 @@ from .numcore import (
     projection_gaps,
     projection_rank,
     row_space,
-    sample_rng,
     split_projection,
     worst,
 )
@@ -433,13 +433,6 @@ def module_category(eng: Engine, A: AlgebraObject, *, seed: int = 0) -> ModuleCa
     return ModuleCategory(A, simples, dims, cert)
 
 
-def _mor_combo(eng, mors, coeffs):
-    out = eng.zero(mors[0].dom, mors[0].cod)
-    for z, f in zip(coeffs, mors):
-        out = eng.add(out, eng.scale(z, f))
-    return out
-
-
 def _hom_inner(eng: Engine, dom_mod: Bimodule, g: Mor, h: Mor) -> complex:
     """Tr^{C_A}_{dom}(g^dag h) through the fused domain module."""
     _, u = eng.fuse(g.dom)
@@ -790,17 +783,13 @@ def mate_delta0(f: Mor, N: Bimodule, M: Bimodule, coev0: Mor) -> Mor:
     return eng.compose(s4, eng.compose(s1, eng.dagger(N.rho)))
 
 
-def delta0_norm_identity(
-    N: Bimodule,
-    M: Bimodule,
-    P: Bimodule,
-    samples: int = 20,
-    seed: int = 0,
-):
-    """max over sampled bimodule maps f of
-    |Tr^{C_B}_{N (x) M}(f^dag f) - Tr^{C_A}_N(mate^dag mate)|."""
+def delta0_norm_identity(N: Bimodule, M: Bimodule, P: Bimodule):
+    """Tr^{C_B}_{N (x) M}(f^dag f) against Tr^{C_A}_N(mate^dag mate) for
+    the bimodule maps f. Both are Hermitian forms in f, as the mate is
+    linear, so they agree everywhere exactly when their Gram matrices on
+    bimodule_map_basis agree: the gap is the largest entry of the
+    difference, over every pair of basis maps."""
     eng = N.eng
-    rng = sample_rng(samples, seed)
     Md, ev0, coev0 = dual_bimodule_delta0(M)
     zz = delta0_zigzag_residuals(M, Md, ev0, coev0)
     basis = bimodule_map_basis(N, M, P)
@@ -811,12 +800,10 @@ def delta0_norm_identity(
     lam = carry_left(eng.dagger(u), eng.whisker_right(N.lam, M.word), N.left)
     rho = carry_right(eng.dagger(u), eng.whisker_left(N.word, M.rho), M.right)
     NM = Bimodule(N.left, M.right, fused, lam, rho)
-    gaps = []
-    for _ in range(samples):
-        z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        f = _mor_combo(eng, basis, z)
-        t1 = _hom_inner(eng, NM, f, f)
-        g = mate_delta0(f, N, M, coev0)
-        t2 = module_trace(N, eng.compose(eng.dagger(g), g))
-        gaps.append(abs(t1 - t2))
+    mates = [mate_delta0(f, N, M, coev0) for f in basis]
+    gaps = (
+        abs(_hom_inner(eng, NM, f, g) - module_trace(N, eng.compose(eng.dagger(mf), mg)))
+        for f, mf in zip(basis, mates)
+        for g, mg in zip(basis, mates)
+    )
     return worst(gaps), zz

@@ -15,9 +15,10 @@ before the unit algebra acted by its unitors.
 The sampled draws, closed loops and unit weights are kept as the engine
 and the sampled checks computed them before each was batched or read off
 the blocks directly: two normal draws per random block, real and
-imaginary parts added, one product per action form and per trace form,
-and closed loops summed over every simple. Sphericality compares the
-whiskered loops of each id_x.
+imaginary parts added, one product per action form, and closed loops
+summed over every simple. Sphericality compares the whiskered loops of
+each id_x, and ladder traciality composes and traces every pair of basis
+ladders.
 
 The module trace is kept as the dual closure of the module: the right
 action and its dagger closed through ev_obj of the module's object,
@@ -123,18 +124,17 @@ def right_action_isometry(mside, eng: Engine, m_objects, samples, seed):
     return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", {"samples": len(gaps)})
 
 
-def ladder_traciality(eng: Engine, samples, seed):
-    """deligne.ladder_traciality with one sum of products per trace form."""
-    mside, nside, forms = deligne.RegularRight(eng), deligne.RegularLeft(eng), []
+def ladder_traciality(eng: Engine):
+    """deligne.ladder_traciality by ladder_compose and ladder_trace on
+    every pair of basis ladders of each c (x) c."""
+    mside, nside, gaps = deligne.RegularRight(eng), deligne.RegularLeft(eng), []
     for c in eng.data.simples:
         L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
-        if deligne.ladder_hom_dim(L, L):
-            forms.append(np.tensordot(deligne._trace_vector(L), deligne._compose_tensor(L, L, L), 1))
-    gaps = []
-    rng = np.random.default_rng(seed)
-    for K, z in zip(forms, coefficient_blocks(rng, [(samples, 2, len(K)) for K in forms])):
-        P = z[:, 0, :, None] * z[:, 1, None, :]
-        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
+        units = [deligne.LadderHom(L, L, e) for e in np.eye(deligne.ladder_hom_dim(L, L), dtype=complex)]
+        for F in units:
+            for G in units:
+                FG, GF = deligne.ladder_compose(F, G), deligne.ladder_compose(G, F)
+                gaps.append(abs(deligne.ladder_trace(FG) - deligne.ladder_trace(GF)))
     return bounded("traciality", worst(gaps), eng.tol.bound(deligne.TRACE_SCALE), "traciality")
 
 

@@ -48,7 +48,7 @@ def test_criterion_01_gns_module_trace_law():
         nblocks = int(rng.integers(1, 4))
         sizes = tuple(int(s) for s in rng.integers(1, 5, nblocks))
         weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, nblocks))
-        cert = hstar1.verify_hstar_algebra(sizes, weights, seed=k)
+        cert = hstar1.verify_hstar_algebra(sizes, weights)
         assert cert.ok, cert.residuals
         A = hstar1.HStarAlgebra(sizes, weights)
         for mod in (
@@ -195,16 +195,13 @@ def test_criterion_09_module_trace_formula():
         free_label = eng.data.simples[-1]
         one = intalg.group_algebra(eng, eng.data.units)
         M = intalg.free_bimodule(one, free_label, A)  # the free right module
+        # the module trace is linear: traciality on every pair of basis maps
         basis = M.homs(M)
-        rng = np.random.default_rng(900)
-        for _ in range(20):
-            z1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            z2 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            f = intalg._mor_combo(eng, basis, z1)
-            g = intalg._mor_combo(eng, basis, z2)
-            t1 = intalg.module_trace(M, eng.compose(f, g))
-            t2 = intalg.module_trace(M, eng.compose(g, f))
-            worst = max(worst, abs(t1 - t2) / max(1.0, abs(t1)))
+        for f in basis:
+            for g in basis:
+                t1 = intalg.module_trace(M, eng.compose(f, g))
+                t2 = intalg.module_trace(M, eng.compose(g, f))
+                worst = max(worst, abs(t1 - t2) / max(1.0, abs(t1)))
         r = intalg.right_retraction(M)
         worst = max(
             worst,
@@ -229,7 +226,7 @@ def test_criterion_10_delta0_adjunction():
         # right modules as bimodules over the tensor unit A = 1
         N = intalg.free_bimodule(A, eng.data.simples[-1], A)
         P = intalg.free_bimodule(A, "1", B)
-        w, (z1, z2) = intalg.delta0_norm_identity(N, M, P, samples=20)
+        w, (z1, z2) = intalg.delta0_norm_identity(N, M, P)
         worst = max(worst, w)
         zz = max(zz, z1, z2)
     _report(

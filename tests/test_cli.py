@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -433,6 +434,41 @@ def test_hstar_verify_non_positive_or_tiny_weight_rejects_on_positivity(tmp_path
     rep = json.loads(out)
     assert (code, rep["violated_axioms"]) == (1, {"hstar_trace": "positivity"})
     assert rep["residuals"]["hstar_trace.positivity_margin"] == float(weight)
+
+
+@pytest.mark.parametrize("weight", ["1e10", "1e300"])
+def test_hstar_verify_accepts_a_large_weight_exactly(tmp_path, capsys, weight):
+    # a weight form is tracial on every pair of matrix units with no
+    # roundoff, at any weight in range
+    p = tmp_path / "hstar.json"
+    p.write_text(f'{{"blocks": [2], "weights": [{weight}]}}')
+    code, out, _ = _main_without_warnings(capsys, "hstar", "verify", str(p))
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (0, "ACCEPT")
+    assert rep["residuals"]["hstar_trace.traciality"] == 0.0
+
+
+def test_hstar_verify_huge_functional_rejects_on_traciality_without_warning(tmp_path, capsys):
+    # every entry 1e300 - 1e300i: the squares of the weight projection
+    # overflow, which may leave it null, but not warn
+    entry = [1e300, -1e300]
+    p = tmp_path / "hstar.json"
+    p.write_text(json.dumps({"blocks": [4], "functional": [[[entry] * 4] * 4]}))
+    code, out, _ = _main_without_warnings(capsys, "hstar", "verify", str(p))
+    rep = json.loads(out)
+    assert (code, rep["violated_axioms"]) == (1, {"hstar_trace": "traciality"})
+    projection = rep["residuals"]["hstar_trace.weight_projection"]
+    assert projection is None or math.isfinite(projection)
+
+
+def test_hstar_verify_reports_do_not_depend_on_the_seed(capsys):
+    # traciality runs on matrix units and draws nothing
+    reps = []
+    for seed in range(4):
+        code, rep = _run(capsys, "hstar", "verify", "hstar_example", "--seed", str(seed))
+        assert code == 0 and rep.pop("seed") == seed
+        reps.append(rep)
+    assert all(rep == reps[0] for rep in reps)
 
 
 def test_hstar_gns_of_a_functional_alone_says_it_needs_weights(tmp_path, capsys):

@@ -198,7 +198,7 @@ def _ladder_checks(data, seed=0):
     eng = Engine(data, udf_from_weight(data, psi))
     simples = [eng.simple_obj(c) for c in data.simples]
     ra = deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=2, seed=seed)
-    tr = deligne.ladder_traciality(eng, 1, seed)
+    tr = deligne.ladder_traciality(eng)
     traces = []
     for O in simples:
         L = deligne.LadderObject(deligne.RegularRight(eng), deligne.RegularLeft(eng), O, O)
@@ -234,12 +234,12 @@ def _warm_cache_engines():
 
 
 def _deligne_residuals(eng, seed):
-    """Both sampled checks, and the per-sample path of the benchmark and
+    """Both ladder checks, and the per-sample path of the benchmark and
     the traciality criterion: random_ladder, ladder_compose, ladder_trace."""
     simples = [eng.simple_obj(c) for c in eng.data.simples]
     mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
     ra = deligne.right_action_isometry(mside, eng, simples, samples=2, seed=seed)
-    tr = deligne.ladder_traciality(eng, 2, seed)
+    tr = deligne.ladder_traciality(eng)
     rng = np.random.default_rng(seed)
     traces = []
     for c in simples:
@@ -299,7 +299,7 @@ def test_nan_side_trace_rejects_both_checks(monkeypatch, side):
     simples = [eng.simple_obj(c) for c in eng.data.simples]
     for _ in range(2):
         ra = deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=2)
-        tr = deligne.ladder_traciality(eng, 2, 0)
+        tr = deligne.ladder_traciality(eng)
         assert (ra.ok, ra.failed_axiom) == (False, "right-action isometry")
         assert np.isnan(ra.residuals["action_trace_gap"])
         assert (tr.ok, tr.failed_axiom) == (False, "traciality")
@@ -311,7 +311,7 @@ def test_nan_trace_rejects_traciality(monkeypatch):
     monkeypatch.setattr(deligne, "_trace_vector", _nan_trace_vector)
     eng = _eng("fibonacci")
     for _ in range(2):
-        cert = deligne.ladder_traciality(eng, 2, 0)
+        cert = deligne.ladder_traciality(eng)
         assert (cert.ok, cert.failed_axiom) == (False, "traciality")
         assert np.isnan(cert.residuals["traciality"])
 
@@ -522,9 +522,11 @@ def test_ladder_category_laws(name):
 
 
 # --- the per-sample reference ---------------------------------------------
-# Both sampled checks as they were before they became linear forms: each
+# The right-action check as it was before it became a linear form: each
 # sample is a ladder of its own, and the action image of each of its basis
-# ladders is traced before the coefficient scales it.
+# ladders is traced before the coefficient scales it. Traciality is
+# compared with ladder_compose and ladder_trace on every pair of basis
+# ladders (diagram_reference.ladder_traciality).
 
 
 def _per_sample_right_action(mside, eng, m_objects, samples, seed, tol=DEFAULT_TOL):
@@ -543,25 +545,6 @@ def _per_sample_right_action(mside, eng, m_objects, samples, seed, tol=DEFAULT_T
                 gaps.append(abs(t1 - t2))
     details = {"samples": len(gaps)}
     return bounded("action_trace_gap", worst(gaps), tol.bound(), "right-action isometry", details)
-
-
-def _per_sample_traciality(eng, samples, seed, tol=DEFAULT_TOL):
-    mside, nside = deligne.RegularRight(eng), deligne.RegularLeft(eng)
-    rng = np.random.default_rng(seed)
-    gaps = []
-    for c in eng.data.simples:
-        L = deligne.LadderObject(mside, nside, eng.simple_obj(c), eng.simple_obj(c))
-        if deligne.ladder_hom_dim(L, L) == 0:
-            continue
-        for _ in range(samples):
-            F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
-            gaps.append(
-                abs(
-                    deligne.ladder_trace(deligne.ladder_compose(F, G))
-                    - deligne.ladder_trace(deligne.ladder_compose(G, F))
-                )
-            )
-    return bounded("traciality", worst(gaps), tol.bound(deligne.TRACE_SCALE), "traciality")
 
 
 def _same_certificate(cert, ref):
@@ -590,7 +573,7 @@ def test_sampled_forms_agree_with_the_per_sample_checks(name, skewed, monkeypatc
             deligne.right_action_isometry(mside, eng, simples, samples=3, seed=seed),
             _per_sample_right_action(mside, eng, simples, 3, seed),
         )
-        _same_certificate(deligne.ladder_traciality(eng, 3, seed), _per_sample_traciality(eng, 3, seed))
+    _same_certificate(deligne.ladder_traciality(eng), diagram_reference.ladder_traciality(eng))
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_CATEGORIES))
@@ -605,7 +588,7 @@ def test_batched_draw_is_the_draw_of_random_ladder(name):
 
 
 # --- the one-draw-per-object reference --------------------------------------
-# Both sampled checks as they were before each drew all its samples at
+# The right-action check as it was before it drew all its samples at
 # once: one _coefficients call per ladder object, in turn, against the
 # same kept forms.
 
@@ -623,20 +606,6 @@ def _per_object_right_action(mside, eng, m_objects, samples, seed):
             z = deligne._coefficients(rng, (samples, len(w)))
             gaps += np.abs(z @ w - z @ v).tolist()
     return bounded("action_trace_gap", worst(gaps), eng.tol.bound(), "right-action isometry", {"samples": len(gaps)})
-
-
-def _per_object_traciality(eng, samples, seed):
-    rng = np.random.default_rng(seed)
-    gaps = []
-    for c in eng.data.simples:
-        L = _regular_ladder(eng, c, c)
-        if deligne.ladder_hom_dim(L, L) == 0:
-            continue
-        K = np.tensordot(deligne._trace_vector(L), deligne._compose_tensor(L, L, L), 1)
-        z = deligne._coefficients(rng, (samples, 2, len(K)))
-        P = z[:, 0, :, None] * z[:, 1, None, :]
-        gaps += np.abs((P * K).sum(axis=(1, 2)) - (P * K.T).sum(axis=(1, 2))).tolist()
-    return bounded("traciality", worst(gaps), eng.tol.bound(deligne.TRACE_SCALE), "traciality")
 
 
 ONE_DRAW_CATEGORIES = {
@@ -661,16 +630,10 @@ def test_one_draw_is_the_stream_of_one_draw_per_object(name, skewed, monkeypatch
     simples = [eng.simple_obj(c) for c in data.simples]
     for seed in (0, 1, 2):
         for samples in (1, 2, 5):
-            pairs = (
-                (
-                    deligne.right_action_isometry(mside, eng, simples, samples=samples, seed=seed),
-                    _per_object_right_action(mside, eng, simples, samples, seed),
-                ),
-                (deligne.ladder_traciality(eng, samples, seed), _per_object_traciality(eng, samples, seed)),
-            )
-            for cert, ref in pairs:
-                assert repr(cert.residuals) == repr(ref.residuals), (seed, samples)
-                assert (cert.ok, cert.details) == (ref.ok, ref.details)
+            cert = deligne.right_action_isometry(mside, eng, simples, samples=samples, seed=seed)
+            ref = _per_object_right_action(mside, eng, simples, samples, seed)
+            assert repr(cert.residuals) == repr(ref.residuals), (seed, samples)
+            assert (cert.ok, cert.details) == (ref.ok, ref.details)
 
 
 # every bundled category and the benchmark's gauged twisted Vec(Z_8) and TY(Z_5)
@@ -684,7 +647,8 @@ PER_FORM_CATEGORIES = {
 @pytest.mark.parametrize("name", list(PER_FORM_CATEGORIES))
 def test_stacked_checks_are_the_per_form_checks_to_the_bit(name):
     # one stack per form length, gathered from the one draw, against one
-    # product per form of the re + 1j * im draw: equal certificates
+    # product per form of the re + 1j * im draw: equal certificates; and
+    # traciality off the kept forms against every pair of basis ladders
     data = PER_FORM_CATEGORIES[name]()
     eng = Engine(data, udf_from_weight(data, SphericalWeight(tuple(1.0 for _ in data.units))))
     mside = deligne.RegularRight(eng)
@@ -692,13 +656,7 @@ def test_stacked_checks_are_the_per_form_checks_to_the_bit(name):
     for seed in range(10):
         got = deligne._coefficients(np.random.default_rng(seed), (3, 2, 7))
         assert got.tobytes() == diagram_reference.coefficients(np.random.default_rng(seed), (3, 2, 7)).tobytes()
-        pairs = (
-            (
-                deligne.right_action_isometry(mside, eng, simples, samples=5, seed=seed),
-                diagram_reference.right_action_isometry(mside, eng, simples, 5, seed),
-            ),
-            (deligne.ladder_traciality(eng, 5, seed), diagram_reference.ladder_traciality(eng, 5, seed)),
-        )
-        for cert, ref in pairs:
-            assert repr(cert) == repr(ref), seed
+        cert = deligne.right_action_isometry(mside, eng, simples, samples=5, seed=seed)
+        assert repr(cert) == repr(diagram_reference.right_action_isometry(mside, eng, simples, 5, seed)), seed
+    _same_certificate(deligne.ladder_traciality(eng), diagram_reference.ladder_traciality(eng))
 

@@ -140,16 +140,14 @@ def test_module_trace_traciality_and_retraction():
     eng = _eng("fibonacci")
     A = intalg.pair_algebra(eng, eng.obj({"t": 1}))
     M = _free_module(A, "t")
-    rng = np.random.default_rng(0)
+    # the module trace is linear, so traciality on every pair of basis maps
     basis = M.homs(M)
-    for _ in range(10):
-        z1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        z2 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        f = intalg._mor_combo(eng, basis, z1)
-        g = intalg._mor_combo(eng, basis, z2)
-        t1 = intalg.module_trace(M, eng.compose(f, g))
-        t2 = intalg.module_trace(M, eng.compose(g, f))
-        assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
+    assert len(basis) > 1
+    for f in basis:
+        for g in basis:
+            t1 = intalg.module_trace(M, eng.compose(f, g))
+            t2 = intalg.module_trace(M, eng.compose(g, f))
+            assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
     r = intalg.right_retraction(M)
     assert (
         eng.residual(eng.compose(r, eng.dagger(r)), eng.identity(M.word)) < 1e-9
@@ -344,6 +342,34 @@ def test_delta0_zigzag_and_norm():
     )
     assert worst < 1e-9
     assert max(z1, z2) < 1e-9
+
+
+def _fibonacci_delta0():
+    """N (x) M -> P over the unit algebra A and Fibonacci's pair algebra B."""
+    eng = _eng("fibonacci")
+    A = intalg.group_algebra(eng, ("1",))
+    B = intalg.pair_algebra(eng, eng.obj({"t": 1}))
+    return intalg.free_bimodule(A, "t", A), intalg.free_bimodule(A, "t", B), intalg.free_bimodule(A, "t", B)
+
+
+def test_delta0_norm_identity_shows_a_rescaled_mate(monkeypatch):
+    # a mate scaled by s scales its Gram matrix by s^2, so the gap is
+    # (s^2 - 1) times the largest entry of that Gram matrix, which sits
+    # on its diagonal: the gap at the worst basis map, not at a draw
+    N, M, P = _fibonacci_delta0()
+    eng, basis = N.eng, intalg.bimodule_map_basis(N, M, P)
+    assert len(basis) > 1
+    gap, zz = intalg.delta0_norm_identity(N, M, P)
+    assert max(gap, *zz) < 1e-12
+    coev0 = intalg.dual_bimodule_delta0(M)[2]
+    diagonal = []
+    for f in basis:
+        g = intalg.mate_delta0(f, N, M, coev0)
+        diagonal.append(intalg.module_trace(N, eng.compose(eng.dagger(g), g)).real)
+    mate, s = intalg.mate_delta0, 1 + 1e-3
+    monkeypatch.setattr(intalg, "mate_delta0", lambda *args: eng.scale(s, mate(*args)))
+    gap, _ = intalg.delta0_norm_identity(N, M, P)
+    assert gap == pytest.approx((s * s - 1) * max(diagonal), rel=1e-9)
 
 
 def test_delta0_norm_identity_reads_the_zigzags_without_maps(monkeypatch):

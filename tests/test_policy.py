@@ -398,26 +398,29 @@ def _right_action(samples):
     return deligne.right_action_isometry(deligne.RegularRight(eng), eng, simples, samples=samples)
 
 
-def _delta0(samples):
+def _delta0(**kw):
     eng = _fibonacci()
     A = intalg.group_algebra(eng, ("1",))
     M = intalg.free_bimodule(A, "1", intalg.pair_algebra(eng, eng.obj({"t": 1})))
-    return intalg.delta0_norm_identity(intalg.free_bimodule(A, "t", A), M, M, samples=samples)
+    return intalg.delta0_norm_identity(intalg.free_bimodule(A, "t", A), M, M, **kw)
 
 
 # every function of the package with a samples parameter, by module and
 # name, and a call of it with a given count
 SAMPLED = {
     "deligne.right_action_isometry": _right_action,
-    "deligne.ladder_traciality": lambda samples: deligne.ladder_traciality(_fibonacci(), samples, 0),
-    "hstar1.verify_hstar_algebra": lambda samples: hstar1.verify_hstar_algebra(
-        (2, 1), (1.0, 1.0), samples=samples
-    ),
     "hstar1.module_trace_law_residual": lambda samples: hstar1.module_trace_law_residual(
         hstar1.gns(HStarAlgebra((2,), (1.0,))), samples=samples
     ),
-    "intalg.delta0_norm_identity": _delta0,
     "numcore.sample_rng": lambda samples: sample_rng(samples, 0),
+}
+
+# checks on a basis, which draw nothing, and a call of each with extra
+# keyword arguments
+EXHAUSTIVE = {
+    "deligne.ladder_traciality": lambda **kw: deligne.ladder_traciality(_fibonacci(), **kw),
+    "hstar1.verify_hstar_algebra": lambda **kw: hstar1.verify_hstar_algebra((2, 1), (1.0, 1.0), **kw),
+    "intalg.delta0_norm_identity": _delta0,
 }
 
 
@@ -429,6 +432,14 @@ def test_a_sampled_check_without_samples_is_an_input_error(name, samples):
     SAMPLED[name](1)
     with pytest.raises(InputError):
         SAMPLED[name](samples)
+
+
+@pytest.mark.parametrize("kw", ["samples", "seed"])
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE))
+def test_a_basis_check_takes_no_samples_or_seed(name, kw):
+    EXHAUSTIVE[name]()
+    with pytest.raises(TypeError):
+        EXHAUSTIVE[name](**{kw: 1})
 
 
 def test_right_action_without_module_objects_is_an_input_error():
