@@ -4,11 +4,12 @@ Every subcommand reads JSON inputs (a file path or the name of a bundled
 category), runs the corresponding certification, and emits a RunReport:
 the command echo, sha256 of every input, the tolerance and seed, the
 named residuals, and per-check verdicts. Reports are deterministic:
-identical inputs and seed produce byte-identical output. Exit codes:
-0 ACCEPT, 1 REJECT (with the violated axiom named), 2 input error: a
---tol that is negative or not finite or a negative --seed, which the
-parser rejects, or any numcore.InputError, which main alone maps to exit
-2. That includes a --psi entry outside [PSI_MIN, PSI_MAX], an algebra
+identical inputs and seed produce byte-identical output, and only deligne
+check and hstar gns draw from the seed. Exit codes: 0 ACCEPT, 1 REJECT
+(with the violated axiom named), 2 input error: a --tol that is negative
+or not finite or a negative --seed, which the parser rejects, or any
+numcore.InputError, which main alone maps to exit 2. That includes a
+--psi entry outside [PSI_MIN, PSI_MAX], an algebra
 document with a label outside the category or a trivial algebra on a
 non-unit or a pair algebra on the zero object, an algebra with no unit
 summand for split-monad and standardize, a decomposable category for
@@ -402,7 +403,7 @@ def _cmd_alg_modcat(args):
     cert = intalg.verify_hstar(A)
     rep.add("hstar_algebra", cert)
     if cert.ok:
-        mc = intalg.module_category(eng, A, seed=args.seed)
+        mc = intalg.module_category(eng, A)
         if not mc.certificate.ok:
             rep.add("module_category", mc.certificate)
         rep.add_values(
@@ -473,9 +474,7 @@ def _cmd_h3_theorem_b(args):
     cert = validate(data, args.tolerance)
     rep.add("fusion", cert)
     if cert.ok:
-        rep.add(
-            "theorem_b", hilb3.theorem_b_check(data, psi, args.tolerance, args.seed)
-        )
+        rep.add("theorem_b", hilb3.theorem_b_check(data, psi, args.tolerance))
     return rep.finish(args.out)
 
 

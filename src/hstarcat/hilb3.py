@@ -15,11 +15,13 @@ Linking categories (the matrix category of all homs among a finite list
 of objects) are assembled as explicit multifusion data by one numeric
 builder over the bimodule calculus (separability projections, unitors
 from the dressed actions, associator matrix elements in orthonormal
-intertwiner bases). A
-delooping object 1_u is the trivial monad on u, so it enters the builder
-as the algebra group_algebra(eng, (u,)), like any algebra object; every
-algebra must have one unit summand. The assembled data is always pushed
-back through the full validator.
+intertwiner bases). Block (i, j) holds one summand per class of the
+free bimodules A_i (x) c (x) A_j, split with no draw, so its labels, N
+and F gauge follow the data alone. A delooping object 1_u is the trivial
+monad on u, so it enters the builder as the algebra group_algebra(eng,
+(u,)), like any algebra object; every algebra must have one unit
+summand. The assembled data is always pushed back through the full
+validator.
 
 The builder forms no relative tensor. A tree of a pair is an isometric
 bimodule map z -> (x, y) onto a copy of the simple z in X (x)_B Y, read
@@ -30,7 +32,8 @@ trees pushed through V are V Hom(Z, T) = p act (id_A (x) Hom(c, (x, y))
 free presentation head_Z: z -> (a, c, b) of Z, since p is a bimodule map
 and V an isometry; so the builder spans that image directly, and the
 counts N and the orthonormality are those of Hom(Z, T). A z whose
-object exceeds the rank of p at some charge has no copy in it.
+object exceeds what the earlier copies leave of p's rank at some charge
+has no copy in it, and a rank that the copies leave is a ConsistencyError.
 
 The associator needs no relative tensor of a relative tensor. For an
 intertwiner r: E -> X (x)_B Y whose dagger is an intertwiner too (every
@@ -297,7 +300,7 @@ class _LinkingBuilder:
     the positions of the algebras themselves, and members[(i, j)] the
     positions of block (i, j). The table is keyed by pairs of positions."""
 
-    def __init__(self, eng: Engine, algebras, *, seed: int):
+    def __init__(self, eng: Engine, algebras):
         self.eng = eng
         self.algebras = list(algebras)
         self._trees, self._columns = {}, {}
@@ -317,7 +320,7 @@ class _LinkingBuilder:
             for c, F in frees.items():
                 if not within(verify_bimodule(F), eng.tol.bound() * FREE_BIMODULE_FACTOR):
                     raise ConsistencyError(f"free bimodule on {c} fails the bimodule axioms")
-            found = summand_classes(frees.values(), seed)
+            found = summand_classes(frees.values())
             start = len(self.simples)
             if i == j:
                 # canonical representative for the unit: the algebra itself
@@ -366,12 +369,18 @@ class _LinkingBuilder:
             out = {}
             for z in self.members[(self.blocks[x][0], self.blocks[y][1])]:
                 Z = self.simples[z]
-                # a copy of Z in p's image fits in p's rank at every charge
+                # a copy of Z fits in what the earlier copies leave of p's rank
                 if any(m > ranks.get(c, 0) for c, m in zip(eng.data.simples, Z.obj)):
                     continue
                 basis = Z.span_through(post)
                 if basis:
                     out[z] = [eng.scale(np.sqrt(sum(Z.obj)), f) for f in basis]
+                    for c, m in zip(eng.data.simples, Z.obj):
+                        ranks[c] = ranks.get(c, 0) - len(basis) * m
+            # a rank left over is a summand of x (x) y that no simple accounts for
+            if left := {c: r for c, r in ranks.items() if r}:
+                pair = f"{self.labels[x]}, {self.labels[y]}"
+                raise ConsistencyError(f"the trees of {pair} leave ranks {left} unfilled")
         self._trees[(x, y)] = out
         return out
 
@@ -514,15 +523,16 @@ def _joined(blocks):
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
-def algebra_linking(eng: Engine, algebras, *, seed: int = 0):
-    return _LinkingBuilder(eng, algebras, seed=seed).fusion_data()
+def algebra_linking(eng: Engine, algebras):
+    return _LinkingBuilder(eng, algebras).fusion_data()
 
 
 def linking_e1(X: Pre3HilbPresentation, a, b, *, seed: int = 0):
     """The 2x2 linking multifusion category of a pair of objects, with
     its weight; a delooping object 1_u enters as the trivial algebra on
     u. An algebra with more than one unit summand is an input error. The
-    output is re-validated before being returned."""
+    output is re-validated before being returned. seed is unused: the
+    split draws nothing."""
     algs = []
     for obj in (a, b):
         if isinstance(obj, MonadObject):
@@ -531,7 +541,7 @@ def linking_e1(X: Pre3HilbPresentation, a, b, *, seed: int = 0):
             algs.append(group_algebra(X.eng, (obj.unit,)))
         else:
             raise TypeError(f"unsupported linking operand: {obj!r}")
-    data, weight = algebra_linking(X.eng, algs, seed=seed)
+    data, weight = algebra_linking(X.eng, algs)
     cert = validate(data, X.eng.tol)
     if not cert.ok:
         raise ConsistencyError(f"assembled linking data fails validation: {cert.failed_axiom}")
@@ -621,11 +631,11 @@ def split_monad(B: AlgebraObject, *, seed: int = 0) -> MonadSplitting:
 # --- weight on module categories and the comparison --------------------
 
 
-def weight_mod_dagger(eng: Engine, A: AlgebraObject, *, seed: int = 0):
+def weight_mod_dagger(eng: Engine, A: AlgebraObject):
     """Psi on module natural endomorphisms of id over the category of
     A-modules at the identity: sum of d_m^2, with the per-component
     rescaling by the reciprocal of the renormalization value."""
-    mc = module_category(eng, A, seed=seed)
+    mc = module_category(eng, A)
     dims = list(mc.dims)
     raw = sum(d * d for d in dims)
     _, prefactors = renorm_scalar(eng.udf, eng.tol)
@@ -644,6 +654,7 @@ def theorem_b_check(
     data: FusionData,
     psi: SphericalWeight,
     tol: Tolerance = DEFAULT_TOL,
+    *,
     seed: int = 0,
 ) -> Certificate:
     """Compare Psi at the standard unit monad with the rescaled Psi at
@@ -655,7 +666,8 @@ def theorem_b_check(
     engine on the same data has filled, so repeated calls build each of
     them once. What reads the engine, such as its unitors and the
     algebras, is built again on each call: nothing derived is kept across
-    engines. The unit algebra's bubble powers are identities (bubble_pow)."""
+    engines. The unit algebra's bubble powers are identities (bubble_pow).
+    seed is unused: the split of the module category draws nothing."""
     if len(data.components()) != 1:
         raise InputError("comparison requires an indecomposable category")
     eng = dual_engine(data, psi, tol)
@@ -663,7 +675,7 @@ def theorem_b_check(
     psi1 = psi.of_unit(data, u1)
     A = group_algebra(eng, (u1,))
     lhs = monad_psi(A, A.identity()).real
-    modules = weight_mod_dagger(eng, A, seed=seed)
+    modules = weight_mod_dagger(eng, A)
     if not modules["certificate"].ok:
         return modules["certificate"]
     rhs = modules["rescaled"].real

@@ -39,9 +39,9 @@ bimodule_map_basis come the same way from a free right module, so no hom
 space is solved for. Every sub-bimodule carries its actions along an
 isometry V as V^dag act (id (x) V) (carry_left, carry_right) and its
 head as head V (carried). split_summands cuts a bimodule into simple
-summands, and summand_classes keeps one per isomorphism class among the
-summands of the free bimodules: the simple modules of module_category
-and the simples of each block of a linking.
+summands along its commutant with no draw, and summand_classes keeps one
+per isomorphism class among the summands of the free bimodules: the
+simple modules of module_category and the simples of each linking block.
 
 All diagrams are evaluated in the fusion-tree engine; every axiom is a
 numeric residual, never a symbolic assumption.
@@ -71,8 +71,8 @@ from .numcore import (
 # a condition number above this leaves fewer than four digits of a
 # double, so powers and inverses of the bubble are not trusted
 CONDITION_CUT = 1e12
-# eigenvalues closer than this share of their scale form one cluster: far
-# above the roundoff of eigh, far below the spacing of a generic draw
+# eigenvalues closer than this form one cluster: an absolute gap, as the
+# commutant's basis maps have unit norm (_adjoint_span), far above eigh's roundoff
 CLUSTER_GAP = 1e-6
 
 
@@ -339,52 +339,45 @@ def isometry(eng: Engine, word, cols: dict) -> Mor:
     return eng.mor((obj,), word, cols)
 
 
-def spectral_pieces(eng: Engine, word, comm, rng):
-    """Split the object word along the eigenspaces of a random Hermitian
-    element h of its commutant (comm, a basis of the structure-preserving
-    endomorphisms).
+def spectral_pieces(eng: Engine, word, comm):
+    """Isometries onto the simple summands of the object word, cut along
+    its commutant comm (a basis of the structure-preserving endomorphisms).
 
-    Eigenvalues of h are clustered at CLUSTER_GAP of their scale; each cluster
-    gives the isometry from its eigenspace into word. A draw with a single
-    cluster is degenerate and is re-drawn, at most five times in all.
-    """
-    for _ in range(5):
-        h = eng.zero(word, word)
-        for e in comm:
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            h = eng.add(h, eng.add(eng.scale(z, e), eng.scale(np.conj(z), eng.dagger(e))))
-        eig = {}
-        for c in eng.support(word):
-            b = eng.block(h, c)
-            eig[c] = np.linalg.eigh((b + b.conj().T) / 2)
-        vals = sorted(v for ev, _ in eig.values() for v in ev.tolist())
-        gap = CLUSTER_GAP * (max(abs(v) for v in vals) or 1.0)
-        clusters = []
-        for v in vals:
-            if clusters and v - clusters[-1][-1] < gap:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        if len(clusters) == 1:
+    From the identity on, each piece V compresses the Hermitian parts e +
+    e^dag and i(e - e^dag) of every e in comm (V^dag h V, one batched eigh
+    per charge), clusters their eigenvalues over all charges at CLUSTER_GAP
+    and is simple if each part has one cluster. Else V is cut along the
+    clusters of the first part with several, in ascending order: spectral
+    projections of the commutant's Hermitian elements lie in it."""
+    parts = {}
+    for c in eng.support(word):
+        b = np.stack([eng.block(e, c) for e in comm])
+        bd = b.conj().transpose(0, 2, 1)
+        parts[c] = np.stack([b + bd, 1j * (b - bd)], axis=1).reshape(-1, *b.shape[1:])
+    pieces, todo = [], [eng.identity(word).blocks]
+    while todo:
+        V = todo.pop()
+        eig = {c: np.linalg.eigh(v.conj().T @ parts[c] @ v) for c, v in V.items()}
+        vals = np.sort(np.concatenate([ev for ev, _ in eig.values()], axis=1), axis=1)
+        cut = np.diff(vals, axis=1) >= CLUSTER_GAP
+        if not cut.any():
+            pieces.append(isometry(eng, word, V))
             continue
-        return [
-            isometry(eng, word, {c: vecs[:, (ev >= cl[0] - gap) & (ev <= cl[-1] + gap)]
-                                 for c, (ev, vecs) in eig.items()})
-            for cl in clusters
+        j = int(cut.any(axis=1).argmax())
+        # the lowest eigenvalue of each cluster but the first
+        bounds = vals[j, 1:][cut[j]]
+        ids = {c: np.searchsorted(bounds, ev[j], side="right") for c, (ev, _) in eig.items()}
+        todo += [
+            {c: V[c] @ vecs[j][:, ids[c] == k] for c, (_, vecs) in eig.items() if (ids[c] == k).any()}
+            for k in reversed(range(len(bounds) + 1))
         ]
-    raise ConsistencyError("commutant element stayed degenerate after re-randomization")
+    return pieces
 
 
-def split_summands(F: Bimodule, seed: int = 0, depth: int = 0):
+def split_summands(F: Bimodule):
     """Simple summands of a bimodule F, each with its head, so that
-    F.head^dag piece.head is its inclusion into F: split along the
-    spectrum of a random Hermitian element of the commutant F.homs(F),
-    and again in each piece, since residual eigenvalue collisions leave
-    non-simple pieces. A split into as many pieces as the commutant has
-    dimensions needs no second look: that dimension is the sum of m^2
-    over the multiplicities m of F's simple summands, and each piece
-    holds at least one summand, so every piece is simple. Depth d draws
-    from the seed seed + d."""
+    F.head^dag piece.head is its inclusion into F: F cut along its
+    commutant F.homs(F), which depends on F alone."""
     eng = F.eng
     # the commutant holds id_F and is spanned by one map per elementary
     # c -> F (homs), so with one such map F is simple
@@ -393,21 +386,15 @@ def split_summands(F: Bimodule, seed: int = 0, depth: int = 0):
     comm = F.homs(F)
     if len(comm) == 1:
         return [F]
-    if depth > 8:
-        raise ConsistencyError("splitting did not terminate")
-    rng = np.random.default_rng(seed + depth)
-    pieces = [F.carried(V) for V in spectral_pieces(eng, F.word, comm, rng)]
-    if len(pieces) == len(comm):
-        return pieces
-    return [piece for P in pieces for piece in split_summands(P, seed, depth + 1)]
+    return [F.carried(V) for V in spectral_pieces(eng, F.word, comm)]
 
 
-def summand_classes(frees, seed: int = 0):
+def summand_classes(frees):
     """One simple summand per isomorphism class among the summands of the
     bimodules frees, in order of first appearance."""
     found = []
     for F in frees:
-        for piece in split_summands(F, seed):
+        for piece in split_summands(F):
             # simples on different objects are never isomorphic
             if not any(piece.obj == old.obj and piece.homs(old) for old in found):
                 found.append(piece)
@@ -416,9 +403,10 @@ def summand_classes(frees, seed: int = 0):
 
 def module_category(eng: Engine, A: AlgebraObject, *, seed: int = 0) -> ModuleCategory:
     """Enumerate simple right A-modules by splitting the free modules
-    c (x) A, as the free 1-A bimodules 1 (x) c (x) A."""
+    c (x) A, as the free 1-A bimodules 1 (x) c (x) A. seed is unused:
+    the split draws nothing."""
     one = group_algebra(eng, eng.data.units)
-    simples = summand_classes(free_bimodules(one, A).values(), seed)
+    simples = summand_classes(free_bimodules(one, A).values())
     # module dimensions scale with the unit weights, and so does their cut;
     # like the separability margin, a dimension that does not clear it
     # REJECTs on its own axiom

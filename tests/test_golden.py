@@ -1,7 +1,8 @@
 """The default report of every CLI command in the README, pinned byte for
 byte against tests/golden/<group>_<cmd>_<first input>.json, the one
-Engine each builds, their verdicts, the same at several seeds, and a
-verdict or an input error (never exit 3) at every valid --tol.
+Engine each builds, their verdicts, the same at several seeds (the whole
+report, for the two commands that split modules), and a verdict or an
+input error (never exit 3) at every valid --tol.
 
 A change that means to alter one of these reports regenerates its file
 with `PYTHONPATH=src python -m hstarcat.cli <command> > tests/golden/...`
@@ -67,6 +68,19 @@ def test_readme_verdicts_do_not_depend_on_the_seed(capsys, command):
         report = json.loads(capsys.readouterr().out)
         outcomes.add((code, report["verdict"], tuple(sorted(report["verdicts"].items()))))
     assert len(outcomes) == 1, outcomes
+
+
+@pytest.mark.parametrize("command", ["alg modcat ising ising_qsystem", "h3 theorem-b fibonacci"])
+def test_module_split_reports_do_not_depend_on_the_seed(capsys, command):
+    # both split module categories, with no draw: at any seed the report
+    # is the golden one but for its seed field
+    golden = json.loads(_golden(command.split()).read_text())
+    assert golden.pop("seed") == 0
+    for seed in (1, 2, 3):
+        assert main([*command.split(), "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("seed") == seed
+        assert report == golden
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-12", "1e-3", "0.4", "0.5", "1", "1e300"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL, InputError, Tolerance, split_projection
+from hstarcat.numcore import DEFAULT_TOL, ConsistencyError, InputError, Tolerance, split_projection
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -493,7 +494,7 @@ def _f_builder(name, mk):
     families = {"vec4": lambda: fam.vec_zn(4), "ty3": lambda: fam.ty_zn(3, 1)}
     data = families[name]() if name in families else bundled.load(name)
     eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
-    return hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, data.units[:1])], seed=0)
+    return hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, data.units[:1])])
 
 
 @pytest.mark.parametrize("name,mk", F_LINKINGS)
@@ -705,7 +706,7 @@ def _solved_linking(monkeypatch, eng, algebras):
     intalg.dual_bimodule_delta0. Returns the builder, its N and duals."""
     with monkeypatch.context() as m:
         m.setattr(intalg.Bimodule, "homs", solve_reference.bimodule_homs)
-        b = hilb3._LinkingBuilder(eng, algebras, seed=0)
+        b = hilb3._LinkingBuilder(eng, algebras)
         N = b.fusion_mults()
         dual = {}
         for x, (i, j) in enumerate(b.blocks):
@@ -746,7 +747,7 @@ def test_module_category_is_a_linking_block(name, mk):
     eng = _eng(name)
     A = mk(eng)
     mc = intalg.module_category(eng, A)
-    b = hilb3._LinkingBuilder(eng, [intalg.group_algebra(eng, ("1",)), A], seed=0)
+    b = hilb3._LinkingBuilder(eng, [intalg.group_algebra(eng, ("1",)), A])
     block = [b.simples[k] for k in b.members[(0, 1)]]
     assert [M.obj for M in block] == [M.obj for M in mc.simples]
     dims = [intalg.module_trace(M, eng.identity(M.word)).real for M in block]
@@ -769,7 +770,7 @@ def test_every_linking_simple_has_an_isometric_head(name, objects, psis):
     algebras = [
         intalg.group_algebra(eng, (o,)) if isinstance(o, str) else o(eng) for o in objects
     ]
-    b = hilb3._LinkingBuilder(eng, algebras, seed=0)
+    b = hilb3._LinkingBuilder(eng, algebras)
     for X in b.simples:
         assert X.head is not None
         gap = eng.residual(eng.compose(eng.dagger(X.head), X.head), eng.identity(X.word))
@@ -790,7 +791,7 @@ def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, 
     eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
     algebras = [mk(eng), intalg.group_algebra(eng, (unit,))]
     ref, ref_N, ref_dual = _solved_linking(monkeypatch, eng, algebras)
-    b = hilb3._LinkingBuilder(eng, algebras, seed=0)
+    b = hilb3._LinkingBuilder(eng, algebras)
     # each simple is isomorphic to exactly one solved simple of its block
     perm = {}
     for x, X in enumerate(b.simples):
@@ -805,3 +806,105 @@ def test_adjunction_linking_matches_the_solved_one(monkeypatch, name, mk, unit, 
     for ui, uj in itertools.product(data.units, repeat=2):
         block = [c for c in data.simples if data.grading[c] == (ui, uj)]
         assert sum(data.fpdim(c) ** 2 for c in block) == pytest.approx(dim, rel=1e-9), (ui, uj)
+
+
+def _vec_s3():
+    """Vec(S_3) from the group law: the permutations g of 012 as words,
+    (gh)(i) = g(h(i)), trivial F, and duals the inverses."""
+    els = ["".join(p) for p in itertools.permutations("012")]
+    e = els[0]
+
+    def mul(g, h):
+        return "".join(g[int(i)] for i in h)
+
+    def inv(g):
+        return "".join(str(g.index(str(i))) for i in range(3))
+
+    return fusion.FusionData(
+        simples=tuple(els),
+        units=(e,),
+        grading={g: (e, e) for g in els},
+        dual={g: inv(g) for g in els},
+        N={(g, h, mul(g, h)): 1 for g in els[1:] for h in els[1:]},
+        F={},
+    )
+
+
+# [A, 1] linkings, with multiplicities in the commutants of their free
+# bimodules: (data, the algebra A on it, the unit)
+SEEDED_LINKINGS = {
+    "ising_q": (lambda: bundled.load("ising"), lambda e: intalg.group_algebra(e, ("1", "p")), "1"),
+    "fibonacci_pair": (
+        lambda: bundled.load("fibonacci"), lambda e: intalg.pair_algebra(e, e.obj({"t": 1})), "1"
+    ),
+    "vec8_z4": (lambda: fam.vec_zn(8), lambda e: intalg.group_algebra(e, ("0", "2", "4", "6")), "0"),
+    "vec6_z3": (lambda: fam.vec_zn(6), lambda e: intalg.group_algebra(e, ("0", "2", "4")), "0"),
+    "twisted_vec4_z2": (lambda: fam.vec_zn(4, 2), lambda e: intalg.group_algebra(e, ("0", "2")), "0"),
+    "vec_s3": (_vec_s3, lambda e: intalg.group_algebra(e, e.data.simples), "012"),
+}
+
+
+def _seeded_linking(name, seed):
+    """The linking of SEEDED_LINKINGS[name], built from fresh data at a
+    seed, and its certificate."""
+    make, mk, unit = SEEDED_LINKINGS[name]
+    data = make()
+    eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
+    return hilb3.linking_e1(
+        hilb3.delooping(eng), hilb3.MonadObject(mk(eng)), hilb3.DeloopObject(unit), seed=seed
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_LINKINGS))
+def test_linking_data_does_not_follow_the_seed(name):
+    # the split reads only the bimodule, so labels, N, duals, every F block
+    # and the weight are the same to the bit at every seed
+    outs = []
+    for seed in range(4):
+        out, weight, cert = _seeded_linking(name, seed)
+        assert cert.ok, cert.failed_axiom
+        outs.append((json.dumps(out.to_json()), repr(weight)))
+    assert outs[1:] == outs[:1] * 3
+
+
+def test_vec_s3_linking_has_the_group_theoretical_simples():
+    # Oracle B (Ostrik, IMRN 2003): the simples of block (H, K) of Vec(G)
+    # are the pairs of a double coset HgK and an irrep rho of
+    # H n gKg^-1, of FPdim dim rho |HgK| / sqrt(|H| |K|); for H = S_3 and
+    # K = 1 that is Rep(S_3), one module of FPdim sqrt(6) each way, and
+    # Vec(S_3)
+    data, _, cert = _seeded_linking("vec_s3", 0)
+    assert cert.ok
+    dims = {}
+    for c in data.simples:
+        dims.setdefault(c.split(":")[0], []).append(data.fpdim(c))
+    expect = {"00": [1, 1, 2], "01": [np.sqrt(6)], "10": [np.sqrt(6)], "11": [1] * 6}
+    assert dims.keys() == expect.keys()
+    for block, fp in expect.items():
+        assert sorted(dims[block]) == pytest.approx(fp, rel=1e-12), block
+    # the vertices with N = 2, for M the module and 2 the irrep of
+    # dimension 2: (2, M; M), (M, M*; 2) and (M*, 2; M*)
+    N = Counter(data.to_json()["N"].values())
+    assert N[2] == 3 and set(N) == {1, 2}
+
+
+@pytest.mark.parametrize("block, pair", [(0, ("01:0", "10:1")), (3, ("10:0", "01:0"))])
+def test_linking_trees_that_leave_a_rank_name_their_pair(monkeypatch, block, pair):
+    # a block that misses a class leaves part of some x (x)_A y without
+    # trees; the trees stage names that pair before the closing validate
+    # sees a broken associativity
+    real, calls = hilb3.summand_classes, []
+
+    def short(frees):
+        calls.append(None)
+        found = real(frees)
+        return found[:-1] if len(calls) == block + 1 else found
+
+    monkeypatch.setattr(hilb3, "summand_classes", short)
+    eng = _eng("ising")
+    with pytest.raises(ConsistencyError, match=f"^the trees of {pair[0]}, {pair[1]} leave ranks"):
+        hilb3.linking_e1(
+            hilb3.delooping(eng),
+            hilb3.MonadObject(intalg.group_algebra(eng, ("1", "p"))),
+            hilb3.DeloopObject("1"),
+        )

@@ -132,7 +132,7 @@ def test_summand_classes_take_no_homs_between_objects(monkeypatch):
     assert len({M.obj for M in found}) > 1
     assert calls and all(a == b for a, b in calls)
     calls.clear()
-    hilb3._LinkingBuilder(eng, [A, intalg.group_algebra(eng, ("1",))], seed=0)
+    hilb3._LinkingBuilder(eng, [A, intalg.group_algebra(eng, ("1",))])
     assert calls and all(a == b for a, b in calls)
 
 
@@ -281,7 +281,7 @@ def test_relative_tensor_unitors():
     for name, mk, unit in LINKINGS:
         data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
         eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
-        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], seed=0)
+        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))])
         for x, y in itertools.product(range(len(b.simples)), repeat=2):
             if b.blocks[x][1] != b.blocks[y][0]:
                 continue
@@ -313,7 +313,7 @@ def test_a_tensor_over_the_unit_algebra_splits_no_projection():
     for name, mk, unit in LINKINGS + [("vec4", lambda e: intalg.group_algebra(e, ("0", "2")), "0")]:
         data = fam.vec_zn(4) if name == "vec4" else fam.ty_zn(3) if name == "ty3" else bundled.load(name)
         eng = Engine(data, udf_from_weight(data, SphericalWeight((1.0,))))
-        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))], seed=0)
+        b = hilb3._LinkingBuilder(eng, [mk(eng), intalg.group_algebra(eng, (unit,))])
         for x, y in itertools.product(range(len(b.simples)), repeat=2):
             if b.blocks[x][1] != b.blocks[y][0] or not b.simples[x].right.acts_by_unitors():
                 continue
@@ -578,24 +578,41 @@ def test_twisted_cup_rejects_on_standardness_with_every_residual():
     ],
 )
 def test_split_summands_resolves_every_free_module(name, mk):
+    # the free modules c (x) A and the free bimodules A (x) c (x) A, whose
+    # commutants have multiplicity blocks: the pieces are simple, resolve
+    # the identity of F, and their classes have multiplicities m with
+    # sum m^2 = dim End(F)
     eng = _eng(name)
     A = mk(eng)
+    split = {}
     for c in eng.data.simples:
-        F = _free_module(A, c)
-        if not any(F.obj):
-            continue
-        total = eng.zero(F.word, F.word)
-        for M in intalg.split_summands(F):
-            assert len(M.homs(M)) == 1
-            # the piece's head is F's head after its inclusion V, an
-            # isometric module map M -> F
-            V = eng.compose(eng.dagger(F.head), M.head)
-            assert eng.residual(eng.compose(eng.dagger(V), V), eng.identity(M.word)) < 1e-9
-            assert eng.residual(
-                eng.compose(V, M.rho), eng.compose(F.rho, eng.whisker_right_obj(V, A.obj))
-            ) < 1e-9
-            total = eng.add(total, eng.compose(V, eng.dagger(V)))
-        assert eng.residual(total, eng.identity(F.word)) < 1e-9, c
+        for F in (_free_module(A, c), intalg.free_bimodule(A, c, A)):
+            if not any(F.obj):
+                continue
+            total = eng.zero(F.word, F.word)
+            pieces = intalg.split_summands(F)
+            for M in pieces:
+                assert len(M.homs(M)) == 1
+                # the piece's head is F's head after its inclusion V, an
+                # isometric bimodule map M -> F
+                V = eng.compose(eng.dagger(F.head), M.head)
+                assert eng.residual(eng.compose(eng.dagger(V), V), eng.identity(M.word)) < 1e-9
+                assert eng.residual(
+                    eng.compose(V, M.rho), eng.compose(F.rho, eng.whisker_right_obj(V, A.obj))
+                ) < 1e-9
+                assert eng.residual(
+                    eng.compose(V, M.lam), eng.compose(F.lam, eng.whisker_left_obj(F.left.obj, V))
+                ) < 1e-9
+                total = eng.add(total, eng.compose(V, eng.dagger(V)))
+            assert eng.residual(total, eng.identity(F.word)) < 1e-9, c
+            classes = intalg.summand_classes([F])
+            mults = [sum(1 for M in pieces if M.obj == S.obj and M.homs(S)) for S in classes]
+            comm = len(F.homs(F))
+            assert sum(m * m for m in mults) == comm, c
+            split[(F.left is A, c)] = (comm, len(pieces))
+    if name == "fibonacci":
+        # A (x) t (x) A for A = t (x) t*: End = C + M_2, so three pieces
+        assert split[(True, "t")] == (5, 3)
 
 
 def _family(name):

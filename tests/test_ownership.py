@@ -43,8 +43,11 @@ CUPS = ("udf.alpha", "udf.beta")
 N_READERS = (
     "fusion.FusionData.__post_init__", "fusion.FusionData._compile", "fusion.FusionData.to_json", "fusion.validate"
 )
+DRAWS = ("numcore.sample_rng", "deligne._coefficients", "diagram.Engine.random_mor")
 OWNERSHIP = (
     Rule(("call",), ("spectral_pieces",), ("intalg.split_summands",), "commutants split in one place"),
+    Rule(("call",), ("default_rng", "standard_normal"), DRAWS,
+         "only the two sampled checks draw: deligne's right action and hstar1's trace law"),
     Rule(("call",), ("relative_tensor",), ("hilb3.split_monad",),
          "a split monad's pair; the linking reads its pair trees off the separability projection"),
     Rule(("call", "def"), SOLVERS, (),
@@ -178,7 +181,7 @@ FLAGS = [
     ("def split(F):\n    return spectral_pieces(F)", "hilb3", True),
     ("def module_category(F):\n    return spectral_pieces(F)", "intalg", True),
     ("class M:\n    def homs(self):\n        return spectral_pieces(a)", "intalg", True),
-    ("pieces = spectral_pieces(eng, word, comm, rng)", "intalg", True),
+    ("pieces = spectral_pieces(eng, word, comm)", "intalg", True),
     ("def split_summands(F):\n    return spectral_pieces(F)", "intalg", False),
     ("class _LinkingBuilder:\n    def f_matrices(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
     ("class _LinkingBuilder:\n    def trees(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
@@ -287,6 +290,12 @@ FLAGS = [
     ("d = frobenius(gram - space.data.eye(m))", "hilb2", False),
     ("def _per_weight(eng, f):\n    return eng.mor(f.dom, f.cod, {})", "hstar1", False),
     ("def rank_one(eng, xi, eta):\n    return eng.mor(xi.dom, eta.dom, {})", "hstar1", True),
+    # a split that draws, as split_summands and spectral_pieces once did
+    ("def split_summands(F, seed):\n    rng = np.random.default_rng(seed)", "intalg", True),
+    ("def spectral_pieces(eng, word, comm, rng):\n    z = rng.standard_normal()", "intalg", True),
+    ("def random_mor(self, dom, cod, rng):\n    return rng.standard_normal(n)", "diagram", True),
+    ("def sample_rng(samples, seed):\n    return np.random.default_rng(seed)", "numcore", False),
+    ("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)", "diagram", False),
 ]
 
 

@@ -4,7 +4,8 @@ certify.within or clears and every residual is folded by numcore.worst;
 no bare number scales a bound; deligne keys derived values by interned
 numbers; no check takes a tol beside an engine; every check names its
 axiom; one exception class per kind of failure; every definition is
-reached; and every sampled check refuses fewer than one sample."""
+reached; every sampled check refuses fewer than one sample; and the
+functions whose seed goes unread are the listed ones."""
 
 import ast
 import builtins
@@ -473,3 +474,49 @@ def test_sampled_lint_finds_every_samples_parameter():
     }
     assert _sampled_functions(sources) == {"a.f", "b.m", "b.h"}
     assert not _sampled_functions({"c": "def f(sample, n_samples):\n    samples = 2"})
+
+
+# every function of the package whose seed parameter nothing reads: each
+# draws nothing and keeps the parameter only because the benchmark passes
+# it; the set may shrink to empty, and a function that joins it or leaves
+# it is named
+UNREAD_SEEDS = {
+    "hilb3.certify_hilbert_sum",
+    "hilb3.linking_e1",
+    "hilb3.presentation_sphericality",
+    "hilb3.split_monad",
+    "hilb3.theorem_b_check",
+    "intalg.module_category",
+    "intalg.verify_hstar",
+}
+
+
+def _unread_seeds(sources: dict):
+    """module.name of each function, in the sources by module name, that
+    takes a parameter called seed and never reads it."""
+    out = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, FUNCS):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                reads = (
+                    n for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                )
+                if any(a.arg == "seed" for a in params) and "seed" not in {n.id for n in reads}:
+                    out.add(f"{module}.{node.name}")
+    return out
+
+
+def test_unread_seeds_are_the_listed_ones():
+    found = _unread_seeds({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert found == UNREAD_SEEDS, found ^ UNREAD_SEEDS
+
+
+def test_seed_lint_finds_every_unread_seed():
+    sources = {
+        "a": "def f(x, seed=0):\n    return x\n\n\ndef g(seed):\n    return rng(seed)",
+        "b": "class C:\n    def m(self, *, seed):\n        seed2 = 1\n\n\ndef h(n, seed=0):\n    pass",
+        "c": "def f(seed):\n    def g():\n        return seed\n    return g\n\n\ndef k(s):\n    seed = s",
+    }
+    assert _unread_seeds(sources) == {"a.f", "b.m", "b.h"}
