@@ -64,7 +64,6 @@ from .numcore import (
     projection_gaps,
     projection_rank,
     row_space,
-    split_projection,
     worst,
 )
 
@@ -593,17 +592,15 @@ def pair_projection(M: Bimodule, N: Bimodule):
     """(p, ranks): p the separability projection on (m, n), checked to be
     idempotent and self-adjoint on the whole map (at the engine's
     tolerance, scaled by its norm) and an orthogonal projection at each
-    charge (numcore.projection_rank, the check of split_projection), and
-    ranks its rank at each charge of (m, n), which is the multiplicity of
-    that charge in M (x)_B N. One pass over the blocks of p forms each
-    p_c^dag, p_c p_c, ||p_c|| and the gaps ||p_c p_c - p_c|| and ||p_c -
-    p_c^dag|| once (numcore.projection_gaps); the whole-map residuals sum
-    their squares as Engine.residual does, the idempotency gap at the
-    charges where p_c p_c is zero last, so both checks see the residual's
-    value to the last bit. Over the unit algebra (M.right and N.left
-    both act by unitors) p is the identity by the unit axiom: p is None,
-    no projection is built or checked, and the ranks are the tree counts
-    of (m, n)."""
+    charge (numcore.projection_rank), and ranks its rank at each charge
+    of (m, n), which is the multiplicity of that charge in M (x)_B N. One
+    pass over the blocks of p forms each p_c^dag, p_c p_c, ||p_c|| and
+    the gaps ||p_c p_c - p_c|| and ||p_c - p_c^dag|| once
+    (numcore.projection_gaps); each whole-map residual is the root of the
+    sum of their squares over the charges. Over the unit algebra (M.right
+    and N.left both act by unitors) p is the identity by the unit axiom:
+    p is None, no projection is built or checked, and the ranks are the
+    tree counts of (m, n)."""
     eng = M.eng
     word = M.word + N.word
     if M.right.obj == N.left.obj and M.right.acts_by_unitors() and N.left.acts_by_unitors():
@@ -612,10 +609,7 @@ def pair_projection(M: Bimodule, N: Bimodule):
     p = separability_projection(M, N)
     parts = {c: projection_gaps(b) for c, b in p.blocks.items()}
     bound = eng.tol.bound(float(np.sqrt(sum(norm ** 2 for _, _, norm, _ in parts.values()))))
-    # Engine.residual(p p, p) meets the charges where p_c p_c is zero
-    # last, as compose drops those blocks
-    idem = sorted(parts.values(), key=lambda part: not np.count_nonzero(part[1]))
-    if not within(float(np.sqrt(sum(gaps[1] ** 2 for *_, gaps in idem))), bound):
+    if not within(float(np.sqrt(sum(gaps[1] ** 2 for *_, gaps in parts.values()))), bound):
         raise ConsistencyError("separability projection is not idempotent")
     if not within(float(np.sqrt(sum(gaps[0] ** 2 for *_, gaps in parts.values()))), bound):
         raise ConsistencyError("separability projection is not self-adjoint")
@@ -626,10 +620,12 @@ def pair_projection(M: Bimodule, N: Bimodule):
 
 
 def relative_tensor(M: Bimodule, N: Bimodule):
-    """M (x)_B N: split the separability projection of pair_projection on
-    its own blocks. Over the unit algebra the tensor is the plain fused
-    tensor eng.fuse(M.word + N.word), with V the dagger of the fusion; no
-    projection is built, checked or split.
+    """M (x)_B N: split the separability projection p of pair_projection,
+    which has checked it, once per charge: V_c holds the eigenvectors of
+    the Hermitian part (p_c + p_c^dag)/2 with eigenvalue above 1/2, in
+    descending order, from one eigh. Over the unit algebra the tensor is
+    the plain fused tensor eng.fuse(M.word + N.word), with V the dagger
+    of the fusion; no projection is built, checked or split.
 
     Returns (Bimodule over (M.left, N.right), isometry V: T -> (m, n)).
     """
@@ -639,7 +635,11 @@ def relative_tensor(M: Bimodule, N: Bimodule):
     if p is None:
         Vw = eng.dagger(eng.fuse(word)[1])
     else:
-        cols = {c: split_projection(eng.block(p, c), eng.tol) for c in eng.support(word)}
+        cols = {}
+        for c in eng.support(word):
+            b = eng.block(p, c)
+            vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+            cols[c] = vecs[:, vals > 0.5][:, ::-1]
         Vw = isometry(eng, word, cols)  # (T,) -> (m, n)
     lam = carry_left(Vw, eng.whisker_right(M.lam, N.word), M.left)
     rho = carry_right(Vw, eng.whisker_left(M.word, N.rho), N.right)

@@ -2,10 +2,12 @@
 
 The operations here are the single row-space routine, the single
 tolerance convention, the Frobenius norm of the engine's blocks
-(frobenius) and the one check that a matrix is an orthogonal projection
-(check_projection, on the values of projection_gaps); intalg also calls
-numpy's eigh and eigvalsh itself (endo_power, verify_hstar,
-spectral_pieces).
+(frobenius) and the one check that a matrix is an orthogonal projection,
+which projection_rank makes on the values of projection_gaps before it
+counts the rank. Nothing here forms eigenvectors: intalg calls numpy's
+eigh itself, once per job (endo_power, spectral_pieces and
+relative_tensor's split of a checked projection), and eigvalsh in
+verify_hstar.
 
 The package raises three exception classes of its own, one per kind of
 failure, all defined here: InputError (the input breaks its format or a
@@ -85,36 +87,6 @@ def sample_rng(samples: int, seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_cmatrix(entries) -> np.ndarray:
-    """Coerce input to a 2d complex ndarray (the working CMatrix form)."""
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2:
-        raise ShapeMismatch("CMatrix must be 2-dimensional")
-    return m
-
-
-# an eigenvector coordinate above PHASE_CUT fixes the column's phase: the
-# columns are unit vectors, so roundoff sits far below it
-PHASE_CUT = 1e-12
-
-
-def _sorted_eigh(m: np.ndarray):
-    """Hermitian eigendecomposition, eigenvalues descending, deterministic
-    column phases: first nonzero coordinate of each eigenvector is positive
-    real."""
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(-vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > PHASE_CUT)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vecs[:, j] = col / phase
-    return vals, vecs
-
-
 def _require_square(m: np.ndarray):
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ShapeMismatch(f"expected square matrix, got shape {m.shape}")
@@ -140,7 +112,7 @@ def frobenius_rows(x: np.ndarray) -> np.ndarray:
 
 def projection_gaps(p: np.ndarray):
     """(p^dag, p p, ||p||, [||p - p^dag||, ||p p - p||]) of a square
-    matrix p, each formed once: what check_projection reads, and what a
+    matrix p, each formed once: what projection_rank reads, and what a
     caller that also sums the gaps over charges reads (intalg's
     pair_projection)."""
     ph = p.conj().T
@@ -148,42 +120,16 @@ def projection_gaps(p: np.ndarray):
     return ph, pp, frobenius(p), [frobenius(p - ph), frobenius(pp - p)]
 
 
-def check_projection(norm, gaps, tol: Tolerance):
-    """The check that p is an orthogonal projection within tol, on the
-    values of projection_gaps: the worse gap within tol.bound(max(1,
-    ||p||)), else ConsistencyError."""
+def projection_rank(p: np.ndarray, parts, tol: Tolerance) -> int:
+    """The rank of p, from its projection_gaps parts, once p is checked to
+    be an orthogonal projection within tol: the worse gap within
+    tol.bound(max(1, ||p||)), else ConsistencyError. The rank is the count
+    of eigenvalues of the Hermitian part above 1/2, with no eigenvectors
+    formed."""
+    ph, _, norm, gaps = parts
     if not within(worst(gaps), tol.bound(max(1.0, float(norm)))):
         raise ConsistencyError("input is not an orthogonal projection within tolerance")
-
-
-def projection_rank(p: np.ndarray, parts, tol: Tolerance) -> int:
-    """The rank of an orthogonal projection p, from its projection_gaps
-    parts: the check of split_projection (check_projection), then the
-    count of its eigenvalues above 1/2, with no eigenvectors formed."""
-    ph, _, norm, gaps = parts
-    check_projection(norm, gaps, tol)
     return int(np.sum(np.linalg.eigvalsh((p + ph) / 2) > 0.5))
-
-
-def _projection_part(p, tol: Tolerance) -> np.ndarray:
-    """The Hermitian part of p, once p is checked to be an orthogonal
-    projection within tol (ConsistencyError if not)."""
-    p = as_cmatrix(p)
-    _require_square(p)
-    ph, _, norm, gaps = projection_gaps(p)
-    check_projection(norm, gaps, tol)
-    return (p + ph) / 2
-
-
-def split_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Split an orthogonal projection P as V V-dagger with V-dagger V = I.
-
-    Columns of V: eigenvectors of P with eigenvalue 1, descending order,
-    phase-normalized. Rank is the count of eigenvalues above 1/2.
-    """
-    vals, vecs = _sorted_eigh(_projection_part(p, tol))
-    rank = int(np.sum(vals > 0.5))
-    return vecs[:, :rank]
 
 
 # singular values at or below RANK_CUT * max(1, sigma_max) count as zero:

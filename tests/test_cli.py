@@ -540,18 +540,42 @@ def test_hstar_commands(capsys):
     assert rep["values"]["simple_dims"] == [1.0, 0.5]
 
 
-def test_hstar_verify_reads_a_tracial_functional(tmp_path, capsys):
-    # 1.0 tr on M_2 and 0.5 tr on M_3, written as [re, im] entries: the
-    # functional projects onto the weights (1.0, 0.5) with no remainder
-    def scaled_eye(n, w):
-        return [[[w if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+def _scaled_eye(n, w):
+    """w 1_n as a functional block of [re, im] entries."""
+    return [[[w if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
 
+
+def test_hstar_verify_reads_a_tracial_functional(tmp_path, capsys):
+    # 1.0 tr on M_2 and 0.5 tr on M_3: the functional projects onto the
+    # weights (1.0, 0.5) with no remainder
     p = tmp_path / "functional.json"
-    p.write_text(json.dumps({"blocks": [2, 3], "functional": [scaled_eye(2, 1.0), scaled_eye(3, 0.5)]}))
+    p.write_text(json.dumps({"blocks": [2, 3], "functional": [_scaled_eye(2, 1.0), _scaled_eye(3, 0.5)]}))
     code, rep = _run(capsys, "hstar", "verify", str(p))
     assert code == 0 and rep["verdict"] == "ACCEPT"
     assert rep["residuals"]["hstar_trace.positivity_margin"] == 0.5
     assert rep["residuals"]["hstar_trace.weight_projection"] == 0.0
+
+
+def test_hstar_verify_accepts_a_multiple_of_the_identity_whose_mean_rounds(tmp_path, capsys):
+    # the sum of seven entries 1e10/3, over 7, is not 1e10/3 in float64;
+    # the diagonal's differences are 0, so the projection reads no remainder
+    p = tmp_path / "functional.json"
+    p.write_text(json.dumps({"blocks": [7], "functional": [_scaled_eye(7, 1e10 / 3)]}))
+    code, out, _ = _main_without_warnings(capsys, "hstar", "verify", str(p))
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (0, "ACCEPT")
+    assert rep["residuals"]["hstar_trace.weight_projection"] == 0.0
+
+
+def test_hstar_verify_rejects_one_small_off_diagonal_entry_on_traciality(tmp_path, capsys):
+    phi = _scaled_eye(7, 1e10 / 3)
+    phi[2][5] = [1e-6, 0.0]
+    p = tmp_path / "functional.json"
+    p.write_text(json.dumps({"blocks": [7], "functional": [phi]}))
+    code, out, _ = _main_without_warnings(capsys, "hstar", "verify", str(p))
+    rep = json.loads(out)
+    assert (code, rep["violated_axioms"]) == (1, {"hstar_trace": "traciality"})
+    assert rep["residuals"]["hstar_trace.weight_projection"] == 1e-6
 
 
 def test_h3_theorem_b(capsys):

@@ -10,7 +10,7 @@ from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
 from hstarcat.diagram import Engine
 from hstarcat.fusion import SphericalWeight, udf_from_weight
-from hstarcat.numcore import DEFAULT_TOL, ConsistencyError, InputError, Tolerance, split_projection
+from hstarcat.numcore import DEFAULT_TOL, ConsistencyError, InputError, Tolerance, projection_rank
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -635,17 +635,17 @@ def test_nan_unitarity_residual_rejects_on_its_axiom(monkeypatch):
 
 
 def test_split_monad_splits_at_the_engine_tolerance(monkeypatch):
-    # every projection split of the relative tensor gets the engine's tol
+    # every projection check of the relative tensor gets the engine's tol
     data = bundled.load("hilb_z2")
     tol = Tolerance(1e-6)
     eng = fusion.dual_engine(data, SphericalWeight((1.0,)), tol)
     seen = []
 
-    def recording(p, t):
+    def recording(p, parts, t):
         seen.append(t)
-        return split_projection(p, t)
+        return projection_rank(p, parts, t)
 
-    monkeypatch.setattr(intalg, "split_projection", recording)
+    monkeypatch.setattr(intalg, "projection_rank", recording)
     assert hilb3.split_monad(intalg.group_algebra(eng, ("1", "g"))).certificate.ok
     assert seen and all(t is tol for t in seen)
 

@@ -275,8 +275,10 @@ LINKINGS = [
 
 def test_relative_tensor_unitors():
     # every composable pair of a linking's simples: the split V of p is an
-    # isometry onto p, and on a unit factor V V^dag fixes the dagger of
-    # the other factor's retraction, whose composite with V is the unitor
+    # isometry onto p whose column count at each charge is the rank that
+    # pair_projection counts there (an eigh and an eigvalsh that must
+    # agree), and on a unit factor V V^dag fixes the dagger of the other
+    # factor's retraction, whose composite with V is the unitor
     units = checked = 0
     for name, mk, unit in LINKINGS:
         data = fam.ty_zn(3) if name == "ty3" else bundled.load(name)
@@ -288,6 +290,8 @@ def test_relative_tensor_unitors():
             X, Y = b.simples[x], b.simples[y]
             T, Vw = intalg.relative_tensor(X, Y)
             p = intalg.separability_projection(X, Y)
+            _, ranks = intalg.pair_projection(X, Y)
+            assert T.obj == tuple(ranks.get(c, 0) for c in eng.data.simples)
             assert eng.residual(eng.compose(eng.dagger(Vw), Vw), eng.identity(T.word)) < 1e-13
             assert eng.residual(eng.compose(Vw, eng.dagger(Vw)), p) < 1e-13
             rets = [intalg.left_retraction(Y)] if x in b.units else []

@@ -3,12 +3,10 @@ import pytest
 
 from hstarcat.numcore import (
     DEFAULT_TOL,
-    ConsistencyError,
     InputError,
     Tolerance,
     RANK_CUT,
     row_space,
-    split_projection,
     unitarity_defect,
     worst,
 )
@@ -30,25 +28,6 @@ def test_tolerance_rejects_nan_and_infinity_at_construction():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InputError):
             Tolerance(bad)
-
-
-def test_split_projection():
-    rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    p = q[:, :2] @ q[:, :2].conj().T
-    v = split_projection(p)
-    assert v.shape == (6, 2)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-10
-    assert np.linalg.norm(v @ v.conj().T - p) < 1e-10
-    with pytest.raises(ConsistencyError):
-        split_projection(0.5 * np.eye(3))
-
-
-def test_split_projection_deterministic():
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    p = q[:, :3] @ q[:, :3].T
-    assert np.array_equal(split_projection(p), split_projection(p.copy()))
 
 
 # null_space is the test-side solve's (solve_reference), the reference for

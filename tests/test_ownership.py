@@ -74,9 +74,13 @@ OWNERSHIP = (
          "the per-engine tables that the data's tables replaced"),
     Rule(("def",), ("_trees", "_fsym"), (), "the per-engine tree sweep and F blocks that the data replaced"),
     Rule(("def",), ("_tree_counts",), (), "the dense n⁴ tree-count tables that the vertex join replaced"),
+    Rule(("def",), ("split_projection", "_sorted_eigh"), (),
+         "the second, phase-fixed projection splitter that the relative tensor's one eigh replaced"),
     Rule(("def",), ("H2Object", "H2Morphism"), (), "one morphism model: diagram.Mor"),
     Rule(("read",), ("linalg.norm",), (),
          "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
+    Rule(("read",), ("linalg.eigh",), ("intalg.endo_power", "intalg.spectral_pieces", "intalg.relative_tensor"),
+         "one eigendecomposition per job: bubble powers, commutant cuts, the relative tensor's split"),
     Rule(("read",), ("np.eye",), ("fusion.FusionData.eye", "intalg", "numcore"),
          "the engine's identity blocks are the data's one read-only identity of each size"),
     Rule(("import",), ("jsonschema", "hypothesis", "pytest"), (),
@@ -296,6 +300,16 @@ FLAGS = [
     ("def random_mor(self, dom, cod, rng):\n    return rng.standard_normal(n)", "diagram", True),
     ("def sample_rng(samples, seed):\n    return np.random.default_rng(seed)", "numcore", False),
     ("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)", "diagram", False),
+    # the projection splitter that numcore kept beside the relative tensor
+    ("def projection_rank(p, parts, tol):\n    vals, vecs = np.linalg.eigh(p)", "numcore", True),
+    ("def _sorted_eigh(m):\n    pass", "numcore", True),
+    ("def split_projection(p, tol):\n    return p", "numcore", True),
+    ("def split_projection(p, tol):\n    return p", "intalg", True),
+    ("vals, vecs = np.linalg.eigh(h)", "intalg", True),
+    ("def relative_tensor(M, N):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False),
+    ("def endo_power(eng, f, r):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False),
+    ("def verify_hstar(A):\n    vals = np.linalg.eigvalsh(h)", "intalg", False),
+    ("def f(h):\n    return numpy.linalg.eigh(h)", "hilb3", True),
 ]
 
 
