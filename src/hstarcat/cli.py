@@ -5,7 +5,7 @@ category), runs the corresponding certification, and emits a RunReport:
 the command echo, sha256 of every input, the tolerance and seed, the
 named residuals, and per-check verdicts. Reports are deterministic:
 identical inputs and seed produce byte-identical output, and only deligne
-check and hstar gns draw from the seed. Exit codes: 0 ACCEPT, 1 REJECT
+check draws from the seed. Exit codes: 0 ACCEPT, 1 REJECT
 (with the violated axiom named), 2 input error: a --tol that is negative
 or not finite or a negative --seed, which the parser rejects, or any
 numcore.InputError, which main alone maps to exit 2. That includes a
@@ -505,9 +505,7 @@ def _cmd_hstar_gns(args):
     except InputError as exc:
         raise InputError(f"{name}: bad H*-algebra spec: {exc}")
     mod = hstar1.gns(A)
-    resid = hstar1.module_trace_law_residual(mod, args.tolerance, args.seed)
-    bound = args.tolerance.bound(max(A.weights) * max(A.block_sizes))
-    rep.add("module_trace_law", bounded("rank_one_law", resid, bound, "module trace law"))
+    rep.add("module_trace_law", hstar1.module_trace_law(mod, args.tolerance))
     rep.add_values(
         {"gns_dim": mod.dim, "simple_dims": [d for _, d in hstar1.simple_modules(A)]}
     )

@@ -266,24 +266,6 @@ class Engine:
     def zero(self, dom, cod) -> Mor:
         return Mor(dom, cod, {})
 
-    def random_mor(self, dom, cod, rng) -> Mor:
-        """Normal real and imaginary parts, from one draw that holds, per
-        charge in order, the real block and then the imaginary block: the
-        stream of two draws per charge."""
-        shapes, size = [], 0
-        for c in self.support(dom):
-            nr, nc = len(self.basis(cod, c)), len(self.basis(dom, c))
-            if nr and nc:
-                shapes.append((c, nr, nc))
-                size += 2 * nr * nc
-        d = rng.standard_normal(size)
-        di, end, blocks = 1j * d, 0, {}
-        for c, nr, nc in shapes:
-            k = nr * nc
-            blocks[c] = d[end : end + k].reshape(nr, nc) + di[end + k : end + 2 * k].reshape(nr, nc)
-            end += 2 * k
-        return Mor(dom, cod, blocks)
-
     # --- dagger category operations --------------------------------------
 
     def compose(self, f: Mor, g: Mor) -> Mor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import bounded, judged
+from .certify import Certificate, bounded, judged
 from .diagram import Engine
 from .fusion import FusionData, SphericalWeight, dual_engine
 from .numcore import DEFAULT_TOL, InputError, ShapeMismatch, Tolerance, frobenius, worst

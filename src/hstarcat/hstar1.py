@@ -9,7 +9,9 @@ star is dagger, Tr_A is categorical_trace, and the GNS inner product is
 <a|b> = Tr_A(a^* b). A right module (+)_i C^{m_i x n_i} is Hom(X, Y) for
 Y = sum_i m_i 1_i, with A acting by precomposition. A trace under test,
 whose weights may be negative, NaN or not tracial, is checked on matrix
-units off its density matrices (verify_hstar_algebra), with no engine.
+units off its density matrices (verify_hstar_algebra), with no engine,
+and a module's rank-one trace law on one matrix unit per block
+(module_trace_law): nothing here draws.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import Certificate, clears, judged, within
+from .certify import Certificate, bounded, clears, judged, within
 from .diagram import Engine
 from .hilb2 import TwoHilbertSpace
 from .numcore import (
@@ -28,7 +30,6 @@ from .numcore import (
     InputError,
     ShapeMismatch,
     Tolerance,
-    sample_rng,
     worst,
 )
 
@@ -229,20 +230,28 @@ def linking_algebra(space: Engine, objects) -> HStarAlgebra:
     return HStarAlgebra(tuple(sizes), tuple(weights))
 
 
-def module_trace_law_residual(
-    mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 20
-) -> float:
-    """Max residual of Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) over random
-    vectors. It stays sampled: a Gram matrix over the GNS module of M_256,
-    which the input schema allows, has 65,536^2 entries."""
-    rng = sample_rng(samples, seed)
-    eng = mod.algebra.space
-    H = (mod.algebra.obj,), (eng.obj(mod.mults),)
+def module_trace_law(mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL) -> Certificate:
+    """Certify the rank-one law Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) on mod,
+    within tol.bound(max(w) max(n)), from one matrix unit per block.
+
+    Both sides are sesquilinear in (xi, eta), so the law holds iff it
+    holds on every pair of matrix units of Hom(X, Y). The engine composes
+    block by block, so a pair from two blocks gives 0 on both sides; on
+    the matrix units of block i, xi eta^* / w_i and eta^* xi / w_i make
+    both Gram matrices s_i 1, where s_i is the side's value on (xi_i,
+    xi_i) for xi_i = include(Y, c_i, 0) o include(X, c_i, 0)^dag. So the
+    gaps at xi_i, one per block with m_i >= 1, are every gap there is:
+    the check is exhaustive at every size, M_256 included, and draws
+    nothing."""
+    A = mod.algebra
+    eng = A.space
+    X, Y = A.obj, eng.obj(mod.mults)
     gaps = []
-    for _ in range(samples):
-        xi = eng.random_mor(*H, rng)
-        eta = eng.random_mor(*H, rng)
-        lhs = eng.categorical_trace(rank_one(eng, xi, eta))
-        rhs = eng.categorical_trace(a_valued_inner(eng, eta, xi))
-        gaps.append(abs(lhs - rhs))
-    return worst(gaps)
+    for c, m in zip(eng.data.simples, mod.mults):
+        if m:
+            xi = eng.compose(eng.include(Y, c, 0), eng.dagger(eng.include(X, c, 0)))
+            lhs = eng.categorical_trace(rank_one(eng, xi, xi))
+            rhs = eng.categorical_trace(a_valued_inner(eng, xi, xi))
+            gaps.append(abs(lhs - rhs))
+    bound = tol.bound(max(A.weights) * max(A.block_sizes))
+    return bounded("rank_one_law", worst(gaps), bound, "module trace law")

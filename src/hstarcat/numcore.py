@@ -81,7 +81,8 @@ def worst(values):
 def sample_rng(samples: int, seed) -> np.random.Generator:
     """The generator of a sampled check, which needs a sample: with none,
     its residual would be worst of nothing, 0.0, and it would ACCEPT
-    anything."""
+    anything. The one sampled check is deligne's right action; every
+    other check runs on a basis and draws nothing."""
     if samples < 1:
         raise InputError(f"a sampled check needs at least one sample, not {samples}")
     return np.random.default_rng(seed)

@@ -24,7 +24,6 @@ from hstarcat.numcore import (
     ShapeMismatch,
     Tolerance,
     frobenius,
-    sample_rng,
     worst,
 )
 
@@ -151,16 +150,6 @@ class HStarModuleRep:
     def dim(self) -> int:
         return sum(m * n for m, n in zip(self.mults, self.algebra.block_sizes))
 
-    def module_trace(self, f) -> complex:
-        """Tr_H on End(H_A); f is a list of m_i x m_i blocks."""
-        return sum(w * np.trace(fi) for w, fi in zip(self.algebra.weights, f))
-
-    def random_vector(self, rng: np.random.Generator):
-        return [
-            rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            for m, n in zip(self.mults, self.algebra.block_sizes)
-        ]
-
     def a_valued_inner(self, eta, xi):
         """<eta|xi>_A, the composite <eta| o |xi> in End(A_A) = A.
 
@@ -179,11 +168,6 @@ class HStarModuleRep:
             x @ e.conj().T / w
             for x, e, w in zip(xi, eta, self.algebra.weights)
         ]
-
-
-def gns(A: HStarAlgebra) -> HStarModuleRep:
-    """A as a right module over itself: block i appears with multiplicity n_i."""
-    return HStarModuleRep(A, A.block_sizes)
 
 
 def _simple_quantum_dim(n: int, w: float) -> float:
@@ -242,21 +226,6 @@ def linking_algebra(objects) -> HStarAlgebra:
             sizes.append(total)
             weights.append(d)
     return HStarAlgebra(tuple(sizes), tuple(weights))
-
-
-def module_trace_law_residual(
-    mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 20
-) -> float:
-    """Max residual of Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) over random vectors."""
-    rng = sample_rng(samples, seed)
-    gaps = []
-    for _ in range(samples):
-        xi = mod.random_vector(rng)
-        eta = mod.random_vector(rng)
-        lhs = mod.module_trace(mod.rank_one(xi, eta))
-        rhs = mod.algebra.trace(mod.a_valued_inner(eta, xi))
-        gaps.append(abs(lhs - rhs))
-    return worst(gaps)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """End-to-end acceptance checks. Each test prints one pass/fail line."""
 
-import numpy as np
+import math
 
-from hstarcat import bundled, deligne, hilb2, hilb3, hstar1, intalg
+import numpy as np
+import pytest
+
+from hstarcat import bundled, deligne, hilb2, hilb3, hstar1, intalg, numcore
+from hstarcat.certify import bounded
 from hstarcat.diagram import Engine
 from hstarcat.fusion import (
     SphericalWeight,
@@ -44,7 +48,7 @@ def _bundled_algebras():
 def test_criterion_01_gns_module_trace_law():
     rng = np.random.default_rng(100)
     worst = 0.0
-    for k in range(10):
+    for _ in range(10):
         nblocks = int(rng.integers(1, 4))
         sizes = tuple(int(s) for s in rng.integers(1, 5, nblocks))
         weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, nblocks))
@@ -57,8 +61,23 @@ def test_criterion_01_gns_module_trace_law():
         ):
             if mod.dim == 0:
                 continue
-            worst = max(worst, hstar1.module_trace_law_residual(mod, seed=k))
+            worst = numcore.worst((worst, hstar1.module_trace_law(mod).residuals["rank_one_law"]))
     _report(1, "GNS and module trace law", worst < 1e-9, f"residual {worst:.2e}")
+
+
+def test_criterion_01_fails_on_a_nan_residual(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN after the first module's residual
+    # once read PASS
+    law, calls = hstar1.module_trace_law, []
+
+    def nan_after_the_first(mod):
+        calls.append(mod)
+        return law(mod) if len(calls) == 1 else bounded("rank_one_law", math.nan, 1.0, "module trace law")
+
+    monkeypatch.setattr(hstar1, "module_trace_law", nan_after_the_first)
+    with pytest.raises(AssertionError, match="FAIL"):
+        test_criterion_01_gns_module_trace_law()
+    assert len(calls) > 1
 
 
 def test_criterion_02_two_hilbert_round_trip():
@@ -71,7 +90,7 @@ def test_criterion_02_two_hilbert_round_trip():
         recovered, cert = hilb2.round_trip(sp)
         assert cert.ok, cert.residuals
         got = [recovered.udf.d(s) for s in recovered.data.simples]
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, dims)))
+        worst = numcore.worst((worst, *(abs(a - b) for a, b in zip(got, dims))))
     _report(2, "2-Hilbert round trip", worst < 1e-9, f"dim gap {worst:.2e}")
 
 
@@ -95,7 +114,7 @@ def test_criterion_03_mate_unitarity_and_yoneda():
             mat = ((1,) + (0,) * (n - 1),) + mat[1:]
         F = DagFunctor(src, tgt, mat)
         _, cert = hilb2.unitary_adjoint(F)
-        worst = max(worst, cert.residuals["mate_gram_defect"])
+        worst = numcore.worst((worst, cert.residuals["mate_gram_defect"]))
     yworst = 0.0
     rng2 = np.random.default_rng(301)
     for _ in range(10):
@@ -104,7 +123,7 @@ def test_criterion_03_mate_unitarity_and_yoneda():
         )
         c = sp.obj(tuple(int(x) for x in rng2.integers(1, 4, 3)))
         _, cert = hilb2.yoneda_decompose(sp, c)
-        yworst = max(yworst, cert.residuals["gram_defect"])
+        yworst = numcore.worst((yworst, cert.residuals["gram_defect"]))
     _report(
         3,
         "mate unitarity and Yoneda",
@@ -118,8 +137,8 @@ def test_criterion_04_fusion_validation():
     for name in bundled.NAMES:
         cert = validate(bundled.load(name))
         assert cert.ok, (name, cert.residuals)
-        pent = max(pent, cert.residuals["pentagon"])
-        fu = max(fu, cert.residuals["f_unitarity"])
+        pent = numcore.worst((pent, cert.residuals["pentagon"]))
+        fu = numcore.worst((fu, cert.residuals["f_unitarity"]))
     _report(
         4,
         "fusion validation",
@@ -139,11 +158,11 @@ def test_criterion_05_loop_evaluations():
         for p in psis:
             udf = udf_from_weight(data, SphericalWeight(p))
             for c in data.simples:
-                worst = max(
+                worst = numcore.worst((
                     worst,
                     abs(loop_eval(udf, c, "L") - udf.d(c) / udf.d(data.s(c))),
                     abs(loop_eval(udf, c, "R") - udf.d(c) / udf.d(data.t(c))),
-                )
+                ))
     _report(5, "loop evaluations match dims", worst < 1e-9, f"gap {worst:.2e}")
 
 
@@ -160,9 +179,9 @@ def test_criterion_06_renormalization_scalar():
                 psi_id = sum(psi.of_unit(data, u) for u in units)
                 expected = data.fpdim_total(simples) * psi_id / (k * k)
                 for u in units:
-                    worst = max(worst, abs(v[u] - expected))
+                    worst = numcore.worst((worst, abs(v[u] - expected)))
                 vals = [v[u] for u in units]
-                worst = max(worst, max(abs(x - vals[0]) for x in vals))
+                worst = numcore.worst((worst, *(abs(x - vals[0]) for x in vals)))
     _report(6, "renormalization scalar", worst < 1e-9, f"gap {worst:.2e}")
 
 
@@ -171,12 +190,12 @@ def test_criterion_07_standardization():
     for name, labels in [("ising", ("1", "p")), ("hilb_z2", ("1", "g"))]:
         eng = _eng(name)
         S = intalg.standardize(intalg.group_algebra(eng, labels))
-        worst = max(
+        worst = numcore.worst((
             worst,
             eng.residual(
                 eng.compose(S.mu, eng.dagger(S.mu)), eng.identity(S.word)
             ),
-        )
+        ))
         assert intalg.verify_hstar(S).ok
     _report(7, "standardization", worst < 1e-9, f"specialness {worst:.2e}")
 
@@ -184,7 +203,7 @@ def test_criterion_07_standardization():
 def test_criterion_08_internal_end_recognition():
     worst = 0.0
     for name, A in _bundled_algebras():
-        worst = max(worst, intalg.internal_end_comparison(A))
+        worst = numcore.worst((worst, intalg.internal_end_comparison(A)))
     _report(8, "internal-end recognition", worst < 1e-8, f"defect {worst:.2e}")
 
 
@@ -201,12 +220,12 @@ def test_criterion_09_module_trace_formula():
             for g in basis:
                 t1 = intalg.module_trace(M, eng.compose(f, g))
                 t2 = intalg.module_trace(M, eng.compose(g, f))
-                worst = max(worst, abs(t1 - t2) / max(1.0, abs(t1)))
+                worst = numcore.worst((worst, abs(t1 - t2) / max(1.0, abs(t1))))
         r = intalg.right_retraction(M)
-        worst = max(
+        worst = numcore.worst((
             worst,
             eng.residual(eng.compose(r, eng.dagger(r)), eng.identity(M.word)),
-        )
+        ))
     _report(9, "module category trace", worst < 1e-9, f"residual {worst:.2e}")
 
 
@@ -222,13 +241,13 @@ def test_criterion_10_delta0_adjunction():
         M = intalg.free_bimodule(A, "1", B)
         Md, ev0, coev0 = intalg.dual_bimodule_delta0(M)
         r1, r2 = intalg.delta0_zigzag_residuals(M, Md, ev0, coev0)
-        zz = max(zz, r1, r2)
+        zz = numcore.worst((zz, r1, r2))
         # right modules as bimodules over the tensor unit A = 1
         N = intalg.free_bimodule(A, eng.data.simples[-1], A)
         P = intalg.free_bimodule(A, "1", B)
         w, (z1, z2) = intalg.delta0_norm_identity(N, M, P)
-        worst = max(worst, w)
-        zz = max(zz, z1, z2)
+        worst = numcore.worst((worst, w))
+        zz = numcore.worst((zz, z1, z2))
     _report(
         10,
         "delta=0 adjunction norms",
@@ -252,7 +271,7 @@ def test_criterion_11_ladder_trace():
         G = deligne.random_ladder(L, L, rng)
         t1 = deligne.ladder_trace(deligne.ladder_compose(F, G))
         t2 = deligne.ladder_trace(deligne.ladder_compose(G, F))
-        worst_trac = max(worst_trac, abs(t1 - t2) / max(1.0, abs(t1)))
+        worst_trac = numcore.worst((worst_trac, abs(t1 - t2) / max(1.0, abs(t1))))
     for name, psis in [("fibonacci", None), ("m2_hilb", (1.0, 2.0))]:
         e = _eng(name, psis)
         for a in e.data.simples:
@@ -267,7 +286,7 @@ def test_criterion_11_ladder_trace():
                 )
                 tr = deligne.ladder_trace(deligne.identity_ladder(Lab)).real
                 expected = e.udf.d(a) * e.udf.d(b) / e.udf.d(e.data.t(a))
-                worst_dim = max(worst_dim, abs(tr - expected))
+                worst_dim = numcore.worst((worst_dim, abs(tr - expected)))
     certs_ok = True
     for name in ("hilb_z2", "fibonacci", "ising"):
         e = _eng(name)
@@ -294,18 +313,18 @@ def test_criterion_12_completions():
         parts = [hilb3.DeloopObject(u) for u in eng.data.units]
         S = hilb3.sum_object(X, parts + parts[:1])
         cert = hilb3.certify_hilbert_sum(X, S)
-        res = max(res, cert.residuals["resolution"])
-        add = max(add, cert.residuals["additivity"])
+        res = numcore.worst((res, cert.residuals["resolution"]))
+        add = numcore.worst((add, cert.residuals["additivity"]))
     sph = 0.0
     umax = 0.0
     for name, A in _bundled_algebras():
         eng = A.eng
         X = hilb3.hstar_monad_completion(hilb3.delooping(eng), [A])
         cert = hilb3.presentation_sphericality(X)
-        sph = max(sph, max(cert.residuals.values()))
+        sph = numcore.worst((sph, *cert.residuals.values()))
         sp = hilb3.split_monad(A)
         assert sp.certificate.ok, (name, sp.certificate.residuals)
-        umax = max(umax, sp.certificate.residuals["u_unitarity"])
+        umax = numcore.worst((umax, sp.certificate.residuals["u_unitarity"]))
     _report(
         12,
         "completions",
@@ -321,7 +340,7 @@ def test_criterion_13_weight_comparison():
         psi = SphericalWeight(tuple(1.0 for _ in data.units))
         cert = hilb3.theorem_b_check(data, psi)
         assert cert.ok, (name, cert.residuals)
-        worst = max(worst, cert.residuals["gap"])
+        worst = numcore.worst((worst, cert.residuals["gap"]))
         assert abs(cert.details["monad"] - cert.details["psi_1"]) < 1e-9
         assert abs(cert.details["modules"] - cert.details["psi_1"]) < 1e-9
     _report(13, "weight comparison across models", worst < 1e-9, f"gap {worst:.2e}")
@@ -334,7 +353,7 @@ def test_criterion_14_uaf_uniqueness():
     cert = hilb3.uaf_uniqueness_check(
         eng, hilb3.canonical_uaf(eng), hilb3.gauge_uaf(eng, phases)
     )
-    worst = max(cert.residuals.values())
+    worst = numcore.worst(cert.residuals.values())
     _report(14, "duality data uniqueness", cert.ok and worst < 1e-9, f"zeta {worst:.2e}")
 
 

@@ -471,6 +471,17 @@ def test_hstar_verify_reports_do_not_depend_on_the_seed(capsys):
     assert all(rep == reps[0] for rep in reps)
 
 
+def test_hstar_gns_reports_do_not_depend_on_the_seed(capsys):
+    # the trace law runs on one matrix unit per block and draws nothing;
+    # sampled, it read 2.09e-15 at seed 0 and 1.81e-15 at seed 7
+    reps = []
+    for seed in (0, 7):
+        code, rep = _run(capsys, "hstar", "gns", "hstar_example", "--seed", str(seed))
+        assert code == 0 and rep.pop("seed") == seed
+        reps.append(rep)
+    assert reps[0] == reps[1]
+
+
 def test_hstar_gns_of_a_functional_alone_says_it_needs_weights(tmp_path, capsys):
     p = tmp_path / "hstar.json"
     p.write_text('{"blocks": [1], "functional": [[[[1.0, 0.0]]]]}')

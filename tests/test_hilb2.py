@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diagram_reference
 from hstarcat import hilb2
 from hstarcat.hilb2 import DagFunctor, TwoHilbertSpace
 from hstarcat.numcore import InputError, ShapeMismatch
@@ -15,7 +16,7 @@ def test_trace_and_inner():
     o = sp.obj((2, 1, 0))
     assert sp.categorical_trace(sp.identity((o,))) == pytest.approx(2 * 1.0 + 1 * 1.618)
     rng = np.random.default_rng(0)
-    g = sp.random_mor((o,), (o,), rng)
+    g = diagram_reference.random_mor(sp, (o,), (o,), rng)
     assert hilb2.inner(sp, g, g).real > 0
     norms = sum(sp.udf.d(s) * np.linalg.norm(b) ** 2 for s, b in g.blocks.items())
     assert hilb2.inner(sp, g, g).real == pytest.approx(norms)

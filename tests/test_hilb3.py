@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import diagram_reference
 import solve_reference
 from bench_families import fam
 from hstarcat import bundled, fusion, hilb3, intalg
@@ -54,7 +55,7 @@ def test_a_rescaled_cup_rejects_at_every_seed(name, c, seeds):
 
 
 def test_completion_checks_draw_nothing(monkeypatch):
-    # both checks run on a basis: no random morphism and no generator,
+    # both checks run on a basis and build no generator,
     # and seed, kept for callers that pass it, is keyword-only
     eng = _eng("m2_hilb", (1.0, 4.0))
     X = hilb3.hilbert_sum_completion(hilb3.delooping(eng))
@@ -63,7 +64,6 @@ def test_completion_checks_draw_nothing(monkeypatch):
     def drawn(*args, **kwargs):
         raise AssertionError("a completion check drew a sample")
 
-    monkeypatch.setattr(Engine, "random_mor", drawn)
     monkeypatch.setattr(np.random, "default_rng", drawn)
     sph = [repr(hilb3.presentation_sphericality(X, seed=s)) for s in range(3)]
     add = [repr(hilb3.certify_hilbert_sum(X, S, seed=s)) for s in range(3)]
@@ -135,7 +135,7 @@ def test_a_resolution_defect_hidden_from_the_samples_rejects_on_resolution(monke
     S = hilb3.sum_object(X, ["1"] * 4)
     O = X.unit_obj(S)
     rng = np.random.default_rng(3)
-    D = _hidden_direction([eng.random_mor((O,), (O,), rng).blocks["1"] for _ in range(5)])
+    D = _hidden_direction([diagram_reference.random_mor(eng, (O,), (O,), rng).blocks["1"] for _ in range(5)])
     w, V = np.linalg.eigh(1e-3 * D)
     R = eng.mor((O,), (O,), {"1": (V * np.sqrt(1 + w)) @ V.conj().T})
     inclusions = hilb3.sum_isometries
@@ -197,7 +197,7 @@ def test_psi_value_is_the_per_unit_block_sum(name, psis, parts):
     for obj in (S, *(hilb3.DeloopObject(u) for u in set(parts))):
         O = X.unit_obj(obj)
         for _ in range(5):
-            f = eng.random_mor((O,), (O,), rng)
+            f = diagram_reference.random_mor(eng, (O,), (O,), rng)
             assert X.psi_value(obj, f) == _psi_block_sum(eng, f)
 
 

@@ -1,10 +1,14 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import diagram_reference
 import hstar_reference
 from hstarcat import hilb2, hstar1
 from hstarcat.hilb2 import TwoHilbertSpace
-from hstarcat.numcore import ConsistencyError, InputError, ShapeMismatch
+from hstarcat.numcore import ConsistencyError, InputError, ShapeMismatch, worst
 
 
 def test_trace_and_inner():
@@ -13,7 +17,7 @@ def test_trace_and_inner():
     eng, X = A.space, A.obj
     assert eng.categorical_trace(eng.identity((X,))) == pytest.approx(2 * 1.0 + 3 * 0.5)
     rng = np.random.default_rng(0)
-    a = eng.random_mor((X,), (X,), rng)
+    a = diagram_reference.random_mor(eng, (X,), (X,), rng)
     assert hilb2.inner(eng, a, a).real > 0
 
 
@@ -75,7 +79,68 @@ def test_gns_module_trace_law():
     A = hstar1.HStarAlgebra((2, 3, 1), (1.0, 0.5, 2.5))
     mod = hstar1.gns(A)
     assert mod.dim == A.dim
-    assert hstar1.module_trace_law_residual(mod, seed=5) < 1e-9
+    cert = hstar1.module_trace_law(mod)
+    assert cert.ok and cert.residuals == {"rank_one_law": 0.0}
+
+
+def _all_pairs_gap(mod):
+    """The largest gap of the trace law Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A)
+    over every pair of elementary maps of Hom(X, Y): the law's
+    definition, with no use of its sesquilinearity."""
+    eng = mod.algebra.space
+    basis = eng.hom_basis((mod.algebra.obj,), (eng.obj(mod.mults),))
+    gaps = []
+    for xi in basis:
+        for eta in basis:
+            lhs = eng.categorical_trace(hstar1.rank_one(eng, xi, eta))
+            rhs = eng.categorical_trace(hstar1.a_valued_inner(eng, eta, xi))
+            gaps.append(abs(lhs - rhs))
+    return worst(gaps)
+
+
+def _oracle_modules():
+    example = json.loads(resources.files("hstarcat").joinpath("data/hstar_example.json").read_text())
+    A = hstar1.HStarAlgebra(example["blocks"], example["weights"])
+    B = hstar1.HStarAlgebra((1, 2, 2), (3.0, 0.25, 7.0))
+    return [
+        hstar1.gns(A),
+        hstar1.gns(B),
+        hstar1.HStarModuleRep(B, (2, 0, 3)),
+        hstar1.HStarModuleRep(hstar1.HStarAlgebra((3,), (0.7,)), (2,)),
+        hstar1.HStarModuleRep(hstar1.HStarAlgebra((2, 2), (1e300, 1e-300)), (1, 3)),
+    ]
+
+
+def _doubled_rank_one(eng, xi, eta, _rank_one=hstar1.rank_one):
+    return eng.scale(2.0, _rank_one(eng, xi, eta))
+
+
+def _tripled_last_block(eng, eta, xi, _inner=hstar1.a_valued_inner):
+    f = _inner(eng, eta, xi)
+    last = eng.data.simples[-1]
+    return eng.mor(f.dom, f.cod, {c: 3.0 * b if c == last else b for c, b in f.blocks.items()})
+
+
+@pytest.mark.parametrize(
+    "name, broken, gap",
+    [(None, None, 0.0), ("rank_one", _doubled_rank_one, 1.0), ("a_valued_inner", _tripled_last_block, 2.0)],
+    ids=["law", "rank_one_doubled", "inner_tripled"],
+)
+def test_trace_law_on_matrix_units_is_the_law_on_every_pair(monkeypatch, name, broken, gap):
+    # both sides are sesquilinear and blockwise, so one matrix unit per
+    # block sees every gap that all pairs of elementary maps see, to the
+    # bit, on the law and on two ways of breaking it
+    if name:
+        monkeypatch.setattr(hstar1, name, broken)
+    certs = []
+    for mod in _oracle_modules():
+        cert, want = hstar1.module_trace_law(mod), _all_pairs_gap(mod)
+        assert repr(cert.residuals["rank_one_law"]) == repr(want)
+        assert want == pytest.approx(gap, abs=1e-15)
+        certs.append((cert.ok, cert.failed_axiom))
+    # the bound is tol.bound(max(w) max(n)), 2e291 on the last module,
+    # which no gap of matrix units reaches; the other four judge the gap
+    assert set(certs[:4]) == {(True, None) if gap == 0.0 else (False, "module trace law")}
 
 
 def test_simple_module_dims_equal_weights():
@@ -90,7 +155,7 @@ def test_rank_one_reconstruction():
     eng = A.space
     H = (A.obj,), (eng.obj(mod.mults),)
     rng = np.random.default_rng(1)
-    xi, eta, zeta = (eng.random_mor(*H, rng) for _ in range(3))
+    xi, eta, zeta = (diagram_reference.random_mor(eng, *H, rng) for _ in range(3))
     op = hstar1.rank_one(eng, xi, eta)
     # rank-one acts as zeta -> xi <eta|zeta>_A
     lhs = eng.compose(op, zeta)
@@ -193,8 +258,7 @@ def test_engine_routines_match_the_list_reference():
         for m in (sizes, mults):
             got, ref = hstar1.HStarModuleRep(A, m), hstar_reference.HStarModuleRep(R, m)
             assert got.dim == ref.dim
-            law = hstar1.module_trace_law_residual(got, seed=k)
-            assert repr(float(law)) == repr(float(hstar_reference.module_trace_law_residual(ref, seed=k)))
+            assert hstar1.module_trace_law(got).residuals["rank_one_law"] == 0.0
         dims = [repr(d) for _, d in hstar1.simple_modules(A)]
         assert dims == [repr(d) for _, d in hstar_reference.simple_modules(R)]
 
@@ -240,8 +304,6 @@ def test_engine_routines_match_the_list_reference():
         # returned a NaN residual: both fail closed
         with pytest.raises(ConsistencyError):
             hstar_reference.simple_modules(hstar_reference.HStarAlgebra((1, 2), (1.0, inf)))
-        R = hstar_reference.HStarAlgebra((1,), (inf,))
-        assert np.isnan(hstar_reference.module_trace_law_residual(hstar_reference.gns(R)))
         with pytest.raises(InputError):
             hstar1.HStarAlgebra((1,), (inf,))
         sp, rsp = TwoHilbertSpace(("a", "b"), (1.0, 1.0)), hstar_reference.TwoHilbertSpace(("a", "b"), (1.0, 1.0))

@@ -183,7 +183,7 @@ def test_module_trace_matches_the_dual_closure(name, psi, labels):
     modules += intalg.free_bimodules(intalg.group_algebra(eng, eng.data.units), A).values()
     rng = np.random.default_rng(11)
     for M in modules:
-        for f in (eng.identity(M.word), eng.random_mor(M.word, M.word, rng)):
+        for f in (eng.identity(M.word), diagram_reference.random_mor(eng, M.word, M.word, rng)):
             want = diagram_reference.module_trace(M, f)
             assert abs(intalg.module_trace(M, f) - want) <= 1e-13 * (1 + abs(want))
 
@@ -751,7 +751,7 @@ def test_adjoint_span_of_one_map_is_the_normalized_map():
     rng = np.random.default_rng(3)
     s, sp = eng.obj({"s": 1}), eng.obj({"s": 1, "p": 1})
     dom, cod = (s, sp), (eng.obj({"1": 1, "s": 1, "p": 2}),)
-    f = eng.random_mor(dom, cod, rng)
+    f = diagram_reference.random_mor(eng, dom, cod, rng)
     (g,) = intalg._adjoint_span(eng, dom, cod, eng.to_vector(f)[None, :])
     v, rows = eng.to_vector(g), row_space(eng.to_vector(f)[None, :])
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)

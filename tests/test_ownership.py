@@ -43,11 +43,11 @@ CUPS = ("udf.alpha", "udf.beta")
 N_READERS = (
     "fusion.FusionData.__post_init__", "fusion.FusionData._compile", "fusion.FusionData.to_json", "fusion.validate"
 )
-DRAWS = ("numcore.sample_rng", "deligne._coefficients", "diagram.Engine.random_mor")
+DRAWS = ("numcore.sample_rng", "deligne._coefficients")
 OWNERSHIP = (
     Rule(("call",), ("spectral_pieces",), ("intalg.split_summands",), "commutants split in one place"),
     Rule(("call",), ("default_rng", "standard_normal"), DRAWS,
-         "only the two sampled checks draw: deligne's right action and hstar1's trace law"),
+         "only the sampled check draws: deligne's right action"),
     Rule(("call",), ("relative_tensor",), ("hilb3.split_monad",),
          "a split monad's pair; the linking reads its pair trees off the separability projection"),
     Rule(("call", "def"), SOLVERS, (),
@@ -77,6 +77,8 @@ OWNERSHIP = (
     Rule(("def",), ("split_projection", "_sorted_eigh"), (),
          "the second, phase-fixed projection splitter that the relative tensor's one eigh replaced"),
     Rule(("def",), ("H2Object", "H2Morphism"), (), "one morphism model: diagram.Mor"),
+    Rule(("def",), ("random_mor",), (),
+         "the trace law, its last caller, runs on matrix units; the tests draw through diagram_reference"),
     Rule(("read",), ("linalg.norm",), (),
          "one Frobenius norm: numcore.frobenius and frobenius_rows reproduce its bits"),
     Rule(("read",), ("linalg.eigh",), ("intalg.endo_power", "intalg.spectral_pieces", "intalg.relative_tensor"),
@@ -299,7 +301,7 @@ FLAGS = [
     ("def spectral_pieces(eng, word, comm, rng):\n    z = rng.standard_normal()", "intalg", True),
     ("def random_mor(self, dom, cod, rng):\n    return rng.standard_normal(n)", "diagram", True),
     ("def sample_rng(samples, seed):\n    return np.random.default_rng(seed)", "numcore", False),
-    ("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)", "diagram", False),
+    ("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)", "diagram", True),
     # the projection splitter that numcore kept beside the relative tensor
     ("def projection_rank(p, parts, tol):\n    vals, vecs = np.linalg.eigh(p)", "numcore", True),
     ("def _sorted_eigh(m):\n    pass", "numcore", True),
@@ -310,6 +312,8 @@ FLAGS = [
     ("def endo_power(eng, f, r):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False),
     ("def verify_hstar(A):\n    vals = np.linalg.eigvalsh(h)", "intalg", False),
     ("def f(h):\n    return numpy.linalg.eigh(h)", "hilb3", True),
+    # the trace law's draws, before it ran on one matrix unit per block
+    ("def module_trace_law(mod, tol):\n    rng = np.random.default_rng(0)", "hstar1", True),
 ]
 
 

@@ -4,17 +4,23 @@ certify.within or clears and every residual is folded by numcore.worst;
 no bare number scales a bound; deligne keys derived values by interned
 numbers; no check takes a tol beside an engine; every check names its
 axiom; one exception class per kind of failure; every definition is
-reached; every sampled check refuses fewer than one sample; and the
-functions whose seed goes unread are the listed ones."""
+reached; every annotation resolves; every sampled check refuses fewer
+than one sample; and the functions whose seed goes unread are the listed
+ones."""
 
 import ast
 import builtins
+import importlib
+import inspect
 import math
+import pkgutil
 import re
+import typing
 from collections import Counter
 
 import pytest
 
+import hstarcat
 from hstarcat import bundled, deligne, hstar1, intalg
 from hstarcat.certify import bounded, clears, judged, within
 from hstarcat.fusion import SphericalWeight, dual_engine
@@ -336,6 +342,37 @@ def test_every_definition_is_reached():
     assert not found, found
 
 
+def _annotated():
+    """(qualified name, object) of every class, function and method that
+    the package's modules define; a static or class method, a property
+    and a cached property by the function it wraps."""
+    for info in pkgutil.iter_modules(hstarcat.__path__):
+        module = importlib.import_module(f"hstarcat.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{info.name}.{name}", obj
+                for attr, v in vars(obj).items():
+                    v = next((getattr(v, k) for k in ("__func__", "fget", "func") if hasattr(v, k)), v)
+                    if inspect.isfunction(v):
+                        yield f"{info.name}.{name}.{attr}", v
+
+
+def test_every_annotation_resolves():
+    # annotations are strings under `from __future__ import annotations`,
+    # so a name the module never imports fails only when they are resolved
+    found = []
+    for name, obj in _annotated():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            found.append(f"{name}: {exc}")
+    assert not found, found
+
+
 def test_reach_lint_catches_an_unreached_def():
     assert _unreached(["def lone():\n    return lone()"], []) == ["lone"]
     assert _unreached(["class C:\n    def m(self):\n        pass"], ["C()"]) == ["m"]
@@ -410,9 +447,6 @@ def _delta0(**kw):
 # name, and a call of it with a given count
 SAMPLED = {
     "deligne.right_action_isometry": _right_action,
-    "hstar1.module_trace_law_residual": lambda samples: hstar1.module_trace_law_residual(
-        hstar1.gns(HStarAlgebra((2,), (1.0,))), samples=samples
-    ),
     "numcore.sample_rng": lambda samples: sample_rng(samples, 0),
 }
 
@@ -420,6 +454,7 @@ SAMPLED = {
 # keyword arguments
 EXHAUSTIVE = {
     "deligne.ladder_traciality": lambda **kw: deligne.ladder_traciality(_fibonacci(), **kw),
+    "hstar1.module_trace_law": lambda **kw: hstar1.module_trace_law(hstar1.gns(HStarAlgebra((2,), (1.0,))), **kw),
     "hstar1.verify_hstar_algebra": lambda **kw: hstar1.verify_hstar_algebra((2, 1), (1.0, 1.0), **kw),
     "intalg.delta0_norm_identity": _delta0,
 }
