@@ -288,17 +288,6 @@ def _images(src: LadderObject, dst: LadderObject) -> list:
     return eng.derived(("images", src.key, dst.key), build)
 
 
-def act_on_module(F: LadderHom) -> Mor:
-    """Image of a ladder morphism under the right action functor
-    m (x) c -> m <| c (n-side must be the regular module); on the C-C
-    regular ladder this is the balanced tensor functor m (x) n."""
-    eng = F.src.eng
-    out = eng.zero(*(L.mside.word(L.m) + L.nside.word(L.n) for L in (F.src, F.dst)))
-    for z, a in zip(F.z, _images(F.src, F.dst)):
-        out = eng.add(out, eng.scale(z, a))
-    return out
-
-
 def right_action_isometry(
     mside, eng: Engine, m_objects, samples: int = 20, seed: int = 0
 ) -> Certificate:

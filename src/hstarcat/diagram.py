@@ -295,18 +295,15 @@ class Engine:
     def scale(self, z, f: Mor) -> Mor:
         return Mor(f.dom, f.cod, _nonzero({c: z * b for c, b in f.blocks.items()}))
 
-    def sub(self, f: Mor, g: Mor) -> Mor:
-        return self.add(f, self.scale(-1.0, g))
-
     def l2_norm(self, f: Mor) -> float:
         return float(np.sqrt(sum(frobenius(b) ** 2 for b in f.blocks.values())))
 
     def residual(self, f: Mor, g: Mor) -> float:
-        """l2_norm(sub(f, g)), in one pass over the blocks and with no Mor
-        formed: f_c - g_c, f_c or g_c in the order of sub's blocks, f's
-        charges and then g's others. The same value to the last bit for
-        finite entries; an infinite entry of g reads inf here, where sub's
-        scale by -1.0 can make it NaN, and either fails a finite bound."""
+        """l2_norm(add(f, scale(-1.0, g))), in one pass over the blocks and
+        with no Mor formed: f_c - g_c, f_c or g_c in the order of that sum's
+        blocks, f's charges and then g's others. The same value to the last
+        bit for finite entries; an infinite entry of g reads inf here, where
+        the scale by -1.0 can make it NaN, and either fails a finite bound."""
         if f.dom != g.dom or f.cod != g.cod:
             raise ShapeMismatch("sum word mismatch")
         fbs, gbs = f.blocks, g.blocks

@@ -30,10 +30,10 @@ every FPdim are read off it), and, on demand, the tree orders
 right-comb tree bases of each tensor word at the charges that have trees
 (sweep), and the grouped-basis unitaries of diagram.Engine.group_last:
 labels, numbers and read-only arrays, never an engine.
-validate and pentagon_residual run on integer index arrays and float64
-batches, with the arithmetic of scalar loops to the last bit. Non-finite
-F entries are an InputError at construction; a non-finite residual that
-still arises (a huge finite entry overflows) rejects, without a warning.
+validate runs on integer index arrays and float64 batches, with the
+arithmetic of scalar loops to the last bit. Non-finite F entries are an
+InputError at construction; a non-finite residual that still arises (a
+huge finite entry overflows) rejects, without a warning.
 """
 
 from __future__ import annotations
@@ -396,17 +396,9 @@ class FusionData:
             N = {tuple(k.split(",")): v for k, v in data.get("N", {}).items()}
             F = {}
             for k, m in data.get("F", {}).items():
-                key = tuple(k.split(","))
-                rows = []
-                for row in m:
-                    out = []
-                    for z in row:
-                        if isinstance(z, (list, tuple)):
-                            out.append(complex(z[0], z[1]))
-                        else:
-                            out.append(complex(z))
-                    rows.append(out)
-                F[key] = np.array(rows, dtype=complex)
+                # each entry is exactly an [re, im] pair, as to_json writes it
+                rows = [[complex(real, imag) for real, imag in row] for row in m]
+                F[tuple(k.split(","))] = np.array(rows, dtype=complex)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise InputError(f"malformed fusion data: {exc}") from exc
         return cls(simples, units, grading, dual, N, F)
@@ -442,7 +434,8 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     F-unitarity is checked on the blocks that have trees and no unit
     argument: the 1x1 blocks in one array expression that rounds like
     numcore.unitarity_defect, the larger ones by it, one stack per size.
-    The pentagon skips instances with a unit leg (pentagon_residual).
+    The pentagon residual is the worst gap of _pentagon_gaps, NaN if any
+    gap is NaN (numcore.worst), taken in one reduction.
     Every bound test reads `not (residual <= bound)`, so a NaN residual
     rejects on its axiom.
 
@@ -483,7 +476,9 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         axiom = "grading/duality" if problems else "fusion-associativity"
         return bounded("integer_checks", 1.0, 0.0, axiom, details)
     residuals["f_unitarity"] = blocks.unitarity()
-    residuals["pentagon"] = _worst_gap(blocks)
+    # a huge F entry overflows to a non-finite gap, which fails its bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals["pentagon"] = float(_pentagon_gaps(blocks).max(initial=0.0))
     checks = [
         ("integer_checks", 0.0, "grading/duality"),
         ("f_unitarity", tol.bound() / F_UNITARITY_DIVISOR, "F-unitarity"),
@@ -492,52 +487,9 @@ def validate(data: FusionData, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     return judged(residuals, checks, details)
 
 
-def pentagon_residual(data: FusionData) -> float:
-    """Max Frobenius-norm gap between the two F-move paths from the left
-    comb (((ab)c)d) to the right comb (a(b(cd))) over all pentagon
-    instances.
-
-    An instance is a composable (a, b, c, d) without a unit among them and
-    a total charge u that some left comb ((ab)c)d reaches. An instance
-    with a unit leg is skipped: under the strict-unit identity blocks both
-    of its paths reduce to the same single F-move, multiplied by exact
-    1.0, so its gap is exactly 0.0. Every block is checked first, in index
-    order: the first with differing tree counts, or a stored block of the
-    wrong shape, raises InputError.
-
-    All instances are evaluated in one batch, with the arithmetic of a
-    scalar loop over them. A tree is a pair of vertices; each F-move looks up the row of two adjacent
-    vertices and replaces them by the column of each entry. The terms of
-    path A, F^{abc}_g F^{afd}_u F^{bcd}_f, and of path B, F^{ecd}_u
-    F^{abh}_u, are gathered as index arrays in chunks of start trees that
-    bound the memory. Each product is formed left to right from float64
-    parts, (xr*yr - xi*yi, xr*yi + xi*yr), which rounds like Python's
-    complex multiply (numpy's array multiply does not always). As in the
-    loop, a zero first F entry or zero product of the first two moves
-    ends a term; the later zero terms change no sum. np.bincount sums each
-    (final tree, start tree) entry in loop order; final trees are
-    numbered only when an instance has more than one (_Trees.finals). The
-    gap is the norm of path A minus path B: sqrt(dr*dr + di*di) for one
-    entry, and frobenius_rows of a larger instance's row-major entries,
-    one stack per size."""
-    blocks = _Blocks(data)
-    if blocks.mismatch:
-        key, r, k = blocks.mismatch
-        raise InputError("F^{},{},{}_{}: tree counts differ ({} vs {})".format(*key, r, k))
-    return _worst_gap(blocks)
-
-
-def _worst_gap(blocks) -> float:
-    """The worst pentagon gap, as numcore.worst takes it, in one reduction:
-    NaN if any gap is NaN, else the largest, 0.0 for none."""
-    # a huge F entry overflows to a non-finite gap, which fails its bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_pentagon_gaps(blocks).max(initial=0.0))
-
-
 class _Blocks:
-    """The F blocks that have trees, of one FusionData for one validate or
-    pentagon_residual call, from data.table and FusionData.f_entries.
+    """The F blocks that have trees, of one FusionData for one validate
+    call, from data.table and FusionData.f_entries.
 
     The blocks and their trees are those of tr (_Trees). Blocks are taken
     in index order of their (a, b, c, d) up to the first whose left and
@@ -759,8 +711,31 @@ def _terms(tr: _Trees, vals: np.ndarray, P, Q, R, col):
 
 
 def _pentagon_gaps(blocks: _Blocks) -> np.ndarray:
-    """The gap of every pentagon instance, by the batched method of
-    pentagon_residual."""
+    """The gap of every pentagon instance: the Frobenius-norm gap between
+    the two F-move paths from the left comb (((ab)c)d) to the right comb
+    (a(b(cd))), on blocks without a tree-count mismatch.
+
+    An instance is a composable (a, b, c, d) without a unit among them and
+    a total charge u that some left comb ((ab)c)d reaches. An instance
+    with a unit leg is skipped: under the strict-unit identity blocks both
+    of its paths reduce to the same single F-move, multiplied by exact
+    1.0, so its gap is exactly 0.0.
+
+    All instances are evaluated in one batch, with the arithmetic of a
+    scalar loop over them. A tree is a pair of vertices; each F-move looks
+    up the row of two adjacent vertices and replaces them by the column of
+    each entry. The terms of path A, F^{abc}_g F^{afd}_u F^{bcd}_f, and of
+    path B, F^{ecd}_u F^{abh}_u, are gathered as index arrays in chunks of
+    start trees that bound the memory. Each product is formed left to
+    right from float64 parts, (xr*yr - xi*yi, xr*yi + xi*yr), which rounds
+    like Python's complex multiply (numpy's array multiply does not
+    always). As in the loop, a zero first F entry or zero product of the
+    first two moves ends a term; the later zero terms change no sum.
+    np.bincount sums each (final tree, start tree) entry in loop order;
+    final trees are numbered only when an instance has more than one
+    (_Trees.finals). The gap is the norm of path A minus path B:
+    sqrt(dr*dr + di*di) for one entry, and frobenius_rows of a larger
+    instance's row-major entries, one stack per size."""
     data = blocks.data
     n = len(data.simples)
     free = ~data._unit

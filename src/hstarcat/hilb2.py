@@ -9,7 +9,8 @@ the blockwise conjugate transpose and the inner product is
 <f|g> = Tr(f^dag g) = sum_s d_s tr(f_s^* g_s), Engine.categorical_trace.
 Dagger functors are skeletal multiplicity matrices; unitary adjunction
 and the unitary Yoneda comparison are certified at the level of Gram
-matrices.
+matrices. The Mod-dagger round trip, which needs H*-algebras, is
+hstar1.round_trip.
 """
 
 from __future__ import annotations
@@ -123,24 +124,3 @@ def isometry_check(F: DagFunctor, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         used_rows.add(t)
         gaps[key] = abs(cod.udf.d(cod.data.simples[t]) - dom.udf.d(label))
     return judged(gaps, checks)
-
-
-def mod_dagger_as_2hilb(A) -> Engine:
-    """The 2-Hilbert space of H*-modules over the hstar1.HStarAlgebra A:
-    one simple per block, quantum dimension computed from the module trace
-    law."""
-    from . import hstar1
-
-    dims = tuple(d for _, d in hstar1.simple_modules(A))
-    return TwoHilbertSpace(tuple(f"block{i}" for i in range(len(dims))), dims)
-
-
-def round_trip(space: Engine):
-    """C -> Mod-dagger(End(X), Tr_X) for X = direct sum of the simples,
-    with the canonical comparison functor and its isometry certificate."""
-    from . import hstar1
-
-    n = len(space.data.simples)
-    recovered = mod_dagger_as_2hilb(hstar1.linking_algebra(space, [(1,) * n]))
-    F = DagFunctor(space, recovered, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    return recovered, isometry_check(F, space.tol)

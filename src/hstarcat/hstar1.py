@@ -11,7 +11,9 @@ Y = sum_i m_i 1_i, with A acting by precomposition. A trace under test,
 whose weights may be negative, NaN or not tracial, is checked on matrix
 units off its density matrices (verify_hstar_algebra), with no engine,
 and a module's rank-one trace law on one matrix unit per block
-(module_trace_law): nothing here draws.
+(module_trace_law): nothing here draws. The H*-modules over the linking
+algebra of the simples give back the 2-Hilbert space they came from, up to
+an isometry (round_trip).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .certify import Certificate, bounded, clears, judged, within
 from .diagram import Engine
-from .hilb2 import TwoHilbertSpace
+from .hilb2 import DagFunctor, TwoHilbertSpace, isometry_check
 from .numcore import (
     DEFAULT_TOL,
     ConsistencyError,
@@ -55,10 +57,6 @@ class HStarAlgebra:
             raise InputError("block sizes must be positive")
         if not all(WEIGHT_MIN <= w <= WEIGHT_MAX for w in self.weights):
             raise InputError(f"trace weights must lie in [{WEIGHT_MIN:g}, {WEIGHT_MAX:g}]")
-
-    @property
-    def dim(self) -> int:
-        return sum(n * n for n in self.block_sizes)
 
     @cached_property
     def space(self) -> Engine:
@@ -232,7 +230,7 @@ def linking_algebra(space: Engine, objects) -> HStarAlgebra:
 
 def module_trace_law(mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Certify the rank-one law Tr_H(|xi><eta|) = Tr_A(<eta|xi>_A) on mod,
-    within tol.bound(max(w) max(n)), from one matrix unit per block.
+    within tol.bound(), from one matrix unit per block.
 
     Both sides are sesquilinear in (xi, eta), so the law holds iff it
     holds on every pair of matrix units of Hom(X, Y). The engine composes
@@ -242,7 +240,9 @@ def module_trace_law(mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL) -> Certi
     xi_i) for xi_i = include(Y, c_i, 0) o include(X, c_i, 0)^dag. So the
     gaps at xi_i, one per block with m_i >= 1, are every gap there is:
     the check is exhaustive at every size, M_256 included, and draws
-    nothing."""
+    nothing. Each side at xi_i is w_i (1/w_i), about 1 whatever the
+    weights, so the bound is at unit scale; a law that holds gives both
+    sides by the same arithmetic, a gap of exactly 0.0."""
     A = mod.algebra
     eng = A.space
     X, Y = A.obj, eng.obj(mod.mults)
@@ -253,5 +253,20 @@ def module_trace_law(mod: HStarModuleRep, tol: Tolerance = DEFAULT_TOL) -> Certi
             lhs = eng.categorical_trace(rank_one(eng, xi, xi))
             rhs = eng.categorical_trace(a_valued_inner(eng, xi, xi))
             gaps.append(abs(lhs - rhs))
-    bound = tol.bound(max(A.weights) * max(A.block_sizes))
-    return bounded("rank_one_law", worst(gaps), bound, "module trace law")
+    return bounded("rank_one_law", worst(gaps), tol.bound(), "module trace law")
+
+
+def mod_dagger_as_2hilb(A: HStarAlgebra) -> Engine:
+    """The 2-Hilbert space of H*-modules over A: one simple per block,
+    quantum dimension computed from the module trace law."""
+    dims = tuple(d for _, d in simple_modules(A))
+    return TwoHilbertSpace(tuple(f"block{i}" for i in range(len(dims))), dims)
+
+
+def round_trip(space: Engine):
+    """C -> Mod-dagger(End(X), Tr_X) for X = direct sum of the simples,
+    with the canonical comparison functor and its isometry certificate."""
+    n = len(space.data.simples)
+    recovered = mod_dagger_as_2hilb(linking_algebra(space, [(1,) * n]))
+    F = DagFunctor(space, recovered, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return recovered, isometry_check(F, space.tol)

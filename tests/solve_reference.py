@@ -42,7 +42,9 @@ def left_linear(act_dom, act_cod, A):
     """f act_dom = act_cod (id_A (x) f), for left A-actions."""
     eng = A.eng
     return (
-        lambda f: eng.sub(eng.compose(f, act_dom), eng.compose(act_cod, eng.whisker_left_obj(A.obj, f))),
+        lambda f: eng.add(
+            eng.compose(f, act_dom), eng.scale(-1.0, eng.compose(act_cod, eng.whisker_left_obj(A.obj, f)))
+        ),
         (act_dom.dom, act_cod.cod),
     )
 
@@ -51,7 +53,9 @@ def right_linear(act_dom, act_cod, B):
     """f act_dom = act_cod (f (x) id_B), for right B-actions."""
     eng = B.eng
     return (
-        lambda f: eng.sub(eng.compose(f, act_dom), eng.compose(act_cod, eng.whisker_right_obj(f, B.obj))),
+        lambda f: eng.add(
+            eng.compose(f, act_dom), eng.scale(-1.0, eng.compose(act_cod, eng.whisker_right_obj(f, B.obj)))
+        ),
         (act_dom.dom, act_cod.cod),
     )
 
@@ -74,9 +78,9 @@ def bimodule_map_basis(N, M, P):
     eng = N.eng
 
     def balance(f):
-        return eng.sub(
+        return eng.add(
             eng.compose(f, eng.whisker_right(N.rho, M.word)),
-            eng.compose(f, eng.whisker_left(N.word, M.lam)),
+            eng.scale(-1.0, eng.compose(f, eng.whisker_left(N.word, M.lam))),
         )
 
     constraints = [

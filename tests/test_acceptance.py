@@ -87,7 +87,7 @@ def test_criterion_02_two_hilbert_round_trip():
         n = int(rng.integers(1, 5))
         dims = tuple(float(d) for d in rng.uniform(0.1, 10.0, n))
         sp = TwoHilbertSpace(tuple(f"s{i}" for i in range(n)), dims)
-        recovered, cert = hilb2.round_trip(sp)
+        recovered, cert = hstar1.round_trip(sp)
         assert cert.ok, cert.residuals
         got = [recovered.udf.d(s) for s in recovered.data.simples]
         worst = numcore.worst((worst, *(abs(a - b) for a, b in zip(got, dims))))

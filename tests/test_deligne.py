@@ -71,14 +71,24 @@ def test_ladder_traciality():
         assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
 
 
+def _act(F):
+    """Image of a ladder morphism under the right action functor m (x) c ->
+    m <| c: its coefficients times the kept images of the basis ladders."""
+    eng = F.src.eng
+    out = eng.zero(*(L.mside.word(L.m) + L.nside.word(L.n) for L in (F.src, F.dst)))
+    for z, a in zip(F.z, deligne._images(F.src, F.dst)):
+        out = eng.add(out, eng.scale(z, a))
+    return out
+
+
 def test_act_on_module_is_functorial():
     eng = _eng("ising")
     rng = np.random.default_rng(2)
     L = _regular_ladder(eng, "s", "s")
     F = deligne.random_ladder(L, L, rng)
     G = deligne.random_ladder(L, L, rng)
-    lhs = deligne.act_on_module(deligne.ladder_compose(F, G))
-    rhs = eng.compose(deligne.act_on_module(F), deligne.act_on_module(G))
+    lhs = _act(deligne.ladder_compose(F, G))
+    rhs = eng.compose(_act(F), _act(G))
     assert eng.residual(lhs, rhs) < 1e-9
 
 
@@ -471,7 +481,7 @@ def test_keyed_terms_agree_with_the_mor_reference(name):
                 ref = _ref_terms(F)
                 ref_trace = _ref_trace(L, ref)
                 assert _close(deligne.ladder_trace(F), ref_trace)
-                act, ref_act = deligne.act_on_module(F), _ref_act(L, ref)
+                act, ref_act = _act(F), _ref_act(L, ref)
                 assert eng.residual(act, ref_act) <= 1e-12 * (1 + eng.l2_norm(ref_act))
                 ref_gaps.append(abs(ref_trace - mside.trace(ref_act)))
         cert = deligne.right_action_isometry(mside, eng, simples, samples=1, seed=seed)
@@ -481,7 +491,7 @@ def test_keyed_terms_agree_with_the_mor_reference(name):
             F, G = deligne.random_ladder(L, L, rng), deligne.random_ladder(L, L, rng)
             FG, ref = deligne.ladder_compose(F, G), _ref_compose(L, _ref_terms(F), _ref_terms(G))
             assert _close(deligne.ladder_trace(FG), _ref_trace(L, ref))
-            act, ref_act = deligne.act_on_module(FG), _ref_act(L, ref)
+            act, ref_act = _act(FG), _ref_act(L, ref)
             assert eng.residual(act, ref_act) <= 1e-12 * (1 + eng.l2_norm(ref_act))
 
 
@@ -507,7 +517,7 @@ def test_ladder_category_laws(name):
     rng = np.random.default_rng(0)
     for X in objects:
         ident = deligne.identity_ladder(X)
-        assert eng.residual(deligne.act_on_module(ident), eng.identity((X.m, X.n))) <= 1e-13
+        assert eng.residual(_act(ident), eng.identity((X.m, X.n))) <= 1e-13
         for Y in objects:
             F, H = deligne.random_ladder(X, Y, rng), deligne.random_ladder(X, Y, rng)
             G = deligne.random_ladder(Y, X, rng)

@@ -882,12 +882,12 @@ def _residual_cases(eng, rng):
 
 def test_residual_is_the_norm_of_the_difference_to_the_last_bit():
     # residual takes the norm in one pass over the blocks, with no Mor
-    # formed, and gives what l2_norm(sub(f, g)) gives, NaN included
+    # formed, and gives what l2_norm(f - g) gives, NaN included
     eng = _eng("ising")
     rng = np.random.default_rng(13)
     kinds = Counter()
     for f, g in _residual_cases(eng, rng):
-        got, want = eng.residual(f, g), eng.l2_norm(eng.sub(f, g))
+        got, want = eng.residual(f, g), eng.l2_norm(eng.add(f, eng.scale(-1.0, g)))
         assert np.array_equal(got, want, equal_nan=True), (got, want)
         kinds[np.isnan(want), want == 0.0, f.blocks.keys() == g.blocks.keys()] += 1
     assert kinds[True, False, True] and kinds[False, True, True] and kinds[False, False, False]

@@ -17,7 +17,6 @@ from hstarcat.fusion import (
     FusionData,
     SphericalWeight,
     loop_eval,
-    pentagon_residual,
     renorm_scalar,
     udf_from_weight,
     validate,
@@ -280,6 +279,10 @@ def test_an_overflowing_f_entry_rejects_on_f_unitarity():
         lambda d: d["N"].update({"t,t,t": 1.5}),
         lambda d: d["N"].update({"t,t,t": float("nan")}),
         lambda d: d["N"].update({"t,t,t": float("inf")}),
+        # an F entry is exactly an [re, im] pair
+        lambda d: d["F"]["t,t,t,t"][0].__setitem__(0, 0.618),
+        lambda d: d["F"]["t,t,t,t"][0][0].append(123.0),
+        lambda d: d["F"]["t,t,t,t"][0][0].pop(),
     ],
     ids=[
         "nan_f_entry",
@@ -291,6 +294,9 @@ def test_an_overflowing_f_entry_rejects_on_f_unitarity():
         "n_fraction",
         "n_nan",
         "n_inf",
+        "f_entry_bare_number",
+        "f_entry_three_parts",
+        "f_entry_one_part",
     ],
 )
 def test_bad_entries_are_schema_errors(edit):
@@ -331,7 +337,7 @@ def test_multiplicity_two_pentagon_residual_and_gauge():
     big = np.eye(5, dtype=complex)
     big[1:, 1:] = np.kron(u, u)
     gauged = _multiplicity_two(big.T @ DFT5 @ big.conj(), u.T @ ROT @ u.conj())
-    assert abs(pentagon_residual(gauged) - 4.261523391944277) < 1e-12
+    assert abs(validate(gauged).residuals["pentagon"] - 4.261523391944277) < 1e-12
 
 
 def _reference_gaps(data):
@@ -339,9 +345,9 @@ def _reference_gaps(data):
     of every (a, b, c, d, u) with start and final trees, unit legs
     included. Every F block is read first, in label order, so the first
     block with differing tree counts or a stored block of the wrong shape
-    raises InputError, as in pentagon_residual. pentagon_residual must
-    reproduce the loop exactly: it multiplies and adds the same numbers in
-    the same order."""
+    raises InputError, as FusionData.f_matrix does. validate's pentagon
+    residual must reproduce the loop exactly: it multiplies and adds the
+    same numbers in the same order."""
     S = data.simples
     for key in itertools.product(S, repeat=4):
         data.f_matrix(*key)
@@ -506,12 +512,12 @@ def test_tables_match_label_accessors(name, make):
     for a, b in itertools.product(data.simples, repeat=2):
         products = [(c, m) for c in data.simples if (m := _strict_unit_n(data, a, b, c))]
         assert list(data.fusion_products(a, b)) == products
-    assert pentagon_residual(data) == _reference_pentagon(data)
+    assert validate(data).residuals["pentagon"] == _reference_pentagon(data)
 
 
 @pytest.mark.parametrize("name,make", REFERENCE_CASES, ids=[n for n, _ in REFERENCE_CASES])
 def test_unit_leg_pentagon_instances_vanish_exactly(name, make):
-    # pentagon_residual skips every instance with a unit among a, b, c, d
+    # validate's pentagon skips every instance with a unit among a, b, c, d
     data = make()
     gaps = _reference_gaps(data)
     legs = [gap for key, gap in gaps.items() if any(x in data.units for x in key[:4])]
@@ -524,7 +530,7 @@ def test_chunks_of_start_trees_match_the_reference(monkeypatch, chunk):
     monkeypatch.setattr(fusion, "_CHUNK", chunk)
     for name in ("fibonacci_gauged", "multiplicity_two", "ty4_gauged"):
         data = dict(REFERENCE_CASES)[name]()
-        assert pentagon_residual(data) == _reference_pentagon(data)
+        assert validate(data).residuals["pentagon"] == _reference_pentagon(data)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +551,7 @@ def test_final_trees_are_numbered_only_when_an_instance_has_several(monkeypatch,
 
     monkeypatch.setattr(fusion, "_terms", recorded)
     data = dict(REFERENCE_CASES)[name]()
-    assert pentagon_residual(data) == _reference_pentagon(data)
+    assert validate(data).residuals["pentagon"] == _reference_pentagon(data)
     assert cols and all((col is not None) == numbered for col in cols)
 
 
@@ -557,11 +563,11 @@ def test_permuted_ising_rejects_on_pentagon():
 
 def test_nan_entry_gives_nan_pentagon_and_rejects_on_f_unitarity():
     data = _overflowing_fibonacci()
-    assert np.isnan(pentagon_residual(data))
+    cert = validate(data)
+    assert np.isnan(cert.residuals["pentagon"])
     # the reference multiplies huge entries with no errstate, so it warns
     with pytest.warns(RuntimeWarning):
         assert np.isnan(_reference_pentagon(data))
-    cert = validate(data)
     assert (cert.ok, cert.failed_axiom) == (False, "F-unitarity")
 
 
@@ -719,15 +725,17 @@ def _rings(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=_rings())
 def test_random_rings_match_the_reference(data):
-    # a non-associative ring has blocks whose tree counts differ: both must
-    # raise on the same block
-    outcomes = []
-    for f in (pentagon_residual, _reference_pentagon):
-        try:
-            outcomes.append(f(data))
-        except InputError as exc:
-            outcomes.append(f"InputError: {exc}")
-    assert outcomes[0] == outcomes[1]
+    # a non-associative ring has blocks whose tree counts differ: the
+    # reference raises on the first, and validate names the same block
+    cert = validate(data)
+    try:
+        want = _reference_pentagon(data)
+    except InputError as exc:
+        (a, b, c, d), r, k = _first_count_mismatch(data)
+        assert str(exc) == f"F^{a},{b},{c}_{d}: tree counts differ ({r} vs {k})"
+        assert cert.details["problem"] == f"tree count mismatch at F^{a}{b}{c}_{d}"
+    else:
+        assert cert.residuals["pentagon"] == want
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -747,7 +755,7 @@ def test_a_wrong_shaped_block_raises_as_f_matrix_does(shape):
     data = _with_block(bundled.load("ising"), ("s", "s", "s", "s"), np.ones(shape))
     message = _raised(lambda d: d.f_matrix("s", "s", "s", "s"), data)
     assert message == f"F^s,s,s_s has shape {shape}"
-    assert _raised(validate, data) == _raised(pentagon_residual, data) == message
+    assert _raised(validate, data) == message
 
 
 def test_the_first_wrong_shaped_block_in_index_order_is_named():
@@ -756,7 +764,7 @@ def test_the_first_wrong_shaped_block_in_index_order_is_named():
     F = {("p", "s", "s", "p"): np.ones((2, 2)), **ising.F, ("s", "p", "s", "p"): np.ones((1, 2))}
     data = FusionData(ising.simples, ising.units, ising.grading, ising.dual, ising.N, F)
     message = "F^s,p,s_p has shape (1, 2)"
-    assert _raised(validate, data) == _raised(pentagon_residual, data) == message
+    assert _raised(validate, data) == message
 
 
 def test_a_wrong_shaped_block_with_a_unit_argument_is_ignored():
@@ -765,7 +773,6 @@ def test_a_wrong_shaped_block_with_a_unit_argument_is_ignored():
     data = _with_block(ising, ("s", "1", "s", "1"), np.ones((3, 3)))
     assert np.array_equal(data.f_matrix("s", "1", "s", "1"), np.eye(1))
     assert repr(validate(data)) == repr(validate(ising))
-    assert pentagon_residual(data) == pentagon_residual(ising)
 
 
 def test_no_block_past_a_tree_count_mismatch_is_read():
@@ -777,10 +784,10 @@ def test_no_block_past_a_tree_count_mismatch_is_read():
         assert len(ring.tree_rows(*key)) == len(ring.tree_cols(*key)) == 2
     late = _with_block(ring, after, np.ones((3, 3)))
     assert repr(validate(late)) == repr(validate(ring))
-    assert _raised(pentagon_residual, late) == "F^x,x,y_y: tree counts differ (1 vs 2)"
+    assert validate(late).details["problem"] == "tree count mismatch at F^xxy_y"
     early = _with_block(ring, before, np.ones((3, 3)))
     message = "F^x,x,x_x has shape (3, 3)"
-    assert _raised(validate, early) == _raised(pentagon_residual, early) == message
+    assert _raised(validate, early) == message
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -841,7 +848,8 @@ def test_rings_with_multiplicities_keep_their_tree_count_mismatch(seed):
     cert = validate(ring)
     assert cert.failed_axiom in ("grading/duality", "fusion-associativity")
     assert cert.details["problem"] == f"tree count mismatch at F^{a}{b}{c}_{d}"
-    assert _raised(pentagon_residual, ring) == f"F^{a},{b},{c}_{d}: tree counts differ ({r} vs {k})"
+    message = f"F^{a},{b},{c}_{d}: tree counts differ ({r} vs {k})"
+    assert _raised(lambda data: data.f_matrix(a, b, c, d), ring) == message
 
 
 def _reference_unitarity(data):
@@ -912,6 +920,6 @@ def test_a_huge_finite_entry_overflows_without_a_warning():
     data = _with_block(fib, ("t", "t", "t", "t"), block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert, gap = validate(data), pentagon_residual(data)
+        cert = validate(data)
     assert (cert.ok, cert.failed_axiom) == (False, "F-unitarity")
-    assert np.isnan(gap) and np.isnan(cert.residuals["pentagon"])
+    assert np.isnan(cert.residuals["pentagon"])

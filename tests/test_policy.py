@@ -297,42 +297,51 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _names(tree) -> Counter:
-    """Each name used as an ast.Name or ast.Attribute, and each part of a
-    dotted path in a string (the bench's tracer picks what it counts by
-    such paths), with its number of uses."""
-    out = Counter()
+def _uses(tree):
+    """(bare, attributes): the number of uses of each name as an ast.Name,
+    and as an ast.Attribute or the last part of a dotted path in a string
+    (the bench's tracer picks what it wraps by such paths; a metric name
+    such as "mod.f.calls" uses calls, not f)."""
+    bare, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            bare[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if DOTTED.fullmatch(node.value):
-                out.update(node.value.split("."))
-    return out
+                attributes[node.value.rsplit(".", 1)[1]] += 1
+    return bare, attributes
 
 
 def _unreached(package, others):
     """Names of the top-level defs and classes and the methods of the
-    package sources that no source names outside the definition itself;
-    dunder methods are called by the language."""
+    package sources that no source uses outside the definition itself: a
+    def or class by any use, a method only as an attribute (x.m), never by
+    a bare name; dunder methods are called by the language."""
     trees = [ast.parse(source) for source in package]
-    named = Counter()
+    bare, attributes = Counter(), Counter()
     for tree in [*trees, *map(ast.parse, others)]:
-        named += _names(tree)
-    defs = []
+        b, a = _uses(tree)
+        bare.update(b)
+        attributes.update(a)
+    defs = []  # (definition, whether it is a method)
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                defs += [node, *(m for m in node.body if isinstance(m, FUNCS))]
+                defs += [(node, False), *((m, True) for m in node.body if isinstance(m, FUNCS))]
             elif isinstance(node, FUNCS):
-                defs.append(node)
+                defs.append((node, False))
+
+    def used(d, method, counts):
+        bare, attributes = counts
+        return attributes[d.name] + (0 if method else bare[d.name])
+
     return [
         d.name
-        for d in defs
+        for d, method in defs
         if not (d.name.startswith("__") and d.name.endswith("__"))
-        and named[d.name] <= _names(d)[d.name]
+        and used(d, method, (bare, attributes)) <= used(d, method, _uses(d))
     ]
 
 
@@ -381,6 +390,8 @@ def test_reach_lint_catches_an_unreached_def():
     assert not _unreached(["class C:\n    def m(self):\n        pass"], ["x.m", "C"])
     assert not _unreached(["class C:\n    def __init__(self):\n        pass"], ["C()"])
     assert not _unreached(["def f():\n    pass"], ["HOT = {'mod.f'}"])
+    assert _unreached(["def f():\n    pass"], ["METRICS = ['mod.f.calls']"]) == ["f"]
+    assert _unreached(["class C:\n    def m(self):\n        pass"], ["C()\nm = 1"]) == ["m"]
 
 
 def test_bound_tests_fail_on_nan():
