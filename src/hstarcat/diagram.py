@@ -25,9 +25,9 @@ it.
 Cups and caps carry explicit coefficients alpha_c, beta_c from the
 unitary dual functor that the engine is built with (fusion.dual_engine),
 read by _cup alone; cups and caps are built by ev_obj and coev_obj only,
-the closed loops of a morphism by _closed_loop, which reads the traces of
-its blocks, and the loop of a simple is read off its cup coefficient
-(loop, which needs no engine).
+the left closed loop of a morphism by trace_left, which reads the traces
+of its blocks, and both loops of a simple are read off its cup and cap
+coefficients (loop, which needs no engine).
 
 What the fusion data fixes is read off it, not drawn. F blocks with a
 unit argument are identities (the strict-unit rule of fusion), so a cup
@@ -125,8 +125,9 @@ def _cup(data, udf, x, ev: bool):
 def loop(data, udf, c, side: str) -> float:
     """The closed loop of id_c on the 1_{s(c)} sheet (side 'L') or the
     1_{t(c)} sheet (side 'R') under udf: |beta_c|^2 or |alpha_c|^2, read
-    off the coefficient of the cup (_cup), which is what _closed_loop of
-    id_c gives there, to the last bit, since tr(id_c) = 1."""
+    off the coefficient of the cup or cap (_cup). Since tr(id_c) = 1, that
+    is the closed loop of id_c there to the last bit: on the 'R' sheet,
+    what Engine.trace_left of id_c gives."""
     if c not in data.index:
         raise KeyError(f"unknown simple {c}")
     if side not in ("L", "R"):
@@ -629,10 +630,14 @@ class Engine:
         """The closed loop of id_c on a sheet (loop)."""
         return loop(self.data, self.udf, c, side)
 
-    def _closed_loop(self, f: Mor, ev: bool) -> Mor:
-        """Per unit u, the sum over the simples x in O of |z_x|^2 tr(f_x),
-        with (u, z_x) = (t(x), alpha_x) for ev and (s(x), beta_x) else, for
-        f in End((O,)); a sum that equals zero gives no block."""
+    def trace_left(self, f: Mor) -> Mor:
+        """Left closed loop ev_O (id_dual(O) (x) f) ev_O^dagger of f in
+        End((O,)), as an endo of the unit: at 1_u, the sum over the simples
+        x in O with t(x) = u of |alpha_x|^2 tr(f_x), read off f's blocks:
+        the evaluation puts alpha_x on the pairing tree of each copy of x,
+        and left whiskering places f_x on those trees with no F block at
+        all, so copy alpha pairs with copy alpha alone. A sum that equals
+        zero gives no block."""
         if f.cod != f.dom:
             raise ShapeMismatch("trace of a non-endomorphism")
         if len(f.dom) != 1:
@@ -640,30 +645,12 @@ class Engine:
         sums, blocks = {}, f.blocks
         for x, n in zip(self.data.simples, f.dom[0]):
             if n:
-                _, _, u, z = _cup(self.data, self.udf, x, ev)
+                _, _, u, z = _cup(self.data, self.udf, x, True)
                 fb = blocks.get(x)
                 term = abs(z) ** 2 * fb.trace() if fb is not None else 0.0
                 sums[u] = sums.get(u, 0.0) + term
         # a NaN sum compares unequal to zero, and is kept
         return Mor((), (), {u: np.array([[v]], dtype=complex) for u, v in sums.items() if v != 0})
-
-    def trace_right(self, f: Mor) -> Mor:
-        """Right closed loop coev_O^dagger (f (x) id_dual(O)) coev_O of f in
-        End((O,)), as an endo of the unit: at 1_u, the sum over the simples
-        x with s(x) = u of |beta_x|^2 tr(f_x). Read off f's blocks: the
-        coevaluation puts beta_x on the pairing tree of each copy of x,
-        and the grouped tree of f (x) id meets it through F^{x, t(x),
-        dual(x)} blocks, which have a unit argument and are identities by
-        the strict-unit rule, so copy alpha pairs with copy alpha alone."""
-        return self._closed_loop(f, False)
-
-    def trace_left(self, f: Mor) -> Mor:
-        """Left closed loop ev_O (id_dual(O) (x) f) ev_O^dagger of f in
-        End((O,)), as an endo of the unit: at 1_u, the sum over the simples
-        x with t(x) = u of |alpha_x|^2 tr(f_x), read off f's blocks as for
-        trace_right; left whiskering places f_x on the pairing trees of x
-        with no F block at all."""
-        return self._closed_loop(f, True)
 
     def psi_of_unit_endo(self, z: Mor) -> complex:
         """psi applied to an endomorphism of the tensor unit: the sum over

@@ -160,10 +160,11 @@ class FusionData:
         indices, with the strict-unit rules in place of any stored entry
         with a unit argument: 1_u (x) x = x when s(x) = s(u), and x (x) 1_u
         = x when t(x) = s(u) for a simple x that is not a unit. The lookups
-        of n and fusion_products, and every FPdim, are read off it. The
-        index arrays that validate checks are kept too: the source, target
-        and dual of each simple, the unit mask, and (a, b, c, m) of each
-        stored entry of N in N order."""
+        of n and fusion_products, and every FPdim, are read off it; the
+        components of the units, which the grading fixes, are found here
+        too. The index arrays that validate checks are kept as well: the
+        source, target and dual of each simple, the unit mask, and (a, b,
+        c, m) of each stored entry of N in N order."""
         S, n = self.simples, len(self.simples)
         table = np.zeros((n,) * 3, dtype=int)
         ix = self.index
@@ -193,6 +194,7 @@ class FusionData:
         # the fusion matrix L_a[c, b] = N_{ab}^c (Frobenius reciprocity)
         sv = np.linalg.svd(table.astype(float), compute_uv=False)
         self._fpdims = dict(zip(S, sv[:, 0].tolist()))
+        self._components = self._find_components()
         # filled on demand: the F-move tree orders and blocks per (a, b, c,
         # d), one identity block per size, the comb tree tables per word
         # (sweep), and the grouped-basis unitaries per (word, object,
@@ -343,9 +345,13 @@ class FusionData:
 
     # --- indecomposable components --------------------------------------
 
-    def components(self):
+    def components(self) -> tuple:
         """Connected components of units, linked when some simple c has
-        s(c), t(c) in the pair. Returns a list of (unit labels, simples)."""
+        s(c), t(c) in the pair: a tuple of (unit labels, simples), found
+        once by _compile."""
+        return self._components
+
+    def _find_components(self) -> tuple:
         parent = {u: u for u in self.units}
 
         def find(u):
@@ -366,7 +372,7 @@ class FusionData:
             us = tuple(u for u in self.units if u in us)
             cs = tuple(c for c in self.simples if self.s(c) in us)
             out.append((us, cs))
-        return out
+        return tuple(out)
 
     # --- serialization ---------------------------------------------------
 

@@ -187,17 +187,18 @@ def presentation_sphericality(X: Pre3HilbPresentation, *, seed: int = 0) -> Cert
     psi_{s(x)} |beta_x|^2 tr(f_x) (right). Both are linear in the traces
     tr(f_x), so they agree for every f exactly when they agree on each
     id_x: psi_{t(x)} |alpha_x|^2 = psi_{s(x)} |beta_x|^2, that is, when
-    the cups and caps of the udf are spherical for psi. The check reads
-    the udf on every call, so a rescaled alpha_x or beta_x shows. seed is
-    unused: the check draws nothing."""
+    the cups and caps of the udf are spherical for psi. Since tr(id_x) = 1,
+    the loops of id_x are Engine.loop(x, 'R') and Engine.loop(x, 'L'),
+    read off the cup coefficients with no morphism built, to the bit. The
+    check reads the udf on every call, so a rescaled alpha_x or beta_x
+    shows. seed is unused: the check draws nothing."""
     eng = X.eng
-    gaps = []
-    for x in eng.data.simples:
-        f = eng.identity((eng.simple_obj(x),))
-        left = eng.psi_of_unit_endo(eng.trace_left(f))
-        right = eng.psi_of_unit_endo(eng.trace_right(f))
-        gaps.append(abs(left - right))
-    scale = 1.0 + eng.udf.psi.total()
+    data, psi = eng.data, eng.udf.psi
+    gaps = [
+        abs(psi.of_unit(data, data.t(x)) * eng.loop(x, "R") - psi.of_unit(data, data.s(x)) * eng.loop(x, "L"))
+        for x in data.simples
+    ]
+    scale = 1.0 + psi.total()
     return bounded("sphericality", worst(gaps), eng.tol.bound(scale), "sphericality")
 
 

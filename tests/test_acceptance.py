@@ -16,6 +16,7 @@ from hstarcat.fusion import (
     validate,
 )
 from hstarcat.hilb2 import DagFunctor, TwoHilbertSpace
+from test_fusion import fibonacci_corrupt
 
 
 def _report(num, name, ok, detail=""):
@@ -361,7 +362,7 @@ def test_criterion_15_negative_controls():
     eng = _eng("hilb_z3")
     c1 = intalg.verify_hstar(intalg.group_algebra(eng, ("1", "g")))
     ok1 = (not c1.ok) and c1.failed_axiom is not None
-    c2 = validate(bundled.load("fibonacci_corrupt", trust=True))
+    c2 = validate(fibonacci_corrupt())
     ok2 = (not c2.ok) and c2.failed_axiom == "pentagon"
     c3 = hstar1.verify_hstar_algebra((2,), functional=[np.diag([1.0, 2.0])])
     ok3 = (not c3.ok) and c3.failed_axiom == "traciality"

@@ -238,38 +238,20 @@ def _count_calls(monkeypatch, entries, counted):
     return calls
 
 
-def _looped_objects(X):
-    """The objects whose loops presentation_sphericality reads."""
-    seen = []
-    run = Engine.trace_left
-
-    def recorded(self, f):
-        seen.append(f.dom[0])
-        return run(self, f)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Engine, "trace_left", recorded)
-        hilb3.presentation_sphericality(X)
-    return seen
-
-
 def test_pairings_make_no_diagram_calls():
     # ev_obj and coev_obj write their entries into zero blocks: no tensor
     # calculus, and nothing kept in Engine.derived, whose values must not
-    # depend on the udf; called on a warm engine, on the objects of a
-    # sphericality check, one simple each
+    # depend on the udf; called on each simple
     for data in (bundled.load("ising"), fam.gauge(fam.ty_zn(3), np.random.default_rng(11))):
-        X = hilb3.delooping(_engine(data))
-        hilb3.presentation_sphericality(X)
-        objects = _looped_objects(X)
-        assert objects == [X.eng.simple_obj(c) for c in data.simples]
+        eng = _engine(data)
+        objects = [eng.simple_obj(c) for c in data.simples]
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_calls(
                 mp, ("ev_obj", "coev_obj"), ("tensor", "include", "compose", "add", "derived")
             )
             for O in objects:
-                X.eng.ev_obj(O)
-                X.eng.coev_obj(O)
+                eng.ev_obj(O)
+                eng.coev_obj(O)
         assert +calls == Counter(ev_obj=len(objects), coev_obj=len(objects)), dict(calls)
 
 
@@ -291,17 +273,33 @@ def test_derived_builds_a_falsy_value_once_per_key(value):
 
 
 def test_closed_loops_make_no_diagram_calls(monkeypatch):
-    # both loops are read off the blocks of f: no cup, cap, whisker or
+    # the left loop is read off the blocks of f: no cup, cap, whisker or
     # grouped basis is built for (O, dual(O))
+    eng = _pairing_engine("ty5")
+    objects = [eng.simple_obj(c) for c in eng.data.simples]
+    objects += _random_objects(eng, np.random.default_rng(5), 4)
+    morphisms = [eng.identity((O,)) for O in objects]
     calls = _count_calls(
         monkeypatch,
-        ("trace_left", "trace_right"),
+        ("trace_left",),
         ("ev_obj", "coev_obj", "whisker_left_obj", "whisker_right_obj", "group_last", "compose"),
     )
-    X = hilb3.delooping(_pairing_engine("ty5"))
+    for f in morphisms:
+        eng.trace_left(f)
+    assert +calls == Counter(trace_left=len(morphisms)), dict(calls)
+
+
+@pytest.mark.parametrize("name", PAIRING_CASES)
+def test_sphericality_builds_no_morphism(monkeypatch, name):
+    # both loops of id_x are read off the cup coefficients (Engine.loop):
+    # no identity, closed loop, composite or psi of a unit endomorphism
+    X = hilb3.delooping(_pairing_engine(name))
+    for method in ("identity", "mor", "trace_left", "compose", "psi_of_unit_endo"):
+        def called(self, *args, _name=method):
+            raise AssertionError(f"sphericality called Engine.{_name}")
+
+        monkeypatch.setattr(Engine, method, called)
     assert hilb3.presentation_sphericality(X).ok
-    n = len(X.eng.data.simples)
-    assert +calls == Counter(trace_left=n, trace_right=n), dict(calls)
 
 
 # (case, psi) for the closed-loop and zig-zag references: the bundled
@@ -320,14 +318,11 @@ def test_closed_loops_match_the_whiskered_reference(name, psis):
     simples = [eng.simple_obj(c) for c in eng.data.simples]
     for O in simples + _random_objects(eng, rng, 6):
         f = diagram_reference.random_mor(eng, (O,), (O,), rng)
-        for got, ref in (
-            (eng.trace_left(f), diagram_reference.trace_left(eng, f)),
-            (eng.trace_right(f), diagram_reference.trace_right(eng, f)),
-        ):
-            for u in eng.data.units:
-                want = ref.blocks.get(u, np.zeros((1, 1)))[0, 0]
-                value = diagram_reference.unit_component(got, u)
-                assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+        got, ref = eng.trace_left(f), diagram_reference.trace_left(eng, f)
+        for u in eng.data.units:
+            want = ref.blocks.get(u, np.zeros((1, 1)))[0, 0]
+            value = diagram_reference.unit_component(got, u)
+            assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
 
 
 def _same_mor(got, want):
@@ -339,9 +334,10 @@ def _same_mor(got, want):
 
 @pytest.mark.parametrize("name, psis", LOOP_CASES)
 def test_closed_loops_and_unit_weights_are_the_reference_to_the_bit(name, psis):
-    # the loops walk the multiplicities of O and drop a zero sum without a
-    # pass over the blocks, and psi reads z's blocks by unit position: the
-    # blocks, their order and the weights are the summed reference's
+    # the left loop walks the multiplicities of O and drops a zero sum
+    # without a pass over the blocks, and psi reads z's blocks by unit
+    # position: the blocks, their order and the weights are the summed
+    # reference's
     eng = _loop_engine(name, psis)
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -353,10 +349,9 @@ def test_closed_loops_and_unit_weights_are_the_reference_to_the_bit(name, psis):
             nan = Mor(f.dom, f.cod, {c: np.full_like(b, np.nan) for c, b in list(f.blocks.items())[:1]})
             zero = Mor(f.dom, f.cod, {c: np.zeros_like(b) for c, b in f.blocks.items()})
             for g in (f, dropped, nan, zero):
-                for ev in (True, False):
-                    got, want = eng._closed_loop(g, ev), diagram_reference.closed_loop(eng, g, ev)
-                    _same_mor(got, want)
-                    assert repr(eng.psi_of_unit_endo(got)) == repr(diagram_reference.psi_of_unit_endo(eng, want))
+                got, want = eng.trace_left(g), diagram_reference.closed_loop(eng, g, True)
+                _same_mor(got, want)
+                assert repr(eng.psi_of_unit_endo(got)) == repr(diagram_reference.psi_of_unit_endo(eng, want))
 
 
 @pytest.mark.parametrize("name, psis", LOOP_CASES)
@@ -374,9 +369,8 @@ def test_sphericality_is_the_per_simple_draw_reference(name, psis):
 def test_closed_loops_of_a_word_not_of_one_object_raise_shape_mismatch(word):
     eng = _eng("fibonacci")
     f = eng.identity(tuple(eng.simple_obj(c) for c in word))
-    for trace in (eng.trace_left, eng.trace_right):
-        with pytest.raises(ShapeMismatch, match="one object"):
-            trace(f)
+    with pytest.raises(ShapeMismatch, match="one object"):
+        eng.trace_left(f)
     with pytest.raises(ShapeMismatch, match="non-endomorphism"):
         eng.trace_left(eng.zero((eng.simple_obj("t"),), (eng.simple_obj("1"),)))
     if word:
@@ -433,14 +427,16 @@ LOOP_DATA = {
 def test_loop_of_a_simple_is_the_loop_of_its_identity(name, monkeypatch):
     # loop reads |z|^2 off the cup and builds no identity((c,)), which
     # sweeps the trees of the word; the closed loop of that identity is
-    # |z|^2 tr(eye(1)), the same to the bit
+    # |z|^2 tr(eye(1)), the same to the bit, by trace_left on the 'R'
+    # sheet and by the reference's sum on the 'L' sheet
     data = LOOP_DATA[name]()
     eng = _engine(data)
     want = {}
     for c in data.simples:
         f = eng.identity((eng.simple_obj(c),))
         for side, unit in (("L", data.s(c)), ("R", data.t(c))):
-            want[c, side] = float(diagram_reference.unit_component(eng._closed_loop(f, side == "R"), unit).real)
+            z = eng.trace_left(f) if side == "R" else diagram_reference.closed_loop(eng, f, False)
+            want[c, side] = float(diagram_reference.unit_component(z, unit).real)
     monkeypatch.setattr(Engine, "identity", None)
     fresh = _engine(data)
     for (c, side), value in want.items():
@@ -665,7 +661,7 @@ def test_loop_traces_match_dims():
     t = eng.simple_obj("t")
     ident = eng.identity((t,))
     assert eng.psi_of_unit_endo(eng.trace_left(ident)).real == pytest.approx(PHI)
-    assert eng.psi_of_unit_endo(eng.trace_right(ident)).real == pytest.approx(PHI)
+    assert eng.loop("t", "L") == pytest.approx(PHI)
     assert eng.categorical_trace(ident).real == pytest.approx(PHI)
 
 

@@ -3,12 +3,14 @@ import json
 import math
 import tracemalloc
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hstarcat
 from bench_families import fam
 from hstarcat import bundled, fusion
 from hstarcat.cli import main
@@ -34,9 +36,15 @@ def test_bundled_validate(name):
     assert cert.residuals["f_unitarity"] < 1e-12
 
 
+def fibonacci_corrupt():
+    """The bundled negative control, read from its packaged file without
+    the validation that bundled.load runs, which it fails by design."""
+    text = resources.files(hstarcat).joinpath("data/fibonacci_corrupt.json").read_text()
+    return FusionData.from_json(json.loads(text))
+
+
 def test_corrupt_fibonacci_fails_pentagon():
-    data = bundled.load("fibonacci_corrupt", trust=True)
-    cert = validate(data)
+    cert = validate(fibonacci_corrupt())
     assert not cert.ok
     assert cert.failed_axiom == "pentagon"
     # the corruption keeps F unitary on purpose
@@ -97,6 +105,7 @@ def test_components():
     m2 = bundled.load("m2_hilb")
     comps = m2.components()
     assert len(comps) == 1  # connected by the off-diagonal simples
+    assert comps is m2.components()  # found once, with the data's tables
     z2 = bundled.load("hilb_z2")
     assert len(z2.components()) == 1
 
@@ -458,8 +467,8 @@ def _phase_gauge(data, seed):
     return FusionData(data.simples, data.units, data.grading, data.dual, data.N, F)
 
 
-REFERENCE_CASES = [(name, lambda name=name: bundled.load(name, trust=True))
-                   for name in bundled.NAMES + ("fibonacci_corrupt",)]
+REFERENCE_CASES = [(name, lambda name=name: bundled.load(name)) for name in bundled.NAMES]
+REFERENCE_CASES.append(("fibonacci_corrupt", fibonacci_corrupt))
 REFERENCE_CASES += [
     (f"{name}_gauged", lambda name=name: _phase_gauge(bundled.load(name), 5))
     for name in ("fibonacci", "ising", "m2_hilb")

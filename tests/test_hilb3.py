@@ -888,6 +888,70 @@ def test_vec_s3_linking_has_the_group_theoretical_simples():
     assert N[2] == 3 and set(N) == {1, 2}
 
 
+def _haar_unitary(rng, n):
+    """A Haar-random n x n unitary: the Q of a complex Gaussian matrix,
+    each column rotated by the phase of R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _vertex_gauge(data, rows, cols):
+    """data with each stored F block moved to L F R^dag. On the tree basis
+    of F^{abc}_d, L acts on the left-grouped tree (e, mu, nu) as rows[(a,
+    b, e)] on mu and rows[(e, c, d)] on nu, and R on the right-grouped
+    tree (f, mu, nu) as cols[(b, c, f)] and cols[(a, f, d)]; a vertex with
+    no matrix keeps the identity. rows = cols unitary is a change of basis
+    of every vertex space, a gauge."""
+
+    def entry(g, v, i, j):
+        u = g.get(v)
+        return u[i, j] if u is not None else float(i == j)
+
+    def on_trees(g, trees, outer, inner):
+        m = np.zeros((len(trees), len(trees)), dtype=complex)
+        for (e, mu, nu), i in trees.items():
+            for (e2, mu2, nu2), j in trees.items():
+                if e2 == e:
+                    m[i, j] = entry(g, outer(e), mu, mu2) * entry(g, inner(e), nu, nu2)
+        return m
+
+    F = {}
+    for (a, b, c, d), m in data.F.items():
+        L = on_trees(rows, data.tree_rows(a, b, c, d), lambda e: (a, b, e), lambda e: (e, c, d))
+        R = on_trees(cols, data.tree_cols(a, b, c, d), lambda f: (b, c, f), lambda f: (a, f, d))
+        F[(a, b, c, d)] = L @ m @ R.conj().T
+    return fusion.FusionData(data.simples, data.units, data.grading, data.dual, data.N, F)
+
+
+def test_a_unitary_vertex_gauge_with_multiplicities_keeps_the_linking_valid():
+    # the Vec(S_3) [S_3, 1] linking has three vertices with N = 2: a
+    # seeded Haar U(N) on every vertex without a unit leg is a gauge, so
+    # the data stays valid with the same FPdims and dual functor dims
+    data, weight, cert = _seeded_linking("vec_s3", 0)
+    assert cert.ok
+    rng = np.random.default_rng(23)
+    units = set(data.units)
+    vertices = [(x, y, z) for (x, y, z), n in data.N.items() if not units & {x, y, z}]
+    gauge = {v: _haar_unitary(rng, data.N[v]) for v in vertices}
+    assert sorted(data.N[v] for v in gauge).count(2) == 3
+    gauged = _vertex_gauge(data, gauge, gauge)
+    after = fusion.validate(gauged)
+    assert after.ok, after.residuals
+    for key in ("pentagon", "f_unitarity"):
+        assert after.residuals[key] < 1e-13, (key, after.residuals)
+    assert [gauged.fpdim(c) for c in data.simples] == [data.fpdim(c) for c in data.simples]
+    assert fusion.dual_engine(gauged, weight).udf.dims == fusion.dual_engine(data, weight).udf.dims
+    # an invertible but not unitary change of basis of one N = 2 vertex
+    # keeps the pentagon and breaks F-unitarity; the unitary gauge on the
+    # rows alone is no gauge, and breaks the pentagon
+    v = next(v for v in vertices if data.N[v] == 2)
+    stretched = fusion.validate(_vertex_gauge(data, {v: np.diag([2.0, 1.0])}, {v: np.diag([0.5, 1.0])}))
+    assert (stretched.ok, stretched.failed_axiom) == (False, "F-unitarity")
+    assert stretched.residuals["pentagon"] < 1e-13
+    one_sided = fusion.validate(_vertex_gauge(data, gauge, {}))
+    assert (one_sided.ok, one_sided.failed_axiom) == (False, "pentagon")
+
+
 @pytest.mark.parametrize("block, pair", [(0, ("01:0", "10:1")), (3, ("10:0", "01:0"))])
 def test_linking_trees_that_leave_a_rank_name_their_pair(monkeypatch, block, pair):
     # a block that misses a class leaves part of some x (x)_A y without

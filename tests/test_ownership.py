@@ -182,144 +182,187 @@ def test_source_keeps_ownership(rule):
     assert not found, "\n".join(found)
 
 
-# snippet, module, and whether the ownership table flags it
+# snippet, module, and whether the ownership table flags it, each under
+# the id it was given
 FLAGS = [
-    ("def split(F):\n    return spectral_pieces(F)", "hilb3", True),
-    ("def module_category(F):\n    return spectral_pieces(F)", "intalg", True),
-    ("class M:\n    def homs(self):\n        return spectral_pieces(a)", "intalg", True),
-    ("pieces = spectral_pieces(eng, word, comm)", "intalg", True),
-    ("def split_summands(F):\n    return spectral_pieces(F)", "intalg", False),
-    ("class _LinkingBuilder:\n    def f_matrices(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
-    ("class _LinkingBuilder:\n    def trees(self):\n        return relative_tensor(X, Y, tol)", "hilb3", True),
-    ("def split_monad(B):\n    return relative_tensor(M, Md)", "hilb3", False),
-    ("basis = intalg._solve(eng, pair, [])", "hilb3", True),
-    ("def f(eng):\n    return eng.linear_matrix(g, p, q)", "diagram", True),
-    ("class B:\n    def homs(self):\n        return null_space(m)", "intalg", True),
-    ("ns = numcore.null_space(m)", "numcore", True),
-    ("def _solve(eng):\n    return []", "intalg", True),
-    ("def null_space(m):\n    return m", "numcore", True),
-    ("class Engine:\n    def linear_matrix(self, fun, a, b):\n        pass", "diagram", True),
-    ("basis = F.homs(G)\nrows = row_space(m)", "intalg", False),
-    ("def solve_ladder(x):\n    return x", "deligne", False),
-    ("f = Mor(eng, (), (), {})", "hilb3", True),
-    ("def g(eng):\n    return diagram.Mor(eng, (), (), {})", "intalg", True),
-    ("f = Mor(eng, (), (), {})", "diagram", False),
-    ("f = eng.mor((), (), {})", "intalg", False),
-    ("from .diagram import Engine, Mor\nx: Mor = eng.zero((), ())", "hilb3", False),
-    ("f = eng.mor(X, Y, blocks)", "deligne", True),
-    ("f = Mor(eng, X, Y, blocks)", "deligne", True),
-    ("f = eng.derived(key, build)\ng = eng.compose(f, f)", "deligne", False),
-    ("key = (id(dst.m), id(dst.n))", "deligne", True),
-    ("def f(self, x):\n    return self._cache.get(id(x))", "diagram", True),
-    ("k = builtins.id(x)", "hilb3", True),
-    ("key = (dst.m, dst.n)\nvid = row.vid", "deligne", False),
-    ("eng = Engine(data, udf_from_weight(data, psi))", "hilb3", True),
-    ("def g(data, udf):\n    return diagram.Engine(data, udf)", "intalg", True),
-    ("eng = dual_engine(data, psi, tol)", "hilb3", False),
-    ("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf", "intalg", False),
-    ("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "diagram", False),
-    ("def dual_engine(data):\n    udf.beta[c] = 1.0\n    udf.alpha[c] = 2.0", "fusion", False),
-    ("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "hilb3", True),
-    ("class Engine:\n    def ev_simple(self, c):\n        return self.udf.alpha[c]", "diagram", True),
-    ("def loop(eng, c):\n    return abs(eng.udf.beta[c]) ** 2", "fusion", True),
-    ("z = udf.alpha.get(c, 1.0)", "intalg", True),
-    ("def dual_engine(udf):\n    return udf.alpha[c]", "fusion", True),
-    ("def f(eng):\n    eng.udf.alpha[c] = 1.0", "diagram", True),
-    ("def f(eng):\n    eng.udf.beta[c] *= 2.0", "cli", True),
-    ("def f(udf):\n    udf.alpha = {}", "hilb3", True),
-    ("def f(udf, base):\n    udf.alpha = base.alpha", "hilb3", True),
-    ("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion", True),
-    ("def f(A):\n    return A.alpha + udf.psi", "intalg", False),
-    ("def f(data):\n    return data.N.get((a, b, c), 0)", "diagram", True),
-    ("rows = eng.data.N", "hilb3", True),
-    ("def pentagon_residual(data):\n    return len(data.N)", "fusion", True),
-    ("class FusionData:\n    def n(self):\n        return self.N.get(k, 0)", "fusion", True),
-    ("class FusionData:\n    def to_json(self):\n        return self.N.get(k, 0)", "fusion", False),
-    ("class FusionData:\n    def to_json(self):\n        return self.N.get(k, 0)", "hilb3", True),
-    ("def validate(data):\n    for a, b, c in data.N:\n        pass", "fusion", False),
-    ("def f(data):\n    return data.n(a, b, c) + data.table[0, 0, 0]", "diagram", False),
-    ("data = FusionData(S, U, G, D, N=mults, F=F)", "hilb3", False),
+    pytest.param("def split(F):\n    return spectral_pieces(F)", "hilb3", True, id="hilb3-0"),
+    pytest.param("def module_category(F):\n    return spectral_pieces(F)", "intalg", True, id="intalg-1"),
+    pytest.param("class M:\n    def homs(self):\n        return spectral_pieces(a)", "intalg", True, id="intalg-2"),
+    pytest.param("pieces = spectral_pieces(eng, word, comm)", "intalg", True, id="intalg-3"),
+    pytest.param("def split_summands(F):\n    return spectral_pieces(F)", "intalg", False, id="intalg-4"),
+    pytest.param("class _LinkingBuilder:\n    def f_matrices(self):\n        return relative_tensor(X, Y, tol)",
+                 "hilb3", True, id="hilb3-5"),
+    pytest.param("class _LinkingBuilder:\n    def trees(self):\n        return relative_tensor(X, Y, tol)",
+                 "hilb3", True, id="hilb3-6"),
+    pytest.param("def split_monad(B):\n    return relative_tensor(M, Md)", "hilb3", False, id="hilb3-7"),
+    pytest.param("basis = intalg._solve(eng, pair, [])", "hilb3", True, id="hilb3-8"),
+    pytest.param("def f(eng):\n    return eng.linear_matrix(g, p, q)", "diagram", True, id="diagram-9"),
+    pytest.param("class B:\n    def homs(self):\n        return null_space(m)", "intalg", True, id="intalg-10"),
+    pytest.param("ns = numcore.null_space(m)", "numcore", True, id="numcore-11"),
+    pytest.param("def _solve(eng):\n    return []", "intalg", True, id="intalg-12"),
+    pytest.param("def null_space(m):\n    return m", "numcore", True, id="numcore-13"),
+    pytest.param("class Engine:\n    def linear_matrix(self, fun, a, b):\n        pass",
+                 "diagram", True, id="diagram-14"),
+    pytest.param("basis = F.homs(G)\nrows = row_space(m)", "intalg", False, id="intalg-15"),
+    pytest.param("def solve_ladder(x):\n    return x", "deligne", False, id="deligne-16"),
+    pytest.param("f = Mor(eng, (), (), {})", "hilb3", True, id="hilb3-17"),
+    pytest.param("def g(eng):\n    return diagram.Mor(eng, (), (), {})", "intalg", True, id="intalg-18"),
+    pytest.param("f = Mor(eng, (), (), {})", "diagram", False, id="diagram-19"),
+    pytest.param("f = eng.mor((), (), {})", "intalg", False, id="intalg-20"),
+    pytest.param("from .diagram import Engine, Mor\nx: Mor = eng.zero((), ())", "hilb3", False, id="hilb3-21"),
+    pytest.param("f = eng.mor(X, Y, blocks)", "deligne", True, id="deligne-22"),
+    pytest.param("f = Mor(eng, X, Y, blocks)", "deligne", True, id="deligne-23"),
+    pytest.param("f = eng.derived(key, build)\ng = eng.compose(f, f)", "deligne", False, id="deligne-24"),
+    pytest.param("key = (id(dst.m), id(dst.n))", "deligne", True, id="deligne-25"),
+    pytest.param("def f(self, x):\n    return self._cache.get(id(x))", "diagram", True, id="diagram-26"),
+    pytest.param("k = builtins.id(x)", "hilb3", True, id="hilb3-27"),
+    pytest.param("key = (dst.m, dst.n)\nvid = row.vid", "deligne", False, id="deligne-28"),
+    pytest.param("eng = Engine(data, udf_from_weight(data, psi))", "hilb3", True, id="hilb3-29"),
+    pytest.param("def g(data, udf):\n    return diagram.Engine(data, udf)", "intalg", True, id="intalg-30"),
+    pytest.param("eng = dual_engine(data, psi, tol)", "hilb3", False, id="hilb3-31"),
+    pytest.param("from .diagram import Engine\ndef f(eng: Engine):\n    return eng.udf",
+                 "intalg", False, id="intalg-32"),
+    pytest.param("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "diagram", False, id="diagram-33"),
+    pytest.param("def dual_engine(data):\n    udf.beta[c] = 1.0\n    udf.alpha[c] = 2.0",
+                 "fusion", False, id="fusion-34"),
+    pytest.param("def _cup(data, udf, x, ev):\n    return udf.alpha[x]", "hilb3", True, id="hilb3-35"),
+    pytest.param("class Engine:\n    def ev_simple(self, c):\n        return self.udf.alpha[c]",
+                 "diagram", True, id="diagram-36"),
+    pytest.param("def loop(eng, c):\n    return abs(eng.udf.beta[c]) ** 2", "fusion", True, id="fusion-37"),
+    pytest.param("z = udf.alpha.get(c, 1.0)", "intalg", True, id="intalg-38"),
+    pytest.param("def dual_engine(udf):\n    return udf.alpha[c]", "fusion", True, id="fusion-39"),
+    pytest.param("def f(eng):\n    eng.udf.alpha[c] = 1.0", "diagram", True, id="diagram-40"),
+    pytest.param("def f(eng):\n    eng.udf.beta[c] *= 2.0", "cli", True, id="cli-41"),
+    pytest.param("def f(udf):\n    udf.alpha = {}", "hilb3", True, id="hilb3-42"),
+    pytest.param("def f(udf, base):\n    udf.alpha = base.alpha", "hilb3", True, id="hilb3-43"),
+    pytest.param("def dual_engine(udf):\n    m[udf.alpha[c]] = 1", "fusion", True, id="fusion-44"),
+    pytest.param("def f(A):\n    return A.alpha + udf.psi", "intalg", False, id="intalg-45"),
+    pytest.param("def f(data):\n    return data.N.get((a, b, c), 0)", "diagram", True, id="diagram-46"),
+    pytest.param("rows = eng.data.N", "hilb3", True, id="hilb3-47"),
+    pytest.param("def pentagon_residual(data):\n    return len(data.N)", "fusion", True, id="fusion-48"),
+    pytest.param("class FusionData:\n    def n(self):\n        return self.N.get(k, 0)",
+                 "fusion", True, id="fusion-49"),
+    pytest.param("class FusionData:\n    def to_json(self):\n        return self.N.get(k, 0)",
+                 "fusion", False, id="fusion-50"),
+    pytest.param("class FusionData:\n    def to_json(self):\n        return self.N.get(k, 0)",
+                 "hilb3", True, id="hilb3-51"),
+    pytest.param("def validate(data):\n    for a, b, c in data.N:\n        pass", "fusion", False, id="fusion-52"),
+    pytest.param("def f(data):\n    return data.n(a, b, c) + data.table[0, 0, 0]", "diagram", False, id="diagram-53"),
+    pytest.param("data = FusionData(S, U, G, D, N=mults, F=F)", "hilb3", False, id="hilb3-54"),
     # the engine's sweep, F blocks and grouped unitaries before they moved
     # onto the data, one fault each
-    ("class Engine:\n    def __init__(self, data):\n        self._basis = {}", "diagram", True),
-    ("class Engine:\n    def _trees(self, word):\n        pass", "diagram", True),
-    ("class Engine:\n    def f(self, x, e):\n        return self.data.fusion_products(x, e)", "diagram", True),
-    ("class Engine:\n    def __init__(self, data):\n        self._group = {}", "diagram", True),
-    ("class Engine:\n    def __init__(self, data):\n        self._fcache = {}", "diagram", True),
-    ("class Engine:\n    def _fsym(self, a, b, c, d):\n        return self.data.f_matrix(a, b, c, d)", "diagram", True),
-    ("class Engine:\n    def __init__(self, data):\n        self._group = data.grouped_unitaries", "diagram", False),
-    ("class Engine:\n    def group_last(self, key):\n        self._group[key] = (grouped, gidx, U)", "diagram", False),
-    ("class Engine:\n    def whisker_right_obj(self, key):\n        self._group[key] = (grouped, gidx, U)", "diagram", True),
-    ("def f(data, k):\n    data.grouped_unitaries.pop(k)", "hilb3", True),
-    ("class Engine:\n    def f(self):\n        self._bases = {}", "diagram", True),
-    ("def f(eng, k):\n    eng._bases[k] = []", "intalg", True),
-    ("def f(data, k):\n    data.comb_supports.setdefault(k, ())", "hilb3", True),
-    ("def f(data, k):\n    data.comb_bases[k], x = [], 1", "fusion", True),
-    ("def f(data):\n    return data.fusion_products(a, b)", "hilb3", True),
-    ("class FusionData:\n    def sweep(self, word):\n        self.comb_bases[(word, c)] = out", "fusion", False),
-    ("class FusionData:\n    def tree_rows(self, word):\n        self.comb_bases[(word, c)] = out", "fusion", True),
-    ("class Engine:\n    def __init__(self, data):\n        self._bases = data.comb_bases", "diagram", False),
-    ("def f(eng, data):\n    eng._bases, x = data.comb_bases, 1", "hilb3", True),
-    ("def f(self):\n    return self._bases.get(k)", "diagram", False),
-    ("def f(self):\n    self._trees = {}", "hilb3", False),
-    ("return Certificate(False, residuals, failed_axiom='unitality')", "intalg", True),
-    ("def f(ok):\n    return certify.Certificate(ok, {})", "hilb3", True),
-    ("def f(r, checks) -> Certificate:\n    return judged(r, checks)", "intalg", False),
-    ("from .certify import Certificate, judged\nc: Certificate = None", "hilb3", False),
-    ("import jsonschema", "cli", True),
-    ("def f():\n    import jsonschema.validators as v", "cli", True),
-    ("from jsonschema import validate", "cli", True),
-    ("importlib.import_module('jsonschema')", "cli", True),
-    ("m = __import__('hypothesis')", "bundled", True),
-    ("import json\nfrom importlib import resources", "cli", False),
-    ("from . import cli\nimport jsonschema_like", "cli", False),
+    pytest.param("class Engine:\n    def __init__(self, data):\n        self._basis = {}",
+                 "diagram", True, id="diagram-55"),
+    pytest.param("class Engine:\n    def _trees(self, word):\n        pass", "diagram", True, id="diagram-56"),
+    pytest.param("class Engine:\n    def f(self, x, e):\n        return self.data.fusion_products(x, e)",
+                 "diagram", True, id="diagram-57"),
+    pytest.param("class Engine:\n    def __init__(self, data):\n        self._group = {}",
+                 "diagram", True, id="diagram-58"),
+    pytest.param("class Engine:\n    def __init__(self, data):\n        self._fcache = {}",
+                 "diagram", True, id="diagram-59"),
+    pytest.param("class Engine:\n    def _fsym(self, a, b, c, d):\n        return self.data.f_matrix(a, b, c, d)",
+                 "diagram", True, id="diagram-60"),
+    pytest.param("class Engine:\n    def __init__(self, data):\n        self._group = data.grouped_unitaries",
+                 "diagram", False, id="diagram-61"),
+    pytest.param("class Engine:\n    def group_last(self, key):\n        self._group[key] = (grouped, gidx, U)",
+                 "diagram", False, id="diagram-62"),
+    pytest.param("class Engine:\n    def whisker_right_obj(self, key):\n        self._group[key] = (grouped, gidx, U)",
+                 "diagram", True, id="diagram-63"),
+    pytest.param("def f(data, k):\n    data.grouped_unitaries.pop(k)", "hilb3", True, id="hilb3-64"),
+    pytest.param("class Engine:\n    def f(self):\n        self._bases = {}", "diagram", True, id="diagram-65"),
+    pytest.param("def f(eng, k):\n    eng._bases[k] = []", "intalg", True, id="intalg-66"),
+    pytest.param("def f(data, k):\n    data.comb_supports.setdefault(k, ())", "hilb3", True, id="hilb3-67"),
+    pytest.param("def f(data, k):\n    data.comb_bases[k], x = [], 1", "fusion", True, id="fusion-68"),
+    pytest.param("def f(data):\n    return data.fusion_products(a, b)", "hilb3", True, id="hilb3-69"),
+    pytest.param("class FusionData:\n    def sweep(self, word):\n        self.comb_bases[(word, c)] = out",
+                 "fusion", False, id="fusion-70"),
+    pytest.param("class FusionData:\n    def tree_rows(self, word):\n        self.comb_bases[(word, c)] = out",
+                 "fusion", True, id="fusion-71"),
+    pytest.param("class Engine:\n    def __init__(self, data):\n        self._bases = data.comb_bases",
+                 "diagram", False, id="diagram-72"),
+    pytest.param("def f(eng, data):\n    eng._bases, x = data.comb_bases, 1", "hilb3", True, id="hilb3-73"),
+    pytest.param("def f(self):\n    return self._bases.get(k)", "diagram", False, id="diagram-74"),
+    pytest.param("def f(self):\n    self._trees = {}", "hilb3", False, id="hilb3-75"),
+    pytest.param("return Certificate(False, residuals, failed_axiom='unitality')", "intalg", True, id="intalg-76"),
+    pytest.param("def f(ok):\n    return certify.Certificate(ok, {})", "hilb3", True, id="hilb3-77"),
+    pytest.param("def f(r, checks) -> Certificate:\n    return judged(r, checks)", "intalg", False, id="intalg-78"),
+    pytest.param("from .certify import Certificate, judged\nc: Certificate = None", "hilb3", False, id="hilb3-79"),
+    pytest.param("import jsonschema", "cli", True, id="cli-80"),
+    pytest.param("def f():\n    import jsonschema.validators as v", "cli", True, id="cli-81"),
+    pytest.param("from jsonschema import validate", "cli", True, id="cli-82"),
+    pytest.param("importlib.import_module('jsonschema')", "cli", True, id="cli-83"),
+    pytest.param("m = __import__('hypothesis')", "bundled", True, id="bundled-84"),
+    pytest.param("import json\nfrom importlib import resources", "cli", False, id="cli-85"),
+    pytest.param("from . import cli\nimport jsonschema_like", "cli", False, id="cli-86"),
     # the cup reader's place before it left the engine, so that loop_eval
     # needs none
-    ("class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]", "diagram", True),
-    ("def loop(data, udf, c, side):\n    return abs(udf.beta[c]) ** 2", "diagram", True),
-    ("d = worst(float(np.linalg.norm(g - np.eye(m))) for g in grams)", "hilb2", True),
-    ("def frobenius(m):\n    return numpy.linalg.norm(m)", "numcore", True),
-    ("norm = np.linalg.norm\nd = norm(a - b)", "intalg", True),
-    ("d = worst(float(frobenius(g - space.data.eye(m))) for g in grams)", "hilb2", False),
-    ("def f(x):\n    return x.norm() + eng.l2_norm(x)", "hilb2", False),
+    pytest.param("class Engine:\n    def _cup(self, x):\n        return self.udf.alpha[x]",
+                 "diagram", True, id="diagram-87"),
+    pytest.param("def loop(data, udf, c, side):\n    return abs(udf.beta[c]) ** 2", "diagram", True, id="diagram-88"),
+    pytest.param("d = worst(float(np.linalg.norm(g - np.eye(m))) for g in grams)", "hilb2", True, id="hilb2-89"),
+    pytest.param("def frobenius(m):\n    return numpy.linalg.norm(m)", "numcore", True, id="numcore-90"),
+    pytest.param("norm = np.linalg.norm\nd = norm(a - b)", "intalg", True, id="intalg-91"),
+    pytest.param("d = worst(float(frobenius(g - space.data.eye(m))) for g in grams)", "hilb2", False, id="hilb2-92"),
+    pytest.param("def f(x):\n    return x.norm() + eng.l2_norm(x)", "hilb2", False, id="hilb2-93"),
     # identity blocks before they were the data's shared ones
-    ("class Engine:\n    def identity(self, word):\n        return {c: np.eye(n) for c in word}", "diagram", True),
-    ("def f(n):\n    return np.eye(n, dtype=complex)", "diagram", True),
-    ("class FusionData:\n    def f_matrix(self, n):\n        return np.eye(n)", "fusion", True),
-    ("class Engine:\n    def identity(self, word):\n        return {c: self.data.eye(n) for c in word}", "diagram", False),
-    ("class FusionData:\n    def eye(self, dim):\n        return np.eye(dim, dtype=complex)", "fusion", False),
-    ("d = frobenius(gram - np.eye(m))", "hilb2", True),
+    pytest.param("class Engine:\n    def identity(self, word):\n        return {c: np.eye(n) for c in word}",
+                 "diagram", True, id="diagram-94"),
+    pytest.param("def f(n):\n    return np.eye(n, dtype=complex)", "diagram", True, id="diagram-95"),
+    pytest.param("class FusionData:\n    def f_matrix(self, n):\n        return np.eye(n)",
+                 "fusion", True, id="fusion-96"),
+    pytest.param("class Engine:\n    def identity(self, word):\n        return {c: self.data.eye(n) for c in word}",
+                 "diagram", False, id="diagram-97"),
+    pytest.param("class FusionData:\n    def eye(self, dim):\n        return np.eye(dim, dtype=complex)",
+                 "fusion", False, id="fusion-98"),
+    pytest.param("d = frobenius(gram - np.eye(m))", "hilb2", True, id="hilb2-99"),
     # the 2-Hilbert spaces' own objects and morphisms, before both became
     # the engine's, and the one block division hstar1 makes through the door
-    ("class H2Morphism:\n    def compose(self, other):\n        pass", "hilb2", True),
-    ("class H2Object:\n    pass", "hstar1", True),
-    ("d = frobenius(gram - space.data.eye(m))", "hilb2", False),
-    ("def _per_weight(eng, f):\n    return eng.mor(f.dom, f.cod, {})", "hstar1", False),
-    ("def rank_one(eng, xi, eta):\n    return eng.mor(xi.dom, eta.dom, {})", "hstar1", True),
+    pytest.param("class H2Morphism:\n    def compose(self, other):\n        pass", "hilb2", True, id="hilb2-100"),
+    pytest.param("class H2Object:\n    pass", "hstar1", True, id="hstar1-101"),
+    pytest.param("d = frobenius(gram - space.data.eye(m))", "hilb2", False, id="hilb2-102"),
+    pytest.param("def _per_weight(eng, f):\n    return eng.mor(f.dom, f.cod, {})", "hstar1", False, id="hstar1-103"),
+    pytest.param("def rank_one(eng, xi, eta):\n    return eng.mor(xi.dom, eta.dom, {})",
+                 "hstar1", True, id="hstar1-104"),
     # a split that draws, as split_summands and spectral_pieces once did
-    ("def split_summands(F, seed):\n    rng = np.random.default_rng(seed)", "intalg", True),
-    ("def spectral_pieces(eng, word, comm, rng):\n    z = rng.standard_normal()", "intalg", True),
-    ("def random_mor(self, dom, cod, rng):\n    return rng.standard_normal(n)", "diagram", True),
-    ("def sample_rng(samples, seed):\n    return np.random.default_rng(seed)", "numcore", False),
-    ("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)", "diagram", True),
+    pytest.param("def split_summands(F, seed):\n    rng = np.random.default_rng(seed)",
+                 "intalg", True, id="intalg-105"),
+    pytest.param("def spectral_pieces(eng, word, comm, rng):\n    z = rng.standard_normal()",
+                 "intalg", True, id="intalg-106"),
+    pytest.param("def random_mor(self, dom, cod, rng):\n    return rng.standard_normal(n)",
+                 "diagram", True, id="diagram-107"),
+    pytest.param("def sample_rng(samples, seed):\n    return np.random.default_rng(seed)",
+                 "numcore", False, id="numcore-108"),
+    pytest.param("class Engine:\n    def random_mor(self, dom, cod, rng):\n        return rng.standard_normal(n)",
+                 "diagram", True, id="diagram-109"),
     # the projection splitter that numcore kept beside the relative tensor
-    ("def projection_rank(p, parts, tol):\n    vals, vecs = np.linalg.eigh(p)", "numcore", True),
-    ("def _sorted_eigh(m):\n    pass", "numcore", True),
-    ("def split_projection(p, tol):\n    return p", "numcore", True),
-    ("def split_projection(p, tol):\n    return p", "intalg", True),
-    ("vals, vecs = np.linalg.eigh(h)", "intalg", True),
-    ("def relative_tensor(M, N):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False),
-    ("def endo_power(eng, f, r):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False),
-    ("def verify_hstar(A):\n    vals = np.linalg.eigvalsh(h)", "intalg", False),
-    ("def f(h):\n    return numpy.linalg.eigh(h)", "hilb3", True),
+    pytest.param("def projection_rank(p, parts, tol):\n    vals, vecs = np.linalg.eigh(p)",
+                 "numcore", True, id="numcore-110"),
+    pytest.param("def _sorted_eigh(m):\n    pass", "numcore", True, id="numcore-111"),
+    pytest.param("def split_projection(p, tol):\n    return p", "numcore", True, id="numcore-112"),
+    pytest.param("def split_projection(p, tol):\n    return p", "intalg", True, id="intalg-113"),
+    pytest.param("vals, vecs = np.linalg.eigh(h)", "intalg", True, id="intalg-114"),
+    pytest.param("def relative_tensor(M, N):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False, id="intalg-115"),
+    pytest.param("def endo_power(eng, f, r):\n    vals, vecs = np.linalg.eigh(h)", "intalg", False, id="intalg-116"),
+    pytest.param("def verify_hstar(A):\n    vals = np.linalg.eigvalsh(h)", "intalg", False, id="intalg-117"),
+    pytest.param("def f(h):\n    return numpy.linalg.eigh(h)", "hilb3", True, id="hilb3-118"),
     # the trace law's draws, before it ran on one matrix unit per block
-    ("def module_trace_law(mod, tol):\n    rng = np.random.default_rng(0)", "hstar1", True),
+    pytest.param("def module_trace_law(mod, tol):\n    rng = np.random.default_rng(0)",
+                 "hstar1", True, id="hstar1-119"),
 ]
 
 
-@pytest.mark.parametrize("source, module, flagged", FLAGS, ids=[f"{m}-{i}" for i, (_, m, _) in enumerate(FLAGS)])
+@pytest.mark.parametrize("source, module, flagged", FLAGS)
 def test_ownership_lint_flags(source, module, flagged):
     assert bool(_faults(source, module)) == flagged
+
+
+def test_ownership_lint_cases_keep_unique_ids():
+    # each case keeps the id it was given, its module and a number, so a
+    # case inserted anywhere renames no other; a new case takes the next
+    # free number
+    ids = [case.id for case in FLAGS]
+    assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
+    assert all(case.id.startswith(f"{case.values[1]}-") for case in FLAGS)
 
 
 def test_readme_lists_the_ownership_table():
